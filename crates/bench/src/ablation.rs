@@ -52,14 +52,14 @@ pub fn evaluate(
     AblationOutcome { recon_mean_dbm, loc_median_m }
 }
 
-/// Averages [`evaluate`] over several seeds (parallel).
+/// Averages [`evaluate`] over several seeds.
 pub fn evaluate_seeds(
     config: TafLocConfig,
     seeds: &[u64],
     samples: usize,
     cell_step: usize,
 ) -> AblationOutcome {
-    let outs = crate::run_seeds(seeds, |s| evaluate(config, s, samples, cell_step));
+    let outs: Vec<_> = seeds.iter().map(|&s| evaluate(config, s, samples, cell_step)).collect();
     let n = outs.len() as f64;
     AblationOutcome {
         recon_mean_dbm: outs.iter().map(|o| o.recon_mean_dbm).sum::<f64>() / n,

@@ -80,7 +80,7 @@ fn main() {
     let seeds: Vec<u64> = (1..=num_seeds).collect();
 
     eprintln!("ablation_terms: {} seeds x {} samples at 90 days ...", seeds.len(), samples);
-    let per_seed = taf_bench::run_seeds(&seeds, |s| run_seed(s, samples));
+    let per_seed: Vec<_> = seeds.iter().map(|&s| run_seed(s, samples)).collect();
     let mut avg = [0.0; 4];
     for r in &per_seed {
         for (a, v) in avg.iter_mut().zip(r) {

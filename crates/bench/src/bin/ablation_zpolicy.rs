@@ -47,7 +47,7 @@ fn main() {
         ("Z fixed (paper)", ZRefreshPolicy::Fixed),
         ("Z refit each update", ZRefreshPolicy::RefitAfterUpdate),
     ] {
-        let per_seed = taf_bench::run_seeds(&seeds, |s| run_seed(policy, s, samples));
+        let per_seed: Vec<_> = seeds.iter().map(|&s| run_seed(policy, s, samples)).collect();
         let mut avg = vec![0.0; UPDATE_DAYS.len()];
         for r in &per_seed {
             for (a, v) in avg.iter_mut().zip(r) {

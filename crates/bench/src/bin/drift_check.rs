@@ -21,21 +21,24 @@ fn main() {
     // what the paper's in-text anchors describe) and entry-level (fingerprint
     // entries, which additionally age through the per-entry components).
     let horizons = [3.0, 5.0, 15.0, 45.0, 90.0];
-    let per_seed = taf_bench::run_seeds(&seeds, |seed| {
-        let w = World::new(WorldConfig::paper_default(), seed);
-        let e0 = w.empty_truth(0.0);
-        let x0 = w.fingerprint_truth(0.0);
-        horizons
-            .map(|t| {
-                let et = w.empty_truth(t);
-                let link: f64 =
-                    e0.iter().zip(&et).map(|(a, b)| (a - b).abs()).sum::<f64>() / e0.len() as f64;
-                let xt = w.fingerprint_truth(t);
-                let entry = x0.sub(&xt).expect("same shape").map(f64::abs).mean();
-                (link, entry)
-            })
-            .to_vec()
-    });
+    let per_seed: Vec<_> = seeds
+        .iter()
+        .map(|&seed| {
+            let w = World::new(WorldConfig::paper_default(), seed);
+            let e0 = w.empty_truth(0.0);
+            let x0 = w.fingerprint_truth(0.0);
+            horizons
+                .map(|t| {
+                    let et = w.empty_truth(t);
+                    let link: f64 = e0.iter().zip(&et).map(|(a, b)| (a - b).abs()).sum::<f64>()
+                        / e0.len() as f64;
+                    let xt = w.fingerprint_truth(t);
+                    let entry = x0.sub(&xt).expect("same shape").map(f64::abs).mean();
+                    (link, entry)
+                })
+                .to_vec()
+        })
+        .collect();
     let mut link_means = vec![0.0; horizons.len()];
     let mut entry_means = vec![0.0; horizons.len()];
     for s in &per_seed {

@@ -1,34 +1,24 @@
 //! Ingestion-throughput baseline: raw samples/sec through the streaming
 //! pipeline, plus fingerprint-assembly latency percentiles.
 //!
-//! Three phases, each on the paper-scale link count:
+//! Four phases, each on the paper-scale link count:
 //!
 //! 1. **Direct pipeline** — `threads` producers call
 //!    [`Ingestor::apply_batch`] concurrently on disjoint time epochs of a
 //!    simulated radio stream; reported as aggregate samples/sec.
 //! 2. **Assembly** — repeated [`Ingestor::assemble`] calls on the loaded
 //!    pipeline; reported as p50/p95/p99/max latency and assemblies/sec.
-//! 3. **Bounded queue (overload)** — the same producers push through an
-//!    [`IngestQueue`] sized to be a bottleneck, demonstrating shed-and-count
-//!    backpressure; reported as offered and delivered samples/sec plus the
-//!    drop fraction. The offered rate is measured over the *push* phase only
-//!    (the drain tail is excluded) and capped at one sample per producer per
-//!    clock tick — a spin loop shoving batches into a full `try_send` can
-//!    "offer" at memory speed, which is an artifact of the loop, not a rate
-//!    any timestamping producer could sustain (see EXPERIMENTS.md).
-//! 4. **Bounded queue (paced)** — producers throttled to ~70% of the drain
-//!    capacity measured in phase 3: the non-overload regime the daemon
-//!    actually runs in, where the shed fraction should be ~0.
-//! 5. **Sharded credit queues (overload)** — the same pressure against four
-//!    [`CreditQueue`]s behind a consistent-hash [`ShardRing`], the admission
-//!    path the sharded daemon uses: every batch gets an explicit
-//!    admitted/deferred/rejected verdict and the *silent* shed fraction must
-//!    be ~0 by construction.
-//! 6. **Journaled admission (overload)** — phase 5 with the write-ahead
+//! 3. **Sharded credit queues (overload)** — the same producers push against
+//!    four undersized [`CreditQueue`]s behind a consistent-hash
+//!    [`ShardRing`], the admission path the sharded daemon uses: every batch
+//!    gets an explicit admitted/deferred/rejected verdict and the *silent*
+//!    shed fraction must be ~0 by construction. The offered rate is measured
+//!    over the *push* phase only (the drain tail is excluded).
+//! 4. **Journaled admission (overload)** — phase 3 with the write-ahead
 //!    ingest journal on the admitted path: every admitted batch is appended
 //!    to a per-shard segment-rotated WAL under the default group-commit
 //!    config before it counts, pricing the durability the daemon pays with
-//!    `--data-dir`. The gate watches the admitted-rate ratio vs phase 5.
+//!    `--data-dir`. The gate watches the admitted-rate ratio vs phase 3.
 //!
 //! The headline numbers land in `BENCH_ingest.json` at the repo root in the
 //! canonical golden-file JSON form; CI's bench-smoke job re-generates the file
@@ -41,7 +31,7 @@ use std::time::{Duration, Instant};
 use taf_bench::perf;
 use taf_rfsim::{stream, StreamConfig, World, WorldConfig};
 use taf_testkit::json::Json;
-use tafloc_ingest::{Admission, CreditQueue, IngestConfig, IngestQueue, Ingestor, LinkSample};
+use tafloc_ingest::{Admission, CreditQueue, IngestConfig, Ingestor, LinkSample};
 use tafloc_serve::journal::{Journal, JournalConfig, JournalRecord};
 use tafloc_serve::shard::{ShardRing, DEFAULT_SHARD_SEED};
 
@@ -54,24 +44,6 @@ fn shifted(base: &[LinkSample], offset_s: f64) -> Vec<LinkSample> {
 fn quantile(sorted_us: &[u64], q: f64) -> u64 {
     let idx = ((q * sorted_us.len() as f64).ceil() as usize).clamp(1, sorted_us.len());
     sorted_us[idx - 1]
-}
-
-/// Median observable tick of the producer clock, in seconds. A producer that
-/// timestamps its samples cannot meaningfully offer more than one sample per
-/// tick, so this bounds any honest offered-rate claim.
-fn clock_resolution_s() -> f64 {
-    let mut deltas = Vec::with_capacity(1024);
-    let mut last = Instant::now();
-    while deltas.len() < 1024 {
-        let now = Instant::now();
-        let d = now.duration_since(last);
-        if !d.is_zero() {
-            deltas.push(d.as_secs_f64());
-        }
-        last = now;
-    }
-    deltas.sort_by(f64::total_cmp);
-    deltas[deltas.len() / 2]
 }
 
 fn main() {
@@ -158,124 +130,11 @@ fn main() {
         lat_us[lat_us.len() - 1],
     );
 
-    // Phase 3: the bounded queue as the front door, sized to shed under
-    // this producer pressure.
-    let ing = Arc::new(Ingestor::new(IngestConfig::default(), m, m.min(8)).expect("ingestor"));
-    let queue = Arc::new(IngestQueue::spawn(Arc::clone(&ing), 4));
-    let start = Instant::now();
-    let joins: Vec<_> = (0..threads)
-        .map(|_| {
-            let queue = Arc::clone(&queue);
-            let base = base.clone();
-            std::thread::spawn(move || {
-                for e in 0..epochs {
-                    let epoch = shifted(&base, e as f64 * cfg.duration_s);
-                    for chunk in epoch.chunks(batch) {
-                        queue.push(chunk.to_vec()).expect("queue open");
-                    }
-                }
-            })
-        })
-        .collect();
-    for j in joins {
-        j.join().expect("producer thread");
-    }
-    // Push phase done; the drain tail is *delivery* time, not offer time.
-    let push_elapsed = start.elapsed().as_secs_f64();
-    drop(queue); // close + drain
-    let elapsed = start.elapsed().as_secs_f64();
-    let stats = ing.stats();
-    let offered = total_samples;
-    let shed = stats.dropped_queue_samples as f64;
-    // Honesty cap: a spin loop hammering a full `try_send` "offers" at
-    // memory speed. No producer that timestamps samples can offer faster
-    // than one sample per clock tick, so anything above that is reported as
-    // a loop artifact rather than a throughput claim.
-    let clock_res_s = clock_resolution_s();
-    let offered_sps_raw = offered / push_elapsed;
-    let offered_cap_sps = threads as f64 / clock_res_s;
-    let offered_capped = offered_sps_raw > offered_cap_sps;
-    let offered_sps = offered_sps_raw.min(offered_cap_sps);
-    let delivered_sps = (offered - shed) / elapsed;
-    let shed_frac = shed / offered;
-    println!(
-        "queue(cap 4): {offered:.0} samples offered in {push_elapsed:.3} s ({offered_sps:.0} samples/s{}) \
-         ->  {delivered_sps:.0} samples/s delivered; {:.1}% shed in {} batches \
-         (never blocking the producers)",
-        if offered_capped {
-            format!(", capped from {offered_sps_raw:.0} at producer clock resolution")
-        } else {
-            String::new()
-        },
-        100.0 * shed_frac,
-        stats.dropped_queue_batches,
-    );
-
-    // Phase 4: same front door, but producers paced to ~70% of the drain
-    // capacity just measured. A healthy deployment runs below capacity; this
-    // phase records what the queue does there (it should shed ~nothing).
-    let paced_target_frac = 0.7;
-    let per_thread_sps = (paced_target_frac * delivered_sps / threads as f64).max(1.0);
-    let paced_duration_s = if quick { 2.0 } else { 5.0 };
-    let chunks_per_thread = (((per_thread_sps * paced_duration_s) / batch as f64).ceil() as usize)
-        .clamp(1, base.len() * epochs / batch + 1);
-    let ing = Arc::new(Ingestor::new(IngestConfig::default(), m, m.min(8)).expect("ingestor"));
-    let queue = Arc::new(IngestQueue::spawn(Arc::clone(&ing), 4));
-    let start = Instant::now();
-    let joins: Vec<_> = (0..threads)
-        .map(|_| {
-            let queue = Arc::clone(&queue);
-            let base = base.clone();
-            std::thread::spawn(move || {
-                let interval = std::time::Duration::from_secs_f64(batch as f64 / per_thread_sps);
-                let mut next = Instant::now();
-                let mut pushed = 0usize;
-                let mut offered = 0usize;
-                let mut epoch_idx = 0u32;
-                while pushed < chunks_per_thread {
-                    let epoch = shifted(&base, f64::from(epoch_idx) * cfg.duration_s);
-                    epoch_idx += 1;
-                    for chunk in epoch.chunks(batch) {
-                        if pushed >= chunks_per_thread {
-                            break;
-                        }
-                        if let Some(wait) = next.checked_duration_since(Instant::now()) {
-                            std::thread::sleep(wait);
-                        }
-                        offered += chunk.len();
-                        queue.push(chunk.to_vec()).expect("queue open");
-                        next += interval;
-                        pushed += 1;
-                    }
-                }
-                offered
-            })
-        })
-        .collect();
-    let mut paced_offered = 0.0;
-    for j in joins {
-        paced_offered += j.join().expect("producer thread") as f64;
-    }
-    drop(queue); // close + drain
-    let paced_elapsed = start.elapsed().as_secs_f64();
-    let stats = ing.stats();
-    let paced_shed = stats.dropped_queue_samples as f64;
-    let paced_offered_sps = paced_offered / paced_elapsed;
-    let paced_delivered_sps = (paced_offered - paced_shed) / paced_elapsed;
-    let paced_shed_frac = if paced_offered > 0.0 { paced_shed / paced_offered } else { 0.0 };
-    println!(
-        "queue paced @ {:.0}% capacity: {paced_offered:.0} samples offered in {paced_elapsed:.3} s \
-         ({paced_offered_sps:.0} samples/s)  ->  {paced_delivered_sps:.0} samples/s delivered; \
-         {:.2}% shed",
-        100.0 * paced_target_frac,
-        100.0 * paced_shed_frac,
-    );
-
-    // Phase 5: the sharded admission path. Four credit queues behind the
+    // Phase 3: the sharded admission path. Four credit queues behind the
     // daemon's consistent-hash ring, each deliberately undersized, with every
-    // producer spraying batches across eight "sites". Unlike phase 3 nothing
-    // may vanish silently: every batch gets a verdict, and the silent shed
-    // fraction is asserted ~0 by CI's bench gate.
+    // producer spraying batches across eight "sites". Nothing may vanish
+    // silently: every batch gets a verdict, and the silent shed fraction is
+    // asserted ~0 by CI's bench gate.
     let num_shards = 4usize;
     let num_sites = 8usize;
     let ring = ShardRing::new(num_shards, DEFAULT_SHARD_SEED);
@@ -331,8 +190,7 @@ fn main() {
     }
     drop(shard_queues); // close + drain every shard
     let sharded_offered = credit.offered_samples as f64;
-    let sharded_offered_sps =
-        (sharded_offered / sharded_push_elapsed).min(threads as f64 / clock_res_s);
+    let sharded_offered_sps = sharded_offered / sharded_push_elapsed;
     let sharded_admitted_sps = credit.admitted_samples as f64 / start.elapsed().as_secs_f64();
     let deferred_frac = credit.deferred_samples as f64 / sharded_offered;
     let silent_frac = credit.silent_samples() as f64 / sharded_offered;
@@ -345,10 +203,10 @@ fn main() {
         100.0 * silent_frac,
     );
 
-    // Phase 6: the same admission path, now paying for durability — every
+    // Phase 4: the same admission path, now paying for durability — every
     // admitted batch is appended to its shard's write-ahead journal (default
     // group-commit config, the same one `taflocd --data-dir` runs with)
-    // before it counts as admitted. The delta against phase 5 is the whole
+    // before it counts as admitted. The delta against phase 3 is the whole
     // price of crash-safe ingest at this batch size.
     let wal_dir = std::env::temp_dir().join(format!("ingest-bench-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&wal_dir);
@@ -426,8 +284,7 @@ fn main() {
     drop(journals);
     let _ = std::fs::remove_dir_all(&wal_dir);
     let wal_admitted_sps = wal_credit.admitted_samples as f64 / start.elapsed().as_secs_f64();
-    let wal_offered_sps =
-        (wal_credit.offered_samples as f64 / wal_push_elapsed).min(threads as f64 / clock_res_s);
+    let wal_offered_sps = wal_credit.offered_samples as f64 / wal_push_elapsed;
     let wal_vs_sharded =
         if sharded_admitted_sps > 0.0 { wal_admitted_sps / sharded_admitted_sps } else { 0.0 };
     println!(
@@ -467,29 +324,6 @@ fn main() {
                 ("p95_us".into(), Json::Num(quantile(&lat_us, 0.95) as f64)),
                 ("p99_us".into(), Json::Num(quantile(&lat_us, 0.99) as f64)),
                 ("max_us".into(), Json::Num(lat_us[lat_us.len() - 1] as f64)),
-            ]),
-        ),
-        (
-            "queue".into(),
-            Json::Obj(vec![
-                ("offered_samples_per_s".into(), Json::Num(perf::round_ms(offered_sps))),
-                ("offered_samples_per_s_raw".into(), Json::Num(perf::round_ms(offered_sps_raw))),
-                ("offered_rate_capped".into(), Json::Bool(offered_capped)),
-                (
-                    "producer_clock_resolution_ns".into(),
-                    Json::Num(perf::round_ms(clock_res_s * 1e9)),
-                ),
-                ("delivered_samples_per_s".into(), Json::Num(perf::round_ms(delivered_sps))),
-                ("shed_fraction".into(), Json::Num(perf::round_ms(shed_frac))),
-            ]),
-        ),
-        (
-            "queue_paced".into(),
-            Json::Obj(vec![
-                ("target_fraction_of_capacity".into(), Json::Num(paced_target_frac)),
-                ("offered_samples_per_s".into(), Json::Num(perf::round_ms(paced_offered_sps))),
-                ("delivered_samples_per_s".into(), Json::Num(perf::round_ms(paced_delivered_sps))),
-                ("shed_fraction".into(), Json::Num(perf::round_ms(paced_shed_frac))),
             ]),
         ),
         (

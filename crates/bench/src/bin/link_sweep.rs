@@ -71,7 +71,7 @@ fn main() {
         "links", "rank (=n)", "recon [dBm]", "loc median [m]", "update cost [h]"
     );
     for links in [4, 6, 8, 10, 14, 20] {
-        let rows = taf_bench::run_seeds(&seeds, |s| run(links, s, samples));
+        let rows: Vec<_> = seeds.iter().map(|&s| run(links, s, samples)).collect();
         let n = rows.len() as f64;
         let rank = rows.iter().map(|r| r.rank).sum::<usize>() as f64 / n;
         let recon = rows.iter().map(|r| r.recon_dbm).sum::<f64>() / n;

@@ -93,7 +93,7 @@ fn main() {
     let seeds: Vec<u64> = (1..=num_seeds).collect();
 
     eprintln!("multi_target: two simultaneous targets, {} seeds x 12 trials ...", seeds.len());
-    let outs = taf_bench::run_seeds(&seeds, |s| run_seed(s, samples));
+    let outs: Vec<_> = seeds.iter().map(|&s| run_seed(s, samples)).collect();
 
     let trials: usize = outs.iter().map(|o| o.trials).sum();
     let both: usize = outs.iter().map(|o| o.both_found).sum();

@@ -1,11 +1,10 @@
 //! LoLi-IR solver throughput: wall time per reconstruction at paper scale,
-//! across thread counts, cold-started and warm-started, with the numbers
-//! recorded to `BENCH_solver.json`.
+//! cold-started and warm-started, with the numbers recorded to
+//! `BENCH_solver.json`.
 //!
 //! The problem is the rank-8 reconstruction the serving path runs on every
-//! database refresh, scaled up to M=48 links x N=400 cells so the colored
-//! Gauss-Seidel classes clear the parallel fan-out threshold. Two phases per
-//! thread count:
+//! database refresh, scaled up to M=48 links x N=400 cells. Two phases, one
+//! result row each:
 //!
 //! * **cold** — the refresh a site runs after a restart or rollback: SVD
 //!   initialization, full descent to the tolerance.
@@ -13,17 +12,13 @@
 //!   a small drift, seeded from the previous solution exactly as the daemon's
 //!   `SolverCache` does it.
 //!
-//! Each thread count runs in its own scoped rayon pool; within a phase the
-//! output is bit-identical across counts (enforced by the determinism tests,
-//! cross-checked here), so the only thing that may change is the clock. The
-//! iteration budget is high enough that every phase stops on the tolerance,
-//! not the cap — `converged` is part of the recorded contract.
+//! Each phase runs one untimed warm-up solve, then `repeats` timed solves on
+//! the same workspace, and records the median. The iteration budget is high
+//! enough that every phase stops on the tolerance, not the cap — `converged`
+//! is part of the recorded contract.
 //!
-//! Honesty notes: `threads_available` records what the machine actually has,
-//! and any phase asked to run more threads than that is flagged
-//! `oversubscribed` — its "speedup" is a scheduling artifact, not solver
-//! scaling. `gflops` is an estimate from counted work (dense products, data
-//! terms, per-block Cholesky), good for comparing runs of this bench, not an
+//! `gflops` is an estimate from counted work (dense products, data terms,
+//! per-block Cholesky), good for comparing runs of this bench, not an
 //! absolute measure.
 //!
 //! Usage: `cargo run --release -p taf-bench --bin solver_bench [--quick]`
@@ -66,21 +61,6 @@ fn estimated_flops(m: usize, n: usize, r: usize, observed: usize, iterations: us
     iterations as f64 * (dense + grams + data + chol)
 }
 
-struct Phase {
-    mode: &'static str,
-    threads: usize,
-    median_ms: f64,
-    iterations: usize,
-    converged: bool,
-    objective: f64,
-    /// Relative objective decrease over the final iteration, in the same
-    /// normalization the solver's stopping rule uses.
-    final_rel_delta: f64,
-    stop_reason: &'static str,
-    oversubscribed: bool,
-    gflops: f64,
-}
-
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (m, n, repeats) = if quick { (48, 400, 2) } else { (48, 400, 5) };
@@ -117,10 +97,8 @@ fn main() {
         distortion: None,
     };
 
-    let threads_available = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
-        "solver_bench: {m} links x {n} cells, rank {rank}, max {} iters, {repeats} repeats/pool, \
-         {threads_available} hardware thread(s)",
+        "solver_bench: {m} links x {n} cells, rank {rank}, max {} iters, {repeats} repeats/phase",
         cfg.max_iters
     );
 
@@ -139,125 +117,59 @@ fn main() {
         (t0.elapsed().as_secs_f64() * 1e3, rec)
     };
 
-    let thread_counts: &[usize] = if cfg!(feature = "parallel") { &[1, 2, 4] } else { &[1] };
     let modes: &[(&'static str, Option<&WarmState>)] = &[("cold", None), ("warm", Some(&warm))];
-    let mut phases: Vec<Phase> = Vec::new();
-    // `results` must stay ordered cold-1-thread first: downstream tooling
+    let mut results: Vec<Json> = Vec::new();
+    let mut iterations: Vec<usize> = Vec::new();
+    // `results` must stay ordered cold first: downstream tooling
     // (scripts/bench_gate.sh) reads the first entry as the canonical number.
     for &(mode, warm_opt) in modes {
-        let mut reference: Option<(Vec<f64>, usize)> = None;
-        for &threads in thread_counts {
-            let mut ws = SolverWorkspace::new();
-            let mut run = || {
-                let mut samples = Vec::with_capacity(repeats + 1);
-                let _warmup = solve(&mut ws, warm_opt);
-                let mut last: Option<Reconstruction> = None;
-                for _ in 0..repeats {
-                    let (ms, rec) = solve(&mut ws, warm_opt);
-                    samples.push(ms);
-                    last = Some(rec);
-                }
-                (samples, last.expect("at least one repeat"))
-            };
-            #[cfg(feature = "parallel")]
-            let (mut samples, rec) = {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .expect("pool builds");
-                pool.install(&mut run)
-            };
-            #[cfg(not(feature = "parallel"))]
-            let (mut samples, rec) = run();
-
-            // The determinism contract, cross-checked where the numbers are
-            // made: within a mode, every pool must produce the same bits.
-            let got = (rec.matrix.as_slice().to_vec(), rec.iterations);
-            match &reference {
-                None => reference = Some(got),
-                Some(want) => assert_eq!(
-                    want, &got,
-                    "thread count {threads} changed the {mode} reconstruction"
-                ),
-            }
-            assert_eq!(rec.warm_start, warm_opt.is_some(), "{mode} phase used the wrong seed");
-
-            samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-            let median_ms = samples[samples.len() / 2];
-            let trace = &rec.objective_trace;
-            let objective = *trace.last().expect("non-empty trace");
-            // The solver stops when (prev - f).abs() <= tol * prev.abs().max(1);
-            // report the same normalized delta so readers can see how far from
-            // the tolerance a max-iters run ended.
-            let final_rel_delta = if trace.len() >= 2 {
-                let prev = trace[trace.len() - 2];
-                (prev - objective).abs() / prev.abs().max(1.0)
-            } else {
-                0.0
-            };
-            let stop_reason = if rec.converged { "converged" } else { "max_iters" };
-            let oversubscribed = threads > threads_available;
-            let gflops =
-                estimated_flops(m, n, rank, observed, rec.iterations) / (median_ms * 1e-3) / 1e9;
-            println!(
-                "  {mode:>4} @ {threads} thread(s): median {median_ms:.3} ms, {} iters \
-                 (stop: {stop_reason}), objective {objective:.3}, ~{gflops:.2} GFLOP/s{}",
-                rec.iterations,
-                if oversubscribed { "  [oversubscribed]" } else { "" }
-            );
-            phases.push(Phase {
-                mode,
-                threads,
-                median_ms,
-                iterations: rec.iterations,
-                converged: rec.converged,
-                objective,
-                final_rel_delta,
-                stop_reason,
-                oversubscribed,
-                gflops,
-            });
+        let mut ws = SolverWorkspace::new();
+        let mut samples = Vec::with_capacity(repeats);
+        let _warmup = solve(&mut ws, warm_opt);
+        let mut last: Option<Reconstruction> = None;
+        for _ in 0..repeats {
+            let (ms, rec) = solve(&mut ws, warm_opt);
+            samples.push(ms);
+            last = Some(rec);
         }
+        let rec = last.expect("at least one repeat");
+        assert_eq!(rec.warm_start, warm_opt.is_some(), "{mode} phase used the wrong seed");
+
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        let median_ms = samples[samples.len() / 2];
+        let trace = &rec.objective_trace;
+        let objective = *trace.last().expect("non-empty trace");
+        // The solver stops when (prev - f).abs() <= tol * prev.abs().max(1);
+        // report the same normalized delta so readers can see how far from
+        // the tolerance a max-iters run ended.
+        let final_rel_delta = if trace.len() >= 2 {
+            let prev = trace[trace.len() - 2];
+            (prev - objective).abs() / prev.abs().max(1.0)
+        } else {
+            0.0
+        };
+        let stop_reason = if rec.converged { "converged" } else { "max_iters" };
+        let gflops =
+            estimated_flops(m, n, rank, observed, rec.iterations) / (median_ms * 1e-3) / 1e9;
+        println!(
+            "  {mode:>4}: median {median_ms:.3} ms, {} iters (stop: {stop_reason}), \
+             objective {objective:.3}, ~{gflops:.2} GFLOP/s",
+            rec.iterations,
+        );
+        iterations.push(rec.iterations);
+        results.push(Json::Obj(vec![
+            ("mode".into(), Json::Str(mode.into())),
+            ("wall_ms".into(), Json::Num(perf::round_ms(median_ms))),
+            ("iterations".into(), Json::Num(rec.iterations as f64)),
+            ("converged".into(), Json::Bool(rec.converged)),
+            ("stop_reason".into(), Json::Str(stop_reason.into())),
+            ("objective".into(), Json::Num(objective)),
+            ("final_rel_delta".into(), Json::Num(final_rel_delta)),
+            ("gflops".into(), Json::Num(perf::round_ms(gflops))),
+        ]));
     }
 
-    let cold_1t = phases.iter().find(|p| p.mode == "cold" && p.threads == 1).expect("cold@1 ran");
-    let warm_1t = phases.iter().find(|p| p.mode == "warm" && p.threads == 1).expect("warm@1 ran");
-    let (cold_iterations, warm_iterations) = (cold_1t.iterations, warm_1t.iterations);
-    let base_ms = cold_1t.median_ms;
-    let max_thread_speedup = phases
-        .iter()
-        .filter(|p| p.mode == "cold" && p.threads == *thread_counts.last().expect("non-empty"))
-        .map(|p| base_ms / p.median_ms)
-        .next()
-        .expect("max-thread cold phase ran");
-
-    let results: Vec<Json> = phases
-        .iter()
-        .map(|p| {
-            Json::Obj(vec![
-                ("mode".into(), Json::Str(p.mode.into())),
-                ("threads".into(), Json::Num(p.threads as f64)),
-                ("oversubscribed".into(), Json::Bool(p.oversubscribed)),
-                ("wall_ms".into(), Json::Num(perf::round_ms(p.median_ms))),
-                ("iterations".into(), Json::Num(p.iterations as f64)),
-                ("converged".into(), Json::Bool(p.converged)),
-                ("stop_reason".into(), Json::Str(p.stop_reason.into())),
-                ("objective".into(), Json::Num(p.objective)),
-                ("final_rel_delta".into(), Json::Num(p.final_rel_delta)),
-                ("gflops".into(), Json::Num(perf::round_ms(p.gflops))),
-                ("speedup_vs_1_thread".into(), {
-                    let same_mode_1t =
-                        phases.iter().find(|q| q.mode == p.mode && q.threads == 1).expect("1t ran");
-                    Json::Num(perf::round_ms(same_mode_1t.median_ms / p.median_ms))
-                }),
-            ])
-        })
-        .collect();
-    for p in &phases {
-        if p.threads > 1 && p.mode == "cold" {
-            println!("  cold speedup at {} threads: {:.2}x", p.threads, base_ms / p.median_ms);
-        }
-    }
+    let (cold_iterations, warm_iterations) = (iterations[0], iterations[1]);
     println!(
         "  warm refresh: {warm_iterations} iters vs {cold_iterations} cold \
          ({:.1}% of the cold descent)",
@@ -267,7 +179,6 @@ fn main() {
     let report = Json::Obj(vec![
         ("bench".into(), Json::Str("solver".into())),
         ("quick".into(), Json::Bool(quick)),
-        ("threads_available".into(), Json::Num(threads_available as f64)),
         (
             "problem".into(),
             Json::Obj(vec![
@@ -281,7 +192,6 @@ fn main() {
         ),
         ("cold_iterations".into(), Json::Num(cold_iterations as f64)),
         ("warm_iterations".into(), Json::Num(warm_iterations as f64)),
-        ("max_thread_speedup".into(), Json::Num(perf::round_ms(max_thread_speedup))),
         ("peak_rss_kb".into(), perf::peak_rss_json()),
         ("results".into(), Json::Arr(results)),
     ]);

@@ -127,7 +127,7 @@ fn main() {
     println!("== Update policies over {HORIZON_DAYS:.0} days (weekly accuracy checkpoints) ==");
     println!("{:>14} {:>16} {:>10} {:>14}", "policy", "mean error [m]", "updates", "labor [hours]");
     for (name, policy) in policies {
-        let outs = taf_bench::run_seeds(&seeds, |s| run_policy(policy, s, samples));
+        let outs: Vec<_> = seeds.iter().map(|&s| run_policy(policy, s, samples)).collect();
         let n = outs.len() as f64;
         let mean_err = outs.iter().map(|o| o.mean_err_m).sum::<f64>() / n;
         let updates = outs.iter().map(|o| o.updates).sum::<usize>() as f64 / n;

@@ -42,13 +42,16 @@ pub fn run_seed(seed: u64, samples: usize, into: &mut [Vec<f64>]) {
     }
 }
 
-/// Runs the full experiment over the given seeds (parallel) and merges samples.
+/// Runs the full experiment over the given seeds and merges samples.
 pub fn run(seeds: &[u64], samples: usize) -> Fig3Result {
-    let per_seed = crate::run_seeds(seeds, |seed| {
-        let mut errs = vec![Vec::new(); HORIZONS.len()];
-        run_seed(seed, samples, &mut errs);
-        errs
-    });
+    let per_seed: Vec<_> = seeds
+        .iter()
+        .map(|&seed| {
+            let mut errs = vec![Vec::new(); HORIZONS.len()];
+            run_seed(seed, samples, &mut errs);
+            errs
+        })
+        .collect();
     let mut errors = vec![Vec::new(); HORIZONS.len()];
     for seed_errs in per_seed {
         for (h, e) in seed_errs.into_iter().enumerate() {
@@ -78,5 +81,17 @@ mod tests {
         );
         // All errors in a sane dB range.
         assert!(means.iter().all(|&m| m > 0.0 && m < 15.0), "{means:?}");
+    }
+
+    #[test]
+    fn seeds_merge_in_the_order_given() {
+        // Each seed's samples depend on that seed alone, and land in the
+        // order the seeds were listed.
+        let (a, b) = (run(&[11], 6), run(&[12], 6));
+        let both = run(&[12, 11], 6);
+        for h in 0..HORIZONS.len() {
+            let want: Vec<f64> = b.errors[h].iter().chain(&a.errors[h]).copied().collect();
+            assert_eq!(both.errors[h], want, "horizon {h}");
+        }
     }
 }

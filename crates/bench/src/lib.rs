@@ -21,45 +21,3 @@ pub mod fig4;
 pub mod fig5;
 pub mod perf;
 pub mod report;
-
-use parking_lot::Mutex;
-
-/// Runs `f(seed)` for every seed, in parallel across OS threads (one per seed,
-/// capped by the machine), returning results in seed order.
-///
-/// The figure experiments average over independent world realizations; each
-/// realization is CPU-bound and embarrassingly parallel.
-pub fn run_seeds<R: Send>(seeds: &[u64], f: impl Fn(u64) -> R + Sync) -> Vec<R> {
-    let results: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(seeds.len()));
-    crossbeam::thread::scope(|scope| {
-        for (idx, &seed) in seeds.iter().enumerate() {
-            let results = &results;
-            let f = &f;
-            scope.spawn(move |_| {
-                let r = f(seed);
-                results.lock().push((idx, r));
-            });
-        }
-    })
-    .expect("seed worker panicked");
-    let mut collected = results.into_inner();
-    collected.sort_by_key(|(idx, _)| *idx);
-    collected.into_iter().map(|(_, r)| r).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn run_seeds_preserves_order() {
-        let out = run_seeds(&[5, 1, 9, 3], |s| s * 2);
-        assert_eq!(out, vec![10, 2, 18, 6]);
-    }
-
-    #[test]
-    fn run_seeds_empty() {
-        let out: Vec<u64> = run_seeds(&[], |s| s);
-        assert!(out.is_empty());
-    }
-}

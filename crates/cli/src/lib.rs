@@ -234,35 +234,6 @@ impl Args {
 }
 
 // ----------------------------------------------------------------------
-// Thread-pool scoping
-// ----------------------------------------------------------------------
-
-/// Runs `f` inside a scoped rayon pool when `--threads N` is given (0 = one
-/// thread per core). Without the flag, `f` runs on the process-wide default
-/// pool; in a serial (`--no-default-features`) build the flag parses but has
-/// no effect.
-fn with_threads<T>(args: &Args, f: impl FnOnce() -> Result<T>) -> Result<T> {
-    let Some(v) = args.optional("threads") else {
-        return f();
-    };
-    let threads: usize =
-        v.parse().map_err(|_| CliError(format!("flag --threads expects a number, got {v:?}")))?;
-    #[cfg(feature = "parallel")]
-    {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .map_err(|e| CliError(format!("cannot build a {threads}-thread pool: {e}")))?;
-        pool.install(f)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        let _ = threads;
-        f()
-    }
-}
-
-// ----------------------------------------------------------------------
 // Commands
 // ----------------------------------------------------------------------
 
@@ -414,9 +385,8 @@ pub fn cmd_plan(args: &Args) -> Result<String> {
         }
         None => (stored_ref_columns(&sys)?, sys.empty_rss().to_vec()),
     };
-    let (plan, confidence) = with_threads(args, || {
-        plan_from_probe(&sys, &probe_refs, &probe_empty, budget, policy, epoch)
-    })?;
+    let (plan, confidence) =
+        plan_from_probe(&sys, &probe_refs, &probe_empty, budget, policy, epoch)?;
     let mut msg = format!(
         "plan for epoch {epoch} ({policy}): {} of {} link-measurements ({:.0}%)\n",
         plan.planned_cost,
@@ -440,8 +410,7 @@ pub fn cmd_plan(args: &Args) -> Result<String> {
 }
 
 /// `update`: refreshes the system's database from reference measurements.
-/// `--threads N` scopes the LoLi-IR solve to an N-worker pool. With
-/// `--budget N` (and optionally `--policy`), only the plan-selected
+/// With `--budget N` (and optionally `--policy`), only the plan-selected
 /// reference entries are taken from the refs file; the rest keep their
 /// stored values and are excluded from the data fit (budgeted refresh).
 pub fn cmd_update(args: &Args) -> Result<String> {
@@ -461,35 +430,33 @@ pub fn cmd_update(args: &Args) -> Result<String> {
             if args.optional("policy").is_some() {
                 return Err(CliError("--policy requires --budget".into()));
             }
-            (with_threads(args, || Ok(sys.update(&refs.columns, &refs.empty)?))?, String::new())
+            (sys.update(&refs.columns, &refs.empty)?, String::new())
         }
         Some(_) => {
             let budget: usize = args.num_required("budget")?;
             let policy = policy_from_args(args)?;
             let epoch: u64 = args.num("epoch", 1)?;
-            with_threads(args, || {
-                // Probe on the stored columns first: which references is the
-                // system least certain about, before spending the budget.
-                let stored = stored_ref_columns(&sys)?;
-                let empty_now = sys.empty_rss().to_vec();
-                let (plan, _) = plan_from_probe(&sys, &stored, &empty_now, budget, policy, epoch)?;
-                // Planned entries come from the fresh measurements; the rest
-                // keep their stored values and stay outside the data fit.
-                let mut columns = stored;
-                let mut mask = tafloc_core::Mask::falses(sys.db().num_links(), refs.cells.len());
-                for entry in &plan.entries {
-                    for &l in &entry.links {
-                        columns[(l, entry.ref_slot)] = refs.columns[(l, entry.ref_slot)];
-                        mask.set(l, entry.ref_slot, true);
-                    }
+            // Probe on the stored columns first: which references is the
+            // system least certain about, before spending the budget.
+            let stored = stored_ref_columns(&sys)?;
+            let empty_now = sys.empty_rss().to_vec();
+            let (plan, _) = plan_from_probe(&sys, &stored, &empty_now, budget, policy, epoch)?;
+            // Planned entries come from the fresh measurements; the rest
+            // keep their stored values and stay outside the data fit.
+            let mut columns = stored;
+            let mut mask = tafloc_core::Mask::falses(sys.db().num_links(), refs.cells.len());
+            for entry in &plan.entries {
+                for &l in &entry.links {
+                    columns[(l, entry.ref_slot)] = refs.columns[(l, entry.ref_slot)];
+                    mask.set(l, entry.ref_slot, true);
                 }
-                let report = sys.update_masked(&columns, &refs.empty, &mask)?;
-                let note = format!(
-                    "; re-surveyed {} of {} link-measurements ({policy})",
-                    plan.planned_cost, plan.full_cost
-                );
-                Ok((report, note))
-            })?
+            }
+            let report = sys.update_masked(&columns, &refs.empty, &mask)?;
+            let note = format!(
+                "; re-surveyed {} of {} link-measurements ({policy})",
+                plan.planned_cost, plan.full_cost
+            );
+            (report, note)
         }
     };
     write_json(&out, &sys.snapshot())?;
@@ -561,10 +528,7 @@ pub fn cmd_serve(args: &Args) -> Result<String> {
     let addr =
         args.optional("addr").map(str::to_string).unwrap_or_else(|| format!("127.0.0.1:{port}"));
     let workers: usize = args.num("workers", 4)?;
-    // `--threads` sizes the shared maintenance pool (0 = one per core): it
-    // bounds how many background LoLi-IR refreshes may run at once.
     let config = ServerConfig { workers, ..Default::default() };
-    let maintenance_threads = args.num("threads", config.maintenance_threads)?;
     // `--shards` splits the serving plane into consistent-hash worker shards;
     // ownership is a pure function of the site name, so the same flag value
     // re-shards identically across restarts.
@@ -599,7 +563,6 @@ pub fn cmd_serve(args: &Args) -> Result<String> {
     let server = Server::bind(
         addr.as_str(),
         ServerConfig {
-            maintenance_threads,
             data_dir,
             plan,
             shards,
@@ -755,13 +718,8 @@ pub fn cmd_export_db(args: &Args) -> Result<String> {
 
 /// `testkit`: runs deterministic fault-injection scenarios (taf-testkit)
 /// and checks them against — or re-blesses — the committed golden accuracy
-/// baselines under `results/golden/`. `--threads N` scopes the runs to an
-/// N-worker pool — goldens must match at any thread count.
+/// baselines under `results/golden/`.
 fn cmd_testkit(args: &Args) -> Result<String> {
-    with_threads(args, || cmd_testkit_inner(args))
-}
-
-fn cmd_testkit_inner(args: &Args) -> Result<String> {
     if args.switch("list") {
         let mut out = String::from("built-in scenarios:\n");
         for s in taf_testkit::builtin_scenarios() {
@@ -893,7 +851,7 @@ COMMANDS
   survey        --world w.json --out survey.json [--day D] [--samples K]
   calibrate     --survey survey.json --out system.json [--refs N]
   measure-refs  --world w.json --system system.json --day D --out refs.json [--samples K]
-  update        --system system.json --refs refs.json --out system.json [--threads N]
+  update        --system system.json --refs refs.json --out system.json
                 [--budget N [--policy uncertainty-greedy|fixed-schedule] [--epoch E]]
   plan          --system system.json --budget N [--policy P] [--epoch E]
                 [--refs refs.json] [--out plan.json]
@@ -906,16 +864,13 @@ COMMANDS
                 [--ref-cell K] [--day D] [--locate] [--wire v1|v2]
   info          --system system.json
   export-db     --system system.json --out db.csv
-  serve         [--port P | --addr HOST:PORT] [--workers N] [--threads N]
-                [--shards N] [--max-inflight-per-site N] [--port-file PATH]
+  serve         [--port P | --addr HOST:PORT] [--workers N] [--shards N]
+                [--max-inflight-per-site N] [--port-file PATH]
                 [--data-dir DIR] [--journal-flush-ms MS]
                 [--budget N [--policy P]]
                 [--system system.json [--site NAME] [--day D]]
   testkit       [--list] [--scenario NAME] [--bless] [--out report.json]
-                [--seed N] [--bias DB] [--budget N] [--policy P] [--threads N]
-
-`--threads N` scopes solver work to an N-worker pool (0 = one per core);
-for `serve` it sizes the shared background-maintenance pool.
+                [--seed N] [--bias DB] [--budget N] [--policy P]
 ";
 
 /// Dispatches a command; returns the success message to print.

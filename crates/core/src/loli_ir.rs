@@ -35,18 +35,19 @@
 //! Because every block solve is exact, the objective is monotonically
 //! non-increasing — a property the tests assert.
 //!
-//! # Parallelism and determinism
+//! # Sweep order and determinism
 //!
 //! Two rows couple in the L-step only through a similarity edge (and two
 //! columns in the R-step only through a continuity edge), so each sweep is run
 //! as a *colored* Gauss-Seidel pass: a deterministic greedy coloring of the
 //! link (resp. location) graph partitions the rows (columns) into classes with
-//! no intra-class edges, classes are visited in fixed order, and the
-//! independent solves inside a class fan out across the rayon pool (behind the
-//! `parallel` feature). Each solve writes only its own [`SolverWorkspace`]
-//! scratch slot; results are scattered back serially in index order, which
-//! makes the output bit-identical at any thread count — including the serial
-//! build. Exact block solves in any order keep the objective monotone.
+//! no intra-class edges, and classes are visited in fixed order. Each solve in
+//! a class writes only its own [`SolverWorkspace`] scratch slot, and the class
+//! is scattered back in index order once all its members are solved, so every
+//! solve reads the factors as they stood before its class began. That order
+//! fixes which values each solve sees, and with it every bit of the output
+//! (the committed goldens pin it). Exact block solves in any order keep the
+//! objective monotone.
 //!
 //! Steady-state iterations are allocation-free when the caller reuses a
 //! [`SolverWorkspace`] via [`reconstruct_with`].
@@ -58,14 +59,6 @@ use crate::Result;
 use serde::{Deserialize, Serialize};
 use taf_linalg::decomp::cholesky::solve_in_place;
 use taf_linalg::{LinalgError, Matrix};
-
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
-
-/// Estimated fused-multiply-add count below which a class of block solves runs
-/// inline: at small sizes the fork/join overhead exceeds the solve cost, and
-/// staying serial also keeps steady-state iterations allocation-free.
-const PAR_MIN_FLOPS: usize = 1 << 16;
 
 /// LoLi-IR hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -540,8 +533,8 @@ fn build_edge_sets(problem: &ReconstructionProblem<'_>) -> EdgeSets {
 /// Reusable scratch for one in-flight `r x r` block solve.
 ///
 /// One slot is leased per row/column of the color class currently being
-/// solved; the slot owns every buffer the solve needs, so running a class in
-/// parallel requires no allocation and no shared mutable state.
+/// solved; the slot owns every buffer the solve needs, so a class is solved
+/// without allocation and without touching the factors until its scatter.
 #[derive(Debug)]
 struct RowScratch {
     /// Normal-equation matrix (`r x r`).
@@ -683,9 +676,9 @@ impl Default for SolverWorkspace {
 
 /// Deterministic greedy coloring: vertices are visited in index order and take
 /// the smallest color absent among their already-colored neighbors, so the
-/// classes depend only on the edge list — never on thread count. Vertices
-/// joined by an edge never share a class, hence every block solve within a
-/// class is independent and may run concurrently.
+/// classes depend only on the edge list. Vertices joined by an edge never
+/// share a class, hence every block solve within a class is independent of
+/// the others.
 fn color_classes(
     n_vertices: usize,
     edges: impl Iterator<Item = (usize, usize)>,
@@ -813,7 +806,7 @@ struct RStepCtx<'a> {
 }
 
 /// Factors `s.lhs` and solves for `s.rhs` into `s.sol`, recording any failure
-/// in `s.status` (parallel workers cannot early-return an error themselves).
+/// in `s.status` (checked when the class is scattered back).
 fn finish_solve(s: &mut RowScratch) {
     match s.lhs.cholesky_into(&mut s.chol) {
         Ok(()) => {
@@ -999,25 +992,6 @@ fn solve_r_col(ctx: &RStepCtx<'_>, j: usize, s: &mut RowScratch) {
     finish_solve(s);
 }
 
-/// Runs one color class of independent block solves, fanning out to the rayon
-/// pool when the class is big enough. The serial fallback (and the serial
-/// build) visits the same slots with identical arithmetic, so results are
-/// bit-identical at any thread count.
-fn run_tasks<F>(tasks: &mut [RowScratch], big: bool, f: F)
-where
-    F: Fn(usize, &mut RowScratch) + Sync + Send,
-{
-    #[cfg(feature = "parallel")]
-    if big && rayon::current_num_threads() > 1 {
-        tasks.par_iter_mut().enumerate().for_each(|(k, s)| f(k, s));
-        return;
-    }
-    let _ = big;
-    for (k, s) in tasks.iter_mut().enumerate() {
-        f(k, s);
-    }
-}
-
 /// Runs LoLi-IR on a reconstruction problem.
 ///
 /// Convenience wrapper around [`reconstruct_with`] with a fresh workspace;
@@ -1033,11 +1007,10 @@ pub fn reconstruct(
 /// Runs LoLi-IR reusing the caller's [`SolverWorkspace`], always cold-started.
 ///
 /// Steady-state iterations perform no heap allocation — every buffer lives in
-/// the workspace. The result is bit-identical for a given problem regardless
-/// of thread count: rows/columns are partitioned into graph-coloring classes
+/// the workspace. Rows/columns are partitioned into graph-coloring classes
 /// solved class by class (a colored Gauss-Seidel sweep), and within a class
-/// each solve writes only its own scratch slot before a serial, index-ordered
-/// scatter back into the factor.
+/// each solve writes only its own scratch slot before an index-ordered
+/// scatter back into the factor; that order fixes the result bit for bit.
 pub fn reconstruct_with(
     problem: &ReconstructionProblem<'_>,
     config: &LoliIrConfig,
@@ -1054,9 +1027,9 @@ pub fn reconstruct_with(
 /// [`reconstruct_with`] — rather than erroring, so callers can pass whatever
 /// they have and check [`Reconstruction::warm_start`] afterwards. Warm or
 /// cold, every iterate-improvement property is unchanged (exact block solves,
-/// monotone objective, bit-identical output at any thread count); only the
-/// starting point differs, which is what lets a steady-state refresh stop
-/// after a handful of iterations instead of re-earning the whole solution.
+/// monotone objective, the same sweep order); only the starting point
+/// differs, which is what lets a steady-state refresh stop after a handful of
+/// iterations instead of re-earning the whole solution.
 pub fn reconstruct_warm(
     problem: &ReconstructionProblem<'_>,
     config: &LoliIrConfig,
@@ -1220,7 +1193,6 @@ pub fn reconstruct_warm(
             p.matmul_into(&rf, &mut ws.prior_l)?;
         }
         for class in &row_classes {
-            let big = class.len() > 1 && class.len() * n * r * r >= PAR_MIN_FLOPS;
             let ctx = LStepCtx {
                 problem,
                 edges: &edges,
@@ -1236,7 +1208,9 @@ pub fn reconstruct_warm(
                 rsum: &ws.rsum,
                 prior_rhs: if has_prior { Some(&ws.prior_l) } else { None },
             };
-            run_tasks(&mut ws.scratch[..class.len()], big, |k, s| solve_l_row(&ctx, class[k], s));
+            for (s, &i) in ws.scratch.iter_mut().zip(class) {
+                solve_l_row(&ctx, i, s);
+            }
             for (k, &i) in class.iter().enumerate() {
                 let s = &mut ws.scratch[k];
                 if let Some(e) = s.status.take() {
@@ -1271,7 +1245,6 @@ pub fn reconstruct_warm(
             l.matmul_tn_into(p, &mut ws.prior_r)?;
         }
         for class in &col_classes {
-            let big = class.len() > 1 && class.len() * m * r * r >= PAR_MIN_FLOPS;
             let ctx = RStepCtx {
                 problem,
                 edges: &edges,
@@ -1290,7 +1263,9 @@ pub fn reconstruct_warm(
                 },
                 prior_rhs: if has_prior { Some(&ws.prior_r) } else { None },
             };
-            run_tasks(&mut ws.scratch[..class.len()], big, |k, s| solve_r_col(&ctx, class[k], s));
+            for (s, &j) in ws.scratch.iter_mut().zip(class) {
+                solve_r_col(&ctx, j, s);
+            }
             for (k, &j) in class.iter().enumerate() {
                 let s = &mut ws.scratch[k];
                 if let Some(e) = s.status.take() {

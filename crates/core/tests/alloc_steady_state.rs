@@ -3,10 +3,7 @@
 //! A counting global allocator measures whole solves on a warmed
 //! [`SolverWorkspace`]. Per-call setup (edge sets, coloring, SVD init) is
 //! allowed to allocate, but the iteration loop itself must not — so a run with
-//! 50 iterations must allocate exactly as often as a run with 5. The problem
-//! is sized below the parallel fan-out threshold, where the solver is
-//! obligated to stay inline; the contract therefore holds identically with and
-//! without the `parallel` feature.
+//! 50 iterations must allocate exactly as often as a run with 5.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -1,17 +1,18 @@
 //! Warm-started refresh contract.
 //!
 //! A warm start changes only *where the iteration begins* — never what a
-//! fixed point looks like, never the per-iteration arithmetic, never the
-//! thread-count invariance. These tests pin that down:
+//! fixed point looks like, never the per-iteration arithmetic. These tests
+//! pin that down:
 //!
 //! 1. A warm-started refresh lands at the same fixed point a cold solve of
 //!    the same problem reaches, within tolerance (property-tested over random
 //!    problems and drifts).
 //! 2. On a mildly drifted problem the warm solve needs no more iterations
 //!    than the cold one (and strictly fewer when the drift is small).
-//! 3. Warm solves are bit-identical across thread pools of 1, 2 and 8.
-//! 4. An unusable warm state (wrong shape) falls back to a solve that is
+//! 3. An unusable warm state (wrong shape) falls back to a solve that is
 //!    bit-identical to the cold one.
+//! 4. A warm solve in a workspace reused from the previous solve is
+//!    bit-identical to one in a fresh workspace.
 
 use proptest::prelude::*;
 use taf_linalg::Matrix;
@@ -49,6 +50,15 @@ struct Case {
 }
 
 fn solve(case: &Case, cfg: &LoliIrConfig, warm: Option<&WarmState>) -> Reconstruction {
+    solve_in(case, cfg, &mut SolverWorkspace::new(), warm)
+}
+
+fn solve_in(
+    case: &Case,
+    cfg: &LoliIrConfig,
+    ws: &mut SolverWorkspace,
+    warm: Option<&WarmState>,
+) -> Reconstruction {
     let g = NeighborGraph::new(case.truth.cols(), (0..case.truth.cols() - 1).map(|j| (j, j + 1)));
     let h = NeighborGraph::new(case.truth.rows(), (0..case.truth.rows() - 1).map(|i| (i, i + 1)));
     let problem = ReconstructionProblem {
@@ -60,7 +70,7 @@ fn solve(case: &Case, cfg: &LoliIrConfig, warm: Option<&WarmState>) -> Reconstru
         empty_rss: None,
         distortion: None,
     };
-    reconstruct_warm(&problem, cfg, &mut SolverWorkspace::new(), warm).unwrap()
+    reconstruct_warm(&problem, cfg, ws, warm).unwrap()
 }
 
 fn case(m: usize, n: usize, seed: u64, drift_db: f64) -> (Case, Case) {
@@ -140,26 +150,23 @@ fn unusable_warm_state_is_bit_identical_to_cold() {
     assert_eq!(cold.objective_trace, fallback.objective_trace);
 }
 
-#[cfg(feature = "parallel")]
 #[test]
-fn warm_solve_bit_identical_across_thread_counts() {
-    // Large enough that both sweep directions clear the parallel fan-out
-    // threshold at rank 8.
+fn warm_solve_in_a_reused_workspace_is_bit_identical() {
+    // A site refreshes through one workspace: yesterday's cold solve leaves
+    // it filled, and today's warm solve must not read any of that. Large
+    // enough that both sweep directions run big color classes at rank 8.
     let cfg = LoliIrConfig { max_iters: 6, tol: 0.0, ..Default::default() };
     let (yesterday, today) = case(20, 400, 5, 0.3);
-    let warm_state = WarmState::from_reconstruction(&solve(&yesterday, &cfg, None));
+    let mut ws = SolverWorkspace::new();
+    let warm_state = WarmState::from_reconstruction(&solve_in(&yesterday, &cfg, &mut ws, None));
 
-    let mut reference: Option<(Vec<f64>, Vec<f64>, Vec<f64>)> = None;
-    for threads in [1usize, 2, 8] {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-        let rec = pool.install(|| solve(&today, &cfg, Some(&warm_state)));
-        let got =
-            (rec.matrix.as_slice().to_vec(), rec.l.as_slice().to_vec(), rec.r.as_slice().to_vec());
-        match &reference {
-            None => reference = Some(got),
-            Some(want) => assert_eq!(want, &got, "warm solve differs at {threads} threads"),
-        }
-    }
+    let fresh = solve(&today, &cfg, Some(&warm_state));
+    assert!(fresh.warm_start);
+    let reused = solve_in(&today, &cfg, &mut ws, Some(&warm_state));
+    assert_eq!(fresh.matrix.as_slice(), reused.matrix.as_slice());
+    assert_eq!(fresh.l.as_slice(), reused.l.as_slice());
+    assert_eq!(fresh.r.as_slice(), reused.r.as_slice());
+    assert_eq!(fresh.objective_trace, reused.objective_trace);
 }
 
 proptest! {

@@ -1,14 +1,12 @@
 //! Credit-based admission in front of the pipeline: blocking-with-deadline
 //! instead of silent shed.
 //!
-//! [`crate::IngestQueue`] is the legacy front door: a full queue *drops* the
-//! batch and counts it — correct for a radio bridge that must never stall its
-//! receive loop, but invisible to the producer, which keeps offering at full
-//! rate while 99% of its samples evaporate. [`CreditQueue`] is the
-//! admission-controlled alternative the sharded daemon uses: capacity is a
-//! budget of *sample credits*, and `offer` blocks (up to a caller-chosen
-//! deadline) until credits free up rather than shedding. Every offered batch
-//! gets exactly one verdict:
+//! A queue that *drops* a batch when full and counts it is invisible to the
+//! producer, which keeps offering at full rate while most of its samples
+//! evaporate. [`CreditQueue`] is the admission-controlled front door the
+//! sharded daemon uses: capacity is a budget of *sample credits*, and `offer`
+//! blocks (up to a caller-chosen deadline) until credits free up rather than
+//! shedding. Every offered batch gets exactly one verdict:
 //!
 //! * **Admitted** — credits reserved, the batch will reach the pipeline;
 //! * **Deferred** — the deadline passed with the queue still full; the batch
@@ -302,6 +300,19 @@ mod tests {
         assert_eq!(stats.silent_samples(), 0);
         assert_eq!(ing.stats().accepted, 80, "every admitted sample was applied");
         assert_eq!(q.depth_samples(), 0, "credits released after the drain");
+    }
+
+    #[test]
+    fn dropping_the_queue_drains_admitted_batches() {
+        let ing = ingestor();
+        let q = CreditQueue::spawn(Arc::clone(&ing), 64);
+        for round in 0..10 {
+            let verdict = q.offer(batch(round as f64, 4), Duration::from_secs(10)).unwrap();
+            assert_eq!(verdict, Admission::Admitted);
+        }
+        // No explicit close: `Drop` must still wait for the drain.
+        drop(q);
+        assert_eq!(ing.stats().accepted, 40);
     }
 
     #[test]

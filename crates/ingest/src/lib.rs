@@ -17,8 +17,6 @@
 //! * [`pipeline`] — [`Ingestor`]: link-sharded lock-light ingestion,
 //!   wait-free published aggregates, on-demand assembly of complete vectors
 //!   with explicit missing-link flags, cumulative drop accounting;
-//! * [`queue`] — [`IngestQueue`]: bounded producer-side backpressure that
-//!   sheds and counts batches instead of blocking;
 //! * [`credit`] — [`CreditQueue`]: credit-based admission with
 //!   blocking-with-deadline offers and conserved
 //!   admitted/deferred/rejected accounting (no silent loss).
@@ -55,7 +53,6 @@ pub mod config;
 pub mod credit;
 mod error;
 pub mod pipeline;
-pub mod queue;
 pub mod sample;
 pub mod window;
 
@@ -64,6 +61,5 @@ pub use config::{Aggregator, IngestConfig};
 pub use credit::{Admission, CreditQueue, CreditStats};
 pub use error::{IngestError, Result};
 pub use pipeline::{AssembledVector, IngestStats, Ingestor, LinkFlag};
-pub use queue::{IngestQueue, PushOutcome};
 pub use sample::{BatchReport, LinkSample};
 pub use window::{LinkAggregate, LinkStatus, LinkWindow};

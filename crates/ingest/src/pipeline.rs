@@ -70,7 +70,8 @@ pub struct IngestStats {
     pub dropped_unknown_link: u64,
     /// Samples dropped for NaN/infinite fields.
     pub dropped_non_finite: u64,
-    /// Batches refused by a full bounded queue (producer-side backpressure).
+    /// Batches a producer shed in front of the pipeline
+    /// ([`Ingestor::record_queue_drop`]).
     pub dropped_queue_batches: u64,
     /// Samples inside those refused batches.
     pub dropped_queue_samples: u64,
@@ -292,8 +293,9 @@ impl Ingestor {
         report
     }
 
-    /// Records a batch refused by a bounded queue (drop accounting for
-    /// producer-side backpressure; see [`crate::queue::IngestQueue`]).
+    /// Records a batch a producer shed instead of applying (drop accounting
+    /// for producer-side backpressure, e.g. a full queue in front of the
+    /// pipeline).
     pub fn record_queue_drop(&self, samples: usize) {
         self.dropped_queue_batches.fetch_add(1, Ordering::Relaxed);
         self.dropped_queue_samples.fetch_add(samples as u64, Ordering::Relaxed);
@@ -505,6 +507,19 @@ mod tests {
         assert_eq!(stats.accepted, 1);
         assert_eq!(stats.dropped_unknown_link, 1);
         assert_eq!(stats.dropped_non_finite, 2);
+    }
+
+    #[test]
+    fn queue_drops_are_counted_not_applied() {
+        let ing = Ingestor::new(cfg(), 2, 1).unwrap();
+        ing.apply_batch(&batch_for(0, 0.0, 3, -50.0));
+        ing.record_queue_drop(5);
+        ing.record_queue_drop(2);
+        let stats = ing.stats();
+        assert_eq!(stats.dropped_queue_batches, 2);
+        assert_eq!(stats.dropped_queue_samples, 7);
+        assert_eq!(stats.accepted, 3, "shed samples never reach the windows");
+        assert_eq!(stats.dropped_late + stats.dropped_unknown_link + stats.dropped_non_finite, 0);
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! offered batch gets exactly one verdict, and
 //! `admitted + deferred + rejected == offered` holds in batches and samples
 //! even with several producers racing a deliberately tiny credit budget.
-//! The legacy shed-and-count [`IngestQueue`] policy stays available for
-//! radio bridges that must never block; its accounting is checked here too.
+//! Producers that shed instead of waiting record each shed batch with
+//! [`Ingestor::record_queue_drop`]; that accounting must conserve samples too.
 
 use std::sync::Arc;
 use std::time::Duration;
-use tafloc_ingest::{Admission, CreditQueue, IngestConfig, IngestQueue, Ingestor, LinkSample};
+use tafloc_ingest::{Admission, CreditQueue, IngestConfig, Ingestor, LinkSample};
 
 const PRODUCERS: usize = 4;
 const ROUNDS: usize = 60;
@@ -98,27 +98,38 @@ fn concurrent_offers_past_capacity_conserve_every_verdict() {
 }
 
 #[test]
-fn legacy_shed_policy_still_counts_what_it_drops() {
-    // The drain thread keeps consuming, so a Dropped outcome cannot be
-    // forced deterministically — but conservation must hold either way:
-    // queued + dropped == pushed, and dropped samples land in the
-    // pipeline's shed counters rather than vanishing.
-    let mut queue = IngestQueue::spawn(ingestor(), 1);
-    let pushed = 200u64;
-    let mut queued = 0u64;
-    for round in 0..pushed {
-        match queue.push(batch(0, round as usize)).unwrap() {
-            tafloc_ingest::PushOutcome::Queued => queued += 1,
-            tafloc_ingest::PushOutcome::Dropped => {}
-        }
+fn shedding_producers_conserve_every_sample() {
+    // Each producer applies every third batch and sheds the rest, the way a
+    // radio bridge that must never block handles overload. Shed samples land
+    // in the queue-drop counters; applied ones in the pipeline's verdicts.
+    let ing = ingestor();
+    let handles: Vec<_> = (0..PRODUCERS)
+        .map(|p| {
+            let ing = Arc::clone(&ing);
+            std::thread::spawn(move || {
+                for round in 0..ROUNDS {
+                    let b = batch(p, round);
+                    if round % 3 == 0 {
+                        ing.apply_batch(&b);
+                    } else {
+                        ing.record_queue_drop(b.len());
+                    }
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().unwrap();
     }
-    queue.close();
-    let pipe = queue.ingestor().stats();
-    assert_eq!(pipe.dropped_queue_batches, pushed - queued, "every shed batch is counted");
-    assert_eq!(pipe.dropped_queue_samples, (pushed - queued) * BATCH as u64);
+
+    let offered = (PRODUCERS * ROUNDS) as u64;
+    let shed = PRODUCERS as u64 * (ROUNDS as u64 - ROUNDS.div_ceil(3) as u64);
+    let pipe = ing.stats();
+    assert_eq!(pipe.dropped_queue_batches, shed, "every shed batch is counted");
+    assert_eq!(pipe.dropped_queue_samples, shed * BATCH as u64);
     assert_eq!(
         pipe.accepted + pipe.dropped_late + pipe.dropped_unknown_link + pipe.dropped_non_finite,
-        queued * BATCH as u64,
-        "every queued sample reached the pipeline"
+        (offered - shed) * BATCH as u64,
+        "every applied sample got a pipeline verdict"
     );
 }

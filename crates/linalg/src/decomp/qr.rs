@@ -4,12 +4,11 @@
 //! selection: the first `n` pivot columns of the fingerprint matrix are its "most
 //! linearly independent" columns, exactly the property the paper asks for.
 
-use crate::par::{for_each_row, PAR_MIN_FLOPS};
 use crate::{axpy_slice, dot, LinalgError, Matrix, Result};
 
 /// Fixed row-block size for the reflector-application reduction. The partial
-/// sums are always combined in block order, so results do not depend on the
-/// thread count (the serial path walks the same blocks).
+/// sums are combined in block order, so this size fixes the summation order —
+/// and with it every bit of `R` and `Q`.
 const REFLECT_ROW_BLOCK: usize = 64;
 
 /// Thin QR decomposition `A = Q·R` with `Q` of shape `m x k`, `R` of shape `k x n`,
@@ -95,49 +94,33 @@ fn householder(
         // Apply H = I - 2vvᵀ/(vᵀv) to the trailing block of `work`, row-major
         // and in two phases: s = vᵀ·W, then W -= (2/vᵀv)·v·s. Phase one reduces
         // over rows in fixed-size blocks whose partials are combined in block
-        // order, so the result is identical whether the blocks ran serially or
-        // on the pool.
+        // order.
         let rows = m - step;
         let width = n - step;
         let blocks = rows.div_ceil(REFLECT_ROW_BLOCK);
-        let big = rows * width >= PAR_MIN_FLOPS;
-        {
-            let pbuf = &mut partials[..blocks * width];
-            let work_ro = &work;
-            let v_ro = &v;
-            for_each_row(pbuf, width, big, |b, buf| {
-                buf.fill(0.0);
-                let r0 = step + b * REFLECT_ROW_BLOCK;
-                let r1 = (r0 + REFLECT_ROW_BLOCK).min(m);
-                for i in r0..r1 {
-                    axpy_slice(buf, v_ro[i - step], &work_ro.row(i)[step..]);
-                }
-            });
-            s[..width].fill(0.0);
-            for b in 0..blocks {
-                for (sj, pj) in s[..width].iter_mut().zip(&pbuf[b * width..(b + 1) * width]) {
-                    *sj += pj;
-                }
+        let pbuf = &mut partials[..blocks * width];
+        for (b, buf) in pbuf.chunks_mut(width).enumerate() {
+            buf.fill(0.0);
+            let r0 = step + b * REFLECT_ROW_BLOCK;
+            let r1 = (r0 + REFLECT_ROW_BLOCK).min(m);
+            for i in r0..r1 {
+                axpy_slice(buf, v[i - step], &work.row(i)[step..]);
             }
         }
-        {
-            let s_ro = &s[..width];
-            let v_ro = &v;
-            for_each_row(work.as_mut_slice(), n, big, |i, row| {
-                if i >= step {
-                    axpy_slice(&mut row[step..], -2.0 * v_ro[i - step] / v_norm_sq, s_ro);
-                }
-            });
+        s[..width].fill(0.0);
+        for buf in pbuf.chunks(width) {
+            for (sj, pj) in s[..width].iter_mut().zip(buf) {
+                *sj += pj;
+            }
         }
-        // Accumulate into Q (apply H on the right: Q ← Q·H). Each Q row is an
-        // independent dot-and-axpy, so rows fan out directly.
-        {
-            let v_ro = &v;
-            let big_q = m * rows >= PAR_MIN_FLOPS;
-            for_each_row(q.as_mut_slice(), m, big_q, |_, q_row| {
-                let d = dot(&q_row[step..m], v_ro);
-                axpy_slice(&mut q_row[step..m], -2.0 * d / v_norm_sq, v_ro);
-            });
+        for (i, row) in work.as_mut_slice().chunks_mut(n).enumerate().skip(step) {
+            axpy_slice(&mut row[step..], -2.0 * v[i - step] / v_norm_sq, &s[..width]);
+        }
+        // Accumulate into Q (apply H on the right: Q ← Q·H): each Q row is an
+        // independent dot-and-axpy.
+        for q_row in q.as_mut_slice().chunks_mut(m) {
+            let d = dot(&q_row[step..m], &v);
+            axpy_slice(&mut q_row[step..m], -2.0 * d / v_norm_sq, &v);
         }
         // Update running column norms (cheap downdate + occasional refresh).
         if pivoting {
@@ -412,5 +395,38 @@ mod tests {
         assert_eq!(qr.r().shape(), (2, 3));
         let back = qr.q().matmul(qr.r()).unwrap();
         assert!(back.approx_eq(&a, 1e-10));
+    }
+
+    #[test]
+    fn tall_matrix_spanning_several_reflector_row_blocks_factors() {
+        // Two full reflector row blocks plus a partial third, so every
+        // reflector's `vᵀ·W` combines several block partials.
+        let (m, n) = (2 * REFLECT_ROW_BLOCK + 22, 12);
+        let mut state = 0x9e37_79b9_u64;
+        let a = Matrix::from_fn(m, n, |_, _| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % 2000) as f64 / 100.0 - 10.0
+        });
+
+        let qr = a.qr().unwrap();
+        assert_eq!(qr.q().shape(), (m, n));
+        assert!(qr.q().gram().approx_eq(&Matrix::identity(n), 1e-10));
+        assert!(qr.q().matmul(qr.r()).unwrap().approx_eq(&a, 1e-9));
+
+        let f = a.col_piv_qr().unwrap();
+        assert!(f.q().gram().approx_eq(&Matrix::identity(n), 1e-10));
+        let ap = a.matmul(&permutation_matrix(f.pivots())).unwrap();
+        assert!(f.q().matmul(f.r()).unwrap().approx_eq(&ap, 1e-9));
+        assert_eq!(f.rank(1e-10), n);
+
+        for r in [qr.r(), f.r()] {
+            for i in 0..n {
+                for j in 0..i {
+                    assert!(r[(i, j)].abs() < 1e-12, "R[{i},{j}] = {}", r[(i, j)]);
+                }
+            }
+        }
     }
 }

@@ -61,7 +61,7 @@ fn svd_tall(a: &Matrix) -> Result<Svd> {
     let (m, n) = a.shape();
     debug_assert!(m >= n);
     // Tall-skinny fast path: factor A = Q·R first (Householder QR streams the
-    // matrix row-major and parallelizes its panel updates), then run Jacobi on
+    // matrix row-major through its panel updates), then run Jacobi on
     // the small n x n triangle. Each Jacobi rotation touches n rows instead of
     // m, which shrinks the sweep cost from O(m·n²) to O(n³) per sweep, and
     // A = (Q·U_R)·Σ·Vᵀ recovers the thin factors exactly.

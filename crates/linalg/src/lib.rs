@@ -48,7 +48,6 @@ mod error;
 mod extras;
 mod matrix;
 pub(crate) mod ops;
-pub(crate) mod par;
 
 pub mod decomp;
 pub mod io;
@@ -59,7 +58,6 @@ pub mod stats;
 pub use error::LinalgError;
 pub use matrix::Matrix;
 pub use ops::{axpy_slice, dot, norm2, outer};
-pub use par::current_threads;
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, LinalgError>;

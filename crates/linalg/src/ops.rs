@@ -4,17 +4,13 @@
 //! cache-blocked microkernels: output rows are grouped into small blocks (sizes
 //! from the compile-time [`TUNING`] table) so every right-hand-side row brought
 //! into L1 is reused across the whole block, and `matmul_nt` additionally
-//! register-tiles 2×2 output tiles over the shared dimension. Above
-//! [`crate::par::PAR_MIN_FLOPS`] worth of work the row blocks are fanned out
-//! across the rayon pool (feature `parallel`); each output element is still
-//! accumulated by the exact serial sequence of the unblocked kernels (the
-//! shared-dimension order per element never changes, and the tiled kernel
-//! replicates [`dot`]'s four-lane reduction), so blocked, serial, and parallel
-//! results are all bit-identical. Fingerprint matrices are dense, so there is
-//! deliberately no zero-skip branch here — sparse operands should go through
-//! `Csr::matmul_dense`.
+//! register-tiles 2×2 output tiles over the shared dimension. Each output
+//! element is still accumulated by the exact sequence of the unblocked kernels
+//! (the shared-dimension order per element never changes, and the tiled kernel
+//! replicates [`dot`]'s four-lane reduction), so blocking changes no bits.
+//! Fingerprint matrices are dense, so there is deliberately no zero-skip
+//! branch here — sparse operands should go through `Csr::matmul_dense`.
 
-use crate::par::{for_each_row_block, PAR_MIN_FLOPS};
 use crate::{LinalgError, Matrix, Result};
 
 /// Compile-time kernel tuning table: `(k ceiling, rows per block)` — the first
@@ -65,9 +61,10 @@ impl Matrix {
                 rhs: out.shape(),
             });
         }
-        let big = m * k * n >= PAR_MIN_FLOPS;
         let row_len = n.max(1);
-        for_each_row_block(out.as_mut_slice(), row_len, rows_per_block(k), big, |i0, block| {
+        let mr = rows_per_block(k);
+        for (b, block) in out.as_mut_slice().chunks_mut(row_len * mr).enumerate() {
+            let i0 = b * mr;
             block.fill(0.0);
             // B-row reuse: each `other` row is loaded once and feeds every row
             // of the block; per output element the accumulation still walks
@@ -78,7 +75,7 @@ impl Matrix {
                     axpy_slice(o_row, self.row(i0 + r)[p], b_row);
                 }
             }
-        });
+        }
         Ok(())
     }
 
@@ -110,9 +107,10 @@ impl Matrix {
                 rhs: out.shape(),
             });
         }
-        let big = m * k * n >= PAR_MIN_FLOPS;
         let row_len = n.max(1);
-        for_each_row_block(out.as_mut_slice(), row_len, rows_per_block(k), big, |i0, block| {
+        let mr = rows_per_block(k);
+        for (b, block) in out.as_mut_slice().chunks_mut(row_len * mr).enumerate() {
+            let i0 = b * mr;
             // 2×2 register tiles inside the row block: four dot products share
             // their operand loads, and the B rows of a tile stay hot across
             // the block's rows. Each element is still the exact [`dot`]
@@ -147,7 +145,7 @@ impl Matrix {
                     *o = dot(a_row, other.row(j));
                 }
             }
-        });
+        }
         Ok(())
     }
 
@@ -176,9 +174,10 @@ impl Matrix {
                 rhs: out.shape(),
             });
         }
-        let big = k * m * n >= PAR_MIN_FLOPS;
         let row_len = n.max(1);
-        for_each_row_block(out.as_mut_slice(), row_len, rows_per_block(k), big, |i0, block| {
+        let mr = rows_per_block(k);
+        for (b, block) in out.as_mut_slice().chunks_mut(row_len * mr).enumerate() {
+            let i0 = b * mr;
             block.fill(0.0);
             // Both operands stream row-wise exactly once per block; each
             // `other` row is reused across the block (output rows are columns
@@ -191,7 +190,7 @@ impl Matrix {
                     axpy_slice(o_row, a_row[i0 + r], b_row);
                 }
             }
-        });
+        }
         Ok(())
     }
 
@@ -286,8 +285,7 @@ impl Matrix {
 /// Dot product of two equal-length slices. Panics on length mismatch.
 ///
 /// Accumulates in four independent lanes so the compiler can keep the partial
-/// sums in registers; the lane structure (and therefore the rounding) is fixed
-/// regardless of thread count.
+/// sums in registers; the lane structure (and therefore the rounding) is fixed.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch {} vs {}", a.len(), b.len());
     let mut acc = [0.0f64; 4];

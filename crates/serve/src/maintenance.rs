@@ -1,25 +1,21 @@
 //! The background maintenance scheduler: the daemon half of "time-adaptive".
 //!
-//! All registered sites share one scheduler thread and one bounded rayon pool.
-//! The scheduler tracks a per-site deadline derived from the site's
-//! `interval_ms`; when a tick is due it re-evaluates the most recently
-//! ingested reference measurements against the site's
-//! [`tafloc_core::monitor::DriftMonitor`] and — when the estimated database
-//! error has stayed above threshold for `breach_streak` consecutive checks
-//! *and* the monitor's own `min_interval_days` cooldown has elapsed — runs
-//! LoLi-IR off the request path and atomically swaps the site snapshot. Two
-//! layers of hysteresis (the streak and the cooldown) keep one noisy spot
-//! check from thrashing the database.
+//! All registered sites share one scheduler thread. The scheduler tracks a
+//! per-site deadline derived from the site's `interval_ms`; when a tick is
+//! due it re-evaluates the most recently ingested reference measurements
+//! against the site's [`tafloc_core::monitor::DriftMonitor`] and — when the
+//! estimated database error has stayed above threshold for `breach_streak`
+//! consecutive checks *and* the monitor's own `min_interval_days` cooldown
+//! has elapsed — runs LoLi-IR off the request path and atomically swaps the
+//! site snapshot. Two layers of hysteresis (the streak and the cooldown) keep
+//! one noisy spot check from thrashing the database.
 //!
-//! Ticks that fall due together fan out across the shared pool (behind the
-//! `parallel` feature; the serial build runs them back to back), so
-//! background CPU stays bounded by the pool size no matter how many sites the
-//! daemon hosts — instead of one thread per site, each free to run a LoLi-IR
-//! solve at the same time.
+//! Ticks that fall due together run one after another on the scheduler
+//! thread, so background maintenance uses at most one core no matter how many
+//! sites the daemon hosts — instead of one thread per site, each free to run
+//! a LoLi-IR solve at the same time.
 
 use crate::site::Site;
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -159,31 +155,18 @@ struct SchedulerShared {
 }
 
 /// The shared maintenance scheduler: one thread that watches every
-/// automatically-ticked site and fans due ticks out across a bounded rayon
-/// pool.
+/// automatically-ticked site and runs due ticks in turn.
 ///
-/// The scheduler thread (and the pool) only exist while at least one site has
-/// ever been scheduled; manual-tick-only deployments (the deterministic
-/// test harness) spawn nothing.
-#[derive(Debug)]
+/// Starts stopped (`default()`); the scheduler thread only exists while at
+/// least one site has ever been scheduled, so manual-tick-only deployments
+/// (the deterministic test harness) spawn nothing.
+#[derive(Debug, Default)]
 pub struct MaintenanceScheduler {
-    /// Pool workers (0 = one per core).
-    threads: usize,
     shared: Arc<SchedulerShared>,
     handle: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl MaintenanceScheduler {
-    /// Creates a stopped scheduler whose pool, once started, has `threads`
-    /// workers (0 = one per core).
-    pub fn new(threads: usize) -> Self {
-        MaintenanceScheduler {
-            threads,
-            shared: Arc::new(SchedulerShared::default()),
-            handle: Mutex::new(None),
-        }
-    }
-
     /// Adds `site` to the schedule (first tick one interval from now) and
     /// starts the scheduler thread if it is not running.
     pub fn schedule(&self, site: Arc<Site>) {
@@ -194,11 +177,10 @@ impl MaintenanceScheduler {
         if handle.is_none() {
             self.shared.stop.store(false, Ordering::Relaxed);
             let shared = Arc::clone(&self.shared);
-            let threads = self.threads;
             *handle = Some(
                 std::thread::Builder::new()
                     .name("taflocd-maint".to_string())
-                    .spawn(move || scheduler_loop(&shared, threads))
+                    .spawn(move || scheduler_loop(&shared))
                     .expect("spawning the maintenance scheduler cannot fail"),
             );
         }
@@ -248,14 +230,7 @@ fn run_tick(site: &Arc<Site>) {
     }
 }
 
-fn scheduler_loop(shared: &SchedulerShared, threads: usize) {
-    // The pool lives on the scheduler thread; `threads` bounds how many site
-    // refreshes can consume CPU simultaneously.
-    #[cfg(feature = "parallel")]
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().ok();
-    #[cfg(not(feature = "parallel"))]
-    let _ = threads;
-
+fn scheduler_loop(shared: &SchedulerShared) {
     let mut due: Vec<Arc<Site>> = Vec::new();
     while !shared.stop.load(Ordering::Relaxed) {
         std::thread::sleep(SCHEDULER_SLICE);
@@ -281,17 +256,6 @@ fn scheduler_loop(shared: &SchedulerShared, threads: usize) {
                     e.next_due = now + interval * e.site.backoff_factor();
                     due.push(Arc::clone(&e.site));
                 }
-            }
-        }
-        if due.is_empty() {
-            continue;
-        }
-        #[cfg(feature = "parallel")]
-        if let Some(pool) = &pool {
-            if due.len() > 1 {
-                pool.install(|| due.par_iter().for_each(run_tick));
-                drop(batch);
-                continue;
             }
         }
         for site in &due {

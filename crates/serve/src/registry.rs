@@ -7,7 +7,7 @@
 //!
 //! Background maintenance is delegated to one shared
 //! [`MaintenanceScheduler`]: every automatically-ticked site is registered
-//! with it, and its bounded pool (rather than a thread per site) runs the
+//! with it, and its single thread (rather than a thread per site) runs the
 //! ticks.
 
 use crate::maintenance::MaintenanceScheduler;
@@ -17,38 +17,18 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, RwLock};
 
-/// Pool workers the shared maintenance scheduler uses unless the server
-/// configures otherwise. Deliberately small: background refreshes should not
-/// crowd out request serving.
-pub const DEFAULT_MAINTENANCE_THREADS: usize = 2;
-
 /// Name → site map plus the shared maintenance scheduler.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Registry {
     sites: RwLock<HashMap<String, Arc<Site>>>,
     scheduler: MaintenanceScheduler,
 }
 
-impl Default for Registry {
-    fn default() -> Self {
-        Registry::new()
-    }
-}
-
 impl Registry {
-    /// Creates an empty registry with the default maintenance pool size.
+    /// Creates an empty registry. Its maintenance scheduler thread only
+    /// starts when the first automatically-ticked site is added.
     pub fn new() -> Self {
-        Registry::with_maintenance_threads(DEFAULT_MAINTENANCE_THREADS)
-    }
-
-    /// Creates an empty registry whose maintenance pool has `threads` workers
-    /// (0 = one per core). The pool and its scheduler thread only start when
-    /// the first automatically-ticked site is added.
-    pub fn with_maintenance_threads(threads: usize) -> Self {
-        Registry {
-            sites: RwLock::new(HashMap::new()),
-            scheduler: MaintenanceScheduler::new(threads),
-        }
+        Registry::default()
     }
 
     /// Registers `site` and schedules its maintenance (unless the site's

@@ -43,10 +43,6 @@ pub struct ServerConfig {
     pub read_timeout: Option<Duration>,
     /// Maintenance policy applied to sites added without an explicit one.
     pub default_policy: MaintenancePolicy,
-    /// Workers in the shared maintenance pool that runs per-site refresh work
-    /// off the request path (0 = one per core). Shared by all sites, so
-    /// background CPU stays bounded regardless of site count.
-    pub maintenance_threads: usize,
     /// Snapshot directory (`--data-dir`). When set, every committed site
     /// generation is persisted there and [`Server::bind`] recovers the
     /// newest valid generation of each site on startup. `None` keeps the
@@ -88,7 +84,6 @@ impl Default for ServerConfig {
             workers: 4,
             read_timeout: Some(Duration::from_secs(60)),
             default_policy: MaintenancePolicy::default(),
-            maintenance_threads: crate::registry::DEFAULT_MAINTENANCE_THREADS,
             data_dir: None,
             plan: None,
             shards: 1,
@@ -105,7 +100,7 @@ impl Default for ServerConfig {
 #[derive(Debug)]
 pub struct ServerCtx {
     /// The sharded site registry: N worker shards behind a consistent-hash
-    /// ring, each with its own maintenance pool and admission gate.
+    /// ring, each with its own maintenance scheduler and admission gate.
     pub registry: ShardSet,
     /// Per-endpoint counters and latency histograms.
     pub metrics: Metrics,
@@ -203,7 +198,6 @@ impl Server {
             registry: ShardSet::new(ShardConfig {
                 shards: config.shards,
                 seed: config.shard_seed,
-                maintenance_threads: config.maintenance_threads,
                 admission: AdmissionConfig {
                     max_inflight_per_site: config.max_inflight_per_site,
                     max_inflight_per_shard: config.max_inflight_per_shard,

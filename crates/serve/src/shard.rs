@@ -1,7 +1,7 @@
 //! Worker shards: consistent-hash site ownership plus credit-based
 //! admission control.
 //!
-//! A single [`crate::registry::Registry`] with one shared maintenance pool
+//! A single [`crate::registry::Registry`] with one maintenance thread
 //! serializes background work for every site in the daemon, and the ingest
 //! path accepts unbounded concurrent work per site. This module splits the
 //! serving plane into N **shards**:
@@ -13,8 +13,8 @@
 //!   none is needed. Growing the ring from N to N+1 shards moves only ~K/N
 //!   of K keys, and every moved key lands on the new shard.
 //! * [`ShardSet`] — N shards, each owning its sites' snapshots in a private
-//!   [`Registry`] with its own slice of the maintenance pool, plus a
-//!   per-shard [`AdmissionGate`].
+//!   [`Registry`] with its own maintenance scheduler, plus a per-shard
+//!   [`AdmissionGate`].
 //! * [`AdmissionGate`] — credit-based backpressure for ingest: admission
 //!   reserves sample credits against a per-site quota and a per-shard
 //!   budget, *blocking up to a deadline* when credits are short instead of
@@ -292,21 +292,13 @@ pub struct ShardConfig {
     pub shards: usize,
     /// Ring seed; must be stable across restarts of a persistent deployment.
     pub seed: u64,
-    /// Total maintenance workers split across shards (0 = one per core *per
-    /// shard*, matching the unsharded `0` semantics per registry).
-    pub maintenance_threads: usize,
     /// Admission limits applied to every shard's gate.
     pub admission: AdmissionConfig,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        ShardConfig {
-            shards: 1,
-            seed: DEFAULT_SHARD_SEED,
-            maintenance_threads: crate::registry::DEFAULT_MAINTENANCE_THREADS,
-            admission: AdmissionConfig::default(),
-        }
+        ShardConfig { shards: 1, seed: DEFAULT_SHARD_SEED, admission: AdmissionConfig::default() }
     }
 }
 
@@ -326,20 +318,13 @@ pub struct ShardSet {
 }
 
 impl ShardSet {
-    /// Builds the shard set: each shard gets its own registry (with its
-    /// slice of the maintenance pool) and its own admission gate.
+    /// Builds the shard set: each shard gets its own registry (with its own
+    /// maintenance scheduler) and its own admission gate.
     pub fn new(config: ShardConfig) -> ShardSet {
         let n = config.shards.max(1);
-        // Split the pool evenly; every shard gets at least one worker so a
-        // small pool spread over many shards cannot starve any of them.
-        let per_shard = if config.maintenance_threads == 0 {
-            0
-        } else {
-            config.maintenance_threads.div_ceil(n)
-        };
         let shards = (0..n)
             .map(|i| WorkerShard {
-                registry: Registry::with_maintenance_threads(per_shard),
+                registry: Registry::new(),
                 gate: AdmissionGate::new(i, config.admission),
             })
             .collect();

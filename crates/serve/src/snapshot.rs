@@ -91,6 +91,11 @@ mod tests {
             .map(|_| {
                 let cell = cell.clone();
                 std::thread::spawn(move || {
+                    // Start only once the writer has stored, so the reads
+                    // overlap the writes even if the writer starts late.
+                    while cell.load().0 == 0 {
+                        std::thread::yield_now();
+                    }
                     for _ in 0..2000 {
                         let s = cell.load();
                         assert_eq!(s.1, s.0 * 7, "torn snapshot");

@@ -35,38 +35,50 @@ pub enum WireVersion {
     V2Binary,
 }
 
-/// Serializes one request in `version` framing and flushes.
+/// Serializes one request in `version` framing and sends it (see [`send`]).
 pub fn write_request<W: Write>(w: &mut W, req: &Request, version: WireVersion) -> Result<()> {
     let mut buf = Vec::with_capacity(128);
     match version {
         WireVersion::V1Json => {
             v1::encode_request(req, &mut buf);
             buf.push(b'\n');
-            w.write_all(&buf)?;
         }
         WireVersion::V2Binary => {
-            v2::encode_request(req, &mut buf);
-            frame::write_frame(w, &buf).map_err(ServeError::from)?;
+            let mut payload = Vec::with_capacity(128);
+            v2::encode_request(req, &mut payload);
+            frame::write_frame(&mut buf, &payload).map_err(ServeError::from)?;
         }
     }
-    w.flush()?;
-    Ok(())
+    send(w, &buf)
 }
 
-/// Serializes one response in `version` framing and flushes.
+/// Serializes one response in `version` framing and sends it (see [`send`]).
 pub fn write_response<W: Write>(w: &mut W, resp: &Response, version: WireVersion) -> Result<()> {
     let mut buf = Vec::with_capacity(128);
     match version {
         WireVersion::V1Json => {
             v1::encode_response(resp, &mut buf);
             buf.push(b'\n');
-            w.write_all(&buf)?;
         }
         WireVersion::V2Binary => {
-            v2::encode_response(resp, &mut buf);
-            frame::write_frame(w, &buf).map_err(ServeError::from)?;
+            let mut payload = Vec::with_capacity(128);
+            v2::encode_response(resp, &mut payload);
+            frame::write_frame(&mut buf, &payload).map_err(ServeError::from)?;
         }
     }
+    send(w, &buf)
+}
+
+/// Writes one whole encoded message with a single `write_all`, then flushes.
+///
+/// Both ends write to unbuffered `TCP_NODELAY` sockets, where every `write`
+/// leaves as its own segment. Written piece by piece (header, payload,
+/// checksum), a v2 frame would leave as three segments, each able to wake
+/// the peer before the message is complete: up to three wake-ups and context
+/// switches per message instead of one, with how many depending on
+/// scheduling, so round-trip latency would swing from one second to the next.
+fn send<W: Write>(w: &mut W, message: &[u8]) -> Result<()> {
+    w.write_all(message)?;
     w.flush()?;
     Ok(())
 }
@@ -273,5 +285,43 @@ mod tests {
             other => panic!("expected a checksum error, got {other:?}"),
         }
         assert_eq!(ver, WireVersion::V2Binary, "version sniffed before the failure");
+    }
+
+    /// Records each `write` call apart, as a `TCP_NODELAY` socket sends each
+    /// as its own segment.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.0.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_message_goes_out_in_one_write() {
+        let req = Request::Locate { site: "lab".into(), y: vec![-50.0, -41.5] };
+        let resp = Response::Error { message: "no such site".into() };
+        for v in [WireVersion::V1Json, WireVersion::V2Binary] {
+            let mut sock = Writes::default();
+            write_request(&mut sock, &req, v).unwrap();
+            write_response(&mut sock, &resp, v).unwrap();
+            assert_eq!(sock.0.len(), 2, "{v:?}: one write per message");
+            let mut ver = v;
+            let mut reader = BufReader::new(&sock.0[0][..]);
+            assert!(matches!(
+                read_request(&mut reader, &mut ver),
+                Ok(Some(Request::Locate { .. }))
+            ));
+            let mut reader = BufReader::new(&sock.0[1][..]);
+            assert!(matches!(
+                read_response(&mut reader, &mut ver),
+                Ok(Some(Response::Error { .. }))
+            ));
+        }
     }
 }

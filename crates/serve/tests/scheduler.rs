@@ -45,7 +45,7 @@ fn wait_for(mut cond: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn scheduler_ticks_all_sites_and_quiesces_on_remove() {
-    let registry = Registry::with_maintenance_threads(2);
+    let registry = Registry::new();
     registry.add(calibrated_site("alpha", 7, fast_policy())).unwrap();
     registry.add(calibrated_site("beta", 8, fast_policy())).unwrap();
 
@@ -73,7 +73,7 @@ fn scheduler_ticks_all_sites_and_quiesces_on_remove() {
 
 #[test]
 fn manual_tick_sites_are_never_scheduled() {
-    let registry = Registry::with_maintenance_threads(1);
+    let registry = Registry::new();
     let manual = MaintenancePolicy { manual_tick: true, interval_ms: 10, ..Default::default() };
     registry.add(calibrated_site("manual", 9, manual)).unwrap();
     registry.add(calibrated_site("auto", 10, fast_policy())).unwrap();
@@ -89,7 +89,7 @@ fn manual_tick_sites_are_never_scheduled() {
 
 #[test]
 fn scheduler_restarts_after_stop() {
-    let registry = Registry::with_maintenance_threads(1);
+    let registry = Registry::new();
     registry.add(calibrated_site("first", 11, fast_policy())).unwrap();
     assert!(wait_for(|| checks(&registry, "first") >= 1));
     registry.stop_maintenance();

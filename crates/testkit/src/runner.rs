@@ -14,9 +14,8 @@
 //!
 //! Queue overload is modeled synchronously: the scenario caps how many
 //! batches per stream are admitted and the excess is shed through
-//! [`tafloc_ingest::Ingestor::record_queue_drop`], exactly the accounting
-//! the real bounded queue performs — but deterministically, because the real
-//! queue's shedding depends on consumer-thread timing.
+//! [`tafloc_ingest::Ingestor::record_queue_drop`] — deterministically, where
+//! a real bounded queue's shedding would depend on consumer-thread timing.
 //!
 //! Successive evaluation streams share one live ingestor, so each stream is
 //! shifted forward in stream time by `duration + window + staleness + 1 s`;
@@ -427,7 +426,7 @@ fn eval_phase(
 }
 
 /// Feeds one stream in batches, shedding everything beyond the scenario's
-/// queue-overload cap with the same accounting the real bounded queue uses.
+/// queue-overload cap and counting each shed batch as a queue drop.
 fn feed_with_overload(
     scenario: &Scenario,
     site: &Site,

@@ -1195,6 +1195,34 @@ mod tests {
     }
 
     #[test]
+    fn every_ingest_counter_round_trips_in_both_shapes() {
+        // Distinct values per field, so a swapped or dropped counter shows.
+        let stats = IngestStats {
+            accepted: 1,
+            dropped_late: 2,
+            dropped_unknown_link: 3,
+            dropped_non_finite: 4,
+            dropped_queue_batches: 5,
+            dropped_queue_samples: 6,
+            rejected_outliers: 7,
+            link_flaps: 8,
+            live_links: 9,
+            stale_links: 10,
+            dead_links: 11,
+            assemblies: 12,
+        };
+        let mut buf = Vec::new();
+        json_write_ingest_stats(&mut JsonWriter::new(&mut buf), &stats);
+        let text = String::from_utf8(buf).unwrap();
+        assert_eq!(json_read_ingest_stats(&parse(&text).unwrap(), "IngestStats").unwrap(), stats);
+
+        let mut e = Enc::new();
+        enc_ingest_stats(&mut e, &stats);
+        let bytes = e.into_inner();
+        assert_eq!(dec_ingest_stats(&mut Dec::new(&bytes)).unwrap(), stats);
+    }
+
+    #[test]
     fn plan_state_round_trips_in_binary() {
         let plan = MeasurementPlan {
             epoch: 7,

@@ -16,30 +16,18 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test -q --workspace --no-default-features  (serial fallback)"
-cargo test -q --workspace --no-default-features
-
 echo "==> cargo test -p tafloc-serve --test protocol_fuzz  (decoder fuzz)"
 cargo test -q -p tafloc-serve --test protocol_fuzz
 
 # The wire crate is the serialization boundary for the whole serve plane;
-# gate it by name in both feature configurations, plus the end-to-end
-# conformance suite (round-trips, derive byte-compat, version negotiation).
+# gate it by name, plus the end-to-end conformance suite (round-trips, derive
+# byte-compat, version negotiation).
 echo "==> cargo test -q -p taf-wire  (wire codecs)"
 cargo test -q -p taf-wire
-
-echo "==> cargo test -q -p taf-wire --no-default-features  (wire codecs, serial)"
-cargo test -q -p taf-wire --no-default-features
 
 echo "==> cargo test -q -p tafloc-serve --test wire_roundtrip  (wire conformance)"
 cargo test -q -p tafloc-serve --test wire_roundtrip
 
-echo "==> cargo test -q -p tafloc-serve --test wire_roundtrip --no-default-features"
-cargo test -q -p tafloc-serve --test wire_roundtrip --no-default-features
-
-# The planner is consumed by serve/cli/testkit with default features off, so
-# gate that configuration (and its lints/formatting) by name — a workspace run
-# with default features would not catch a planner regression behind a feature.
 # Sharding gates, by name: the ring proptests, the admission-control
 # conservation test, and the kill-9/restart battery (shard_serving runs the
 # daemon at both --shards 1 and --shards 4).
@@ -64,15 +52,6 @@ cargo test -q --release -p tafloc-serve --test restart
 
 echo "==> cargo test -q --release -p tafloc-serve --test store_robustness  (corruption proptests)"
 cargo test -q --release -p tafloc-serve --test store_robustness
-
-echo "==> cargo test -q -p taf-plan --no-default-features  (planner)"
-cargo test -q -p taf-plan --no-default-features
-
-echo "==> cargo clippy -p taf-plan --all-targets -- -D warnings  (planner)"
-cargo clippy -q -p taf-plan --all-targets -- -D warnings
-
-echo "==> cargo fmt -p taf-plan --check  (planner)"
-cargo fmt -p taf-plan --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -1,92 +1,1 @@
-//! Offline stand-in for `rayon`.
-//!
-//! Executes everything serially on the calling thread. The workspace's
-//! parallel kernels are documented as bit-identical to their serial
-//! fallbacks, so running the `par_*` entry points as plain iterators
-//! changes nothing observable; `current_num_threads()` returning 1 also
-//! steers the guarded call sites straight onto their serial paths.
-
-use std::fmt;
-
-/// Number of worker threads (always 1: everything runs serially).
-pub fn current_num_threads() -> usize {
-    1
-}
-
-/// A "pool" that runs closures inline on the calling thread.
-#[derive(Debug)]
-pub struct ThreadPool {
-    _threads: usize,
-}
-
-impl ThreadPool {
-    /// Runs `op` on the calling thread.
-    pub fn install<OP, R>(&self, op: OP) -> R
-    where
-        OP: FnOnce() -> R,
-    {
-        op()
-    }
-}
-
-/// Builder mirroring `rayon::ThreadPoolBuilder`.
-#[derive(Debug, Default)]
-pub struct ThreadPoolBuilder {
-    threads: usize,
-}
-
-impl ThreadPoolBuilder {
-    /// New builder with default settings.
-    pub fn new() -> Self {
-        ThreadPoolBuilder { threads: 0 }
-    }
-
-    /// Records (and otherwise ignores) the requested thread count.
-    pub fn num_threads(mut self, n: usize) -> Self {
-        self.threads = n;
-        self
-    }
-
-    /// Builds the inline pool; never fails.
-    pub fn build(self) -> Result<ThreadPool, ThreadPoolBuildError> {
-        Ok(ThreadPool { _threads: self.threads })
-    }
-}
-
-/// Build error type (never constructed by the stub).
-#[derive(Debug)]
-pub struct ThreadPoolBuildError(());
-
-impl fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("stub rayon pools cannot fail to build")
-    }
-}
-
-impl std::error::Error for ThreadPoolBuildError {}
-
-/// Parallel-iterator extension traits, backed by std iterators.
-pub mod prelude {
-    /// `par_iter` / `par_iter_mut` / `par_chunks_mut` on slices, returning
-    /// ordinary sequential iterators.
-    pub trait ParallelSliceStub<T> {
-        /// Sequential stand-in for `par_iter`.
-        fn par_iter(&self) -> std::slice::Iter<'_, T>;
-        /// Sequential stand-in for `par_iter_mut`.
-        fn par_iter_mut(&mut self) -> std::slice::IterMut<'_, T>;
-        /// Sequential stand-in for `par_chunks_mut`.
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> std::slice::ChunksMut<'_, T>;
-    }
-
-    impl<T> ParallelSliceStub<T> for [T] {
-        fn par_iter(&self) -> std::slice::Iter<'_, T> {
-            self.iter()
-        }
-        fn par_iter_mut(&mut self) -> std::slice::IterMut<'_, T> {
-            self.iter_mut()
-        }
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> std::slice::ChunksMut<'_, T> {
-            self.chunks_mut(chunk_size)
-        }
-    }
-}
+//! Intentionally empty: no crate uses rayon, but `loopbench/Cargo.toml` patches `rayon` to this path and cargo refuses a patch whose path does not exist.
