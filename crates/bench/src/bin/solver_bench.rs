@@ -1,25 +1,33 @@
 //! LoLi-IR solver throughput: wall time per reconstruction at paper scale,
-//! cold-started and warm-started, with the numbers recorded to
-//! `BENCH_solver.json`.
+//! cold-started, warm-started and distortion-masked, with the numbers
+//! recorded to `BENCH_solver.json`.
 //!
-//! The problem is the rank-8 reconstruction the serving path runs on every
-//! database refresh, scaled up to M=48 links x N=400 cells. Two phases, one
+//! The problem is a rank-8 reconstruction of M=48 links x N=400 cells with
+//! an LRR prior and chain location and link graphs. Three phases, one
 //! result row each:
 //!
 //! * **cold** — the refresh a site runs after a restart or rollback: SVD
-//!   initialization, full descent to the tolerance.
-//! * **warm** — the steady-state refresh: the same problem solved again after
-//!   a small drift, seeded from the previous solution exactly as the daemon's
-//!   `SolverCache` does it.
+//!   initialization, full descent to the tolerance. No distortion mask and
+//!   no empty-room baselines, so every smoothness edge is fully active and
+//!   enters through the solver's closed forms.
+//! * **warm** — the same problem solved again after a small drift, seeded
+//!   from the previous solution exactly as the daemon's `SolverCache` does
+//!   it.
+//! * **masked** — the cold problem with the two inputs every daemon refresh
+//!   also passes: a distortion mask under which most edges are partial
+//!   (restricted to some links or cells), and per-link empty-room baselines.
+//!   Partial edges take the per-edge-sum path, which the first two rows
+//!   never reach. Cold-started: on the refresh workload the SVD seed is
+//!   the one kept.
 //!
 //! Each phase runs one untimed warm-up solve, then `repeats` timed solves on
-//! the same workspace, and records the median. The iteration budget is high
-//! enough that every phase stops on the tolerance, not the cap — `converged`
-//! is part of the recorded contract.
+//! the same workspace, and records the median, minimum and maximum. The
+//! iteration budget is high enough that every phase stops on the tolerance,
+//! not the cap — `converged` is part of the recorded contract.
 //!
 //! `gflops` is an estimate from counted work (dense products, data terms,
-//! per-block Cholesky), good for comparing runs of this bench, not an
-//! absolute measure.
+//! per-block Cholesky; smoothness edges are not counted), good for comparing
+//! runs of one phase, not an absolute measure.
 //!
 //! Usage: `cargo run --release -p taf-bench --bin solver_bench [--quick]`
 
@@ -96,6 +104,23 @@ fn main() {
         empty_rss: None,
         distortion: None,
     };
+    // Distorted everywhere on the first 4 links and the first 40 cells, and
+    // on a scattered 70% of the other entries: 39 of the 399 location edges
+    // and 3 of the 47 link edges stay fully active, the rest are partial.
+    let distortion = {
+        let mut d = Mask::trues(m, n);
+        for i in 4..m {
+            for j in 40..n {
+                if (i * 37 + j * 11) % 100 >= 70 {
+                    d.set(i, j, false);
+                }
+            }
+        }
+        d
+    };
+    let empty: Vec<f64> = (0..m).map(|i| -40.0 - (i % 5) as f64 * 1.5).collect();
+    let masked =
+        ReconstructionProblem { empty_rss: Some(&empty), distortion: Some(&distortion), ..problem };
 
     println!(
         "solver_bench: {m} links x {n} cells, rank {rank}, max {} iters, {repeats} repeats/phase",
@@ -111,24 +136,27 @@ fn main() {
 
     // One timed solve on a reused workspace: steady-state iterations allocate
     // nothing, so the clock measures arithmetic, not the allocator.
-    let solve = |ws: &mut SolverWorkspace, warm: Option<&WarmState>| {
+    let solve = |problem: &ReconstructionProblem<'_>,
+                 ws: &mut SolverWorkspace,
+                 warm: Option<&WarmState>| {
         let t0 = Instant::now();
-        let rec = reconstruct_warm(&problem, &cfg, ws, warm).expect("reconstruction succeeds");
+        let rec = reconstruct_warm(problem, &cfg, ws, warm).expect("reconstruction succeeds");
         (t0.elapsed().as_secs_f64() * 1e3, rec)
     };
 
-    let modes: &[(&'static str, Option<&WarmState>)] = &[("cold", None), ("warm", Some(&warm))];
+    let modes: &[(&'static str, &ReconstructionProblem<'_>, Option<&WarmState>)] =
+        &[("cold", &problem, None), ("warm", &problem, Some(&warm)), ("masked", &masked, None)];
     let mut results: Vec<Json> = Vec::new();
     let mut iterations: Vec<usize> = Vec::new();
     // `results` must stay ordered cold first: downstream tooling
     // (scripts/bench_gate.sh) reads the first entry as the canonical number.
-    for &(mode, warm_opt) in modes {
+    for &(mode, problem, warm_opt) in modes {
         let mut ws = SolverWorkspace::new();
         let mut samples = Vec::with_capacity(repeats);
-        let _warmup = solve(&mut ws, warm_opt);
+        let _warmup = solve(problem, &mut ws, warm_opt);
         let mut last: Option<Reconstruction> = None;
         for _ in 0..repeats {
-            let (ms, rec) = solve(&mut ws, warm_opt);
+            let (ms, rec) = solve(problem, &mut ws, warm_opt);
             samples.push(ms);
             last = Some(rec);
         }
@@ -137,6 +165,7 @@ fn main() {
 
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         let median_ms = samples[samples.len() / 2];
+        let (min_ms, max_ms) = (samples[0], samples[samples.len() - 1]);
         let trace = &rec.objective_trace;
         let objective = *trace.last().expect("non-empty trace");
         // The solver stops when (prev - f).abs() <= tol * prev.abs().max(1);
@@ -152,14 +181,16 @@ fn main() {
         let gflops =
             estimated_flops(m, n, rank, observed, rec.iterations) / (median_ms * 1e-3) / 1e9;
         println!(
-            "  {mode:>4}: median {median_ms:.3} ms, {} iters (stop: {stop_reason}), \
-             objective {objective:.3}, ~{gflops:.2} GFLOP/s",
+            "  {mode:>6}: median {median_ms:.3} ms (min {min_ms:.3}, max {max_ms:.3}), \
+             {} iters (stop: {stop_reason}), objective {objective:.3}, ~{gflops:.2} GFLOP/s",
             rec.iterations,
         );
         iterations.push(rec.iterations);
         results.push(Json::Obj(vec![
             ("mode".into(), Json::Str(mode.into())),
             ("wall_ms".into(), Json::Num(perf::round_ms(median_ms))),
+            ("wall_min_ms".into(), Json::Num(perf::round_ms(min_ms))),
+            ("wall_max_ms".into(), Json::Num(perf::round_ms(max_ms))),
             ("iterations".into(), Json::Num(rec.iterations as f64)),
             ("converged".into(), Json::Bool(rec.converged)),
             ("stop_reason".into(), Json::Str(stop_reason.into())),

@@ -590,6 +590,13 @@ pub struct SolverWorkspace {
     /// Column sums of `R` (`Σ_j r_j`) for the baseline-offset part of the
     /// fully-active similarity right-hand sides.
     rsum: Vec<f64>,
+    /// Per-edge sums shared by both endpoints of each *partial* edge, one
+    /// packed lower triangle per edge index: `Σ_{j ∈ cells} r_j r_jᵀ` for the
+    /// link edges during an L-step, then `Σ_{i ∈ links} l_i l_iᵀ` for the
+    /// location edges during the R-step.
+    edge_tri: Vec<f64>,
+    /// `Σ_{j ∈ cells} r_j` per partial link edge (L-step right-hand sides).
+    edge_sum: Vec<f64>,
     /// Prior right-hand sides: `P·R` (`m x r`) for the L-step…
     prior_l: Matrix,
     /// …and `Lᵀ·P` (`r x n`) for the R-step.
@@ -615,6 +622,8 @@ impl SolverWorkspace {
             link_lhs: Matrix::zeros(0, 0),
             link_rhs: Vec::new(),
             rsum: Vec::new(),
+            edge_tri: Vec::new(),
+            edge_sum: Vec::new(),
             prior_l: Matrix::zeros(0, 0),
             prior_r: Matrix::zeros(0, 0),
             prev_l: Matrix::zeros(0, 0),
@@ -623,9 +632,17 @@ impl SolverWorkspace {
         }
     }
 
-    /// Grows the buffers to fit an `m x n` rank-`r` problem; a no-op (and
-    /// allocation-free) when they already fit.
-    fn ensure(&mut self, m: usize, n: usize, r: usize, max_iters: usize, accelerate: bool) {
+    /// Grows the buffers to fit an `m x n` rank-`r` problem with the given
+    /// edge sets; a no-op (and allocation-free) when they already fit.
+    fn ensure(
+        &mut self,
+        m: usize,
+        n: usize,
+        r: usize,
+        edges: &EdgeSets,
+        max_iters: usize,
+        accelerate: bool,
+    ) {
         let slots = m.max(n);
         let slots_fit =
             self.scratch.len() >= slots && self.scratch.first().is_some_and(|s| s.rhs.len() == r);
@@ -643,6 +660,9 @@ impl SolverWorkspace {
         if self.rsum.len() != r {
             self.rsum = vec![0.0; r];
         }
+        let edge_slots = edges.link.len().max(edges.location.len());
+        self.edge_tri.resize(edge_slots * tri_len(r), 0.0);
+        self.edge_sum.resize(edges.link.len() * r, 0.0);
         if self.xh.shape() != (m, n) {
             self.xh = Matrix::zeros(m, n);
         }
@@ -776,6 +796,10 @@ struct LStepCtx<'a> {
     loc_lhs: Option<&'a Matrix>,
     /// Column sums of `R` for the baseline-offset right-hand-side term.
     rsum: &'a [f64],
+    /// Per partial link edge: `Σ_{j ∈ cells} r_j r_jᵀ` (packed lower
+    /// triangle) and `Σ_{j ∈ cells} r_j`, indexed like `edges.link`.
+    edge_tri: &'a [f64],
+    edge_sum: &'a [f64],
     /// `P·R` (`m x r`): each row's prior right-hand side, or `None` when the
     /// prior term is off.
     prior_rhs: Option<&'a Matrix>,
@@ -801,6 +825,9 @@ struct RStepCtx<'a> {
     /// right-hand side `β Σ δ_{ii'} (l_i − l_{i'})`, shared by every column;
     /// `None` when no link edge is fully active.
     link_closed: Option<(&'a Matrix, &'a [f64])>,
+    /// Per partial location edge: `Σ_{i ∈ links} l_i l_iᵀ` (packed lower
+    /// triangle), indexed like `edges.location`.
+    edge_tri: &'a [f64],
     /// `Lᵀ·P` (`r x n`): each column's prior right-hand side.
     prior_rhs: Option<&'a Matrix>,
 }
@@ -828,8 +855,9 @@ fn finish_solve(s: &mut RowScratch) {
 /// matrix enters through a closed form (`μ RᵀR` for the prior, the shared
 /// `loc_lhs` for fully-active continuity edges, `β RᵀR` plus a Gram
 /// matrix-vector product for fully-active similarity edges) instead of a
-/// per-entry rank-1 loop. Partial (distortion-restricted) edges keep the
-/// per-entry path.
+/// per-entry rank-1 loop. Partial (distortion-restricted) similarity edges
+/// read their per-sweep sums from `ctx.edge_tri`/`ctx.edge_sum`; partial
+/// continuity edges keep the per-entry path.
 fn solve_l_row(ctx: &LStepCtx<'_>, i: usize, s: &mut RowScratch) {
     let r = ctx.gram.rows();
     let n = ctx.rf.rows();
@@ -881,12 +909,16 @@ fn solve_l_row(ctx: &LStepCtx<'_>, i: usize, s: &mut RowScratch) {
                     s.rhs[a] += ctx.config.beta * t;
                 }
             } else {
-                for &j in cells {
-                    let rj = ctx.rf.row(j);
-                    rank1_update(&mut s.lhs, rj, ctx.config.beta);
-                    // Target for x̂_ij is x̂_other,j + off.
-                    let t: f64 = taf_linalg::dot(&s.other, rj) + off;
-                    taf_linalg::axpy_slice(&mut s.rhs, ctx.config.beta * t, rj);
+                // Partial: the same two terms over the edge's cells, from
+                // the sums G_e = Σ r_j r_jᵀ and s_e = Σ r_j computed once
+                // per sweep (the target for x̂_ij is x̂_other,j + off).
+                let t = tri_len(r);
+                let tri = &ctx.edge_tri[k * t..(k + 1) * t];
+                add_packed(&mut s.lhs, tri, ctx.config.beta);
+                packed_symv(tri, &s.other, &mut s.dir);
+                let sum = &ctx.edge_sum[k * r..(k + 1) * r];
+                for ((a, &g), &sj) in s.rhs.iter_mut().zip(&s.dir).zip(sum) {
+                    *a += ctx.config.beta * (g + off * sj);
                 }
             }
         }
@@ -911,7 +943,8 @@ fn solve_l_row(ctx: &LStepCtx<'_>, i: usize, s: &mut RowScratch) {
 
 /// Builds and solves the `r x r` ridge system for column `r_j` inside `s`;
 /// symmetric counterpart of [`solve_l_row`] (lower-triangle `lhs`, closed
-/// forms for fully-active terms, per-entry loops only for partial edges).
+/// forms for fully-active terms, per-sweep sums for partial continuity
+/// edges, per-entry loops for partial similarity edges).
 fn solve_r_col(ctx: &RStepCtx<'_>, j: usize, s: &mut RowScratch) {
     let r = ctx.gram.rows();
     let m = ctx.l.rows();
@@ -959,12 +992,13 @@ fn solve_r_col(ctx: &RStepCtx<'_>, j: usize, s: &mut RowScratch) {
                     s.rhs[a] += ctx.config.alpha * t;
                 }
             } else {
-                for &i in links {
-                    let li = ctx.l.row(i);
-                    rank1_update(&mut s.lhs, li, ctx.config.alpha);
-                    let t: f64 = taf_linalg::dot(li, &s.other);
-                    taf_linalg::axpy_slice(&mut s.rhs, ctx.config.alpha * t, li);
-                }
+                // Partial: A_e = Σ_{i ∈ links} l_i l_iᵀ, computed once per
+                // sweep; target sum A_e·r_other.
+                let t = tri_len(r);
+                let tri = &ctx.edge_tri[k * t..(k + 1) * t];
+                add_packed(&mut s.lhs, tri, ctx.config.alpha);
+                packed_symv(tri, &s.other, &mut s.dir);
+                taf_linalg::axpy_slice(&mut s.rhs, ctx.config.alpha, &s.dir);
             }
         }
     }
@@ -1048,7 +1082,7 @@ pub fn reconstruct_warm(
     let has_prior = mu > 0.0 && problem.lrr_prior.is_some();
     let edges = build_edge_sets(problem);
 
-    ws.ensure(m, n, r, config.max_iters, config.accelerate);
+    ws.ensure(m, n, r, &edges, config.max_iters, config.accelerate);
 
     // ------------------------------------------------------------------
     // Initialization. The cold start is the truncated SVD of the prior (or of
@@ -1060,21 +1094,26 @@ pub fn reconstruct_warm(
     // never make a solve slower to converge than the cold start, while a
     // fresh one skips most of the descent.
     // ------------------------------------------------------------------
-    let init_target: Matrix = match problem.lrr_prior {
-        Some(p) => p.clone(),
-        None => fill_from_observed(problem.observed, problem.mask),
-    };
-    let svd = init_target.svd()?.truncate(r);
+    let svd = match problem.lrr_prior {
+        Some(p) => p.svd()?,
+        None => fill_from_observed(problem.observed, problem.mask).svd()?,
+    }
+    .truncate(r);
     let cold_l = Matrix::from_fn(m, r, |i, k| svd.u[(i, k)] * svd.sigma[k].sqrt());
     let cold_r = Matrix::from_fn(n, r, |j, k| svd.v[(j, k)] * svd.sigma[k].sqrt());
     let seed = warm.filter(|w| w.shape() == (m, n, r) && w.is_finite());
-    let warm_start = match seed {
-        None => false,
+    // `scored` is the winner's objective when both seeds were evaluated.
+    let (warm_start, scored) = match seed {
+        None => (false, None),
         Some(w) => {
             let f_warm = objective(problem, &edges, config, mu, &w.l, &w.r, &mut ws.xh)?;
             let f_cold = objective(problem, &edges, config, mu, &cold_l, &cold_r, &mut ws.xh)?;
             // Strict `<` (false on NaN) so ties and garbage go cold.
-            f_warm < f_cold
+            if f_warm < f_cold {
+                (true, Some(f_warm))
+            } else {
+                (false, Some(f_cold))
+            }
         }
     };
     let (mut l, mut rf) = if warm_start {
@@ -1084,7 +1123,12 @@ pub fn reconstruct_warm(
         (cold_l, cold_r)
     };
 
-    let f0 = objective(problem, &edges, config, mu, &l, &rf, &mut ws.xh)?;
+    // `ws.xh` may now hold the loser's product; nothing reads it before the
+    // first iteration's objective rewrites it (`max_iters >= 1`).
+    let f0 = match scored {
+        Some(f) => f,
+        None => objective(problem, &edges, config, mu, &l, &rf, &mut ws.xh)?,
+    };
     ws.trace.push(f0);
     let mut converged = false;
     let mut iterations = 0;
@@ -1188,6 +1232,10 @@ pub fn reconstruct_warm(
                 }
             }
         }
+        if config.beta > 0.0 {
+            let cells = edges.link.iter().map(|(_, _, cells)| cells.as_slice());
+            partial_edge_sums(&rf, cells, n, &mut ws.edge_tri, Some(&mut ws.edge_sum));
+        }
         if has_prior {
             let p = problem.lrr_prior.expect("has_prior implies Some");
             p.matmul_into(&rf, &mut ws.prior_l)?;
@@ -1206,6 +1254,8 @@ pub fn reconstruct_warm(
                 row_loc_edges: &row_loc_edges,
                 loc_lhs: if has_full_loc { Some(&ws.loc_lhs) } else { None },
                 rsum: &ws.rsum,
+                edge_tri: &ws.edge_tri,
+                edge_sum: &ws.edge_sum,
                 prior_rhs: if has_prior { Some(&ws.prior_l) } else { None },
             };
             for (s, &i) in ws.scratch.iter_mut().zip(class) {
@@ -1240,6 +1290,10 @@ pub fn reconstruct_warm(
                 }
             }
         }
+        if config.alpha > 0.0 {
+            let links = edges.location.iter().map(|(_, _, links)| links.as_slice());
+            partial_edge_sums(&l, links, m, &mut ws.edge_tri, None);
+        }
         if has_prior {
             let p = problem.lrr_prior.expect("has_prior implies Some");
             l.matmul_tn_into(p, &mut ws.prior_r)?;
@@ -1261,6 +1315,7 @@ pub fn reconstruct_warm(
                 } else {
                     None
                 },
+                edge_tri: &ws.edge_tri,
                 prior_rhs: if has_prior { Some(&ws.prior_r) } else { None },
             };
             for (s, &j) in ws.scratch.iter_mut().zip(class) {
@@ -1386,6 +1441,82 @@ fn rank1_update(lhs: &mut Matrix, v: &[f64], w: f64) {
     }
 }
 
+/// Length of the packed lower triangle of an `r x r` matrix: row `a` holds
+/// its entries `0..=a`.
+fn tri_len(r: usize) -> usize {
+    r * (r + 1) / 2
+}
+
+/// For every *partial* edge `k` (active set shorter than `full`), writes
+/// `Σ_{x ∈ active} f_x f_xᵀ` over rows `f_x` of `f` into slot `k` of `tri`
+/// (packed lower triangle) and, when `sums` is given, `Σ_{x ∈ active} f_x`
+/// into slot `k` of it. Both endpoints of the edge then read the one sum.
+/// Fully-active edges are skipped; they enter through the closed forms.
+fn partial_edge_sums<'e>(
+    f: &Matrix,
+    active_sets: impl Iterator<Item = &'e [usize]>,
+    full: usize,
+    tri: &mut [f64],
+    mut sums: Option<&mut [f64]>,
+) {
+    let r = f.cols();
+    let t = tri_len(r);
+    for (k, active) in active_sets.enumerate() {
+        if active.len() == full {
+            continue;
+        }
+        let slot = &mut tri[k * t..(k + 1) * t];
+        slot.fill(0.0);
+        for &x in active {
+            let v = f.row(x);
+            let mut off = 0;
+            for (a, &va) in v.iter().enumerate() {
+                for (o, &vb) in slot[off..=off + a].iter_mut().zip(v) {
+                    *o += va * vb;
+                }
+                off += a + 1;
+            }
+        }
+        if let Some(sums) = sums.as_deref_mut() {
+            let sum = &mut sums[k * r..(k + 1) * r];
+            sum.fill(0.0);
+            for &x in active {
+                taf_linalg::axpy_slice(sum, 1.0, f.row(x));
+            }
+        }
+    }
+}
+
+/// `lhs += w · T` on the lower triangle, for the symmetric `T` whose lower
+/// triangle `tri` packs.
+fn add_packed(lhs: &mut Matrix, tri: &[f64], w: f64) {
+    let r = lhs.rows();
+    let data = lhs.as_mut_slice();
+    let mut off = 0;
+    for a in 0..r {
+        for (o, &x) in data[a * r..=a * r + a].iter_mut().zip(&tri[off..=off + a]) {
+            *o += w * x;
+        }
+        off += a + 1;
+    }
+}
+
+/// `y = T·x` for the symmetric `T` whose lower triangle `tri` packs.
+fn packed_symv(tri: &[f64], x: &[f64], y: &mut [f64]) {
+    y.fill(0.0);
+    let mut off = 0;
+    for (a, &xa) in x.iter().enumerate() {
+        let row = &tri[off..=off + a];
+        let mut acc = row[a] * xa;
+        for b in 0..a {
+            acc += row[b] * x[b];
+            y[b] += row[b] * xa;
+        }
+        y[a] += acc;
+        off += a + 1;
+    }
+}
+
 /// Fills unobserved entries with the row mean of the observed ones (global mean
 /// fallback) — the no-prior initialization target.
 fn fill_from_observed(observed: &Matrix, mask: &Mask) -> Matrix {
@@ -1454,14 +1585,29 @@ mod tests {
         assert!(err < 0.5, "mean abs error {err}");
     }
 
+    /// Distortion support for a 6 x 12 problem under which, on chain graphs,
+    /// the location edges (0,1), (1,2), (2,3) and the link edge (4,5) are
+    /// fully active and the other 8 location and 4 link edges are partial.
+    fn partial_distortion() -> Mask {
+        let mut d = Mask::trues(6, 12);
+        for i in 0..4 {
+            for j in 3..12 {
+                if (i + 2 * j) % 5 == 0 {
+                    d.set(i, j, false);
+                }
+            }
+        }
+        d
+    }
+
+    /// Per-link empty-room RSS, so the similarity edges carry offsets `δ`.
+    const EMPTY_RSS: [f64; 6] = [-40.0, -42.5, -45.0, -41.0, -44.0, -43.0];
+
     #[test]
     fn objective_monotonically_non_increasing() {
-        let truth = ground_truth();
-        let mask = column_mask(&truth, &[1, 5, 9]);
-        let noisy_prior = truth.map(|v| v + 0.8 * (v * 17.0).sin());
-        let g = NeighborGraph::new(12, (0..11).map(|j| (j, j + 1)));
-        let h = NeighborGraph::new(6, (0..5).map(|i| (i, i + 1)));
-        let problem = ReconstructionProblem {
+        let (truth, mask, noisy_prior, g, h) = smoothed_problem_parts();
+        let distortion = partial_distortion();
+        let plain = ReconstructionProblem {
             observed: &truth,
             mask: &mask,
             lrr_prior: Some(&noisy_prior),
@@ -1470,15 +1616,29 @@ mod tests {
             empty_rss: None,
             distortion: None,
         };
+        // Mostly partial edges with baseline offsets: the path every daemon
+        // refresh takes.
+        let partial = ReconstructionProblem {
+            empty_rss: Some(&EMPTY_RSS),
+            distortion: Some(&distortion),
+            ..plain
+        };
+        let edges = build_edge_sets(&partial);
+        let full_loc = edges.location.iter().filter(|(_, _, links)| links.len() == 6).count();
+        let full_link = edges.link.iter().filter(|(_, _, cells)| cells.len() == 12).count();
+        assert_eq!((full_loc, edges.location.len()), (3, 11));
+        assert_eq!((full_link, edges.link.len()), (1, 5));
         let cfg = LoliIrConfig { max_iters: 25, tol: 0.0, ..Default::default() };
-        let rec = reconstruct(&problem, &cfg).unwrap();
-        for w in rec.objective_trace.windows(2) {
-            assert!(
-                w[1] <= w[0] * (1.0 + 1e-10) + 1e-9,
-                "objective increased: {} -> {}",
-                w[0],
-                w[1]
-            );
+        for problem in [plain, partial] {
+            let rec = reconstruct(&problem, &cfg).unwrap();
+            for w in rec.objective_trace.windows(2) {
+                assert!(
+                    w[1] <= w[0] * (1.0 + 1e-10) + 1e-9,
+                    "objective increased: {} -> {}",
+                    w[0],
+                    w[1]
+                );
+            }
         }
     }
 

@@ -5,6 +5,8 @@
 //! allowed to allocate, but the iteration loop itself must not — so a run with
 //! 50 iterations must allocate exactly as often as a run with 5.
 
+mod common;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -55,7 +57,7 @@ fn iterations_allocate_nothing_on_a_warm_workspace() {
     let mask = Mask::from_columns(6, 12, &[1, 5, 9]).unwrap();
     let g = NeighborGraph::new(12, (0..11).map(|j| (j, j + 1)));
     let h = NeighborGraph::new(6, (0..5).map(|i| (i, i + 1)));
-    let problem = ReconstructionProblem {
+    let plain = ReconstructionProblem {
         observed: &truth,
         mask: &mask,
         lrr_prior: Some(&prior),
@@ -64,28 +66,36 @@ fn iterations_allocate_nothing_on_a_warm_workspace() {
         empty_rss: None,
         distortion: None,
     };
+    // Mostly partial edges with baseline offsets, whose per-edge sums live
+    // in the workspace too.
+    let distortion = common::partial_distortion(6, 12);
+    let empty = common::empty_rss(6);
+    let partial =
+        ReconstructionProblem { empty_rss: Some(&empty), distortion: Some(&distortion), ..plain };
     // tol = 0 forces exactly max_iters iterations, so the two configs differ
     // only in how many times the iteration loop body runs.
     let short = LoliIrConfig { max_iters: 5, tol: 0.0, ..Default::default() };
     let long = LoliIrConfig { max_iters: 50, tol: 0.0, ..Default::default() };
 
-    // Warm the workspace at the larger trace capacity.
-    let mut ws = SolverWorkspace::new();
-    reconstruct_with(&problem, &long, &mut ws).unwrap();
-    reconstruct_with(&problem, &short, &mut ws).unwrap();
-
-    let short_allocs = count_allocations(|| {
-        reconstruct_with(&problem, &short, &mut ws).unwrap();
-    });
-    let long_allocs = count_allocations(|| {
+    for problem in [plain, partial] {
+        // Warm the workspace at the larger trace capacity.
+        let mut ws = SolverWorkspace::new();
         reconstruct_with(&problem, &long, &mut ws).unwrap();
-    });
-    assert_eq!(
-        short_allocs,
-        long_allocs,
-        "iteration loop allocated: 45 extra iterations cost {} allocations",
-        long_allocs.saturating_sub(short_allocs)
-    );
-    // Sanity: the counter is actually live (setup does allocate).
-    assert!(short_allocs > 0, "counting allocator not engaged");
+        reconstruct_with(&problem, &short, &mut ws).unwrap();
+
+        let short_allocs = count_allocations(|| {
+            reconstruct_with(&problem, &short, &mut ws).unwrap();
+        });
+        let long_allocs = count_allocations(|| {
+            reconstruct_with(&problem, &long, &mut ws).unwrap();
+        });
+        assert_eq!(
+            short_allocs,
+            long_allocs,
+            "iteration loop allocated: 45 extra iterations cost {} allocations",
+            long_allocs.saturating_sub(short_allocs)
+        );
+        // Sanity: the counter is actually live (setup does allocate).
+        assert!(short_allocs > 0, "counting allocator not engaged");
+    }
 }

@@ -6,6 +6,8 @@
 //! committed goldens depend on it; these tests pin the property down end to
 //! end.
 
+mod common;
+
 use proptest::prelude::*;
 use taf_linalg::Matrix;
 use tafloc_core::loli_ir::{
@@ -38,10 +40,15 @@ fn fingerprint(
     )
 }
 
+/// Distortion support and empty-room RSS of a problem; `None` for both
+/// leaves every edge fully active with no baseline offsets.
+type Smoothing<'a> = Option<(&'a Mask, &'a [f64])>;
+
 fn solve_problem(
     truth: &Matrix,
     prior: &Matrix,
     mask: &Mask,
+    smoothing: Smoothing<'_>,
     cfg: &LoliIrConfig,
     warm: Option<&WarmState>,
 ) -> tafloc_core::loli_ir::Reconstruction {
@@ -53,8 +60,8 @@ fn solve_problem(
         lrr_prior: Some(prior),
         location_graph: Some(&g),
         link_graph: Some(&h),
-        empty_rss: None,
-        distortion: None,
+        empty_rss: smoothing.map(|(_, e)| e),
+        distortion: smoothing.map(|(d, _)| d),
     };
     reconstruct_warm(&problem, cfg, &mut SolverWorkspace::new(), warm).unwrap()
 }
@@ -65,21 +72,26 @@ fn repeated_runs_are_bit_identical() {
     let prior = pseudo(6, 12, 43);
     let mask = Mask::from_columns(6, 12, &[0, 4, 8]).unwrap();
     let cfg = LoliIrConfig { max_iters: 8, tol: 0.0, ..Default::default() };
-    // Warm start from the solve of a different same-shaped problem, the way a
-    // refresh starts from the previous day's solution.
-    let yesterday = solve_problem(&pseudo(6, 12, 47), &prior, &mask, &cfg, None);
-    let seed = WarmState::from_reconstruction(&yesterday);
-    let warm = solve_problem(&truth, &prior, &mask, &cfg, Some(&seed));
-    assert!(warm.warm_start, "the seed must be usable");
+    let distortion = common::partial_distortion(6, 12);
+    let empty = common::empty_rss(6);
+    // Every edge fully active, then mostly partial edges with baseline
+    // offsets (the per-edge sums every daemon refresh computes).
+    for smoothing in [None, Some((&distortion, empty.as_slice()))] {
+        let solve =
+            |truth: &Matrix, warm| solve_problem(truth, &prior, &mask, smoothing, &cfg, warm);
+        // Warm start from the solve of a different same-shaped problem, the
+        // way a refresh starts from the previous day's solution.
+        let yesterday = solve(&pseudo(6, 12, 47), None);
+        let seed = WarmState::from_reconstruction(&yesterday);
+        let warm = solve(&truth, Some(&seed));
+        assert!(warm.warm_start, "the seed must be usable");
 
-    let first = fingerprint(&solve_problem(&truth, &prior, &mask, &cfg, None));
-    let first_warm = fingerprint(&warm);
-    for _ in 0..3 {
-        assert_eq!(first, fingerprint(&solve_problem(&truth, &prior, &mask, &cfg, None)));
-        assert_eq!(
-            first_warm,
-            fingerprint(&solve_problem(&truth, &prior, &mask, &cfg, Some(&seed)))
-        );
+        let first = fingerprint(&solve(&truth, None));
+        let first_warm = fingerprint(&warm);
+        for _ in 0..3 {
+            assert_eq!(first, fingerprint(&solve(&truth, None)));
+            assert_eq!(first_warm, fingerprint(&solve(&truth, Some(&seed))));
+        }
     }
 }
 
@@ -93,8 +105,8 @@ fn large_problem_repeated_runs_are_bit_identical() {
     let cols: Vec<usize> = (0..400).step_by(3).collect();
     let mask = Mask::from_columns(20, 400, &cols).unwrap();
     let cfg = LoliIrConfig { max_iters: 4, tol: 0.0, ..Default::default() };
-    let first = fingerprint(&solve_problem(&truth, &prior, &mask, &cfg, None));
-    assert_eq!(first, fingerprint(&solve_problem(&truth, &prior, &mask, &cfg, None)));
+    let first = fingerprint(&solve_problem(&truth, &prior, &mask, None, &cfg, None));
+    assert_eq!(first, fingerprint(&solve_problem(&truth, &prior, &mask, None, &cfg, None)));
 
     // Leave the workspace sized and filled by a small problem first.
     let mut ws = SolverWorkspace::new();
@@ -143,7 +155,7 @@ proptest! {
         let mask = Mask::from_columns(m, n, &cols).unwrap();
         let cfg = LoliIrConfig { rank: 3, max_iters: 5, tol: 0.0, ..Default::default() };
 
-        let base = fingerprint(&solve_problem(&truth, &prior, &mask, &cfg, None));
+        let base = fingerprint(&solve_problem(&truth, &prior, &mask, None, &cfg, None));
         let g = NeighborGraph::new(n, (0..n - 1).map(|j| (j, j + 1)));
         let h = NeighborGraph::new(m, (0..m - 1).map(|i| (i, i + 1)));
         let problem = ReconstructionProblem {

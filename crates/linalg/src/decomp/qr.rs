@@ -4,7 +4,7 @@
 //! selection: the first `n` pivot columns of the fingerprint matrix are its "most
 //! linearly independent" columns, exactly the property the paper asks for.
 
-use crate::{axpy_slice, dot, LinalgError, Matrix, Result};
+use crate::{axpy_slice, LinalgError, Matrix, Result};
 
 /// Fixed row-block size for the reflector-application reduction. The partial
 /// sums are combined in block order, so this size fixes the summation order —
@@ -33,7 +33,7 @@ pub struct ColPivQr {
 }
 
 /// Shared Householder core: factors `work` in place (columns permuted when
-/// `pivoting`), accumulating reflectors into an explicit thin Q.
+/// `pivoting`), keeping each reflector for the thin Q built at the end.
 fn householder(
     a: &Matrix,
     pivoting: bool,
@@ -42,8 +42,10 @@ fn householder(
     let k = m.min(n);
     let mut work = a.clone();
     let mut pivots: Vec<usize> = (0..n).collect();
-    // Q accumulated as an m x m product applied to the identity; trimmed at the end.
-    let mut q = Matrix::identity(m);
+    // Reflector `(step, vᵀv)` pairs, and their vectors back to back in `vs`,
+    // each covering rows step..m.
+    let mut reflectors: Vec<(usize, f64)> = Vec::with_capacity(k);
+    let mut vs: Vec<f64> = Vec::with_capacity(k * m);
 
     // Running squared column norms for pivot selection (row-major traversal).
     let mut col_norms: Vec<f64> = vec![0.0; n];
@@ -52,7 +54,7 @@ fn householder(
             col_norms[j] += x * x;
         }
     }
-    // Scratch reused across steps by the panel update.
+    // Scratch reused across steps by the panel updates.
     let mut s = vec![0.0; n];
     let mut partials = vec![0.0; m.div_ceil(REFLECT_ROW_BLOCK) * n];
 
@@ -72,7 +74,9 @@ fn householder(
         }
 
         // Householder vector for column `step`, rows step..m.
-        let mut v: Vec<f64> = (step..m).map(|i| work[(i, step)]).collect();
+        let start = vs.len();
+        vs.extend((step..m).map(|i| work[(i, step)]));
+        let v = &mut vs[start..];
         let alpha = {
             let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
             if v[0] >= 0.0 {
@@ -83,45 +87,17 @@ fn householder(
         };
         if alpha.abs() < f64::EPSILON {
             // Column already zero below the diagonal; nothing to reflect.
+            vs.truncate(start);
             continue;
         }
         v[0] -= alpha;
         let v_norm_sq: f64 = v.iter().map(|x| x * x).sum();
         if v_norm_sq < f64::EPSILON * f64::EPSILON {
+            vs.truncate(start);
             continue;
         }
-
-        // Apply H = I - 2vvᵀ/(vᵀv) to the trailing block of `work`, row-major
-        // and in two phases: s = vᵀ·W, then W -= (2/vᵀv)·v·s. Phase one reduces
-        // over rows in fixed-size blocks whose partials are combined in block
-        // order.
-        let rows = m - step;
-        let width = n - step;
-        let blocks = rows.div_ceil(REFLECT_ROW_BLOCK);
-        let pbuf = &mut partials[..blocks * width];
-        for (b, buf) in pbuf.chunks_mut(width).enumerate() {
-            buf.fill(0.0);
-            let r0 = step + b * REFLECT_ROW_BLOCK;
-            let r1 = (r0 + REFLECT_ROW_BLOCK).min(m);
-            for i in r0..r1 {
-                axpy_slice(buf, v[i - step], &work.row(i)[step..]);
-            }
-        }
-        s[..width].fill(0.0);
-        for buf in pbuf.chunks(width) {
-            for (sj, pj) in s[..width].iter_mut().zip(buf) {
-                *sj += pj;
-            }
-        }
-        for (i, row) in work.as_mut_slice().chunks_mut(n).enumerate().skip(step) {
-            axpy_slice(&mut row[step..], -2.0 * v[i - step] / v_norm_sq, &s[..width]);
-        }
-        // Accumulate into Q (apply H on the right: Q ← Q·H): each Q row is an
-        // independent dot-and-axpy.
-        for q_row in q.as_mut_slice().chunks_mut(m) {
-            let d = dot(&q_row[step..m], &v);
-            axpy_slice(&mut q_row[step..m], -2.0 * d / v_norm_sq, &v);
-        }
+        reflectors.push((step, v_norm_sq));
+        reflect(work.as_mut_slice(), n, step, &vs[start..], v_norm_sq, &mut s, &mut partials);
         // Update running column norms (cheap downdate + occasional refresh).
         if pivoting {
             for j in (step + 1)..n {
@@ -131,15 +107,68 @@ fn householder(
         }
     }
 
-    // Thin factors.
-    let q_thin = q.submatrix(0, m, 0, k).expect("q trim in range");
+    // Thin Q = H₀·H₁⋯H_{k−1}·[I_k; 0], accumulated backwards as in LAPACK's
+    // `dorgqr`: the last reflector is applied first, straight to the m x k
+    // buffer. When `H_step` is applied, columns left of `step` are still unit
+    // vectors with zeros in rows step..m, so it touches only the trailing
+    // (m − step) x (k − step) block, and the whole product costs O(m·k²).
+    let mut q = Matrix::zeros(m, k);
+    for d in 0..k {
+        q[(d, d)] = 1.0;
+    }
+    let mut end = vs.len();
+    for &(step, v_norm_sq) in reflectors.iter().rev() {
+        let v = &vs[end - (m - step)..end];
+        end -= m - step;
+        reflect(q.as_mut_slice(), k, step, v, v_norm_sq, &mut s, &mut partials);
+    }
+
     let mut r = Matrix::zeros(k, n);
     for i in 0..k {
         for j in i..n {
             r[(i, j)] = work[(i, j)];
         }
     }
-    (q_thin, r, pivots)
+    (q, r, pivots)
+}
+
+/// Applies `H = I − 2vvᵀ/(vᵀv)` from the left to the trailing block (rows
+/// and columns `step..`) of the row-major matrix `data`, `cols` wide, with
+/// `v` covering rows `step..`. Row-major and in two phases: `s = vᵀ·W`, then
+/// `W −= (2/vᵀv)·v·s`. Phase one reduces over rows in fixed-size blocks whose
+/// partials are combined in block order.
+fn reflect(
+    data: &mut [f64],
+    cols: usize,
+    step: usize,
+    v: &[f64],
+    v_norm_sq: f64,
+    s: &mut [f64],
+    partials: &mut [f64],
+) {
+    let width = cols - step;
+    let blocks = v.len().div_ceil(REFLECT_ROW_BLOCK);
+    let pbuf = &mut partials[..blocks * width];
+    let rows = &data[step * cols..];
+    for (buf, (vb, rb)) in pbuf
+        .chunks_mut(width)
+        .zip(v.chunks(REFLECT_ROW_BLOCK).zip(rows.chunks(REFLECT_ROW_BLOCK * cols)))
+    {
+        buf.fill(0.0);
+        for (&vi, row) in vb.iter().zip(rb.chunks(cols)) {
+            axpy_slice(buf, vi, &row[step..]);
+        }
+    }
+    let s = &mut s[..width];
+    s.fill(0.0);
+    for buf in pbuf.chunks(width) {
+        for (sj, pj) in s.iter_mut().zip(buf) {
+            *sj += pj;
+        }
+    }
+    for (&vi, row) in v.iter().zip(data[step * cols..].chunks_mut(cols)) {
+        axpy_slice(&mut row[step..], -2.0 * vi / v_norm_sq, s);
+    }
 }
 
 impl Matrix {
@@ -400,31 +429,34 @@ mod tests {
     #[test]
     fn tall_matrix_spanning_several_reflector_row_blocks_factors() {
         // Two full reflector row blocks plus a partial third, so every
-        // reflector's `vᵀ·W` combines several block partials.
-        let (m, n) = (2 * REFLECT_ROW_BLOCK + 22, 12);
-        let mut state = 0x9e37_79b9_u64;
-        let a = Matrix::from_fn(m, n, |_, _| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 2000) as f64 / 100.0 - 10.0
-        });
+        // reflector's `vᵀ·W` combines several block partials; and 400 x 10,
+        // the transpose of a refresh's LRR prior that the SVD seed factors.
+        for (m, n) in [(2 * REFLECT_ROW_BLOCK + 22, 12), (400, 10)] {
+            let mut state = 0x9e37_79b9_u64;
+            let a = Matrix::from_fn(m, n, |_, _| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state % 2000) as f64 / 100.0 - 10.0
+            });
 
-        let qr = a.qr().unwrap();
-        assert_eq!(qr.q().shape(), (m, n));
-        assert!(qr.q().gram().approx_eq(&Matrix::identity(n), 1e-10));
-        assert!(qr.q().matmul(qr.r()).unwrap().approx_eq(&a, 1e-9));
+            let qr = a.qr().unwrap();
+            assert_eq!(qr.q().shape(), (m, n));
+            assert!(qr.q().gram().approx_eq(&Matrix::identity(n), 1e-10));
+            assert!(qr.q().matmul(qr.r()).unwrap().approx_eq(&a, 1e-9));
 
-        let f = a.col_piv_qr().unwrap();
-        assert!(f.q().gram().approx_eq(&Matrix::identity(n), 1e-10));
-        let ap = a.matmul(&permutation_matrix(f.pivots())).unwrap();
-        assert!(f.q().matmul(f.r()).unwrap().approx_eq(&ap, 1e-9));
-        assert_eq!(f.rank(1e-10), n);
+            let f = a.col_piv_qr().unwrap();
+            assert_eq!(f.q().shape(), (m, n));
+            assert!(f.q().gram().approx_eq(&Matrix::identity(n), 1e-10));
+            let ap = a.matmul(&permutation_matrix(f.pivots())).unwrap();
+            assert!(f.q().matmul(f.r()).unwrap().approx_eq(&ap, 1e-9));
+            assert_eq!(f.rank(1e-10), n);
 
-        for r in [qr.r(), f.r()] {
-            for i in 0..n {
-                for j in 0..i {
-                    assert!(r[(i, j)].abs() < 1e-12, "R[{i},{j}] = {}", r[(i, j)]);
+            for r in [qr.r(), f.r()] {
+                for i in 0..n {
+                    for j in 0..i {
+                        assert!(r[(i, j)].abs() < 1e-12, "R[{i},{j}] = {}", r[(i, j)]);
+                    }
                 }
             }
         }

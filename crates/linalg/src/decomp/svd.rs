@@ -60,11 +60,13 @@ impl Matrix {
 fn svd_tall(a: &Matrix) -> Result<Svd> {
     let (m, n) = a.shape();
     debug_assert!(m >= n);
-    // Tall-skinny fast path: factor A = Q·R first (Householder QR streams the
-    // matrix row-major through its panel updates), then run Jacobi on
-    // the small n x n triangle. Each Jacobi rotation touches n rows instead of
-    // m, which shrinks the sweep cost from O(m·n²) to O(n³) per sweep, and
-    // A = (Q·U_R)·Σ·Vᵀ recovers the thin factors exactly.
+    // Tall-skinny fast path: factor A = Q·R first, then run Jacobi on the
+    // small n x n triangle. The Householder QR streams the matrix row-major
+    // through its panel updates and forms only the thin m x n Q, O(m·n²) in
+    // all. Each Jacobi rotation then touches n rows instead of m, which
+    // shrinks the sweep cost from O(m·n²) to O(n³) per sweep, and
+    // A = (Q·U_R)·Σ·Vᵀ gives the thin factors (equal to the direct path's in
+    // exact arithmetic, not bit for bit).
     if m >= 2 * n {
         let qr = a.qr()?;
         let inner = svd_tall(qr.r())?;
@@ -337,18 +339,21 @@ mod tests {
 
     #[test]
     fn tall_skinny_qr_path_is_a_valid_svd() {
-        // 40x5 triggers the QR-preprocessing branch (m >= 2n).
-        let a = Matrix::from_fn(40, 5, |i, j| ((i * 13 + j * 7) % 17) as f64 / 17.0 - 0.4);
-        let svd = a.svd().unwrap();
-        assert!(svd.reconstruct().approx_eq(&a, 1e-9));
-        assert!(svd.u.gram().approx_eq(&Matrix::identity(5), 1e-9));
-        assert!(svd.v.gram().approx_eq(&Matrix::identity(5), 1e-9));
-        for w in svd.sigma.windows(2) {
-            assert!(w[0] >= w[1] - 1e-12);
+        // Both shapes take the QR-preprocessing branch (m >= 2n); 400 x 10 is
+        // the transpose of a refresh's LRR prior, whose SVD seeds LoLi-IR.
+        for (m, n) in [(40, 5), (400, 10)] {
+            let a = Matrix::from_fn(m, n, |i, j| ((i * 13 + j * 7) % 17) as f64 / 17.0 - 0.4);
+            let svd = a.svd().unwrap();
+            assert!(svd.reconstruct().approx_eq(&a, 1e-9));
+            assert!(svd.u.gram().approx_eq(&Matrix::identity(n), 1e-9));
+            assert!(svd.v.gram().approx_eq(&Matrix::identity(n), 1e-9));
+            for w in svd.sigma.windows(2) {
+                assert!(w[0] >= w[1] - 1e-12);
+            }
+            // Singular values must agree with the direct (square-ish) path on AᵀA.
+            let sum_sq: f64 = svd.sigma.iter().map(|s| s * s).sum();
+            assert!((a.gram().trace().unwrap() - sum_sq).abs() < 1e-8);
         }
-        // Singular values must agree with the direct (square-ish) path on AᵀA.
-        let sum_sq: f64 = svd.sigma.iter().map(|s| s * s).sum();
-        assert!((a.gram().trace().unwrap() - sum_sq).abs() < 1e-8);
     }
 
     #[test]

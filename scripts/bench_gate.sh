@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Solver performance gate: re-runs solver_bench and fails if the fresh
 # cold wall time regresses more than BENCH_GATE_THRESHOLD (default 1.25,
-# i.e. +25%) against the committed BENCH_solver.json.
+# i.e. +25%) against the committed BENCH_solver.json, or if any mode that
+# converged there now stops on max_iters.
 #
 #   ./scripts/bench_gate.sh
 #
@@ -24,33 +25,42 @@ if [ ! -f "$baseline" ]; then
 fi
 
 # The canonical emitter writes one field per line in a fixed order, with the
-# cold phase first; the first wall_ms / stop_reason belong to it.
+# cold phase first; the first wall_ms belongs to it.
 wall_ms_1() { grep -m1 '"wall_ms"' "$1" | tr -cd '0-9.'; }
-stop_reason_1() { grep -m1 '"stop_reason"' "$1" | sed 's/.*: *"\([^"]*\)".*/\1/'; }
+# One "mode stop_reason" line per results[] row, in emitted order.
+string_field() { grep "\"$2\"" "$1" | sed 's/.*: *"\([^"]*\)".*/\1/'; }
+stop_reasons() { paste -d' ' <(string_field "$1" mode) <(string_field "$1" stop_reason); }
 # Top-level scalar field (key before value, value may be fractional).
 scalar() { grep -m1 "\"$2\"" "$1" | sed 's/.*: *//' | tr -cd '0-9.'; }
 
 old_ms="$(wall_ms_1 "$baseline")"
-old_stop="$(stop_reason_1 "$baseline" || true)"
+old_stops="$(stop_reasons "$baseline")"
 echo "bench_gate: committed cold wall time: ${old_ms} ms (threshold x${threshold})"
 
 cargo run --release -p taf-bench --bin solver_bench
 
 new_ms="$(wall_ms_1 "$baseline")"
-new_stop="$(stop_reason_1 "$baseline" || true)"
+new_stops="$(stop_reasons "$baseline")"
 echo "bench_gate: fresh cold wall time: ${new_ms} ms"
 
-# Convergence is part of the recorded contract: once the committed baseline
-# says the solver converges, a fresh run that stops on max_iters is a real
-# behavioral regression (the timing comparison would be meaningless anyway —
-# the two runs did different amounts of work). Hard-fail it. A baseline that
-# never converged keeps the old advisory behavior.
-if [ "$new_stop" = "max_iters" ] && [ "$old_stop" = "converged" ]; then
-  echo "bench_gate: FAIL — solver no longer converges (stop_reason went" \
-       "converged -> max_iters); check final_rel_delta in $baseline" >&2
+# Convergence is part of the recorded contract, row by row: once the
+# committed baseline says a mode converges, a fresh run of that mode that
+# stops on max_iters is a real behavioral regression (the timing comparison
+# would be meaningless anyway — the two runs did different amounts of work).
+# Hard-fail it. A mode that never converged, or is new, stays advisory.
+lost=0
+while read -r mode new_stop; do
+  old_stop="$(awk -v m="$mode" '$1 == m { print $2 }' <<< "$old_stops")"
+  if [ "$new_stop" = "max_iters" ] && [ "$old_stop" = "converged" ]; then
+    echo "bench_gate: FAIL — $mode solve no longer converges (stop_reason went" \
+         "converged -> max_iters); check final_rel_delta in $baseline" >&2
+    lost=1
+  elif [ "$new_stop" = "max_iters" ]; then
+    echo "bench_gate: note — $mode solve stops at max_iters (baseline: ${old_stop:-none})"
+  fi
+done <<< "$new_stops"
+if [ "$lost" -ne 0 ]; then
   exit 1
-elif [ "$new_stop" = "max_iters" ]; then
-  echo "bench_gate: note — solver stops at max_iters (as in the committed baseline)"
 fi
 
 if awk -v new="$new_ms" -v old="$old_ms" -v t="$threshold" \
