@@ -1,31 +1,68 @@
 //! Wire-format conformance: every `Request`/`Response` variant round-trips
-//! through both codecs, the hand-rolled v1 encoder matches the serde derive
-//! byte-for-byte, version negotiation works against a live server (including
-//! a v1 client and a v2 client on the same server, and a version switch on
-//! one connection), and error frames never break framing.
+//! through both codecs and reproduces the committed byte corpus
+//! (`tests/corpus/`), the v1 encoder matches the serde derive byte-for-byte,
+//! snapshot files and journal segments match their committed bytes, version
+//! negotiation works against a live server (including a v1 client and a v2
+//! client on the same server, and a version switch on one connection), and
+//! error frames never break framing.
+//!
+//! The corpus is the reference for the v2 and on-disk bytes, which have no
+//! independent encoder to compare against. Every value here is built from
+//! literals, so only a codec change can move those bytes.
 
 use std::io::{BufReader, Cursor, Write as _};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use taf_linalg::Matrix;
+use taf_plan::{HistoryWindow, MeasurementPlan, PlanEntry, PlanPolicy, SurveyRecord};
+use taf_rfsim::geometry::{Point, Segment};
+use taf_rfsim::grid::FloorGrid;
 use taf_rfsim::{campaign, World, WorldConfig};
 use tafloc_core::db::FingerprintDb;
-use tafloc_core::system::{SystemSnapshot, TafLoc, TafLocConfig};
-use tafloc_ingest::{BatchReport, IngestStats, LinkSample};
+use tafloc_core::loli_ir::{LoliIrConfig, WarmState};
+use tafloc_core::matcher::MatchMethod;
+use tafloc_core::monitor::MonitorConfig;
+use tafloc_core::reference::ReferenceStrategy;
+use tafloc_core::system::{SystemSnapshot, TafLoc, TafLocConfig, ZRefreshPolicy};
+use tafloc_core::LrrModel;
+use tafloc_ingest::{Aggregator, BatchReport, IngestConfig, IngestStats, LinkSample};
 use tafloc_serve::client::Client;
+use tafloc_serve::journal::{Journal, JournalConfig, JournalRecord};
 use tafloc_serve::maintenance::MaintenancePolicy;
 use tafloc_serve::protocol::{
     EndpointStats, Fix, Request, Response, ShardStats, SiteInfo, SiteStats, StatsReport,
 };
 use tafloc_serve::server::{Server, ServerConfig};
+use tafloc_serve::store::{PersistedSite, SiteStore};
 use tafloc_serve::wire::{self, read_response, write_request, WireVersion};
 
+/// A hand-built 4-link x 6-cell snapshot with non-default enum variants.
 fn sample_snapshot() -> SystemSnapshot {
-    let world = World::new(WorldConfig::small_test(), 97);
-    let x0 = campaign::full_calibration(&world, 0.0, 6);
-    let e0 = campaign::empty_snapshot(&world, 0.0, 6);
-    let db = FingerprintDb::from_world(x0, &world).unwrap();
-    let config = TafLocConfig { ref_count: 6, ..Default::default() };
-    TafLoc::calibrate(config, db, e0).unwrap().snapshot()
+    let rss = Matrix::from_fn(4, 6, |i, j| -40.0 - (i * 6 + j) as f64 * 0.25);
+    let links = vec![
+        Segment::new(Point::new(0.0, 0.0), Point::new(3.0, 0.0)),
+        Segment::new(Point::new(0.0, 2.0), Point::new(3.0, 2.0)),
+        Segment::new(Point::new(0.0, 0.0), Point::new(0.0, 2.0)),
+        Segment::new(Point::new(3.0, 0.0), Point::new(3.0, 2.0)),
+    ];
+    let grid = FloorGrid::new(Point::new(0.5, 0.5), 1.0, 3, 2);
+    let db = FingerprintDb::new(rss, links, grid).unwrap();
+    let z = Matrix::from_fn(2, 6, |i, j| 0.125 * (i + 1) as f64 - 0.0625 * j as f64);
+    let lrr = LrrModel::from_parts(vec![1, 4], z, 1e-3).unwrap();
+    SystemSnapshot {
+        config: TafLocConfig {
+            ref_count: 2,
+            ref_strategy: ReferenceStrategy::Random { seed: 7 },
+            matcher: MatchMethod::Probabilistic { sigma_db: 2.5 },
+            z_policy: ZRefreshPolicy::RefitAfterUpdate,
+            loli: LoliIrConfig { stall_iters: 3, accelerate: true, ..LoliIrConfig::default() },
+            ..TafLocConfig::default()
+        },
+        db,
+        ref_cells: vec![1, 4],
+        lrr,
+        empty_rss: vec![-40.0, -41.0, -42.0, -43.5],
+    }
 }
 
 /// Every `Request` variant, with representative field values (negative RSS,
@@ -42,7 +79,14 @@ fn request_corpus() -> Vec<Request> {
         },
         Request::AddSite {
             site: "attic \"quoted\"\n".into(),
-            snapshot: Box::new(snapshot),
+            snapshot: Box::new(SystemSnapshot {
+                config: TafLocConfig {
+                    ref_strategy: ReferenceStrategy::LeverageScore,
+                    matcher: MatchMethod::Knn { k: 3 },
+                    ..TafLocConfig::default()
+                },
+                ..snapshot
+            }),
             day: 0.0,
             policy: None,
         },
@@ -236,45 +280,284 @@ fn response_corpus() -> Vec<Response> {
     ]
 }
 
-/// encode → decode → re-encode must reproduce the bytes exactly, in both
-/// protocols. (The codecs are deterministic, so byte equality of the second
-/// encode is a full structural-equality check without needing `PartialEq`.)
+/// One message type's encoders and decoders in both protocols.
+struct Codecs<T> {
+    v1_encode: fn(&T, &mut Vec<u8>),
+    v1_decode: fn(&str) -> tafloc_serve::Result<T>,
+    v2_encode: fn(&T, &mut Vec<u8>),
+    v2_decode: fn(&[u8]) -> tafloc_serve::Result<T>,
+}
+
+const REQUEST_CODECS: Codecs<Request> = Codecs {
+    v1_encode: wire::v1::encode_request,
+    v1_decode: wire::v1::decode_request,
+    v2_encode: wire::v2::encode_request,
+    v2_decode: wire::v2::decode_request,
+};
+
+const RESPONSE_CODECS: Codecs<Response> = Codecs {
+    v1_encode: wire::v1::encode_response,
+    v1_decode: wire::v1::decode_response,
+    v2_encode: wire::v2::encode_response,
+    v2_decode: wire::v2::decode_response,
+};
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+fn unhex(text: &str) -> Vec<u8> {
+    (0..text.len()).step_by(2).map(|i| u8::from_str_radix(&text[i..i + 2], 16).unwrap()).collect()
+}
+
+/// Checks each value against its committed v1 line and v2 payload (as hex):
+/// encoding reproduces the committed bytes, and decoding the committed bytes
+/// re-encodes to them. encode → decode → re-encode must also reproduce the
+/// bytes exactly; the codecs are deterministic, so byte equality of the
+/// second encode is a full structural-equality check without `PartialEq`.
+fn check_against_corpus<T: std::fmt::Debug>(
+    values: &[T],
+    v1_corpus: &str,
+    v2_corpus: &str,
+    c: &Codecs<T>,
+) {
+    let v1_lines: Vec<&str> = v1_corpus.lines().collect();
+    let v2_lines: Vec<&str> = v2_corpus.lines().collect();
+    assert_eq!(v1_lines.len(), values.len(), "one committed v1 line per value");
+    assert_eq!(v2_lines.len(), values.len(), "one committed v2 payload per value");
+    for (i, value) in values.iter().enumerate() {
+        let mut v1 = Vec::new();
+        (c.v1_encode)(value, &mut v1);
+        assert_eq!(std::str::from_utf8(&v1).unwrap(), v1_lines[i], "v1 bytes of {value:?}");
+        let decoded = (c.v1_decode)(v1_lines[i])
+            .unwrap_or_else(|e| panic!("v1 decode of committed line {i}: {e}"));
+        let mut again = Vec::new();
+        (c.v1_encode)(&decoded, &mut again);
+        assert_eq!(v1, again, "v1 re-encode differs for {value:?}");
+
+        let mut v2 = Vec::new();
+        (c.v2_encode)(value, &mut v2);
+        assert_eq!(hex(&v2), v2_lines[i], "v2 bytes of {value:?}");
+        let decoded = (c.v2_decode)(&unhex(v2_lines[i]))
+            .unwrap_or_else(|e| panic!("v2 decode of committed payload {i}: {e}"));
+        let mut again = Vec::new();
+        (c.v2_encode)(&decoded, &mut again);
+        assert_eq!(v2, again, "v2 re-encode differs for {value:?}");
+    }
+}
+
 #[test]
 fn every_variant_round_trips_in_both_protocols() {
-    for req in request_corpus() {
-        let mut v1 = Vec::new();
-        wire::v1::encode_request(&req, &mut v1);
-        let decoded = wire::v1::decode_request(std::str::from_utf8(&v1).unwrap())
-            .unwrap_or_else(|e| panic!("v1 decode of {req:?}: {e}"));
-        let mut again = Vec::new();
-        wire::v1::encode_request(&decoded, &mut again);
-        assert_eq!(v1, again, "v1 re-encode differs for {req:?}");
+    check_against_corpus(
+        &request_corpus(),
+        include_str!("corpus/requests.v1.ndjson"),
+        include_str!("corpus/requests.v2.hex"),
+        &REQUEST_CODECS,
+    );
+    check_against_corpus(
+        &response_corpus(),
+        include_str!("corpus/responses.v1.ndjson"),
+        include_str!("corpus/responses.v2.hex"),
+        &RESPONSE_CODECS,
+    );
+}
 
-        let mut v2 = Vec::new();
-        wire::v2::encode_request(&req, &mut v2);
-        let decoded =
-            wire::v2::decode_request(&v2).unwrap_or_else(|e| panic!("v2 decode of {req:?}: {e}"));
-        let mut again = Vec::new();
-        wire::v2::encode_request(&decoded, &mut again);
-        assert_eq!(v2, again, "v2 re-encode differs for {req:?}");
+/// v1 inputs that omit every `#[serde(default)]` field (and every optional
+/// one), each paired with the canonical line it must re-encode to. One case
+/// per line: `<type>\t<input>\t<canonical>`.
+#[test]
+fn lenient_v1_inputs_fill_in_their_defaults() {
+    let cases = include_str!("corpus/lenient.v1.tsv");
+    assert!(cases.lines().count() >= 6);
+    for case in cases.lines() {
+        let [ty, input, canonical]: [&str; 3] =
+            case.split('\t').collect::<Vec<_>>().try_into().expect("three tab-separated fields");
+        let mut out = Vec::new();
+        match ty {
+            "Request" => {
+                wire::v1::encode_request(&wire::v1::decode_request(input).unwrap(), &mut out)
+            }
+            "Response" => {
+                wire::v1::encode_response(&wire::v1::decode_response(input).unwrap(), &mut out)
+            }
+            "IngestConfig" => {
+                let v = taf_wire::json::parse(input).unwrap();
+                let cfg = taf_wire::types::json_read_ingest_config(&v, "IngestConfig").unwrap();
+                assert_eq!(cfg, IngestConfig::default());
+                taf_wire::types::json_write_ingest_config(
+                    &mut taf_wire::JsonWriter::new(&mut out),
+                    &cfg,
+                );
+            }
+            other => panic!("unknown corpus type {other}"),
+        }
+        assert_eq!(std::str::from_utf8(&out).unwrap(), canonical, "input {input}");
     }
-    for resp in response_corpus() {
-        let mut v1 = Vec::new();
-        wire::v1::encode_response(&resp, &mut v1);
-        let decoded = wire::v1::decode_response(std::str::from_utf8(&v1).unwrap())
-            .unwrap_or_else(|e| panic!("v1 decode of {resp:?}: {e}"));
-        let mut again = Vec::new();
-        wire::v1::encode_response(&decoded, &mut again);
-        assert_eq!(v1, again, "v1 re-encode differs for {resp:?}");
+}
 
-        let mut v2 = Vec::new();
-        wire::v2::encode_response(&resp, &mut v2);
-        let decoded =
-            wire::v2::decode_response(&v2).unwrap_or_else(|e| panic!("v2 decode of {resp:?}: {e}"));
-        let mut again = Vec::new();
-        wire::v2::encode_response(&decoded, &mut again);
-        assert_eq!(v2, again, "v2 re-encode differs for {resp:?}");
+/// A site exercising every persisted field, every optional section present.
+fn corpus_site() -> PersistedSite {
+    let mut history = HistoryWindow::new(2, 4, 2).unwrap();
+    for epoch in 1..=3u64 {
+        let y = vec![-50.0 - epoch as f64, -40.0, -41.5, -60.25];
+        let fresh = vec![true, epoch % 2 == 0, false, true];
+        history.record(0, SurveyRecord { epoch, y, fresh }).unwrap();
     }
+    history.record(1, SurveyRecord { epoch: 3, y: vec![-45.0; 4], fresh: vec![true; 4] }).unwrap();
+    PersistedSite {
+        name: "lab".into(),
+        generation: 7,
+        refreshed_day: 45.5,
+        snapshot: sample_snapshot(),
+        monitor_stored: Matrix::from_vec(4, 1, vec![-50.0, -40.0, -45.5, -61.0]).unwrap(),
+        monitor_cells: vec![0],
+        monitor_last_update_day: 44.0,
+        monitor_config: MonitorConfig { error_threshold_db: 2.5, min_interval_days: 1.0 },
+        breach_streak: 1,
+        maintenance_checks: 17,
+        auto_refreshes: 4,
+        refresh_rejections: 2,
+        consecutive_failures: 1,
+        last_reject_reason: Some("reconstruction contains non-finite entries".into()),
+        quarantined: false,
+        quarantine_cooldown: 3,
+        tick_panics: 1,
+        policy: MaintenancePolicy {
+            interval_ms: 125,
+            breach_streak: 3,
+            quarantine_after: 5,
+            ..Default::default()
+        },
+        ingest: IngestConfig {
+            stale_after_s: 7.5,
+            aggregator: Aggregator::Ewma { alpha: 0.3 },
+            ..Default::default()
+        },
+        journal_watermark: 12,
+        survey_epoch: 3,
+        planned_cost: 5,
+        actual_cost: 4,
+        full_survey_cost: 8,
+        current_plan: Some(MeasurementPlan {
+            epoch: 3,
+            policy: PlanPolicy::UncertaintyGreedy,
+            entries: vec![
+                PlanEntry { ref_slot: 0, links: vec![0, 1] },
+                PlanEntry { ref_slot: 1, links: vec![3] },
+            ],
+            planned_cost: 3,
+            full_cost: 8,
+        }),
+        last_ref_confidence: Some(vec![0.9, 0.4, 0.7, 0.85, 0.5, 0.25]),
+        history: Some(history),
+        warm: Some(
+            WarmState::from_parts(
+                Matrix::from_vec(4, 1, vec![0.5, -0.25, 1.0, 0.125]).unwrap(),
+                Matrix::from_vec(6, 1, vec![1.0, 0.5, 0.25, -1.0, 2.0, -0.5]).unwrap(),
+            )
+            .unwrap(),
+        ),
+    }
+}
+
+/// Both journal record kinds.
+fn corpus_records() -> Vec<JournalRecord> {
+    vec![
+        JournalRecord::RefBatch {
+            ref_slot: 1,
+            day: 45.0,
+            samples: vec![
+                LinkSample { link: 3, t_s: 1.25, rss_dbm: -61.5 },
+                LinkSample { link: 0, t_s: 0.0, rss_dbm: -48.0 },
+            ],
+        },
+        JournalRecord::Survey {
+            day: 46.0,
+            columns: vec![vec![-50.0, -51.0, -52.0, -53.0], vec![-40.0, -41.0, -42.0, -43.0]],
+            empty: vec![-70.0, -71.5, -72.0, -73.25],
+        },
+        JournalRecord::RefBatch { ref_slot: 0, day: 46.5, samples: vec![] },
+    ]
+}
+
+fn corpus_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tafloc-wire-corpus-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Saves `site` into a fresh store and returns the file's bytes.
+fn saved_bytes(site: &PersistedSite, dir: &Path) -> Vec<u8> {
+    let path = SiteStore::open(dir).unwrap().save(site).unwrap();
+    std::fs::read(path).unwrap()
+}
+
+/// Loads committed snapshot bytes through the store's own reader.
+fn load_committed(bytes: &[u8], dir: &Path) -> PersistedSite {
+    let path = dir.join("committed.snap");
+    std::fs::write(&path, bytes).unwrap();
+    SiteStore::load(&path).unwrap()
+}
+
+#[test]
+fn snapshot_files_match_the_corpus() {
+    let dir = corpus_dir("snap");
+    let committed: &[u8] = include_bytes!("corpus/site.v2.snap");
+    assert_eq!(saved_bytes(&corpus_site(), &dir.join("a")), committed, "format-2 snapshot bytes");
+    let loaded = load_committed(committed, &dir);
+    assert_eq!(saved_bytes(&loaded, &dir.join("b")), committed, "format-2 snapshot re-encode");
+
+    // A format-1 file (the same site before the hot state existed) loads with
+    // cold-start defaults, and re-saves as the cold site's format-2 bytes.
+    let v1 = load_committed(include_bytes!("corpus/site.v1.snap"), &dir);
+    assert_eq!((v1.journal_watermark, v1.survey_epoch), (0, 0));
+    assert_eq!((v1.planned_cost, v1.actual_cost, v1.full_survey_cost), (0, 0, 0));
+    assert!(v1.current_plan.is_none() && v1.last_ref_confidence.is_none());
+    assert!(v1.history.is_none() && v1.warm.is_none());
+    let cold = PersistedSite {
+        journal_watermark: 0,
+        survey_epoch: 0,
+        planned_cost: 0,
+        actual_cost: 0,
+        full_survey_cost: 0,
+        current_plan: None,
+        last_ref_confidence: None,
+        history: None,
+        warm: None,
+        ..corpus_site()
+    };
+    assert_eq!(saved_bytes(&v1, &dir.join("c")), saved_bytes(&cold, &dir.join("d")));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn journal_segments_match_the_corpus() {
+    let committed: &[u8] = include_bytes!("corpus/journal.wal");
+    let segment = format!("corpus.{:020}.wal", 0);
+    let append_all = |dir: &Path, records: &[JournalRecord]| {
+        let (journal, _) = Journal::open(dir, "corpus", JournalConfig::default(), 0).unwrap();
+        for rec in records {
+            journal.append(rec).unwrap();
+        }
+        drop(journal);
+        std::fs::read(dir.join(&segment)).unwrap()
+    };
+    let dir = corpus_dir("wal");
+    assert_eq!(append_all(&dir.join("a"), &corpus_records()), committed, "journal bytes");
+
+    let replay = dir.join("b");
+    std::fs::create_dir_all(&replay).unwrap();
+    std::fs::write(replay.join(&segment), committed).unwrap();
+    let (journal, recovery) =
+        Journal::open(&replay, "corpus", JournalConfig::default(), 0).unwrap();
+    drop(journal);
+    assert_eq!(recovery.truncated_bytes, 0);
+    let (seqs, records): (Vec<u64>, Vec<JournalRecord>) = recovery.records.into_iter().unzip();
+    assert_eq!(seqs, vec![1, 2, 3]);
+    assert_eq!(records, corpus_records());
+    assert_eq!(append_all(&dir.join("c"), &records), committed, "journal re-encode");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The serde derives are the reference encoding; the hand-rolled v1 codec
