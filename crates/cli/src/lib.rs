@@ -580,12 +580,10 @@ pub fn cmd_serve(args: &Args) -> Result<String> {
         eprintln!("warning: skipped snapshot {}: {}", issue.path.display(), issue.reason);
     }
     if let Some(system_path) = args.optional("system") {
-        // Parse with the bundled wire codec (same path as `taflocd --system`),
-        // so `serve` works even in builds where serde_json is stubbed out.
+        // Read through the wire schema, the same path as `taflocd --system`.
         let text = std::fs::read_to_string(system_path)
             .map_err(|e| CliError(format!("cannot read {system_path}: {e}")))?;
-        let snapshot = taf_wire::json::parse(&text)
-            .and_then(|v| taf_wire::types::json_read_snapshot(&v, "system"))
+        let snapshot = taf_wire::from_json::<SystemSnapshot>(&text)
             .map_err(|e| CliError(format!("cannot parse {system_path}: {e}")))?;
         let system = TafLoc::from_snapshot(snapshot)?;
         let site = args.optional("site").unwrap_or("default");

@@ -50,8 +50,7 @@ use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use taf_wire::types as wt;
-use taf_wire::{crc32, Dec, Enc};
+use taf_wire::{crc32, Codec, Dec, Enc};
 use tafloc_ingest::LinkSample;
 
 /// Segment file magic: identifies a taflocd write-ahead journal segment.
@@ -115,59 +114,24 @@ pub enum JournalRecord {
     },
 }
 
+taf_wire::schema! {
+    enum JournalRecord: binary {
+        RefBatch = 1 { ref_slot: usize, day: f64, samples: Vec<LinkSample> },
+        Survey = 2 { day: f64, columns: Vec<Vec<f64>>, empty: Vec<f64> },
+    }
+}
+
 fn encode_record(seq: u64, rec: &JournalRecord) -> Vec<u8> {
     let mut e = Enc::new();
-    e.u64(seq);
-    match rec {
-        JournalRecord::RefBatch { ref_slot, day, samples } => {
-            e.u8(1);
-            e.usize(*ref_slot);
-            e.f64(*day);
-            e.usize(samples.len());
-            for s in samples {
-                wt::enc_link_sample(&mut e, s);
-            }
-        }
-        JournalRecord::Survey { day, columns, empty } => {
-            e.u8(2);
-            e.f64(*day);
-            e.usize(columns.len());
-            for c in columns {
-                e.f64s(c);
-            }
-            e.f64s(empty);
-        }
-    }
+    seq.encode(&mut e);
+    rec.encode(&mut e);
     e.into_inner()
 }
 
 fn decode_record(payload: &[u8]) -> Result<(u64, JournalRecord)> {
     let mut d = Dec::new(payload);
-    let seq = d.u64()?;
-    let rec = match d.u8()? {
-        1 => {
-            let ref_slot = d.usize()?;
-            let day = d.f64()?;
-            let n = d.count()?;
-            let mut samples = Vec::with_capacity(n);
-            for _ in 0..n {
-                samples.push(wt::dec_link_sample(&mut d)?);
-            }
-            JournalRecord::RefBatch { ref_slot, day, samples }
-        }
-        2 => {
-            let day = d.f64()?;
-            let n = d.count()?;
-            let mut columns = Vec::with_capacity(n);
-            for _ in 0..n {
-                columns.push(d.f64s()?);
-            }
-            JournalRecord::Survey { day, columns, empty: d.f64s()? }
-        }
-        v => {
-            return Err(ServeError::Store(format!("unknown journal record tag {v}")));
-        }
-    };
+    let seq = u64::decode(&mut d)?;
+    let rec = JournalRecord::decode(&mut d)?;
     d.finish()?;
     Ok((seq, rec))
 }

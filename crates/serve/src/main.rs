@@ -161,8 +161,7 @@ fn main() {
     for (name, path) in site_names.iter().zip(&system_paths) {
         let text = std::fs::read_to_string(path)
             .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-        let snapshot = taf_wire::json::parse(&text)
-            .and_then(|v| taf_wire::types::json_read_snapshot(&v, "system"))
+        let snapshot = taf_wire::from_json::<tafloc_core::system::SystemSnapshot>(&text)
             .unwrap_or_else(|e| fail(&format!("cannot parse {path}: {e}")));
         let system = tafloc_core::system::TafLoc::from_snapshot(snapshot)
             .unwrap_or_else(|e| fail(&format!("invalid system in {path}: {e}")));

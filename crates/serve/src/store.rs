@@ -21,12 +21,11 @@
 //! `.snap` file, keeps the newest valid generation per site and reports (but
 //! survives) corrupt, truncated, or mis-checksummed files.
 //!
-//! The payload is a hand-rolled little-endian binary encoding rather than
-//! JSON: the snapshot store must keep working in builds where `serde_json`
-//! is stubbed out, and the dominant content is two large `f64` matrices that
-//! a text codec would bloat and slow down for no benefit. The site name
-//! *inside* the payload is authoritative; the filename only makes listings
-//! readable.
+//! The payload is the little-endian binary form of [`taf_wire::Codec`], the
+//! same one the v2 wire protocol uses, rather than JSON: the dominant content
+//! is two large `f64` matrices that a text codec would bloat and slow down
+//! for no benefit. The site name *inside* the payload is authoritative; the
+//! filename only makes listings readable.
 
 use crate::maintenance::MaintenancePolicy;
 use crate::{Result, ServeError};
@@ -129,111 +128,79 @@ pub struct PersistedSite {
 }
 
 // ---------------------------------------------------------------------------
-// Binary codec — delegated to `taf-wire`
+// Payload codec
 // ---------------------------------------------------------------------------
 //
-// The payload is encoded with the exact primitives and domain codecs the v2
-// wire protocol uses (`taf_wire::{Enc, Dec}`, `taf_wire::types`, plus the
-// shared maintenance-policy codec in `crate::wire::v2`), so the on-disk
-// layout and the wire layout cannot drift apart. The byte layout is
-// unchanged from the original in-module codec: `SystemSnapshot` fields are
-// the `taf_wire::types::enc_snapshot` sequence, and the store frames them
-// with the site identity before and the health/policy state after.
+// Every field is encoded through `taf_wire::Codec`, the binary form the v2
+// wire protocol shares, so the on-disk layout and the wire layout cannot
+// drift apart. The field order is written out here rather than declared
+// with `taf_wire::schema!`, because the format-2 fields are appended behind
+// a version check: a format-1 file ends after `ingest`, and its hot state
+// takes cold-start defaults.
 
-use crate::wire::v2::{dec_policy, enc_policy};
-use taf_wire::types as wt;
-use taf_wire::{Dec, Enc};
+use taf_wire::{Codec, Dec, Enc};
 
-/// The v1 field sequence — unchanged since the original in-module codec, so
-/// v1 files keep decoding byte-for-byte.
+/// The format-1 field sequence; format-1 files keep decoding byte-for-byte.
 fn encode_v1_fields(e: &mut Enc, site: &PersistedSite) {
-    e.str(&site.name);
-    e.u64(site.generation);
-    e.f64(site.refreshed_day);
-    wt::enc_snapshot(e, &site.snapshot);
-    e.matrix(&site.monitor_stored);
-    e.usizes(&site.monitor_cells);
-    e.f64(site.monitor_last_update_day);
-    wt::enc_monitor_config(e, &site.monitor_config);
-    e.u32(site.breach_streak);
-    e.u64(site.maintenance_checks);
-    e.u64(site.auto_refreshes);
-    e.u64(site.refresh_rejections);
-    e.u32(site.consecutive_failures);
-    e.opt_str(site.last_reject_reason.as_deref());
-    e.bool(site.quarantined);
-    e.u32(site.quarantine_cooldown);
-    e.u64(site.tick_panics);
-    enc_policy(e, &site.policy);
-    wt::enc_ingest_config(e, &site.ingest);
+    site.name.encode(e);
+    site.generation.encode(e);
+    site.refreshed_day.encode(e);
+    site.snapshot.encode(e);
+    site.monitor_stored.encode(e);
+    site.monitor_cells.encode(e);
+    site.monitor_last_update_day.encode(e);
+    site.monitor_config.encode(e);
+    site.breach_streak.encode(e);
+    site.maintenance_checks.encode(e);
+    site.auto_refreshes.encode(e);
+    site.refresh_rejections.encode(e);
+    site.consecutive_failures.encode(e);
+    site.last_reject_reason.encode(e);
+    site.quarantined.encode(e);
+    site.quarantine_cooldown.encode(e);
+    site.tick_panics.encode(e);
+    site.policy.encode(e);
+    site.ingest.encode(e);
 }
 
 fn encode_payload(site: &PersistedSite) -> Vec<u8> {
     let mut e = Enc::new();
     encode_v1_fields(&mut e, site);
-    // v2: durable hot state, appended after the v1 fields.
-    e.u64(site.journal_watermark);
-    e.u64(site.survey_epoch);
-    e.u64(site.planned_cost);
-    e.u64(site.actual_cost);
-    e.u64(site.full_survey_cost);
-    match &site.current_plan {
-        Some(p) => {
-            e.bool(true);
-            wt::enc_measurement_plan(&mut e, p);
-        }
-        None => e.bool(false),
-    }
-    match &site.last_ref_confidence {
-        Some(c) => {
-            e.bool(true);
-            e.f64s(c);
-        }
-        None => e.bool(false),
-    }
-    match &site.history {
-        Some(h) => {
-            e.bool(true);
-            wt::enc_history(&mut e, h);
-        }
-        None => e.bool(false),
-    }
-    match &site.warm {
-        Some(w) => {
-            e.bool(true);
-            wt::enc_warm_state(&mut e, w);
-        }
-        None => e.bool(false),
-    }
+    // Format 2: durable hot state, appended after the format-1 fields.
+    site.journal_watermark.encode(&mut e);
+    site.survey_epoch.encode(&mut e);
+    site.planned_cost.encode(&mut e);
+    site.actual_cost.encode(&mut e);
+    site.full_survey_cost.encode(&mut e);
+    site.current_plan.encode(&mut e);
+    site.last_ref_confidence.encode(&mut e);
+    site.history.encode(&mut e);
+    site.warm.encode(&mut e);
     e.into_inner()
 }
 
 fn decode_payload(data: &[u8], version: u32) -> Result<PersistedSite> {
-    let mut d = Dec::new(data);
-    let name = d.str()?;
-    let generation = d.u64()?;
-    let refreshed_day = d.f64()?;
-    let snapshot = wt::dec_snapshot(&mut d)?;
+    let d = &mut Dec::new(data);
     let mut site = PersistedSite {
-        name,
-        generation,
-        refreshed_day,
-        snapshot,
-        monitor_stored: d.matrix()?,
-        monitor_cells: d.usizes()?,
-        monitor_last_update_day: d.f64()?,
-        monitor_config: wt::dec_monitor_config(&mut d)?,
-        breach_streak: d.u32()?,
-        maintenance_checks: d.u64()?,
-        auto_refreshes: d.u64()?,
-        refresh_rejections: d.u64()?,
-        consecutive_failures: d.u32()?,
-        last_reject_reason: d.opt_str()?,
-        quarantined: d.bool()?,
-        quarantine_cooldown: d.u32()?,
-        tick_panics: d.u64()?,
-        policy: dec_policy(&mut d)?,
-        ingest: wt::dec_ingest_config(&mut d)?,
+        name: Codec::decode(d)?,
+        generation: Codec::decode(d)?,
+        refreshed_day: Codec::decode(d)?,
+        snapshot: Codec::decode(d)?,
+        monitor_stored: Codec::decode(d)?,
+        monitor_cells: Codec::decode(d)?,
+        monitor_last_update_day: Codec::decode(d)?,
+        monitor_config: Codec::decode(d)?,
+        breach_streak: Codec::decode(d)?,
+        maintenance_checks: Codec::decode(d)?,
+        auto_refreshes: Codec::decode(d)?,
+        refresh_rejections: Codec::decode(d)?,
+        consecutive_failures: Codec::decode(d)?,
+        last_reject_reason: Codec::decode(d)?,
+        quarantined: Codec::decode(d)?,
+        quarantine_cooldown: Codec::decode(d)?,
+        tick_panics: Codec::decode(d)?,
+        policy: Codec::decode(d)?,
+        ingest: Codec::decode(d)?,
         journal_watermark: 0,
         survey_epoch: 0,
         planned_cost: 0,
@@ -245,23 +212,15 @@ fn decode_payload(data: &[u8], version: u32) -> Result<PersistedSite> {
         warm: None,
     };
     if version >= 2 {
-        site.journal_watermark = d.u64()?;
-        site.survey_epoch = d.u64()?;
-        site.planned_cost = d.u64()?;
-        site.actual_cost = d.u64()?;
-        site.full_survey_cost = d.u64()?;
-        if d.bool()? {
-            site.current_plan = Some(wt::dec_measurement_plan(&mut d)?);
-        }
-        if d.bool()? {
-            site.last_ref_confidence = Some(d.f64s()?);
-        }
-        if d.bool()? {
-            site.history = Some(wt::dec_history(&mut d)?);
-        }
-        if d.bool()? {
-            site.warm = Some(wt::dec_warm_state(&mut d)?);
-        }
+        site.journal_watermark = Codec::decode(d)?;
+        site.survey_epoch = Codec::decode(d)?;
+        site.planned_cost = Codec::decode(d)?;
+        site.actual_cost = Codec::decode(d)?;
+        site.full_survey_cost = Codec::decode(d)?;
+        site.current_plan = Codec::decode(d)?;
+        site.last_ref_confidence = Codec::decode(d)?;
+        site.history = Codec::decode(d)?;
+        site.warm = Codec::decode(d)?;
     }
     d.finish()?;
     Ok(site)

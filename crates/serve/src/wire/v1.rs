@@ -1,897 +1,34 @@
-//! v1 message codec: hand-rolled newline-delimited JSON, byte-compatible
-//! with the `serde_json` encoding of the [`crate::protocol`] derives.
+//! v1 message codec: newline-delimited JSON, byte-compatible with the
+//! `serde_json` encoding of the [`crate::protocol`] derives.
 //!
 //! Byte compatibility is a hard contract, not an aspiration — the protocol
 //! tests re-encode through `serde_json` and assert equality. Concretely:
 //! tagged unions put the `cmd`/`reply` tag first, fields follow in
 //! declaration order, every field is emitted (`None` as `null`), numbers
 //! render the way the workspace `serde_json` renders them, and decoding
-//! honors the same `#[serde(default)]` semantics the derives declare.
+//! honors the same `#[serde(default)]` semantics the derives declare. The
+//! layout itself is the message schema in `wire/schema.rs`.
 
-use crate::maintenance::MaintenancePolicy;
-use crate::protocol::{
-    EndpointStats, Fix, Request, Response, ShardStats, SiteInfo, SiteStats, StatsReport,
-};
+use crate::protocol::{Request, Response};
 use crate::Result;
-use taf_wire::json::{self, JsonValue, JsonWriter};
-use taf_wire::types as wt;
-use taf_wire::WireError;
+use taf_wire::{Codec, JsonWriter};
 
 /// Encodes one request as a single compact JSON object (no trailing newline).
 pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
-    let mut w = JsonWriter::new(out);
-    w.begin_obj();
-    w.key("cmd");
-    match req {
-        Request::AddSite { site, snapshot, day, policy } => {
-            w.str_val("add-site");
-            w.key("site");
-            w.str_val(site);
-            w.key("snapshot");
-            wt::json_write_snapshot(&mut w, snapshot);
-            w.key("day");
-            w.f64_val(*day);
-            w.key("policy");
-            match policy {
-                Some(p) => write_policy(&mut w, p),
-                None => w.null_val(),
-            }
-        }
-        Request::RemoveSite { site } => {
-            w.str_val("remove-site");
-            w.key("site");
-            w.str_val(site);
-        }
-        Request::ListSites => w.str_val("list-sites"),
-        Request::Locate { site, y } => {
-            w.str_val("locate");
-            w.key("site");
-            w.str_val(site);
-            w.key("y");
-            w.f64s_val(y);
-        }
-        Request::LocateStream { site } => {
-            w.str_val("locate-stream");
-            w.key("site");
-            w.str_val(site);
-        }
-        Request::LocateBatch { site, ys } => {
-            w.str_val("locate-batch");
-            w.key("site");
-            w.str_val(site);
-            w.key("ys");
-            w.begin_arr();
-            for y in ys {
-                w.f64s_val(y);
-            }
-            w.end_arr();
-        }
-        Request::Ingest { site, ref_cell, day, samples } => {
-            w.str_val("ingest");
-            w.key("site");
-            w.str_val(site);
-            w.key("ref_cell");
-            match ref_cell {
-                Some(c) => w.usize_val(*c),
-                None => w.null_val(),
-            }
-            w.key("day");
-            w.f64_val(*day);
-            w.key("samples");
-            w.begin_arr();
-            for s in samples {
-                wt::json_write_link_sample(&mut w, s);
-            }
-            w.end_arr();
-        }
-        Request::Track { site, stream, y, dt_s } => {
-            w.str_val("track");
-            w.key("site");
-            w.str_val(site);
-            w.key("stream");
-            w.str_val(stream);
-            w.key("y");
-            w.f64s_val(y);
-            w.key("dt_s");
-            w.f64_val(*dt_s);
-        }
-        Request::Detect { site, stream, y } => {
-            w.str_val("detect");
-            w.key("site");
-            w.str_val(site);
-            w.key("stream");
-            w.str_val(stream);
-            w.key("y");
-            w.f64s_val(y);
-        }
-        Request::MeasureRefs { site, day, columns, empty } => {
-            w.str_val("measure-refs");
-            w.key("site");
-            w.str_val(site);
-            w.key("day");
-            w.f64_val(*day);
-            w.key("columns");
-            wt::json_write_matrix(&mut w, columns);
-            w.key("empty");
-            w.f64s_val(empty);
-        }
-        Request::Refresh { site } => {
-            w.str_val("refresh");
-            w.key("site");
-            w.str_val(site);
-        }
-        Request::Stats => w.str_val("stats"),
-        Request::Ping => w.str_val("ping"),
-        Request::Shutdown => w.str_val("shutdown"),
-    }
-    w.end_obj();
+    req.write_json(&mut JsonWriter::new(out));
 }
 
 /// Decodes one request from its JSON text.
 pub fn decode_request(text: &str) -> Result<Request> {
-    let v = json::parse(text)?;
-    let tag = v
-        .get("cmd")
-        .and_then(|t| t.as_str())
-        .ok_or_else(|| WireError::malformed("Request: missing or non-string tag `cmd`"))?
-        .to_string();
-    let c = "Request";
-    Ok(match tag.as_str() {
-        "add-site" => Request::AddSite {
-            site: json::get_string(json::field(&v, "site", c)?, "Request.site")?,
-            snapshot: Box::new(wt::json_read_snapshot(
-                json::field(&v, "snapshot", c)?,
-                "Request.snapshot",
-            )?),
-            day: opt_f64(&v, "day", 0.0)?,
-            policy: match v.get("policy") {
-                None => None,
-                Some(p) if p.is_null() => None,
-                Some(p) => Some(read_policy(p)?),
-            },
-        },
-        "remove-site" => Request::RemoveSite { site: req_string(&v, "site")? },
-        "list-sites" => Request::ListSites,
-        "locate" => Request::Locate {
-            site: req_string(&v, "site")?,
-            y: json::get_f64s(json::field(&v, "y", c)?, "Request.y")?,
-        },
-        "locate-stream" => Request::LocateStream { site: req_string(&v, "site")? },
-        "locate-batch" => Request::LocateBatch {
-            site: req_string(&v, "site")?,
-            ys: json::get_arr(json::field(&v, "ys", c)?, "Request.ys")?
-                .iter()
-                .map(|y| json::get_f64s(y, "Request.ys"))
-                .collect::<taf_wire::Result<_>>()?,
-        },
-        "ingest" => Request::Ingest {
-            site: req_string(&v, "site")?,
-            ref_cell: match v.get("ref_cell") {
-                None => None,
-                Some(x) if x.is_null() => None,
-                Some(x) => Some(json::get_usize(x, "Request.ref_cell")?),
-            },
-            day: opt_f64(&v, "day", 0.0)?,
-            samples: json::get_arr(json::field(&v, "samples", c)?, "Request.samples")?
-                .iter()
-                .map(|s| wt::json_read_link_sample(s, "Request.samples"))
-                .collect::<taf_wire::Result<_>>()?,
-        },
-        "track" => Request::Track {
-            site: req_string(&v, "site")?,
-            stream: req_string(&v, "stream")?,
-            y: json::get_f64s(json::field(&v, "y", c)?, "Request.y")?,
-            dt_s: json::get_f64(json::field(&v, "dt_s", c)?, "Request.dt_s")?,
-        },
-        "detect" => Request::Detect {
-            site: req_string(&v, "site")?,
-            stream: req_string(&v, "stream")?,
-            y: json::get_f64s(json::field(&v, "y", c)?, "Request.y")?,
-        },
-        "measure-refs" => Request::MeasureRefs {
-            site: req_string(&v, "site")?,
-            day: json::get_f64(json::field(&v, "day", c)?, "Request.day")?,
-            columns: wt::json_read_matrix(json::field(&v, "columns", c)?, "Request.columns")?,
-            empty: json::get_f64s(json::field(&v, "empty", c)?, "Request.empty")?,
-        },
-        "refresh" => Request::Refresh { site: req_string(&v, "site")? },
-        "stats" => Request::Stats,
-        "ping" => Request::Ping,
-        "shutdown" => Request::Shutdown,
-        other => {
-            return Err(WireError::malformed(format!("Request: unknown variant `{other}`")).into())
-        }
-    })
+    Ok(taf_wire::from_json(text)?)
 }
 
 /// Encodes one response as a single compact JSON object (no newline).
 pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
-    let mut w = JsonWriter::new(out);
-    w.begin_obj();
-    w.key("reply");
-    match resp {
-        Response::Error { message } => {
-            w.str_val("error");
-            w.key("message");
-            w.str_val(message);
-        }
-        Response::SiteAdded { site, links, cells } => {
-            w.str_val("site-added");
-            w.key("site");
-            w.str_val(site);
-            w.key("links");
-            w.usize_val(*links);
-            w.key("cells");
-            w.usize_val(*cells);
-        }
-        Response::SiteRemoved { site } => {
-            w.str_val("site-removed");
-            w.key("site");
-            w.str_val(site);
-        }
-        Response::Sites { sites } => {
-            w.str_val("sites");
-            w.key("sites");
-            w.begin_arr();
-            for s in sites {
-                write_site_info(&mut w, s);
-            }
-            w.end_arr();
-        }
-        Response::Located { cell, x, y, distance_db, version } => {
-            w.str_val("located");
-            w.key("cell");
-            w.usize_val(*cell);
-            w.key("x");
-            w.f64_val(*x);
-            w.key("y");
-            w.f64_val(*y);
-            w.key("distance_db");
-            w.f64_val(*distance_db);
-            w.key("version");
-            w.u64_val(*version);
-        }
-        Response::StreamLocated {
-            cell,
-            x,
-            y,
-            distance_db,
-            version,
-            missing_links,
-            stale_links,
-            stream_t_s,
-            window_samples,
-        } => {
-            w.str_val("stream-located");
-            w.key("cell");
-            w.usize_val(*cell);
-            w.key("x");
-            w.f64_val(*x);
-            w.key("y");
-            w.f64_val(*y);
-            w.key("distance_db");
-            w.f64_val(*distance_db);
-            w.key("version");
-            w.u64_val(*version);
-            w.key("missing_links");
-            w.usizes_val(missing_links);
-            w.key("stale_links");
-            w.usizes_val(stale_links);
-            w.key("stream_t_s");
-            w.f64_val(*stream_t_s);
-            w.key("window_samples");
-            w.usize_val(*window_samples);
-        }
-        Response::LocatedBatch { fixes, version } => {
-            w.str_val("located-batch");
-            w.key("fixes");
-            w.begin_arr();
-            for f in fixes {
-                write_fix(&mut w, f);
-            }
-            w.end_arr();
-            w.key("version");
-            w.u64_val(*version);
-        }
-        Response::Ingested { report } => {
-            w.str_val("ingested");
-            w.key("report");
-            wt::json_write_batch_report(&mut w, report);
-        }
-        Response::Tracked { x, y, effective_sample_size } => {
-            w.str_val("tracked");
-            w.key("x");
-            w.f64_val(*x);
-            w.key("y");
-            w.f64_val(*y);
-            w.key("effective_sample_size");
-            w.f64_val(*effective_sample_size);
-        }
-        Response::Detected { present, detail } => {
-            w.str_val("detected");
-            w.key("present");
-            w.bool_val(*present);
-            w.key("detail");
-            w.str_val(detail);
-        }
-        Response::RefsAccepted { recommendation, estimated_error_db } => {
-            w.str_val("refs-accepted");
-            w.key("recommendation");
-            w.str_val(recommendation);
-            w.key("estimated_error_db");
-            w.f64_val(*estimated_error_db);
-        }
-        Response::Refreshed { iterations, converged, mean_abs_change_db, version } => {
-            w.str_val("refreshed");
-            w.key("iterations");
-            w.usize_val(*iterations);
-            w.key("converged");
-            w.bool_val(*converged);
-            w.key("mean_abs_change_db");
-            w.f64_val(*mean_abs_change_db);
-            w.key("version");
-            w.u64_val(*version);
-        }
-        Response::Stats { report } => {
-            w.str_val("stats");
-            w.key("report");
-            write_stats_report(&mut w, report);
-        }
-        Response::Pong => w.str_val("pong"),
-        Response::ShuttingDown => w.str_val("shutting-down"),
-        Response::Overloaded { site, shard, reason, retry_after_ms } => {
-            w.str_val("overloaded");
-            w.key("site");
-            w.str_val(site);
-            w.key("shard");
-            w.usize_val(*shard);
-            w.key("reason");
-            w.str_val(reason);
-            w.key("retry_after_ms");
-            w.u64_val(*retry_after_ms);
-        }
-    }
-    w.end_obj();
+    resp.write_json(&mut JsonWriter::new(out));
 }
 
 /// Decodes one response from its JSON text.
 pub fn decode_response(text: &str) -> Result<Response> {
-    let v = json::parse(text)?;
-    let tag = v
-        .get("reply")
-        .and_then(|t| t.as_str())
-        .ok_or_else(|| WireError::malformed("Response: missing or non-string tag `reply`"))?
-        .to_string();
-    let c = "Response";
-    Ok(match tag.as_str() {
-        "error" => Response::Error {
-            message: json::get_string(json::field(&v, "message", c)?, "Response.message")?,
-        },
-        "site-added" => Response::SiteAdded {
-            site: json::get_string(json::field(&v, "site", c)?, "Response.site")?,
-            links: json::get_usize(json::field(&v, "links", c)?, "Response.links")?,
-            cells: json::get_usize(json::field(&v, "cells", c)?, "Response.cells")?,
-        },
-        "site-removed" => Response::SiteRemoved {
-            site: json::get_string(json::field(&v, "site", c)?, "Response.site")?,
-        },
-        "sites" => Response::Sites {
-            sites: json::get_arr(json::field(&v, "sites", c)?, "Response.sites")?
-                .iter()
-                .map(read_site_info)
-                .collect::<Result<_>>()?,
-        },
-        "located" => Response::Located {
-            cell: json::get_usize(json::field(&v, "cell", c)?, "Response.cell")?,
-            x: json::get_f64(json::field(&v, "x", c)?, "Response.x")?,
-            y: json::get_f64(json::field(&v, "y", c)?, "Response.y")?,
-            distance_db: json::get_f64(json::field(&v, "distance_db", c)?, "Response.distance_db")?,
-            version: json::get_u64(json::field(&v, "version", c)?, "Response.version")?,
-        },
-        "stream-located" => Response::StreamLocated {
-            cell: json::get_usize(json::field(&v, "cell", c)?, "Response.cell")?,
-            x: json::get_f64(json::field(&v, "x", c)?, "Response.x")?,
-            y: json::get_f64(json::field(&v, "y", c)?, "Response.y")?,
-            distance_db: json::get_f64(json::field(&v, "distance_db", c)?, "Response.distance_db")?,
-            version: json::get_u64(json::field(&v, "version", c)?, "Response.version")?,
-            missing_links: json::get_usizes(
-                json::field(&v, "missing_links", c)?,
-                "Response.missing_links",
-            )?,
-            stale_links: json::get_usizes(
-                json::field(&v, "stale_links", c)?,
-                "Response.stale_links",
-            )?,
-            stream_t_s: json::get_f64(json::field(&v, "stream_t_s", c)?, "Response.stream_t_s")?,
-            window_samples: json::get_usize(
-                json::field(&v, "window_samples", c)?,
-                "Response.window_samples",
-            )?,
-        },
-        "located-batch" => Response::LocatedBatch {
-            fixes: json::get_arr(json::field(&v, "fixes", c)?, "Response.fixes")?
-                .iter()
-                .map(read_fix)
-                .collect::<Result<_>>()?,
-            version: json::get_u64(json::field(&v, "version", c)?, "Response.version")?,
-        },
-        "ingested" => Response::Ingested {
-            report: wt::json_read_batch_report(json::field(&v, "report", c)?, "Response.report")?,
-        },
-        "tracked" => Response::Tracked {
-            x: json::get_f64(json::field(&v, "x", c)?, "Response.x")?,
-            y: json::get_f64(json::field(&v, "y", c)?, "Response.y")?,
-            effective_sample_size: json::get_f64(
-                json::field(&v, "effective_sample_size", c)?,
-                "Response.effective_sample_size",
-            )?,
-        },
-        "detected" => Response::Detected {
-            present: json::get_bool(json::field(&v, "present", c)?, "Response.present")?,
-            detail: json::get_string(json::field(&v, "detail", c)?, "Response.detail")?,
-        },
-        "refs-accepted" => Response::RefsAccepted {
-            recommendation: json::get_string(
-                json::field(&v, "recommendation", c)?,
-                "Response.recommendation",
-            )?,
-            estimated_error_db: json::get_f64(
-                json::field(&v, "estimated_error_db", c)?,
-                "Response.estimated_error_db",
-            )?,
-        },
-        "refreshed" => Response::Refreshed {
-            iterations: json::get_usize(json::field(&v, "iterations", c)?, "Response.iterations")?,
-            converged: json::get_bool(json::field(&v, "converged", c)?, "Response.converged")?,
-            mean_abs_change_db: json::get_f64(
-                json::field(&v, "mean_abs_change_db", c)?,
-                "Response.mean_abs_change_db",
-            )?,
-            version: json::get_u64(json::field(&v, "version", c)?, "Response.version")?,
-        },
-        "stats" => Response::Stats { report: read_stats_report(json::field(&v, "report", c)?)? },
-        "pong" => Response::Pong,
-        "shutting-down" => Response::ShuttingDown,
-        "overloaded" => Response::Overloaded {
-            site: json::get_string(json::field(&v, "site", c)?, "Response.site")?,
-            shard: json::get_usize(json::field(&v, "shard", c)?, "Response.shard")?,
-            reason: json::get_string(json::field(&v, "reason", c)?, "Response.reason")?,
-            retry_after_ms: json::get_u64(
-                json::field(&v, "retry_after_ms", c)?,
-                "Response.retry_after_ms",
-            )?,
-        },
-        other => {
-            return Err(WireError::malformed(format!("Response: unknown variant `{other}`")).into())
-        }
-    })
-}
-
-/// Encodes a maintenance policy exactly the way its serde derive does.
-pub fn write_policy(w: &mut JsonWriter<'_>, p: &MaintenancePolicy) {
-    w.begin_obj();
-    w.key("interval_ms");
-    w.u64_val(p.interval_ms);
-    w.key("auto_refresh");
-    w.bool_val(p.auto_refresh);
-    w.key("breach_streak");
-    w.u32_val(p.breach_streak);
-    w.key("monitor_cells");
-    w.usize_val(p.monitor_cells);
-    w.key("manual_tick");
-    w.bool_val(p.manual_tick);
-    w.key("monitor");
-    wt::json_write_monitor_config(w, &p.monitor);
-    w.key("guard");
-    wt::json_write_guard(w, &p.guard);
-    w.key("quarantine_after");
-    w.u32_val(p.quarantine_after);
-    w.key("quarantine_cooldown_ticks");
-    w.u32_val(p.quarantine_cooldown_ticks);
-    w.key("backoff_cap");
-    w.u32_val(p.backoff_cap);
-    w.key("debug_panic_ticks");
-    w.u32_val(p.debug_panic_ticks);
-    w.end_obj();
-}
-
-/// Decodes a maintenance policy; every field is optional and falls back to
-/// its serde default, mirroring the derive.
-pub fn read_policy(v: &JsonValue) -> Result<MaintenancePolicy> {
-    let mut p = MaintenancePolicy::default();
-    let c = "MaintenancePolicy";
-    if let Some(x) = v.get("interval_ms") {
-        p.interval_ms = json::get_u64(x, "MaintenancePolicy.interval_ms")?;
-    }
-    if let Some(x) = v.get("auto_refresh") {
-        p.auto_refresh = json::get_bool(x, "MaintenancePolicy.auto_refresh")?;
-    }
-    if let Some(x) = v.get("breach_streak") {
-        p.breach_streak = json::get_u32(x, "MaintenancePolicy.breach_streak")?;
-    }
-    if let Some(x) = v.get("monitor_cells") {
-        p.monitor_cells = json::get_usize(x, "MaintenancePolicy.monitor_cells")?;
-    }
-    if let Some(x) = v.get("manual_tick") {
-        p.manual_tick = json::get_bool(x, "MaintenancePolicy.manual_tick")?;
-    }
-    if let Some(x) = v.get("monitor") {
-        p.monitor = wt::json_read_monitor_config(x, c)?;
-    }
-    if let Some(x) = v.get("guard") {
-        p.guard = wt::json_read_guard(x, c)?;
-    }
-    if let Some(x) = v.get("quarantine_after") {
-        p.quarantine_after = json::get_u32(x, "MaintenancePolicy.quarantine_after")?;
-    }
-    if let Some(x) = v.get("quarantine_cooldown_ticks") {
-        p.quarantine_cooldown_ticks =
-            json::get_u32(x, "MaintenancePolicy.quarantine_cooldown_ticks")?;
-    }
-    if let Some(x) = v.get("backoff_cap") {
-        p.backoff_cap = json::get_u32(x, "MaintenancePolicy.backoff_cap")?;
-    }
-    if let Some(x) = v.get("debug_panic_ticks") {
-        p.debug_panic_ticks = json::get_u32(x, "MaintenancePolicy.debug_panic_ticks")?;
-    }
-    Ok(p)
-}
-
-fn write_fix(w: &mut JsonWriter<'_>, f: &Fix) {
-    w.begin_obj();
-    w.key("cell");
-    w.usize_val(f.cell);
-    w.key("x");
-    w.f64_val(f.x);
-    w.key("y");
-    w.f64_val(f.y);
-    w.key("distance_db");
-    w.f64_val(f.distance_db);
-    w.end_obj();
-}
-
-fn read_fix(v: &JsonValue) -> Result<Fix> {
-    let c = "Fix";
-    Ok(Fix {
-        cell: json::get_usize(json::field(v, "cell", c)?, "Fix.cell")?,
-        x: json::get_f64(json::field(v, "x", c)?, "Fix.x")?,
-        y: json::get_f64(json::field(v, "y", c)?, "Fix.y")?,
-        distance_db: json::get_f64(json::field(v, "distance_db", c)?, "Fix.distance_db")?,
-    })
-}
-
-fn write_site_info(w: &mut JsonWriter<'_>, s: &SiteInfo) {
-    w.begin_obj();
-    w.key("site");
-    w.str_val(&s.site);
-    w.key("links");
-    w.usize_val(s.links);
-    w.key("cells");
-    w.usize_val(s.cells);
-    w.key("version");
-    w.u64_val(s.version);
-    w.end_obj();
-}
-
-fn read_site_info(v: &JsonValue) -> Result<SiteInfo> {
-    let c = "SiteInfo";
-    Ok(SiteInfo {
-        site: json::get_string(json::field(v, "site", c)?, "SiteInfo.site")?,
-        links: json::get_usize(json::field(v, "links", c)?, "SiteInfo.links")?,
-        cells: json::get_usize(json::field(v, "cells", c)?, "SiteInfo.cells")?,
-        version: json::get_u64(json::field(v, "version", c)?, "SiteInfo.version")?,
-    })
-}
-
-fn write_stats_report(w: &mut JsonWriter<'_>, r: &StatsReport) {
-    w.begin_obj();
-    w.key("uptime_s");
-    w.f64_val(r.uptime_s);
-    w.key("conn_timeouts");
-    w.u64_val(r.conn_timeouts);
-    w.key("conn_resets");
-    w.u64_val(r.conn_resets);
-    w.key("conn_panics");
-    w.u64_val(r.conn_panics);
-    w.key("wire_frame_too_large");
-    w.u64_val(r.wire_frame_too_large);
-    w.key("wire_bad_magic");
-    w.u64_val(r.wire_bad_magic);
-    w.key("wire_checksum_mismatch");
-    w.u64_val(r.wire_checksum_mismatch);
-    w.key("wire_bad_utf8");
-    w.u64_val(r.wire_bad_utf8);
-    w.key("wire_malformed");
-    w.u64_val(r.wire_malformed);
-    w.key("endpoints");
-    w.begin_arr();
-    for e in &r.endpoints {
-        write_endpoint_stats(w, e);
-    }
-    w.end_arr();
-    w.key("sites");
-    w.begin_arr();
-    for s in &r.sites {
-        write_site_stats(w, s);
-    }
-    w.end_arr();
-    w.key("shards");
-    w.begin_arr();
-    for s in &r.shards {
-        write_shard_stats(w, s);
-    }
-    w.end_arr();
-    w.end_obj();
-}
-
-fn read_stats_report(v: &JsonValue) -> Result<StatsReport> {
-    let c = "StatsReport";
-    Ok(StatsReport {
-        uptime_s: json::get_f64(json::field(v, "uptime_s", c)?, "StatsReport.uptime_s")?,
-        conn_timeouts: opt_u64(v, "conn_timeouts")?,
-        conn_resets: opt_u64(v, "conn_resets")?,
-        conn_panics: opt_u64(v, "conn_panics")?,
-        wire_frame_too_large: opt_u64(v, "wire_frame_too_large")?,
-        wire_bad_magic: opt_u64(v, "wire_bad_magic")?,
-        wire_checksum_mismatch: opt_u64(v, "wire_checksum_mismatch")?,
-        wire_bad_utf8: opt_u64(v, "wire_bad_utf8")?,
-        wire_malformed: opt_u64(v, "wire_malformed")?,
-        endpoints: json::get_arr(json::field(v, "endpoints", c)?, "StatsReport.endpoints")?
-            .iter()
-            .map(read_endpoint_stats)
-            .collect::<Result<_>>()?,
-        sites: json::get_arr(json::field(v, "sites", c)?, "StatsReport.sites")?
-            .iter()
-            .map(read_site_stats)
-            .collect::<Result<_>>()?,
-        shards: match v.get("shards") {
-            None => Vec::new(),
-            Some(x) => json::get_arr(x, "StatsReport.shards")?
-                .iter()
-                .map(read_shard_stats)
-                .collect::<Result<_>>()?,
-        },
-    })
-}
-
-fn write_shard_stats(w: &mut JsonWriter<'_>, s: &ShardStats) {
-    w.begin_obj();
-    w.key("shard");
-    w.usize_val(s.shard);
-    w.key("sites");
-    w.usize_val(s.sites);
-    w.key("queue_depth_samples");
-    w.u64_val(s.queue_depth_samples);
-    w.key("offered_batches");
-    w.u64_val(s.offered_batches);
-    w.key("offered_samples");
-    w.u64_val(s.offered_samples);
-    w.key("admitted_batches");
-    w.u64_val(s.admitted_batches);
-    w.key("admitted_samples");
-    w.u64_val(s.admitted_samples);
-    w.key("deferred_batches");
-    w.u64_val(s.deferred_batches);
-    w.key("deferred_samples");
-    w.u64_val(s.deferred_samples);
-    w.key("rejected_batches");
-    w.u64_val(s.rejected_batches);
-    w.key("rejected_samples");
-    w.u64_val(s.rejected_samples);
-    w.end_obj();
-}
-
-fn read_shard_stats(v: &JsonValue) -> Result<ShardStats> {
-    let c = "ShardStats";
-    Ok(ShardStats {
-        shard: json::get_usize(json::field(v, "shard", c)?, "ShardStats.shard")?,
-        sites: json::get_usize(json::field(v, "sites", c)?, "ShardStats.sites")?,
-        queue_depth_samples: json::get_u64(
-            json::field(v, "queue_depth_samples", c)?,
-            "ShardStats.queue_depth_samples",
-        )?,
-        offered_batches: json::get_u64(
-            json::field(v, "offered_batches", c)?,
-            "ShardStats.offered_batches",
-        )?,
-        offered_samples: json::get_u64(
-            json::field(v, "offered_samples", c)?,
-            "ShardStats.offered_samples",
-        )?,
-        admitted_batches: json::get_u64(
-            json::field(v, "admitted_batches", c)?,
-            "ShardStats.admitted_batches",
-        )?,
-        admitted_samples: json::get_u64(
-            json::field(v, "admitted_samples", c)?,
-            "ShardStats.admitted_samples",
-        )?,
-        deferred_batches: json::get_u64(
-            json::field(v, "deferred_batches", c)?,
-            "ShardStats.deferred_batches",
-        )?,
-        deferred_samples: json::get_u64(
-            json::field(v, "deferred_samples", c)?,
-            "ShardStats.deferred_samples",
-        )?,
-        rejected_batches: json::get_u64(
-            json::field(v, "rejected_batches", c)?,
-            "ShardStats.rejected_batches",
-        )?,
-        rejected_samples: json::get_u64(
-            json::field(v, "rejected_samples", c)?,
-            "ShardStats.rejected_samples",
-        )?,
-    })
-}
-
-fn write_endpoint_stats(w: &mut JsonWriter<'_>, e: &EndpointStats) {
-    w.begin_obj();
-    w.key("endpoint");
-    w.str_val(&e.endpoint);
-    w.key("requests");
-    w.u64_val(e.requests);
-    w.key("errors");
-    w.u64_val(e.errors);
-    w.key("p50_us");
-    w.u64_val(e.p50_us);
-    w.key("p95_us");
-    w.u64_val(e.p95_us);
-    w.key("p99_us");
-    w.u64_val(e.p99_us);
-    w.key("max_us");
-    w.u64_val(e.max_us);
-    w.end_obj();
-}
-
-fn read_endpoint_stats(v: &JsonValue) -> Result<EndpointStats> {
-    let c = "EndpointStats";
-    Ok(EndpointStats {
-        endpoint: json::get_string(json::field(v, "endpoint", c)?, "EndpointStats.endpoint")?,
-        requests: json::get_u64(json::field(v, "requests", c)?, "EndpointStats.requests")?,
-        errors: json::get_u64(json::field(v, "errors", c)?, "EndpointStats.errors")?,
-        p50_us: json::get_u64(json::field(v, "p50_us", c)?, "EndpointStats.p50_us")?,
-        p95_us: json::get_u64(json::field(v, "p95_us", c)?, "EndpointStats.p95_us")?,
-        p99_us: json::get_u64(json::field(v, "p99_us", c)?, "EndpointStats.p99_us")?,
-        max_us: json::get_u64(json::field(v, "max_us", c)?, "EndpointStats.max_us")?,
-    })
-}
-
-fn write_site_stats(w: &mut JsonWriter<'_>, s: &SiteStats) {
-    w.begin_obj();
-    w.key("site");
-    w.str_val(&s.site);
-    w.key("version");
-    w.u64_val(s.version);
-    w.key("refreshed_day");
-    w.f64_val(s.refreshed_day);
-    w.key("pending_refs");
-    w.bool_val(s.pending_refs);
-    w.key("estimated_error_db");
-    match s.estimated_error_db {
-        Some(x) => w.f64_val(x),
-        None => w.null_val(),
-    }
-    w.key("maintenance_checks");
-    w.u64_val(s.maintenance_checks);
-    w.key("auto_refreshes");
-    w.u64_val(s.auto_refreshes);
-    w.key("refresh_rejections");
-    w.u64_val(s.refresh_rejections);
-    w.key("last_reject_reason");
-    w.opt_str_val(s.last_reject_reason.as_deref());
-    w.key("consecutive_failures");
-    w.u32_val(s.consecutive_failures);
-    w.key("quarantined");
-    w.bool_val(s.quarantined);
-    w.key("tick_panics");
-    w.u64_val(s.tick_panics);
-    w.key("persist_failures");
-    w.u64_val(s.persist_failures);
-    w.key("active_trackers");
-    w.usize_val(s.active_trackers);
-    w.key("ingest");
-    wt::json_write_ingest_stats(w, &s.ingest);
-    w.key("stream_clock_s");
-    w.f64_val(s.stream_clock_s);
-    w.key("active_ref_captures");
-    w.usize_val(s.active_ref_captures);
-    w.key("planned_cost");
-    w.u64_val(s.planned_cost);
-    w.key("actual_cost");
-    w.u64_val(s.actual_cost);
-    w.key("full_survey_cost");
-    w.u64_val(s.full_survey_cost);
-    w.key("plan_policy");
-    w.opt_str_val(s.plan_policy.as_deref());
-    w.key("shard");
-    w.usize_val(s.shard);
-    w.end_obj();
-}
-
-fn read_site_stats(v: &JsonValue) -> Result<SiteStats> {
-    let c = "SiteStats";
-    Ok(SiteStats {
-        site: json::get_string(json::field(v, "site", c)?, "SiteStats.site")?,
-        version: json::get_u64(json::field(v, "version", c)?, "SiteStats.version")?,
-        refreshed_day: json::get_f64(
-            json::field(v, "refreshed_day", c)?,
-            "SiteStats.refreshed_day",
-        )?,
-        pending_refs: json::get_bool(json::field(v, "pending_refs", c)?, "SiteStats.pending_refs")?,
-        estimated_error_db: match v.get("estimated_error_db") {
-            None => None,
-            Some(x) if x.is_null() => None,
-            Some(x) => Some(json::get_f64(x, "SiteStats.estimated_error_db")?),
-        },
-        maintenance_checks: json::get_u64(
-            json::field(v, "maintenance_checks", c)?,
-            "SiteStats.maintenance_checks",
-        )?,
-        auto_refreshes: json::get_u64(
-            json::field(v, "auto_refreshes", c)?,
-            "SiteStats.auto_refreshes",
-        )?,
-        refresh_rejections: opt_u64(v, "refresh_rejections")?,
-        last_reject_reason: match v.get("last_reject_reason") {
-            None => None,
-            Some(x) if x.is_null() => None,
-            Some(x) => Some(json::get_string(x, "SiteStats.last_reject_reason")?),
-        },
-        consecutive_failures: match v.get("consecutive_failures") {
-            None => 0,
-            Some(x) => json::get_u32(x, "SiteStats.consecutive_failures")?,
-        },
-        quarantined: match v.get("quarantined") {
-            None => false,
-            Some(x) => json::get_bool(x, "SiteStats.quarantined")?,
-        },
-        tick_panics: opt_u64(v, "tick_panics")?,
-        persist_failures: opt_u64(v, "persist_failures")?,
-        active_trackers: json::get_usize(
-            json::field(v, "active_trackers", c)?,
-            "SiteStats.active_trackers",
-        )?,
-        ingest: wt::json_read_ingest_stats(json::field(v, "ingest", c)?, "SiteStats.ingest")?,
-        stream_clock_s: json::get_f64(
-            json::field(v, "stream_clock_s", c)?,
-            "SiteStats.stream_clock_s",
-        )?,
-        active_ref_captures: json::get_usize(
-            json::field(v, "active_ref_captures", c)?,
-            "SiteStats.active_ref_captures",
-        )?,
-        planned_cost: opt_u64(v, "planned_cost")?,
-        actual_cost: opt_u64(v, "actual_cost")?,
-        full_survey_cost: opt_u64(v, "full_survey_cost")?,
-        plan_policy: match v.get("plan_policy") {
-            None => None,
-            Some(x) if x.is_null() => None,
-            Some(x) => Some(json::get_string(x, "SiteStats.plan_policy")?),
-        },
-        shard: match v.get("shard") {
-            None => 0,
-            Some(x) => json::get_usize(x, "SiteStats.shard")?,
-        },
-    })
-}
-
-fn req_string(v: &JsonValue, name: &str) -> Result<String> {
-    json::get_string(json::field(v, name, "Request")?, "Request").map_err(Into::into)
-}
-
-/// An `f64` field with a `#[serde(default)]` fallback.
-fn opt_f64(v: &JsonValue, name: &str, default: f64) -> Result<f64> {
-    match v.get(name) {
-        None => Ok(default),
-        Some(x) => json::get_f64(x, name).map_err(Into::into),
-    }
-}
-
-/// A `u64` field with a `#[serde(default)]` fallback of zero.
-fn opt_u64(v: &JsonValue, name: &str) -> Result<u64> {
-    match v.get(name) {
-        None => Ok(0),
-        Some(x) => json::get_u64(x, name).map_err(Into::into),
-    }
+    Ok(taf_wire::from_json(text)?)
 }

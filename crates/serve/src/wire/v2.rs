@@ -1,576 +1,35 @@
 //! v2 message codec: a one-byte message tag followed by the fields in
-//! declaration order, encoded with the shared [`taf_wire::codec`]
-//! primitives. The payload produced here travels inside a checksummed
-//! [`taf_wire::frame`]; this module never sees framing.
-//!
-//! Tags are append-only: new message kinds take the next free number, and
-//! removed kinds retire their tag instead of freeing it for reuse.
+//! declaration order, in the binary form the snapshot store shares. The
+//! layout itself, tags included, is the message schema in
+//! `wire/schema.rs`. The payload produced here travels inside a
+//! checksummed [`taf_wire::frame`]; this module never sees framing.
 
-use crate::maintenance::MaintenancePolicy;
-use crate::protocol::{
-    EndpointStats, Fix, Request, Response, ShardStats, SiteInfo, SiteStats, StatsReport,
-};
+use crate::protocol::{Request, Response};
 use crate::Result;
-use taf_wire::types as wt;
-use taf_wire::{Dec, Enc, WireError};
-use tafloc_core::system::ReconstructionGuard;
+use taf_wire::{Codec, Enc};
 
-/// Encodes one request as a v2 frame payload (tag byte + body).
+/// Encodes one request as a v2 frame payload (tag byte + body), replacing
+/// the contents of `out`.
 pub fn encode_request(req: &Request, out: &mut Vec<u8>) {
     let mut e = Enc::reusing(std::mem::take(out));
-    match req {
-        Request::AddSite { site, snapshot, day, policy } => {
-            e.u8(1);
-            e.str(site);
-            wt::enc_snapshot(&mut e, snapshot);
-            e.f64(*day);
-            match policy {
-                Some(p) => {
-                    e.u8(1);
-                    enc_policy(&mut e, p);
-                }
-                None => e.u8(0),
-            }
-        }
-        Request::RemoveSite { site } => {
-            e.u8(2);
-            e.str(site);
-        }
-        Request::ListSites => e.u8(3),
-        Request::Locate { site, y } => {
-            e.u8(4);
-            e.str(site);
-            e.f64s(y);
-        }
-        Request::LocateStream { site } => {
-            e.u8(5);
-            e.str(site);
-        }
-        Request::LocateBatch { site, ys } => {
-            e.u8(6);
-            e.str(site);
-            e.usize(ys.len());
-            for y in ys {
-                e.f64s(y);
-            }
-        }
-        Request::Ingest { site, ref_cell, day, samples } => {
-            e.u8(7);
-            e.str(site);
-            match ref_cell {
-                Some(c) => {
-                    e.u8(1);
-                    e.usize(*c);
-                }
-                None => e.u8(0),
-            }
-            e.f64(*day);
-            e.usize(samples.len());
-            for s in samples {
-                wt::enc_link_sample(&mut e, s);
-            }
-        }
-        Request::Track { site, stream, y, dt_s } => {
-            e.u8(8);
-            e.str(site);
-            e.str(stream);
-            e.f64s(y);
-            e.f64(*dt_s);
-        }
-        Request::Detect { site, stream, y } => {
-            e.u8(9);
-            e.str(site);
-            e.str(stream);
-            e.f64s(y);
-        }
-        Request::MeasureRefs { site, day, columns, empty } => {
-            e.u8(10);
-            e.str(site);
-            e.f64(*day);
-            e.matrix(columns);
-            e.f64s(empty);
-        }
-        Request::Refresh { site } => {
-            e.u8(11);
-            e.str(site);
-        }
-        Request::Stats => e.u8(12),
-        Request::Ping => e.u8(13),
-        Request::Shutdown => e.u8(14),
-    }
+    req.encode(&mut e);
     *out = e.into_inner();
 }
 
 /// Decodes one request from a v2 frame payload.
 pub fn decode_request(data: &[u8]) -> Result<Request> {
-    let mut d = Dec::new(data);
-    let req = match d.u8()? {
-        1 => Request::AddSite {
-            site: d.str()?,
-            snapshot: Box::new(wt::dec_snapshot(&mut d)?),
-            day: d.f64()?,
-            policy: match d.u8()? {
-                0 => None,
-                1 => Some(dec_policy(&mut d)?),
-                v => return Err(WireError::malformed(format!("invalid option tag {v}")).into()),
-            },
-        },
-        2 => Request::RemoveSite { site: d.str()? },
-        3 => Request::ListSites,
-        4 => Request::Locate { site: d.str()?, y: d.f64s()? },
-        5 => Request::LocateStream { site: d.str()? },
-        6 => Request::LocateBatch {
-            site: d.str()?,
-            ys: {
-                let n = d.count()?;
-                let mut ys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ys.push(d.f64s()?);
-                }
-                ys
-            },
-        },
-        7 => Request::Ingest {
-            site: d.str()?,
-            ref_cell: match d.u8()? {
-                0 => None,
-                1 => Some(d.usize()?),
-                v => return Err(WireError::malformed(format!("invalid option tag {v}")).into()),
-            },
-            day: d.f64()?,
-            samples: {
-                let n = d.count()?;
-                let mut samples = Vec::with_capacity(n);
-                for _ in 0..n {
-                    samples.push(wt::dec_link_sample(&mut d)?);
-                }
-                samples
-            },
-        },
-        8 => Request::Track { site: d.str()?, stream: d.str()?, y: d.f64s()?, dt_s: d.f64()? },
-        9 => Request::Detect { site: d.str()?, stream: d.str()?, y: d.f64s()? },
-        10 => Request::MeasureRefs {
-            site: d.str()?,
-            day: d.f64()?,
-            columns: d.matrix()?,
-            empty: d.f64s()?,
-        },
-        11 => Request::Refresh { site: d.str()? },
-        12 => Request::Stats,
-        13 => Request::Ping,
-        14 => Request::Shutdown,
-        v => return Err(WireError::malformed(format!("unknown request tag {v}")).into()),
-    };
-    d.finish()?;
-    Ok(req)
+    Ok(taf_wire::from_bytes(data)?)
 }
 
-/// Encodes one response as a v2 frame payload (tag byte + body).
+/// Encodes one response as a v2 frame payload (tag byte + body), replacing
+/// the contents of `out`.
 pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
     let mut e = Enc::reusing(std::mem::take(out));
-    match resp {
-        Response::Error { message } => {
-            e.u8(1);
-            e.str(message);
-        }
-        Response::SiteAdded { site, links, cells } => {
-            e.u8(2);
-            e.str(site);
-            e.usize(*links);
-            e.usize(*cells);
-        }
-        Response::SiteRemoved { site } => {
-            e.u8(3);
-            e.str(site);
-        }
-        Response::Sites { sites } => {
-            e.u8(4);
-            e.usize(sites.len());
-            for s in sites {
-                enc_site_info(&mut e, s);
-            }
-        }
-        Response::Located { cell, x, y, distance_db, version } => {
-            e.u8(5);
-            e.usize(*cell);
-            e.f64(*x);
-            e.f64(*y);
-            e.f64(*distance_db);
-            e.u64(*version);
-        }
-        Response::StreamLocated {
-            cell,
-            x,
-            y,
-            distance_db,
-            version,
-            missing_links,
-            stale_links,
-            stream_t_s,
-            window_samples,
-        } => {
-            e.u8(6);
-            e.usize(*cell);
-            e.f64(*x);
-            e.f64(*y);
-            e.f64(*distance_db);
-            e.u64(*version);
-            e.usizes(missing_links);
-            e.usizes(stale_links);
-            e.f64(*stream_t_s);
-            e.usize(*window_samples);
-        }
-        Response::LocatedBatch { fixes, version } => {
-            e.u8(7);
-            e.usize(fixes.len());
-            for f in fixes {
-                enc_fix(&mut e, f);
-            }
-            e.u64(*version);
-        }
-        Response::Ingested { report } => {
-            e.u8(8);
-            wt::enc_batch_report(&mut e, report);
-        }
-        Response::Tracked { x, y, effective_sample_size } => {
-            e.u8(9);
-            e.f64(*x);
-            e.f64(*y);
-            e.f64(*effective_sample_size);
-        }
-        Response::Detected { present, detail } => {
-            e.u8(10);
-            e.bool(*present);
-            e.str(detail);
-        }
-        Response::RefsAccepted { recommendation, estimated_error_db } => {
-            e.u8(11);
-            e.str(recommendation);
-            e.f64(*estimated_error_db);
-        }
-        Response::Refreshed { iterations, converged, mean_abs_change_db, version } => {
-            e.u8(12);
-            e.usize(*iterations);
-            e.bool(*converged);
-            e.f64(*mean_abs_change_db);
-            e.u64(*version);
-        }
-        Response::Stats { report } => {
-            e.u8(13);
-            enc_stats_report(&mut e, report);
-        }
-        Response::Pong => e.u8(14),
-        Response::ShuttingDown => e.u8(15),
-        Response::Overloaded { site, shard, reason, retry_after_ms } => {
-            e.u8(16);
-            e.str(site);
-            e.usize(*shard);
-            e.str(reason);
-            e.u64(*retry_after_ms);
-        }
-    }
+    resp.encode(&mut e);
     *out = e.into_inner();
 }
 
 /// Decodes one response from a v2 frame payload.
 pub fn decode_response(data: &[u8]) -> Result<Response> {
-    let mut d = Dec::new(data);
-    let resp = match d.u8()? {
-        1 => Response::Error { message: d.str()? },
-        2 => Response::SiteAdded { site: d.str()?, links: d.usize()?, cells: d.usize()? },
-        3 => Response::SiteRemoved { site: d.str()? },
-        4 => Response::Sites {
-            sites: {
-                let n = d.count()?;
-                let mut sites = Vec::with_capacity(n);
-                for _ in 0..n {
-                    sites.push(dec_site_info(&mut d)?);
-                }
-                sites
-            },
-        },
-        5 => Response::Located {
-            cell: d.usize()?,
-            x: d.f64()?,
-            y: d.f64()?,
-            distance_db: d.f64()?,
-            version: d.u64()?,
-        },
-        6 => Response::StreamLocated {
-            cell: d.usize()?,
-            x: d.f64()?,
-            y: d.f64()?,
-            distance_db: d.f64()?,
-            version: d.u64()?,
-            missing_links: d.usizes()?,
-            stale_links: d.usizes()?,
-            stream_t_s: d.f64()?,
-            window_samples: d.usize()?,
-        },
-        7 => Response::LocatedBatch {
-            fixes: {
-                let n = d.count()?;
-                let mut fixes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    fixes.push(dec_fix(&mut d)?);
-                }
-                fixes
-            },
-            version: d.u64()?,
-        },
-        8 => Response::Ingested { report: wt::dec_batch_report(&mut d)? },
-        9 => Response::Tracked { x: d.f64()?, y: d.f64()?, effective_sample_size: d.f64()? },
-        10 => Response::Detected { present: d.bool()?, detail: d.str()? },
-        11 => Response::RefsAccepted { recommendation: d.str()?, estimated_error_db: d.f64()? },
-        12 => Response::Refreshed {
-            iterations: d.usize()?,
-            converged: d.bool()?,
-            mean_abs_change_db: d.f64()?,
-            version: d.u64()?,
-        },
-        13 => Response::Stats { report: dec_stats_report(&mut d)? },
-        14 => Response::Pong,
-        15 => Response::ShuttingDown,
-        16 => Response::Overloaded {
-            site: d.str()?,
-            shard: d.usize()?,
-            reason: d.str()?,
-            retry_after_ms: d.u64()?,
-        },
-        v => return Err(WireError::malformed(format!("unknown response tag {v}")).into()),
-    };
-    d.finish()?;
-    Ok(resp)
-}
-
-/// Binary maintenance-policy layout, shared with the snapshot store (the
-/// on-disk `.snap` payload embeds exactly these bytes).
-pub fn enc_policy(e: &mut Enc, p: &MaintenancePolicy) {
-    e.u64(p.interval_ms);
-    e.bool(p.auto_refresh);
-    e.u32(p.breach_streak);
-    e.usize(p.monitor_cells);
-    e.bool(p.manual_tick);
-    wt::enc_monitor_config(e, &p.monitor);
-    e.f64(p.guard.max_ref_rmse_db);
-    e.f64(p.guard.max_mean_delta_db);
-    e.u32(p.quarantine_after);
-    e.u32(p.quarantine_cooldown_ticks);
-    e.u32(p.backoff_cap);
-    e.u32(p.debug_panic_ticks);
-}
-
-/// Inverse of [`enc_policy`].
-pub fn dec_policy(d: &mut Dec<'_>) -> taf_wire::Result<MaintenancePolicy> {
-    Ok(MaintenancePolicy {
-        interval_ms: d.u64()?,
-        auto_refresh: d.bool()?,
-        breach_streak: d.u32()?,
-        monitor_cells: d.usize()?,
-        manual_tick: d.bool()?,
-        monitor: wt::dec_monitor_config(d)?,
-        guard: ReconstructionGuard { max_ref_rmse_db: d.f64()?, max_mean_delta_db: d.f64()? },
-        quarantine_after: d.u32()?,
-        quarantine_cooldown_ticks: d.u32()?,
-        backoff_cap: d.u32()?,
-        debug_panic_ticks: d.u32()?,
-    })
-}
-
-fn enc_fix(e: &mut Enc, f: &Fix) {
-    e.usize(f.cell);
-    e.f64(f.x);
-    e.f64(f.y);
-    e.f64(f.distance_db);
-}
-
-fn dec_fix(d: &mut Dec<'_>) -> taf_wire::Result<Fix> {
-    Ok(Fix { cell: d.usize()?, x: d.f64()?, y: d.f64()?, distance_db: d.f64()? })
-}
-
-fn enc_site_info(e: &mut Enc, s: &SiteInfo) {
-    e.str(&s.site);
-    e.usize(s.links);
-    e.usize(s.cells);
-    e.u64(s.version);
-}
-
-fn dec_site_info(d: &mut Dec<'_>) -> taf_wire::Result<SiteInfo> {
-    Ok(SiteInfo { site: d.str()?, links: d.usize()?, cells: d.usize()?, version: d.u64()? })
-}
-
-fn enc_stats_report(e: &mut Enc, r: &StatsReport) {
-    e.f64(r.uptime_s);
-    e.u64(r.conn_timeouts);
-    e.u64(r.conn_resets);
-    e.u64(r.conn_panics);
-    e.u64(r.wire_frame_too_large);
-    e.u64(r.wire_bad_magic);
-    e.u64(r.wire_checksum_mismatch);
-    e.u64(r.wire_bad_utf8);
-    e.u64(r.wire_malformed);
-    e.usize(r.endpoints.len());
-    for ep in &r.endpoints {
-        enc_endpoint_stats(e, ep);
-    }
-    e.usize(r.sites.len());
-    for s in &r.sites {
-        enc_site_stats(e, s);
-    }
-    e.usize(r.shards.len());
-    for s in &r.shards {
-        enc_shard_stats(e, s);
-    }
-}
-
-fn dec_stats_report(d: &mut Dec<'_>) -> taf_wire::Result<StatsReport> {
-    Ok(StatsReport {
-        uptime_s: d.f64()?,
-        conn_timeouts: d.u64()?,
-        conn_resets: d.u64()?,
-        conn_panics: d.u64()?,
-        wire_frame_too_large: d.u64()?,
-        wire_bad_magic: d.u64()?,
-        wire_checksum_mismatch: d.u64()?,
-        wire_bad_utf8: d.u64()?,
-        wire_malformed: d.u64()?,
-        endpoints: {
-            let n = d.count()?;
-            let mut eps = Vec::with_capacity(n);
-            for _ in 0..n {
-                eps.push(dec_endpoint_stats(d)?);
-            }
-            eps
-        },
-        sites: {
-            let n = d.count()?;
-            let mut sites = Vec::with_capacity(n);
-            for _ in 0..n {
-                sites.push(dec_site_stats(d)?);
-            }
-            sites
-        },
-        shards: {
-            let n = d.count()?;
-            let mut shards = Vec::with_capacity(n);
-            for _ in 0..n {
-                shards.push(dec_shard_stats(d)?);
-            }
-            shards
-        },
-    })
-}
-
-fn enc_shard_stats(e: &mut Enc, s: &ShardStats) {
-    e.usize(s.shard);
-    e.usize(s.sites);
-    e.u64(s.queue_depth_samples);
-    e.u64(s.offered_batches);
-    e.u64(s.offered_samples);
-    e.u64(s.admitted_batches);
-    e.u64(s.admitted_samples);
-    e.u64(s.deferred_batches);
-    e.u64(s.deferred_samples);
-    e.u64(s.rejected_batches);
-    e.u64(s.rejected_samples);
-}
-
-fn dec_shard_stats(d: &mut Dec<'_>) -> taf_wire::Result<ShardStats> {
-    Ok(ShardStats {
-        shard: d.usize()?,
-        sites: d.usize()?,
-        queue_depth_samples: d.u64()?,
-        offered_batches: d.u64()?,
-        offered_samples: d.u64()?,
-        admitted_batches: d.u64()?,
-        admitted_samples: d.u64()?,
-        deferred_batches: d.u64()?,
-        deferred_samples: d.u64()?,
-        rejected_batches: d.u64()?,
-        rejected_samples: d.u64()?,
-    })
-}
-
-fn enc_endpoint_stats(e: &mut Enc, s: &EndpointStats) {
-    e.str(&s.endpoint);
-    e.u64(s.requests);
-    e.u64(s.errors);
-    e.u64(s.p50_us);
-    e.u64(s.p95_us);
-    e.u64(s.p99_us);
-    e.u64(s.max_us);
-}
-
-fn dec_endpoint_stats(d: &mut Dec<'_>) -> taf_wire::Result<EndpointStats> {
-    Ok(EndpointStats {
-        endpoint: d.str()?,
-        requests: d.u64()?,
-        errors: d.u64()?,
-        p50_us: d.u64()?,
-        p95_us: d.u64()?,
-        p99_us: d.u64()?,
-        max_us: d.u64()?,
-    })
-}
-
-fn enc_site_stats(e: &mut Enc, s: &SiteStats) {
-    e.str(&s.site);
-    e.u64(s.version);
-    e.f64(s.refreshed_day);
-    e.bool(s.pending_refs);
-    match s.estimated_error_db {
-        Some(x) => {
-            e.u8(1);
-            e.f64(x);
-        }
-        None => e.u8(0),
-    }
-    e.u64(s.maintenance_checks);
-    e.u64(s.auto_refreshes);
-    e.u64(s.refresh_rejections);
-    e.opt_str(s.last_reject_reason.as_deref());
-    e.u32(s.consecutive_failures);
-    e.bool(s.quarantined);
-    e.u64(s.tick_panics);
-    e.u64(s.persist_failures);
-    e.usize(s.active_trackers);
-    wt::enc_ingest_stats(e, &s.ingest);
-    e.f64(s.stream_clock_s);
-    e.usize(s.active_ref_captures);
-    e.u64(s.planned_cost);
-    e.u64(s.actual_cost);
-    e.u64(s.full_survey_cost);
-    e.opt_str(s.plan_policy.as_deref());
-    e.usize(s.shard);
-}
-
-fn dec_site_stats(d: &mut Dec<'_>) -> taf_wire::Result<SiteStats> {
-    Ok(SiteStats {
-        site: d.str()?,
-        version: d.u64()?,
-        refreshed_day: d.f64()?,
-        pending_refs: d.bool()?,
-        estimated_error_db: match d.u8()? {
-            0 => None,
-            1 => Some(d.f64()?),
-            v => return Err(WireError::malformed(format!("invalid option tag {v}"))),
-        },
-        maintenance_checks: d.u64()?,
-        auto_refreshes: d.u64()?,
-        refresh_rejections: d.u64()?,
-        last_reject_reason: d.opt_str()?,
-        consecutive_failures: d.u32()?,
-        quarantined: d.bool()?,
-        tick_panics: d.u64()?,
-        persist_failures: d.u64()?,
-        active_trackers: d.usize()?,
-        ingest: wt::dec_ingest_stats(d)?,
-        stream_clock_s: d.f64()?,
-        active_ref_captures: d.usize()?,
-        planned_cost: d.u64()?,
-        actual_cost: d.u64()?,
-        full_survey_cost: d.u64()?,
-        plan_policy: d.opt_str()?,
-        shard: d.usize()?,
-    })
+    Ok(taf_wire::from_bytes(data)?)
 }

@@ -18,6 +18,7 @@ use taf_plan::{HistoryWindow, MeasurementPlan, PlanEntry, PlanPolicy, SurveyReco
 use taf_rfsim::geometry::{Point, Segment};
 use taf_rfsim::grid::FloorGrid;
 use taf_rfsim::{campaign, World, WorldConfig};
+use taf_wire::Codec;
 use tafloc_core::db::FingerprintDb;
 use tafloc_core::loli_ir::{LoliIrConfig, WarmState};
 use tafloc_core::matcher::MatchMethod;
@@ -381,13 +382,9 @@ fn lenient_v1_inputs_fill_in_their_defaults() {
                 wire::v1::encode_response(&wire::v1::decode_response(input).unwrap(), &mut out)
             }
             "IngestConfig" => {
-                let v = taf_wire::json::parse(input).unwrap();
-                let cfg = taf_wire::types::json_read_ingest_config(&v, "IngestConfig").unwrap();
+                let cfg: IngestConfig = taf_wire::from_json(input).unwrap();
                 assert_eq!(cfg, IngestConfig::default());
-                taf_wire::types::json_write_ingest_config(
-                    &mut taf_wire::JsonWriter::new(&mut out),
-                    &cfg,
-                );
+                cfg.write_json(&mut taf_wire::JsonWriter::new(&mut out));
             }
             other => panic!("unknown corpus type {other}"),
         }

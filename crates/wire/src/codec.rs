@@ -84,8 +84,9 @@ pub fn write_uvarint<W: Write + ?Sized>(w: &mut W, v: u64) -> Result<()> {
     w.write_all(&buf).map_err(WireError::from)
 }
 
-/// Sanity cap on any decoded element count, so a corrupted length prefix
-/// that slipped past the checksum cannot drive a huge allocation.
+/// Sanity cap on any decoded element count. A count must also fit in the
+/// bytes left to decode ([`Dec::count`]), so a corrupted length prefix that
+/// slipped past the checksum cannot drive a huge allocation.
 pub const MAX_ELEMENTS: usize = 1 << 28;
 
 /// Little-endian binary encoder. Appends to an owned buffer; use
@@ -138,30 +139,6 @@ impl Enc {
     pub fn str(&mut self, v: &str) {
         self.usize(v.len());
         self.buf.extend_from_slice(v.as_bytes());
-    }
-    /// Appends an optional string as a presence byte plus the string.
-    pub fn opt_str(&mut self, v: Option<&str>) {
-        match v {
-            None => self.u8(0),
-            Some(s) => {
-                self.u8(1);
-                self.str(s);
-            }
-        }
-    }
-    /// Appends a length-prefixed `usize` slice.
-    pub fn usizes(&mut self, v: &[usize]) {
-        self.usize(v.len());
-        for &x in v {
-            self.usize(x);
-        }
-    }
-    /// Appends a length-prefixed `f64` slice.
-    pub fn f64s(&mut self, v: &[f64]) {
-        self.usize(v.len());
-        for &x in v {
-            self.f64(x);
-        }
     }
     /// Appends a matrix as `rows, cols` then `rows*cols` row-major values.
     pub fn matrix(&mut self, m: &Matrix) {
@@ -235,12 +212,16 @@ impl<'a> Dec<'a> {
         usize::try_from(self.u64()?)
             .map_err(|_| WireError::malformed("count does not fit this platform"))
     }
-    /// Reads an element count, rejecting implausible ([`MAX_ELEMENTS`])
-    /// values before they reach an allocator.
+    /// Reads an element count, rejecting one above [`MAX_ELEMENTS`] or above
+    /// the bytes left (every element takes at least one byte) before it can
+    /// reach an allocator.
     pub fn count(&mut self) -> Result<usize> {
         let n = self.usize()?;
-        if n > MAX_ELEMENTS {
-            return Err(WireError::Malformed(format!("element count {n} is implausible")));
+        if n > MAX_ELEMENTS || n > self.remaining() {
+            return Err(WireError::Malformed(format!(
+                "element count {n} is implausible with {} bytes left",
+                self.remaining()
+            )));
         }
         Ok(n)
     }
@@ -254,41 +235,28 @@ impl<'a> Dec<'a> {
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
     }
-    /// Reads an optional string (presence byte plus string).
-    pub fn opt_str(&mut self) -> Result<Option<String>> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.str()?)),
-            v => Err(WireError::Malformed(format!("invalid option tag {v}"))),
-        }
-    }
-    /// Reads a length-prefixed `usize` slice.
-    pub fn usizes(&mut self) -> Result<Vec<usize>> {
-        let n = self.count()?;
-        (0..n).map(|_| self.usize()).collect()
-    }
-    /// Reads a length-prefixed `f64` slice.
-    pub fn f64s(&mut self) -> Result<Vec<f64>> {
-        let n = self.count()?;
-        (0..n).map(|_| self.f64()).collect()
-    }
-    /// Reads a matrix (`rows, cols`, row-major data), validating the shape.
+    /// Reads a matrix (`rows, cols`, row-major data), validating the shape:
+    /// the data must fit in the bytes left, so an empty matrix of any shape
+    /// stays valid while a hostile shape never reaches the allocator.
     pub fn matrix(&mut self) -> Result<Matrix> {
-        let rows = self.count()?;
-        let cols = self.count()?;
+        let rows = self.usize()?;
+        let cols = self.usize()?;
         let len = rows
             .checked_mul(cols)
-            .filter(|&n| n <= MAX_ELEMENTS)
+            .filter(|&n| n.checked_mul(8).is_some_and(|bytes| bytes <= self.remaining()))
             .ok_or_else(|| WireError::malformed("matrix shape is implausible"))?;
-        let data: Result<Vec<f64>> = (0..len).map(|_| self.f64()).collect();
-        Matrix::from_vec(rows, cols, data?)
-            .map_err(|e| WireError::Malformed(format!("matrix: {e}")))
+        let mut data = Vec::with_capacity(len);
+        for _ in 0..len {
+            data.push(self.f64()?);
+        }
+        Matrix::from_vec(rows, cols, data).map_err(|e| WireError::Malformed(format!("matrix: {e}")))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::Codec;
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -341,10 +309,10 @@ mod tests {
         e.usize(42);
         e.f64(-1.25);
         e.str("hé");
-        e.opt_str(None);
-        e.opt_str(Some("x"));
-        e.usizes(&[1, 2, 3]);
-        e.f64s(&[0.5, -0.5]);
+        None::<String>.encode(&mut e);
+        Some("x".to_string()).encode(&mut e);
+        vec![1usize, 2, 3].encode(&mut e);
+        vec![0.5, -0.5].encode(&mut e);
         e.matrix(&m);
         let buf = e.into_inner();
 
@@ -356,10 +324,10 @@ mod tests {
         assert_eq!(d.usize().unwrap(), 42);
         assert_eq!(d.f64().unwrap(), -1.25);
         assert_eq!(d.str().unwrap(), "hé");
-        assert_eq!(d.opt_str().unwrap(), None);
-        assert_eq!(d.opt_str().unwrap(), Some("x".to_string()));
-        assert_eq!(d.usizes().unwrap(), vec![1, 2, 3]);
-        assert_eq!(d.f64s().unwrap(), vec![0.5, -0.5]);
+        assert_eq!(Option::<String>::decode(&mut d).unwrap(), None);
+        assert_eq!(Option::<String>::decode(&mut d).unwrap(), Some("x".to_string()));
+        assert_eq!(Vec::<usize>::decode(&mut d).unwrap(), vec![1, 2, 3]);
+        assert_eq!(Vec::<f64>::decode(&mut d).unwrap(), vec![0.5, -0.5]);
         let back = d.matrix().unwrap();
         assert_eq!(back.rows(), 2);
         assert_eq!(back.cols(), 3);

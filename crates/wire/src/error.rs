@@ -98,6 +98,15 @@ impl WireError {
         WireError::Malformed(msg.into())
     }
 
+    /// Names the field a [`WireError::Malformed`] came from (`Type.field: ..`);
+    /// every other kind passes through unchanged.
+    pub fn in_field(self, ctx: &str, name: &str) -> Self {
+        match self {
+            WireError::Malformed(msg) => WireError::Malformed(format!("{ctx}.{name}: {msg}")),
+            other => other,
+        }
+    }
+
     /// True when the failure left the byte stream correctly framed, i.e.
     /// the reader consumed exactly one (bad) message and the connection can
     /// reply with an error frame and keep serving.

@@ -90,78 +90,6 @@ impl JsonValue {
 }
 
 // ---------------------------------------------------------------------------
-// Typed field access (decode helpers)
-// ---------------------------------------------------------------------------
-//
-// These encode the stub deserializer's coercion rules once, so every domain
-// codec reads fields the same way: `null` is NaN for floats, integers must
-// have no fractional part, `ctx` names the struct/field for error messages.
-
-/// Required object field; `ctx` names the containing type for errors.
-pub fn field<'a>(v: &'a JsonValue, name: &str, ctx: &str) -> Result<&'a JsonValue> {
-    v.get(name).ok_or_else(|| WireError::Malformed(format!("{ctx}: missing field `{name}`")))
-}
-
-/// `f64` with stub parity: a number is itself, `null` is NaN.
-pub fn get_f64(v: &JsonValue, ctx: &str) -> Result<f64> {
-    match v {
-        JsonValue::Num(n) => Ok(*n),
-        JsonValue::Null => Ok(f64::NAN),
-        _ => Err(WireError::Malformed(format!("{ctx}: expected a number"))),
-    }
-}
-
-/// Unsigned integer carried as a JSON number; must be integral.
-pub fn get_u64(v: &JsonValue, ctx: &str) -> Result<u64> {
-    match v {
-        // The stub casts with `as`, which saturates; mirror it so anything
-        // a stub client encoded decodes to the same value here.
-        JsonValue::Num(n) if n.fract() == 0.0 => Ok(*n as u64),
-        _ => Err(WireError::Malformed(format!("{ctx}: expected an integer"))),
-    }
-}
-
-/// `usize` field (stored as a JSON integer).
-pub fn get_usize(v: &JsonValue, ctx: &str) -> Result<usize> {
-    Ok(get_u64(v, ctx)? as usize)
-}
-
-/// `u32` field (stored as a JSON integer).
-pub fn get_u32(v: &JsonValue, ctx: &str) -> Result<u32> {
-    Ok(get_u64(v, ctx)? as u32)
-}
-
-/// `bool` field.
-pub fn get_bool(v: &JsonValue, ctx: &str) -> Result<bool> {
-    v.as_bool().ok_or_else(|| WireError::Malformed(format!("{ctx}: expected a bool")))
-}
-
-/// Borrowed string field.
-pub fn get_str<'a>(v: &'a JsonValue, ctx: &str) -> Result<&'a str> {
-    v.as_str().ok_or_else(|| WireError::Malformed(format!("{ctx}: expected a string")))
-}
-
-/// Owned string field.
-pub fn get_string(v: &JsonValue, ctx: &str) -> Result<String> {
-    Ok(get_str(v, ctx)?.to_string())
-}
-
-/// Array field.
-pub fn get_arr<'a>(v: &'a JsonValue, ctx: &str) -> Result<&'a [JsonValue]> {
-    v.as_arr().ok_or_else(|| WireError::Malformed(format!("{ctx}: expected an array")))
-}
-
-/// `Vec<f64>` from a JSON array (elements follow [`get_f64`] rules).
-pub fn get_f64s(v: &JsonValue, ctx: &str) -> Result<Vec<f64>> {
-    get_arr(v, ctx)?.iter().map(|x| get_f64(x, ctx)).collect()
-}
-
-/// `Vec<usize>` from a JSON array.
-pub fn get_usizes(v: &JsonValue, ctx: &str) -> Result<Vec<usize>> {
-    get_arr(v, ctx)?.iter().map(|x| get_usize(x, ctx)).collect()
-}
-
-// ---------------------------------------------------------------------------
 // Streaming writer
 // ---------------------------------------------------------------------------
 
@@ -287,32 +215,6 @@ impl<'a> JsonWriter<'a> {
     pub fn null_val(&mut self) {
         self.sep();
         self.out.extend_from_slice(b"null");
-    }
-
-    /// Writes an optional string (`None` → `null`).
-    pub fn opt_str_val(&mut self, s: Option<&str>) {
-        match s {
-            Some(s) => self.str_val(s),
-            None => self.null_val(),
-        }
-    }
-
-    /// Writes a `[f64, …]` array in one call.
-    pub fn f64s_val(&mut self, xs: &[f64]) {
-        self.begin_arr();
-        for &x in xs {
-            self.f64_val(x);
-        }
-        self.end_arr();
-    }
-
-    /// Writes a `[usize, …]` array in one call.
-    pub fn usizes_val(&mut self, xs: &[usize]) {
-        self.begin_arr();
-        for &x in xs {
-            self.usize_val(x);
-        }
-        self.end_arr();
     }
 }
 
@@ -689,10 +591,11 @@ mod tests {
 
     #[test]
     fn null_decodes_to_nan_for_floats_and_errors_for_ints() {
+        use crate::schema::Codec;
         let v = parse(r#"{"y":null}"#).unwrap();
-        assert!(get_f64(v.get("y").unwrap(), "T").unwrap().is_nan());
-        assert!(get_u64(v.get("y").unwrap(), "T").is_err());
-        assert!(get_u64(&JsonValue::Num(1.5), "T").is_err());
-        assert_eq!(get_u64(&JsonValue::Num(7.0), "T").unwrap(), 7);
+        assert!(f64::read_json(v.get("y").unwrap()).unwrap().is_nan());
+        assert!(u64::read_json(v.get("y").unwrap()).is_err());
+        assert!(u64::read_json(&JsonValue::Num(1.5)).is_err());
+        assert_eq!(u64::read_json(&JsonValue::Num(7.0)).unwrap(), 7);
     }
 }

@@ -21,10 +21,12 @@
 //! so no JSON line can start with it); anything else is handed to the v1
 //! line reader.
 //!
-//! [`types`] holds the domain-type codecs (snapshots, fingerprint
-//! databases, configs, ingest reports) in both directions for both
-//! protocols; message-level `Request`/`Response` codecs live next to the
-//! message types in `tafloc-serve`.
+//! Every type that crosses the wire or the disk implements one trait,
+//! [`Codec`], with four directions: v1 JSON write and read, binary encode and
+//! decode. The [`schema!`] macro ([`schema`]) generates it from one list of a
+//! type's fields; [`types`] declares the domain types (snapshots,
+//! fingerprint databases, configs, ingest reports, planner and solver state),
+//! and `tafloc-serve` declares its messages the same way.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -33,8 +35,10 @@ pub mod codec;
 pub mod error;
 pub mod frame;
 pub mod json;
+pub mod schema;
 pub mod types;
 
 pub use codec::{crc32, Dec, Enc};
 pub use error::{Result, WireError};
 pub use json::{JsonValue, JsonWriter};
+pub use schema::{from_bytes, from_json, Codec};
