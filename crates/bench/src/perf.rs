@@ -10,7 +10,7 @@
 //! regression.
 
 use std::path::{Path, PathBuf};
-use taf_testkit::json::Json;
+use taf_testkit::json::{GoldenJson, Json};
 
 /// The workspace root, resolved at compile time relative to this crate.
 /// Benches may be invoked from any working directory (CI runs them from the

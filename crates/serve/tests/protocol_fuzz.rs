@@ -6,11 +6,63 @@
 //! bytes, pathological newline placement, tiny `BufReader` capacities — and
 //! assert the sniffing decoder never panics and always terminates: every
 //! message attempt yields `Ok`/`Err` and the stream drains to EOF in bounded
-//! steps.
+//! steps. Hand-built v2 payloads with hostile element counts check that a
+//! decoder never reserves memory its payload cannot back.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::{BufReader, Cursor};
+use taf_linalg::Matrix;
+use taf_wire::{Codec, Enc};
+use tafloc_core::system::TafLocConfig;
 use tafloc_serve::protocol::Request;
-use tafloc_serve::wire::{read_request, write_request, WireVersion};
+use tafloc_serve::wire::{read_request, v2, write_request, WireVersion};
+
+/// Records the largest single allocation made on a thread while it is armed.
+struct LargestAlloc;
+
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            LARGEST.with(|largest| largest.set(largest.get().max(size)));
+        }
+    });
+}
+
+unsafe impl GlobalAlloc for LargestAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LargestAlloc = LargestAlloc;
+
+/// Runs `f` with the allocator armed on this thread; returns its result and
+/// the largest single allocation it made.
+fn largest_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|largest| largest.set(0));
+    ARMED.with(|armed| armed.set(true));
+    let out = f();
+    ARMED.with(|armed| armed.set(false));
+    (out, LARGEST.with(Cell::get))
+}
 
 fn xorshift(state: &mut u64) -> u64 {
     let mut x = *state;
@@ -168,5 +220,155 @@ fn pathological_newline_runs_terminate_quickly() {
     match read_request(&mut reader, &mut version) {
         Ok(None) => {}
         other => panic!("expected clean EOF through blank lines, got {other:?}"),
+    }
+}
+
+/// The element count at the `MAX_ELEMENTS` cap, the largest a count could
+/// claim before decoders also bounded it by the bytes left.
+const HOSTILE_COUNT: usize = 1 << 28;
+
+/// v2 payloads whose element counts or matrix shapes promise far more data
+/// than they carry.
+fn hostile_payloads() -> Vec<(&'static str, bool, Vec<u8>)> {
+    let payload = |build: &dyn Fn(&mut Enc)| {
+        let mut e = Enc::new();
+        build(&mut e);
+        e.into_inner()
+    };
+    vec![
+        // 17 bytes: tag, empty site, then the count of `ys`.
+        (
+            "locate-batch",
+            true,
+            payload(&|e| {
+                e.u8(6);
+                e.str("");
+                e.usize(HOSTILE_COUNT);
+            }),
+        ),
+        // 26 bytes: tag, empty site, no ref cell, day, then the sample count.
+        (
+            "ingest",
+            true,
+            payload(&|e| {
+                e.u8(7);
+                e.str("");
+                e.u8(0);
+                e.f64(0.0);
+                e.usize(HOSTILE_COUNT);
+            }),
+        ),
+        (
+            "locate",
+            true,
+            payload(&|e| {
+                e.u8(4);
+                e.str("");
+                e.usize(HOSTILE_COUNT);
+            }),
+        ),
+        (
+            "remove-site name",
+            true,
+            payload(&|e| {
+                e.u8(2);
+                e.usize(HOSTILE_COUNT);
+            }),
+        ),
+        // An add-site snapshot whose fingerprint database claims 2^28 links.
+        (
+            "add-site links",
+            true,
+            payload(&|e| {
+                e.u8(1);
+                e.str("");
+                TafLocConfig::default().encode(e);
+                e.matrix(&Matrix::zeros(0, 0));
+                e.usize(HOSTILE_COUNT);
+            }),
+        ),
+        (
+            "measure-refs shape",
+            true,
+            payload(&|e| {
+                e.u8(10);
+                e.str("");
+                e.f64(0.0);
+                e.usize(1 << 14);
+                e.usize(1 << 14);
+            }),
+        ),
+        (
+            "sites",
+            false,
+            payload(&|e| {
+                e.u8(4);
+                e.usize(HOSTILE_COUNT);
+            }),
+        ),
+        (
+            "located-batch",
+            false,
+            payload(&|e| {
+                e.u8(7);
+                e.usize(HOSTILE_COUNT);
+            }),
+        ),
+        // Stats: uptime and the eight connection/wire counters, then the
+        // endpoint count.
+        (
+            "stats endpoints",
+            false,
+            payload(&|e| {
+                e.u8(13);
+                e.f64(0.0);
+                for _ in 0..8 {
+                    e.u64(0);
+                }
+                e.usize(HOSTILE_COUNT);
+            }),
+        ),
+    ]
+}
+
+#[test]
+fn hostile_counts_never_drive_a_large_allocation() {
+    const LIMIT: usize = 1 << 20;
+    for (name, is_request, payload) in hostile_payloads() {
+        let (decoded, largest) = largest_alloc(|| {
+            if is_request {
+                v2::decode_request(&payload).map(|_| ())
+            } else {
+                v2::decode_response(&payload).map(|_| ())
+            }
+        });
+        assert!(
+            decoded.is_err(),
+            "{name}: a {}-byte payload cannot hold its elements",
+            payload.len()
+        );
+        assert!(
+            largest <= LIMIT,
+            "{name}: {}-byte payload allocated {largest} bytes at once",
+            payload.len()
+        );
+    }
+}
+
+#[test]
+fn an_empty_matrix_of_any_shape_still_decodes() {
+    // A 100x0 matrix holds no data, so its shape needs no payload behind it,
+    // even where its row count exceeds the bytes left.
+    let req = Request::MeasureRefs {
+        site: "lab".into(),
+        day: 1.0,
+        columns: Matrix::zeros(100, 0),
+        empty: vec![],
+    };
+    let mut payload = Vec::new();
+    v2::encode_request(&req, &mut payload);
+    match v2::decode_request(&payload) {
+        Ok(Request::MeasureRefs { columns, .. }) => assert_eq!(columns.shape(), (100, 0)),
+        other => panic!("expected the 100x0 measure-refs back, got {other:?}"),
     }
 }

@@ -1,347 +1,101 @@
-//! A deliberately tiny JSON layer for golden files.
+//! The golden-file form of JSON: `taf-wire`'s value type, printed with
+//! two-space indentation.
 //!
 //! Golden baselines must be **byte-identical** across runs for the same-seed
 //! determinism gate, which rules out anything whose output depends on map
-//! iteration order or library version. This module owns the whole byte
-//! format: objects are ordered vectors (emit order == insertion order), and
-//! numbers are printed with `f64`'s `Display` (shortest round-trip form), so
-//! identical bits in produce identical bytes out.
-//!
-//! The parser is a minimal recursive-descent reader for the same subset —
-//! enough to read goldens back and to accept hand-edited files. It is not a
-//! general-purpose JSON library and does not try to be.
+//! iteration order or library version. Values are `taf_wire`'s
+//! [`JsonValue`](taf_wire::JsonValue), whose objects are ordered vectors
+//! (emit order == insertion order), and documents are read back through the
+//! canonical reader [`taf_wire::json::parse`]. This module owns only the
+//! pretty form: numbers print with `f64`'s `Display` (shortest round-trip
+//! form), so identical bits in produce identical bytes out.
 
-use std::fmt::Write as _;
+use std::io::Write as _;
+use taf_wire::JsonWriter;
 
-/// A parsed JSON value. Objects preserve insertion/parse order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (always carried as `f64`; exact for integers < 2^53).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object as an ordered key/value list.
-    Obj(Vec<(String, Json)>),
+pub use taf_wire::JsonValue as Json;
+
+/// Parses a golden document (or a hand-edited one) through the canonical
+/// JSON reader.
+pub fn parse(text: &str) -> Result<Json, String> {
+    taf_wire::json::parse(text).map_err(|e| e.to_string())
 }
 
-impl Json {
-    /// Object field lookup (first match).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Numeric view.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// String view.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
+/// Golden-file helpers on a JSON value.
+pub trait GoldenJson {
     /// Required numeric field, with a path-bearing error.
-    pub fn num_field(&self, key: &str) -> Result<f64, String> {
+    fn num_field(&self, key: &str) -> Result<f64, String>;
+    /// Required string field, with a path-bearing error.
+    fn str_field(&self, key: &str) -> Result<String, String>;
+    /// Pretty-prints with two-space indentation and a trailing newline —
+    /// the canonical golden-file form.
+    fn to_pretty(&self) -> String;
+}
+
+impl GoldenJson for Json {
+    fn num_field(&self, key: &str) -> Result<f64, String> {
         self.get(key)
-            .and_then(Json::as_f64)
+            .and_then(Json::as_num)
             .ok_or_else(|| format!("missing or non-numeric field `{key}`"))
     }
 
-    /// Required string field, with a path-bearing error.
-    pub fn str_field(&self, key: &str) -> Result<String, String> {
+    fn str_field(&self, key: &str) -> Result<String, String> {
         self.get(key)
             .and_then(Json::as_str)
             .map(str::to_string)
             .ok_or_else(|| format!("missing or non-string field `{key}`"))
     }
 
-    /// Pretty-prints with two-space indentation and a trailing newline —
-    /// the canonical golden-file form.
-    pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, 0);
-        out.push('\n');
-        out
+    fn to_pretty(&self) -> String {
+        let mut out = Vec::new();
+        write_pretty(self, &mut out, 0);
+        out.push(b'\n');
+        String::from_utf8(out).expect("JSON text is UTF-8")
     }
+}
 
-    fn write(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(v) => {
-                // JSON has no NaN/inf; goldens must never contain them.
-                assert!(v.is_finite(), "golden metrics must be finite, got {v}");
-                let _ = write!(out, "{v}");
+fn write_pretty(v: &Json, out: &mut Vec<u8>, indent: usize) {
+    match v {
+        Json::Null => out.extend_from_slice(b"null"),
+        Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+        Json::Num(n) => {
+            // JSON has no NaN/inf; goldens must never contain them.
+            assert!(n.is_finite(), "golden metrics must be finite, got {n}");
+            write!(out, "{n}").expect("write to Vec cannot fail");
+        }
+        Json::Str(s) => JsonWriter::new(out).str_val(s),
+        Json::Arr(items) if items.is_empty() => out.extend_from_slice(b"[]"),
+        Json::Arr(items) => {
+            out.push(b'[');
+            for (i, item) in items.iter().enumerate() {
+                newline(out, i > 0, indent + 1);
+                write_pretty(item, out, indent + 1);
             }
-            Json::Str(s) => write_escaped(out, s),
-            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.write(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
+            newline(out, false, indent);
+            out.push(b']');
+        }
+        Json::Obj(fields) if fields.is_empty() => out.extend_from_slice(b"{}"),
+        Json::Obj(fields) => {
+            out.push(b'{');
+            for (i, (k, v)) in fields.iter().enumerate() {
+                newline(out, i > 0, indent + 1);
+                JsonWriter::new(out).str_val(k);
+                out.extend_from_slice(b": ");
+                write_pretty(v, out, indent + 1);
             }
-            Json::Obj(fields) if fields.is_empty() => out.push_str("{}"),
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
+            newline(out, false, indent);
+            out.push(b'}');
         }
     }
 }
 
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
+/// An optional separating comma, then a newline and `indent` levels.
+fn newline(out: &mut Vec<u8>, comma: bool, indent: usize) {
+    if comma {
+        out.push(b',');
     }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Parses a JSON document (the subset this module emits, plus arbitrary
-/// whitespace). Returns the value or a position-bearing error.
-pub fn parse(text: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        token
-            .parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number `{token}` at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let Some(c) = self.peek() else {
-                return Err("unterminated string".into());
-            };
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err("unterminated escape".into());
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err("truncated \\u escape".into());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape `{hex}`"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(format!("bad escape `\\{}`", other as char)),
-                    }
-                }
-                c => {
-                    // Re-assemble UTF-8 continuation bytes verbatim.
-                    if c < 0x80 {
-                        out.push(c as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let mut end = self.pos;
-                        while end < self.bytes.len() && self.bytes[end] & 0xC0 == 0x80 {
-                            end += 1;
-                        }
-                        out.push_str(
-                            std::str::from_utf8(&self.bytes[start..end])
-                                .map_err(|_| "invalid UTF-8 in string".to_string())?,
-                        );
-                        self.pos = end;
-                    }
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-            }
-        }
-    }
+    out.push(b'\n');
+    out.extend(std::iter::repeat(b' ').take(2 * indent));
 }
 
 #[cfg(test)]
@@ -369,7 +123,7 @@ mod tests {
         let v = Json::Num(0.1 + 0.2);
         let text = v.to_pretty();
         assert_eq!(text.trim(), "0.30000000000000004");
-        assert_eq!(parse(&text).unwrap().as_f64().unwrap().to_bits(), (0.1f64 + 0.2).to_bits());
+        assert_eq!(parse(&text).unwrap().as_num().unwrap().to_bits(), (0.1f64 + 0.2).to_bits());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! identical runs produce byte-identical files — that property *is* the
 //! same-seed determinism gate.
 
-use crate::json::{self, Json};
+use crate::json::{self, GoldenJson, Json};
 use tafloc_core::eval::ErrorSummary;
 
 /// Localization + stream-health metrics for one evaluation pass (one day).
