@@ -21,9 +21,10 @@
 //! ```
 //!
 //! The `serde` derives on these types are kept as the *reference* encoding:
-//! the hand-rolled v1 codec in [`crate::wire::v1`] is tested byte-for-byte
-//! against them, so a build with the real `serde_json` and the bundled
-//! zero-dependency codec speak identical bytes.
+//! the v1 codec in [`crate::wire::v1`], generated from the message schema
+//! like the v2 one, is tested byte-for-byte against them, so a build with
+//! the real `serde_json` and the bundled zero-dependency codec speak
+//! identical bytes.
 
 use crate::maintenance::MaintenancePolicy;
 use serde::{Deserialize, Serialize};

@@ -16,30 +16,6 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-echo "==> cargo test -p tafloc-serve --test protocol_fuzz  (decoder fuzz)"
-cargo test -q -p tafloc-serve --test protocol_fuzz
-
-# The wire crate is the serialization boundary for the whole serve plane;
-# gate it by name, plus the end-to-end conformance suite (round-trips, derive
-# byte-compat, version negotiation).
-echo "==> cargo test -q -p taf-wire  (wire codecs)"
-cargo test -q -p taf-wire
-
-echo "==> cargo test -q -p tafloc-serve --test wire_roundtrip  (wire conformance)"
-cargo test -q -p tafloc-serve --test wire_roundtrip
-
-# Sharding gates, by name: the ring proptests, the admission-control
-# conservation test, and the kill-9/restart battery (shard_serving runs the
-# daemon at both --shards 1 and --shards 4).
-echo "==> cargo test -q -p tafloc-serve --test shard_ring  (shard ring proptests)"
-cargo test -q -p tafloc-serve --test shard_ring
-
-echo "==> cargo test -q -p tafloc-ingest --test backpressure  (admission conservation)"
-cargo test -q -p tafloc-ingest --test backpressure
-
-echo "==> cargo test -q -p tafloc-serve --test shard_serving  (sharded daemon battery)"
-cargo test -q -p tafloc-serve --test shard_serving
-
 # crash-harness: the kill -9 battery in release mode — journaled survey
 # replay, capture-round recovery, plan/warm resumption, all with torn-write
 # damage injected between kill and restart — plus the store-corruption

@@ -6,10 +6,9 @@
 //! companion `serde_json` stub converts between `Value` and text. The
 //! surface is exactly what this workspace touches — no more.
 //!
-//! One deliberate gap: `u8` does not serialize. `serde_json::to_string(&0u8)`
-//! failing is the workspace's sentinel for "running against the stub"
-//! (see `crates/serve/tests/restart.rs`), which keeps the networked
-//! end-to-end tests gated off in offline builds.
+//! One deliberate gap: `u8` does not serialize, so
+//! `serde_json::to_string(&0u8)` fails against the stub. Nothing in the
+//! workspace probes for it any more.
 
 use std::fmt;
 
