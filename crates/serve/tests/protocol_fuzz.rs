@@ -223,8 +223,8 @@ fn pathological_newline_runs_terminate_quickly() {
     }
 }
 
-/// The element count at the `MAX_ELEMENTS` cap, the largest a count could
-/// claim before decoders also bounded it by the bytes left.
+/// An element count at the `MAX_ELEMENTS` cap, which the cap alone lets
+/// through.
 const HOSTILE_COUNT: usize = 1 << 28;
 
 /// v2 payloads whose element counts or matrix shapes promise far more data

@@ -76,17 +76,6 @@ impl JsonValue {
             _ => None,
         }
     }
-    /// The key/value pairs, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-    /// True for `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
 }
 
 // ---------------------------------------------------------------------------
