@@ -236,14 +236,16 @@ impl<'a> Dec<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
     }
     /// Reads a matrix (`rows, cols`, row-major data), validating the shape:
-    /// the data must fit in the bytes left, so an empty matrix of any shape
-    /// stays valid while a hostile shape never reaches the allocator.
+    /// neither dimension may exceed [`MAX_ELEMENTS`], and the data must fit
+    /// in the bytes left, so an empty matrix (`100x0`) stays valid at the end
+    /// of a payload while a hostile shape never reaches the allocator.
     pub fn matrix(&mut self) -> Result<Matrix> {
         let rows = self.usize()?;
         let cols = self.usize()?;
+        let remaining = self.remaining();
         let len = rows
             .checked_mul(cols)
-            .filter(|&n| n.checked_mul(8).is_some_and(|bytes| bytes <= self.remaining()))
+            .filter(|&n| rows.max(cols) <= MAX_ELEMENTS && n <= remaining / 8)
             .ok_or_else(|| WireError::malformed("matrix shape is implausible"))?;
         let mut data = Vec::with_capacity(len);
         for _ in 0..len {

@@ -23,7 +23,7 @@
 //!
 //! Every type that crosses the wire or the disk implements one trait,
 //! [`Codec`], with four directions: v1 JSON write and read, binary encode and
-//! decode. The [`schema!`] macro ([`schema`]) generates it from one list of a
+//! decode. The [`schema!`] macro ([`mod@schema`]) generates it from one list of a
 //! type's fields; [`types`] declares the domain types (snapshots,
 //! fingerprint databases, configs, ingest reports, planner and solver state),
 //! and `tafloc-serve` declares its messages the same way.

@@ -349,7 +349,7 @@ impl Codec for Matrix {
 }
 
 /// Declares a type's fields once and generates its [`Codec`] impl; see the
-/// [module docs](crate::schema) for the forms.
+/// [module docs](mod@crate::schema) for the forms.
 ///
 /// ```text
 /// schema! { struct LinkSample { link: usize, t_s: f64, rss_dbm: f64 } }
