@@ -301,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn enc_dec_round_trips_every_primitive() {
+    fn every_primitive_round_trips() {
         let m = Matrix::from_vec(2, 3, vec![1.0, -2.5, f64::NAN, 0.0, 1e300, -0.0]).unwrap();
         let mut e = Enc::new();
         e.u8(7);
@@ -341,7 +341,7 @@ mod tests {
     }
 
     #[test]
-    fn dec_flags_truncation_and_trailing_bytes() {
+    fn truncation_and_trailing_bytes_are_flagged() {
         let mut e = Enc::new();
         e.u64(1);
         let mut buf = e.into_inner();
@@ -354,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn dec_rejects_implausible_counts() {
+    fn implausible_counts_are_rejected() {
         let mut e = Enc::new();
         e.usize(MAX_ELEMENTS + 1);
         let buf = e.into_inner();
