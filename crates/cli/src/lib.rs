@@ -144,14 +144,16 @@ pub struct StreamFile {
 // JSON helpers
 // ----------------------------------------------------------------------
 
-fn read_json<T: for<'de> Deserialize<'de>>(path: &Path) -> Result<T> {
+/// Reads one CLI file: a JSON document of type `T`.
+pub fn read_json<T: for<'de> Deserialize<'de>>(path: &Path) -> Result<T> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError(format!("cannot read {}: {e}", path.display())))?;
     serde_json::from_str(&text)
         .map_err(|e| CliError(format!("cannot parse {}: {e}", path.display())))
 }
 
-fn write_json<T: Serialize>(path: &Path, value: &T) -> Result<()> {
+/// Writes one CLI file: `value` as compact JSON.
+pub fn write_json<T: Serialize>(path: &Path, value: &T) -> Result<()> {
     let text = serde_json::to_string(value)
         .map_err(|e| CliError(format!("cannot serialize for {}: {e}", path.display())))?;
     std::fs::write(path, text)
