@@ -31,11 +31,11 @@
 // the numerical kernels.
 #![allow(clippy::neg_cmp_op_on_partial_ord, clippy::needless_range_loop)]
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use taf_linalg::Matrix;
-use taf_rfsim::{campaign, World, WorldConfig};
+use taf_rfsim::{campaign, RawSample, World, WorldConfig};
+use taf_wire::{schema, Codec, JsonWriter};
 use tafloc_core::db::FingerprintDb;
 use tafloc_core::system::{SystemSnapshot, TafLoc, TafLocConfig};
 
@@ -83,7 +83,7 @@ pub type Result<T> = std::result::Result<T, CliError>;
 // ----------------------------------------------------------------------
 
 /// A pinned simulated environment: configuration plus seed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorldFile {
     /// Simulator configuration.
     pub config: WorldConfig,
@@ -91,15 +91,23 @@ pub struct WorldFile {
     pub seed: u64,
 }
 
-impl WorldFile {
-    /// Instantiates the world this file pins.
-    pub fn build(&self) -> World {
-        World::new(self.config.clone(), self.seed)
-    }
+schema! { struct WorldFile { config: WorldConfig, seed: u64 } }
+
+/// The largest seed a world file keeps exactly: JSON numbers are doubles.
+const MAX_SEED: u64 = 1 << 53;
+
+/// Reads a world file and instantiates the world it pins. A config
+/// [`World::new`] would panic on is refused here instead.
+fn read_world(path: &Path) -> Result<World> {
+    let file: WorldFile = read_json(path)?;
+    file.config
+        .validate()
+        .map_err(|e| CliError(format!("cannot parse {}: {e}", path.display())))?;
+    Ok(World::new(file.config, file.seed))
 }
 
 /// A full site survey: the fingerprint database plus the empty-room baseline.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SurveyFile {
     /// Day the survey was taken.
     pub day: f64,
@@ -109,8 +117,10 @@ pub struct SurveyFile {
     pub empty: Vec<f64>,
 }
 
+schema! { struct SurveyFile { day: f64, db: FingerprintDb, empty: Vec<f64> } }
+
 /// A reference-location measurement set (the cheap update input).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RefsFile {
     /// Day the references were measured.
     pub day: f64,
@@ -122,8 +132,10 @@ pub struct RefsFile {
     pub empty: Vec<f64>,
 }
 
+schema! { struct RefsFile { day: f64, cells: Vec<usize>, columns: Matrix, empty: Vec<f64> } }
+
 /// One live measurement vector.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SnapshotFile {
     /// Day of the measurement.
     pub day: f64,
@@ -131,31 +143,35 @@ pub struct SnapshotFile {
     pub y: Vec<f64>,
 }
 
+schema! { struct SnapshotFile { day: f64, y: Vec<f64> } }
+
 /// A raw per-link sample stream, as radios would deliver it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StreamFile {
     /// Day of the recording.
     pub day: f64,
     /// Raw samples in delivery order.
-    pub samples: Vec<taf_rfsim::RawSample>,
+    pub samples: Vec<RawSample>,
 }
+
+schema! { struct StreamFile { day: f64, samples: Vec<RawSample> } }
 
 // ----------------------------------------------------------------------
 // JSON helpers
 // ----------------------------------------------------------------------
 
 /// Reads one CLI file: a JSON document of type `T`.
-pub fn read_json<T: for<'de> Deserialize<'de>>(path: &Path) -> Result<T> {
+pub fn read_json<T: Codec>(path: &Path) -> Result<T> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| CliError(format!("cannot read {}: {e}", path.display())))?;
-    serde_json::from_str(&text)
+    taf_wire::from_json(&text)
         .map_err(|e| CliError(format!("cannot parse {}: {e}", path.display())))
 }
 
 /// Writes one CLI file: `value` as compact JSON.
-pub fn write_json<T: Serialize>(path: &Path, value: &T) -> Result<()> {
-    let text = serde_json::to_string(value)
-        .map_err(|e| CliError(format!("cannot serialize for {}: {e}", path.display())))?;
+pub fn write_json<T: Codec>(path: &Path, value: &T) -> Result<()> {
+    let mut text = Vec::new();
+    value.write_json(&mut JsonWriter::new(&mut text));
     std::fs::write(path, text)
         .map_err(|e| CliError(format!("cannot write {}: {e}", path.display())))
 }
@@ -242,6 +258,12 @@ impl Args {
 /// `new-world`: pins a simulated environment to a file.
 pub fn cmd_new_world(args: &Args) -> Result<String> {
     let seed: u64 = args.num("seed", 1)?;
+    if seed > MAX_SEED {
+        return Err(CliError(format!(
+            "--seed must be at most 2^53 = {MAX_SEED}, the largest integer a JSON number \
+             holds exactly; got {seed}"
+        )));
+    }
     let out = args.path("out")?;
     let config = if args.switch("small") {
         WorldConfig::small_test()
@@ -252,9 +274,8 @@ pub fn cmd_new_world(args: &Args) -> Result<String> {
     } else {
         WorldConfig::paper_default()
     };
-    let file = WorldFile { config, seed };
-    let world = file.build();
-    write_json(&out, &file)?;
+    let world = World::new(config.clone(), seed);
+    write_json(&out, &WorldFile { config, seed })?;
     Ok(format!(
         "world written to {} ({} links, {} cells, seed {seed})",
         out.display(),
@@ -265,11 +286,10 @@ pub fn cmd_new_world(args: &Args) -> Result<String> {
 
 /// `survey`: simulates the full site survey.
 pub fn cmd_survey(args: &Args) -> Result<String> {
-    let world_file: WorldFile = read_json(&args.path("world")?)?;
+    let world = read_world(&args.path("world")?)?;
     let day: f64 = args.num("day", 0.0)?;
     let samples: usize = args.num("samples", 100)?;
     let out = args.path("out")?;
-    let world = world_file.build();
     let rss = campaign::full_calibration(&world, day, samples);
     let empty = campaign::empty_snapshot(&world, day, samples);
     let db = FingerprintDb::from_world(rss, &world)?;
@@ -295,12 +315,11 @@ pub fn cmd_calibrate(args: &Args) -> Result<String> {
 
 /// `measure-refs`: simulates measuring the system's reference cells.
 pub fn cmd_measure_refs(args: &Args) -> Result<String> {
-    let world_file: WorldFile = read_json(&args.path("world")?)?;
+    let world = read_world(&args.path("world")?)?;
     let snapshot: SystemSnapshot = read_json(&args.path("system")?)?;
     let day: f64 = args.num_required("day")?;
     let samples: usize = args.num("samples", 100)?;
     let out = args.path("out")?;
-    let world = world_file.build();
     let sys = TafLoc::from_snapshot(snapshot)?;
     let cells = sys.reference_cells().to_vec();
     let columns = campaign::measure_columns(&world, day, &cells, samples);
@@ -473,12 +492,11 @@ pub fn cmd_update(args: &Args) -> Result<String> {
 
 /// `snapshot`: simulates one live measurement with the target in a cell.
 pub fn cmd_snapshot(args: &Args) -> Result<String> {
-    let world_file: WorldFile = read_json(&args.path("world")?)?;
+    let world = read_world(&args.path("world")?)?;
     let day: f64 = args.num_required("day")?;
     let cell: usize = args.num_required("cell")?;
     let samples: usize = args.num("samples", 100)?;
     let out = args.path("out")?;
-    let world = world_file.build();
     if cell >= world.num_cells() {
         return Err(CliError(format!(
             "cell {cell} out of range (world has {} cells)",
@@ -582,11 +600,7 @@ pub fn cmd_serve(args: &Args) -> Result<String> {
         eprintln!("warning: skipped snapshot {}: {}", issue.path.display(), issue.reason);
     }
     if let Some(system_path) = args.optional("system") {
-        // Read through the wire schema, the same path as `taflocd --system`.
-        let text = std::fs::read_to_string(system_path)
-            .map_err(|e| CliError(format!("cannot read {system_path}: {e}")))?;
-        let snapshot = taf_wire::from_json::<SystemSnapshot>(&text)
-            .map_err(|e| CliError(format!("cannot parse {system_path}: {e}")))?;
+        let snapshot: SystemSnapshot = read_json(Path::new(system_path))?;
         let system = TafLoc::from_snapshot(snapshot)?;
         let site = args.optional("site").unwrap_or("default");
         let day: f64 = args.num("day", 0.0)?;
@@ -607,7 +621,7 @@ pub fn cmd_serve(args: &Args) -> Result<String> {
 /// before any windowing/averaging) for a stationary scene.
 pub fn cmd_gen_stream(args: &Args) -> Result<String> {
     use taf_rfsim::{stream, StreamConfig};
-    let world_file: WorldFile = read_json(&args.path("world")?)?;
+    let world = read_world(&args.path("world")?)?;
     let day: f64 = args.num("day", 0.0)?;
     let out = args.path("out")?;
     let config = StreamConfig {
@@ -618,7 +632,6 @@ pub fn cmd_gen_stream(args: &Args) -> Result<String> {
         reorder_prob: args.num("reorder", StreamConfig::default().reorder_prob)?,
     };
     let stream_seed: u64 = args.num("stream-seed", 1)?;
-    let world = world_file.build();
     let samples = match args.optional("cell") {
         Some(c) => {
             let cell: usize =

@@ -204,6 +204,49 @@ fn missing_files_produce_clean_errors() {
 }
 
 #[test]
+fn malformed_files_produce_clean_errors() {
+    let dir = TempDir::new("malformed");
+    let world = dir.file("world.json");
+    let survey = dir.file("survey.json");
+    let bad = dir.file("bad.json");
+    let out = dir.file("out.json");
+    run("new-world", &args(&["--seed", "3", "--out", &world, "--small"])).unwrap();
+    run("survey", &args(&["--world", &world, "--out", &survey, "--samples", "5"])).unwrap();
+    // Writes `text` to the bad file with one value replaced.
+    let edit = |text: &str, from: &str, to: &str| {
+        assert!(text.contains(from), "{from} not in {text}");
+        std::fs::write(&bad, text.replacen(from, to, 1)).unwrap();
+    };
+
+    // Grid shapes `FloorGrid::new` asserts on, then values `World::new`
+    // asserts on: each must be refused before a world is built.
+    let text = std::fs::read_to_string(&world).unwrap();
+    for (from, to) in [
+        (r#""nx":5"#, r#""nx":0"#),
+        (r#""cell_size":0.6"#, r#""cell_size":-1"#),
+        (r#""num_links":6"#, r#""num_links":0"#),
+        (r#""decorrelation_m":4"#, r#""decorrelation_m":0"#),
+        (r#""tau_days":40"#, r#""tau_days":0"#),
+        (r#""tau_days":40"#, r#""tau_days":-1"#),
+        (r#""entry_fast_tau_days":0.5"#, r#""entry_fast_tau_days":0"#),
+    ] {
+        edit(&text, from, to);
+        let e = run("survey", &args(&["--world", &bad, "--out", &out])).unwrap_err();
+        assert!(e.0.contains(&bad), "{to}: {e}");
+    }
+
+    // A survey whose rss has 30 columns for a 24-cell grid.
+    edit(&std::fs::read_to_string(&survey).unwrap(), r#""nx":5"#, r#""nx":4"#);
+    let e = run("calibrate", &args(&["--survey", &bad, "--out", &out])).unwrap_err();
+    assert!(e.0.contains(&bad), "{e}");
+
+    // A seed above 2^53 would be written as a different number.
+    let e = run("new-world", &args(&["--seed", "9007199254740993", "--out", &out])).unwrap_err();
+    assert!(e.0.contains("--seed"), "{e}");
+    assert!(!std::path::Path::new(&out).exists(), "nothing may be written");
+}
+
+#[test]
 fn snapshot_rejects_out_of_range_cell() {
     let dir = TempDir::new("badcell");
     let world = dir.file("world.json");

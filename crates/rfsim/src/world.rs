@@ -71,6 +71,28 @@ impl WorldConfig {
         }
     }
 
+    /// Checks the values [`World::new`] asserts on, so a config read from a
+    /// file is refused with a reason instead of a panic: at least one link
+    /// ([`Deployment::perimeter`]), a positive decorrelation distance (the
+    /// shadowing covariance's Cholesky factor) and positive drift time
+    /// constants ([`OuProcess::new`]). The grid checks its own shape when it
+    /// is built.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.num_links == 0 {
+            return Err("num_links must be at least 1".into());
+        }
+        for (field, value) in [
+            ("shadowing.decorrelation_m", self.shadowing.decorrelation_m),
+            ("drift.tau_days", self.drift.tau_days),
+            ("drift.entry_fast_tau_days", self.drift.entry_fast_tau_days),
+        ] {
+            if !(value > 0.0) {
+                return Err(format!("{field} must be positive, got {value}"));
+            }
+        }
+        Ok(())
+    }
+
     /// A square monitored region with the paper's 0.6 m cell size and `edge_m`
     /// meters on a side — the Fig. 4 area sweep. Link count stays at 10 as in the
     /// paper's deployment.

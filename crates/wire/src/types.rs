@@ -19,8 +19,14 @@ use crate::json::{JsonValue, JsonWriter};
 use crate::schema::{encode_seq, field, write_seq, Codec};
 use taf_linalg::Matrix;
 use taf_plan::{HistoryWindow, MeasurementPlan, PlanEntry, PlanPolicy, SurveyRecord};
+use taf_rfsim::drift::DriftConfig;
 use taf_rfsim::geometry::{Point, Segment};
 use taf_rfsim::grid::FloorGrid;
+use taf_rfsim::noise::NoiseConfig;
+use taf_rfsim::pathloss::LogDistance;
+use taf_rfsim::shadowing::ShadowingConfig;
+use taf_rfsim::target::TargetModel;
+use taf_rfsim::{EnvironmentEvent, RawSample, WorldConfig};
 use tafloc_core::db::FingerprintDb;
 use tafloc_core::loli_ir::{LoliIrConfig, WarmState};
 use tafloc_core::matcher::MatchMethod;
@@ -153,11 +159,67 @@ crate::schema! {
     }
 }
 
-// Planner state lives only inside the snapshot store's payload, never on
-// the client wire, so it has no JSON form to stay byte-compatible with.
-crate::schema! { enum PlanPolicy: binary { UncertaintyGreedy = 0, FixedSchedule = 1 } }
+// The CLI's world file.
+crate::schema! {
+    struct WorldConfig {
+        grid: FloorGrid,
+        num_links: usize,
+        deployment_margin: f64,
+        pathloss: LogDistance,
+        shadowing: ShadowingConfig,
+        target: TargetModel,
+        drift: DriftConfig,
+        noise: NoiseConfig,
+        events: Vec<EnvironmentEvent>,
+    }
+}
 
-crate::schema! { struct PlanEntry: binary { ref_slot: usize, links: Vec<usize> } }
+crate::schema! { struct LogDistance { p0_dbm: f64, d0: f64, exponent: f64 } }
+
+crate::schema! { struct ShadowingConfig { sigma_db: f64, decorrelation_m: f64 } }
+
+crate::schema! {
+    struct TargetModel { max_attenuation_db: f64, decay_m: f64, scatter_db: f64, scatter_freq: f64 }
+}
+
+crate::schema! {
+    struct DriftConfig {
+        link_sigma_db: f64,
+        entry_sigma_db: f64,
+        tau_days: f64,
+        entry_fast_sigma_db: f64,
+        entry_fast_tau_days: f64,
+    }
+}
+
+crate::schema! {
+    struct NoiseConfig { sigma_db: f64, quantization_db: f64, outlier_prob: f64, outlier_db: f64 }
+}
+
+crate::schema! {
+    struct EnvironmentEvent {
+        day: f64,
+        location: Point,
+        radius_m: f64,
+        link_delta_db: f64,
+        entry_delta_db: f64,
+    }
+}
+
+// The CLI's raw stream file.
+crate::schema! { struct RawSample { link: usize, t_s: f64, rss_dbm: f64 } }
+
+// Planner state travels in binary inside the snapshot store's payload; the
+// CLI's plan file is a `MeasurementPlan` in v1 JSON. A policy's v1 name is
+// its `--policy` name.
+crate::schema! {
+    enum PlanPolicy: external {
+        UncertaintyGreedy = 0 "uncertainty-greedy",
+        FixedSchedule = 1 "fixed-schedule",
+    }
+}
+
+crate::schema! { struct PlanEntry { ref_slot: usize, links: Vec<usize> } }
 
 crate::schema! { struct SurveyRecord: binary { epoch: u64, y: Vec<f64>, fresh: Vec<bool> } }
 
@@ -275,10 +337,20 @@ impl Codec for WarmState {
     }
 }
 
-/// The schedule position a restarted daemon resumes from (binary only).
-/// `links_for` binary-searches the entries, so a payload that lost their
-/// `ref_slot` order would silently mis-answer; decoding rejects it.
+/// The schedule position a restarted daemon resumes from, and the CLI's plan
+/// file. The CLI only writes plans, so v1 JSON has no reader. `links_for`
+/// binary-searches the entries, so a payload that lost their `ref_slot`
+/// order would silently mis-answer; decoding rejects it.
 impl Codec for MeasurementPlan {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_obj();
+        w.field("epoch", &self.epoch);
+        w.field("policy", &self.policy);
+        w.field("entries", &self.entries);
+        w.field("planned_cost", &self.planned_cost);
+        w.field("full_cost", &self.full_cost);
+        w.end_obj();
+    }
     fn encode(&self, e: &mut Enc) {
         self.epoch.encode(e);
         self.policy.encode(e);
@@ -425,6 +497,12 @@ mod tests {
         ] {
             let text = json_of(&m);
             assert_eq!(from_json::<MatchMethod>(&text).unwrap(), m);
+        }
+        // A policy's v1 name is its `--policy` name.
+        for p in [PlanPolicy::UncertaintyGreedy, PlanPolicy::FixedSchedule] {
+            let text = json_of(&p);
+            assert_eq!(text, format!("\"{p}\""));
+            assert_eq!(from_json::<PlanPolicy>(&text).unwrap(), p);
         }
     }
 
