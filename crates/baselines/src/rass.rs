@@ -14,14 +14,13 @@
 //! scheme ("RASS w/ rec."), demonstrating that the reconstruction transfers to
 //! other fingerprint systems.
 
-use serde::{Deserialize, Serialize};
 use taf_rfsim::geometry::Point;
 use tafloc_core::db::FingerprintDb;
 use tafloc_core::error::TaflocError;
 use tafloc_core::Result;
 
 /// RASS configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RassConfig {
     /// RSS drop (dB) below the empty-room level that makes a link "influential".
     pub influence_threshold_db: f64,

@@ -11,7 +11,6 @@
 //! accuracy is bounded by the ellipse model and the link density, which is why
 //! the paper shows TafLoc ahead of it.
 
-use serde::{Deserialize, Serialize};
 use taf_linalg::decomp::Cholesky;
 use taf_linalg::Matrix;
 use taf_rfsim::geometry::{Point, Segment};
@@ -20,7 +19,7 @@ use tafloc_core::error::TaflocError;
 use tafloc_core::Result;
 
 /// RTI configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RtiConfig {
     /// Excess-path-length threshold (m) defining each link's sensitive ellipse
     /// (the `λ` parameter of Wilson & Patwari's weight model).

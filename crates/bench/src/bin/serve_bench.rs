@@ -17,10 +17,7 @@
 //!    spraying locates (plus a trickle of ingest) across all sites; reported
 //!    as aggregate and per-shard req/s, so shard skew is visible.
 //!
-//! The wire codecs are hand-rolled in `taf-wire`, so this bench produces
-//! real numbers even in builds where serde_json is a compile-only stub (it
-//! used to skip itself there). The headline numbers land in
-//! `BENCH_serve.json` at the repo root in the canonical golden-file JSON
+//! The headline numbers land in `BENCH_serve.json` at the repo root in the canonical golden-file JSON
 //! form; CI's bench-smoke job re-generates the file in `--quick` mode.
 //!
 //! Usage: `cargo run --release -p taf-bench --bin serve_bench [--quick] [threads] [requests_per_thread] [workers]`

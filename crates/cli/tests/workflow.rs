@@ -2,7 +2,7 @@
 //! library API, plus one subprocess check of the installed binary.
 
 use std::path::PathBuf;
-use tafloc_cli::{run, Args};
+use tafloc_cli::{read_json, run, write_json, Args, RefsFile};
 
 struct TempDir(PathBuf);
 
@@ -180,11 +180,11 @@ fn update_rejects_mismatched_refs_file() {
     .unwrap();
 
     // Corrupt the refs file's cell list.
-    let text = std::fs::read_to_string(&refs).unwrap();
-    let mut parsed: serde_json::Value = serde_json::from_str(&text).unwrap();
-    parsed["cells"][0] = serde_json::json!(0);
-    parsed["cells"][1] = serde_json::json!(1);
-    std::fs::write(&refs, serde_json::to_string(&parsed).unwrap()).unwrap();
+    let path = std::path::Path::new(&refs);
+    let mut parsed: RefsFile = read_json(path).unwrap();
+    parsed.cells[0] = 0;
+    parsed.cells[1] = 1;
+    write_json(path, &parsed).unwrap();
 
     let err = run("update", &args(&["--system", &system, "--refs", &refs, "--out", &system]))
         .unwrap_err();
@@ -206,38 +206,35 @@ fn missing_files_produce_clean_errors() {
 #[test]
 fn malformed_files_produce_clean_errors() {
     let dir = TempDir::new("malformed");
-    let world = dir.file("world.json");
-    let survey = dir.file("survey.json");
     let bad = dir.file("bad.json");
     let out = dir.file("out.json");
-    run("new-world", &args(&["--seed", "3", "--out", &world, "--small"])).unwrap();
-    run("survey", &args(&["--world", &world, "--out", &survey, "--samples", "5"])).unwrap();
-    // Writes `text` to the bad file with one value replaced.
+    // Writes a committed corpus file to the bad file with one value replaced.
     let edit = |text: &str, from: &str, to: &str| {
         assert!(text.contains(from), "{from} not in {text}");
         std::fs::write(&bad, text.replacen(from, to, 1)).unwrap();
     };
 
-    // Grid shapes `FloorGrid::new` asserts on, then values `World::new`
-    // asserts on: each must be refused before a world is built.
-    let text = std::fs::read_to_string(&world).unwrap();
+    // Grid shapes `FloorGrid::new` asserts on, values `World::new` asserts
+    // on, and a reference distance that makes every RSS infinite: each must
+    // be refused before a world is built.
     for (from, to) in [
-        (r#""nx":5"#, r#""nx":0"#),
+        (r#""nx":3"#, r#""nx":0"#),
         (r#""cell_size":0.6"#, r#""cell_size":-1"#),
-        (r#""num_links":6"#, r#""num_links":0"#),
+        (r#""num_links":4"#, r#""num_links":0"#),
+        (r#""d0":1"#, r#""d0":0"#),
         (r#""decorrelation_m":4"#, r#""decorrelation_m":0"#),
         (r#""tau_days":40"#, r#""tau_days":0"#),
         (r#""tau_days":40"#, r#""tau_days":-1"#),
         (r#""entry_fast_tau_days":0.5"#, r#""entry_fast_tau_days":0"#),
     ] {
-        edit(&text, from, to);
+        edit(include_str!("corpus/world.json"), from, to);
         let e = run("survey", &args(&["--world", &bad, "--out", &out])).unwrap_err();
         assert!(e.0.contains(&bad), "{to}: {e}");
     }
 
-    // A survey whose rss has 30 columns for a 24-cell grid.
-    edit(&std::fs::read_to_string(&survey).unwrap(), r#""nx":5"#, r#""nx":4"#);
-    let e = run("calibrate", &args(&["--survey", &bad, "--out", &out])).unwrap_err();
+    // A survey whose rss has 6 columns for a 4-cell grid.
+    edit(include_str!("corpus/survey.json"), r#""nx":3"#, r#""nx":2"#);
+    let e = run("calibrate", &args(&["--survey", &bad, "--out", &out, "--refs", "2"])).unwrap_err();
     assert!(e.0.contains(&bad), "{e}");
 
     // A seed above 2^53 would be written as a different number.

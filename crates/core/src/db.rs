@@ -3,7 +3,6 @@
 
 use crate::error::TaflocError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use taf_linalg::Matrix;
 use taf_rfsim::geometry::Segment;
 use taf_rfsim::grid::FloorGrid;
@@ -14,7 +13,7 @@ use taf_rfsim::grid::FloorGrid;
 /// the RSS of every link when the target stands in cell `j` — exactly Fig. 1 of
 /// the paper. The struct also carries the link segments and the floor grid so the
 /// continuity/similarity operators and localization can reason geometrically.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FingerprintDb {
     rss: Matrix,
     links: Vec<Segment>,

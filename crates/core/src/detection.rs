@@ -13,10 +13,9 @@
 
 use crate::error::TaflocError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 
 /// Detection configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DetectorConfig {
     /// Snapshot alarm threshold (dB): max per-link drop that triggers instantly.
     pub snapshot_threshold_db: f64,

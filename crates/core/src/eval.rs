@@ -7,7 +7,6 @@
 
 use crate::error::TaflocError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use taf_linalg::stats::Ecdf;
 use taf_linalg::Matrix;
 use taf_rfsim::geometry::Point;
@@ -45,7 +44,7 @@ pub fn localization_error(estimate: &Point, truth: &Point) -> f64 {
 }
 
 /// Summary of one experiment's error sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErrorSummary {
     /// Arithmetic mean error.
     pub mean: f64,

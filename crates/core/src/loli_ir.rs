@@ -56,12 +56,11 @@ use crate::error::TaflocError;
 use crate::mask::Mask;
 use crate::operators::NeighborGraph;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use taf_linalg::decomp::cholesky::solve_in_place;
 use taf_linalg::{LinalgError, Matrix};
 
 /// LoLi-IR hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoliIrConfig {
     /// Factor rank `r` of `X̂ = L·Rᵀ`.
     pub rank: usize,
@@ -84,7 +83,6 @@ pub struct LoliIrConfig {
     /// declaring victory on one coincidentally-flat iteration of a solve that
     /// is still moving (the failure mode that made refreshes silently burn the
     /// whole `max_iters` budget instead: the tolerance was never *held*).
-    #[serde(default = "default_stall_iters")]
     pub stall_iters: usize,
     /// Anderson-style acceleration: after each sweep, extrapolate the factors
     /// along the last step direction with a secant-estimated coefficient and
@@ -92,19 +90,13 @@ pub struct LoliIrConfig {
     /// by that re-evaluation, so the objective trace stays monotone; off by
     /// default because the extra objective evaluation only pays for itself on
     /// slow geometric convergence (cold starts on large problems).
-    #[serde(default)]
     pub accelerate: bool,
     /// Test-only fault-injection hook: a constant bias (dB) added to every
     /// entry of the reconstructed matrix after the solve. `0.0` (the default,
     /// and the only sane production value) is a strict no-op. The regression
     /// harness (`taf-testkit`) sets this to verify its accuracy gates detect
     /// a corrupted reconstruction — see the mutation check in that crate.
-    #[serde(default)]
     pub debug_bias_db: f64,
-}
-
-fn default_stall_iters() -> usize {
-    1
 }
 
 impl Default for LoliIrConfig {
@@ -117,7 +109,7 @@ impl Default for LoliIrConfig {
             beta: 0.05,
             max_iters: 60,
             tol: 1e-6,
-            stall_iters: default_stall_iters(),
+            stall_iters: 1,
             accelerate: false,
             debug_bias_db: 0.0,
         }

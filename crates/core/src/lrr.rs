@@ -16,11 +16,10 @@
 
 use crate::error::TaflocError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use taf_linalg::{solve, Matrix};
 
 /// A fitted low-rank-representation model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LrrModel {
     ref_cells: Vec<usize>,
     /// Correlation matrix, `n x N`.

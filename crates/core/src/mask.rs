@@ -10,11 +10,10 @@
 
 use crate::error::TaflocError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use taf_linalg::Matrix;
 
 /// A dense boolean mask with matrix shape.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mask {
     rows: usize,
     cols: usize,

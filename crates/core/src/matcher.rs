@@ -16,11 +16,10 @@
 use crate::db::FingerprintDb;
 use crate::error::TaflocError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use taf_rfsim::geometry::Point;
 
 /// Matching method for localization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MatchMethod {
     /// Single nearest fingerprint column.
     NearestNeighbor,

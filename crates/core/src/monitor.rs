@@ -12,11 +12,10 @@
 
 use crate::error::TaflocError;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use taf_linalg::Matrix;
 
 /// Monitor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
     /// Estimated database error (dB) above which an update is recommended.
     pub error_threshold_db: f64,

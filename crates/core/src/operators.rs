@@ -16,7 +16,6 @@
 //! variant and tests).
 
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use taf_linalg::sparse::Csr;
 use taf_linalg::Matrix;
 use taf_rfsim::deployment::Deployment;
@@ -24,7 +23,7 @@ use taf_rfsim::geometry::Segment;
 use taf_rfsim::grid::FloorGrid;
 
 /// An undirected neighborhood graph over `n` vertices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NeighborGraph {
     /// `neighbors[v]` = sorted, deduplicated adjacency list of vertex `v`.
     neighbors: Vec<Vec<usize>>,

@@ -12,11 +12,10 @@ use crate::Result;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use taf_linalg::Matrix;
 
 /// How to pick reference locations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReferenceStrategy {
     /// Column-pivoted QR: greedy maximal linear independence (the paper's choice).
     QrPivot,

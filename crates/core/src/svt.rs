@@ -14,11 +14,10 @@
 use crate::error::TaflocError;
 use crate::mask::Mask;
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use taf_linalg::Matrix;
 
 /// Soft-impute configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvtConfig {
     /// Singular-value shrinkage threshold `τ`. Larger values force lower rank.
     pub tau: f64,

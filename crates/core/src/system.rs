@@ -23,11 +23,10 @@ use crate::matcher::{localize, MatchMethod, MatchResult};
 use crate::operators::NeighborGraph;
 use crate::reference::{select_references, ReferenceStrategy};
 use crate::Result;
-use serde::{Deserialize, Serialize};
 use taf_linalg::Matrix;
 
 /// TafLoc system configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TafLocConfig {
     /// Number of reference locations `n` (the paper uses 10).
     pub ref_count: usize,
@@ -69,7 +68,7 @@ pub struct TafLocConfig {
 /// data after each update is the obvious alternative — and a feedback loop:
 /// reconstruction errors leak into `Z` and compound across updates. The
 /// `ablation_zpolicy` experiment quantifies this.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ZRefreshPolicy {
     /// Keep the day-0 `Z` forever (the paper's choice).
     Fixed,
@@ -102,7 +101,7 @@ impl Default for TafLocConfig {
 /// baseline. Graphs and the distortion mask are rebuilt on load. This is what
 /// a deployment writes to disk between surveys (and what the `tafloc` CLI
 /// stores as its `system.json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SystemSnapshot {
     /// System configuration.
     pub config: TafLocConfig,
@@ -116,14 +115,6 @@ pub struct SystemSnapshot {
     pub empty_rss: Vec<f64>,
 }
 
-fn default_max_ref_rmse_db() -> f64 {
-    6.0
-}
-
-fn default_max_mean_delta_db() -> f64 {
-    25.0
-}
-
 /// Sanity ceilings a reconstructed database must clear before it may replace
 /// the served one.
 ///
@@ -133,25 +124,20 @@ fn default_max_mean_delta_db() -> f64 {
 /// (NaN propagation, a runaway bias, garbage reference measurements) blows
 /// through one of the ceilings. The ceilings sit far above honest-run values
 /// so the guard never vetoes a refresh the accuracy gates would accept.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReconstructionGuard {
     /// Ceiling (dB) on the RMSE between the reconstruction's reference
     /// columns and the freshly *measured* reference columns that drove it.
     /// A reconstruction that cannot reproduce its own inputs is garbage.
-    #[serde(default = "default_max_ref_rmse_db")]
     pub max_ref_rmse_db: f64,
     /// Ceiling (dB) on the mean absolute change vs. the currently served
     /// database — bounds how far one refresh may move the deployment.
-    #[serde(default = "default_max_mean_delta_db")]
     pub max_mean_delta_db: f64,
 }
 
 impl Default for ReconstructionGuard {
     fn default() -> Self {
-        ReconstructionGuard {
-            max_ref_rmse_db: default_max_ref_rmse_db(),
-            max_mean_delta_db: default_max_mean_delta_db(),
-        }
+        ReconstructionGuard { max_ref_rmse_db: 6.0, max_mean_delta_db: 25.0 }
     }
 }
 

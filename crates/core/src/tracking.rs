@@ -22,12 +22,11 @@ use crate::Result;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use taf_rfsim::geometry::Point;
 use taf_rfsim::rng::GaussianSource;
 
 /// Particle-filter configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackerConfig {
     /// Number of particles.
     pub num_particles: usize,

@@ -19,11 +19,8 @@
 //!
 //! Either way the clock is monotone: it never moves backwards.
 
-use serde::{Deserialize, Serialize};
-
 /// Where the pipeline's stream clock comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClockMode {
     /// "Now" is the maximum sample timestamp seen (production default).
     #[default]

@@ -1,11 +1,9 @@
 //! Pipeline configuration.
 
 use crate::error::{IngestError, Result};
-use serde::{Deserialize, Serialize};
 
 /// How a window of retained samples is reduced to one per-link RSS value.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "kebab-case")]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Aggregator {
     /// Median of the retained (outlier-filtered) samples. The most robust
     /// choice and the default.
@@ -23,66 +21,40 @@ pub enum Aggregator {
 ///
 /// Defaults match the paper's measurement regime: radios sampling at ~1 Hz,
 /// fingerprints averaged over tens of samples, RSS quantized to 1 dBm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IngestConfig {
     /// Maximum samples retained per link (ring capacity).
-    #[serde(default = "default_window_capacity")]
     pub window_capacity: usize,
     /// Window horizon in stream-clock seconds: samples older than
     /// `newest - window_s` are evicted (and arrivals older than that are
     /// dropped as late).
-    #[serde(default = "default_window_s")]
     pub window_s: f64,
     /// Minimum retained samples before a link's aggregate is trusted for
     /// assembly; below it the link is imputed and flagged.
-    #[serde(default = "default_min_samples")]
     pub min_samples: usize,
     /// A link whose newest sample is older than this (vs the stream clock)
     /// is flagged stale; stale links still contribute their aggregate.
-    #[serde(default = "default_stale_after_s")]
     pub stale_after_s: f64,
     /// Hampel multiplier `k`: samples farther than `k * 1.4826 * MAD` from
     /// the window median are excluded from aggregation. `0` disables
     /// rejection.
-    #[serde(default = "default_hampel_k")]
     pub hampel_k: f64,
     /// Floor on the Hampel scale estimate (dB) so integer-quantized RSS
     /// (MAD frequently 0) does not reject every off-median sample.
-    #[serde(default = "default_hampel_floor_db")]
     pub hampel_floor_db: f64,
     /// Window → value reduction.
-    #[serde(default)]
     pub aggregator: Aggregator,
-}
-
-fn default_window_capacity() -> usize {
-    128
-}
-fn default_window_s() -> f64 {
-    30.0
-}
-fn default_min_samples() -> usize {
-    3
-}
-fn default_stale_after_s() -> f64 {
-    10.0
-}
-fn default_hampel_k() -> f64 {
-    3.0
-}
-fn default_hampel_floor_db() -> f64 {
-    0.75
 }
 
 impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
-            window_capacity: default_window_capacity(),
-            window_s: default_window_s(),
-            min_samples: default_min_samples(),
-            stale_after_s: default_stale_after_s(),
-            hampel_k: default_hampel_k(),
-            hampel_floor_db: default_hampel_floor_db(),
+            window_capacity: 128,
+            window_s: 30.0,
+            min_samples: 3,
+            stale_after_s: 10.0,
+            hampel_k: 3.0,
+            hampel_floor_db: 0.75,
             aggregator: Aggregator::default(),
         }
     }
@@ -164,14 +136,5 @@ mod tests {
         for cfg in bad {
             assert!(cfg.validate().is_err(), "{cfg:?} must be rejected");
         }
-    }
-
-    #[test]
-    fn config_serde_defaults_fill_in() {
-        let cfg: IngestConfig = serde_json::from_str("{}").unwrap();
-        assert_eq!(cfg, IngestConfig::default());
-        let cfg: IngestConfig =
-            serde_json::from_str(r#"{"aggregator":{"kind":"ewma","alpha":0.2}}"#).unwrap();
-        assert_eq!(cfg.aggregator, Aggregator::Ewma { alpha: 0.2 });
     }
 }

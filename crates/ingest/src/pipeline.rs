@@ -18,13 +18,11 @@ use crate::config::IngestConfig;
 use crate::error::{IngestError, Result};
 use crate::sample::{BatchReport, LinkSample};
 use crate::window::{LinkAggregate, LinkStatus, LinkWindow};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 /// Why an assembled link value is flagged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "kebab-case")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkFlag {
     /// Fresh aggregate from enough samples.
     Live,
@@ -60,7 +58,7 @@ impl AssembledVector {
 }
 
 /// Cumulative pipeline counters, cheap enough to read on every stats call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestStats {
     /// Samples admitted into windows.
     pub accepted: u64,

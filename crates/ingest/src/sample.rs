@@ -1,14 +1,12 @@
 //! The raw unit of ingestion: one timestamped RSS reading on one link.
 
-use serde::{Deserialize, Serialize};
-
 /// One raw RSS sample as a radio (or the simulator) emits it.
 ///
 /// Timestamps are seconds on the *stream clock* — any monotonic-enough clock
 /// shared by the radios. The pipeline never consults wall time: staleness and
 /// window horizons are measured against the newest timestamp seen so far, so
 /// replaying a recorded stream is bit-for-bit reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSample {
     /// Link index in the site's deployment order (`0..M`).
     pub link: usize,
@@ -38,7 +36,7 @@ impl LinkSample {
 /// time, and is reported in cumulative [`crate::IngestStats`] instead —
 /// a sample that looks like an outlier now may be rehabilitated once its
 /// neighbors arrive.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchReport {
     /// Samples admitted into a window.
     pub accepted: u64,
@@ -83,13 +81,5 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total(), 10);
         assert_eq!(a.accepted, 5);
-    }
-
-    #[test]
-    fn sample_serde_round_trip() {
-        let s = LinkSample::new(3, 12.25, -48.5);
-        let json = serde_json::to_string(&s).unwrap();
-        let back: LinkSample = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }

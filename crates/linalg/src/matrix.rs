@@ -1,7 +1,6 @@
 //! Dense, row-major, `f64` matrix.
 
 use crate::{LinalgError, Result};
-use serde::{Deserialize, Deserializer, Serialize};
 use std::fmt;
 
 /// A dense matrix of `f64` values stored in row-major order.
@@ -9,32 +8,16 @@ use std::fmt;
 /// `Matrix` is the workhorse of the whole reproduction: fingerprint databases,
 /// factor matrices, tomographic weight matrices and correlation matrices are all
 /// `Matrix` values. The type keeps a single invariant — `data.len() == rows * cols` —
-/// and every constructor enforces it (including deserialization).
+/// and every constructor enforces it.
 ///
 /// All element access is bounds-checked; indexing with `m[(i, j)]` panics on
 /// out-of-range indices like slice indexing does, while [`Matrix::get`] /
 /// [`Matrix::set`] return [`LinalgError::IndexOutOfBounds`] instead.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
-}
-
-/// Mirror of [`Matrix`] used to validate the row/col/data invariant when
-/// deserializing from untrusted input (snapshot files, etc.).
-#[derive(Deserialize)]
-struct MatrixRepr {
-    rows: usize,
-    cols: usize,
-    data: Vec<f64>,
-}
-
-impl<'de> Deserialize<'de> for Matrix {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> std::result::Result<Self, D::Error> {
-        let repr = MatrixRepr::deserialize(deserializer)?;
-        Matrix::from_vec(repr.rows, repr.cols, repr.data).map_err(serde::de::Error::custom)
-    }
 }
 
 impl Matrix {

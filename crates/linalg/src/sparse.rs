@@ -5,7 +5,6 @@
 //! densely would waste both memory and the inner loops of the LoLi-IR solver.
 
 use crate::{LinalgError, Matrix, Result};
-use serde::{Deserialize, Serialize};
 
 /// A sparse matrix in compressed sparse row format.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let g = Csr::from_triplets(2, 3, &[(0, 0, 1.0), (0, 1, -1.0), (1, 1, 1.0), (1, 2, -1.0)]).unwrap();
 /// assert_eq!(g.matvec(&[3.0, 1.0, 0.0]).unwrap(), vec![2.0, 1.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Csr {
     rows: usize,
     cols: usize,
@@ -339,14 +338,5 @@ mod tests {
     fn empty_row_iteration() {
         let c = sample();
         assert_eq!(c.row(1).count(), 0);
-    }
-
-    #[test]
-    fn serde_round_trip_preserves_structure() {
-        // Csr derives Serialize/Deserialize; spot check equality through clone
-        // semantics (serde_json is not a dependency of this crate).
-        let c = sample();
-        let c2 = c.clone();
-        assert_eq!(c, c2);
     }
 }

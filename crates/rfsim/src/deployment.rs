@@ -13,10 +13,9 @@
 
 use crate::geometry::{Point, Segment};
 use crate::grid::FloorGrid;
-use serde::{Deserialize, Serialize};
 
 /// A directed radio link between two deployed nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Index of the transmitting node in the deployment's node list.
     pub tx: usize,
@@ -27,7 +26,7 @@ pub struct Link {
 }
 
 /// A set of deployed transceiver nodes and the links between them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Deployment {
     nodes: Vec<Point>,
     links: Vec<Link>,

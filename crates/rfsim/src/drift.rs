@@ -25,7 +25,6 @@
 //! Gaussian generator in [`crate::rng`].
 
 use crate::rng::gaussian;
-use serde::{Deserialize, Serialize};
 
 /// Drift model parameters.
 ///
@@ -43,7 +42,7 @@ use serde::{Deserialize, Serialize};
 ///   variation that decorrelates within hours. It is why even a 3-day-old
 ///   correlation structure cannot reconstruct perfectly (the paper's ~2.7 dBm
 ///   floor at 3 days, against link drift of well under 2.5 dBm).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriftConfig {
     /// Stationary standard deviation (dB) of the per-link OU component.
     pub link_sigma_db: f64,

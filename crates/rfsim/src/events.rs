@@ -8,10 +8,9 @@
 //! target-present entries near the moved object.
 
 use crate::geometry::Point;
-use serde::{Deserialize, Serialize};
 
 /// One environment-change event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnvironmentEvent {
     /// Day the change happens (effects apply for `t >= day`).
     pub day: f64,

@@ -18,11 +18,9 @@
 
 use crate::rng::hash_u64;
 use crate::stream::RawSample;
-use serde::{Deserialize, Serialize};
 
 /// One deterministic adversity applied to a raw sample stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "kind", rename_all = "kebab-case")]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
     /// Every sample in `[start_s, end_s)` is lost — on one link, or on all
     /// links when `link` is `None` (a site-wide outage).
@@ -179,10 +177,9 @@ impl Fault {
 }
 
 /// An ordered list of faults applied to a stream as one transformation.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultSchedule {
     /// Faults in application order.
-    #[serde(default)]
     pub faults: Vec<Fault>,
 }
 

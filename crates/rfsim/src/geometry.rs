@@ -1,10 +1,8 @@
 //! 2-D geometry primitives: points, segments, and the elliptical (Fresnel-zone)
 //! distance that drives the target-blocking model.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in the floor plane, coordinates in meters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     /// X coordinate (m).
     pub x: f64,
@@ -31,7 +29,7 @@ impl Point {
 
 /// A line segment between two points — in this crate, always a radio link's
 /// transmitter-receiver pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
     /// One endpoint (transmitter).
     pub a: Point,

@@ -5,14 +5,13 @@
 //! reports a cell index (or its center point).
 
 use crate::geometry::Point;
-use serde::{Deserialize, Serialize};
 
 /// A rectangular monitored region partitioned into square cells.
 ///
 /// The region's lower-left corner sits at `origin`; there are `nx` cells across
 /// (x-direction) and `ny` cells up (y-direction), each `cell_size` meters on a
 /// side. Cells are indexed row-major: `index = iy * nx + ix`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FloorGrid {
     origin: Point,
     cell_size: f64,

@@ -5,10 +5,9 @@
 //! integers, so samples are quantized to 1 dBm before averaging.
 
 use crate::rng::GaussianSource;
-use serde::{Deserialize, Serialize};
 
 /// Measurement-noise parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseConfig {
     /// Per-sample Gaussian noise standard deviation (dB).
     pub sigma_db: f64,

@@ -5,10 +5,8 @@
 //! power at reference distance `d₀` and `n` the path-loss exponent (≈ 2 free
 //! space, 2.5-4 indoors).
 
-use serde::{Deserialize, Serialize};
-
 /// Log-distance path-loss model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogDistance {
     /// Received power (dBm) at the reference distance.
     pub p0_dbm: f64,

@@ -8,11 +8,10 @@
 
 use crate::deployment::Deployment;
 use crate::rng::GaussianSource;
-use serde::{Deserialize, Serialize};
 use taf_linalg::Matrix;
 
 /// Shadowing model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShadowingConfig {
     /// Standard deviation of the shadowing offset per link (dB).
     pub sigma_db: f64,

@@ -17,13 +17,12 @@ use crate::rng::hash_u64;
 use crate::world::World;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Campaign-kind key for stream RNG separation (campaigns use 0x01–0x03).
 const KIND_STREAM: u64 = 0x04;
 
 /// Shape of a simulated raw sample stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamConfig {
     /// Per-link sampling rate (Hz). The paper's testbed reports ~1 Hz.
     pub rate_hz: f64,
@@ -86,7 +85,7 @@ impl StreamConfig {
 
 /// One raw measurement as a radio would report it. Field-compatible with the
 /// ingestion pipeline's wire sample type.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RawSample {
     /// Link index in `0..world.num_links()`.
     pub link: usize,

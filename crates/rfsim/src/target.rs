@@ -15,10 +15,9 @@
 //!   world seed yet varies across links and positions.
 
 use crate::geometry::{Point, Segment};
-use serde::{Deserialize, Serialize};
 
 /// Target perturbation model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TargetModel {
     /// Peak line-of-sight attenuation (dB) when the target stands on the direct
     /// path. Human bodies at 2.4 GHz typically shadow 5-15 dB.

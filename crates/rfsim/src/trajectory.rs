@@ -12,10 +12,9 @@ use crate::rng::hash_u64;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Random-waypoint motion parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaypointConfig {
     /// Walking speed in m/s (human indoor pace ≈ 0.5-1.5).
     pub speed_mps: f64,
@@ -34,7 +33,7 @@ impl Default for WaypointConfig {
 }
 
 /// A sampled trajectory: positions at consecutive measurement instants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
     /// Time between consecutive samples, in seconds.
     pub sample_period_s: f64,

@@ -11,11 +11,10 @@ use crate::shadowing::ShadowingConfig;
 use crate::target::TargetModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use taf_linalg::Matrix;
 
 /// Everything needed to instantiate a [`World`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldConfig {
     /// Monitored-area grid.
     pub grid: FloorGrid,
@@ -75,13 +74,15 @@ impl WorldConfig {
     /// file is refused with a reason instead of a panic: at least one link
     /// ([`Deployment::perimeter`]), a positive decorrelation distance (the
     /// shadowing covariance's Cholesky factor) and positive drift time
-    /// constants ([`OuProcess::new`]). The grid checks its own shape when it
-    /// is built.
+    /// constants ([`OuProcess::new`]). A path-loss reference distance that
+    /// is not positive makes every RSS non-finite, so it is refused too. The
+    /// grid checks its own shape when it is built.
     pub fn validate(&self) -> Result<(), String> {
         if self.num_links == 0 {
             return Err("num_links must be at least 1".into());
         }
         for (field, value) in [
+            ("pathloss.d0", self.pathloss.d0),
             ("shadowing.decorrelation_m", self.shadowing.decorrelation_m),
             ("drift.tau_days", self.drift.tau_days),
             ("drift.entry_fast_tau_days", self.drift.entry_fast_tau_days),

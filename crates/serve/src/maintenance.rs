@@ -16,7 +16,6 @@
 //! a LoLi-IR solve at the same time.
 
 use crate::site::Site;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -24,107 +23,64 @@ use std::time::{Duration, Instant};
 use tafloc_core::monitor::MonitorConfig;
 use tafloc_core::system::ReconstructionGuard;
 
-fn default_interval_ms() -> u64 {
-    250
-}
-
-fn default_auto_refresh() -> bool {
-    true
-}
-
-fn default_breach_streak() -> u32 {
-    2
-}
-
-fn default_monitor_cells() -> usize {
-    2
-}
-
-fn default_manual_tick() -> bool {
-    false
-}
-
-fn default_quarantine_after() -> u32 {
-    3
-}
-
-fn default_quarantine_cooldown_ticks() -> u32 {
-    8
-}
-
-fn default_backoff_cap() -> u32 {
-    6
-}
-
 /// Per-site maintenance policy (wire-configurable via `add-site`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaintenancePolicy {
     /// Milliseconds between maintenance ticks.
-    #[serde(default = "default_interval_ms")]
     pub interval_ms: u64,
     /// Whether the loop may trigger refreshes on its own; when `false` the
     /// monitor still runs and `stats` reports its verdicts, but refreshes
     /// only happen on an explicit `refresh` request.
-    #[serde(default = "default_auto_refresh")]
     pub auto_refresh: bool,
     /// Consecutive over-threshold checks required before an auto-refresh.
-    #[serde(default = "default_breach_streak")]
     pub breach_streak: u32,
     /// How many of the site's reference cells the drift probe compares
     /// (clamped to the reference count at site creation).
-    #[serde(default = "default_monitor_cells")]
     pub monitor_cells: usize,
     /// When `true` no maintenance thread is spawned for the site; the owner
     /// drives [`Site::maintenance_tick`](crate::site::Site::maintenance_tick)
     /// explicitly. Deterministic harnesses (taf-testkit) use this so ticks
     /// happen at scripted points in stream time instead of on a wall-clock
     /// cadence.
-    #[serde(default = "default_manual_tick")]
     pub manual_tick: bool,
     /// Thresholds for the underlying [`DriftMonitor`](tafloc_core::monitor::DriftMonitor).
-    #[serde(default)]
     pub monitor: MonitorConfig,
     /// Sanity ceilings a freshly reconstructed database must clear before
     /// it replaces the served snapshot; a failing refresh is rolled back.
-    #[serde(default)]
     pub guard: ReconstructionGuard,
     /// Consecutive rejected refreshes (or panicking ticks) after which the
     /// site is quarantined: it keeps serving its last good snapshot
     /// read-only and the scheduler skips its maintenance until the cooldown
     /// elapses or an explicit `refresh` succeeds.
-    #[serde(default = "default_quarantine_after")]
     pub quarantine_after: u32,
     /// Scheduler passes a quarantined site sits out before re-admission.
-    #[serde(default = "default_quarantine_cooldown_ticks")]
     pub quarantine_cooldown_ticks: u32,
     /// Cap on the exponent of the per-site refresh backoff: after `f`
     /// consecutive failures the next tick is scheduled
     /// `interval_ms * 2^min(f, backoff_cap)` away instead of hot-looping
     /// the solver on poisoned inputs.
-    #[serde(default = "default_backoff_cap")]
     pub backoff_cap: u32,
     /// Test-only fault-injection hook: the first `n` maintenance ticks of
     /// the site panic before doing any work. `0` (the default, and the only
     /// sane production value) is a strict no-op. The fault-tolerance tests
     /// use this to prove a panicking tick is isolated by the scheduler's
     /// panic boundary instead of killing the daemon.
-    #[serde(default)]
     pub debug_panic_ticks: u32,
 }
 
 impl Default for MaintenancePolicy {
     fn default() -> Self {
         MaintenancePolicy {
-            interval_ms: default_interval_ms(),
-            auto_refresh: default_auto_refresh(),
-            breach_streak: default_breach_streak(),
-            monitor_cells: default_monitor_cells(),
-            manual_tick: default_manual_tick(),
+            interval_ms: 250,
+            auto_refresh: true,
+            breach_streak: 2,
+            monitor_cells: 2,
+            manual_tick: false,
             monitor: MonitorConfig::default(),
             guard: ReconstructionGuard::default(),
-            quarantine_after: default_quarantine_after(),
-            quarantine_cooldown_ticks: default_quarantine_cooldown_ticks(),
-            backoff_cap: default_backoff_cap(),
+            quarantine_after: 3,
+            quarantine_cooldown_ticks: 8,
+            backoff_cap: 6,
             debug_panic_ticks: 0,
         }
     }

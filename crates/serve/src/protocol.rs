@@ -20,14 +20,11 @@
 //! {"reply":"error","message":"unknown site \"attic\""}
 //! ```
 //!
-//! The `serde` derives on these types are kept as the *reference* encoding:
-//! the v1 codec in [`crate::wire::v1`], generated from the message schema
-//! like the v2 one, is tested byte-for-byte against them, so a build with
-//! the real `serde_json` and the bundled zero-dependency codec speak
-//! identical bytes.
+//! Both protocols are generated from one declaration of each message's
+//! fields, in `wire/schema.rs`. The committed corpus in `tests/corpus/` pins
+//! the bytes of every variant in both.
 
 use crate::maintenance::MaintenancePolicy;
-use serde::{Deserialize, Serialize};
 use taf_linalg::Matrix;
 use tafloc_core::system::SystemSnapshot;
 use tafloc_ingest::{BatchReport, IngestStats, LinkSample};
@@ -37,8 +34,7 @@ use tafloc_ingest::{BatchReport, IngestStats, LinkSample};
 pub const MAX_LINE_BYTES: usize = 16 * 1024 * 1024;
 
 /// A client request, one JSON object per line, tagged by `cmd`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(tag = "cmd", rename_all = "kebab-case")]
+#[derive(Debug, Clone)]
 pub enum Request {
     /// Register a new site from a calibrated system snapshot.
     AddSite {
@@ -48,10 +44,8 @@ pub enum Request {
         /// larger than every other request).
         snapshot: Box<SystemSnapshot>,
         /// Deployment day the snapshot corresponds to (drift-clock origin).
-        #[serde(default)]
         day: f64,
         /// Maintenance policy override; server default when omitted.
-        #[serde(default)]
         policy: Option<MaintenancePolicy>,
     },
     /// Unregister a site and stop its maintenance thread.
@@ -87,11 +81,9 @@ pub enum Request {
         site: String,
         /// When set, samples feed the capture window for this reference cell
         /// (for maintenance spot checks) instead of the live window.
-        #[serde(default)]
         ref_cell: Option<usize>,
         /// Deployment day the samples were taken (used for reference
         /// captures; ignored for live traffic).
-        #[serde(default)]
         day: f64,
         /// The raw samples, in any order.
         samples: Vec<LinkSample>,
@@ -164,8 +156,7 @@ impl Request {
 }
 
 /// A server response, one JSON object per line, tagged by `reply`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(tag = "reply", rename_all = "kebab-case")]
+#[derive(Debug, Clone)]
 pub enum Response {
     /// The request failed; the connection stays usable.
     Error {
@@ -297,7 +288,7 @@ pub enum Response {
 }
 
 /// One localization fix inside a `located-batch` response.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fix {
     /// Best-matching cell.
     pub cell: usize,
@@ -310,7 +301,7 @@ pub struct Fix {
 }
 
 /// One site's identity row in `list-sites`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SiteInfo {
     /// Site name.
     pub site: String,
@@ -323,45 +314,36 @@ pub struct SiteInfo {
 }
 
 /// Aggregated server statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StatsReport {
     /// Seconds since the server started.
     pub uptime_s: f64,
     /// Connections closed because the read timeout elapsed.
-    #[serde(default)]
     pub conn_timeouts: u64,
     /// Connections closed by a transport error (reset, broken pipe, ...).
-    #[serde(default)]
     pub conn_resets: u64,
     /// Connection handlers that panicked (isolated; the worker survived).
-    #[serde(default)]
     pub conn_panics: u64,
     /// Frames (or lines) rejected for exceeding the size cap.
-    #[serde(default)]
     pub wire_frame_too_large: u64,
     /// v2 frames rejected for an unknown version byte (fatal per connection).
-    #[serde(default)]
     pub wire_bad_magic: u64,
     /// v2 frames whose payload failed its CRC32 check.
-    #[serde(default)]
     pub wire_checksum_mismatch: u64,
     /// Messages rejected for invalid UTF-8 (fatal per connection).
-    #[serde(default)]
     pub wire_bad_utf8: u64,
     /// Messages that framed correctly but failed to decode.
-    #[serde(default)]
     pub wire_malformed: u64,
     /// Per-endpoint request counters and latency quantiles.
     pub endpoints: Vec<EndpointStats>,
     /// Per-site health.
     pub sites: Vec<SiteStats>,
     /// Per-shard admission/queue accounting, shard-ordered.
-    #[serde(default)]
     pub shards: Vec<ShardStats>,
 }
 
 /// Admission-control and queue accounting for one worker shard.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShardStats {
     /// Shard index on the ring.
     pub shard: usize,
@@ -388,7 +370,7 @@ pub struct ShardStats {
 }
 
 /// Counters and latency for one endpoint.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EndpointStats {
     /// Endpoint name (`locate`, `refresh`, ...).
     pub endpoint: String,
@@ -407,7 +389,7 @@ pub struct EndpointStats {
 }
 
 /// Health row for one site.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SiteStats {
     /// Site name.
     pub site: String,
@@ -424,22 +406,16 @@ pub struct SiteStats {
     /// Refreshes triggered automatically by the maintenance loop.
     pub auto_refreshes: u64,
     /// Refreshes the reconstruction guard rejected and rolled back.
-    #[serde(default)]
     pub refresh_rejections: u64,
     /// Why the most recent refresh was rejected, if any.
-    #[serde(default)]
     pub last_reject_reason: Option<String>,
     /// Consecutive rejections/panics since the last committed refresh.
-    #[serde(default)]
     pub consecutive_failures: u32,
     /// Whether the site is quarantined (read-only, maintenance suspended).
-    #[serde(default)]
     pub quarantined: bool,
     /// Maintenance ticks that panicked (isolated by the scheduler).
-    #[serde(default)]
     pub tick_panics: u64,
     /// Snapshot saves that failed (persistence is best-effort).
-    #[serde(default)]
     pub persist_failures: u64,
     /// Live tracking streams.
     pub active_trackers: usize,
@@ -451,62 +427,14 @@ pub struct SiteStats {
     pub active_ref_captures: usize,
     /// Cumulative link-measurements the measurement planner scheduled
     /// (equal to the full-survey cost when no planner is attached).
-    #[serde(default)]
     pub planned_cost: u64,
     /// Cumulative link-measurements actually delivered by surveys.
-    #[serde(default)]
     pub actual_cost: u64,
     /// Cumulative link-measurements a full survey would have cost over the
     /// same refresh cycles — the savings baseline.
-    #[serde(default)]
     pub full_survey_cost: u64,
     /// Active measurement-planning policy, if any.
-    #[serde(default)]
     pub plan_policy: Option<String>,
     /// Worker shard owning this site (0 in unsharded deployments).
-    #[serde(default)]
     pub shard: usize,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wire_format_is_stable_kebab_case() {
-        let line = serde_json::to_string(&Request::ListSites).unwrap();
-        assert_eq!(line, r#"{"cmd":"list-sites"}"#);
-        let line = serde_json::to_string(&Response::Pong).unwrap();
-        assert_eq!(line, r#"{"reply":"pong"}"#);
-        let parsed: Request =
-            serde_json::from_str(r#"{"cmd":"locate","site":"a","y":[-1.0]}"#).unwrap();
-        assert!(matches!(parsed, Request::Locate { .. }));
-    }
-
-    #[test]
-    fn hand_rolled_v1_codec_matches_the_derive_byte_for_byte() {
-        // The derives are the reference encoding; `wire::v1` must reproduce
-        // them exactly or pre-existing clients would notice the swap.
-        let messages = [
-            serde_json::to_string(&Request::ListSites).unwrap(),
-            serde_json::to_string(&Request::Locate { site: "lab".into(), y: vec![-50.0, -41.5] })
-                .unwrap(),
-        ];
-        let hand = [
-            {
-                let mut out = Vec::new();
-                crate::wire::v1::encode_request(&Request::ListSites, &mut out);
-                String::from_utf8(out).unwrap()
-            },
-            {
-                let mut out = Vec::new();
-                crate::wire::v1::encode_request(
-                    &Request::Locate { site: "lab".into(), y: vec![-50.0, -41.5] },
-                    &mut out,
-                );
-                String::from_utf8(out).unwrap()
-            },
-        ];
-        assert_eq!(messages, hand);
-    }
 }

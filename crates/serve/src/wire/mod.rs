@@ -1,8 +1,7 @@
 //! Version-negotiating transport: one reader/writer pair that speaks both
 //! wire protocols.
 //!
-//! * **v1** — newline-delimited JSON, byte-compatible with the original
-//!   `serde_json`-backed codec (see [`v1`]). What `netcat` and every
+//! * **v1** — newline-delimited JSON (see [`v1`]). What `netcat` and every
 //!   pre-existing client speaks.
 //! * **v2** — length-prefixed checksummed binary frames (see [`v2`] and
 //!   [`taf_wire::frame`]). Dense `f64` payloads (`y` vectors, snapshot

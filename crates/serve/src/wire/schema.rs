@@ -2,9 +2,10 @@
 //! maintenance-policy layout, named once for both protocols and the snapshot
 //! store (see [`taf_wire::schema`] for what the declarations generate).
 //!
-//! v1 names are the serde derive's kebab-case variant names. Binary tags are
-//! append-only: a new message kind takes the next free number, and a removed
-//! kind retires its tag instead of freeing it for reuse.
+//! v1 names are kebab-case. Binary tags are append-only: a new message kind
+//! takes the next free number, and a removed kind retires its tag instead of
+//! freeing it for reuse. `tests/corpus/` pins the bytes of every variant in
+//! both protocols.
 
 use crate::maintenance::MaintenancePolicy;
 use crate::protocol::{

@@ -1,13 +1,12 @@
-//! v1 message codec: newline-delimited JSON, byte-compatible with the
-//! `serde_json` encoding of the [`crate::protocol`] derives.
+//! v1 message codec: newline-delimited JSON.
 //!
-//! Byte compatibility is a hard contract, not an aspiration — the protocol
-//! tests re-encode through `serde_json` and assert equality. Concretely:
-//! tagged unions put the `cmd`/`reply` tag first, fields follow in
+//! Byte stability is a hard contract: existing clients parse these lines,
+//! and the committed corpus (`tests/corpus/*.v1.ndjson`) pins every variant.
+//! Tagged unions put the `cmd`/`reply` tag first, fields follow in
 //! declaration order, every field is emitted (`None` as `null`), numbers
-//! render the way the workspace `serde_json` renders them, and decoding
-//! honors the same `#[serde(default)]` semantics the derives declare. The
-//! layout itself is the message schema in `wire/schema.rs`.
+//! follow [`taf_wire::JsonWriter`]'s rules, and decoding fills in absent
+//! fields from the fallbacks the schema declares. The layout itself is the
+//! message schema in `wire/schema.rs`.
 
 use crate::protocol::{Request, Response};
 use crate::Result;

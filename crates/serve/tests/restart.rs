@@ -4,8 +4,6 @@
 //! responses.
 //!
 //! This drives the actual daemon binary (`CARGO_BIN_EXE_taflocd`) over TCP.
-//! The wire codecs are hand-rolled in `taf-wire` (no serde_json at runtime),
-//! so this runs — unskipped — even under the workspace's compile-only stubs.
 
 use std::io::Write as _;
 use std::net::TcpStream;

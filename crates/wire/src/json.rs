@@ -1,8 +1,6 @@
-//! Hand-rolled JSON: a zero-alloc streaming writer and a strict parser.
-//!
-//! Both sides mirror the serde-stub text layer **byte for byte** so v1
-//! frames produced here are indistinguishable from the frames the derived
-//! `Serialize` impls used to emit:
+//! Hand-rolled JSON: a zero-alloc streaming writer and a strict parser, the
+//! only JSON code in the workspace. The text rules, which the committed
+//! corpora pin byte for byte:
 //!
 //! * compact output — no whitespace;
 //! * numbers: integral values with `|n| < 9e15` render via `i64`, anything
@@ -12,7 +10,7 @@
 //!   `\uXXXX`, and pass everything else through as UTF-8;
 //! * the parser is strict (no trailing garbage, no control characters in
 //!   strings, depth-capped) and keeps duplicate object keys, with lookups
-//!   resolving to the **last** occurrence, as the stub deserializer does.
+//!   resolving to the **last** occurrence.
 
 use crate::error::{Result, WireError};
 use std::io::Write as _;
@@ -29,7 +27,7 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (always carried as `f64`, like the stub's `Value::Num`).
+    /// Any number, always carried as `f64`.
     Num(f64),
     /// A string.
     Str(String),
@@ -41,7 +39,7 @@ pub enum JsonValue {
 
 impl JsonValue {
     /// Object field lookup, scanning from the back so duplicate keys
-    /// resolve to the last occurrence (stub-deserializer parity).
+    /// resolve to the last occurrence.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
             JsonValue::Obj(pairs) => pairs.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -165,8 +163,8 @@ impl<'a> JsonWriter<'a> {
         escape_str(s, self.out);
     }
 
-    /// Writes a number with stub-parity formatting: non-finite → `null`,
-    /// integral below 9e15 via `i64`, else shortest round-tripping `f64`.
+    /// Writes a number: non-finite → `null`, integral below 9e15 via `i64`,
+    /// else shortest round-tripping `f64`.
     pub fn f64_val(&mut self, n: f64) {
         self.sep();
         if !n.is_finite() {
@@ -178,8 +176,8 @@ impl<'a> JsonWriter<'a> {
         }
     }
 
-    /// Writes a `u64` the way the stub does: routed through `f64` (counters
-    /// above 2^53 lose precision on the wire in both implementations).
+    /// Writes a `u64` as a JSON number, routed through `f64`: integers above
+    /// 2^53 lose precision, so the CLI refuses seeds that large.
     pub fn u64_val(&mut self, v: u64) {
         self.f64_val(v as f64);
     }
@@ -423,8 +421,8 @@ impl<'a> Parser<'a> {
                                 .ok_or_else(|| WireError::malformed("truncated \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| WireError::malformed("invalid \\u escape"))?;
-                            // Surrogates degrade to the replacement character
-                            // (stub parity); nothing in this workspace emits
+                            // Surrogates degrade to the replacement
+                            // character; nothing in this workspace emits
                             // them — the writer never uses \u above 0x1F.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
@@ -532,7 +530,7 @@ mod tests {
             assert_eq!(written(|w| w.f64_val(*n)), *want, "formatting {n}");
         }
         // Rust's Display never uses scientific notation; huge magnitudes
-        // expand fully, exactly as the stub renderer does.
+        // expand fully.
         assert_eq!(written(|w| w.f64_val(1e300)), format!("{}", 1e300));
         // At exactly 9e15 the integral fast path is skipped (|n| < 9e15).
         assert_eq!(written(|w| w.f64_val(9.0e15)), format!("{}", 9.0e15));

@@ -1,16 +1,15 @@
 //! # taf-wire
 //!
-//! The wire format of the TafLoc serving plane, owned end to end with no
-//! `serde_json` dependency — so encoding works (and is measurable) under the
-//! offline stub build.
+//! The wire and file formats of TafLoc, owned end to end: the serving
+//! plane's two protocols, its snapshot store and journal, and the CLI's JSON
+//! files all encode through this crate, and it depends on no JSON library.
 //!
 //! Two protocols share one crate:
 //!
-//! * **v1 — NDJSON compat mode.** A zero-alloc streaming JSON writer
-//!   ([`json::JsonWriter`]) plus a hand-rolled reader ([`json::parse`])
-//!   that reproduce, byte for byte, the frames the serde derives used to
-//!   emit: compact JSON, fields in declaration order, `None` as `null`,
-//!   non-finite floats as `null`, one message per `\n`-terminated line.
+//! * **v1 — NDJSON.** A zero-alloc streaming JSON writer
+//!   ([`json::JsonWriter`]) plus a strict reader ([`json::parse`]): compact
+//!   JSON, fields in declaration order, `None` as `null`, non-finite floats
+//!   as `null`, one message per `\n`-terminated line.
 //! * **v2 — length-prefixed binary.** `[0xB2][0x02][uvarint len][payload]
 //!   [crc32]` frames ([`frame`]) over the same little-endian codec the
 //!   snapshot store persists with ([`codec::Enc`] / [`codec::Dec`]), with
@@ -21,12 +20,13 @@
 //! so no JSON line can start with it); anything else is handed to the v1
 //! line reader.
 //!
-//! Every type that crosses the wire or the disk implements one trait,
-//! [`Codec`], with four directions: v1 JSON write and read, binary encode and
-//! decode. The [`schema!`] macro ([`mod@schema`]) generates it from one list of a
-//! type's fields; [`types`] declares the domain types (snapshots,
-//! fingerprint databases, configs, ingest reports, planner and solver state),
-//! and `tafloc-serve` declares its messages the same way.
+//! Every type that crosses the wire, the disk or a CLI file implements one
+//! trait, [`Codec`], with four directions: v1 JSON write and read, binary
+//! encode and decode. The [`schema!`] macro ([`mod@schema`]) generates it
+//! from one list of a type's fields; [`types`] declares the domain types
+//! (snapshots, fingerprint databases, world and system configs, ingest
+//! reports, planner and solver state), and `tafloc-serve` and the CLI
+//! declare their messages and files the same way.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -6,14 +6,15 @@
 //! [`schema!`](crate::schema!) generates all four from a list of a type's
 //! fields, so a field is named once, not once per direction.
 //!
-//! * **Structs** list their fields in order. A `#[serde(default)]` field
-//!   gives its fallback after `=`; `struct T: default { .. }` falls back to
-//!   `T::default()` for every field, like a container-level
-//!   `#[serde(default)]`. v1 writes an object with the fields in that order;
-//!   binary writes the fields back to back.
+//! * **Structs** list their fields in order. A field that may be absent
+//!   from v1 input gives its fallback after `=`; `struct T: default { .. }`
+//!   falls back to `T::default()` for every field. Each fallback is written
+//!   here and nowhere else. v1 writes an object with the fields in that
+//!   order; binary writes the fields back to back.
 //! * **Enums** list each variant's binary tag (written out, never derived
-//!   from variant order), its v1 name and its fields. `external` is serde's
-//!   default tagging (`"QrPivot"`, `{"Knn":{"k":3}}`); `tag "cmd"` is
+//!   from variant order), its v1 name and its fields. `external` tagging
+//!   writes a variant without fields as its name and one with fields as a
+//!   one-key object (`"QrPivot"`, `{"Knn":{"k":3}}`); `tag "cmd"` is
 //!   internal tagging on a key (`{"cmd":"locate","site":..}`). Binary writes
 //!   the tag byte, then the fields.
 //! * **`binary`** structs and enums never travel as JSON and generate only
@@ -25,9 +26,10 @@
 //! [`JsonWriter`]'s rules; a [`Matrix`] is `{"rows","cols","data"}` in v1
 //! and `rows, cols, data` in binary.
 //!
-//! Decoding is lenient where serde is: `null` reads as NaN for floats,
-//! integers must be integral, missing defaulted fields fall back. Errors
-//! name the failing field, but that context is only built on the error path.
+//! v1 decoding is lenient in three ways: `null` reads as NaN for floats
+//! (non-finite floats write as `null`), missing fields with a fallback take
+//! it, and unknown keys are ignored. Integers must be integral. Errors name
+//! the failing field, but that context is only built on the error path.
 
 use crate::codec::{Dec, Enc};
 use crate::error::{Result, WireError};
@@ -41,9 +43,14 @@ pub trait Codec: Sized {
     fn write_json(&self, _w: &mut JsonWriter<'_>) {
         unreachable!("{} has no v1 JSON form", std::any::type_name::<Self>())
     }
-    /// Reads the v1 JSON form; binary-only types reject every document.
+    /// Reads the v1 JSON form. Types with no v1 reader reject every document:
+    /// binary-only types, and `MeasurementPlan`, whose plan file is only
+    /// ever written.
     fn read_json(_v: &JsonValue) -> Result<Self> {
-        Err(WireError::Malformed(format!("{} has no v1 JSON form", std::any::type_name::<Self>())))
+        Err(WireError::Malformed(format!(
+            "{} has no v1 JSON reader",
+            std::any::type_name::<Self>()
+        )))
     }
     /// Appends the binary form.
     fn encode(&self, e: &mut Enc);
@@ -174,7 +181,7 @@ impl Codec for u64 {
     fn write_json(&self, w: &mut JsonWriter<'_>) {
         w.u64_val(*self);
     }
-    /// Must be integral; out-of-range values saturate, as serde's `as` does.
+    /// Must be integral; out-of-range values saturate.
     fn read_json(v: &JsonValue) -> Result<Self> {
         match v {
             JsonValue::Num(n) if n.fract() == 0.0 => Ok(*n as u64),
@@ -360,7 +367,7 @@ impl Codec for Matrix {
 ///         Ewma = 1 "ewma" { alpha: f64 },
 ///     }
 /// }
-/// schema! { enum PlanPolicy: binary { UncertaintyGreedy = 0, FixedSchedule = 1 } }
+/// schema! { struct SurveyRecord: binary { epoch: u64, y: Vec<f64>, fresh: Vec<bool> } }
 /// ```
 #[macro_export]
 macro_rules! schema {

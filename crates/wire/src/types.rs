@@ -1,11 +1,11 @@
-//! The schema of every TafLoc domain type that crosses the wire or the disk.
+//! The schema of every TafLoc domain type that crosses the wire, the disk or
+//! a CLI file.
 //!
 //! Types whose layout is just their field list are declared with
-//! [`schema!`](crate::schema!): v1 JSON follows the serde derives (field
-//! order is declaration order, enums use serde's externally tagged
-//! convention unless a tag key is named, `#[serde(default)]` fields decode
-//! leniently), and the binary form is the layout the v2 wire and the
-//! `taflocd` snapshot store share.
+//! [`schema!`](crate::schema!): v1 JSON writes the fields in declaration
+//! order, enums are externally tagged unless a tag key is named, and fields
+//! with a fallback may be absent. The binary form is the layout the v2 wire
+//! and the `taflocd` snapshot store share.
 //!
 //! Types with private fields or validating constructors keep a short
 //! hand-written [`Codec`] impl. Their decoders check what the constructors

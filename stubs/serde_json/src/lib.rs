@@ -1,325 +1,1 @@
-//! Offline stand-in for `serde_json`.
-//!
-//! Text layer over the stub `serde` crate's [`Value`] model: a strict JSON
-//! parser, a compact renderer with round-tripping float output, and the
-//! typed `to_string` / `from_str` entry points the workspace uses.
-
-use serde::de::DeserializeOwned;
-use serde::{Serialize, ValueDeserializer};
-use std::fmt;
-
-pub use serde::Value;
-
-/// Serialization/deserialization failure.
-#[derive(Debug, Clone)]
-pub struct Error(String);
-
-impl Error {
-    fn new(msg: impl Into<String>) -> Self {
-        Error(msg.into())
-    }
-}
-
-impl fmt::Display for Error {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl std::error::Error for Error {}
-
-/// Result alias matching `serde_json::Result`.
-pub type Result<T> = std::result::Result<T, Error>;
-
-/// Serializes any [`Serialize`] type to compact JSON text.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    match value.to_value() {
-        Some(v) => {
-            let mut out = String::new();
-            render(&v, &mut out);
-            Ok(out)
-        }
-        None => Err(Error::new("serde_json stub: to_string unavailable for this type")),
-    }
-}
-
-/// Parses JSON text into any [`DeserializeOwned`] type.
-pub fn from_str<T: DeserializeOwned>(s: &str) -> Result<T> {
-    let value = parse(s)?;
-    T::deserialize(ValueDeserializer { value: &value }).map_err(|e: serde::StubError| Error(e.0))
-}
-
-/// Builds a [`Value`] from a literal, like `serde_json::json!`.
-#[macro_export]
-macro_rules! json {
-    (null) => {
-        $crate::Value::Null
-    };
-    ($other:expr) => {
-        $crate::Value::from($other)
-    };
-}
-
-fn render(v: &Value, out: &mut String) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Num(n) => {
-            // Integral values render as integers; everything else uses
-            // Rust's shortest round-tripping float formatting.
-            if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                out.push_str(&format!("{}", *n as i64));
-            } else {
-                out.push_str(&format!("{n}"));
-            }
-        }
-        Value::Str(s) => render_str(s, out),
-        Value::Arr(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render(item, out);
-            }
-            out.push(']');
-        }
-        Value::Obj(pairs) => {
-            out.push('{');
-            for (i, (k, item)) in pairs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_str(k, out);
-                out.push(':');
-                render(item, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn render_str(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-/// Maximum nesting depth; protocol fuzzing feeds arbitrary bytes here and a
-/// recursive-descent parser must not blow the stack on `[[[[…`.
-const MAX_DEPTH: usize = 128;
-
-fn parse(s: &str) -> Result<Value> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::new(format!("trailing characters at byte {}", p.pos)));
-    }
-    Ok(v)
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::new(format!("expected `{}` at byte {}", b as char, self.pos)))
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> Result<()> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            Ok(())
-        } else {
-            Err(Error::new(format!("invalid literal at byte {}", self.pos)))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Value> {
-        if depth > MAX_DEPTH {
-            return Err(Error::new("document nested too deeply"));
-        }
-        match self.peek() {
-            Some(b'n') => self.eat_keyword("null").map(|_| Value::Null),
-            Some(b't') => self.eat_keyword("true").map(|_| Value::Bool(true)),
-            Some(b'f') => self.eat_keyword("false").map(|_| Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Arr(items));
-                        }
-                        _ => return Err(Error::new(format!("expected `,` or `]` at byte {}", self.pos))),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    self.skip_ws();
-                    let value = self.value(depth + 1)?;
-                    pairs.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Obj(pairs));
-                        }
-                        _ => return Err(Error::new(format!("expected `,` or `}}` at byte {}", self.pos))),
-                    }
-                }
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(Error::new(format!("unexpected input at byte {}", self.pos))),
-        }
-    }
-
-    fn number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::new("non-UTF-8 number"))?;
-        let n: f64 =
-            text.parse().map_err(|_| Error::new(format!("invalid number `{text}`")))?;
-        if n.is_finite() {
-            Ok(Value::Num(n))
-        } else {
-            Err(Error::new(format!("number `{text}` overflows f64")))
-        }
-    }
-
-    fn string(&mut self) -> Result<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(Error::new("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::new("invalid \\u escape"))?;
-                            // Surrogates degrade to the replacement character;
-                            // nothing in this workspace emits them.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(Error::new("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x80 => {
-                    if b < 0x20 {
-                        return Err(Error::new("control character in string"));
-                    }
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: take the full scalar from the source.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::new("non-UTF-8 string"))?;
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
-            }
-        }
-    }
-}
+//! Intentionally empty: no crate uses serde_json, but `loopbench/Cargo.toml` patches `serde_json` to this path and cargo refuses a patch whose path does not exist.

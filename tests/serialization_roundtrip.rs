@@ -1,19 +1,25 @@
-//! Serde round-trips of every persistent artifact: fingerprint databases,
-//! world/system configurations, masks, LRR models — the state a deployment
-//! would snapshot to disk between surveys.
+//! JSON round-trips, through the wire schema, of every persistent artifact:
+//! fingerprint databases, world/system configurations, LRR models — the
+//! state a deployment would snapshot to disk between surveys.
 
+use taf_wire::{from_json, Codec, JsonWriter};
 use tafloc::core::db::FingerprintDb;
 use tafloc::core::lrr::LrrModel;
-use tafloc::core::mask::Mask;
 use tafloc::core::system::TafLocConfig;
 use tafloc::linalg::Matrix;
 use tafloc::rfsim::{campaign, World, WorldConfig};
 
+fn to_json<T: Codec>(value: &T) -> String {
+    let mut buf = Vec::new();
+    value.write_json(&mut JsonWriter::new(&mut buf));
+    String::from_utf8(buf).unwrap()
+}
+
 #[test]
 fn matrix_round_trip() {
     let m = Matrix::from_fn(3, 4, |i, j| i as f64 - 0.5 * j as f64);
-    let json = serde_json::to_string(&m).unwrap();
-    let back: Matrix = serde_json::from_str(&json).unwrap();
+    let json = to_json(&m);
+    let back: Matrix = from_json(&json).unwrap();
     assert!(back.approx_eq(&m, 0.0));
 }
 
@@ -21,7 +27,7 @@ fn matrix_round_trip() {
 fn matrix_deserialization_validates_invariant() {
     // rows*cols != data.len() must be rejected, not silently accepted.
     let bad = r#"{"rows": 2, "cols": 2, "data": [1.0, 2.0, 3.0]}"#;
-    assert!(serde_json::from_str::<Matrix>(bad).is_err());
+    assert!(from_json::<Matrix>(bad).is_err());
 }
 
 #[test]
@@ -29,8 +35,8 @@ fn fingerprint_db_round_trip() {
     let world = World::new(WorldConfig::small_test(), 8);
     let x = campaign::full_calibration(&world, 0.0, 10);
     let db = FingerprintDb::from_world(x, &world).unwrap();
-    let json = serde_json::to_string(&db).unwrap();
-    let back: FingerprintDb = serde_json::from_str(&json).unwrap();
+    let json = to_json(&db);
+    let back: FingerprintDb = from_json(&json).unwrap();
     assert_eq!(back.num_links(), db.num_links());
     assert_eq!(back.num_cells(), db.num_cells());
     assert!(back.rss().approx_eq(db.rss(), 0.0));
@@ -40,8 +46,8 @@ fn fingerprint_db_round_trip() {
 #[test]
 fn world_config_round_trip() {
     let cfg = WorldConfig::paper_default();
-    let json = serde_json::to_string(&cfg).unwrap();
-    let back: WorldConfig = serde_json::from_str(&json).unwrap();
+    let json = to_json(&cfg);
+    let back: WorldConfig = from_json(&json).unwrap();
     assert_eq!(back, cfg);
     // Two worlds from the same config + seed produce identical fingerprints.
     let a = World::new(cfg, 5).fingerprint_truth(10.0);
@@ -52,25 +58,17 @@ fn world_config_round_trip() {
 #[test]
 fn tafloc_config_round_trip() {
     let cfg = TafLocConfig::default();
-    let json = serde_json::to_string(&cfg).unwrap();
-    let back: TafLocConfig = serde_json::from_str(&json).unwrap();
+    let json = to_json(&cfg);
+    let back: TafLocConfig = from_json(&json).unwrap();
     assert_eq!(back, cfg);
-}
-
-#[test]
-fn mask_round_trip() {
-    let mask = Mask::from_columns(4, 6, &[1, 3, 5]).unwrap();
-    let json = serde_json::to_string(&mask).unwrap();
-    let back: Mask = serde_json::from_str(&json).unwrap();
-    assert_eq!(back, mask);
 }
 
 #[test]
 fn lrr_model_round_trip() {
     let x = Matrix::from_fn(4, 8, |i, j| (i * j) as f64 / 3.0 - 1.0);
     let model = LrrModel::fit(&x, &[0, 2, 5], 1e-6).unwrap();
-    let json = serde_json::to_string(&model).unwrap();
-    let back: LrrModel = serde_json::from_str(&json).unwrap();
+    let json = to_json(&model);
+    let back: LrrModel = from_json(&json).unwrap();
     assert_eq!(back.ref_cells(), model.ref_cells());
     assert!(back.z().approx_eq(model.z(), 0.0));
     // Round-tripped model predicts identically.
@@ -89,10 +87,10 @@ fn snapshot_survives_full_cycle() {
     let sys = tafloc::core::system::TafLoc::calibrate(cfg, db.clone(), e0.clone()).unwrap();
 
     // Simulate "write db + config to disk, restart, reload".
-    let db_json = serde_json::to_string(&db).unwrap();
-    let cfg_json = serde_json::to_string(sys.config()).unwrap();
-    let db2: FingerprintDb = serde_json::from_str(&db_json).unwrap();
-    let cfg2: TafLocConfig = serde_json::from_str(&cfg_json).unwrap();
+    let db_json = to_json(&db);
+    let cfg_json = to_json(sys.config());
+    let db2: FingerprintDb = from_json(&db_json).unwrap();
+    let cfg2: TafLocConfig = from_json(&cfg_json).unwrap();
     let sys2 = tafloc::core::system::TafLoc::calibrate(cfg2, db2, e0).unwrap();
     assert_eq!(sys2.reference_cells(), sys.reference_cells());
 }
