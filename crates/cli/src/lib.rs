@@ -35,7 +35,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 use taf_linalg::Matrix;
 use taf_rfsim::{campaign, RawSample, World, WorldConfig};
-use taf_wire::{schema, Codec, JsonWriter};
+use taf_wire::{schema, Codec};
 use tafloc_core::db::FingerprintDb;
 use tafloc_core::system::{SystemSnapshot, TafLoc, TafLocConfig};
 
@@ -170,9 +170,7 @@ pub fn read_json<T: Codec>(path: &Path) -> Result<T> {
 
 /// Writes one CLI file: `value` as compact JSON.
 pub fn write_json<T: Codec>(path: &Path, value: &T) -> Result<()> {
-    let mut text = Vec::new();
-    value.write_json(&mut JsonWriter::new(&mut text));
-    std::fs::write(path, text)
+    std::fs::write(path, taf_wire::to_json(value))
         .map_err(|e| CliError(format!("cannot write {}: {e}", path.display())))
 }
 

@@ -41,4 +41,4 @@ pub mod types;
 pub use codec::{crc32, Dec, Enc};
 pub use error::{Result, WireError};
 pub use json::{JsonValue, JsonWriter};
-pub use schema::{from_bytes, from_json, Codec};
+pub use schema::{from_bytes, from_json, to_json, Codec};

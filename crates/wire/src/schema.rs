@@ -68,6 +68,13 @@ pub fn from_json<T: Codec>(text: &str) -> Result<T> {
     T::read_json(&json::parse(text)?)
 }
 
+/// Encodes `value` as one compact v1 JSON document.
+pub fn to_json<T: Codec>(value: &T) -> String {
+    let mut buf = Vec::new();
+    value.write_json(&mut JsonWriter::new(&mut buf));
+    String::from_utf8(buf).expect("the JSON writer emits UTF-8")
+}
+
 /// Decodes one complete binary payload; trailing bytes are an error.
 pub fn from_bytes<T: Codec>(data: &[u8]) -> Result<T> {
     let mut d = Dec::new(data);

@@ -410,13 +410,7 @@ impl Codec for HistoryWindow {
 mod tests {
     use super::*;
     use crate::json::parse;
-    use crate::schema::{from_bytes, from_json};
-
-    fn json_of<T: Codec>(value: &T) -> String {
-        let mut buf = Vec::new();
-        value.write_json(&mut JsonWriter::new(&mut buf));
-        String::from_utf8(buf).unwrap()
-    }
+    use crate::schema::{from_bytes, from_json, to_json};
 
     fn bytes_of<T: Codec>(value: &T) -> Vec<u8> {
         let mut e = Enc::new();
@@ -453,10 +447,10 @@ mod tests {
     #[test]
     fn snapshot_round_trips_in_json() {
         let snap = sample_snapshot();
-        let text = json_of(&snap);
+        let text = to_json(&snap);
         let back: SystemSnapshot = from_json(&text).unwrap();
         // Re-encode: byte equality is the strongest cheap equivalence.
-        assert_eq!(text, json_of(&back));
+        assert_eq!(text, to_json(&back));
     }
 
     #[test]
@@ -484,7 +478,7 @@ mod tests {
             ReferenceStrategy::Random { seed: 99 },
             ReferenceStrategy::LeverageScore,
         ] {
-            let text = json_of(&s);
+            let text = to_json(&s);
             let back: ReferenceStrategy = from_json(&text).unwrap();
             assert_eq!(s, back, "json round trip via {text}");
             let bytes = bytes_of(&s);
@@ -495,12 +489,12 @@ mod tests {
             MatchMethod::Knn { k: 5 },
             MatchMethod::Probabilistic { sigma_db: 0.5 },
         ] {
-            let text = json_of(&m);
+            let text = to_json(&m);
             assert_eq!(from_json::<MatchMethod>(&text).unwrap(), m);
         }
         // A policy's v1 name is its `--policy` name.
         for p in [PlanPolicy::UncertaintyGreedy, PlanPolicy::FixedSchedule] {
-            let text = json_of(&p);
+            let text = to_json(&p);
             assert_eq!(text, format!("\"{p}\""));
             assert_eq!(from_json::<PlanPolicy>(&text).unwrap(), p);
         }
@@ -519,7 +513,7 @@ mod tests {
     #[test]
     fn ingest_types_round_trip_both_ways() {
         let s = LinkSample { link: 3, t_s: 12.5, rss_dbm: -51.25 };
-        let text = json_of(&s);
+        let text = to_json(&s);
         assert_eq!(text, r#"{"link":3,"t_s":12.5,"rss_dbm":-51.25}"#);
         assert_eq!(from_json::<LinkSample>(&text).unwrap(), s);
 
@@ -548,7 +542,7 @@ mod tests {
             dead_links: 11,
             assemblies: 12,
         };
-        let text = json_of(&stats);
+        let text = to_json(&stats);
         assert_eq!(from_json::<IngestStats>(&text).unwrap(), stats);
 
         let bytes = bytes_of(&stats);

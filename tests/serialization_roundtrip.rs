@@ -2,18 +2,12 @@
 //! fingerprint databases, world/system configurations, LRR models — the
 //! state a deployment would snapshot to disk between surveys.
 
-use taf_wire::{from_json, Codec, JsonWriter};
+use taf_wire::{from_json, to_json};
 use tafloc::core::db::FingerprintDb;
 use tafloc::core::lrr::LrrModel;
 use tafloc::core::system::TafLocConfig;
 use tafloc::linalg::Matrix;
 use tafloc::rfsim::{campaign, World, WorldConfig};
-
-fn to_json<T: Codec>(value: &T) -> String {
-    let mut buf = Vec::new();
-    value.write_json(&mut JsonWriter::new(&mut buf));
-    String::from_utf8(buf).unwrap()
-}
 
 #[test]
 fn matrix_round_trip() {
