@@ -435,6 +435,44 @@ mod tests {
     }
 
     #[test]
+    fn validate_accepts_every_builtin_config() {
+        let mut no_drift = WorldConfig::small_test();
+        no_drift.drift = DriftConfig::none();
+        for cfg in [
+            WorldConfig::paper_default(),
+            WorldConfig::small_test(),
+            WorldConfig::square_area(6.0),
+            no_drift,
+        ] {
+            assert_eq!(cfg.validate(), Ok(()), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn validate_refuses_what_world_new_panics_on() {
+        // (field named in the error, whether `World::new` panics, mutation)
+        type Case = (&'static str, bool, fn(&mut WorldConfig));
+        let cases: [Case; 7] = [
+            ("num_links", true, |c| c.num_links = 0),
+            ("shadowing.decorrelation_m", true, |c| c.shadowing.decorrelation_m = 0.0),
+            ("drift.tau_days", true, |c| c.drift.tau_days = 0.0),
+            ("drift.tau_days", true, |c| c.drift.tau_days = -3.0),
+            ("drift.tau_days", true, |c| c.drift.tau_days = f64::NAN),
+            ("drift.entry_fast_tau_days", true, |c| c.drift.entry_fast_tau_days = 0.0),
+            // Builds, but every RSS is non-finite.
+            ("pathloss.d0", false, |c| c.pathloss.d0 = 0.0),
+        ];
+        for (field, panics, break_it) in cases {
+            let mut cfg = WorldConfig::small_test();
+            break_it(&mut cfg);
+            let err = cfg.validate().expect_err(field);
+            assert!(err.contains(field), "{field}: {err}");
+            let built = std::panic::catch_unwind(move || World::new(cfg, 1));
+            assert_eq!(built.is_err(), panics, "{field}");
+        }
+    }
+
+    #[test]
     fn multi_target_superposition() {
         let w = World::paper_default(4);
         let p1 = w.grid().cell_center(10);

@@ -438,3 +438,21 @@ pub struct SiteStats {
     /// Worker shard owning this site (0 in unsharded deployments).
     pub shard: usize,
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::v1;
+
+    #[test]
+    fn wire_format_is_stable_kebab_case() {
+        let mut line = Vec::new();
+        v1::encode_request(&Request::ListSites, &mut line);
+        assert_eq!(String::from_utf8(line).unwrap(), r#"{"cmd":"list-sites"}"#);
+        let mut line = Vec::new();
+        v1::encode_response(&Response::Pong, &mut line);
+        assert_eq!(String::from_utf8(line).unwrap(), r#"{"reply":"pong"}"#);
+        let parsed = v1::decode_request(r#"{"cmd":"locate","site":"a","y":[-1.0]}"#).unwrap();
+        assert!(matches!(parsed, Request::Locate { .. }));
+    }
+}

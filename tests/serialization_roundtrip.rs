@@ -7,7 +7,7 @@ use tafloc::core::db::FingerprintDb;
 use tafloc::core::lrr::LrrModel;
 use tafloc::core::system::TafLocConfig;
 use tafloc::linalg::Matrix;
-use tafloc::rfsim::{campaign, World, WorldConfig};
+use tafloc::rfsim::{campaign, EnvironmentEvent, Point, World, WorldConfig};
 
 #[test]
 fn matrix_round_trip() {
@@ -46,6 +46,26 @@ fn world_config_round_trip() {
     // Two worlds from the same config + seed produce identical fingerprints.
     let a = World::new(cfg, 5).fingerprint_truth(10.0);
     let b = World::new(back, 5).fingerprint_truth(10.0);
+    assert!(a.approx_eq(&b, 0.0));
+}
+
+#[test]
+fn world_config_with_an_event_round_trip() {
+    // Every built-in config has no events; a deployment that scripts one
+    // must get it back from its world file.
+    let mut cfg = WorldConfig::small_test();
+    cfg.events.push(EnvironmentEvent {
+        day: 10.0,
+        location: Point::new(1.5, 1.8),
+        radius_m: 1.0,
+        link_delta_db: -5.0,
+        entry_delta_db: 3.0,
+    });
+    let json = to_json(&cfg);
+    let back: WorldConfig = from_json(&json).unwrap();
+    assert_eq!(back, cfg);
+    let a = World::new(cfg, 6).fingerprint_truth(11.0);
+    let b = World::new(back, 6).fingerprint_truth(11.0);
     assert!(a.approx_eq(&b, 0.0));
 }
 
