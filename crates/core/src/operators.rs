@@ -12,11 +12,8 @@
 //!   similarity term `‖H·X_D‖²_F`.
 //!
 //! Both are exposed as neighbor lists (what the LoLi-IR inner loops consume) and
-//! as sparse incidence matrices / dense Laplacians (for diagnostics, the exact CG
-//! variant and tests).
+//! as a dense Laplacian (the RTI baseline's image-smoothness regularizer).
 
-use crate::Result;
-use taf_linalg::sparse::Csr;
 use taf_linalg::Matrix;
 use taf_rfsim::deployment::Deployment;
 use taf_rfsim::geometry::Segment;
@@ -118,24 +115,7 @@ impl NeighborGraph {
         self.neighbors.iter().map(|l| l.len()).sum::<usize>() / 2
     }
 
-    /// Oriented incidence matrix (`num_edges x n`): each row has `+1/−1` at an
-    /// edge's endpoints. `incidence()ᵀ · incidence()` is the graph Laplacian.
-    pub fn incidence(&self) -> Result<Csr> {
-        let mut triplets = Vec::with_capacity(2 * self.num_edges());
-        let mut row = 0;
-        for v in 0..self.len() {
-            for &u in &self.neighbors[v] {
-                if u > v {
-                    triplets.push((row, v, 1.0));
-                    triplets.push((row, u, -1.0));
-                    row += 1;
-                }
-            }
-        }
-        Csr::from_triplets(row, self.len(), &triplets).map_err(crate::error::TaflocError::from)
-    }
-
-    /// Dense graph Laplacian `L = D − A`.
+    /// Dense graph Laplacian `L = D − A`: `xᵀ·L·x = Σ_edges (x_u − x_v)²`.
     pub fn laplacian(&self) -> Matrix {
         let n = self.len();
         let mut l = Matrix::zeros(n, n);
@@ -147,42 +127,6 @@ impl NeighborGraph {
         }
         l
     }
-}
-
-/// Smoothness energy of the rows of `x` over `graph` (vertices = columns):
-/// `Σ_edges ‖x[:, u] − x[:, v]‖²` — the continuity penalty `‖X·G‖²_F`.
-pub fn column_smoothness(x: &Matrix, graph: &NeighborGraph) -> f64 {
-    debug_assert_eq!(x.cols(), graph.len());
-    let mut acc = 0.0;
-    for v in 0..graph.len() {
-        for &u in graph.neighbors(v) {
-            if u > v {
-                for i in 0..x.rows() {
-                    let d = x[(i, v)] - x[(i, u)];
-                    acc += d * d;
-                }
-            }
-        }
-    }
-    acc
-}
-
-/// Smoothness energy of the columns of `x` over `graph` (vertices = rows):
-/// `Σ_edges ‖x[u, :] − x[v, :]‖²` — the similarity penalty `‖H·X‖²_F`.
-pub fn row_smoothness(x: &Matrix, graph: &NeighborGraph) -> f64 {
-    debug_assert_eq!(x.rows(), graph.len());
-    let mut acc = 0.0;
-    for v in 0..graph.len() {
-        for &u in graph.neighbors(v) {
-            if u > v {
-                for j in 0..x.cols() {
-                    let d = x[(v, j)] - x[(u, j)];
-                    acc += d * d;
-                }
-            }
-        }
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -234,15 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn incidence_gram_is_laplacian() {
-        let g = NeighborGraph::locations(&grid());
-        let inc = g.incidence().unwrap();
-        assert_eq!(inc.rows(), g.num_edges());
-        let lap = inc.gram_dense();
-        assert!(lap.approx_eq(&g.laplacian(), 1e-12));
-    }
-
-    #[test]
     fn laplacian_rows_sum_to_zero() {
         let g = NeighborGraph::locations(&grid());
         let l = g.laplacian();
@@ -250,35 +185,6 @@ mod tests {
             let s: f64 = l.row(i).iter().sum();
             assert!(s.abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn smoothness_zero_for_constant() {
-        let g = NeighborGraph::locations(&grid());
-        let x = Matrix::filled(4, 6, 3.0);
-        assert_eq!(column_smoothness(&x, &g), 0.0);
-        let lg = NeighborGraph::new(4, vec![(0, 1), (2, 3)]);
-        assert_eq!(row_smoothness(&x, &lg), 0.0);
-    }
-
-    #[test]
-    fn smoothness_matches_incidence_formulation() {
-        let g = NeighborGraph::locations(&grid());
-        let x = Matrix::from_fn(2, 6, |i, j| (i * 7 + j * j) as f64 * 0.3);
-        // Rows of the incidence matrix are edge-difference functionals, so the
-        // smoothness energy equals ‖Inc · Xᵀ‖²_F.
-        let inc = g.incidence().unwrap();
-        let diff = inc.matmul_dense(&x.transpose()).unwrap(); // (E x N)·(N x M) = E x M
-        let energy = diff.iter().map(|v| v * v).sum::<f64>();
-        assert!((energy - column_smoothness(&x, &g)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn smoothness_detects_roughness() {
-        let g = NeighborGraph::locations(&grid());
-        let smooth = Matrix::from_fn(1, 6, |_, j| j as f64 * 0.1);
-        let rough = Matrix::from_fn(1, 6, |_, j| if j % 2 == 0 { 10.0 } else { -10.0 });
-        assert!(column_smoothness(&rough, &g) > column_smoothness(&smooth, &g));
     }
 
     #[test]

@@ -176,11 +176,6 @@ impl SolverCache {
         SolverCache::default()
     }
 
-    /// Whether the next solve through this cache will attempt a warm start.
-    pub fn has_warm(&self) -> bool {
-        self.warm.is_some()
-    }
-
     /// Records an accepted reconstruction as the seed for the next solve.
     pub fn adopt(&mut self, rec: &Reconstruction) {
         self.warm = Some(WarmState::from_reconstruction(rec));
@@ -539,46 +534,6 @@ impl TafLoc {
     ) -> Result<UpdateReport> {
         let rec = self.reconstruct_db_masked(fresh_refs, fresh_empty, observed_entries)?;
         self.apply_reconstruction(rec, fresh_empty)
-    }
-
-    /// [`TafLoc::update`] through a [`SolverCache`]. Applying *is* accepting
-    /// here (no guard stands between solve and commit), so the solution is
-    /// adopted as the next warm seed on success; on any error the cache is
-    /// invalidated instead.
-    pub fn update_cached(
-        &mut self,
-        fresh_refs: &Matrix,
-        fresh_empty: &[f64],
-        cache: &mut SolverCache,
-    ) -> Result<UpdateReport> {
-        let entries = Mask::trues(self.db.num_links(), self.ref_cells.len());
-        self.update_masked_cached(fresh_refs, fresh_empty, &entries, cache)
-    }
-
-    /// [`TafLoc::update_masked`] through a [`SolverCache`]; see
-    /// [`TafLoc::update_cached`] for the adopt/invalidate contract.
-    pub fn update_masked_cached(
-        &mut self,
-        fresh_refs: &Matrix,
-        fresh_empty: &[f64],
-        observed_entries: &Mask,
-        cache: &mut SolverCache,
-    ) -> Result<UpdateReport> {
-        match self.reconstruct_db_masked_cached(fresh_refs, fresh_empty, observed_entries, cache) {
-            Ok(rec) => {
-                // Adopt first — it copies only the small factors — then let a
-                // failed commit revoke it.
-                cache.adopt(&rec);
-                self.apply_reconstruction(rec, fresh_empty).map_err(|e| {
-                    cache.invalidate();
-                    e
-                })
-            }
-            Err(e) => {
-                cache.invalidate();
-                Err(e)
-            }
-        }
     }
 
     /// Localizes a live RSS vector against the current database.

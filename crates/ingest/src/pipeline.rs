@@ -299,11 +299,6 @@ impl Ingestor {
         self.dropped_queue_samples.fetch_add(samples as u64, Ordering::Relaxed);
     }
 
-    /// Loads one link's published aggregate (wait-free read path).
-    pub fn link_aggregate(&self, link: usize) -> Option<Arc<LinkAggregate>> {
-        self.published.get(link).and_then(PublishedLink::load)
-    }
-
     /// Classifies one published aggregate at stream time `now_s`.
     fn classify(&self, agg: Option<&LinkAggregate>, now_s: f64) -> LinkStatus {
         match agg {

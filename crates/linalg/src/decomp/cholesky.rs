@@ -39,7 +39,7 @@ impl Matrix {
     /// triangle of `l` is zeroed.
     ///
     /// The factorization is blocked by columns: for each panel of
-    /// [`CHOL_PANEL`] columns, a *panel update* first subtracts the
+    /// `CHOL_PANEL` columns, a *panel update* first subtracts the
     /// contribution of all previously factored columns (`k < j0`) row by row —
     /// each row of `L` is loaded once as a contiguous slice and reused across
     /// the whole panel — and the small in-panel factorization then finishes
@@ -227,11 +227,6 @@ impl Cholesky {
         }
         Ok(out)
     }
-
-    /// Log-determinant of `A` (`2·Σ log L_ii`), useful for Gaussian likelihoods.
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -257,13 +252,13 @@ mod tests {
     }
 
     #[test]
-    fn solve_matches_lu() {
+    fn solve_recovers_known_solution() {
         let a = spd();
-        let b = [1.0, -2.0, 0.5];
-        let x_chol = a.cholesky().unwrap().solve(&b).unwrap();
-        let x_lu = a.solve(&b).unwrap();
-        for (c, l) in x_chol.iter().zip(&x_lu) {
-            assert!((c - l).abs() < 1e-10);
+        let x_true = [1.0, -2.0, 0.5];
+        let b = a.matvec(&x_true);
+        let x = a.cholesky().unwrap().solve(&b).unwrap();
+        for (c, t) in x.iter().zip(&x_true) {
+            assert!((c - t).abs() < 1e-10);
         }
     }
 
@@ -306,14 +301,6 @@ mod tests {
         for i in 0..3 {
             assert!((v[i] - l[(i, 0)]).abs() < 1e-14);
         }
-    }
-
-    #[test]
-    fn log_det_matches_determinant() {
-        let a = spd();
-        let chol = a.cholesky().unwrap();
-        let det = a.determinant().unwrap();
-        assert!((chol.log_det() - det.ln()).abs() < 1e-9);
     }
 
     #[test]
@@ -413,6 +400,5 @@ mod tests {
         let i = Matrix::identity(4);
         let chol = i.cholesky().unwrap();
         assert!(chol.factor().approx_eq(&i, 1e-14));
-        assert_eq!(chol.log_det(), 0.0);
     }
 }

@@ -1,7 +1,5 @@
 //! Matrix decompositions.
 //!
-//! * [`lu`] — partially pivoted LU for general square solves, inverses and
-//!   determinants.
 //! * [`cholesky`] — SPD factorization; the inner solver of every LoLi-IR
 //!   alternating-least-squares step and of ridge regression.
 //! * [`qr`] — Householder QR, optionally with column pivoting. Column pivoting is
@@ -9,16 +7,11 @@
 //!   columns of the fingerprint matrix).
 //! * [`svd`] — one-sided Jacobi singular value decomposition; used to initialize the
 //!   LoLi-IR factors and by the singular-value-thresholding completion baseline.
-//! * [`eigh`] — classical Jacobi eigendecomposition for symmetric matrices.
 
 pub mod cholesky;
-pub mod eigh;
-pub mod lu;
 pub mod qr;
 pub mod svd;
 
 pub use cholesky::Cholesky;
-pub use eigh::SymmetricEigen;
-pub use lu::Lu;
 pub use qr::{ColPivQr, Qr};
 pub use svd::Svd;

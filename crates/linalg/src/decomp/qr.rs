@@ -201,41 +201,6 @@ impl Qr {
     pub fn r(&self) -> &Matrix {
         &self.r
     }
-
-    /// Least-squares solve `min ‖A·x − b‖₂` for a full-column-rank `A` (`m ≥ n`).
-    ///
-    /// Returns [`LinalgError::Singular`] when `R` has a (numerically) zero diagonal.
-    pub fn solve_least_squares(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let m = self.q.rows();
-        let n = self.r.cols();
-        if b.len() != m {
-            return Err(LinalgError::DimensionMismatch {
-                op: "Qr::solve_least_squares",
-                lhs: (m, n),
-                rhs: (b.len(), 1),
-            });
-        }
-        if m < n {
-            return Err(LinalgError::InvalidArgument {
-                op: "Qr::solve_least_squares",
-                reason: format!("underdetermined system ({m} rows < {n} cols)"),
-            });
-        }
-        let y = self.q.tr_matvec(b); // Qᵀ·b, length min(m,n) = n
-        let mut x = y;
-        for i in (0..n).rev() {
-            let mut acc = x[i];
-            for j in (i + 1)..n {
-                acc -= self.r[(i, j)] * x[j];
-            }
-            let rii = self.r[(i, i)];
-            if rii.abs() < 1e-13 {
-                return Err(LinalgError::Singular { pivot: i });
-            }
-            x[i] = acc / rii;
-        }
-        Ok(x)
-    }
 }
 
 impl ColPivQr {
@@ -326,36 +291,6 @@ mod tests {
                 assert!(qr.r()[(i, j)].abs() < 1e-12);
             }
         }
-    }
-
-    #[test]
-    fn least_squares_matches_normal_equations() {
-        let a = tall();
-        let b = [1.0, 0.0, 2.0, 1.0];
-        let x = a.qr().unwrap().solve_least_squares(&b).unwrap();
-        // Normal equations: AᵀA x = Aᵀ b
-        let atb = a.tr_matvec(&b);
-        let x_ne = a.gram().solve(&atb).unwrap();
-        for (u, v) in x.iter().zip(&x_ne) {
-            assert!((u - v).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn least_squares_exact_on_square_system() {
-        let a = Matrix::from_rows(&[&[2.0, 0.0], &[0.0, 3.0]]).unwrap();
-        let x = a.qr().unwrap().solve_least_squares(&[4.0, 9.0]).unwrap();
-        assert!((x[0] - 2.0).abs() < 1e-12);
-        assert!((x[1] - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn least_squares_rejects_bad_shapes() {
-        let a = tall();
-        let qr = a.qr().unwrap();
-        assert!(qr.solve_least_squares(&[1.0]).is_err());
-        let wide = Matrix::from_rows(&[&[1.0, 2.0, 3.0]]).unwrap();
-        assert!(wide.qr().unwrap().solve_least_squares(&[1.0]).is_err());
     }
 
     #[test]

@@ -199,12 +199,6 @@ impl Svd {
         }
     }
 
-    /// Nuclear norm `Σ σ_i` (the convex surrogate of rank the poster's
-    /// `min rank(X̂)` formulation relaxes to).
-    pub fn nuclear_norm(&self) -> f64 {
-        self.sigma.iter().sum()
-    }
-
     /// Applies soft-thresholding `σ_i ← max(σ_i − τ, 0)` and rebuilds the matrix —
     /// the shrinkage step of singular value thresholding.
     pub fn shrink(&self, tau: f64) -> Matrix {
@@ -298,10 +292,9 @@ mod tests {
     }
 
     #[test]
-    fn nuclear_norm_and_energy() {
+    fn energy_fraction_of_diagonal() {
         let a = Matrix::from_diag(&[3.0, 4.0]);
         let svd = a.svd().unwrap();
-        assert!((svd.nuclear_norm() - 7.0).abs() < 1e-9);
         assert!((svd.energy_fraction(1) - 16.0 / 25.0).abs() < 1e-9);
         assert!((svd.energy_fraction(2) - 1.0).abs() < 1e-12);
     }

@@ -33,11 +33,6 @@ pub enum LinalgError {
         /// Value of the offending pivot.
         value: f64,
     },
-    /// A solve encountered an (numerically) singular matrix.
-    Singular {
-        /// Index of the zero pivot.
-        pivot: usize,
-    },
     /// An iterative algorithm failed to converge within its iteration budget.
     NoConvergence {
         /// Human-readable name of the algorithm.
@@ -82,9 +77,6 @@ impl fmt::Display for LinalgError {
             LinalgError::NotPositiveDefinite { pivot, value } => {
                 write!(f, "cholesky: matrix is not positive definite (pivot {pivot} = {value:.3e})")
             }
-            LinalgError::Singular { pivot } => {
-                write!(f, "solve: matrix is singular (zero pivot at {pivot})")
-            }
             LinalgError::NoConvergence { algorithm, iterations } => {
                 write!(f, "{algorithm}: no convergence after {iterations} iterations")
             }
@@ -113,7 +105,7 @@ mod tests {
 
     #[test]
     fn display_not_square() {
-        let e = LinalgError::NotSquare { op: "lu", shape: (2, 3) };
+        let e = LinalgError::NotSquare { op: "cholesky", shape: (2, 3) };
         assert!(e.to_string().contains("square"));
     }
 
@@ -121,12 +113,6 @@ mod tests {
     fn display_not_positive_definite() {
         let e = LinalgError::NotPositiveDefinite { pivot: 1, value: -2.0 };
         assert!(e.to_string().contains("positive definite"));
-    }
-
-    #[test]
-    fn display_singular() {
-        let e = LinalgError::Singular { pivot: 0 };
-        assert!(e.to_string().contains("singular"));
     }
 
     #[test]

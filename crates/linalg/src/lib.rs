@@ -1,20 +1,18 @@
 //! # taf-linalg
 //!
-//! Dense and sparse linear algebra substrate for the TafLoc reproduction.
+//! Dense linear algebra substrate for the TafLoc reproduction.
 //!
 //! The TafLoc paper (SIGCOMM '16) reconstructs an RSS fingerprint matrix with a
 //! structured low-rank solver (LoLi-IR). Everything that solver needs is built here
 //! from scratch, because the offline crate set contains no linear-algebra library:
 //!
 //! * [`Matrix`] — a dense, row-major, `f64` matrix with the usual algebra
-//!   (multiplication, concatenation, slicing, Hadamard products, norms).
-//! * Decompositions — [`decomp::lu`] (general solves), [`decomp::cholesky`]
-//!   (the SPD inner solves of every ALS step), [`decomp::qr`] (least squares and the
-//!   column-pivoted selection of reference locations), [`decomp::svd`] (one-sided
-//!   Jacobi; LoLi-IR initialization and the SVT baseline), and [`decomp::eigh`]
-//!   (symmetric eigenproblems).
-//! * [`solve`] — least squares, ridge regression and conjugate gradients.
-//! * [`sparse`] — CSR matrices for the continuity/similarity difference operators.
+//!   (multiplication, slicing, elementwise maps, norms).
+//! * Decompositions — [`decomp::cholesky`] (the SPD inner solves of every ALS
+//!   step), [`decomp::qr`] (the column-pivoted selection of reference locations)
+//!   and [`decomp::svd`] (one-sided Jacobi; LoLi-IR initialization and the SVT
+//!   baseline).
+//! * [`solve`] — ridge regression with a matrix right-hand side (the LRR `Z`).
 //! * [`stats`] — means, percentiles and empirical CDFs used throughout the
 //!   evaluation harness.
 //!
@@ -45,19 +43,17 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord, clippy::needless_range_loop)]
 
 mod error;
-mod extras;
 mod matrix;
 pub(crate) mod ops;
 
 pub mod decomp;
 pub mod io;
 pub mod solve;
-pub mod sparse;
 pub mod stats;
 
 pub use error::LinalgError;
 pub use matrix::Matrix;
-pub use ops::{axpy_slice, dot, norm2, outer};
+pub use ops::{axpy_slice, dot, outer};
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, LinalgError>;

@@ -108,16 +108,6 @@ impl Matrix {
         Ok(Matrix::from_fn(rows, cols.len(), |i, j| cols[j][i]))
     }
 
-    /// Creates a column vector (`n x 1`) from a slice.
-    pub fn col_vector(v: &[f64]) -> Self {
-        Matrix { rows: v.len(), cols: 1, data: v.to_vec() }
-    }
-
-    /// Creates a row vector (`1 x n`) from a slice.
-    pub fn row_vector(v: &[f64]) -> Self {
-        Matrix { rows: 1, cols: v.len(), data: v.to_vec() }
-    }
-
     /// Creates a square matrix with `diag` on the diagonal and zeros elsewhere.
     pub fn from_diag(diag: &[f64]) -> Self {
         let n = diag.len();
@@ -265,17 +255,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Swaps rows `a` and `b` in place. Panics when out of bounds.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
-        assert!(a < self.rows && b < self.rows, "row index out of bounds");
-        if a == b {
-            return;
-        }
-        let (lo, hi) = (a.min(b), a.max(b));
-        let (head, tail) = self.data.split_at_mut(hi * self.cols);
-        head[lo * self.cols..(lo + 1) * self.cols].swap_with_slice(&mut tail[..self.cols]);
-    }
-
     /// Swaps columns `a` and `b` in place. Panics when out of bounds.
     pub fn swap_cols(&mut self, a: usize, b: usize) {
         assert!(a < self.cols && b < self.cols, "column index out of bounds");
@@ -345,20 +324,6 @@ impl Matrix {
         Ok(Matrix::from_fn(self.rows, indices.len(), |i, k| self.data[i * self.cols + indices[k]]))
     }
 
-    /// Returns a copy with only the selected rows, in the given order.
-    pub fn select_rows(&self, indices: &[usize]) -> Result<Matrix> {
-        for &i in indices {
-            if i >= self.rows {
-                return Err(LinalgError::IndexOutOfBounds {
-                    op: "Matrix::select_rows",
-                    index: i,
-                    bound: self.rows,
-                });
-            }
-        }
-        Ok(Matrix::from_fn(indices.len(), self.cols, |k, j| self.data[indices[k] * self.cols + j]))
-    }
-
     /// Copies the rectangular block `rows [r0, r1) x cols [c0, c1)`.
     pub fn submatrix(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> Result<Matrix> {
         if r1 > self.rows || r0 > r1 {
@@ -376,38 +341,6 @@ impl Matrix {
             });
         }
         Ok(Matrix::from_fn(r1 - r0, c1 - c0, |i, j| self.data[(r0 + i) * self.cols + (c0 + j)]))
-    }
-
-    /// Horizontally concatenates `self | other` (same row count required).
-    pub fn hstack(&self, other: &Matrix) -> Result<Matrix> {
-        if self.rows != other.rows {
-            return Err(LinalgError::DimensionMismatch {
-                op: "Matrix::hstack",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out.row_mut(i)[self.cols..].copy_from_slice(other.row(i));
-        }
-        Ok(out)
-    }
-
-    /// Vertically concatenates `self` on top of `other` (same column count required).
-    pub fn vstack(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.cols {
-            return Err(LinalgError::DimensionMismatch {
-                op: "Matrix::vstack",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        let mut data = Vec::with_capacity((self.rows + other.rows) * self.cols);
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Ok(Matrix { rows: self.rows + other.rows, cols: self.cols, data })
     }
 
     // ------------------------------------------------------------------
@@ -437,11 +370,6 @@ impl Matrix {
         }
         let data = self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)).collect();
         Ok(Matrix { rows: self.rows, cols: self.cols, data })
-    }
-
-    /// Elementwise (Hadamard) product.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_map(other, |a, b| a * b)
     }
 
     // ------------------------------------------------------------------
@@ -630,13 +558,11 @@ mod tests {
     }
 
     #[test]
-    fn swap_rows_and_cols() {
+    fn swap_cols_in_place() {
         let mut m = sample();
-        m.swap_rows(0, 1);
-        assert_eq!(m.row(0), &[4.0, 5.0, 6.0]);
         m.swap_cols(0, 2);
-        assert_eq!(m.row(0), &[6.0, 5.0, 4.0]);
-        m.swap_rows(1, 1); // no-op must not panic
+        assert_eq!(m.row(1), &[6.0, 5.0, 4.0]);
+        m.swap_cols(1, 1); // no-op must not panic
     }
 
     #[test]
@@ -649,39 +575,24 @@ mod tests {
     }
 
     #[test]
-    fn select_rows_cols_and_submatrix() {
+    fn select_cols_and_submatrix() {
         let m = sample();
         let c = m.select_cols(&[2, 0]).unwrap();
         assert_eq!(c.row(0), &[3.0, 1.0]);
-        let r = m.select_rows(&[1]).unwrap();
-        assert_eq!(r.shape(), (1, 3));
         let s = m.submatrix(0, 2, 1, 3).unwrap();
         assert_eq!(s.row(0), &[2.0, 3.0]);
         assert!(m.select_cols(&[3]).is_err());
-        assert!(m.select_rows(&[2]).is_err());
         assert!(m.submatrix(0, 3, 0, 1).is_err());
     }
 
     #[test]
-    fn stack_operations() {
-        let m = sample();
-        let h = m.hstack(&m).unwrap();
-        assert_eq!(h.shape(), (2, 6));
-        assert_eq!(h.row(0), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
-        let v = m.vstack(&m).unwrap();
-        assert_eq!(v.shape(), (4, 3));
-        assert!(m.hstack(&Matrix::zeros(3, 1)).is_err());
-        assert!(m.vstack(&Matrix::zeros(1, 2)).is_err());
-    }
-
-    #[test]
-    fn map_and_hadamard() {
+    fn map_and_zip_map() {
         let m = sample();
         let sq = m.map(|v| v * v);
         assert_eq!(sq[(1, 2)], 36.0);
-        let h = m.hadamard(&m).unwrap();
+        let h = m.zip_map(&m, |a, b| a * b).unwrap();
         assert!(h.approx_eq(&sq, 0.0));
-        assert!(m.hadamard(&Matrix::zeros(1, 1)).is_err());
+        assert!(m.zip_map(&Matrix::zeros(1, 1), |a, b| a * b).is_err());
     }
 
     #[test]
@@ -737,13 +648,5 @@ mod tests {
         assert!(s.contains("1.0000"));
         let big = Matrix::zeros(20, 20);
         assert_eq!(format!("{big}"), "Matrix(20x20)");
-    }
-
-    #[test]
-    fn col_row_vectors() {
-        let c = Matrix::col_vector(&[1.0, 2.0]);
-        assert_eq!(c.shape(), (2, 1));
-        let r = Matrix::row_vector(&[1.0, 2.0]);
-        assert_eq!(r.shape(), (1, 2));
     }
 }

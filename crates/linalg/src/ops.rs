@@ -9,7 +9,7 @@
 //! (the shared-dimension order per element never changes, and the tiled kernel
 //! replicates [`dot`]'s four-lane reduction), so blocking changes no bits.
 //! Fingerprint matrices are dense, so there is deliberately no zero-skip
-//! branch here — sparse operands should go through `Csr::matmul_dense`.
+//! branch here.
 
 use crate::{LinalgError, Matrix, Result};
 
@@ -364,11 +364,6 @@ pub fn axpy_slice(out: &mut [f64], alpha: f64, src: &[f64]) {
     }
 }
 
-/// Euclidean norm of a slice.
-pub fn norm2(v: &[f64]) -> f64 {
-    dot(v, v).sqrt()
-}
-
 /// Outer product `a * bᵀ` of two slices.
 pub fn outer(a: &[f64], b: &[f64]) -> Matrix {
     Matrix::from_fn(a.len(), b.len(), |i, j| a[i] * b[j])
@@ -513,7 +508,6 @@ mod tests {
     #[test]
     fn free_functions() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
         let o = outer(&[1.0, 2.0], &[3.0, 4.0]);
         assert_eq!(o[(1, 0)], 6.0);
     }

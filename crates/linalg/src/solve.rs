@@ -1,46 +1,14 @@
-//! Higher-level solvers: least squares, ridge regression, conjugate gradients.
+//! Ridge regression with a matrix right-hand side.
 //!
-//! Ridge regression is the heart of the TafLoc math: the LRR correlation matrix `Z`,
-//! every per-row/per-column step of the LoLi-IR alternating solver, and the RTI
-//! baseline's Tikhonov image reconstruction are all ridge solves.
+//! This is the LRR step of the TafLoc math: the correlation matrix `Z` that
+//! predicts every cell's fingerprint from the reference columns is one shared
+//! ridge solve.
 
 use crate::{LinalgError, Matrix, Result};
 
-/// Solves the least-squares problem `min ‖A·x − b‖₂` via Householder QR.
-///
-/// Requires `A` to have full column rank and at least as many rows as columns.
-pub fn lstsq(a: &Matrix, b: &[f64]) -> Result<Vec<f64>> {
-    a.qr()?.solve_least_squares(b)
-}
-
-/// Solves the ridge-regression problem `min ‖A·x − b‖₂² + λ‖x‖₂²` through the
-/// normal equations `(AᵀA + λI)·x = Aᵀb`, factored by Cholesky.
-///
-/// `lambda` must be non-negative; a strictly positive `lambda` guarantees a unique
-/// solution regardless of `A`'s rank.
-pub fn ridge(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>> {
-    if lambda < 0.0 || !lambda.is_finite() {
-        return Err(LinalgError::InvalidArgument {
-            op: "ridge",
-            reason: format!("lambda must be finite and >= 0, got {lambda}"),
-        });
-    }
-    if b.len() != a.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "ridge",
-            lhs: a.shape(),
-            rhs: (b.len(), 1),
-        });
-    }
-    let mut gram = a.gram();
-    gram.add_diag(lambda)?;
-    let atb = a.tr_matvec(b);
-    gram.cholesky()?.solve(&atb)
-}
-
 /// Ridge regression with a matrix right-hand side: solves
 /// `min ‖A·X − B‖_F² + λ‖X‖_F²`, i.e. one ridge problem per column of `B`,
-/// sharing a single Cholesky factorization.
+/// sharing a single Cholesky factorization of `AᵀA + λI`.
 ///
 /// This is exactly how the LRR correlation matrix is computed:
 /// `Z = (X_Rᵀ·X_R + λI)⁻¹·X_Rᵀ·X`.
@@ -65,99 +33,6 @@ pub fn ridge_multi(a: &Matrix, b: &Matrix, lambda: f64) -> Result<Matrix> {
     chol.solve_matrix(&atb)
 }
 
-/// Configuration for [`conjugate_gradient`].
-#[derive(Debug, Clone, Copy)]
-pub struct CgConfig {
-    /// Maximum iterations (defaults to 500).
-    pub max_iters: usize,
-    /// Relative residual tolerance `‖r‖/‖b‖` (defaults to `1e-10`).
-    pub tol: f64,
-}
-
-impl Default for CgConfig {
-    fn default() -> Self {
-        CgConfig { max_iters: 500, tol: 1e-10 }
-    }
-}
-
-/// Solves `A·x = b` for a symmetric positive-(semi)definite operator given only as
-/// a matrix-vector product, by the conjugate-gradient method.
-///
-/// This is used for the exact (graph-coupled) LoLi-IR variant, where the system
-/// matrix `λI + Σ B_ij r_j r_jᵀ + β·Laplacian ⊗ (RᵀR)` is never formed explicitly.
-///
-/// Returns the solution and the number of iterations used, or
-/// [`LinalgError::NoConvergence`] when the tolerance is not met in time.
-pub fn conjugate_gradient(
-    apply: impl Fn(&[f64]) -> Vec<f64>,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    config: CgConfig,
-) -> Result<(Vec<f64>, usize)> {
-    if b.is_empty() {
-        return Err(LinalgError::EmptyInput { op: "conjugate_gradient" });
-    }
-    let n = b.len();
-    let mut x = match x0 {
-        Some(x0) => {
-            if x0.len() != n {
-                return Err(LinalgError::DimensionMismatch {
-                    op: "conjugate_gradient",
-                    lhs: (n, 1),
-                    rhs: (x0.len(), 1),
-                });
-            }
-            x0.to_vec()
-        }
-        None => vec![0.0; n],
-    };
-
-    let b_norm = crate::ops::norm2(b);
-    if b_norm == 0.0 {
-        return Ok((vec![0.0; n], 0));
-    }
-
-    let ax = apply(&x);
-    let mut r: Vec<f64> = b.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
-    let mut p = r.clone();
-    let mut rs_old = crate::ops::dot(&r, &r);
-
-    for iter in 0..config.max_iters {
-        if rs_old.sqrt() <= config.tol * b_norm {
-            return Ok((x, iter));
-        }
-        let ap = apply(&p);
-        let p_ap = crate::ops::dot(&p, &ap);
-        if p_ap <= 0.0 {
-            // Operator is not positive definite along p; bail out with the best
-            // iterate rather than diverging.
-            return Err(LinalgError::InvalidArgument {
-                op: "conjugate_gradient",
-                reason: "operator is not positive definite".into(),
-            });
-        }
-        let alpha = rs_old / p_ap;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        let rs_new = crate::ops::dot(&r, &r);
-        let beta = rs_new / rs_old;
-        for i in 0..n {
-            p[i] = r[i] + beta * p[i];
-        }
-        rs_old = rs_new;
-    }
-    if rs_old.sqrt() <= config.tol * b_norm {
-        Ok((x, config.max_iters))
-    } else {
-        Err(LinalgError::NoConvergence {
-            algorithm: "conjugate-gradient",
-            iterations: config.max_iters,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,124 +42,17 @@ mod tests {
     }
 
     #[test]
-    fn lstsq_fits_line() {
-        // Fit y = 1 + 2t at t = 0..3.
-        let b = [1.0, 3.0, 5.0, 7.0];
-        let x = lstsq(&tall(), &b).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-10);
-        assert!((x[1] - 2.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn ridge_shrinks_towards_zero() {
-        let b = [1.0, 3.0, 5.0, 7.0];
-        let x0 = ridge(&tall(), &b, 0.0).unwrap();
-        let x1 = ridge(&tall(), &b, 10.0).unwrap();
-        let n0: f64 = x0.iter().map(|v| v * v).sum();
-        let n1: f64 = x1.iter().map(|v| v * v).sum();
-        assert!(n1 < n0, "ridge with larger lambda must have smaller norm");
-    }
-
-    #[test]
-    fn ridge_zero_lambda_matches_lstsq() {
-        let b = [0.5, 1.0, -1.0, 2.0];
-        let xr = ridge(&tall(), &b, 0.0).unwrap();
-        let xl = lstsq(&tall(), &b).unwrap();
-        for (a, c) in xr.iter().zip(&xl) {
-            assert!((a - c).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn ridge_handles_rank_deficiency() {
-        // Two identical columns: plain lstsq would be singular, ridge is fine.
-        let a = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0]]).unwrap();
-        let x = ridge(&a, &[2.0, 4.0, 6.0], 1e-6).unwrap();
-        // Symmetry: both coefficients equal.
-        assert!((x[0] - x[1]).abs() < 1e-8);
-        assert!((x[0] + x[1] - 2.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn ridge_validates_arguments() {
-        assert!(ridge(&tall(), &[1.0], 1.0).is_err());
-        assert!(ridge(&tall(), &[1.0; 4], -1.0).is_err());
-        assert!(ridge(&tall(), &[1.0; 4], f64::NAN).is_err());
-    }
-
-    #[test]
-    fn ridge_multi_matches_columnwise_ridge() {
+    fn ridge_multi_satisfies_normal_equations() {
         let a = tall();
         let b = Matrix::from_cols(&[&[1.0, 3.0, 5.0, 7.0], &[0.0, 1.0, 0.0, 1.0]]).unwrap();
-        let x = ridge_multi(&a, &b, 0.5).unwrap();
-        for j in 0..2 {
-            let xj = ridge(&a, &b.col(j), 0.5).unwrap();
-            for i in 0..2 {
-                assert!((x[(i, j)] - xj[i]).abs() < 1e-10);
-            }
-        }
+        let lambda = 0.5;
+        let x = ridge_multi(&a, &b, lambda).unwrap();
+        // (AᵀA + λI)·X = AᵀB
+        let mut lhs = a.gram();
+        lhs.add_diag(lambda).unwrap();
+        let lhs = lhs.matmul(&x).unwrap();
+        assert!(lhs.approx_eq(&a.matmul_tn(&b).unwrap(), 1e-10));
         assert!(ridge_multi(&a, &Matrix::zeros(1, 1), 0.5).is_err());
         assert!(ridge_multi(&a, &b, -0.1).is_err());
-    }
-
-    #[test]
-    fn cg_solves_spd_system() {
-        let m = Matrix::from_rows(&[&[4.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 2.0]]).unwrap();
-        let b = [1.0, 2.0, 3.0];
-        let (x, iters) =
-            conjugate_gradient(|v| m.matvec(v), &b, None, CgConfig::default()).unwrap();
-        assert!(iters <= 3 + 1, "CG must converge in <= n iterations for SPD");
-        let direct = m.solve(&b).unwrap();
-        for (a, c) in x.iter().zip(&direct) {
-            assert!((a - c).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn cg_with_warm_start() {
-        let m = Matrix::from_diag(&[2.0, 5.0]);
-        let b = [2.0, 10.0];
-        let exact = [1.0, 2.0];
-        let (x, iters) =
-            conjugate_gradient(|v| m.matvec(v), &b, Some(&exact), CgConfig::default()).unwrap();
-        assert_eq!(iters, 0, "exact warm start must converge immediately");
-        assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cg_zero_rhs_short_circuits() {
-        let m = Matrix::identity(3);
-        let (x, iters) =
-            conjugate_gradient(|v| m.matvec(v), &[0.0; 3], None, CgConfig::default()).unwrap();
-        assert_eq!(iters, 0);
-        assert!(x.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn cg_rejects_indefinite_operator() {
-        let m = Matrix::from_diag(&[1.0, -1.0]);
-        let res = conjugate_gradient(|v| m.matvec(v), &[0.0, 1.0], None, CgConfig::default());
-        assert!(matches!(res, Err(LinalgError::InvalidArgument { .. })));
-    }
-
-    #[test]
-    fn cg_validates_input() {
-        let m = Matrix::identity(2);
-        assert!(conjugate_gradient(|v| m.matvec(v), &[], None, CgConfig::default()).is_err());
-        assert!(conjugate_gradient(
-            |v| m.matvec(v),
-            &[1.0, 1.0],
-            Some(&[0.0]),
-            CgConfig::default()
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn cg_reports_non_convergence() {
-        let m = Matrix::from_diag(&[1.0, 1e8]); // terrible conditioning
-        let cfg = CgConfig { max_iters: 1, tol: 1e-14 };
-        let res = conjugate_gradient(|v| m.matvec(v), &[1.0, 1.0], None, cfg);
-        assert!(matches!(res, Err(LinalgError::NoConvergence { .. })));
     }
 }

@@ -58,7 +58,7 @@ pub fn median(values: &[f64]) -> Result<f64> {
 ///
 /// `Ecdf` powers the paper-figure outputs: build one from the per-entry
 /// reconstruction errors (Fig. 3) or the per-trial localization errors (Fig. 5),
-/// then tabulate it at the x-grid the figure uses.
+/// then evaluate it at the x-grid the figure uses.
 ///
 /// ```
 /// use taf_linalg::stats::Ecdf;
@@ -138,17 +138,6 @@ impl Ecdf {
     pub fn max(&self) -> f64 {
         *self.sorted.last().expect("non-empty by construction")
     }
-
-    /// Tabulates the CDF at `points` evenly spaced x-values spanning
-    /// `[0, x_max]` — the form the figure binaries print.
-    pub fn tabulate(&self, x_max: f64, points: usize) -> Vec<(f64, f64)> {
-        (0..points)
-            .map(|k| {
-                let x = x_max * k as f64 / (points.max(2) - 1) as f64;
-                (x, self.eval(x))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -213,18 +202,5 @@ mod tests {
     fn ecdf_rejects_bad_input() {
         assert!(Ecdf::new(&[]).is_err());
         assert!(Ecdf::new(&[1.0, f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn ecdf_tabulate_monotone() {
-        let e = Ecdf::new(&[0.5, 1.5, 2.5, 3.5]).unwrap();
-        let table = e.tabulate(4.0, 9);
-        assert_eq!(table.len(), 9);
-        assert_eq!(table[0].0, 0.0);
-        assert_eq!(table[8].0, 4.0);
-        for w in table.windows(2) {
-            assert!(w[1].1 >= w[0].1, "CDF must be monotone");
-        }
-        assert_eq!(table[8].1, 1.0);
     }
 }

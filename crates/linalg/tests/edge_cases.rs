@@ -2,35 +2,28 @@
 //! substrate: 1x1 everything, huge/tiny scales, repeated singular values, and
 //! adversarial shapes.
 
-use taf_linalg::solve::{conjugate_gradient, ridge, CgConfig};
-use taf_linalg::sparse::Csr;
 use taf_linalg::stats::Ecdf;
 use taf_linalg::Matrix;
 
 #[test]
 fn one_by_one_decompositions() {
     let a = Matrix::from_rows(&[&[4.0]]).unwrap();
-    assert_eq!(a.lu().unwrap().determinant(), 4.0);
-    assert!((a.inverse().unwrap()[(0, 0)] - 0.25).abs() < 1e-15);
     let chol = a.cholesky().unwrap();
     assert_eq!(chol.factor()[(0, 0)], 2.0);
     let svd = a.svd().unwrap();
     assert_eq!(svd.sigma, vec![4.0]);
     let qr = a.qr().unwrap();
     assert!((qr.q()[(0, 0)].abs() - 1.0).abs() < 1e-15);
-    let e = a.eigh().unwrap();
-    assert_eq!(e.values, vec![4.0]);
-    assert!((a.pinv(1e-12).unwrap()[(0, 0)] - 0.25).abs() < 1e-12);
 }
 
 #[test]
 fn single_row_and_single_column_svd() {
-    let row = Matrix::row_vector(&[3.0, 4.0]);
+    let row = Matrix::from_rows(&[&[3.0, 4.0]]).unwrap();
     let svd = row.svd().unwrap();
     assert!((svd.sigma[0] - 5.0).abs() < 1e-12);
     assert!(svd.reconstruct().approx_eq(&row, 1e-10));
 
-    let col = Matrix::col_vector(&[3.0, 4.0]);
+    let col = Matrix::from_cols(&[&[3.0, 4.0]]).unwrap();
     let svd = col.svd().unwrap();
     assert!((svd.sigma[0] - 5.0).abs() < 1e-12);
     assert!(svd.reconstruct().approx_eq(&col, 1e-10));
@@ -52,7 +45,7 @@ fn extreme_scales_survive() {
             Matrix::from_rows(&[&[3.0 * scale, 1.0 * scale], &[1.0 * scale, 2.0 * scale]]).unwrap();
         let svd = a.svd().unwrap();
         assert!(svd.reconstruct().approx_eq(&a, 1e-9 * scale), "scale {scale}");
-        let x = a.solve(&[scale, scale]).unwrap();
+        let x = a.cholesky().unwrap().solve(&[scale, scale]).unwrap();
         let back = a.matvec(&x);
         assert!((back[0] - scale).abs() < 1e-9 * scale, "scale {scale}");
     }
@@ -68,34 +61,6 @@ fn mixed_magnitude_matrix_rank() {
     assert_eq!(f.rank(1e-15), 3);
     assert_eq!(f.rank(1e-10), 2);
     assert_eq!(f.rank(1e-4), 1);
-}
-
-#[test]
-fn ridge_with_enormous_lambda_goes_to_zero() {
-    let a = Matrix::identity(3);
-    let x = ridge(&a, &[1.0, 2.0, 3.0], 1e12).unwrap();
-    assert!(x.iter().all(|v| v.abs() < 1e-9));
-}
-
-#[test]
-fn cg_on_identity_converges_in_one_step() {
-    let i = Matrix::identity(5);
-    let b = [1.0, -2.0, 3.0, -4.0, 5.0];
-    let (x, iters) = conjugate_gradient(|v| i.matvec(v), &b, None, CgConfig::default()).unwrap();
-    assert!(iters <= 1);
-    for (a, c) in x.iter().zip(&b) {
-        assert!((a - c).abs() < 1e-12);
-    }
-}
-
-#[test]
-fn csr_with_no_nonzeros() {
-    let c = Csr::from_triplets(3, 4, &[]).unwrap();
-    assert_eq!(c.nnz(), 0);
-    assert_eq!(c.matvec(&[1.0; 4]).unwrap(), vec![0.0; 3]);
-    assert_eq!(c.transpose().nnz(), 0);
-    assert_eq!(c.gram_dense().max_abs(), 0.0);
-    assert!(c.to_dense().approx_eq(&Matrix::zeros(3, 4), 0.0));
 }
 
 #[test]
@@ -131,23 +96,14 @@ fn hilbert_matrix_conditioning() {
     // The 6x6 Hilbert matrix is famously ill-conditioned (~1e7); make sure the
     // solvers stay usable there.
     let h = Matrix::from_fn(6, 6, |i, j| 1.0 / (i + j + 1) as f64);
-    let cond = h.condition_number().unwrap();
+    let sigma = h.svd().unwrap().sigma;
+    let cond = sigma[0] / sigma[5];
     assert!(cond > 1e6 && cond < 1e9, "cond = {cond:e}");
     let x_true = vec![1.0; 6];
     let b = h.matvec(&x_true);
-    let x = h.solve(&b).unwrap();
+    let x = h.cholesky().unwrap().solve(&b).unwrap();
     // Accept loss of ~cond * eps precision.
     for (a, t) in x.iter().zip(&x_true) {
         assert!((a - t).abs() < 1e-6, "{a} vs {t}");
     }
-}
-
-#[test]
-fn pinv_of_wide_matrix_gives_min_norm_solution() {
-    // Underdetermined system: pinv picks the minimum-norm solution.
-    let a = Matrix::from_rows(&[&[1.0, 1.0]]).unwrap();
-    let p = a.pinv(1e-12).unwrap();
-    let x = p.matvec(&[2.0]);
-    assert!((x[0] - 1.0).abs() < 1e-12);
-    assert!((x[1] - 1.0).abs() < 1e-12);
 }

@@ -2,11 +2,9 @@
 //!
 //! These exercise the algebraic identities the LoLi-IR solver silently relies on:
 //! associativity/transpose laws of the products, factorization round-trips
-//! (`A = QR`, `A = UΣVᵀ`, `A = LLᵀ`), solver correctness, and ECDF monotonicity.
+//! (`A = QR`, `A = UΣVᵀ`), solver correctness, and ECDF monotonicity.
 
 use proptest::prelude::*;
-use taf_linalg::solve::{conjugate_gradient, ridge, CgConfig};
-use taf_linalg::sparse::Csr;
 use taf_linalg::stats::Ecdf;
 use taf_linalg::Matrix;
 
@@ -99,71 +97,15 @@ proptest! {
     }
 
     #[test]
-    fn svd_nuclear_dominates_frobenius(a in shaped()) {
-        let svd = a.svd().unwrap();
-        prop_assert!(svd.nuclear_norm() + 1e-9 >= a.frobenius_norm());
-    }
-
-    #[test]
-    fn cholesky_solve_agrees_with_lu(b in matrix(4, 4), rhs in proptest::collection::vec(-5.0..5.0f64, 4)) {
+    fn cholesky_solve_recovers_known_solution(b in matrix(4, 4), x in proptest::collection::vec(-5.0..5.0f64, 4)) {
         // Build an SPD matrix from arbitrary b.
         let mut spd = b.gram();
         spd.add_diag(4.0 + 1e-3).unwrap();
-        let chol = spd.cholesky().unwrap();
-        let x1 = chol.solve(&rhs).unwrap();
-        let x2 = spd.solve(&rhs).unwrap();
-        for (u, v) in x1.iter().zip(&x2) {
-            prop_assert!((u - v).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn lu_solve_residual_small(a in matrix(5, 5), x in proptest::collection::vec(-5.0..5.0f64, 5)) {
-        // Diagonally dominate to guarantee invertibility.
-        let mut m = a;
-        m.add_diag(60.0).unwrap();
-        let b = m.matvec(&x);
-        let sol = m.solve(&b).unwrap();
+        let rhs = spd.matvec(&x);
+        let sol = spd.cholesky().unwrap().solve(&rhs).unwrap();
         for (u, v) in sol.iter().zip(&x) {
-            prop_assert!((u - v).abs() < 1e-7);
-        }
-    }
-
-    #[test]
-    fn ridge_norm_monotone_in_lambda(a in matrix(6, 3), b in proptest::collection::vec(-5.0..5.0f64, 6)) {
-        let norms: Vec<f64> = [0.01, 1.0, 100.0]
-            .iter()
-            .map(|&l| {
-                let x = ridge(&a, &b, l).unwrap();
-                x.iter().map(|v| v * v).sum::<f64>()
-            })
-            .collect();
-        prop_assert!(norms[0] + 1e-9 >= norms[1]);
-        prop_assert!(norms[1] + 1e-9 >= norms[2]);
-    }
-
-    #[test]
-    fn cg_matches_direct_solve(b in matrix(5, 5), rhs in proptest::collection::vec(-5.0..5.0f64, 5)) {
-        let mut spd = b.gram();
-        spd.add_diag(5.0 + 1.0).unwrap();
-        let (x, _) = conjugate_gradient(|v| spd.matvec(v), &rhs, None, CgConfig::default()).unwrap();
-        let direct = spd.solve(&rhs).unwrap();
-        for (u, v) in x.iter().zip(&direct) {
             prop_assert!((u - v).abs() < 1e-6);
         }
-    }
-
-    #[test]
-    fn csr_matches_dense_everywhere(a in shaped(), v_seed in -5.0..5.0f64) {
-        let c = Csr::from_dense(&a);
-        let v: Vec<f64> = (0..a.cols()).map(|i| v_seed + i as f64).collect();
-        let sv = c.matvec(&v).unwrap();
-        let dv = a.matvec(&v);
-        for (x, y) in sv.iter().zip(&dv) {
-            prop_assert!((x - y).abs() < 1e-9);
-        }
-        prop_assert!(c.to_dense().approx_eq(&a, 0.0));
-        prop_assert!(c.gram_dense().approx_eq(&a.gram(), 1e-9));
     }
 
     #[test]
@@ -179,14 +121,5 @@ proptest! {
             prev = p;
         }
         prop_assert!(e.quantile(0.0) <= e.quantile(1.0));
-    }
-
-    #[test]
-    fn eigh_round_trip_symmetric(b in matrix(5, 5)) {
-        let a = b.add(&b.transpose()).unwrap();
-        let e = a.eigh().unwrap();
-        prop_assert!(e.reconstruct().approx_eq(&a, 1e-6 * (1.0 + a.max_abs())));
-        let sum: f64 = e.values.iter().sum();
-        prop_assert!((sum - a.trace().unwrap()).abs() < 1e-6 * (1.0 + a.max_abs()));
     }
 }

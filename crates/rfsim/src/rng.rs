@@ -68,11 +68,6 @@ impl<R: rand::Rng> GaussianSource<R> {
     pub fn sample_scaled(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.sample()
     }
-
-    /// Access the wrapped RNG (for interleaved non-Gaussian draws).
-    pub fn rng_mut(&mut self) -> &mut R {
-        &mut self.rng
-    }
 }
 
 #[cfg(test)]

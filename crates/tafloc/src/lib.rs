@@ -11,8 +11,8 @@
 //! * [`rfsim`] ([`taf_rfsim`]) — the simulated testbed: indoor RF propagation,
 //!   calibrated temporal drift, measurement campaigns.
 //! * [`baselines`] ([`taf_baselines`]) — RTI and RASS comparators.
-//! * [`linalg`] ([`taf_linalg`]) — the dense/sparse linear algebra everything
-//!   is built on.
+//! * [`linalg`] ([`taf_linalg`]) — the dense linear algebra everything is
+//!   built on.
 //!
 //! The runnable examples in `examples/` and the integration tests in `tests/`
 //! are attached to this crate; the paper-figure binaries live in `taf-bench`

@@ -7,7 +7,7 @@
 //! 8-byte counts inside payloads and LEB128 varints in frame headers.
 
 use crate::error::{Result, WireError};
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 use taf_linalg::Matrix;
 
 /// CRC32 (IEEE 802.3, polynomial `0xEDB88320`) — the checksum guarding both
@@ -75,13 +75,6 @@ pub fn read_uvarint<R: BufRead + ?Sized>(r: &mut R) -> Result<u64> {
         shift += 7;
     }
     Err(WireError::malformed("varint longer than 10 bytes"))
-}
-
-/// Writes `v` as an LEB128 unsigned varint directly to a stream.
-pub fn write_uvarint<W: Write + ?Sized>(w: &mut W, v: u64) -> Result<()> {
-    let mut buf = Vec::with_capacity(MAX_UVARINT_BYTES);
-    put_uvarint(&mut buf, v);
-    w.write_all(&buf).map_err(WireError::from)
 }
 
 /// Sanity cap on any decoded element count. A count must also fit in the
