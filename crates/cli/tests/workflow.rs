@@ -237,6 +237,18 @@ fn malformed_files_produce_clean_errors() {
     let e = run("calibrate", &args(&["--survey", &bad, "--out", &out, "--refs", "2"])).unwrap_err();
     assert!(e.0.contains(&bad), "{e}");
 
+    // Integers out of their field's range are refused, not saturated: a
+    // negative seed would build seed 0's world, a refs cell of -1 read as 0.
+    edit(include_str!("corpus/world.json"), r#""seed":9007199254740992"#, r#""seed":-5"#);
+    let e = run("survey", &args(&["--world", &bad, "--out", &out])).unwrap_err();
+    assert!(e.0.contains(&bad) && e.0.contains("seed"), "{e}");
+    let system = dir.file("system.json");
+    std::fs::write(&system, include_str!("corpus/system.json")).unwrap();
+    edit(include_str!("corpus/refs.json"), r#""cells":[1,4]"#, r#""cells":[-1,4]"#);
+    let e =
+        run("update", &args(&["--system", &system, "--refs", &bad, "--out", &out])).unwrap_err();
+    assert!(e.0.contains(&bad) && e.0.contains("cells"), "{e}");
+
     // A seed above 2^53 would be written as a different number.
     let e = run("new-world", &args(&["--seed", "9007199254740993", "--out", &out])).unwrap_err();
     assert!(e.0.contains("--seed"), "{e}");

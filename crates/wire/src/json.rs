@@ -584,5 +584,11 @@ mod tests {
         assert!(u64::read_json(v.get("y").unwrap()).is_err());
         assert!(u64::read_json(&JsonValue::Num(1.5)).is_err());
         assert_eq!(u64::read_json(&JsonValue::Num(7.0)).unwrap(), 7);
+        // Out-of-range integers fail instead of saturating or wrapping.
+        assert!(u64::read_json(&JsonValue::Num(-12.0)).is_err());
+        assert!(u64::read_json(&JsonValue::Num(1e20)).is_err());
+        assert!(usize::read_json(&JsonValue::Num(-1.0)).is_err());
+        assert!(u32::read_json(&JsonValue::Num(4_294_967_296.0)).is_err());
+        assert_eq!(u32::read_json(&JsonValue::Num(4_294_967_295.0)).unwrap(), u32::MAX);
     }
 }

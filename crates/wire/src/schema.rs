@@ -160,6 +160,11 @@ pub fn unknown_tag(ctx: &str, tag: u8) -> WireError {
     WireError::Malformed(format!("{ctx}: unknown tag {tag}"))
 }
 
+/// The error for an integral v1 number outside the target type's range.
+fn out_of_range(n: impl std::fmt::Display, ty: &str) -> WireError {
+    WireError::Malformed(format!("integer {n} out of range for {ty}"))
+}
+
 // ---------------------------------------------------------------------------
 // Basic types
 // ---------------------------------------------------------------------------
@@ -188,10 +193,12 @@ impl Codec for u64 {
     fn write_json(&self, w: &mut JsonWriter<'_>) {
         w.u64_val(*self);
     }
-    /// Must be integral; out-of-range values saturate.
+    /// Must be integral and in `[0, 2^64)`.
     fn read_json(v: &JsonValue) -> Result<Self> {
+        const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
         match v {
-            JsonValue::Num(n) if n.fract() == 0.0 => Ok(*n as u64),
+            JsonValue::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n < TWO_POW_64 => Ok(*n as u64),
+            JsonValue::Num(n) if n.fract() == 0.0 => Err(out_of_range(n, "u64")),
             _ => Err(WireError::malformed("expected an integer")),
         }
     }
@@ -208,7 +215,8 @@ impl Codec for usize {
         w.usize_val(*self);
     }
     fn read_json(v: &JsonValue) -> Result<Self> {
-        Ok(u64::read_json(v)? as usize)
+        let n = u64::read_json(v)?;
+        usize::try_from(n).map_err(|_| out_of_range(n, "usize"))
     }
     fn encode(&self, e: &mut Enc) {
         e.usize(*self);
@@ -223,7 +231,8 @@ impl Codec for u32 {
         w.u32_val(*self);
     }
     fn read_json(v: &JsonValue) -> Result<Self> {
-        Ok(u64::read_json(v)? as u32)
+        let n = u64::read_json(v)?;
+        u32::try_from(n).map_err(|_| out_of_range(n, "u32"))
     }
     fn encode(&self, e: &mut Enc) {
         e.u32(*self);
