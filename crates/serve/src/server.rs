@@ -471,7 +471,7 @@ fn err_response(e: ServeError) -> Response {
 }
 
 /// Serves one request against the shared state. Pure request → response; all
-/// transport concerns live in [`handle_connection`].
+/// transport concerns live in `handle_connection`.
 pub fn dispatch(request: Request, ctx: &ServerCtx) -> Response {
     match request {
         Request::Ping => Response::Pong,

@@ -6,7 +6,7 @@
 //! * [`SiteSnapshot`] (calibrated [`TafLoc`] + version) lives in a
 //!   [`SnapshotCell`]; `locate` clones the `Arc` and runs entirely on
 //!   immutable data — concurrent requests never contend with a refresh.
-//! * [`SiteDynamic`] holds what must mutate between requests: the drift
+//! * `SiteDynamic` holds what must mutate between requests: the drift
 //!   monitor, pending reference measurements, per-stream particle filters and
 //!   presence detectors. Its mutex is only held for cheap state updates,
 //!   never across LoLi-IR.
@@ -966,7 +966,7 @@ impl Site {
     /// the snapshot cell, the solver cache, and the dynamic mutex — the
     /// latter two one at a time, never nested).
     ///
-    /// Plan/journal state is written from the [`DurableView`] checkpointed
+    /// Plan/journal state is written from the `DurableView` checkpointed
     /// at the last commit, not from the live values: that keeps every
     /// snapshot consistent with its `journal_watermark` even when surveys
     /// landed after the last refresh.

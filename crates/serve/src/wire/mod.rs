@@ -35,7 +35,7 @@ pub enum WireVersion {
     V2Binary,
 }
 
-/// Serializes one request in `version` framing and sends it (see [`send`]).
+/// Serializes one request in `version` framing and sends it (see `send`).
 pub fn write_request<W: Write>(w: &mut W, req: &Request, version: WireVersion) -> Result<()> {
     let mut buf = Vec::with_capacity(128);
     match version {
@@ -52,7 +52,7 @@ pub fn write_request<W: Write>(w: &mut W, req: &Request, version: WireVersion) -
     send(w, &buf)
 }
 
-/// Serializes one response in `version` framing and sends it (see [`send`]).
+/// Serializes one response in `version` framing and sends it (see `send`).
 pub fn write_response<W: Write>(w: &mut W, resp: &Response, version: WireVersion) -> Result<()> {
     let mut buf = Vec::with_capacity(128);
     match version {

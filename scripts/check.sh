@@ -4,8 +4,8 @@
 #   ./scripts/check.sh
 #
 # Builds release artifacts, runs the full test suite, then lints (clippy at
-# deny-warnings) and checks formatting. Run from anywhere; it cd's to the
-# workspace root.
+# deny-warnings), builds the library docs with rustdoc warnings denied and
+# checks formatting. Run from anywhere; it cd's to the workspace root.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,6 +31,11 @@ cargo test -q --release -p tafloc-serve --test store_robustness
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+# --lib: the `tafloc` binary and the `tafloc` library would otherwise write
+# docs to the same output directory.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps --workspace --lib"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib
 
 echo "==> cargo fmt --check"
 cargo fmt --check
