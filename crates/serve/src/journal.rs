@@ -243,6 +243,7 @@ impl Journal {
         let mut max_seq = watermark;
         let mut torn_tail = false;
         let mut sealed = Vec::new();
+        let mut active_records = 0u64;
         let last_index = segments.last().map(|(i, _)| *i);
         for (index, path) in &segments {
             let (seg_records, valid_len, total_len) = Journal::scan_segment(path)?;
@@ -262,6 +263,9 @@ impl Journal {
             }
             let seg_max = seg_records.iter().map(|(s, _)| *s).max().unwrap_or(0);
             max_seq = max_seq.max(seg_max);
+            if is_last {
+                active_records = seg_records.len() as u64;
+            }
             for (seq, rec) in seg_records {
                 if seq > watermark {
                     records.push((seq, rec));
@@ -275,7 +279,7 @@ impl Journal {
         // segment scans oddly.
         records.sort_by_key(|(seq, _)| *seq);
 
-        let (index, path, file, bytes, seg_records) = match segments.last() {
+        let (index, path, file, bytes) = match segments.last() {
             Some((index, path)) => {
                 let mut file = std::fs::OpenOptions::new()
                     .read(true)
@@ -285,12 +289,11 @@ impl Journal {
                 let bytes = file
                     .seek(std::io::SeekFrom::End(0))
                     .map_err(|e| store_err("cannot seek", path, e))?;
-                let (recs, _, _) = Journal::scan_segment(path)?;
-                (*index, path.clone(), file, bytes, recs.len() as u64)
+                (*index, path.clone(), file, bytes)
             }
             None => {
                 let (path, file) = Journal::create_segment(dir, stem, 0)?;
-                (0, path, file, HEADER_LEN, 0)
+                (0, path, file, HEADER_LEN)
             }
         };
 
@@ -303,7 +306,7 @@ impl Journal {
                 path,
                 index,
                 bytes,
-                records: seg_records,
+                records: active_records,
                 // A torn active tail means one append died mid-write; its
                 // sequence number is skipped so no future record can ever be
                 // confused with the lost one. (`max_seq` already starts at

@@ -331,13 +331,13 @@ impl SiteStore {
         // and resurrect the old directory state (or nothing at all).
         fsync_dir(&self.dir)
             .map_err(|e| ServeError::Store(format!("cannot sync {}: {e}", self.dir.display())))?;
-        self.prune(&site.name, site.generation);
+        self.prune(&site.name);
         Ok(final_path)
     }
 
     /// Removes generations of `name` older than the newest
     /// [`KEEP_GENERATIONS`]. Best-effort: pruning failures never fail a save.
-    fn prune(&self, name: &str, _newest: u64) {
+    fn prune(&self, name: &str) {
         let prefix = format!("{}.", SiteStore::stem(name));
         let Ok(entries) = std::fs::read_dir(&self.dir) else { return };
         let mut generations: Vec<PathBuf> = entries
