@@ -934,6 +934,32 @@ mod tests {
     }
 
     #[test]
+    fn a_flag_followed_by_a_flag_is_a_switch() {
+        let a = Args::parse(&strs(&["--small", "--day", "-5", "--verbose"])).unwrap();
+        assert!(a.switch("small") && a.switch("verbose"));
+        assert_eq!(a.optional("small"), None);
+        // A single leading dash is a value, so negative numbers parse.
+        assert_eq!(a.num_required::<f64>("day").unwrap(), -5.0);
+    }
+
+    #[test]
+    fn path_flags_are_required_and_named_in_errors() {
+        let a = Args::parse(&strs(&["--out", "dir/w.json"])).unwrap();
+        assert_eq!(a.path("out").unwrap(), PathBuf::from("dir/w.json"));
+        assert_eq!(a.path("world").unwrap_err().0, "missing required flag --world");
+    }
+
+    #[test]
+    fn seeds_past_2_pow_53_are_refused_before_writing() {
+        let out = std::env::temp_dir().join(format!("tafloc_seed_{}.json", std::process::id()));
+        let seed = ((1u64 << 53) + 1).to_string();
+        let a = Args::parse(&strs(&["--seed", &seed, "--out", out.to_str().unwrap()])).unwrap();
+        let e = cmd_new_world(&a).unwrap_err();
+        assert!(e.0.contains("2^53"), "{}", e.0);
+        assert!(!out.exists());
+    }
+
+    #[test]
     fn unknown_command_reports_usage() {
         let a = Args::default();
         let e = run("frobnicate", &a).unwrap_err();

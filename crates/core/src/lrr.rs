@@ -249,6 +249,42 @@ mod tests {
     }
 
     #[test]
+    fn fit_solves_the_ridge_normal_equations() {
+        // Z = (X_Rᵀ·X_R + λI)⁻¹·X_Rᵀ·X, checked through its normal equations.
+        let x = Matrix::from_fn(5, 4, |i, j| ((i * 7 + j * 3) % 5) as f64 - 2.0 + 0.1 * j as f64);
+        let model = LrrModel::fit(&x, &[1, 3], 0.25).unwrap();
+        let xr = x.select_cols(&[1, 3]).unwrap();
+        let mut lhs = xr.gram();
+        lhs.add_diag(0.25).unwrap();
+        let lhs = lhs.matmul(model.z()).unwrap();
+        assert!(lhs.approx_eq(&xr.matmul_tn(&x).unwrap(), 1e-10));
+    }
+
+    #[test]
+    fn from_parts_validates_what_it_restores() {
+        let z = Matrix::from_rows(&[&[1.0, 0.5, 0.0]]).unwrap();
+        let model = LrrModel::from_parts(vec![0], z.clone(), 0.1).unwrap();
+        let fresh = Matrix::from_cols(&[&[2.0, -4.0]]).unwrap();
+        assert!(model.predict(&fresh).unwrap().approx_eq(&fresh.matmul(&z).unwrap(), 0.0));
+        assert!(LrrModel::from_parts(vec![], z.clone(), 0.1).is_err());
+        assert!(LrrModel::from_parts(vec![0], z.clone(), 0.0).is_err());
+        assert!(LrrModel::from_parts(vec![0, 1], z.clone(), 0.1).is_err());
+        let mut bad = z;
+        bad[(0, 1)] = f64::NAN;
+        assert!(LrrModel::from_parts(vec![0], bad, 0.1).is_err());
+    }
+
+    #[test]
+    fn predict_into_reshapes_a_mis_sized_buffer() {
+        let z = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
+        let model = LrrModel::from_parts(vec![0, 1], z, 0.1).unwrap();
+        let fresh = Matrix::from_rows(&[&[1.0, 1.0], &[0.0, 2.0], &[-1.0, 0.5]]).unwrap();
+        let mut out = Matrix::zeros(1, 7);
+        model.predict_into(&fresh, &mut out).unwrap();
+        assert!(out.approx_eq(&model.predict(&fresh).unwrap(), 0.0));
+    }
+
+    #[test]
     fn representation_error_of_zero_matrix() {
         let z = Matrix::zeros(3, 4);
         let model = LrrModel::fit(&z, &[0], 1e-6).unwrap();

@@ -188,6 +188,31 @@ mod tests {
     }
 
     #[test]
+    fn laplacian_is_degree_minus_adjacency() {
+        let g = NeighborGraph::new(4, vec![(0, 1), (1, 2), (1, 3)]);
+        let l = g.laplacian();
+        assert!(l.approx_eq(&l.transpose(), 0.0));
+        for v in 0..4 {
+            assert_eq!(l[(v, v)], g.degree(v) as f64);
+            for u in (0..4).filter(|&u| u != v) {
+                let want = if g.neighbors(v).contains(&u) { -1.0 } else { 0.0 };
+                assert_eq!(l[(v, u)], want, "({v},{u})");
+            }
+        }
+    }
+
+    #[test]
+    fn links_from_segments_k_bounds_the_degree() {
+        let d = Deployment::perimeter(&grid(), 6, 0.3);
+        let segs: Vec<Segment> = d.links().iter().map(|l| l.segment).collect();
+        assert_eq!(NeighborGraph::links_from_segments(&segs, 0).num_edges(), 0);
+        // k beyond the other links connects everything: the complete graph.
+        let all = NeighborGraph::links_from_segments(&segs, 10);
+        assert_eq!(all.num_edges(), 6 * 5 / 2);
+        assert!(NeighborGraph::links_from_segments(&[], 3).is_empty());
+    }
+
+    #[test]
     #[should_panic]
     fn out_of_range_edge_panics() {
         NeighborGraph::new(2, vec![(0, 5)]);

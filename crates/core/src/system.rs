@@ -840,6 +840,26 @@ mod tests {
     }
 
     #[test]
+    fn solver_cache_is_seeded_only_by_adopt_or_restore() {
+        let (world, sys) = setup(9);
+        let fresh = campaign::measure_columns(&world, 20.0, sys.reference_cells(), 10);
+        let empty = campaign::empty_snapshot(&world, 20.0, 10);
+        let mut cache = SolverCache::new();
+        // A cold solve through the cache is the uncached solve, and a solve
+        // alone teaches the cache nothing.
+        let rec = sys.reconstruct_db_cached(&fresh, &empty, &mut cache).unwrap();
+        assert!(rec.matrix.approx_eq(&sys.reconstruct_db(&fresh, &empty).unwrap().matrix, 0.0));
+        assert!(cache.warm_state().is_none());
+        cache.adopt(&rec);
+        let warm = cache.warm_state().cloned().expect("adopted");
+        assert!(warm.l().approx_eq(&rec.l, 0.0) && warm.r().approx_eq(&rec.r, 0.0));
+        cache.invalidate();
+        assert!(cache.warm_state().is_none());
+        cache.restore(warm);
+        assert!(cache.warm_state().unwrap().r().approx_eq(&rec.r, 0.0));
+    }
+
+    #[test]
     fn reconstruct_db_is_side_effect_free() {
         let (world, sys) = setup(7);
         let before = sys.db().rss().clone();

@@ -137,4 +137,35 @@ mod tests {
             assert!(cfg.validate().is_err(), "{cfg:?} must be rejected");
         }
     }
+
+    #[test]
+    fn closed_bounds_are_accepted() {
+        let edges = [
+            IngestConfig { window_capacity: 1, min_samples: 1, ..Default::default() },
+            IngestConfig { hampel_k: 0.0, hampel_floor_db: 0.0, ..Default::default() },
+            IngestConfig { aggregator: Aggregator::Ewma { alpha: 1.0 }, ..Default::default() },
+        ];
+        for cfg in edges {
+            cfg.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn rejection_names_the_offending_field() {
+        let field = |cfg: IngestConfig| match cfg.validate() {
+            Err(IngestError::InvalidConfig { field, .. }) => field,
+            other => panic!("{cfg:?} gave {other:?}"),
+        };
+        assert_eq!(
+            field(IngestConfig { stale_after_s: 0.0, ..Default::default() }),
+            "stale_after_s"
+        );
+        assert_eq!(
+            field(IngestConfig { hampel_k: f64::INFINITY, ..Default::default() }),
+            "hampel_k"
+        );
+        let ewma =
+            IngestConfig { aggregator: Aggregator::Ewma { alpha: -0.1 }, ..Default::default() };
+        assert_eq!(field(ewma), "aggregator.alpha");
+    }
 }

@@ -41,3 +41,17 @@ impl std::error::Error for IngestError {}
 
 /// Result alias for the ingestion layer.
 pub type Result<T> = std::result::Result<T, IngestError>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn display_explains_each_kind() {
+        let e = IngestError::FallbackLength { expected: 8, actual: 3 };
+        assert_eq!(e.to_string(), "assembly fallback has length 3, need 8 (one per link)");
+        let e = IngestError::InvalidConfig { field: "window_s", reason: "negative".into() };
+        assert_eq!(e.to_string(), "invalid ingest config window_s: negative");
+        assert_eq!(IngestError::QueueClosed.to_string(), "ingest queue is closed");
+    }
+}

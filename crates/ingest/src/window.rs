@@ -315,6 +315,40 @@ mod tests {
     }
 
     #[test]
+    fn spread_is_the_sample_std_of_retained_values() {
+        let c = cfg();
+        let mut w = LinkWindow::new();
+        push_all(&mut w, &[(1.0, -50.0)], &c);
+        assert_eq!(w.aggregate(&c).unwrap().spread_db, 0.0, "one sample has no spread");
+        push_all(&mut w, &[(2.0, -52.0), (3.0, -51.0)], &c);
+        assert!((w.aggregate(&c).unwrap().spread_db - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hampel_floor_keeps_a_flat_window_from_rejecting_wiggles() {
+        // Five identical samples give MAD = 0, so the scale is the floor
+        // (0.75 dB) and the bound is k = 3 times that: 2.25 dB.
+        let c = cfg();
+        let mut w = LinkWindow::new();
+        let mut samples: Vec<(f64, f64)> = (0..5).map(|k| (k as f64, -50.0)).collect();
+        samples.push((5.0, -48.0));
+        push_all(&mut w, &samples, &c);
+        assert_eq!(w.aggregate(&c).unwrap().rejected, 0, "a 2 dB wiggle is within the bound");
+        push_all(&mut w, &[(6.0, -47.0)], &c);
+        assert_eq!(w.aggregate(&c).unwrap().rejected, 1, "3 dB is past it");
+    }
+
+    #[test]
+    fn equal_timestamps_keep_arrival_order() {
+        // With alpha = 1 the EWMA is the last retained sample.
+        let c =
+            IngestConfig { aggregator: Aggregator::Ewma { alpha: 1.0 }, hampel_k: 0.0, ..cfg() };
+        let mut w = LinkWindow::new();
+        push_all(&mut w, &[(1.0, -50.0), (2.0, -60.0), (2.0, -40.0)], &c);
+        assert_eq!(w.aggregate(&c).unwrap().rss_dbm, -40.0);
+    }
+
+    #[test]
     fn empty_window_has_no_aggregate() {
         let c = cfg();
         let mut w = LinkWindow::new();

@@ -149,6 +149,31 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_values_round_trip() {
+        let m = Matrix::from_rows(&[&[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]]).unwrap();
+        let path = temp_path("non_finite");
+        write_csv(&m, &path).unwrap();
+        let contents = std::fs::read_to_string(&path).unwrap();
+        let back = read_csv(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(contents.trim(), "NaN,inf,-inf");
+        assert!(back[(0, 0)].is_nan());
+        assert_eq!(back[(0, 1)], f64::INFINITY);
+        assert_eq!(back[(0, 2)], f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn extreme_magnitudes_round_trip() {
+        // `{}` writes 1e300 as 301 digits without a decimal point.
+        let m = Matrix::from_rows(&[&[1e300, -1e300, 5e-324, f64::MAX]]).unwrap();
+        let path = temp_path("extreme");
+        write_csv(&m, &path).unwrap();
+        let back = read_csv(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(back.approx_eq(&m, 0.0));
+    }
+
+    #[test]
     fn skips_blank_lines() {
         let path = temp_path("blanks");
         std::fs::write(&path, "1,2\n\n3,4\n").unwrap();

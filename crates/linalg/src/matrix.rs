@@ -478,6 +478,30 @@ mod tests {
     }
 
     #[test]
+    fn from_fn_fills_row_major() {
+        let m = Matrix::from_fn(2, 3, |i, j| (10 * i + j) as f64);
+        assert_eq!(m.as_slice(), &[0.0, 1.0, 2.0, 10.0, 11.0, 12.0]);
+    }
+
+    #[test]
+    fn shape_predicates() {
+        assert!(Matrix::zeros(0, 3).is_empty());
+        assert!(Matrix::zeros(3, 0).is_empty());
+        assert!(!sample().is_empty());
+        assert!(!sample().is_square());
+        assert!(Matrix::identity(2).is_square());
+        assert!(Matrix::zeros(0, 0).is_square());
+    }
+
+    #[test]
+    fn map_inplace_matches_map() {
+        let mut m = sample();
+        let mapped = m.map(|v| 2.0 * v - 1.0);
+        m.map_inplace(|v| 2.0 * v - 1.0);
+        assert!(m.approx_eq(&mapped, 0.0));
+    }
+
+    #[test]
     fn zeros_and_filled() {
         let z = Matrix::zeros(2, 3);
         assert_eq!(z.shape(), (2, 3));
@@ -519,6 +543,13 @@ mod tests {
         assert_eq!(m[(1, 0)], 2.0);
         assert_eq!(m[(0, 1)], 3.0);
         assert_eq!(m[(1, 1)], 4.0);
+    }
+
+    #[test]
+    fn from_cols_rejects_ragged_and_empty() {
+        let err = Matrix::from_cols(&[&[1.0, 2.0], &[3.0]]);
+        assert!(matches!(err, Err(LinalgError::DimensionMismatch { .. })));
+        assert!(matches!(Matrix::from_cols(&[]), Err(LinalgError::EmptyInput { .. })));
     }
 
     #[test]

@@ -513,6 +513,33 @@ mod tests {
     }
 
     #[test]
+    fn dot_covers_every_tail_length() {
+        // Lengths 0..=9 hit zero, one and two full 4-lane chunks with every
+        // tail; small integers keep the sums exact.
+        for n in 0..=9 {
+            let a: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
+            let b: Vec<f64> = (0..n).map(|i| 2.0 - i as f64).collect();
+            let naive: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
+            assert_eq!(dot(&a, &b), naive, "n = {n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dot: length mismatch")]
+    fn dot_panics_on_length_mismatch() {
+        dot(&[1.0, 2.0], &[1.0]);
+    }
+
+    #[test]
+    fn empty_inner_dimension_gives_zero_products() {
+        let a = Matrix::zeros(2, 0);
+        let b = Matrix::zeros(0, 3);
+        assert!(a.matmul(&b).unwrap().approx_eq(&Matrix::zeros(2, 3), 0.0));
+        assert!(a.matmul_nt(&b.transpose()).unwrap().approx_eq(&Matrix::zeros(2, 3), 0.0));
+        assert!(a.gram().approx_eq(&Matrix::zeros(0, 0), 0.0));
+    }
+
+    #[test]
     fn operator_overloads() {
         let m = a();
         let sum = &m + &m;

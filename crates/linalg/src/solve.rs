@@ -55,4 +55,51 @@ mod tests {
         assert!(ridge_multi(&a, &Matrix::zeros(1, 1), 0.5).is_err());
         assert!(ridge_multi(&a, &b, -0.1).is_err());
     }
+
+    /// `y = 1 + 2t` sampled at the rows of [`tall`].
+    fn line() -> Matrix {
+        Matrix::from_cols(&[&[1.0, 3.0, 5.0, 7.0]]).unwrap()
+    }
+
+    #[test]
+    fn ridge_zero_lambda_fits_line() {
+        let x = ridge_multi(&tall(), &line(), 0.0).unwrap();
+        assert!((x[(0, 0)] - 1.0).abs() < 1e-10);
+        assert!((x[(1, 0)] - 2.0).abs() < 1e-10);
+    }
+
+    #[test]
+    fn ridge_shrinks_towards_zero() {
+        let x0 = ridge_multi(&tall(), &line(), 0.0).unwrap();
+        let x1 = ridge_multi(&tall(), &line(), 10.0).unwrap();
+        assert!(
+            x1.frobenius_norm() < x0.frobenius_norm(),
+            "ridge with larger lambda must have smaller norm"
+        );
+    }
+
+    #[test]
+    fn ridge_handles_rank_deficiency() {
+        // Two identical columns: AᵀA is singular, AᵀA + λI is not.
+        let a = Matrix::from_rows(&[&[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0]]).unwrap();
+        let b = Matrix::from_cols(&[&[2.0, 4.0, 6.0]]).unwrap();
+        let x = ridge_multi(&a, &b, 1e-6).unwrap();
+        // Symmetry: both coefficients equal.
+        assert!((x[(0, 0)] - x[(1, 0)]).abs() < 1e-8);
+        assert!((x[(0, 0)] + x[(1, 0)] - 2.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn ridge_validates_arguments() {
+        assert!(matches!(
+            ridge_multi(&tall(), &Matrix::zeros(3, 1), 1.0),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
+        for lambda in [-1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                ridge_multi(&tall(), &line(), lambda),
+                Err(LinalgError::InvalidArgument { .. })
+            ));
+        }
+    }
 }

@@ -203,4 +203,43 @@ mod tests {
         assert!(Ecdf::new(&[]).is_err());
         assert!(Ecdf::new(&[1.0, f64::NAN]).is_err());
     }
+
+    #[test]
+    fn percentile_rejects_p_outside_the_unit_interval() {
+        let v = [1.0, 2.0];
+        for p in [-0.01, 1.01, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(percentile(&v, p), Err(LinalgError::InvalidArgument { .. })),
+                "p = {p}"
+            );
+        }
+    }
+
+    #[test]
+    fn single_value_has_no_spread() {
+        let v = [-42.5];
+        assert_eq!(variance(&v).unwrap(), 0.0);
+        assert_eq!(std_dev(&v).unwrap(), 0.0);
+        for p in [0.0, 0.3, 1.0] {
+            assert_eq!(percentile(&v, p).unwrap(), -42.5);
+        }
+    }
+
+    #[test]
+    fn ecdf_counts_ties_together() {
+        let e = Ecdf::new(&[1.0, 2.0, 2.0, 2.0, 5.0]).unwrap();
+        assert_eq!(e.eval(1.999), 0.2);
+        assert_eq!(e.eval(2.0), 0.8);
+        assert_eq!(e.median(), 2.0);
+    }
+
+    #[test]
+    fn ecdf_quantile_matches_percentile() {
+        let v = [7.0, -3.0, 0.5, 12.0, 4.0, 4.0, -8.5];
+        let e = Ecdf::new(&v).unwrap();
+        for k in 0..=20 {
+            let p = k as f64 / 20.0;
+            assert_eq!(e.quantile(p), percentile(&v, p).unwrap(), "p = {p}");
+        }
+    }
 }

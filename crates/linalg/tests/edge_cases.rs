@@ -2,6 +2,7 @@
 //! substrate: 1x1 everything, huge/tiny scales, repeated singular values, and
 //! adversarial shapes.
 
+use taf_linalg::solve::ridge_multi;
 use taf_linalg::stats::Ecdf;
 use taf_linalg::Matrix;
 
@@ -106,4 +107,12 @@ fn hilbert_matrix_conditioning() {
     for (a, t) in x.iter().zip(&x_true) {
         assert!((a - t).abs() < 1e-6, "{a} vs {t}");
     }
+}
+
+#[test]
+fn ridge_with_enormous_lambda_goes_to_zero() {
+    let a = Matrix::identity(3);
+    let b = Matrix::from_cols(&[&[1.0, 2.0, 3.0]]).unwrap();
+    let x = ridge_multi(&a, &b, 1e12).unwrap();
+    assert!(x.iter().all(|v| v.abs() < 1e-9));
 }

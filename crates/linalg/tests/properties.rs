@@ -5,6 +5,7 @@
 //! (`A = QR`, `A = UΣVᵀ`), solver correctness, and ECDF monotonicity.
 
 use proptest::prelude::*;
+use taf_linalg::solve::ridge_multi;
 use taf_linalg::stats::Ecdf;
 use taf_linalg::Matrix;
 
@@ -94,6 +95,25 @@ proptest! {
             prop_assert!(w[0] >= w[1] - 1e-10);
         }
         prop_assert!(svd.sigma.iter().all(|&s| s >= 0.0));
+    }
+
+    #[test]
+    fn svd_truncation_error_is_the_dropped_energy(a in shaped(), k in 0usize..8) {
+        // Eckart–Young: ‖A − A_k‖²_F = Σ_{i ≥ k} σᵢ².
+        let svd = a.svd().unwrap();
+        let residual = a.sub(&svd.truncate(k).reconstruct()).unwrap().frobenius_norm();
+        let dropped: f64 = svd.sigma.iter().skip(k).map(|s| s * s).sum();
+        prop_assert!((residual * residual - dropped).abs() < 1e-8 * (1.0 + a.frobenius_norm().powi(2)));
+    }
+
+    #[test]
+    fn ridge_norm_monotone_in_lambda(a in matrix(6, 3), b in matrix(6, 2)) {
+        let norms: Vec<f64> = [0.01, 1.0, 100.0]
+            .iter()
+            .map(|&l| ridge_multi(&a, &b, l).unwrap().frobenius_norm())
+            .collect();
+        prop_assert!(norms[0] + 1e-9 >= norms[1]);
+        prop_assert!(norms[1] + 1e-9 >= norms[2]);
     }
 
     #[test]

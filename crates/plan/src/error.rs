@@ -48,3 +48,18 @@ impl std::error::Error for PlanError {}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, PlanError>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn display_names_the_field_and_the_lengths() {
+        let e = PlanError::InvalidConfig { field: "budget", reason: "must be positive".into() };
+        assert_eq!(e.to_string(), "invalid plan config `budget`: must be positive");
+        let e = PlanError::DimensionMismatch { what: "confidence", expected: 6, actual: 5 };
+        assert_eq!(e.to_string(), "confidence: expected length 6, got 5");
+        let e = PlanError::NonFiniteConfidence { slot: 2 };
+        assert_eq!(e.to_string(), "confidence for reference slot 2 is not finite");
+    }
+}

@@ -139,4 +139,37 @@ mod tests {
         assert!(h.record(0, short).is_err(), "wrong column length");
         assert!(HistoryWindow::new(1, 3, 0).is_err(), "zero depth");
     }
+
+    #[test]
+    fn records_iterate_oldest_first_within_the_depth() {
+        let mut h = HistoryWindow::new(1, 3, 3).unwrap();
+        for e in 1..=4 {
+            h.record(0, rec(e, -40.0)).unwrap();
+        }
+        let epochs: Vec<u64> = h.records(0).map(|r| r.epoch).collect();
+        assert_eq!(epochs, [2, 3, 4]);
+        assert_eq!(h.records(7).count(), 0, "an unknown slot has no records");
+        assert_eq!(h.latest(7), None);
+    }
+
+    #[test]
+    fn slots_are_independent() {
+        let mut h = HistoryWindow::new(3, 3, 1).unwrap();
+        assert_eq!((h.n_slots(), h.n_links(), h.depth()), (3, 3, 1));
+        h.record(2, rec(9, -50.0)).unwrap();
+        h.record(0, rec(4, -60.0)).unwrap();
+        assert_eq!(h.last_surveyed(), vec![4, 0, 9]);
+        assert_eq!(h.latest(2).unwrap().y, vec![-50.0; 3]);
+    }
+
+    #[test]
+    fn fresh_flags_must_cover_every_link() {
+        let mut h = HistoryWindow::new(1, 3, 1).unwrap();
+        let ragged = SurveyRecord { epoch: 1, y: vec![-40.0; 3], fresh: vec![true; 4] };
+        assert_eq!(
+            h.record(0, ragged),
+            Err(PlanError::DimensionMismatch { what: "survey record", expected: 3, actual: 4 })
+        );
+        assert!(h.latest(0).is_none(), "a rejected record is not kept");
+    }
 }

@@ -412,6 +412,43 @@ mod tests {
     }
 
     #[test]
+    fn a_budget_past_the_full_survey_plans_every_cell_once() {
+        let health = live(3);
+        let p = planner(100, PlanPolicy::UncertaintyGreedy);
+        let plan = p
+            .plan(&PlanInputs {
+                epoch: 1,
+                n_refs: 4,
+                link_health: &health,
+                confidence: None,
+                last_surveyed: None,
+            })
+            .unwrap();
+        let slots: Vec<usize> = plan.entries.iter().map(|e| e.ref_slot).collect();
+        assert_eq!(slots, vec![0, 1, 2, 3]);
+        assert!(plan.entries.iter().all(|e| e.links == [0, 1, 2]));
+        assert_eq!(plan.planned_cost, plan.full_cost);
+    }
+
+    #[test]
+    fn stale_links_are_still_measured() {
+        let health = [LinkStatus::Live, LinkStatus::Stale, LinkStatus::Dead, LinkStatus::Stale];
+        let p = planner(3, PlanPolicy::FixedSchedule);
+        let plan = p
+            .plan(&PlanInputs {
+                epoch: 0,
+                n_refs: 2,
+                link_health: &health,
+                confidence: None,
+                last_surveyed: None,
+            })
+            .unwrap();
+        assert_eq!(plan.links_for(0), Some(&[0, 1, 3][..]));
+        assert!(!plan.is_planned(1));
+        assert_eq!(plan.full_cost, 8, "the full survey counts dead links too");
+    }
+
+    #[test]
     fn invalid_inputs_are_rejected() {
         let health = live(2);
         let p = planner(4, PlanPolicy::UncertaintyGreedy);

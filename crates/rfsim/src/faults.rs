@@ -331,6 +331,20 @@ mod tests {
     }
 
     #[test]
+    fn faults_apply_in_schedule_order() {
+        // Killing link 2 at 10 s and then skewing it by +20 s keeps its early
+        // samples, shifted; skewing first moves them all past the death time.
+        let base = stream();
+        let death = Fault::LinkDeath { link: 2, at_s: 10.0 };
+        let skew = Fault::ClockSkew { link: 2, offset_s: 20.0 };
+        let link2 = |v: &[RawSample]| v.iter().filter(|s| s.link == 2).cloned().collect::<Vec<_>>();
+        let death_first = link2(&FaultSchedule::new(vec![death, skew]).applied(&base));
+        assert!(!death_first.is_empty());
+        assert!(death_first.iter().all(|s| s.t_s >= 20.0 && s.t_s < 30.0));
+        assert!(link2(&FaultSchedule::new(vec![skew, death]).applied(&base)).is_empty());
+    }
+
+    #[test]
     #[should_panic(expected = "flap period")]
     fn invalid_flap_period_panics() {
         let mut s = stream();

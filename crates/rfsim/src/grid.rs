@@ -181,6 +181,19 @@ mod tests {
     }
 
     #[test]
+    fn cells_are_half_open() {
+        let g = grid();
+        let o = g.origin();
+        assert_eq!(g.cell_at(&o), Some(0), "the origin corner belongs to cell 0");
+        // A shared edge belongs to the cell above / to the right of it.
+        assert_eq!(g.cell_at(&Point::new(o.x + g.cell_size(), o.y)), Some(1));
+        assert_eq!(g.cell_at(&Point::new(o.x, o.y + g.cell_size())), Some(g.nx()));
+        // The far edges are outside.
+        assert_eq!(g.cell_at(&Point::new(o.x + g.width(), o.y)), None);
+        assert_eq!(g.cell_at(&Point::new(o.x, o.y + g.height())), None);
+    }
+
+    #[test]
     fn first_cell_center() {
         let g = grid();
         let c = g.cell_center(0);

@@ -355,6 +355,19 @@ mod tests {
     }
 
     #[test]
+    fn truth_matrices_are_links_by_cells() {
+        let w = World::new(WorldConfig::small_test(), 5);
+        let x = w.fingerprint_truth(12.5);
+        assert_eq!(x.shape(), (w.num_links(), w.num_cells()));
+        assert_ne!(w.num_links(), w.num_cells(), "a square world would hide a transpose");
+        for (link, cell) in [(0, 0), (1, 3), (w.num_links() - 1, w.num_cells() - 1)] {
+            assert_eq!(x[(link, cell)], w.fingerprint_rss(link, cell, 12.5));
+        }
+        let empty = w.empty_truth(12.5);
+        assert!((0..w.num_links()).all(|l| empty[l] == w.empty_rss(l, 12.5)));
+    }
+
+    #[test]
     fn deterministic_per_seed() {
         let a = World::paper_default(7).fingerprint_truth(5.0);
         let b = World::paper_default(7).fingerprint_truth(5.0);

@@ -115,3 +115,32 @@ impl From<tafloc_ingest::IngestError> for ServeError {
 
 /// Result alias for the serving layer.
 pub type Result<T> = std::result::Result<T, ServeError>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use taf_wire::WireError;
+
+    #[test]
+    fn wire_io_failures_stay_transport_errors() {
+        let io = WireError::Io(std::io::ErrorKind::TimedOut.into());
+        assert!(
+            matches!(ServeError::from(io), ServeError::Io(e) if e.kind() == std::io::ErrorKind::TimedOut)
+        );
+        assert!(matches!(
+            ServeError::from(WireError::Truncated),
+            ServeError::Wire(WireError::Truncated)
+        ));
+        let e = ServeError::from(WireError::malformed("bad tag"));
+        assert_eq!(e.to_string(), "malformed message: bad tag");
+    }
+
+    #[test]
+    fn refresh_rejection_says_whether_the_site_was_quarantined() {
+        let live = ServeError::RefreshRejected { reason: "non-finite".into(), quarantined: false };
+        assert_eq!(live.to_string(), "refresh rejected (non-finite); previous snapshot stays live");
+        let held = ServeError::RefreshRejected { reason: "non-finite".into(), quarantined: true };
+        assert!(held.to_string().ends_with("; site quarantined"));
+        assert_eq!(ServeError::UnknownSite("lab".into()).to_string(), "unknown site \"lab\"");
+    }
+}

@@ -637,6 +637,29 @@ mod tests {
     }
 
     #[test]
+    fn reopen_under_a_covering_watermark_leaves_one_empty_segment() {
+        // `open` counts the active segment's records while scanning; the
+        // prune it ends with rotates that segment out only if the count is
+        // non-zero.
+        let dir = temp_dir("reopen-covered");
+        let (j, _) = Journal::open(&dir, "s-0", strict(), 0).unwrap();
+        for i in 0..3 {
+            j.append(&batch(i, 90.0, 2)).unwrap();
+        }
+        drop(j);
+        let (j, rec) = Journal::open(&dir, "s-0", strict(), 3).unwrap();
+        assert!(rec.records.is_empty());
+        assert!(!Journal::segment_path(&dir, "s-0", 0).exists(), "covered segment is pruned");
+        assert!(Journal::segment_path(&dir, "s-0", 1).exists());
+        assert_eq!(j.append(&batch(0, 91.0, 1)).unwrap(), 4);
+        drop(j);
+        let (_, rec) = Journal::open(&dir, "s-0", strict(), 3).unwrap();
+        let seqs: Vec<u64> = rec.records.iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, vec![4]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn group_commit_buffers_then_syncs_on_interval_or_demand() {
         let dir = temp_dir("groupcommit");
         let cfg = JournalConfig { flush_interval: Duration::from_secs(3600), ..Default::default() };

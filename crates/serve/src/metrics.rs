@@ -347,6 +347,40 @@ mod tests {
     }
 
     #[test]
+    fn endpoint_indices_follow_display_order() {
+        for (i, e) in ALL_ENDPOINTS.iter().enumerate() {
+            assert_eq!(e.index(), i, "{e:?}");
+            assert!(ALL_ENDPOINTS[..i].iter().all(|o| o.name() != e.name()), "{e:?}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_latencies_are_clamped_into_the_buckets() {
+        let h = LatencyHistogram::default();
+        h.record(Duration::ZERO);
+        assert_eq!(h.max_us(), 1, "sub-microsecond latencies count as 1 µs");
+        assert_eq!(h.quantile_us(1.0), 1);
+        // About 12 days: past 2^39 µs, so it lands in the top bucket.
+        let huge = Duration::from_secs(1 << 20);
+        h.record(huge);
+        assert_eq!(h.max_us(), huge.as_micros() as u64);
+        assert_eq!(h.quantile_us(1.0), h.max_us());
+        assert_eq!(h.quantile_us(0.5), 1);
+    }
+
+    #[test]
+    fn report_follows_display_order_not_arrival_order() {
+        let m = Metrics::new();
+        m.record(Endpoint::Stats, Duration::from_micros(5), false);
+        m.record(Endpoint::AddSite, Duration::from_micros(900), true);
+        let report = m.report();
+        let names: Vec<&str> = report.iter().map(|r| r.endpoint.as_str()).collect();
+        assert_eq!(names, ["add-site", "stats"]);
+        assert_eq!((report[0].errors, report[1].errors), (0, 1));
+        assert_eq!(report[0].max_us, 900);
+    }
+
+    #[test]
     fn connection_counters_are_independent() {
         let m = Metrics::new();
         m.record_conn_timeout();

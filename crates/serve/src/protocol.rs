@@ -455,4 +455,14 @@ mod tests {
         let parsed = v1::decode_request(r#"{"cmd":"locate","site":"a","y":[-1.0]}"#).unwrap();
         assert!(matches!(parsed, Request::Locate { .. }));
     }
+
+    #[test]
+    fn metrics_keys_are_the_wire_command_names() {
+        for req in [Request::ListSites, Request::Stats, Request::Ping, Request::Shutdown] {
+            let mut line = Vec::new();
+            v1::encode_request(&req, &mut line);
+            let want = format!(r#"{{"cmd":"{}"}}"#, req.endpoint().name());
+            assert_eq!(String::from_utf8(line).unwrap(), want);
+        }
+    }
 }

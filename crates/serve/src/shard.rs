@@ -406,6 +406,42 @@ mod tests {
     use super::*;
 
     #[test]
+    fn zero_shards_and_zero_quotas_are_clamped_to_one() {
+        let ring = ShardRing::new(0, 7);
+        assert_eq!(ring.shards(), 1);
+        assert!(["a", "b", "site-42"].iter().all(|k| ring.shard_of(k) == 0));
+        let config = AdmissionConfig {
+            max_inflight_per_site: 0,
+            max_inflight_per_shard: 0,
+            admit_deadline: Duration::ZERO,
+        };
+        let gate = AdmissionGate::new(3, config);
+        assert!(matches!(gate.admit("a", 2), Admit::Rejected { shard: 3 }));
+        assert!(matches!(gate.admit("a", 1), Admit::Granted(_)));
+    }
+
+    #[test]
+    fn a_waiting_batch_is_granted_when_a_permit_drops() {
+        let config = AdmissionConfig {
+            max_inflight_per_site: 8,
+            max_inflight_per_shard: 8,
+            admit_deadline: Duration::from_secs(30),
+        };
+        let gate = AdmissionGate::new(0, config);
+        let held = gate.admit("a", 8);
+        assert!(matches!(held, Admit::Granted(_)));
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| matches!(gate.admit("a", 4), Admit::Granted(_)));
+            std::thread::sleep(Duration::from_millis(20));
+            drop(held);
+            assert!(waiter.join().unwrap(), "the freed credits must wake the waiter");
+        });
+        let st = gate.stats(1);
+        assert_eq!((st.admitted_batches, st.deferred_batches), (2, 0));
+        assert_eq!(gate.depth_samples(), 0);
+    }
+
+    #[test]
     fn ring_is_deterministic_and_in_range() {
         for shards in [1usize, 2, 3, 7, 16] {
             let a = ShardRing::new(shards, DEFAULT_SHARD_SEED);

@@ -1287,6 +1287,24 @@ mod tests {
     }
 
     #[test]
+    fn recommendations_and_detections_render_their_wire_names() {
+        let names: Vec<&str> = [
+            Recommendation::Healthy { estimated_error_db: 0.1 },
+            Recommendation::UpdateRecommended { estimated_error_db: 4.0 },
+            Recommendation::Cooldown { estimated_error_db: 4.0, days_remaining: 2.0 },
+        ]
+        .iter()
+        .map(recommendation_name)
+        .collect();
+        assert_eq!(names, ["healthy", "update-recommended", "cooldown"]);
+        assert_eq!(detection_detail(&Detection::Absent), "absent");
+        let instant = Detection::PresentInstant { link: 4, drop_db: 7.26 };
+        assert_eq!(detection_detail(&instant), "instant: link 4 dropped 7.3 dB");
+        let cusum = Detection::PresentAccumulated { link: 1, statistic: 12.04 };
+        assert_eq!(detection_detail(&cusum), "accumulated: link 1 CUSUM 12.0");
+    }
+
+    #[test]
     fn live_samples_assemble_into_a_matching_fix() {
         let (world, site) = calibrated_site(31);
         let target_cell = 5;

@@ -10,6 +10,7 @@ use tafloc_core::system::{TafLoc, TafLocConfig};
 use tafloc_serve::maintenance::MaintenancePolicy;
 use tafloc_serve::registry::Registry;
 use tafloc_serve::site::Site;
+use tafloc_serve::ServeError;
 
 const SAMPLES: usize = 20;
 
@@ -97,5 +98,32 @@ fn scheduler_restarts_after_stop() {
     // A site added after shutdown gets a fresh scheduler thread.
     registry.add(calibrated_site("second", 12, fast_policy())).unwrap();
     assert!(wait_for(|| checks(&registry, "second") >= 1), "scheduler did not restart");
+    registry.stop_maintenance();
+}
+
+#[test]
+fn duplicate_and_unknown_site_names_are_rejected() {
+    let manual = MaintenancePolicy { manual_tick: true, ..Default::default() };
+    let registry = Registry::new();
+    registry.add(calibrated_site("lab", 11, manual)).unwrap();
+    let dup = registry.add(calibrated_site("lab", 12, manual));
+    assert!(matches!(dup, Err(ServeError::SiteExists(name)) if name == "lab"));
+    assert!(matches!(registry.get("hall"), Err(ServeError::UnknownSite(_))));
+    assert!(matches!(registry.remove("hall"), Err(ServeError::UnknownSite(_))));
+    let removed = registry.remove("lab").unwrap();
+    assert!(removed.stop_flag().load(std::sync::atomic::Ordering::Relaxed));
+    assert!(registry.get("lab").is_err());
+    registry.stop_maintenance();
+}
+
+#[test]
+fn list_is_sorted_by_name() {
+    let manual = MaintenancePolicy { manual_tick: true, ..Default::default() };
+    let registry = Registry::new();
+    for (name, seed) in [("gamma", 13), ("alpha", 14), ("beta", 15)] {
+        registry.add(calibrated_site(name, seed, manual)).unwrap();
+    }
+    let names: Vec<String> = registry.list().iter().map(|s| s.name().to_string()).collect();
+    assert_eq!(names, ["alpha", "beta", "gamma"]);
     registry.stop_maintenance();
 }

@@ -277,6 +277,40 @@ mod tests {
     }
 
     #[test]
+    fn bias_and_rates_are_gated_both_ways() {
+        let tol = Tolerances::default();
+        let golden = report(0.5, 1.2);
+        let mut cleaner = report(0.5, 1.2);
+        cleaner.drifted.imputation_rate = -(tol.imputation_rate + 0.01);
+        cleaner.recon_bias_db = -(tol.recon_bias_db + 0.01);
+        let violations = compare(&cleaner, &golden, &tol);
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert!(violations.iter().all(|v| v.contains("deviates from golden")), "{violations:?}");
+    }
+
+    #[test]
+    fn cost_counters_must_match_exactly_when_counts_are_exact() {
+        let golden = report(0.5, 1.2);
+        let mut cheaper = report(0.5, 1.2);
+        cheaper.actual_cost = 18;
+        let exact = Tolerances { exact_counts: true, ..Tolerances::default() };
+        let violations = compare(&cheaper, &golden, &exact);
+        assert_eq!(violations, ["actual cost: 18 != golden 36"]);
+        let loose = Tolerances { exact_counts: false, ..exact };
+        assert!(compare(&cheaper, &golden, &loose).is_empty());
+    }
+
+    #[test]
+    fn plan_policy_change_demands_a_rebless() {
+        let golden = report(0.5, 1.2);
+        let mut replanned = report(0.5, 1.2);
+        replanned.plan_policy = "uncertainty-greedy".into();
+        let violations = compare(&replanned, &golden, &Tolerances::default());
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].contains("plan policy") && violations[0].contains("re-bless"));
+    }
+
+    #[test]
     fn golden_path_is_under_results_golden() {
         let p = golden_path("nominal");
         assert!(p.ends_with("results/golden/nominal.json"), "{}", p.display());

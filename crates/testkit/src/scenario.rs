@@ -444,6 +444,30 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "fault names link 99, world has 10")]
+    fn faults_on_a_missing_link_are_rejected() {
+        let mut s = Scenario::base("t", "t", 1);
+        s.eval_faults = FaultSchedule::new(vec![Fault::LinkDeath { link: 99, at_s: 1.0 }]);
+        s.assert_valid(10);
+    }
+
+    #[test]
+    #[should_panic(expected = "a crash point needs a restart")]
+    fn crash_points_need_a_restart() {
+        let mut s = Scenario::base("t", "t", 1);
+        s.crash = CrashPoint::MidAppend;
+        s.assert_valid(10);
+    }
+
+    #[test]
+    #[should_panic(expected = "BetweenEpochs only exists in plan scenarios")]
+    fn between_epoch_restarts_need_a_plan() {
+        let mut s = Scenario::base("t", "t", 1);
+        s.restart = RestartPoint::BetweenEpochs;
+        s.assert_valid(10);
+    }
+
+    #[test]
     fn builtins_validate_against_the_small_world() {
         let links = taf_rfsim::WorldConfig::small_test().num_links;
         for s in builtin_scenarios() {

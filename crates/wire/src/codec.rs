@@ -353,4 +353,61 @@ mod tests {
         let buf = e.into_inner();
         assert!(Dec::new(&buf).count().is_err());
     }
+
+    #[test]
+    fn counts_cannot_exceed_the_bytes_left() {
+        let mut e = Enc::new();
+        e.usize(4);
+        e.buf.extend_from_slice(&[0; 4]);
+        let buf = e.into_inner();
+        assert_eq!(Dec::new(&buf).count().unwrap(), 4);
+        assert!(matches!(Dec::new(&buf[..11]).count(), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn uvarint_spends_one_byte_per_seven_bits() {
+        for (v, len) in [(0u64, 1), (0x7F, 1), (0x80, 2), (0x3FFF, 2), (0x4000, 3), (u64::MAX, 10)]
+        {
+            assert_eq!(put_uvarint(&mut Vec::new(), v), len, "{v:#x}");
+        }
+        let mut buf = Vec::new();
+        put_uvarint(&mut buf, 300);
+        assert_eq!(buf, [0xAC, 0x02], "low group first, continuation bit on all but the last");
+    }
+
+    #[test]
+    fn reusing_discards_the_old_bytes() {
+        let mut e = Enc::reusing(vec![1, 2, 3]);
+        e.u32(7);
+        assert_eq!(e.into_inner(), 7u32.to_le_bytes());
+    }
+
+    #[test]
+    fn bools_and_strings_are_validated() {
+        assert!(matches!(Dec::new(&[2]).bool(), Err(WireError::Malformed(_))));
+        let mut e = Enc::new();
+        e.usize(2);
+        e.buf.extend_from_slice(&[0xC3, 0x28]); // an invalid two-byte sequence
+        assert!(matches!(Dec::new(&e.buf).str(), Err(WireError::BadUtf8)));
+    }
+
+    #[test]
+    fn matrix_shapes_are_checked_before_allocating() {
+        let header = |rows: usize, cols: usize| {
+            let mut e = Enc::new();
+            e.usize(rows);
+            e.usize(cols);
+            e.into_inner()
+        };
+        // An empty matrix needs no data bytes, even at the end of a payload.
+        let empty = Dec::new(&header(100, 0)).matrix().unwrap();
+        assert_eq!(empty.shape(), (100, 0));
+        // rows * cols overflows usize.
+        assert!(matches!(
+            Dec::new(&header(1 << 40, 1 << 40)).matrix(),
+            Err(WireError::Malformed(_))
+        ));
+        // One value declared, none present.
+        assert!(matches!(Dec::new(&header(1, 1)).matrix(), Err(WireError::Malformed(_))));
+    }
 }

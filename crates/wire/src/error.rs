@@ -119,3 +119,55 @@ impl WireError {
         )
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::error::Error;
+    use std::io::ErrorKind;
+
+    #[test]
+    fn mid_read_eof_is_truncation_and_other_io_errors_stay_io() {
+        let eof: WireError = std::io::Error::from(ErrorKind::UnexpectedEof).into();
+        assert!(matches!(eof, WireError::Truncated));
+        assert!(eof.source().is_none());
+        let reset: WireError = std::io::Error::from(ErrorKind::ConnectionReset).into();
+        assert!(matches!(&reset, WireError::Io(e) if e.kind() == ErrorKind::ConnectionReset));
+        assert!(reset.source().is_some());
+    }
+
+    #[test]
+    fn in_field_names_only_malformed_errors() {
+        let e = WireError::malformed("expected an integer").in_field("WorldConfig", "seed");
+        assert_eq!(e.to_string(), "malformed message: WorldConfig.seed: expected an integer");
+        assert!(matches!(WireError::BadUtf8.in_field("A", "b"), WireError::BadUtf8));
+        assert!(matches!(WireError::Truncated.in_field("A", "b"), WireError::Truncated));
+    }
+
+    #[test]
+    fn only_framed_failures_are_recoverable() {
+        assert!(WireError::malformed("x").is_recoverable());
+        assert!(WireError::ChecksumMismatch { stored: 1, computed: 2 }.is_recoverable());
+        assert!(WireError::FrameTooLarge { got: 10, limit: 5 }.is_recoverable());
+        assert!(!WireError::BadMagic { got: 0x7F }.is_recoverable());
+        assert!(!WireError::BadUtf8.is_recoverable());
+        assert!(!WireError::Truncated.is_recoverable());
+        assert!(!WireError::Io(ErrorKind::TimedOut.into()).is_recoverable());
+    }
+
+    #[test]
+    fn display_prints_bytes_and_checksums_in_hex() {
+        assert_eq!(
+            WireError::BadMagic { got: 0x0A }.to_string(),
+            "bad magic: unknown wire version byte 0x0A"
+        );
+        assert_eq!(
+            WireError::ChecksumMismatch { stored: 0xBEEF, computed: 1 }.to_string(),
+            "checksum mismatch: frame says 0x0000BEEF, payload is 0x00000001"
+        );
+        assert_eq!(
+            WireError::FrameTooLarge { got: 70, limit: 64 }.to_string(),
+            "frame of 70 bytes exceeds the 64-byte cap"
+        );
+    }
+}

@@ -146,6 +146,42 @@ mod tests {
     }
 
     #[test]
+    fn versions_can_alternate_on_one_stream() {
+        let mut stream = framed(b"first");
+        stream.extend_from_slice(b"{\"cmd\":\"ping\"}\n");
+        stream.extend_from_slice(&framed(b""));
+        let mut r = Cursor::new(stream);
+        let mut buf = Vec::new();
+        assert_eq!(sniff(&mut r).unwrap(), Sniff::V2);
+        read_frame(&mut r, &mut buf, MAX_FRAME_BYTES).unwrap();
+        assert_eq!(buf, b"first");
+        assert_eq!(sniff(&mut r).unwrap(), Sniff::V1);
+        let mut line = String::new();
+        r.read_line(&mut line).unwrap();
+        assert_eq!(line, "{\"cmd\":\"ping\"}\n");
+        assert_eq!(sniff(&mut r).unwrap(), Sniff::V2);
+        read_frame(&mut r, &mut buf, MAX_FRAME_BYTES).unwrap();
+        assert!(buf.is_empty());
+        assert_eq!(sniff(&mut r).unwrap(), Sniff::Eof);
+    }
+
+    #[test]
+    fn a_payload_of_exactly_the_limit_is_accepted() {
+        let payload = [7u8; 64];
+        let mut r = Cursor::new(framed(&payload));
+        assert_eq!(sniff(&mut r).unwrap(), Sniff::V2);
+        let mut buf = Vec::new();
+        read_frame(&mut r, &mut buf, 64).unwrap();
+        assert_eq!(buf, payload);
+        let mut r = Cursor::new(framed(&payload));
+        sniff(&mut r).unwrap();
+        assert!(matches!(
+            read_frame(&mut r, &mut buf, 63),
+            Err(WireError::FrameTooLarge { got: 64, limit: 63 })
+        ));
+    }
+
+    #[test]
     fn json_lines_sniff_as_v1_without_consuming() {
         let mut r = Cursor::new(b"{\"cmd\":\"ping\"}\n".to_vec());
         assert_eq!(sniff(&mut r).unwrap(), Sniff::V1);

@@ -509,3 +509,125 @@ macro_rules! schema {
         }
     };
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[derive(Debug, PartialEq)]
+    struct Probe {
+        n: u32,
+        note: Option<String>,
+        gain: f64,
+    }
+
+    crate::schema! { struct Probe { n: u32, note: Option<String>, gain: f64 = 1.5 } }
+
+    #[test]
+    fn struct_fields_keep_declaration_order_in_both_forms() {
+        let p = Probe { n: 7, note: Some("hi".into()), gain: -0.25 };
+        assert_eq!(to_json(&p), r#"{"n":7,"note":"hi","gain":-0.25}"#);
+        let mut want = Enc::new();
+        want.u32(7);
+        want.u8(1);
+        want.str("hi");
+        want.f64(-0.25);
+        let mut got = Enc::new();
+        p.encode(&mut got);
+        assert_eq!(got.buf, want.buf);
+        assert_eq!(from_bytes::<Probe>(&got.buf).unwrap(), p);
+        assert_eq!(from_json::<Probe>(&to_json(&p)).unwrap(), p);
+    }
+
+    #[test]
+    fn absent_fields_take_their_fallback_or_fail_by_name() {
+        assert_eq!(
+            from_json::<Probe>(r#"{"n":1}"#).unwrap(),
+            Probe { n: 1, note: None, gain: 1.5 }
+        );
+        // `null` is an absent option; unknown keys are ignored.
+        assert_eq!(
+            from_json::<Probe>(r#"{"n":1,"note":null,"gain":2,"extra":[1]}"#).unwrap(),
+            Probe { n: 1, note: None, gain: 2.0 }
+        );
+        let err = from_json::<Probe>(r#"{"gain":2}"#).unwrap_err().to_string();
+        assert!(err.contains("Probe: missing field `n`"), "{err}");
+    }
+
+    #[test]
+    fn wrong_types_name_the_field() {
+        let err = from_json::<Probe>(r#"{"n":"seven"}"#).unwrap_err().to_string();
+        assert!(err.contains("Probe.n: expected an integer"), "{err}");
+        let err = from_json::<Probe>(r#"{"n":1,"note":3}"#).unwrap_err().to_string();
+        assert!(err.contains("Probe.note: expected a string"), "{err}");
+        assert!(from_json::<bool>("1").is_err());
+        assert!(from_json::<Vec<f64>>(r#"{"a":1}"#).is_err());
+    }
+
+    #[test]
+    fn from_bytes_rejects_trailing_bytes() {
+        let mut buf = 7u64.to_le_bytes().to_vec();
+        assert_eq!(from_bytes::<u64>(&buf).unwrap(), 7);
+        buf.push(0);
+        assert!(matches!(from_bytes::<u64>(&buf), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn option_presence_byte_is_validated() {
+        assert_eq!(from_bytes::<Option<u32>>(&[0]).unwrap(), None);
+        assert_eq!(from_bytes::<Option<u32>>(&[1, 9, 0, 0, 0]).unwrap(), Some(9));
+        assert!(matches!(
+            from_bytes::<Option<u32>>(&[2, 9, 0, 0, 0]),
+            Err(WireError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn vec_decode_stops_when_elements_run_out() {
+        // Three elements declared, two present: the count fits the 16 bytes
+        // left, the third element is truncated.
+        let mut e = Enc::new();
+        e.usize(3);
+        e.u64(1);
+        e.u64(2);
+        assert!(matches!(from_bytes::<Vec<u64>>(&e.buf), Err(WireError::Truncated)));
+    }
+
+    #[test]
+    fn external_tags_are_a_name_or_a_one_key_object() {
+        let bare = json::parse(r#""QrPivot""#).unwrap();
+        let (name, body) = external_tag(&bare, "T").unwrap();
+        assert_eq!(name, "QrPivot");
+        assert!(matches!(body, JsonValue::Null));
+        let keyed = json::parse(r#"{"Knn":{"k":3}}"#).unwrap();
+        let (name, body) = external_tag(&keyed, "T").unwrap();
+        assert_eq!(name, "Knn");
+        assert_eq!(body.get("k").and_then(JsonValue::as_num), Some(3.0));
+        for bad in [r#"{"a":1,"b":2}"#, "{}", "3", "null"] {
+            assert!(external_tag(&json::parse(bad).unwrap(), "T").is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn internal_tags_must_be_strings() {
+        let v = json::parse(r#"{"cmd":"ping"}"#).unwrap();
+        assert_eq!(internal_tag(&v, "Request", "cmd").unwrap(), "ping");
+        for bad in [r#"{"cmd":1}"#, r#"{"op":"ping"}"#, r#""ping""#] {
+            let err = internal_tag(&json::parse(bad).unwrap(), "Request", "cmd").unwrap_err();
+            assert!(err.to_string().contains("Request: missing or non-string tag `cmd`"), "{bad}");
+        }
+    }
+
+    #[test]
+    fn matrix_v1_form_is_shape_then_row_major_data() {
+        let m = Matrix::from_rows(&[&[1.0, 2.0], &[f64::NAN, 4.5]]).unwrap();
+        let text = to_json(&m);
+        assert_eq!(text, r#"{"rows":2,"cols":2,"data":[1,2,null,4.5]}"#);
+        let back: Matrix = from_json(&text).unwrap();
+        assert_eq!(back.shape(), (2, 2));
+        assert!(back[(1, 0)].is_nan());
+        assert_eq!(back[(1, 1)], 4.5);
+        let err = from_json::<Matrix>(r#"{"rows":2,"cols":2,"data":[1]}"#).unwrap_err();
+        assert!(err.to_string().contains("Matrix: "), "{err}");
+    }
+}
