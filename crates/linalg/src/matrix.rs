@@ -289,9 +289,10 @@ impl Matrix {
         self.data.iter().enumerate().map(move |(k, &v)| (k / cols, k % cols, v))
     }
 
-    /// Iterator over row slices.
+    /// Iterator over row slices: one per row, empty when there are no
+    /// columns.
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> + '_ {
-        self.data.chunks_exact(self.cols.max(1))
+        (0..self.rows).map(move |i| self.row(i))
     }
 
     // ------------------------------------------------------------------
@@ -664,6 +665,10 @@ mod tests {
         let rows: Vec<_> = m.rows_iter().collect();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1], &[4.0, 5.0, 6.0]);
+        // Rows without columns are still rows.
+        let lens: Vec<usize> = Matrix::zeros(3, 0).rows_iter().map(<[f64]>::len).collect();
+        assert_eq!(lens, vec![0; 3]);
+        assert_eq!(Matrix::zeros(0, 4).rows_iter().count(), 0);
     }
 
     #[test]

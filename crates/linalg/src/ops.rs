@@ -537,6 +537,8 @@ mod tests {
         assert!(a.matmul(&b).unwrap().approx_eq(&Matrix::zeros(2, 3), 0.0));
         assert!(a.matmul_nt(&b.transpose()).unwrap().approx_eq(&Matrix::zeros(2, 3), 0.0));
         assert!(a.gram().approx_eq(&Matrix::zeros(0, 0), 0.0));
+        assert_eq!(a.matvec(&[]), vec![0.0, 0.0]);
+        assert_eq!(b.tr_matvec(&[]), vec![0.0, 0.0, 0.0]);
     }
 
     #[test]

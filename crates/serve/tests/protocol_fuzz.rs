@@ -7,7 +7,9 @@
 //! assert the sniffing decoder never panics and always terminates: every
 //! message attempt yields `Ok`/`Err` and the stream drains to EOF in bounded
 //! steps. Hand-built v2 payloads with hostile element counts check that a
-//! decoder never reserves memory its payload cannot back.
+//! decoder never reserves memory its payload cannot back, and counted
+//! allocations check that v1 decoding allocates only what the decoded
+//! request keeps.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,27 +17,39 @@ use std::io::{BufReader, Cursor};
 use taf_linalg::Matrix;
 use taf_wire::{Codec, Enc};
 use tafloc_core::system::TafLocConfig;
+use tafloc_ingest::LinkSample;
 use tafloc_serve::protocol::Request;
-use tafloc_serve::wire::{read_request, v2, write_request, WireVersion};
+use tafloc_serve::wire::{read_request, v1, v2, write_request, WireVersion};
 
-/// Records the largest single allocation made on a thread while it is armed.
-struct LargestAlloc;
+/// Records, on a thread while it is armed, the largest single allocation
+/// and the number of allocations (a `realloc` counts as one).
+struct TallyAlloc;
+
+/// What the allocator saw while armed.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    largest: usize,
+    count: usize,
+}
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
+    static TALLY: Cell<Tally> = const { Cell::new(Tally { largest: 0, count: 0 }) };
 }
 
 fn note(size: usize) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
     let _ = ARMED.try_with(|armed| {
         if armed.get() {
-            LARGEST.with(|largest| largest.set(largest.get().max(size)));
+            TALLY.with(|tally| {
+                let t = tally.get();
+                tally.set(Tally { largest: t.largest.max(size), count: t.count + 1 });
+            });
         }
     });
 }
 
-unsafe impl GlobalAlloc for LargestAlloc {
+unsafe impl GlobalAlloc for TallyAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
         System.alloc(layout)
@@ -52,16 +66,16 @@ unsafe impl GlobalAlloc for LargestAlloc {
 }
 
 #[global_allocator]
-static GLOBAL: LargestAlloc = LargestAlloc;
+static GLOBAL: TallyAlloc = TallyAlloc;
 
 /// Runs `f` with the allocator armed on this thread; returns its result and
-/// the largest single allocation it made.
-fn largest_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    LARGEST.with(|largest| largest.set(0));
+/// what it allocated.
+fn armed<T>(f: impl FnOnce() -> T) -> (T, Tally) {
+    TALLY.with(|tally| tally.set(Tally::default()));
     ARMED.with(|armed| armed.set(true));
     let out = f();
     ARMED.with(|armed| armed.set(false));
-    (out, LARGEST.with(Cell::get))
+    (out, TALLY.with(Cell::get))
 }
 
 fn xorshift(state: &mut u64) -> u64 {
@@ -335,7 +349,7 @@ fn hostile_payloads() -> Vec<(&'static str, bool, Vec<u8>)> {
 fn hostile_counts_never_drive_a_large_allocation() {
     const LIMIT: usize = 1 << 20;
     for (name, is_request, payload) in hostile_payloads() {
-        let (decoded, largest) = largest_alloc(|| {
+        let (decoded, Tally { largest, .. }) = armed(|| {
             if is_request {
                 v2::decode_request(&payload).map(|_| ())
             } else {
@@ -370,5 +384,42 @@ fn an_empty_matrix_of_any_shape_still_decodes() {
     match v2::decode_request(&payload) {
         Ok(Request::MeasureRefs { columns, .. }) => assert_eq!(columns.shape(), (100, 0)),
         other => panic!("expected the 100x0 measure-refs back, got {other:?}"),
+    }
+}
+
+#[test]
+fn v1_decoding_allocates_only_what_the_request_keeps() {
+    // A capture batch as the reference-capture rounds send it, and a locate
+    // on a 10-link site. Decoding keeps the site name and one vector, whose
+    // growth reallocates a few times; nothing else may allocate.
+    let ingest = Request::Ingest {
+        site: "lab".into(),
+        ref_cell: Some(3),
+        day: 12.5,
+        samples: (0..64)
+            .map(|i| LinkSample {
+                link: i % 10,
+                t_s: 0.25 * i as f64,
+                rss_dbm: -48.5 - 0.37 * i as f64,
+            })
+            .collect(),
+    };
+    let locate = Request::Locate {
+        site: "lab".into(),
+        y: (0..10).map(|i| -50.0 - 1.3 * i as f64).collect(),
+    };
+    for (name, req, limit) in [("ingest", ingest, 16), ("locate", locate, 6)] {
+        let mut line = Vec::new();
+        v1::encode_request(&req, &mut line);
+        let text = std::str::from_utf8(&line).unwrap();
+        let (decoded, Tally { count, .. }) = armed(|| v1::decode_request(text));
+        let mut again = Vec::new();
+        v1::encode_request(&decoded.unwrap(), &mut again);
+        assert_eq!(again, line, "{name}: the decoded request re-encodes to its line");
+        assert!(
+            count <= limit,
+            "{name}: decoding a {}-byte line made {count} allocations, more than {limit}",
+            line.len()
+        );
     }
 }

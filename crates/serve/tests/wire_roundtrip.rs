@@ -392,6 +392,58 @@ fn lenient_v1_inputs_fill_in_their_defaults() {
     }
 }
 
+/// Decodes a v1 request and re-encodes it: the canonical line of what the
+/// input means.
+fn canonical_request(input: &str) -> Result<String, String> {
+    let req = wire::v1::decode_request(input).map_err(|e| e.to_string())?;
+    let mut out = Vec::new();
+    wire::v1::encode_request(&req, &mut out);
+    Ok(String::from_utf8(out).unwrap())
+}
+
+/// Leniencies of the v1 reader that no corpus line pins, each input paired
+/// with the canonical line it decodes to.
+#[test]
+fn v1_leniencies_decode_to_their_canonical_request() {
+    let locate = r#"{"cmd":"locate","site":"lab","y":[1,2]}"#;
+    let cases = [
+        // The tag may follow other keys.
+        (r#"{"site":"lab","y":[1,2],"cmd":"locate"}"#, locate),
+        (r#"{"site":"lab","cmd":"locate","y":[1,2]}"#, locate),
+        // A repeated key takes its last value; a repeated tag names the
+        // variant by its last occurrence.
+        (r#"{"cmd":"locate","site":"attic","y":[9],"site":"lab","y":[1,2]}"#, locate),
+        (r#"{"cmd":"ping","site":"lab","y":[1,2],"cmd":"locate"}"#, locate),
+        (r#"{"cmd":"locate","cmd":"ping"}"#, r#"{"cmd":"ping"}"#),
+        // Unknown keys are skipped, whatever they hold.
+        (
+            r#"{"cmd":"locate","x":{"a":[1,{"b":[[],{}]}],"c":"}\"]"},"site":"lab","y":[1,2],"z":[[null,true]]}"#,
+            locate,
+        ),
+        // Whitespace may surround every token.
+        (" {\t\"cmd\" : \"locate\" ,\r\n \"site\" :\"lab\", \"y\" : [ 1 , 2 ] } ", locate),
+        // Number forms RFC 8259 forbids read as Rust's `f64` parser reads them.
+        (
+            r#"{"cmd":"locate","site":"lab","y":[01,1.,-.5,1.e5,-0.]}"#,
+            r#"{"cmd":"locate","site":"lab","y":[1,1,-0.5,100000,0]}"#,
+        ),
+    ];
+    for (input, canonical) in cases {
+        assert_eq!(canonical_request(input).as_deref(), Ok(canonical), "input {input}");
+    }
+}
+
+#[test]
+fn v1_unknown_keys_are_checked_like_known_ones() {
+    let with_extra = |extra: &str| format!(r#"{{"cmd":"ping","extra":{extra}}}"#);
+    let fine = "[".repeat(100) + &"]".repeat(100);
+    assert_eq!(canonical_request(&with_extra(&fine)).as_deref(), Ok(r#"{"cmd":"ping"}"#));
+    let bomb = "[".repeat(200) + &"]".repeat(200);
+    for bad in [bomb.as_str(), "1e999", "-", r#""\x""#, "[1,]", "{\"a\"}", "tru"] {
+        assert!(canonical_request(&with_extra(bad)).is_err(), "extra value {bad}");
+    }
+}
+
 /// A site exercising every persisted field, every optional section present.
 fn corpus_site() -> PersistedSite {
     let mut history = HistoryWindow::new(2, 4, 2).unwrap();

@@ -5,8 +5,9 @@
 //! determinism gate, which rules out anything whose output depends on map
 //! iteration order or library version. Values are `taf_wire`'s
 //! [`JsonValue`](taf_wire::JsonValue), whose objects are ordered vectors
-//! (emit order == insertion order), and documents are read back through the
-//! canonical reader [`taf_wire::json::parse`]. This module owns only the
+//! (emit order == insertion order), and documents are read back through
+//! [`taf_wire::json::parse`], which builds the tree with the workspace's one
+//! JSON reader. This module owns only the
 //! pretty form: numbers print with `f64`'s `Display` (shortest round-trip
 //! form), so identical bits in produce identical bytes out.
 

@@ -1,4 +1,4 @@
-//! Hand-rolled JSON: a zero-alloc streaming writer and a strict parser, the
+//! Hand-rolled JSON: a zero-alloc streaming writer and a pull reader, the
 //! only JSON code in the workspace. The text rules, which the committed
 //! corpora pin byte for byte:
 //!
@@ -7,20 +7,40 @@
 //!   else uses Rust's shortest round-tripping float formatting; non-finite
 //!   floats render as `null`;
 //! * strings escape `"` `\` `\n` `\r` `\t`, other control characters as
-//!   `\uXXXX`, and pass everything else through as UTF-8;
-//! * the parser is strict (no trailing garbage, no control characters in
-//!   strings, depth-capped) and keeps duplicate object keys, with lookups
-//!   resolving to the **last** occurrence.
+//!   `\uXXXX`, and pass everything else through as UTF-8.
+//!
+//! [`JsonReader`] is a cursor over one document's text that yields a token
+//! at a time: object keys and strings borrowed from the text (copied only
+//! when they hold escapes), numbers as `f64`. It builds nothing itself. The
+//! schema's readers decode each value straight into its field, and [`parse`]
+//! builds a [`JsonValue`] tree through the same cursor. The grammar is
+//! RFC 8259's, with the leniencies and limits the v1 wire has always had:
+//!
+//! * a number is `-`? digits\* (`.` digits\*)? (`e`|`E` (`+`|`-`)? digits\*)?,
+//!   read by Rust's `f64` parser, so `01`, `1.`, `-.5` and `1.e5` read as 1,
+//!   1, -0.5 and 100000; text that parser refuses (`-`, `1e`) and numbers
+//!   beyond `f64`'s range are errors;
+//! * `\u` takes exactly four hex digits, and a surrogate reads as U+FFFD;
+//! * strings may not hold raw control characters;
+//! * whitespace (space, tab, `\n`, `\r`) may surround every token;
+//! * a value inside more than [`MAX_DEPTH`] containers is an error, also
+//!   inside a value that is being skipped;
+//! * anything but whitespace after the document is an error.
+//!
+//! A repeated object key is not an error: [`JsonValue::get`] and the schema's
+//! readers resolve it to its last occurrence.
 
 use crate::error::{Result, WireError};
+use std::borrow::Cow;
 use std::io::Write as _;
 
-/// Maximum nesting depth; the wire fuzzer feeds arbitrary bytes here and a
-/// recursive-descent parser must not blow the stack on `[[[[…`.
+/// Maximum nesting depth; the wire fuzzer feeds arbitrary bytes here, and
+/// reading or skipping `[[[[…` recursively must not blow the stack.
 pub const MAX_DEPTH: usize = 128;
 
-/// A parsed JSON document. Object fields keep their wire order (and any
-/// duplicates); [`JsonValue::get`] resolves duplicate keys last-wins.
+/// A parsed JSON document, the form golden files are read and written in.
+/// Object fields keep their wire order (and any duplicates);
+/// [`JsonValue::get`] resolves duplicate keys last-wins.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`
@@ -170,7 +190,7 @@ impl<'a> JsonWriter<'a> {
         if !n.is_finite() {
             self.out.extend_from_slice(b"null");
         } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-            write!(self.out, "{}", n as i64).expect("write to Vec cannot fail");
+            write_int(self.out, n as i64);
         } else {
             write!(self.out, "{n}").expect("write to Vec cannot fail");
         }
@@ -205,6 +225,26 @@ impl<'a> JsonWriter<'a> {
     }
 }
 
+/// Writes `v` in decimal, the bytes `write!` would give, without going
+/// through the formatting machinery.
+fn write_int(out: &mut Vec<u8>, v: i64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    let mut rest = v.unsigned_abs();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        out.push(b'-');
+    }
+    out.extend_from_slice(&digits[start..]);
+}
+
 fn escape_str(s: &str, out: &mut Vec<u8>) {
     out.push(b'"');
     let mut start = 0;
@@ -232,42 +272,93 @@ fn escape_str(s: &str, out: &mut Vec<u8>) {
 }
 
 // ---------------------------------------------------------------------------
-// Parser
+// Reader
 // ---------------------------------------------------------------------------
 
-/// Parses one complete JSON document; trailing non-whitespace is an error.
+/// Parses one complete JSON document into a tree; trailing non-whitespace
+/// is an error.
 pub fn parse(s: &str) -> Result<JsonValue> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(WireError::Malformed(format!("trailing characters at byte {}", p.pos)));
-    }
+    let mut r = JsonReader::new(s);
+    let v = JsonValue::read(&mut r)?;
+    r.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+impl JsonValue {
+    /// Reads the value at the cursor into a tree.
+    pub fn read(r: &mut JsonReader<'_>) -> Result<JsonValue> {
+        Ok(match r.peek() {
+            Some(b'{') => {
+                r.begin_obj()?;
+                let mut pairs = Vec::new();
+                while let Some(key) = r.next_key()? {
+                    pairs.push((key.into_owned(), JsonValue::read(r)?));
+                }
+                JsonValue::Obj(pairs)
+            }
+            Some(b'[') => {
+                r.begin_arr()?;
+                let mut items = Vec::new();
+                while r.next_elem()? {
+                    items.push(JsonValue::read(r)?);
+                }
+                JsonValue::Arr(items)
+            }
+            Some(b'"') => JsonValue::Str(r.str()?.into_owned()),
+            Some(b'n') => r.null().map(|()| JsonValue::Null)?,
+            Some(b't' | b'f') => JsonValue::Bool(r.bool()?),
+            _ => JsonValue::Num(r.num()?),
+        })
+    }
 }
 
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
+/// A pull reader: a cursor over one JSON document's text.
+///
+/// Each method skips the whitespace before its token. Containers are read
+/// with [`begin_obj`](Self::begin_obj) then [`next_key`](Self::next_key)
+/// until it returns `None`, or [`begin_arr`](Self::begin_arr) then
+/// [`next_elem`](Self::next_elem) until it returns `false`; the caller
+/// reads or [`skip`](Self::skip)s each member's value in between. The
+/// reader is `Copy`: a copy is a saved position to look ahead from.
+#[derive(Debug, Clone, Copy)]
+pub struct JsonReader<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Containers open at the cursor.
+    depth: usize,
+    /// Set when a container has just opened: its first item takes no comma.
+    first: bool,
+}
+
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        JsonReader { text, pos: 0, depth: 0, first: false }
+    }
+
+    /// Skips whitespace and returns the next byte, without consuming it.
+    pub fn peek(&mut self) -> Option<u8> {
+        let bytes = self.text.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            if !matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+                return Some(b);
+            }
+            self.pos += 1;
+        }
+        None
+    }
+
+    /// Ends the document: only whitespace may follow the value just read.
+    pub fn finish(&mut self) -> Result<()> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => {
+                Err(WireError::Malformed(format!("trailing characters at byte {}", self.pos)))
             }
         }
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<()> {
+    fn expect(&mut self, b: u8) -> Result<()> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -276,178 +367,231 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_keyword(&mut self, kw: &str) -> Result<()> {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
+    fn unexpected(&self) -> WireError {
+        WireError::Malformed(format!("unexpected input at byte {}", self.pos))
+    }
+
+    /// Opens the object at the cursor (`{`).
+    pub fn begin_obj(&mut self) -> Result<()> {
+        self.expect(b'{')?;
+        self.depth += 1;
+        self.first = true;
+        Ok(())
+    }
+
+    /// Opens the array at the cursor (`[`).
+    pub fn begin_arr(&mut self) -> Result<()> {
+        self.expect(b'[')?;
+        self.depth += 1;
+        self.first = true;
+        Ok(())
+    }
+
+    /// Moves to the next member of the open object and returns its key,
+    /// with the `:` consumed; `None` once the closing `}` is consumed.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>> {
+        if !self.next_item(b'}')? {
+            return Ok(None);
+        }
+        let key = self.str()?;
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Moves to the next element of the open array: `true` if there is one,
+    /// `false` once the closing `]` is consumed.
+    pub fn next_elem(&mut self) -> Result<bool> {
+        self.next_item(b']')
+    }
+
+    /// Consumes the separator before the next item, or the `close` that
+    /// ends the container.
+    fn next_item(&mut self, close: u8) -> Result<bool> {
+        let next = self.peek();
+        if next == Some(close) {
+            self.pos += 1;
+            self.depth -= 1;
+            // The container just closed was an item of the one around it.
+            self.first = false;
+            return Ok(false);
+        }
+        if self.first {
+            self.first = false;
+        } else if next == Some(b',') {
+            self.pos += 1;
+        } else {
+            return Err(WireError::Malformed(format!(
+                "expected `,` or `{}` at byte {}",
+                close as char, self.pos
+            )));
+        }
+        if self.depth > MAX_DEPTH {
+            return Err(WireError::malformed("document nested too deeply"));
+        }
+        Ok(true)
+    }
+
+    /// Skips the value at the cursor, checking it as strictly as reading it.
+    pub fn skip(&mut self) -> Result<()> {
+        match self.peek() {
+            Some(b'{') => {
+                self.begin_obj()?;
+                while self.next_key()?.is_some() {
+                    self.skip()?;
+                }
+            }
+            Some(b'[') => {
+                self.begin_arr()?;
+                while self.next_elem()? {
+                    self.skip()?;
+                }
+            }
+            Some(b'"') => drop(self.str()?),
+            Some(b'n') => self.null()?,
+            Some(b't' | b'f') => drop(self.bool()?),
+            _ => drop(self.num()?),
+        }
+        Ok(())
+    }
+
+    fn literal(&mut self, word: &str) -> Result<()> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
             Ok(())
         } else {
             Err(WireError::Malformed(format!("invalid literal at byte {}", self.pos)))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<JsonValue> {
-        if depth > MAX_DEPTH {
-            return Err(WireError::malformed("document nested too deeply"));
-        }
+    /// Reads `null`.
+    pub fn null(&mut self) -> Result<()> {
+        self.peek();
+        self.literal("null")
+    }
+
+    /// Reads `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool> {
         match self.peek() {
-            Some(b'n') => self.eat_keyword("null").map(|_| JsonValue::Null),
-            Some(b't') => self.eat_keyword("true").map(|_| JsonValue::Bool(true)),
-            Some(b'f') => self.eat_keyword("false").map(|_| JsonValue::Bool(false)),
-            Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Arr(items));
-                        }
-                        _ => {
-                            return Err(WireError::Malformed(format!(
-                                "expected `,` or `]` at byte {}",
-                                self.pos
-                            )))
-                        }
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    self.skip_ws();
-                    let value = self.value(depth + 1)?;
-                    pairs.push((key, value));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(JsonValue::Obj(pairs));
-                        }
-                        _ => {
-                            return Err(WireError::Malformed(format!(
-                                "expected `,` or `}}` at byte {}",
-                                self.pos
-                            )))
-                        }
-                    }
-                }
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(WireError::Malformed(format!("unexpected input at byte {}", self.pos))),
+            Some(b't') => self.literal("true").map(|()| true),
+            Some(b'f') => self.literal("false").map(|()| false),
+            _ => Err(self.unexpected()),
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue> {
+    /// Reads a number: the longest run the grammar in the
+    /// [module docs](self) allows, parsed by Rust's `f64` parser, which
+    /// must accept all of it and give a finite value.
+    pub fn num(&mut self) -> Result<f64> {
+        if !matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(self.unexpected());
+        }
+        let bytes = self.text.as_bytes();
+        let digits = |pos: &mut usize| {
+            while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+                *pos += 1;
+            }
+        };
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        if bytes[self.pos] == b'-' {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
+        digits(&mut self.pos);
+        if bytes.get(self.pos) == Some(&b'.') {
             self.pos += 1;
+            digits(&mut self.pos);
         }
-        if self.peek() == Some(b'.') {
+        if matches!(bytes.get(self.pos), Some(b'e' | b'E')) {
             self.pos += 1;
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
+            if matches!(bytes.get(self.pos), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
+            digits(&mut self.pos);
         }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b) if b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| WireError::BadUtf8)?;
+        let text = &self.text[start..self.pos];
         let n: f64 =
             text.parse().map_err(|_| WireError::Malformed(format!("invalid number `{text}`")))?;
         if n.is_finite() {
-            Ok(JsonValue::Num(n))
+            Ok(n)
         } else {
             Err(WireError::Malformed(format!("number `{text}` overflows f64")))
         }
     }
 
-    fn string(&mut self) -> Result<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
+    /// Reads a string: borrowed from the text unless it holds escapes.
+    pub fn str(&mut self) -> Result<Cow<'a, str>> {
+        self.expect(b'"')?;
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        self.plain_run();
+        if bytes.get(self.pos) == Some(&b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&self.text[start..self.pos]);
         loop {
-            match self.peek() {
-                None => return Err(WireError::malformed("unterminated string")),
+            match bytes.get(self.pos) {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| WireError::malformed("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| WireError::malformed("invalid \\u escape"))?;
-                            // Surrogates degrade to the replacement
-                            // character; nothing in this workspace emits
-                            // them — the writer never uses \u above 0x1F.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(WireError::malformed("invalid escape")),
-                    }
-                    self.pos += 1;
+                    out.push(self.escape()?);
                 }
-                Some(b) if b < 0x80 => {
-                    if b < 0x20 {
-                        return Err(WireError::malformed("control character in string"));
-                    }
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: take the full scalar from the source.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| WireError::BadUtf8)?;
-                    let ch = rest.chars().next().expect("non-empty by construction");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                Some(_) => return Err(WireError::malformed("control character in string")),
+                None => return Err(WireError::malformed("unterminated string")),
             }
+            let run = self.pos;
+            self.plain_run();
+            out.push_str(&self.text[run..self.pos]);
         }
+    }
+
+    /// Advances over string content up to the next quote, backslash,
+    /// control character or the end of the text.
+    fn plain_run(&mut self) {
+        let bytes = self.text.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            if b == b'"' || b == b'\\' || b < 0x20 {
+                break;
+            }
+            self.pos += 1;
+        }
+    }
+
+    /// Decodes the escape after a backslash.
+    fn escape(&mut self) -> Result<char> {
+        let bytes = self.text.as_bytes();
+        let kind = bytes.get(self.pos).copied();
+        self.pos += 1;
+        Ok(match kind {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let hex = bytes
+                    .get(self.pos..self.pos + 4)
+                    .ok_or_else(|| WireError::malformed("truncated \\u escape"))?;
+                let mut code = 0;
+                for &h in hex {
+                    let digit = char::from(h)
+                        .to_digit(16)
+                        .ok_or_else(|| WireError::malformed("invalid \\u escape"))?;
+                    code = code * 16 + digit;
+                }
+                self.pos += 4;
+                // Surrogates degrade to the replacement character; nothing
+                // in this workspace emits them — the writer never uses \u
+                // above 0x1F.
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            }
+            _ => return Err(WireError::malformed("invalid escape")),
+        })
     }
 }
 
@@ -534,6 +678,10 @@ mod tests {
         assert_eq!(written(|w| w.f64_val(1e300)), format!("{}", 1e300));
         // At exactly 9e15 the integral fast path is skipped (|n| < 9e15).
         assert_eq!(written(|w| w.f64_val(9.0e15)), format!("{}", 9.0e15));
+        // The digit loop writes the bytes `i64`'s `Display` would.
+        for n in [1.0, 9.0, 10.0, -10.0, 99.0, 100.0, 1234567.0, -9.0e15 + 1.0, 9.0e15 - 1.0] {
+            assert_eq!(written(|w| w.f64_val(n)), (n as i64).to_string(), "formatting {n}");
+        }
     }
 
     #[test]
@@ -570,25 +718,36 @@ mod tests {
         for bad in ["", "tru", "{", "[1,", r#"{"a"}"#, "1 2", "nul", "\"\u{1}\"", "1e999"] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }
+        // `\u` takes exactly four hex digits: no sign, no short forms.
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04""#, r#""\u04g1""#] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+        assert_eq!(parse(r#""\u0041\u00e9""#).unwrap(), JsonValue::Str("Aé".into()));
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(parse(&deep).is_err(), "depth bomb must be rejected");
         let ok_depth = "[".repeat(100) + "1" + &"]".repeat(100);
         assert!(parse(&ok_depth).is_ok(), "moderate nesting is fine");
+        // A value may sit inside `MAX_DEPTH` containers but not one more; an
+        // empty container at that depth holds no value.
+        let nest = |n: usize, inner: &str| "[".repeat(n) + inner + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH, "1")).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1, "1")).is_err());
+        assert!(parse(&nest(MAX_DEPTH + 1, "")).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 2, "")).is_err());
     }
 
     #[test]
     fn null_decodes_to_nan_for_floats_and_errors_for_ints() {
-        use crate::schema::Codec;
-        let v = parse(r#"{"y":null}"#).unwrap();
-        assert!(f64::read_json(v.get("y").unwrap()).unwrap().is_nan());
-        assert!(u64::read_json(v.get("y").unwrap()).is_err());
-        assert!(u64::read_json(&JsonValue::Num(1.5)).is_err());
-        assert_eq!(u64::read_json(&JsonValue::Num(7.0)).unwrap(), 7);
+        use crate::schema::from_json;
+        assert!(from_json::<f64>("null").unwrap().is_nan());
+        assert!(from_json::<u64>("null").is_err());
+        assert!(from_json::<u64>("1.5").is_err());
+        assert_eq!(from_json::<u64>("7").unwrap(), 7);
         // Out-of-range integers fail instead of saturating or wrapping.
-        assert!(u64::read_json(&JsonValue::Num(-12.0)).is_err());
-        assert!(u64::read_json(&JsonValue::Num(1e20)).is_err());
-        assert!(usize::read_json(&JsonValue::Num(-1.0)).is_err());
-        assert!(u32::read_json(&JsonValue::Num(4_294_967_296.0)).is_err());
-        assert_eq!(u32::read_json(&JsonValue::Num(4_294_967_295.0)).unwrap(), u32::MAX);
+        assert!(from_json::<u64>("-12").is_err());
+        assert!(from_json::<u64>("1e20").is_err());
+        assert!(from_json::<usize>("-1").is_err());
+        assert!(from_json::<u32>("4294967296").is_err());
+        assert_eq!(from_json::<u32>("4294967295").unwrap(), u32::MAX);
     }
 }

@@ -7,9 +7,10 @@
 //! Two protocols share one crate:
 //!
 //! * **v1 — NDJSON.** A zero-alloc streaming JSON writer
-//!   ([`json::JsonWriter`]) plus a strict reader ([`json::parse`]): compact
-//!   JSON, fields in declaration order, `None` as `null`, non-finite floats
-//!   as `null`, one message per `\n`-terminated line.
+//!   ([`json::JsonWriter`]) plus a strict pull reader ([`json::JsonReader`])
+//!   that decodes each value straight into its field: compact JSON, fields
+//!   in declaration order, `None` as `null`, non-finite floats as `null`,
+//!   one message per `\n`-terminated line.
 //! * **v2 — length-prefixed binary.** `[0xB2][0x02][uvarint len][payload]
 //!   [crc32]` frames ([`frame`]) over the same little-endian codec the
 //!   snapshot store persists with ([`codec::Enc`] / [`codec::Dec`]), with
@@ -40,5 +41,5 @@ pub mod types;
 
 pub use codec::{crc32, Dec, Enc};
 pub use error::{Result, WireError};
-pub use json::{JsonValue, JsonWriter};
+pub use json::{JsonReader, JsonValue, JsonWriter};
 pub use schema::{from_bytes, from_json, to_json, Codec};

@@ -26,14 +26,33 @@
 //! [`JsonWriter`]'s rules; a [`Matrix`] is `{"rows","cols","data"}` in v1
 //! and `rows, cols, data` in binary.
 //!
-//! v1 decoding is lenient in three ways: `null` reads as NaN for floats
-//! (non-finite floats write as `null`), missing fields with a fallback take
-//! it, and unknown keys are ignored. Integers must be integral. Errors name
-//! the failing field, but that context is only built on the error path.
+//! v1 reading makes one pass over the text with a [`JsonReader`] and builds
+//! no tree. Each object's reader matches every key against its field names,
+//! decodes the value straight into that field's local, and at the closing
+//! brace fills in fallbacks or fails on a missing field. It is lenient in
+//! these ways, and in no others:
+//!
+//! * `null` reads as NaN for floats (non-finite floats write as `null`);
+//! * a missing field with a fallback takes it, and a missing `Option` is
+//!   `None`;
+//! * unknown keys are skipped, though their values must still be valid JSON
+//!   within the depth cap;
+//! * a repeated key takes the value of its last occurrence, and every
+//!   occurrence must decode as the field's type;
+//! * an internal tag may stand at any position, and a repeated tag names
+//!   the variant by its last occurrence. The tag comes first in everything
+//!   this workspace writes; such an object is read in one pass, any other
+//!   after one more scan of it to find the tag;
+//! * a struct read from a value that is not an object finds every field
+//!   absent, so a struct whose fields all have fallbacks reads as those.
+//!
+//! Integers must be integral and in range. Errors name the failing field,
+//! but that context is only built on the error path.
 
 use crate::codec::{Dec, Enc};
 use crate::error::{Result, WireError};
-use crate::json::{self, JsonValue, JsonWriter};
+use crate::json::{JsonReader, JsonWriter};
+use std::borrow::Cow;
 use taf_linalg::Matrix;
 
 /// A type with a v1 JSON form and a binary form.
@@ -43,10 +62,10 @@ pub trait Codec: Sized {
     fn write_json(&self, _w: &mut JsonWriter<'_>) {
         unreachable!("{} has no v1 JSON form", std::any::type_name::<Self>())
     }
-    /// Reads the v1 JSON form. Types with no v1 reader reject every document:
-    /// binary-only types, and `MeasurementPlan`, whose plan file is only
-    /// ever written.
-    fn read_json(_v: &JsonValue) -> Result<Self> {
+    /// Reads the v1 JSON value at the cursor. Types with no v1 reader reject
+    /// every document: binary-only types, and `MeasurementPlan`, whose plan
+    /// file is only ever written.
+    fn read_json(_r: &mut JsonReader<'_>) -> Result<Self> {
         Err(WireError::Malformed(format!(
             "{} has no v1 JSON reader",
             std::any::type_name::<Self>()
@@ -63,9 +82,12 @@ pub trait Codec: Sized {
     }
 }
 
-/// Decodes one complete v1 JSON document.
+/// Decodes one complete v1 JSON document; trailing text is an error.
 pub fn from_json<T: Codec>(text: &str) -> Result<T> {
-    T::read_json(&json::parse(text)?)
+    let mut r = JsonReader::new(text);
+    let value = T::read_json(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 /// Encodes `value` as one compact v1 JSON document.
@@ -91,26 +113,35 @@ impl JsonWriter<'_> {
     }
 }
 
-/// Reads object member `name` of the type named `ctx`; an absent key is an
-/// error unless the field type has an [`Codec::absent`] value.
-pub fn field<T: Codec>(v: &JsonValue, ctx: &'static str, name: &'static str) -> Result<T> {
-    match v.get(name) {
-        Some(x) => T::read_json(x).map_err(|e| e.in_field(ctx, name)),
-        None => T::absent()
-            .ok_or_else(|| WireError::Malformed(format!("{ctx}: missing field `{name}`"))),
+/// Enters the object at the cursor and returns `true`; a value of any other
+/// kind is skipped and gives `false`, so a struct read from it finds every
+/// field absent.
+pub fn open_object(r: &mut JsonReader<'_>) -> Result<bool> {
+    if r.peek() == Some(b'{') {
+        r.begin_obj()?;
+        Ok(true)
+    } else {
+        r.skip()?;
+        Ok(false)
     }
 }
 
-/// Reads object member `name`, falling back to `fallback()` when absent.
-pub fn field_or<T: Codec>(
-    v: &JsonValue,
+/// Reads the value of member `name` of the type named `ctx`.
+pub fn member<T: Codec>(
+    r: &mut JsonReader<'_>,
     ctx: &'static str,
     name: &'static str,
-    fallback: impl FnOnce() -> T,
 ) -> Result<T> {
-    match v.get(name) {
-        Some(x) => T::read_json(x).map_err(|e| e.in_field(ctx, name)),
-        None => Ok(fallback()),
+    T::read_json(r).map_err(|e| e.in_field(ctx, name))
+}
+
+/// A field once its object is read: the member's value, or the type's
+/// [`Codec::absent`] value, or a missing-field error.
+pub fn required<T: Codec>(value: Option<T>, ctx: &'static str, name: &'static str) -> Result<T> {
+    match value {
+        Some(v) => Ok(v),
+        None => T::absent()
+            .ok_or_else(|| WireError::Malformed(format!("{ctx}: missing field `{name}`"))),
     }
 }
 
@@ -131,23 +162,106 @@ pub fn encode_seq<T: Codec>(items: &[T], e: &mut Enc) {
     }
 }
 
-static NULL: JsonValue = JsonValue::Null;
-
-/// Splits an externally tagged enum into its variant name and body: a bare
-/// string is a variant with no body, a one-key object holds the body.
-pub fn external_tag<'a>(v: &'a JsonValue, ctx: &'static str) -> Result<(&'a str, &'a JsonValue)> {
-    match v {
-        JsonValue::Str(name) => Ok((name, &NULL)),
-        JsonValue::Obj(pairs) if pairs.len() == 1 => Ok((&pairs[0].0, &pairs[0].1)),
-        _ => Err(WireError::Malformed(format!("{ctx}: expected a variant"))),
+/// Reads an externally tagged enum: a bare string names a variant with no
+/// body, a one-key object names one and holds its body. `variant` gets the
+/// name and a reader at the body (at a `null` for a bare name), and must
+/// read or skip the body.
+pub fn external_tag<'a, T>(
+    r: &mut JsonReader<'a>,
+    ctx: &'static str,
+    variant: impl FnOnce(&str, &mut JsonReader<'a>) -> Result<T>,
+) -> Result<T> {
+    let not_a_variant = || WireError::Malformed(format!("{ctx}: expected a variant"));
+    match r.peek() {
+        Some(b'"') => {
+            let name = r.str()?;
+            variant(&name, &mut JsonReader::new("null"))
+        }
+        Some(b'{') => {
+            r.begin_obj()?;
+            let name = r.next_key()?.ok_or_else(not_a_variant)?;
+            let value = variant(&name, r)?;
+            match r.next_key()? {
+                None => Ok(value),
+                Some(_) => Err(not_a_variant()),
+            }
+        }
+        _ => Err(not_a_variant()),
     }
 }
 
-/// The variant name of an internally tagged enum, stored under `key`.
-pub fn internal_tag<'a>(v: &'a JsonValue, ctx: &'static str, key: &str) -> Result<&'a str> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| WireError::Malformed(format!("{ctx}: missing or non-string tag `{key}`")))
+/// The variant name of the internally tagged object at the cursor: the
+/// string value of the last occurrence of `key`. It reads ahead from a copy
+/// of the reader, so the cursor does not move.
+pub fn internal_tag<'a>(r: &JsonReader<'a>, ctx: &'static str, key: &str) -> Result<Cow<'a, str>> {
+    let mut scan = *r;
+    let mut tag = None;
+    if scan.peek() == Some(b'{') {
+        scan.begin_obj()?;
+        while let Some(k) = scan.next_key()? {
+            if k == key && scan.peek() == Some(b'"') {
+                tag = Some(scan.str()?);
+            } else {
+                if k == key {
+                    tag = None;
+                }
+                scan.skip()?;
+            }
+        }
+    }
+    tag.ok_or_else(|| WireError::Malformed(format!("{ctx}: missing or non-string tag `{key}`")))
+}
+
+/// Reads an internally tagged enum. `variant(r, name)` reads the object at
+/// the cursor as variant `name`; it returns `None` when the last occurrence
+/// of the tag names a different variant.
+pub fn read_tagged<'a, T>(
+    r: &mut JsonReader<'a>,
+    ctx: &'static str,
+    key: &'static str,
+    variant: impl Fn(&mut JsonReader<'a>, &str) -> Result<Option<T>>,
+) -> Result<T> {
+    let start = *r;
+    // A leading tag names the variant unless a later one overrides it.
+    let first = leading_tag(&start, key);
+    let mut failed = None;
+    if let Some(name) = &first {
+        match variant(r, name) {
+            Ok(Some(value)) => return Ok(value),
+            Ok(None) => {}
+            Err(e) => failed = Some(e),
+        }
+        *r = start;
+    }
+    let name = internal_tag(r, ctx, key)?;
+    match failed {
+        Some(e) if first.as_deref() == Some(&*name) => Err(e),
+        _ => variant(r, &name)?
+            .ok_or_else(|| WireError::Malformed(format!("{ctx}: tag `{key}` is inconsistent"))),
+    }
+}
+
+/// The value of the object's first member, if that member is `key` and its
+/// value a string.
+fn leading_tag<'a>(r: &JsonReader<'a>, key: &str) -> Option<Cow<'a, str>> {
+    let mut probe = *r;
+    if probe.peek() != Some(b'{') {
+        return None;
+    }
+    probe.begin_obj().ok()?;
+    if probe.next_key().ok()?? != key || probe.peek() != Some(b'"') {
+        return None;
+    }
+    probe.str().ok()
+}
+
+/// Reads one occurrence of an internal tag: `true` if it names `variant`.
+pub fn tag_names(r: &mut JsonReader<'_>, variant: &str) -> Result<bool> {
+    if r.peek() == Some(b'"') {
+        Ok(r.str()? == variant)
+    } else {
+        r.skip().map(|()| false)
+    }
 }
 
 /// The error for a v1 variant name the schema does not list.
@@ -174,10 +288,10 @@ impl Codec for f64 {
         w.f64_val(*self);
     }
     /// A number is itself; `null` is NaN (non-finite floats write as `null`).
-    fn read_json(v: &JsonValue) -> Result<Self> {
-        match v {
-            JsonValue::Num(n) => Ok(*n),
-            JsonValue::Null => Ok(f64::NAN),
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self> {
+        match r.peek() {
+            Some(b'-' | b'0'..=b'9') => r.num(),
+            Some(b'n') => r.null().map(|()| f64::NAN),
             _ => Err(WireError::malformed("expected a number")),
         }
     }
@@ -194,11 +308,14 @@ impl Codec for u64 {
         w.u64_val(*self);
     }
     /// Must be integral and in `[0, 2^64)`.
-    fn read_json(v: &JsonValue) -> Result<Self> {
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self> {
         const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
-        match v {
-            JsonValue::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n < TWO_POW_64 => Ok(*n as u64),
-            JsonValue::Num(n) if n.fract() == 0.0 => Err(out_of_range(n, "u64")),
+        if !matches!(r.peek(), Some(b'-' | b'0'..=b'9')) {
+            return Err(WireError::malformed("expected an integer"));
+        }
+        match r.num()? {
+            n if n.fract() == 0.0 && (0.0..TWO_POW_64).contains(&n) => Ok(n as u64),
+            n if n.fract() == 0.0 => Err(out_of_range(n, "u64")),
             _ => Err(WireError::malformed("expected an integer")),
         }
     }
@@ -214,8 +331,8 @@ impl Codec for usize {
     fn write_json(&self, w: &mut JsonWriter<'_>) {
         w.usize_val(*self);
     }
-    fn read_json(v: &JsonValue) -> Result<Self> {
-        let n = u64::read_json(v)?;
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self> {
+        let n = u64::read_json(r)?;
         usize::try_from(n).map_err(|_| out_of_range(n, "usize"))
     }
     fn encode(&self, e: &mut Enc) {
@@ -230,8 +347,8 @@ impl Codec for u32 {
     fn write_json(&self, w: &mut JsonWriter<'_>) {
         w.u32_val(*self);
     }
-    fn read_json(v: &JsonValue) -> Result<Self> {
-        let n = u64::read_json(v)?;
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self> {
+        let n = u64::read_json(r)?;
         u32::try_from(n).map_err(|_| out_of_range(n, "u32"))
     }
     fn encode(&self, e: &mut Enc) {
@@ -246,8 +363,11 @@ impl Codec for bool {
     fn write_json(&self, w: &mut JsonWriter<'_>) {
         w.bool_val(*self);
     }
-    fn read_json(v: &JsonValue) -> Result<Self> {
-        v.as_bool().ok_or_else(|| WireError::malformed("expected a bool"))
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self> {
+        match r.peek() {
+            Some(b't' | b'f') => r.bool(),
+            _ => Err(WireError::malformed("expected a bool")),
+        }
     }
     fn encode(&self, e: &mut Enc) {
         e.bool(*self);
@@ -261,8 +381,11 @@ impl Codec for String {
     fn write_json(&self, w: &mut JsonWriter<'_>) {
         w.str_val(self);
     }
-    fn read_json(v: &JsonValue) -> Result<Self> {
-        v.as_str().map(str::to_string).ok_or_else(|| WireError::malformed("expected a string"))
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self> {
+        match r.peek() {
+            Some(b'"') => r.str().map(Cow::into_owned),
+            _ => Err(WireError::malformed("expected a string")),
+        }
     }
     fn encode(&self, e: &mut Enc) {
         e.str(self);
@@ -279,10 +402,10 @@ impl<T: Codec> Codec for Option<T> {
             None => w.null_val(),
         }
     }
-    fn read_json(v: &JsonValue) -> Result<Self> {
-        match v {
-            JsonValue::Null => Ok(None),
-            _ => T::read_json(v).map(Some),
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self> {
+        match r.peek() {
+            Some(b'n') => r.null().map(|()| None),
+            _ => T::read_json(r).map(Some),
         }
     }
     fn encode(&self, e: &mut Enc) {
@@ -310,12 +433,16 @@ impl<T: Codec> Codec for Vec<T> {
     fn write_json(&self, w: &mut JsonWriter<'_>) {
         write_seq(w, self);
     }
-    fn read_json(v: &JsonValue) -> Result<Self> {
-        v.as_arr()
-            .ok_or_else(|| WireError::malformed("expected an array"))?
-            .iter()
-            .map(T::read_json)
-            .collect()
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self> {
+        if r.peek() != Some(b'[') {
+            return Err(WireError::malformed("expected an array"));
+        }
+        r.begin_arr()?;
+        let mut items = Vec::new();
+        while r.next_elem()? {
+            items.push(T::read_json(r)?);
+        }
+        Ok(items)
     }
     fn encode(&self, e: &mut Enc) {
         encode_seq(self, e);
@@ -336,8 +463,8 @@ impl<T: Codec> Codec for Box<T> {
     fn write_json(&self, w: &mut JsonWriter<'_>) {
         (**self).write_json(w);
     }
-    fn read_json(v: &JsonValue) -> Result<Self> {
-        T::read_json(v).map(Box::new)
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self> {
+        T::read_json(r).map(Box::new)
     }
     fn encode(&self, e: &mut Enc) {
         (**self).encode(e);
@@ -357,11 +484,10 @@ impl Codec for Matrix {
         write_seq(w, self.as_slice());
         w.end_obj();
     }
-    fn read_json(v: &JsonValue) -> Result<Self> {
-        let rows = field(v, "Matrix", "rows")?;
-        let cols = field(v, "Matrix", "cols")?;
-        Matrix::from_vec(rows, cols, field(v, "Matrix", "data")?)
-            .map_err(|e| WireError::Malformed(format!("Matrix: {e}")))
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self> {
+        let (rows, cols, data) =
+            crate::schema!(@object r, "Matrix", { rows: usize, cols: usize, data: Vec<f64> });
+        Matrix::from_vec(rows, cols, data).map_err(|e| WireError::Malformed(format!("Matrix: {e}")))
     }
     fn encode(&self, e: &mut Enc) {
         e.matrix(self);
@@ -385,6 +511,10 @@ impl Codec for Matrix {
 /// }
 /// schema! { struct SurveyRecord: binary { epoch: u64, y: Vec<f64>, fresh: Vec<bool> } }
 /// ```
+///
+/// Hand-written readers read an object's members into a tuple, by the same
+/// rules, with `schema!(@object r, "Ctx", { a: T, b: U = fallback })`, in a
+/// function returning [`Result`].
 #[macro_export]
 macro_rules! schema {
     (struct $name:ident: default { $($f:ident: $t:ty),* $(,)? }) => {
@@ -397,8 +527,10 @@ macro_rules! schema {
                 $(w.field::<$t>(stringify!($f), &self.$f);)*
                 w.end_obj();
             }
-            fn read_json(v: &$crate::JsonValue) -> $crate::Result<Self> {
-                Ok($name { $($f: $crate::schema!(@read v, stringify!($name), $f: $t $(= $d)?),)* })
+            fn read_json(r: &mut $crate::JsonReader<'_>) -> $crate::Result<Self> {
+                let ($($f,)*) =
+                    $crate::schema!(@object r, stringify!($name), { $($f: $t $(= $d)?),* });
+                Ok($name { $($f,)* })
             }
             $crate::schema!(@binary $name { $($f: $t),* });
         }
@@ -419,15 +551,18 @@ macro_rules! schema {
                     })*
                 }
             }
-            fn read_json(v: &$crate::JsonValue) -> $crate::Result<Self> {
-                #[allow(unused_variables)] // by enums with only unit variants
-                let (tag, body) = $crate::schema::external_tag(v, stringify!($name))?;
-                Ok(match tag {
-                    $($vname => $name::$v { $($(
-                        $f: $crate::schema!(@read body, concat!(stringify!($name), "::", stringify!($v)), $f: $t $(= $d)?),
-                    )*)? },)*
+            fn read_json(r: &mut $crate::JsonReader<'_>) -> $crate::Result<Self> {
+                $crate::schema::external_tag(r, stringify!($name), |name, body| Ok(match name {
+                    $($vname => {
+                        #[allow(clippy::unused_unit)] // by variants without fields
+                        let ($($($f,)*)?) = $crate::schema!(
+                            @object body, concat!(stringify!($name), "::", stringify!($v)),
+                            { $($($f: $t $(= $d)?),*)? }
+                        );
+                        $name::$v { $($($f,)*)? }
+                    })*
                     other => return Err($crate::schema::unknown_variant(stringify!($name), other)),
-                })
+                }))
             }
             $crate::schema!(@binary_enum $name { $($tag $v { $($($f: $t),*)? })* });
         }
@@ -447,12 +582,22 @@ macro_rules! schema {
                 }
                 w.end_obj();
             }
-            fn read_json(v: &$crate::JsonValue) -> $crate::Result<Self> {
-                Ok(match $crate::schema::internal_tag(v, stringify!($name), $key)? {
-                    $($vname => $name::$v { $($(
-                        $f: $crate::schema!(@read v, concat!(stringify!($name), "::", stringify!($v)), $f: $t $(= $d)?),
-                    )*)? },)*
-                    other => return Err($crate::schema::unknown_variant(stringify!($name), other)),
+            fn read_json(r: &mut $crate::JsonReader<'_>) -> $crate::Result<Self> {
+                $crate::schema::read_tagged(r, stringify!($name), $key, |r, name| {
+                    // Whether the last tag read names this variant.
+                    let mut named = true;
+                    let value = match name {
+                        $($vname => {
+                            #[allow(clippy::unused_unit)] // by variants without fields
+                            let ($($($f,)*)?) = $crate::schema!(
+                                @object r, concat!(stringify!($name), "::", stringify!($v)),
+                                { $($($f: $t $(= $d)?),*)? }, $key => named = $vname
+                            );
+                            $name::$v { $($($f,)*)? }
+                        })*
+                        other => return Err($crate::schema::unknown_variant(stringify!($name), other)),
+                    };
+                    Ok(named.then_some(value))
                 })
             }
             $crate::schema!(@binary_enum $name { $($tag $v { $($($f: $t),*)? })* });
@@ -466,12 +611,30 @@ macro_rules! schema {
         }
     };
 
-    // Internal rules.
-    (@read $v:ident, $ctx:expr, $f:ident: $t:ty) => {
-        $crate::schema::field::<$t>($v, $ctx, stringify!($f))?
+    // Reads the object at the cursor into a tuple of its fields; an internal
+    // tag key, when given, records whether each occurrence names `$vname`.
+    (@object $r:ident, $ctx:expr, { $($f:ident: $t:ty $(= $d:expr)?),* }
+        $(, $key:literal => $named:ident = $vname:literal)?) => {{
+        $(let mut $f = None::<$t>;)*
+        if $crate::schema::open_object($r)? {
+            while let Some(key) = $r.next_key()? {
+                match &*key {
+                    $(stringify!($f) => $f = Some($crate::schema::member($r, $ctx, stringify!($f))?),)*
+                    $($key => $named = $crate::schema::tag_names($r, $vname)?,)?
+                    _ => $r.skip()?,
+                }
+            }
+        }
+        ($($crate::schema!(@take $ctx, $f: $t $(= $d)?),)*)
+    }};
+    (@take $ctx:expr, $f:ident: $t:ty) => {
+        $crate::schema::required::<$t>($f, $ctx, stringify!($f))?
     };
-    (@read $v:ident, $ctx:expr, $f:ident: $t:ty = $d:expr) => {
-        $crate::schema::field_or::<$t>($v, $ctx, stringify!($f), || $d)?
+    (@take $ctx:expr, $f:ident: $t:ty = $d:expr) => {
+        match $f {
+            Some(value) => value,
+            None => $d,
+        }
     };
     (@external $w:ident, $vname:literal) => {
         $w.str_val($vname)
@@ -513,6 +676,7 @@ macro_rules! schema {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonValue;
 
     #[derive(Debug, PartialEq)]
     struct Probe {
@@ -595,25 +759,28 @@ mod tests {
 
     #[test]
     fn external_tags_are_a_name_or_a_one_key_object() {
-        let bare = json::parse(r#""QrPivot""#).unwrap();
-        let (name, body) = external_tag(&bare, "T").unwrap();
+        let split = |text: &str| {
+            external_tag(&mut JsonReader::new(text), "T", |name, body| {
+                Ok((name.to_string(), JsonValue::read(body)?))
+            })
+        };
+        let (name, body) = split(r#""QrPivot""#).unwrap();
         assert_eq!(name, "QrPivot");
         assert!(matches!(body, JsonValue::Null));
-        let keyed = json::parse(r#"{"Knn":{"k":3}}"#).unwrap();
-        let (name, body) = external_tag(&keyed, "T").unwrap();
+        let (name, body) = split(r#"{"Knn":{"k":3}}"#).unwrap();
         assert_eq!(name, "Knn");
         assert_eq!(body.get("k").and_then(JsonValue::as_num), Some(3.0));
         for bad in [r#"{"a":1,"b":2}"#, "{}", "3", "null"] {
-            assert!(external_tag(&json::parse(bad).unwrap(), "T").is_err(), "{bad}");
+            assert!(split(bad).is_err(), "{bad}");
         }
     }
 
     #[test]
     fn internal_tags_must_be_strings() {
-        let v = json::parse(r#"{"cmd":"ping"}"#).unwrap();
+        let v = JsonReader::new(r#"{"cmd":"ping"}"#);
         assert_eq!(internal_tag(&v, "Request", "cmd").unwrap(), "ping");
         for bad in [r#"{"cmd":1}"#, r#"{"op":"ping"}"#, r#""ping""#] {
-            let err = internal_tag(&json::parse(bad).unwrap(), "Request", "cmd").unwrap_err();
+            let err = internal_tag(&JsonReader::new(bad), "Request", "cmd").unwrap_err();
             assert!(err.to_string().contains("Request: missing or non-string tag `cmd`"), "{bad}");
         }
     }

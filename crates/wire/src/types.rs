@@ -15,8 +15,8 @@
 
 use crate::codec::{Dec, Enc};
 use crate::error::{Result, WireError};
-use crate::json::{JsonValue, JsonWriter};
-use crate::schema::{encode_seq, field, write_seq, Codec};
+use crate::json::{JsonReader, JsonWriter};
+use crate::schema::{encode_seq, write_seq, Codec};
 use taf_linalg::Matrix;
 use taf_plan::{HistoryWindow, MeasurementPlan, PlanEntry, PlanPolicy, SurveyRecord};
 use taf_rfsim::drift::DriftConfig;
@@ -248,14 +248,11 @@ impl Codec for FloorGrid {
         w.field("ny", &self.ny());
         w.end_obj();
     }
-    fn read_json(v: &JsonValue) -> Result<Self> {
-        let c = "FloorGrid";
-        checked_grid(
-            field(v, c, "origin")?,
-            field(v, c, "cell_size")?,
-            field(v, c, "nx")?,
-            field(v, c, "ny")?,
-        )
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self> {
+        let (origin, cell_size, nx, ny) = crate::schema!(
+            @object r, "FloorGrid", { origin: Point, cell_size: f64, nx: usize, ny: usize }
+        );
+        checked_grid(origin, cell_size, nx, ny)
     }
     fn encode(&self, e: &mut Enc) {
         self.origin().encode(e);
@@ -280,10 +277,12 @@ impl Codec for FingerprintDb {
         w.field("grid", self.grid());
         w.end_obj();
     }
-    fn read_json(v: &JsonValue) -> Result<Self> {
-        let c = "FingerprintDb";
-        FingerprintDb::new(field(v, c, "rss")?, field(v, c, "links")?, field(v, c, "grid")?)
-            .map_err(|e| WireError::Malformed(format!("{c}: {e}")))
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self> {
+        let (rss, links, grid) = crate::schema!(
+            @object r, "FingerprintDb", { rss: Matrix, links: Vec<Segment>, grid: FloorGrid }
+        );
+        FingerprintDb::new(rss, links, grid)
+            .map_err(|e| WireError::Malformed(format!("FingerprintDb: {e}")))
     }
     fn encode(&self, e: &mut Enc) {
         self.rss().encode(e);
@@ -306,10 +305,12 @@ impl Codec for LrrModel {
         w.field("lambda", &self.lambda());
         w.end_obj();
     }
-    fn read_json(v: &JsonValue) -> Result<Self> {
-        let c = "LrrModel";
-        LrrModel::from_parts(field(v, c, "ref_cells")?, field(v, c, "z")?, field(v, c, "lambda")?)
-            .map_err(|e| WireError::Malformed(format!("{c}: {e}")))
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self> {
+        let (ref_cells, z, lambda) = crate::schema!(
+            @object r, "LrrModel", { ref_cells: Vec<usize>, z: Matrix, lambda: f64 }
+        );
+        LrrModel::from_parts(ref_cells, z, lambda)
+            .map_err(|e| WireError::Malformed(format!("LrrModel: {e}")))
     }
     fn encode(&self, e: &mut Enc) {
         encode_seq(self.ref_cells(), e);
@@ -409,7 +410,6 @@ impl Codec for HistoryWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
     use crate::schema::{from_bytes, from_json, to_json};
 
     fn bytes_of<T: Codec>(value: &T) -> Vec<u8> {
@@ -504,10 +504,10 @@ mod tests {
     fn hostile_grid_and_matrix_shapes_error_instead_of_panicking() {
         // Zero-cell grid.
         let bad = r#"{"rss":{"rows":1,"cols":1,"data":[-40]},"links":[{"a":{"x":0,"y":0},"b":{"x":1,"y":0}}],"grid":{"origin":{"x":0,"y":0},"cell_size":0,"nx":1,"ny":1}}"#;
-        assert!(FingerprintDb::read_json(&parse(bad).unwrap()).is_err());
+        assert!(from_json::<FingerprintDb>(bad).is_err());
         // Matrix data length mismatch.
         let bad = r#"{"rows":2,"cols":2,"data":[1,2,3]}"#;
-        assert!(Matrix::read_json(&parse(bad).unwrap()).is_err());
+        assert!(from_json::<Matrix>(bad).is_err());
     }
 
     #[test]
