@@ -49,6 +49,9 @@ fn note(size: usize) {
     });
 }
 
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; `note` only updates const-initialized
+// thread-locals and never allocates.
 unsafe impl GlobalAlloc for TallyAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());

@@ -87,13 +87,6 @@ impl JsonValue {
             _ => None,
         }
     }
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -305,7 +298,10 @@ impl JsonValue {
                 JsonValue::Arr(items)
             }
             Some(b'"') => JsonValue::Str(r.str()?.into_owned()),
-            Some(b'n') => r.null().map(|()| JsonValue::Null)?,
+            Some(b'n') => {
+                r.null()?;
+                JsonValue::Null
+            }
             Some(b't' | b'f') => JsonValue::Bool(r.bool()?),
             _ => JsonValue::Num(r.num()?),
         })
@@ -455,6 +451,7 @@ impl<'a> JsonReader<'a> {
     }
 
     fn literal(&mut self, word: &str) -> Result<()> {
+        self.peek();
         if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(())
@@ -465,7 +462,6 @@ impl<'a> JsonReader<'a> {
 
     /// Reads `null`.
     pub fn null(&mut self) -> Result<()> {
-        self.peek();
         self.literal("null")
     }
 
