@@ -1,10 +1,10 @@
 //! # taf-bench
 //!
-//! Shared experiment drivers for the figure-regeneration binaries and the
-//! Criterion benches. Each paper artifact (Fig. 3, Fig. 4, Fig. 5, the in-text
-//! drift/cost/noise numbers, and the design-choice ablations) has a driver here;
-//! the binaries in `src/bin/` are thin wrappers that run a driver at full scale
-//! and print the same rows/series the paper reports.
+//! Shared experiment drivers for the figure-regeneration binaries. Each paper
+//! artifact (Fig. 3, Fig. 4, Fig. 5, the in-text drift/cost/noise numbers, and
+//! the design-choice ablations) has a driver here; the binaries in `src/bin/`
+//! are thin wrappers that run a driver at full scale and print the same
+//! rows/series the paper reports.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

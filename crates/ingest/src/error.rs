@@ -19,8 +19,6 @@ pub enum IngestError {
         /// Supplied length.
         actual: usize,
     },
-    /// The bounded queue was closed before the call.
-    QueueClosed,
 }
 
 impl fmt::Display for IngestError {
@@ -32,7 +30,6 @@ impl fmt::Display for IngestError {
             IngestError::FallbackLength { expected, actual } => {
                 write!(f, "assembly fallback has length {actual}, need {expected} (one per link)")
             }
-            IngestError::QueueClosed => write!(f, "ingest queue is closed"),
         }
     }
 }
@@ -52,6 +49,5 @@ mod tests {
         assert_eq!(e.to_string(), "assembly fallback has length 3, need 8 (one per link)");
         let e = IngestError::InvalidConfig { field: "window_s", reason: "negative".into() };
         assert_eq!(e.to_string(), "invalid ingest config window_s: negative");
-        assert_eq!(IngestError::QueueClosed.to_string(), "ingest queue is closed");
     }
 }

@@ -16,10 +16,10 @@
 //!   robust reduction and health (stale/dead/flapping) bookkeeping;
 //! * [`pipeline`] — [`Ingestor`]: link-sharded lock-light ingestion,
 //!   wait-free published aggregates, on-demand assembly of complete vectors
-//!   with explicit missing-link flags, cumulative drop accounting;
-//! * [`credit`] — [`CreditQueue`]: credit-based admission with
-//!   blocking-with-deadline offers and conserved
-//!   admitted/deferred/rejected accounting (no silent loss).
+//!   with explicit missing-link flags, cumulative drop accounting.
+//!
+//! Admission control belongs to the daemon: `tafloc-serve`'s `shard` module
+//! gates every batch with sample credits before a site's [`Ingestor`] sees it.
 //!
 //! Std-only, mirroring the snapshot-swap discipline of `tafloc-serve`:
 //! writers take one shard mutex per batch; readers only ever copy `Arc`
@@ -50,7 +50,6 @@
 
 pub mod clock;
 pub mod config;
-pub mod credit;
 mod error;
 pub mod pipeline;
 pub mod sample;
@@ -58,7 +57,6 @@ pub mod window;
 
 pub use clock::ClockMode;
 pub use config::{Aggregator, IngestConfig};
-pub use credit::{Admission, CreditQueue, CreditStats};
 pub use error::{IngestError, Result};
 pub use pipeline::{AssembledVector, IngestStats, Ingestor, LinkFlag};
 pub use sample::{BatchReport, LinkSample};

@@ -537,6 +537,92 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_offers_past_capacity_conserve_every_verdict() {
+        // Four producers race a shard budget of three full batches. Permits
+        // are held for twice the deadline, so a fourth producer waits and
+        // often defers. Every offer must still get exactly one verdict, and
+        // the gate's counters must agree with what the producers were told.
+        const PRODUCERS: usize = 4;
+        const ROUNDS: usize = 60;
+        const BATCH: usize = 8;
+        const HOLD: Duration = Duration::from_micros(500);
+        // Batches of 7 or 8 samples: three always fit and four never do, and
+        // samples conserve independently of batches.
+        let size = |p: usize, round: usize| BATCH - (p + round) % 2;
+        let gate = AdmissionGate::new(
+            0,
+            AdmissionConfig {
+                max_inflight_per_site: 3 * BATCH,
+                max_inflight_per_shard: 3 * BATCH,
+                admit_deadline: HOLD / 2,
+            },
+        );
+        let start = std::sync::Barrier::new(PRODUCERS);
+        // (batches, samples) per verdict: admitted, deferred, rejected.
+        let mut told = [(0u64, 0u64); 3];
+        std::thread::scope(|s| {
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let (gate, start) = (&gate, &start);
+                    s.spawn(move || {
+                        let site = format!("site-{p}");
+                        let mut tally = [(0u64, 0u64); 3];
+                        start.wait();
+                        for round in 0..ROUNDS {
+                            let samples = size(p, round);
+                            let verdict = match gate.admit(&site, samples) {
+                                Admit::Granted(_permit) => {
+                                    // Hold the credits, as an ingest holds
+                                    // them while it applies the batch.
+                                    std::thread::sleep(HOLD);
+                                    0
+                                }
+                                Admit::Deferred { retry_after_ms, .. } => {
+                                    assert!(retry_after_ms >= 1, "back-off hint must be usable");
+                                    1
+                                }
+                                Admit::Rejected { .. } => 2,
+                            };
+                            tally[verdict].0 += 1;
+                            tally[verdict].1 += samples as u64;
+                        }
+                        tally
+                    })
+                })
+                .collect();
+            for h in producers {
+                for (sum, part) in told.iter_mut().zip(h.join().unwrap()) {
+                    sum.0 += part.0;
+                    sum.1 += part.1;
+                }
+            }
+        });
+
+        let [admitted, deferred, rejected] = told;
+        let offered_samples: u64 =
+            (0..PRODUCERS).flat_map(|p| (0..ROUNDS).map(move |r| size(p, r) as u64)).sum();
+        let st = gate.stats(PRODUCERS);
+        assert_eq!(st.offered_batches, (PRODUCERS * ROUNDS) as u64);
+        assert_eq!(st.offered_samples, offered_samples);
+        assert_eq!(
+            st.admitted_batches + st.deferred_batches + st.rejected_batches,
+            st.offered_batches,
+            "batch-level conservation"
+        );
+        assert_eq!(
+            st.admitted_samples + st.deferred_samples + st.rejected_samples,
+            st.offered_samples,
+            "sample-level conservation"
+        );
+        assert_eq!((st.admitted_batches, st.admitted_samples), admitted, "counters match verdicts");
+        assert_eq!((st.deferred_batches, st.deferred_samples), deferred);
+        assert_eq!((st.rejected_batches, st.rejected_samples), rejected);
+        assert!(admitted.0 > 0, "released credits must let offers land");
+        assert_eq!(rejected, (0, 0), "no batch exceeds the budget");
+        assert_eq!(gate.depth_samples(), 0, "every permit released its credits");
+    }
+
+    #[test]
     fn gate_enforces_per_site_quota_within_a_roomy_shard() {
         let gate = AdmissionGate::new(
             0,

@@ -20,6 +20,7 @@ fn site_name(raw: u64) -> String {
 }
 
 proptest! {
+    #[test]
     fn every_site_maps_to_exactly_one_shard_in_range(
         (shards, keys) in (1usize..=64, vec(0u64..u64::MAX, 1..200)),
     ) {
@@ -34,6 +35,7 @@ proptest! {
         }
     }
 
+    #[test]
     fn resize_moves_only_onto_the_new_shard_and_few_keys(
         (shards, seed, keys) in (1usize..=16, 0u64..u64::MAX, vec(0u64..u64::MAX, 50..400)),
     ) {
@@ -55,6 +57,7 @@ proptest! {
         prop_assert!(moved <= bound, "{} of {} keys moved (bound {})", moved, keys.len(), bound);
     }
 
+    #[test]
     fn same_seed_rings_are_identical_and_different_seeds_are_not_degenerate(
         (shards, seed, keys) in (2usize..=16, 0u64..u64::MAX, vec(0u64..u64::MAX, 100..300)),
     ) {

@@ -133,6 +133,7 @@ fn snap_files(dir: &Path) -> Vec<PathBuf> {
 proptest! {
     /// Truncating the newest generation anywhere short of its full length
     /// must skip exactly that file and fall back to the previous generation.
+    #[test]
     fn truncation_is_skipped_and_recovery_falls_back(
         (gens, cut) in (1u64..4, 0u64..u64::MAX),
     ) {
@@ -161,6 +162,7 @@ proptest! {
     /// A single flipped bit anywhere in a snapshot file — magic, version,
     /// length, payload or checksum — must be detected: the generation is
     /// skipped, never decoded into served state.
+    #[test]
     fn any_single_bit_flip_is_detected(
         (gens, target, pos, bit) in (1u64..4, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..8),
     ) {
@@ -190,6 +192,7 @@ proptest! {
 
     /// Damaging *every* retained generation still cannot panic recovery: it
     /// reports all of them skipped and recovers nothing.
+    #[test]
     fn recovery_survives_total_corruption(
         (gens, bit) in (1u64..5, 0u64..8),
     ) {
@@ -211,6 +214,7 @@ proptest! {
 
     /// Saving `n` generations leaves exactly `min(n, KEEP_GENERATIONS)`
     /// `.snap` files on disk, and recovery serves the newest.
+    #[test]
     fn pruning_keeps_exactly_the_newest_generations(
         gens in 1u64..9,
     ) {

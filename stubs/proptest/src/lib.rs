@@ -220,13 +220,14 @@ pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, prop_assume, proptest};
 }
 
-/// Declares `#[test]` functions that run a property over generated cases.
+/// Declares functions that run a property over generated cases. Like the real
+/// crate, it passes the caller's attributes through and adds none, so each
+/// property carries its own `#[test]`.
 #[macro_export]
 macro_rules! proptest {
     ($($(#[$meta:meta])* fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block)+) => {
         $(
             $(#[$meta])*
-            #[test]
             fn $name() {
                 for __case in 0..$crate::cases() {
                     let mut __rng = $crate::TestRng::for_case(__case);
