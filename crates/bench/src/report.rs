@@ -63,6 +63,13 @@ mod tests {
     }
 
     #[test]
+    fn compare_row_without_a_paper_value_has_no_ratio() {
+        let row = compare_row("baseline", 0.0, 1.5);
+        assert!(row.starts_with(&format!("{:>24}: paper", "baseline")), "{row}");
+        assert!(row.ends_with("ratio    NaN"), "{row}");
+    }
+
+    #[test]
     fn print_helpers_do_not_panic() {
         let e = Ecdf::new(&[1.0, 2.0, 3.0]).unwrap();
         print_cdf_table("t", "x", 3.0, 4, &[("a".into(), e.clone())]);

@@ -960,6 +960,15 @@ mod tests {
     }
 
     #[test]
+    fn a_non_numeric_edge_is_refused_before_writing() {
+        let out = std::env::temp_dir().join(format!("tafloc_edge_{}.json", std::process::id()));
+        let a = Args::parse(&strs(&["--edge", "wide", "--out", out.to_str().unwrap()])).unwrap();
+        let e = cmd_new_world(&a).unwrap_err();
+        assert_eq!(e.0, "--edge expects meters, got \"wide\"");
+        assert!(!out.exists());
+    }
+
+    #[test]
     fn unknown_command_reports_usage() {
         let a = Args::default();
         let e = run("frobnicate", &a).unwrap_err();

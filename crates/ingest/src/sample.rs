@@ -82,4 +82,29 @@ mod tests {
         assert_eq!(a.total(), 10);
         assert_eq!(a.accepted, 5);
     }
+
+    #[test]
+    fn merge_adds_each_counter_into_its_own_field() {
+        let r = BatchReport {
+            accepted: 4,
+            dropped_late: 1,
+            dropped_unknown_link: 2,
+            dropped_non_finite: 3,
+        };
+        let mut sum = BatchReport::default();
+        assert_eq!(sum.total(), 0);
+        sum.merge(&r);
+        assert_eq!(sum, r, "the empty report is the merge identity");
+        sum.merge(&r);
+        assert_eq!(
+            sum,
+            BatchReport {
+                accepted: 8,
+                dropped_late: 2,
+                dropped_unknown_link: 4,
+                dropped_non_finite: 6,
+            }
+        );
+        assert_eq!(sum.total(), 2 * r.total());
+    }
 }

@@ -143,4 +143,35 @@ mod tests {
         assert!(held.to_string().ends_with("; site quarantined"));
         assert_eq!(ServeError::UnknownSite("lab".into()).to_string(), "unknown site \"lab\"");
     }
+
+    #[test]
+    fn display_names_sites_caps_and_remote_messages() {
+        let cases = [
+            (ServeError::SiteExists("lab".into()), "site \"lab\" already registered"),
+            (ServeError::Protocol("eof".into()), "protocol error: eof"),
+            (
+                ServeError::OversizedLine { got: 20, limit: 16 },
+                "request line of 20 bytes exceeds the 16-byte cap",
+            ),
+            (ServeError::Store("torn write".into()), "snapshot store: torn write"),
+            (ServeError::Remote("busy".into()), "server error: busy"),
+        ];
+        for (err, want) in cases {
+            assert_eq!(err.to_string(), want);
+        }
+        let io = ServeError::from(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "gone"));
+        assert_eq!(io.to_string(), "io error: gone");
+    }
+
+    #[test]
+    fn lower_layer_errors_keep_their_own_kind_and_message() {
+        let ingest = tafloc_ingest::IngestError::FallbackLength { expected: 8, actual: 3 };
+        let e = ServeError::from(ingest.clone());
+        assert!(matches!(&e, ServeError::Ingest(inner) if *inner == ingest));
+        assert_eq!(e.to_string(), ingest.to_string());
+        let linalg = taf_linalg::LinalgError::EmptyInput { op: "svd" };
+        let e = ServeError::from(linalg.clone());
+        assert!(matches!(e, ServeError::Linalg(_)));
+        assert_eq!(e.to_string(), linalg.to_string());
+    }
 }

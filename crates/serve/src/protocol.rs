@@ -465,4 +465,19 @@ mod tests {
             assert_eq!(String::from_utf8(line).unwrap(), want);
         }
     }
+
+    #[test]
+    fn every_corpus_request_is_metered_under_its_wire_command() {
+        let corpus = include_str!("../tests/corpus/requests.v1.ndjson");
+        let mut seen = std::collections::BTreeSet::new();
+        for line in corpus.lines().filter(|l| !l.trim().is_empty()) {
+            let req = v1::decode_request(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            let cmd = taf_wire::json::parse(line).unwrap();
+            let cmd = cmd.get("cmd").and_then(|c| c.as_str()).unwrap().to_string();
+            assert_eq!(req.endpoint().name(), cmd, "{line}");
+            seen.insert(cmd);
+        }
+        // The corpus holds every request variant, so this checks them all.
+        assert_eq!(seen.len(), 14, "{seen:?}");
+    }
 }

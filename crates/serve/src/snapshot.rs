@@ -69,6 +69,23 @@ mod tests {
     }
 
     #[test]
+    fn a_poisoned_cell_keeps_serving_and_accepting_snapshots() {
+        let cell = Arc::new(SnapshotCell::new(vec![1u8, 2, 3]));
+        let poisoner = {
+            let cell = cell.clone();
+            std::thread::spawn(move || {
+                let _guard = cell.slot.write().unwrap();
+                panic!("writer dies holding the slot");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        assert!(cell.slot.is_poisoned());
+        assert_eq!(*cell.load(), [1, 2, 3], "the last complete snapshot stays readable");
+        assert_eq!(*cell.store(vec![4]), [1, 2, 3]);
+        assert_eq!(*cell.load(), [4]);
+    }
+
+    #[test]
     fn concurrent_readers_always_see_a_complete_snapshot() {
         // Snapshots are (n, n * 7): a torn read would break the invariant.
         // Readers do a fixed amount of work while a writer stores until they

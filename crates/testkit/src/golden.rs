@@ -311,6 +311,103 @@ mod tests {
     }
 
     #[test]
+    fn every_error_gate_is_one_sided_at_its_tolerance() {
+        let tol = Tolerances::default();
+        let golden = report(0.5, 1.2);
+        type Bump = fn(&mut ScenarioReport, f64);
+        let gates: [(&str, f64, Bump); 4] = [
+            ("day0 mean localization error", tol.day0_loc_mean_m, |r, d| r.day0.loc.mean += d),
+            ("drifted mean localization error", tol.loc_mean_m, |r, d| r.drifted.loc.mean += d),
+            ("drifted p90 localization error", tol.loc_p90_m, |r, d| r.drifted.loc.p90 += d),
+            ("reconstruction RMSE", tol.recon_rmse_db, |r, d| r.recon_rmse_db += d),
+        ];
+        for (label, bound, bump) in gates {
+            // Exactly at the bound passes; past it fails, and only that gate.
+            let mut at = golden.clone();
+            bump(&mut at, bound);
+            assert!(compare(&at, &golden, &tol).is_empty(), "{label} at its bound");
+            let mut past = golden.clone();
+            bump(&mut past, bound + 0.01);
+            let violations = compare(&past, &golden, &tol);
+            assert_eq!(violations.len(), 1, "{label}: {violations:?}");
+            assert!(violations[0].starts_with(label), "{label}: {violations:?}");
+            // Any improvement passes.
+            let mut better = golden.clone();
+            bump(&mut better, -10.0 * bound);
+            assert!(compare(&better, &golden, &tol).is_empty(), "{label} improved");
+        }
+    }
+
+    #[test]
+    fn stale_rates_share_the_imputation_tolerance() {
+        let tol = Tolerances::default();
+        let golden = report(0.5, 1.2);
+        let mut staler = report(0.5, 1.2);
+        staler.day0.stale_rate = tol.imputation_rate + 0.01;
+        staler.drifted.stale_rate = tol.imputation_rate;
+        let violations = compare(&staler, &golden, &tol);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].starts_with("day0 stale rate"), "{violations:?}");
+    }
+
+    #[test]
+    fn a_run_of_another_scenario_never_passes() {
+        let golden = report(0.5, 1.2);
+        let mut other = report(0.5, 1.2);
+        other.scenario = "y".into();
+        let violations = compare(&other, &golden, &Tolerances::default());
+        assert_eq!(violations, ["scenario name `y` != golden `x`"]);
+    }
+
+    #[test]
+    fn exact_counts_cover_every_refresh_and_cost_counter() {
+        let golden = report(0.5, 1.2);
+        let mut drifted = report(0.5, 1.2);
+        drifted.snapshot_version = 2;
+        drifted.pending_refs = true;
+        drifted.planned_cost = 18;
+        drifted.full_survey_cost = 72;
+        let exact = Tolerances::default();
+        assert_eq!(
+            compare(&drifted, &golden, &exact),
+            [
+                "snapshot version: 2 != golden 1",
+                "pending refs: true != golden false",
+                "planned cost: 18 != golden 36",
+                "full-survey cost: 72 != golden 36",
+            ]
+        );
+        // Counters outside the gate (ingest, maintenance ticks) never fail it.
+        let mut noisy = report(0.5, 1.2);
+        noisy.maintenance_checks = 50;
+        noisy.ingest_accepted = 1;
+        noisy.ingest_rejected_outliers = 9;
+        assert!(compare(&noisy, &golden, &exact).is_empty());
+    }
+
+    #[test]
+    fn a_missing_golden_names_the_bless_command() {
+        let err = load_golden("no-such-scenario").unwrap_err();
+        assert!(err.contains("--scenario no-such-scenario --bless"), "{err}");
+    }
+
+    #[test]
+    fn every_builtin_scenario_has_a_committed_golden_and_nothing_else_does() {
+        let builtin: Vec<&str> =
+            crate::scenario::builtin_scenarios().iter().map(|s| s.name).collect();
+        for name in &builtin {
+            let golden = load_golden(name).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(golden.scenario, *name, "golden file and scenario name disagree");
+        }
+        let dir = workspace_root().join(GOLDEN_DIR);
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or_default();
+            assert!(builtin.contains(&stem), "{} has no built-in scenario", path.display());
+        }
+    }
+
+    #[test]
     fn golden_path_is_under_results_golden() {
         let p = golden_path("nominal");
         assert!(p.ends_with("results/golden/nominal.json"), "{}", p.display());

@@ -152,4 +152,38 @@ mod tests {
         assert!(v.num_field("missing").is_err());
         assert!(v.num_field("b").is_err());
     }
+
+    #[test]
+    fn string_field_errors_name_the_key() {
+        let v = parse("{\"a\": 1.5, \"b\": \"x\"}").unwrap();
+        assert_eq!(v.str_field("a").unwrap_err(), "missing or non-string field `a`");
+        assert_eq!(v.str_field("zz").unwrap_err(), "missing or non-string field `zz`");
+        assert_eq!(v.num_field("b").unwrap_err(), "missing or non-numeric field `b`");
+    }
+
+    #[test]
+    fn pretty_form_indents_two_spaces_per_level() {
+        let v = parse(r#"{"a":[1,{"b":null}],"c":"x"}"#).unwrap();
+        let want =
+            "{\n  \"a\": [\n    1,\n    {\n      \"b\": null\n    }\n  ],\n  \"c\": \"x\"\n}\n";
+        assert_eq!(v.to_pretty(), want);
+    }
+
+    #[test]
+    fn empty_containers_print_inline() {
+        let v = parse(r#"{"a":[],"b":{}}"#).unwrap();
+        assert_eq!(v.to_pretty(), "{\n  \"a\": [],\n  \"b\": {}\n}\n");
+        assert_eq!(Json::Arr(vec![]).to_pretty(), "[]\n");
+        assert_eq!(Json::Obj(vec![]).to_pretty(), "{}\n");
+    }
+
+    #[test]
+    fn non_finite_numbers_cannot_enter_a_golden() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let doc = Json::Arr(vec![Json::Num(1.0), Json::Num(n)]);
+            let err = std::panic::catch_unwind(|| doc.to_pretty()).unwrap_err();
+            let msg = err.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+            assert!(msg.contains("golden metrics must be finite"), "{msg}");
+        }
+    }
 }

@@ -140,4 +140,19 @@ mod tests {
         assert_eq!(md.lines().count(), 3);
         assert!(md.contains("| x | 18 | 50% | 1.25 |"), "{md}");
     }
+
+    #[test]
+    fn markdown_keeps_row_order_and_rounds_for_display() {
+        let row = |system: &str, refresh_cost, cost_fraction, drifted_loc_mean_m| LeaderboardRow {
+            system: system.into(),
+            refresh_cost,
+            cost_fraction,
+            drifted_loc_mean_m,
+        };
+        let md = render_markdown(&[row("b", 12, 1.0 / 3.0, 1.234), row("a", 0, 0.0, 2.0)]);
+        let lines: Vec<&str> = md.lines().collect();
+        assert_eq!(lines[2], "| b | 12 | 33% | 1.23 |");
+        assert_eq!(lines[3], "| a | 0 | 0% | 2.00 |");
+        assert_eq!(render_markdown(&[]).lines().count(), 2, "a header without rows");
+    }
 }

@@ -217,4 +217,58 @@ mod tests {
         let err = ScenarioReport::from_json("{\"scenario\": \"x\"}").unwrap_err();
         assert!(err.contains("seed"), "{err}");
     }
+
+    /// `sample_report`'s canonical text with top-level field `key` set to
+    /// `value`, or removed when `value` is `None`.
+    fn with_field(key: &str, value: Option<Json>) -> String {
+        let Json::Obj(mut fields) = json::parse(&sample_report().to_json()).unwrap() else {
+            panic!("a report is an object");
+        };
+        let at = fields.iter().position(|(k, _)| k == key).expect("field present");
+        match value {
+            Some(v) => fields[at].1 = v,
+            None => drop(fields.remove(at)),
+        }
+        Json::Obj(fields).to_pretty()
+    }
+
+    #[test]
+    fn pending_refs_must_be_a_boolean() {
+        let text = with_field("pending_refs", Some(Json::Num(1.0)));
+        let err = ScenarioReport::from_json(&text).unwrap_err();
+        assert_eq!(err, "missing or non-boolean field `pending_refs`");
+    }
+
+    #[test]
+    fn missing_phase_objects_and_phase_fields_are_named() {
+        let err = ScenarioReport::from_json(&with_field("drifted", None)).unwrap_err();
+        assert_eq!(err, "missing `drifted` object");
+        let Json::Obj(mut day0) = sample_report().day0.to_json() else {
+            panic!("a phase is an object");
+        };
+        day0.retain(|(k, _)| k != "loc_p90_m");
+        let err =
+            ScenarioReport::from_json(&with_field("day0", Some(Json::Obj(day0)))).unwrap_err();
+        assert_eq!(err, "missing or non-numeric field `loc_p90_m`");
+        // A phase that is not an object has none of its fields.
+        let err = ScenarioReport::from_json(&with_field("day0", Some(Json::Null))).unwrap_err();
+        assert_eq!(err, "missing or non-numeric field `loc_mean_m`");
+    }
+
+    #[test]
+    fn committed_goldens_are_in_canonical_form() {
+        let dir = crate::golden::workspace_root().join(crate::golden::GOLDEN_DIR);
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let report = ScenarioReport::from_json(&text)
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            // A hand edit that changes spacing or field order would make a
+            // fresh bless rewrite the file even with no metric change.
+            assert_eq!(report.to_json(), text, "{} is not canonical", path.display());
+            seen += 1;
+        }
+        assert!(seen > 0, "no goldens under {}", dir.display());
+    }
 }

@@ -746,4 +746,205 @@ mod tests {
         assert!(from_json::<u32>("4294967296").is_err());
         assert_eq!(from_json::<u32>("4294967295").unwrap(), u32::MAX);
     }
+
+    #[test]
+    fn lenient_number_forms_read_as_the_grammar_says() {
+        let cases = [
+            ("01", 1.0),
+            ("1.", 1.0),
+            ("-.5", -0.5),
+            ("1.e5", 100000.0),
+            ("-0", 0.0),
+            ("2E-3", 0.002),
+            ("1e+2", 100.0),
+        ];
+        for (text, want) in cases {
+            assert_eq!(parse(text).unwrap(), JsonValue::Num(want), "{text}");
+        }
+    }
+
+    #[test]
+    fn finite_numbers_survive_a_write_and_read_bit_for_bit() {
+        let values = [
+            0.1,
+            1.0 / 3.0,
+            -2.5e-7,
+            1e-300,
+            5e-324,
+            f64::MAX,
+            -f64::MIN_POSITIVE,
+            123_456_789.123_456_79,
+            9.0e15,
+            -9.0e15 + 1.0,
+            -61.25,
+        ];
+        for n in values {
+            let text = written(|w| w.f64_val(n));
+            let back = parse(&text).unwrap().as_num().unwrap();
+            assert_eq!(back.to_bits(), n.to_bits(), "{n} wrote as {text}");
+        }
+        // The one exception: -0.0 is integral and writes as `0`.
+        assert_eq!(parse(&written(|w| w.f64_val(-0.0))).unwrap().as_num().unwrap().to_bits(), 0);
+    }
+
+    #[test]
+    fn numbers_the_f64_parser_refuses_are_errors() {
+        for bad in ["-", "1e", "1e+", "-e5", "+1", ".5", "1.5.2", "0x10", "1e999", "-1e999"] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn short_escapes_decode_and_unknown_ones_are_errors() {
+        assert_eq!(
+            parse(r#""\"\\\/\b\f\n\r\t""#).unwrap(),
+            JsonValue::Str("\"\\/\u{8}\u{c}\n\r\t".into())
+        );
+        for bad in [r#""\x""#, r#""\'""#, r#""\u00""#, "\"\\", "\"open", "\"a\nb\"", "\"\t\""] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn surrogate_escapes_read_as_the_replacement_character() {
+        // A surrogate pair is two lone surrogates to this reader.
+        assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), JsonValue::Str("\u{fffd}\u{fffd}".into()));
+        assert_eq!(parse(r#""a\uDFFFb""#).unwrap(), JsonValue::Str("a\u{fffd}b".into()));
+    }
+
+    #[test]
+    fn every_control_character_the_writer_escapes_reads_back() {
+        for c in (0u8..0x20).map(char::from) {
+            let s = format!("a{c}b");
+            let text = written(|w| w.str_val(&s));
+            assert_eq!(parse(&text).unwrap(), JsonValue::Str(s), "{text}");
+        }
+    }
+
+    #[test]
+    fn strings_without_escapes_are_borrowed_from_the_text() {
+        let mut r = JsonReader::new(r#"{"plain":"text","esc\"key":"a\nb"}"#);
+        r.begin_obj().unwrap();
+        assert!(matches!(r.next_key().unwrap(), Some(Cow::Borrowed("plain"))));
+        assert!(matches!(r.str().unwrap(), Cow::Borrowed("text")));
+        match r.next_key().unwrap() {
+            Some(Cow::Owned(key)) => assert_eq!(key, "esc\"key"),
+            other => panic!("an escaped key must be copied, got {other:?}"),
+        }
+        match r.str().unwrap() {
+            Cow::Owned(s) => assert_eq!(s, "a\nb"),
+            Cow::Borrowed(s) => panic!("an escaped string must be copied, got {s:?}"),
+        }
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn the_four_whitespace_bytes_may_surround_every_token() {
+        let text = " \t\r\n{ \"a\" :\n[ 1 ,\t2 ] , \"b\" : null }\r\n ";
+        let want = JsonValue::Obj(vec![
+            ("a".into(), JsonValue::Arr(vec![JsonValue::Num(1.0), JsonValue::Num(2.0)])),
+            ("b".into(), JsonValue::Null),
+        ]);
+        assert_eq!(parse(text).unwrap(), want);
+        // Form feed and no-break space are not JSON whitespace.
+        for bad in ["\u{c}1", "1\u{a0}", "[1,\u{c}2]"] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn text_after_the_document_is_an_error_naming_its_byte() {
+        let err = parse("{} {}").unwrap_err().to_string();
+        assert!(err.contains("trailing characters at byte 3"), "{err}");
+        assert!(parse("[1]]").is_err());
+        assert!(parse("\"a\"\"b\"").is_err());
+    }
+
+    #[test]
+    fn separators_must_sit_between_items_only() {
+        for bad in [
+            "[1 2]",
+            "[,1]",
+            "[1,]",
+            "[1,,2]",
+            r#"{"a":1 "b":2}"#,
+            r#"{"a" 1}"#,
+            r#"{,"a":1}"#,
+            r#"{"a":1,}"#,
+            "{1:2}",
+            "]",
+            "}",
+            "[}",
+            "{]",
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn skip_moves_past_one_value_and_checks_it_like_a_read() {
+        let mut r = JsonReader::new(r#"{"skip":{"a":[1,{"b":null}],"c":"A"},"keep":true}"#);
+        r.begin_obj().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("skip"));
+        r.skip().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("keep"));
+        assert!(r.bool().unwrap());
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+
+        for bad in ["[1,tru]", r#"{"a":}"#, r#"["\x"]"#, "[1 2]", "-", ""] {
+            assert!(JsonReader::new(bad).skip().is_err(), "{bad:?} must be rejected");
+        }
+        let nest = |n: usize| "[".repeat(n) + "1" + &"]".repeat(n);
+        assert!(JsonReader::new(&nest(MAX_DEPTH)).skip().is_ok());
+        assert!(JsonReader::new(&nest(MAX_DEPTH + 1)).skip().is_err(), "skipping is depth-capped");
+    }
+
+    #[test]
+    fn a_copied_reader_is_a_saved_position() {
+        let mut r = JsonReader::new("[10, 20]");
+        r.begin_arr().unwrap();
+        assert!(r.next_elem().unwrap());
+        let mut ahead = r;
+        assert_eq!(ahead.num().unwrap(), 10.0);
+        assert!(ahead.next_elem().unwrap());
+        assert_eq!(ahead.num().unwrap(), 20.0);
+        assert!(!ahead.next_elem().unwrap());
+        // Reading ahead on the copy left the original where it was.
+        assert_eq!(r.num().unwrap(), 10.0);
+    }
+
+    #[test]
+    fn writer_appends_to_the_callers_buffer() {
+        let mut buf = b"x\n".to_vec();
+        let mut w = JsonWriter::new(&mut buf);
+        w.begin_arr();
+        w.usize_val(3);
+        w.u32_val(u32::MAX);
+        // Routed through f64: 2^53 + 1 is not representable and rounds down.
+        w.u64_val((1 << 53) + 1);
+        w.end_arr();
+        // A second writer on the same buffer starts a fresh document.
+        let mut w = JsonWriter::new(&mut buf);
+        w.begin_obj();
+        w.end_obj();
+        assert_eq!(String::from_utf8(buf).unwrap(), "x\n[3,4294967295,9007199254740992]{}");
+    }
+
+    #[test]
+    fn value_accessors_answer_only_for_their_own_kind() {
+        let v = parse(r#"{"n":1,"s":"x","b":true,"z":null,"a":[1]}"#).unwrap();
+        assert_eq!(v.get("n").and_then(JsonValue::as_num), Some(1.0));
+        assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("x"));
+        assert_eq!(v.get("b").and_then(JsonValue::as_bool), Some(true));
+        assert_eq!(v.get("n").and_then(JsonValue::as_str), None);
+        assert_eq!(v.get("s").and_then(JsonValue::as_bool), None);
+        assert_eq!(v.get("b").and_then(JsonValue::as_num), None);
+        assert_eq!(v.get("z"), Some(&JsonValue::Null));
+        assert_eq!(v.get("missing"), None);
+        // Only objects have fields.
+        assert_eq!(v.get("a").unwrap().get("0"), None);
+        assert_eq!(JsonValue::Str("k".into()).get("k"), None);
+    }
 }

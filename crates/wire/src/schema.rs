@@ -687,6 +687,53 @@ mod tests {
 
     crate::schema! { struct Probe { n: u32, note: Option<String>, gain: f64 = 1.5 } }
 
+    #[derive(Debug, PartialEq)]
+    struct Knobs {
+        depth: u32,
+        verbose: bool,
+    }
+
+    impl Default for Knobs {
+        fn default() -> Self {
+            Knobs { depth: 4, verbose: true }
+        }
+    }
+
+    crate::schema! { struct Knobs: default { depth: u32, verbose: bool } }
+
+    #[derive(Debug, PartialEq)]
+    enum Cmd {
+        Ping,
+        Echo { text: String, times: u32 },
+    }
+
+    crate::schema! {
+        enum Cmd: tag "cmd" {
+            Ping = 0 "ping",
+            Echo = 1 "echo" { text: String, times: u32 = 1 },
+        }
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Shape {
+        Dot,
+        Line { len: f64 },
+    }
+
+    crate::schema! {
+        enum Shape: external {
+            Dot = 0 "Dot",
+            Line = 1 "Line" { len: f64 },
+        }
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Blob {
+        id: u64,
+    }
+
+    crate::schema! { struct Blob: binary { id: u64 } }
+
     #[test]
     fn struct_fields_keep_declaration_order_in_both_forms() {
         let p = Probe { n: 7, note: Some("hi".into()), gain: -0.25 };
@@ -796,5 +843,154 @@ mod tests {
         assert_eq!(back[(1, 1)], 4.5);
         let err = from_json::<Matrix>(r#"{"rows":2,"cols":2,"data":[1]}"#).unwrap_err();
         assert!(err.to_string().contains("Matrix: "), "{err}");
+    }
+
+    #[test]
+    fn a_repeated_key_takes_its_last_value_but_every_occurrence_must_decode() {
+        assert_eq!(from_json::<Probe>(r#"{"n":1,"n":2}"#).unwrap().n, 2);
+        let err = from_json::<Probe>(r#"{"n":"x","n":2}"#).unwrap_err().to_string();
+        assert!(err.contains("Probe.n"), "{err}");
+    }
+
+    #[test]
+    fn a_struct_read_from_a_non_object_finds_every_field_absent() {
+        for text in ["3", "[1,2]", "null", r#""knobs""#] {
+            assert_eq!(from_json::<Knobs>(text).unwrap(), Knobs::default(), "{text}");
+        }
+        assert_eq!(
+            from_json::<Knobs>(r#"{"depth":9}"#).unwrap(),
+            Knobs { depth: 9, verbose: true }
+        );
+        let err = from_json::<Probe>("3").unwrap_err().to_string();
+        assert!(err.contains("Probe: missing field `n`"), "{err}");
+        // The skipped value must still be valid JSON.
+        assert!(from_json::<Knobs>("[1,").is_err());
+    }
+
+    #[test]
+    fn internally_tagged_variants_round_trip_in_both_forms() {
+        let echo = Cmd::Echo { text: "hi".into(), times: 2 };
+        assert_eq!(to_json(&echo), r#"{"cmd":"echo","text":"hi","times":2}"#);
+        assert_eq!(to_json(&Cmd::Ping), r#"{"cmd":"ping"}"#);
+        let mut want = Enc::new();
+        want.u8(1);
+        want.str("hi");
+        want.u32(2);
+        let mut got = Enc::new();
+        echo.encode(&mut got);
+        assert_eq!(got.buf, want.buf);
+        assert_eq!(from_bytes::<Cmd>(&got.buf).unwrap(), echo);
+        assert_eq!(from_json::<Cmd>(&to_json(&echo)).unwrap(), echo);
+        assert_eq!(from_bytes::<Cmd>(&[0]).unwrap(), Cmd::Ping);
+    }
+
+    #[test]
+    fn an_internal_tag_may_stand_at_any_position() {
+        assert_eq!(
+            from_json::<Cmd>(r#"{"text":"hi","cmd":"echo"}"#).unwrap(),
+            Cmd::Echo { text: "hi".into(), times: 1 }
+        );
+        assert_eq!(
+            from_json::<Cmd>(r#"{"times":3,"cmd":"echo","text":"hi"}"#).unwrap(),
+            Cmd::Echo { text: "hi".into(), times: 3 }
+        );
+    }
+
+    #[test]
+    fn the_last_occurrence_of_a_repeated_tag_names_the_variant() {
+        assert_eq!(
+            from_json::<Cmd>(r#"{"cmd":"ping","cmd":"echo","text":"x"}"#).unwrap(),
+            Cmd::Echo { text: "x".into(), times: 1 }
+        );
+        // The leading tag names a variant whose fields are missing, but a
+        // later tag overrides it.
+        assert_eq!(from_json::<Cmd>(r#"{"cmd":"echo","cmd":"ping"}"#).unwrap(), Cmd::Ping);
+        let err = from_json::<Cmd>(r#"{"cmd":"echo"}"#).unwrap_err().to_string();
+        assert!(err.contains("Cmd::Echo: missing field `text`"), "{err}");
+    }
+
+    #[test]
+    fn a_non_string_tag_occurrence_unnames_the_variant() {
+        let err = from_json::<Cmd>(r#"{"cmd":"ping","cmd":1}"#).unwrap_err().to_string();
+        assert!(err.contains("Cmd: missing or non-string tag `cmd`"), "{err}");
+        assert_eq!(from_json::<Cmd>(r#"{"cmd":1,"cmd":"ping"}"#).unwrap(), Cmd::Ping);
+        assert!(from_json::<Cmd>("[]").is_err());
+    }
+
+    #[test]
+    fn unknown_variant_names_and_binary_tags_are_named_errors() {
+        let err = from_json::<Cmd>(r#"{"cmd":"pong"}"#).unwrap_err().to_string();
+        assert!(err.contains("Cmd: unknown variant `pong`"), "{err}");
+        let err = from_bytes::<Cmd>(&[7]).unwrap_err().to_string();
+        assert!(err.contains("Cmd: unknown tag 7"), "{err}");
+        let err = from_json::<Shape>(r#""Circle""#).unwrap_err().to_string();
+        assert!(err.contains("Shape: unknown variant `Circle`"), "{err}");
+        let err = from_bytes::<Shape>(&[2]).unwrap_err().to_string();
+        assert!(err.contains("Shape: unknown tag 2"), "{err}");
+    }
+
+    #[test]
+    fn externally_tagged_variants_round_trip_in_both_forms() {
+        let line = Shape::Line { len: 2.5 };
+        assert_eq!(to_json(&Shape::Dot), r#""Dot""#);
+        assert_eq!(to_json(&line), r#"{"Line":{"len":2.5}}"#);
+        assert_eq!(from_json::<Shape>(r#""Dot""#).unwrap(), Shape::Dot);
+        assert_eq!(from_json::<Shape>(&to_json(&line)).unwrap(), line);
+        let mut e = Enc::new();
+        line.encode(&mut e);
+        assert_eq!(e.buf[0], 1, "the binary tag is the declared one");
+        assert_eq!(from_bytes::<Shape>(&e.buf).unwrap(), line);
+        let err = from_json::<Shape>(r#"{"Line":{}}"#).unwrap_err().to_string();
+        assert!(err.contains("Shape::Line: missing field `len`"), "{err}");
+    }
+
+    #[test]
+    fn binary_only_types_have_no_v1_reader() {
+        let err = from_json::<Blob>(r#"{"id":1}"#).unwrap_err().to_string();
+        assert!(err.contains("has no v1 JSON reader"), "{err}");
+        let mut e = Enc::new();
+        Blob { id: 42 }.encode(&mut e);
+        assert_eq!(e.buf, 42u64.to_le_bytes());
+        assert_eq!(from_bytes::<Blob>(&e.buf).unwrap(), Blob { id: 42 });
+    }
+
+    #[test]
+    fn integers_may_be_written_in_any_integral_number_form() {
+        assert_eq!(from_json::<u64>("1e3").unwrap(), 1000);
+        assert_eq!(from_json::<u64>("2.5e1").unwrap(), 25);
+        assert_eq!(from_json::<u64>("100.0").unwrap(), 100);
+        assert_eq!(from_json::<u64>("-0").unwrap(), 0);
+        assert_eq!(from_json::<u32>("4.294967295e9").unwrap(), u32::MAX);
+        assert!(from_json::<u64>("1.5e0").is_err());
+        let err = from_json::<u32>("1e10").unwrap_err().to_string();
+        assert!(err.contains("out of range for u32"), "{err}");
+    }
+
+    #[test]
+    fn documents_may_carry_whitespace_but_no_trailing_text() {
+        assert_eq!(from_json::<u32>(" 7 \n").unwrap(), 7);
+        assert!(from_json::<u32>("1 2").is_err());
+        assert!(from_json::<Probe>(r#"{"n":1} x"#).is_err());
+        assert!(from_json::<Vec<u32>>("[1][2]").is_err());
+    }
+
+    #[test]
+    fn boxes_options_and_vectors_wrap_their_element_codec() {
+        let v: Vec<Option<u32>> = vec![Some(1), None, Some(3)];
+        assert_eq!(to_json(&v), "[1,null,3]");
+        assert_eq!(from_json::<Vec<Option<u32>>>("[1,null,3]").unwrap(), v);
+        let mut e = Enc::new();
+        v.encode(&mut e);
+        let mut want = Enc::new();
+        want.usize(3);
+        for x in [Some(1u32), None, Some(3)] {
+            x.encode(&mut want);
+        }
+        assert_eq!(e.buf, want.buf);
+        assert_eq!(from_bytes::<Vec<Option<u32>>>(&e.buf).unwrap(), v);
+        let boxed = Box::new(5u32);
+        assert_eq!(to_json(&boxed), "5");
+        assert_eq!(from_json::<Box<u32>>("5").unwrap(), boxed);
+        assert!(from_json::<Vec<u32>>("null").is_err(), "only `Option` reads null as absent");
     }
 }
