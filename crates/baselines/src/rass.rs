@@ -17,6 +17,7 @@
 use taf_rfsim::geometry::Point;
 use tafloc_core::db::FingerprintDb;
 use tafloc_core::error::TaflocError;
+use tafloc_core::matcher::top_k_by;
 use tafloc_core::Result;
 
 /// RASS configuration.
@@ -163,8 +164,9 @@ impl Rass {
             .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite scores"))
             .expect("non-empty grid");
 
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("finite scores"));
+        let order = top_k_by(n, self.config.top_k.min(n), |a, b| {
+            scores[a].partial_cmp(&scores[b]).expect("finite scores")
+        });
         // Same spatial gate as the TafLoc matcher: only cells near the best
         // match join the centroid, so signature aliasing cannot drag the
         // estimate across the room.
@@ -173,7 +175,7 @@ impl Rass {
         let mut wx = 0.0;
         let mut wy = 0.0;
         let mut wsum = 0.0;
-        for &j in order.iter().take(self.config.top_k.min(n)) {
+        for &j in &order {
             let c = self.db.grid().cell_center(j);
             if c.distance(&best_center) > gate_m {
                 continue;

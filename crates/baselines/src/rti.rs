@@ -16,6 +16,7 @@ use taf_linalg::Matrix;
 use taf_rfsim::geometry::{Point, Segment};
 use taf_rfsim::grid::FloorGrid;
 use tafloc_core::error::TaflocError;
+use tafloc_core::matcher::top_k_by;
 use tafloc_core::Result;
 
 /// RTI configuration.
@@ -141,12 +142,13 @@ impl Rti {
             .expect("non-empty image");
 
         // Intensity-weighted centroid of the brightest voxels.
-        let mut order: Vec<usize> = (0..image.len()).collect();
-        order.sort_by(|&a, &b| image[b].partial_cmp(&image[a]).expect("finite image"));
+        let order = top_k_by(image.len(), self.config.top_k, |a, b| {
+            image[b].partial_cmp(&image[a]).expect("finite image")
+        });
         let mut wx = 0.0;
         let mut wy = 0.0;
         let mut wsum = 0.0;
-        for &j in order.iter().take(self.config.top_k) {
+        for &j in &order {
             let w = image[j].max(0.0);
             let c = self.grid.cell_center(j);
             wx += w * c.x;

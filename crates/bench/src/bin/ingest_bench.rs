@@ -4,10 +4,13 @@
 //! Two phases, each on the paper-scale link count:
 //!
 //! 1. **Direct pipeline** — `threads` producers call
-//!    [`Ingestor::apply_batch`] concurrently on disjoint time epochs of a
-//!    simulated radio stream; reported as aggregate samples/sec.
+//!    [`Ingestor::apply_batch`] concurrently, each replaying the same epochs
+//!    of a simulated radio stream; reported as accepted samples/sec, with the
+//!    share of samples dropped as late (a late sample skips the window and
+//!    aggregation work, so it is not counted as throughput).
 //! 2. **Assembly** — repeated [`Ingestor::assemble`] calls on the loaded
-//!    pipeline; reported as p50/p95/p99/max latency and assemblies/sec.
+//!    pipeline, each timed in nanoseconds; reported as p50/p95/p99/max
+//!    latency in fractional µs and assemblies/sec.
 //!
 //! The daemon's admission gate and write-ahead journal are not timed here:
 //! `serve_bench`'s sharded phase loads the gate, and loopbench's `capture`
@@ -32,9 +35,10 @@ fn shifted(base: &[LinkSample], offset_s: f64) -> Vec<LinkSample> {
     base.iter().map(|s| LinkSample::new(s.link, s.t_s + offset_s, s.rss_dbm)).collect()
 }
 
-fn quantile(sorted_us: &[u64], q: f64) -> u64 {
-    let idx = ((q * sorted_us.len() as f64).ceil() as usize).clamp(1, sorted_us.len());
-    sorted_us[idx - 1]
+/// Nearest-rank quantile of sorted nanoseconds, in µs.
+fn quantile_us(sorted_ns: &[u64], q: f64) -> f64 {
+    let idx = ((q * sorted_ns.len() as f64).ceil() as usize).clamp(1, sorted_ns.len());
+    sorted_ns[idx - 1] as f64 / 1e3
 }
 
 fn main() {
@@ -91,34 +95,35 @@ fn main() {
     }
     let elapsed = start.elapsed().as_secs_f64();
     let stats = ing.stats();
-    let apply_sps = total_samples / elapsed;
+    let accepted_per_s = stats.accepted as f64 / elapsed;
+    let late_frac = stats.dropped_late as f64 / total_samples;
     println!(
-        "apply_batch: {total_samples:.0} samples in {elapsed:.3} s  ->  {apply_sps:.0} samples/s \
-         ({} accepted, {} late, {} outlier exclusions)",
-        stats.accepted, stats.dropped_late, stats.rejected_outliers,
+        "apply_batch: {total_samples:.0} samples in {elapsed:.3} s  ->  {accepted_per_s:.0} accepted \
+         samples/s ({} accepted, {} late = {:.1}%, {} outlier exclusions)",
+        stats.accepted,
+        stats.dropped_late,
+        100.0 * late_frac,
+        stats.rejected_outliers,
     );
 
     // Phase 2: assembly latency on the loaded pipeline.
     let fallback = vec![-60.0; m];
     let rounds = if quick { 1_000 } else { 10_000 };
-    let mut lat_us = Vec::with_capacity(rounds);
+    let mut lat_ns = Vec::with_capacity(rounds);
     let start = Instant::now();
     for _ in 0..rounds {
         let t0 = Instant::now();
         let v = ing.assemble(&fallback).expect("assemble");
-        lat_us.push(t0.elapsed().as_micros() as u64);
+        lat_ns.push(t0.elapsed().as_nanos() as u64);
         assert_eq!(v.y.len(), m);
     }
     let elapsed = start.elapsed().as_secs_f64();
-    lat_us.sort_unstable();
+    lat_ns.sort_unstable();
     let assemble_per_s = rounds as f64 / elapsed;
+    let [p50, p95, p99, max] = [0.50, 0.95, 0.99, 1.0].map(|q| quantile_us(&lat_ns, q));
     println!(
         "assemble: {rounds} vectors in {elapsed:.3} s  ->  {assemble_per_s:.0} assemblies/s; \
-         latency p50 {} us, p95 {} us, p99 {} us, max {} us",
-        quantile(&lat_us, 0.50),
-        quantile(&lat_us, 0.95),
-        quantile(&lat_us, 0.99),
-        lat_us[lat_us.len() - 1],
+         latency p50 {p50:.3} us, p95 {p95:.3} us, p99 {p99:.3} us, max {max:.3} us",
     );
 
     let report = Json::Obj(vec![
@@ -138,15 +143,16 @@ fn main() {
             ]),
         ),
         ("peak_rss_kb".into(), perf::peak_rss_json()),
-        ("apply_samples_per_s".into(), Json::Num(perf::round_ms(apply_sps))),
+        ("apply_accepted_per_s".into(), Json::Num(perf::round_ms(accepted_per_s))),
+        ("late_frac".into(), Json::Num(perf::round_ms(late_frac))),
         (
             "assemble".into(),
             Json::Obj(vec![
                 ("per_s".into(), Json::Num(perf::round_ms(assemble_per_s))),
-                ("p50_us".into(), Json::Num(quantile(&lat_us, 0.50) as f64)),
-                ("p95_us".into(), Json::Num(quantile(&lat_us, 0.95) as f64)),
-                ("p99_us".into(), Json::Num(quantile(&lat_us, 0.99) as f64)),
-                ("max_us".into(), Json::Num(lat_us[lat_us.len() - 1] as f64)),
+                ("p50_us".into(), Json::Num(p50)),
+                ("p95_us".into(), Json::Num(p95)),
+                ("p99_us".into(), Json::Num(p99)),
+                ("max_us".into(), Json::Num(max)),
             ]),
         ),
     ]);

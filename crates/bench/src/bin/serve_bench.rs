@@ -17,6 +17,11 @@
 //!    spraying locates (plus a trickle of ingest) across all sites; reported
 //!    as aggregate and per-shard req/s, so shard skew is visible.
 //!
+//! Every reply is checked against the cell `TafLoc::localize` gives the
+//! served system, computed in process before timing starts; the bench exits
+//! non-zero on any mismatch, so CI's bench-smoke run fails when the daemon
+//! answers a query differently from the library.
+//!
 //! The headline numbers land in `BENCH_serve.json` at the repo root in the canonical golden-file JSON
 //! form; CI's bench-smoke job re-generates the file in `--quick` mode.
 //!
@@ -54,71 +59,108 @@ fn quantile_us(sorted: &[u64], q: f64) -> u64 {
     sorted[idx]
 }
 
+/// Pre-generated queries and the cell `TafLoc::localize` gives each on the
+/// served system; client threads cycle through them.
+#[derive(Clone)]
+struct Queries {
+    ys: Vec<Vec<f64>>,
+    cells: Vec<usize>,
+}
+
+impl Queries {
+    fn len(&self) -> usize {
+        self.ys.len()
+    }
+}
+
+/// Ends the run with a non-zero status when any of a phase's `replies`
+/// named a cell other than the expected one.
+fn require_correct(phase: &str, wrong: usize, replies: usize) {
+    if wrong > 0 {
+        eprintln!("serve_bench: {phase}: {wrong} of {replies} replies named the wrong cell");
+        std::process::exit(1);
+    }
+}
+
 /// One `locate` phase: `threads` persistent connections in `version`, each
-/// issuing `per_thread` round trips. Returns (req/s, p50 µs, p99 µs).
+/// issuing `per_thread` round trips. Returns (req/s, p50 µs, p99 µs) and
+/// exits on a wrong reply.
 fn locate_phase(
     addr: std::net::SocketAddr,
     version: WireVersion,
     threads: usize,
     per_thread: usize,
-    queries: &[Vec<f64>],
+    queries: &Queries,
 ) -> (f64, u64, u64) {
     let start = Instant::now();
     let joins: Vec<_> = (0..threads)
         .map(|t| {
-            let queries = queries.to_vec();
+            let queries = queries.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect_with(addr, version).expect("connect");
                 let mut micros = Vec::with_capacity(per_thread);
+                let mut wrong = 0;
                 for k in 0..per_thread {
-                    let y = &queries[(t + k) % queries.len()];
+                    let q = (t + k) % queries.len();
                     let t0 = Instant::now();
-                    client.locate("bench", y).expect("locate");
+                    let (cell, ..) = client.locate("bench", &queries.ys[q]).expect("locate");
                     micros.push(t0.elapsed().as_micros() as u64);
+                    wrong += usize::from(cell != queries.cells[q]);
                 }
-                micros
+                (micros, wrong)
             })
         })
         .collect();
     let mut micros: Vec<u64> = Vec::with_capacity(threads * per_thread);
+    let mut wrong = 0;
     for j in joins {
-        micros.extend(j.join().expect("client thread"));
+        let (m, w) = j.join().expect("client thread");
+        micros.extend(m);
+        wrong += w;
     }
     let elapsed = start.elapsed().as_secs_f64();
+    require_correct(&format!("{} locate", label(version)), wrong, micros.len());
     micros.sort_unstable();
     let total = (threads * per_thread) as f64;
     (total / elapsed, quantile_us(&micros, 0.50), quantile_us(&micros, 0.99))
 }
 
-/// One `locate-batch` phase (16 vectors per round trip). Returns fixes/s.
+/// One `locate-batch` phase (16 vectors per round trip). Returns fixes/s and
+/// exits on a wrong fix.
 fn batch_phase(
     addr: std::net::SocketAddr,
     version: WireVersion,
     threads: usize,
     per_thread: usize,
-    queries: &[Vec<f64>],
+    queries: &Queries,
 ) -> f64 {
     let rounds = per_thread.div_ceil(BATCH);
     let start = Instant::now();
     let joins: Vec<_> = (0..threads)
         .map(|t| {
-            let queries = queries.to_vec();
+            let queries = queries.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect_with(addr, version).expect("connect");
+                let mut wrong = 0;
                 for k in 0..rounds {
-                    let ys: Vec<Vec<f64>> = (0..BATCH)
-                        .map(|j| queries[(t + k * BATCH + j) % queries.len()].clone())
-                        .collect();
+                    let qs: Vec<usize> =
+                        (0..BATCH).map(|j| (t + k * BATCH + j) % queries.len()).collect();
+                    let ys: Vec<Vec<f64>> = qs.iter().map(|&q| queries.ys[q].clone()).collect();
                     let (fixes, _) = client.locate_batch("bench", ys).expect("locate-batch");
                     assert_eq!(fixes.len(), BATCH);
+                    wrong +=
+                        fixes.iter().zip(&qs).filter(|(f, &q)| f.cell != queries.cells[q]).count();
                 }
+                wrong
             })
         })
         .collect();
+    let mut wrong = 0;
     for j in joins {
-        j.join().expect("client thread");
+        wrong += j.join().expect("client thread");
     }
     let elapsed = start.elapsed().as_secs_f64();
+    require_correct(&format!("{} locate-batch", label(version)), wrong, threads * rounds * BATCH);
     (threads * rounds * BATCH) as f64 / elapsed
 }
 
@@ -139,9 +181,12 @@ fn main() {
     // The sharded phase clones this into eight sites on a second daemon.
     let snapshot = sys.snapshot();
 
-    // Pre-generate one query per cell; threads cycle through them.
-    let queries: Vec<Vec<f64>> =
+    // Pre-generate one query per cell, with the cell the served system must
+    // answer for it.
+    let ys: Vec<Vec<f64>> =
         (0..world.num_cells()).map(|c| campaign::snapshot_at_cell(&world, 0.0, c, 50)).collect();
+    let cells = ys.iter().map(|y| sys.localize(y).expect("query localizes").cell).collect();
+    let queries = Queries { ys, cells };
 
     // The mixed phase opens many persistent connections at once; the server
     // needs a worker per connection (plus one for the admin client) so nobody
@@ -198,27 +243,31 @@ fn main() {
             std::thread::spawn(move || {
                 let mut client = Client::connect_with(addr, version).expect("connect");
                 let mut micros = Vec::with_capacity(mixed_per_client);
+                let mut wrong = 0;
                 for k in 0..mixed_per_client {
-                    let y = &queries[(t + k) % queries.len()];
+                    let q = (t + k) % queries.len();
                     let t0 = Instant::now();
-                    client.locate("bench", y).expect("locate");
+                    let (cell, ..) = client.locate("bench", &queries.ys[q]).expect("locate");
                     micros.push(t0.elapsed().as_micros() as u64);
+                    wrong += usize::from(cell != queries.cells[q]);
                 }
-                (version, micros)
+                (version, micros, wrong)
             })
         })
         .collect();
     let mut micros: Vec<u64> = Vec::new();
-    let (mut v1_reqs, mut v2_reqs) = (0usize, 0usize);
+    let (mut v1_reqs, mut v2_reqs, mut wrong) = (0usize, 0usize, 0usize);
     for j in joins {
-        let (version, m) = j.join().expect("mixed client thread");
+        let (version, m, w) = j.join().expect("mixed client thread");
         match version {
             WireVersion::V1Json => v1_reqs += m.len(),
             WireVersion::V2Binary => v2_reqs += m.len(),
         }
         micros.extend(m);
+        wrong += w;
     }
     let elapsed = start.elapsed().as_secs_f64();
+    require_correct("mixed", wrong, micros.len());
     micros.sort_unstable();
     let mixed_rps = micros.len() as f64 / elapsed;
     let (mp50, mp99) = (quantile_us(&micros, 0.50), quantile_us(&micros, 0.99));
@@ -294,11 +343,13 @@ fn main() {
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
                 let mut per_site = vec![0u64; site_names.len()];
-                let mut overloaded = 0u64;
+                let (mut overloaded, mut wrong) = (0u64, 0usize);
                 for k in 0..sharded_per_client {
                     let site = (t + k) % site_names.len();
                     let name = &site_names[site];
-                    client.locate(name, &queries[(t + k) % queries.len()]).expect("locate");
+                    let q = (t + k) % queries.len();
+                    let (cell, ..) = client.locate(name, &queries.ys[q]).expect("locate");
+                    wrong += usize::from(cell != queries.cells[q]);
                     per_site[site] += 1;
                     if k % 8 == 0 {
                         let batch: Vec<LinkSample> =
@@ -309,20 +360,22 @@ fn main() {
                         }
                     }
                 }
-                (per_site, overloaded)
+                (per_site, overloaded, wrong)
             })
         })
         .collect();
     let mut per_site = vec![0u64; num_sites];
-    let mut overloaded = 0u64;
+    let (mut overloaded, mut wrong) = (0u64, 0usize);
     for j in joins {
-        let (p, o) = j.join().expect("sharded client thread");
+        let (p, o, w) = j.join().expect("sharded client thread");
         for (a, b) in per_site.iter_mut().zip(&p) {
             *a += b;
         }
         overloaded += o;
+        wrong += w;
     }
     let elapsed = start.elapsed().as_secs_f64();
+    require_correct("sharded", wrong, per_site.iter().sum::<u64>() as usize);
     let mut per_shard = vec![0u64; num_shards];
     for (i, name) in site_names.iter().enumerate() {
         per_shard[ring.shard_of(name)] += per_site[i];

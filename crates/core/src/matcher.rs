@@ -16,6 +16,7 @@
 use crate::db::FingerprintDb;
 use crate::error::TaflocError;
 use crate::Result;
+use std::cmp::Ordering;
 use taf_rfsim::geometry::Point;
 
 /// Matching method for localization.
@@ -54,20 +55,96 @@ pub struct MatchResult {
 
 /// Localizes a live RSS vector against the database.
 pub fn localize(db: &FingerprintDb, y: &[f64], method: MatchMethod) -> Result<MatchResult> {
-    localize_among(db, y, method, None)
+    localize_gated(db, y, method, None)
 }
 
 /// Localizes like [`localize`], but restricted to an optional candidate-cell
-/// set (used by the geometry gate in [`crate::system::TafLoc::localize`]).
+/// set.
 ///
 /// `candidates = None` considers every cell; an empty candidate list is an
 /// error (the caller should fall back to the unrestricted search instead).
+/// Among equally distant candidates the first one listed is the best match.
 pub fn localize_among(
     db: &FingerprintDb,
     y: &[f64],
     method: MatchMethod,
     candidates: Option<&[usize]>,
 ) -> Result<MatchResult> {
+    let Some(cells) = candidates else { return localize(db, y, method) };
+    check_query(db, y)?;
+    let n = db.num_cells();
+    if cells.is_empty() {
+        return Err(TaflocError::InvalidConfig {
+            field: "candidates",
+            reason: "candidate set is empty".into(),
+        });
+    }
+    if let Some(&j) = cells.iter().find(|&&j| j >= n) {
+        return Err(TaflocError::IndexOutOfBounds { op: "localize_among", index: j, bound: n });
+    }
+    let (all, _) = sweep(db, y, None);
+    let mut dists = vec![f64::INFINITY; n];
+    for &j in cells {
+        dists[j] = all[j];
+    }
+    finish(db, &dists, nearest(cells.iter().copied(), &dists), method)
+}
+
+/// The blocking-pattern consistency gate of [`crate::system::TafLoc::localize`]:
+/// a cell is excluded when the live RSS drops more than `hi_db` below
+/// `empty_rss` on a link where the cell's fingerprint drops less than `lo_db`,
+/// or the reverse.
+pub(crate) struct ConsistencyGate<'a> {
+    pub empty_rss: &'a [f64],
+    pub hi_db: f64,
+    pub lo_db: f64,
+}
+
+/// Localizes among the cells `gate` keeps, or among all cells when there is
+/// no gate or it keeps none.
+pub(crate) fn localize_gated(
+    db: &FingerprintDb,
+    y: &[f64],
+    method: MatchMethod,
+    gate: Option<&ConsistencyGate>,
+) -> Result<MatchResult> {
+    check_query(db, y)?;
+    let (mut dists, mut kept) = sweep(db, y, gate);
+    if !kept.contains(&true) {
+        kept.fill(true);
+    }
+    for (d, &k) in dists.iter_mut().zip(&kept) {
+        if !k {
+            *d = f64::INFINITY;
+        }
+    }
+    let best = nearest((0..db.num_cells()).filter(|&j| kept[j]), &dists);
+    finish(db, &dists, best, method)
+}
+
+/// Indices of the first `k` elements of `0..n` in the order a stable
+/// `sort_by(cmp)` would put them (equal elements by index), in O(n·k)
+/// comparisons without sorting the rest.
+pub fn top_k_by(n: usize, k: usize, mut cmp: impl FnMut(usize, usize) -> Ordering) -> Vec<usize> {
+    let mut top: Vec<usize> = Vec::with_capacity(k.min(n) + 1);
+    if k == 0 {
+        return top;
+    }
+    for j in 0..n {
+        if top.len() == k && cmp(j, top[k - 1]) != Ordering::Less {
+            continue;
+        }
+        // `j` is the largest index seen so far, so it goes after every kept
+        // element it does not sort strictly before.
+        let at = top.iter().rposition(|&t| cmp(j, t) != Ordering::Less).map_or(0, |p| p + 1);
+        top.insert(at, j);
+        top.truncate(k);
+    }
+    top
+}
+
+/// Refuses a query of the wrong length or with non-finite entries.
+fn check_query(db: &FingerprintDb, y: &[f64]) -> Result<()> {
     if y.len() != db.num_links() {
         return Err(TaflocError::DimensionMismatch {
             op: "localize",
@@ -81,51 +158,59 @@ pub fn localize_among(
             reason: "RSS vector contains non-finite values".into(),
         });
     }
+    Ok(())
+}
 
-    let n = db.num_cells();
+/// One pass over the rows of `X`: the Euclidean RSS distance of `y` to every
+/// fingerprint column (each sum runs over the links in order) and, per cell,
+/// whether `gate` keeps it (all `true` without a gate).
+fn sweep(db: &FingerprintDb, y: &[f64], gate: Option<&ConsistencyGate>) -> (Vec<f64>, Vec<bool>) {
     let x = db.rss();
-    // Resolve the candidate set.
-    let all: Vec<usize>;
-    let cells: &[usize] = match candidates {
-        Some(c) => {
-            if c.is_empty() {
-                return Err(TaflocError::InvalidConfig {
-                    field: "candidates",
-                    reason: "candidate set is empty".into(),
-                });
+    let mut acc = vec![0.0; db.num_cells()];
+    let mut kept = vec![true; db.num_cells()];
+    for (i, &yi) in y.iter().enumerate() {
+        let row = x.row(i);
+        for (a, &xij) in acc.iter_mut().zip(row) {
+            let d = yi - xij;
+            *a += d * d;
+        }
+        let Some(g) = gate else { continue };
+        let empty = g.empty_rss[i];
+        let live_drop = empty - yi;
+        let (blocked, quiet) = (live_drop > g.hi_db, live_drop < g.lo_db);
+        if !(blocked || quiet) {
+            continue;
+        }
+        for (k, &xij) in kept.iter_mut().zip(row) {
+            let db_drop = empty - xij;
+            if (blocked && db_drop < g.lo_db) || (quiet && db_drop > g.hi_db) {
+                *k = false;
             }
-            for &j in c {
-                if j >= n {
-                    return Err(TaflocError::IndexOutOfBounds {
-                        op: "localize_among",
-                        index: j,
-                        bound: n,
-                    });
-                }
-            }
-            c
         }
-        None => {
-            all = (0..n).collect();
-            &all
-        }
-    };
-    // Euclidean RSS distance of Y to every candidate fingerprint column.
-    let mut dists: Vec<f64> = vec![f64::INFINITY; n];
-    for &j in cells {
-        let mut acc = 0.0;
-        for (i, &yi) in y.iter().enumerate() {
-            let d = yi - x[(i, j)];
-            acc += d * d;
-        }
-        dists[j] = acc.sqrt();
     }
-    let (best_cell, best_distance) = cells
-        .iter()
-        .map(|&j| (j, dists[j]))
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"))
-        .expect("candidate set verified non-empty");
+    for a in &mut acc {
+        *a = a.sqrt();
+    }
+    (acc, kept)
+}
 
+/// The first of `cells` at the least distance.
+fn nearest(cells: impl Iterator<Item = usize>, dists: &[f64]) -> (usize, f64) {
+    cells
+        .map(|j| (j, dists[j]))
+        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"))
+        .expect("candidate set verified non-empty")
+}
+
+/// The estimate from every cell's distance (`+∞` outside the candidate set)
+/// and the best match.
+fn finish(
+    db: &FingerprintDb,
+    dists: &[f64],
+    (best_cell, best_distance): (usize, f64),
+    method: MatchMethod,
+) -> Result<MatchResult> {
+    let n = db.num_cells();
     let point = match method {
         MatchMethod::NearestNeighbor => db.grid().cell_center(best_cell),
         MatchMethod::Knn { k } => {
@@ -135,9 +220,9 @@ pub fn localize_among(
                     reason: "KNN needs k >= 1".into(),
                 });
             }
-            let k = k.min(n);
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&a, &b| dists[a].partial_cmp(&dists[b]).expect("finite distances"));
+            let order = top_k_by(n, k.min(n), |a, b| {
+                dists[a].partial_cmp(&dists[b]).expect("finite distances")
+            });
             // RSS fingerprints alias: two far-apart cells can match almost
             // equally well. Averaging such matches would place the estimate in
             // the empty middle, so only neighbors spatially close to the best
@@ -147,7 +232,7 @@ pub fn localize_among(
             let mut wx = 0.0;
             let mut wy = 0.0;
             let mut wsum = 0.0;
-            for &j in order.iter().take(k) {
+            for &j in &order {
                 let c = db.grid().cell_center(j);
                 if c.distance(&best_center) > gate_m {
                     continue;

@@ -19,7 +19,7 @@ use crate::loli_ir::{
 };
 use crate::lrr::LrrModel;
 use crate::mask::{detect_distorted, Mask};
-use crate::matcher::{localize, MatchMethod, MatchResult};
+use crate::matcher::{localize_gated, ConsistencyGate, MatchMethod, MatchResult};
 use crate::operators::NeighborGraph;
 use crate::reference::{select_references, ReferenceStrategy};
 use crate::Result;
@@ -546,30 +546,17 @@ impl TafLoc {
     /// When the gate empties the candidate set (conflicting evidence), the
     /// full database is searched.
     pub fn localize(&self, y: &[f64]) -> Result<MatchResult> {
-        if self.config.consistency_gate && y.len() == self.db.num_links() {
-            let m = self.db.num_links();
-            let live_drop: Vec<f64> = self.empty_rss.iter().zip(y).map(|(e, v)| e - v).collect();
-            let x = self.db.rss();
-            let (hi, lo) = (self.config.gate_hi_db, self.config.gate_lo_db);
-            let candidates: Vec<usize> = (0..self.db.num_cells())
-                .filter(|&j| {
-                    (0..m).all(|i| {
-                        let db_drop = self.empty_rss[i] - x[(i, j)];
-                        !((live_drop[i] > hi && db_drop < lo)
-                            || (db_drop > hi && live_drop[i] < lo))
-                    })
-                })
-                .collect();
-            if !candidates.is_empty() {
-                return crate::matcher::localize_among(
-                    &self.db,
-                    y,
-                    self.config.matcher,
-                    Some(&candidates),
-                );
-            }
-        }
-        localize(&self.db, y, self.config.matcher)
+        let gate = ConsistencyGate {
+            empty_rss: &self.empty_rss,
+            hi_db: self.config.gate_hi_db,
+            lo_db: self.config.gate_lo_db,
+        };
+        localize_gated(
+            &self.db,
+            y,
+            self.config.matcher,
+            self.config.consistency_gate.then_some(&gate),
+        )
     }
 
     /// Captures the persistent state of this system as a [`SystemSnapshot`].
