@@ -41,23 +41,38 @@
 //! columns in the R-step only through a continuity edge), so each sweep is run
 //! as a *colored* Gauss-Seidel pass: a deterministic greedy coloring of the
 //! link (resp. location) graph partitions the rows (columns) into classes with
-//! no intra-class edges, and classes are visited in fixed order. Each solve in
-//! a class writes only its own [`SolverWorkspace`] scratch slot, and the class
-//! is scattered back in index order once all its members are solved, so every
-//! solve reads the factors as they stood before its class began. That order
+//! no intra-class edges, and classes are visited in fixed order, each class's
+//! members in index order. A member's solve reads no factor row of its own
+//! class, so it writes its row back as soon as it is solved, and every solve
+//! still reads the factors as they stood before its class began. That order
 //! fixes which values each solve sees, and with it every bit of the output
-//! (the committed goldens pin it). Exact block solves in any order keep the
-//! objective monotone.
+//! (the committed goldens and `tests/solver_bits.rs` pin it). Exact block
+//! solves in any order keep the objective monotone.
+//!
+//! # Block systems
+//!
+//! Every `r x r` normal-equation matrix is built as a packed lower triangle
+//! (row `a` holds its entries `0..=a`), so each term enters as one flat slice
+//! add. Whatever does not depend on the row (column) being solved is computed
+//! once per half-sweep: the start `λI + μG` plus the closed form of the
+//! fully-active edges, which every solve copies; the weighted Gram matrix;
+//! one sum per distinct active set of the partial edges; and the rank-1 term
+//! each partial edge adds to the rows (columns) in its active set. A solve
+//! then adds the stored values in the order it always added them, so every
+//! floating-point operation keeps its operands and its order, and unpacks
+//! once into the matrix the Cholesky factorization reads.
 //!
 //! Steady-state iterations are allocation-free when the caller reuses a
 //! [`SolverWorkspace`] via [`reconstruct_with`].
+
+use std::collections::HashMap;
 
 use crate::error::TaflocError;
 use crate::mask::Mask;
 use crate::operators::NeighborGraph;
 use crate::Result;
 use taf_linalg::decomp::cholesky::solve_in_place;
-use taf_linalg::{LinalgError, Matrix};
+use taf_linalg::Matrix;
 
 /// LoLi-IR hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -390,7 +405,7 @@ const CONFIDENCE_COVERAGE_FLOOR: f64 = 0.15;
 
 /// Computes [`ReconstructionDiagnostics`] for the final factors. Runs once
 /// per solve, after the iteration loop; it may allocate (the iteration loop
-/// may not) but reuses the workspace's `gram` and scratch slot 0 for the
+/// may not) but reuses the workspace's `gram` and block-solve scratch for the
 /// `r x r` leverage solves.
 fn compute_diagnostics(
     problem: &ReconstructionProblem<'_>,
@@ -442,18 +457,18 @@ fn compute_diagnostics(
     // Ridge leverage scores h_j = r_jᵀ (RᵀR + λI)⁻¹ r_j via one Cholesky of
     // the r x r gram (reusing workspace buffers sized by `ensure`).
     rf.gram_into(gram)?;
-    let s = &mut scratch[0];
+    let s = scratch;
     for a in 0..r {
         for b in 0..r {
-            s.lhs[(a, b)] = gram[(a, b)] + config.lambda * f64::from(a == b);
+            s.sys[(a, b)] = gram[(a, b)] + config.lambda * f64::from(a == b);
         }
     }
-    s.lhs.cholesky_into(&mut s.chol)?;
+    s.sys.cholesky_into(&mut s.chol)?;
     let mut cell_leverage = Vec::with_capacity(n);
     for j in 0..n {
-        s.sol.copy_from_slice(rf.row(j));
-        solve_in_place(&s.chol, &mut s.sol)?;
-        let h: f64 = taf_linalg::dot(rf.row(j), &s.sol);
+        s.rhs.copy_from_slice(rf.row(j));
+        solve_in_place(&s.chol, &mut s.rhs)?;
+        let h: f64 = taf_linalg::dot(rf.row(j), &s.rhs);
         cell_leverage.push(h.clamp(0.0, 1.0));
     }
 
@@ -478,83 +493,98 @@ fn compute_diagnostics(
     })
 }
 
-/// Pre-resolved edge lists: for each undirected edge, the indices of the "active"
-/// coordinates (where both endpoint entries are distorted).
+/// One graph's edges, each resolved to its "active" coordinates (where both
+/// endpoint entries are distorted). Edges with the same active coordinates
+/// share one entry of `sets`, so a sum over them is computed once.
+struct EdgeList {
+    /// `(v, u, set)` with `v < u`: the endpoints and the index into `sets`.
+    edges: Vec<(usize, usize, usize)>,
+    /// Distinct active sets, in order of first use.
+    sets: Vec<Vec<usize>>,
+}
+
+impl EdgeList {
+    /// Resolves every edge `(v, u)`, `v < u`, of `graph` to the coordinates
+    /// `x < coords` with `active(v, u, x)`, dropping edges that have none.
+    fn build(
+        graph: Option<&NeighborGraph>,
+        coords: usize,
+        active: impl Fn(usize, usize, usize) -> bool,
+    ) -> Self {
+        let mut list = EdgeList { edges: Vec::new(), sets: Vec::new() };
+        let Some(g) = graph else { return list };
+        let mut index: HashMap<Vec<usize>, usize> = HashMap::new();
+        let mut set = Vec::new();
+        for v in 0..g.len() {
+            for &u in g.neighbors(v).iter().filter(|&&u| u > v) {
+                set.clear();
+                set.extend((0..coords).filter(|&x| active(v, u, x)));
+                if set.is_empty() {
+                    continue;
+                }
+                let k = match index.get(&set) {
+                    Some(&k) => k,
+                    None => {
+                        index.insert(set.clone(), list.sets.len());
+                        list.sets.push(set.clone());
+                        list.sets.len() - 1
+                    }
+                };
+                list.edges.push((v, u, k));
+            }
+        }
+        list
+    }
+
+    /// Whether edge `k` is active on all `full` coordinates.
+    fn is_full(&self, k: usize, full: usize) -> bool {
+        self.sets[self.edges[k].2].len() == full
+    }
+}
+
+/// Pre-resolved edge lists of both graphs.
 struct EdgeSets {
-    /// Location edges `(j, j', active links)`.
-    location: Vec<(usize, usize, Vec<usize>)>,
-    /// Link edges `(i, i', active cells)`.
-    link: Vec<(usize, usize, Vec<usize>)>,
+    /// Location edges `(j, j')`, active on sets of links.
+    location: EdgeList,
+    /// Link edges `(i, i')`, active on sets of cells.
+    link: EdgeList,
 }
 
 fn build_edge_sets(problem: &ReconstructionProblem<'_>) -> EdgeSets {
     let (m, n) = problem.observed.shape();
     let active = |i: usize, j: usize| problem.distortion.map_or(true, |d| d.get(i, j));
-
-    let mut location = Vec::new();
-    if let Some(g) = problem.location_graph {
-        for v in 0..n {
-            for &u in g.neighbors(v) {
-                if u > v {
-                    let links: Vec<usize> =
-                        (0..m).filter(|&i| active(i, v) && active(i, u)).collect();
-                    if !links.is_empty() {
-                        location.push((v, u, links));
-                    }
-                }
-            }
-        }
+    EdgeSets {
+        location: EdgeList::build(problem.location_graph, m, |v, u, i| {
+            active(i, v) && active(i, u)
+        }),
+        link: EdgeList::build(problem.link_graph, n, |v, u, j| active(v, j) && active(u, j)),
     }
-    let mut link = Vec::new();
-    if let Some(h) = problem.link_graph {
-        for v in 0..m {
-            for &u in h.neighbors(v) {
-                if u > v {
-                    let cells: Vec<usize> =
-                        (0..n).filter(|&j| active(v, j) && active(u, j)).collect();
-                    if !cells.is_empty() {
-                        link.push((v, u, cells));
-                    }
-                }
-            }
-        }
-    }
-    EdgeSets { location, link }
 }
 
-/// Reusable scratch for one in-flight `r x r` block solve.
-///
-/// One slot is leased per row/column of the color class currently being
-/// solved; the slot owns every buffer the solve needs, so a class is solved
-/// without allocation and without touching the factors until its scatter.
+/// Scratch of the `r x r` block solve in progress.
 #[derive(Debug)]
 struct RowScratch {
-    /// Normal-equation matrix (`r x r`).
-    lhs: Matrix,
-    /// Cholesky factor of `lhs` (`r x r`).
+    /// Normal-equation matrix, packed lower triangle.
+    lhs: Vec<f64>,
+    /// `lhs` unpacked into the matrix the Cholesky factorization reads
+    /// (lower triangle; the upper one is never read).
+    sys: Matrix,
+    /// Cholesky factor of `sys`.
     chol: Matrix,
-    /// Right-hand side.
+    /// Right-hand side on entry to the solve, the solution on return.
     rhs: Vec<f64>,
-    /// Solution (seeded from `rhs`, solved in place).
-    sol: Vec<f64>,
-    /// Edge direction buffer (`r_j − r_{j'}` resp. `l_i − l_{i'}`).
+    /// Product of a packed set sum with the other endpoint's factor row.
     dir: Vec<f64>,
-    /// Copy slot for the fixed other-endpoint factor row.
-    other: Vec<f64>,
-    /// Failure raised by this slot's solve, if any (checked at scatter time).
-    status: Option<LinalgError>,
 }
 
 impl RowScratch {
     fn new(r: usize) -> Self {
         RowScratch {
-            lhs: Matrix::zeros(r, r),
+            lhs: vec![0.0; tri_len(r)],
+            sys: Matrix::zeros(r, r),
             chol: Matrix::zeros(r, r),
             rhs: vec![0.0; r],
-            sol: vec![0.0; r],
             dir: vec![0.0; r],
-            other: vec![0.0; r],
-            status: None,
         }
     }
 }
@@ -564,31 +594,49 @@ impl RowScratch {
 /// A workspace can be reused across solves of any shape: buffers grow when the
 /// problem does and are reused verbatim otherwise, which makes steady-state
 /// solver iterations allocation-free. `SolverWorkspace::new()` itself
-/// allocates nothing — buffers appear on first use.
+/// allocates nothing — buffers appear on first use. Every packed buffer holds
+/// lower triangles of `r x r` matrices, `r(r+1)/2` entries each.
 #[derive(Debug)]
 pub struct SolverWorkspace {
-    scratch: Vec<RowScratch>,
+    /// The one block solve in flight: each solved row (column) is written
+    /// back to its factor before the next solve begins.
+    scratch: RowScratch,
     gram: Matrix,
     xh: Matrix,
     trace: Vec<f64>,
-    /// Closed-form accumulator for the fully-active location edges of one
-    /// L-sweep: `α Σ (r_j − r_{j'})(r_j − r_{j'})ᵀ` (lower triangle).
-    loc_lhs: Matrix,
-    /// Closed-form accumulator for the fully-active link edges of one R-sweep:
-    /// `β Σ (l_i − l_{i'})(l_i − l_{i'})ᵀ` (lower triangle).
-    link_lhs: Matrix,
-    /// Right-hand-side companion of `link_lhs`: `β Σ δ_{ii'} (l_i − l_{i'})`.
+    /// Start of every block system of the current half-sweep (packed):
+    /// `λI + μG` plus `closed` when any edge is fully active.
+    base: Vec<f64>,
+    /// What each fully-active edge adds (packed): `β·RᵀR` for a similarity
+    /// edge during an L-step, `α·LᵀL` for a continuity edge during an R-step.
+    gram_w: Vec<f64>,
+    /// Closed form of the fully-active edges (packed): `α Σ (r_j − r_{j'})
+    /// (r_j − r_{j'})ᵀ` over location edges during an L-step, `β Σ (l_i −
+    /// l_{i'})(l_i − l_{i'})ᵀ` over link edges during an R-step.
+    closed: Vec<f64>,
+    /// Right-hand-side companion of the R-step's `closed`:
+    /// `β Σ δ_{ii'} (l_i − l_{i'})`.
     link_rhs: Vec<f64>,
     /// Column sums of `R` (`Σ_j r_j`) for the baseline-offset part of the
     /// fully-active similarity right-hand sides.
     rsum: Vec<f64>,
-    /// Per-edge sums shared by both endpoints of each *partial* edge, one
-    /// packed lower triangle per edge index: `Σ_{j ∈ cells} r_j r_jᵀ` for the
-    /// link edges during an L-step, then `Σ_{i ∈ links} l_i l_iᵀ` for the
-    /// location edges during the R-step.
-    edge_tri: Vec<f64>,
-    /// `Σ_{j ∈ cells} r_j` per partial link edge (L-step right-hand sides).
-    edge_sum: Vec<f64>,
+    /// One packed sum per distinct *partial* active set, shared by every
+    /// edge with that set: `Σ_{j ∈ cells} r_j r_jᵀ` for the link sets during
+    /// an L-step, then `Σ_{i ∈ links} l_i l_iᵀ` for the location sets during
+    /// the R-step.
+    set_tri: Vec<f64>,
+    /// `set_tri` times the edge weight (`β`, then `α`), as the solves add it.
+    set_tri_w: Vec<f64>,
+    /// `Σ_{j ∈ cells} r_j` per partial link set (L-step right-hand sides).
+    set_sum: Vec<f64>,
+    /// Per partial edge, the packed rank-1 term it adds to every row
+    /// (column) in its active set: `α (r_j − r_{j'})(r_j − r_{j'})ᵀ` per
+    /// location edge during an L-step, `β (l_i − l_{i'})(l_i − l_{i'})ᵀ` per
+    /// link edge during an R-step.
+    edge_outer: Vec<f64>,
+    /// `βδ_{ii'} (l_i − l_{i'})` per partial link edge whose offset term is
+    /// non-zero (R-step right-hand sides).
+    edge_rhs: Vec<f64>,
     /// Prior right-hand sides: `P·R` (`m x r`) for the L-step…
     prior_l: Matrix,
     /// …and `Lᵀ·P` (`r x n`) for the R-step.
@@ -606,16 +654,20 @@ impl SolverWorkspace {
     /// Creates an empty workspace; buffers are allocated lazily by the solver.
     pub fn new() -> Self {
         SolverWorkspace {
-            scratch: Vec::new(),
+            scratch: RowScratch::new(0),
             gram: Matrix::zeros(0, 0),
             xh: Matrix::zeros(0, 0),
             trace: Vec::new(),
-            loc_lhs: Matrix::zeros(0, 0),
-            link_lhs: Matrix::zeros(0, 0),
+            base: Vec::new(),
+            gram_w: Vec::new(),
+            closed: Vec::new(),
             link_rhs: Vec::new(),
             rsum: Vec::new(),
-            edge_tri: Vec::new(),
-            edge_sum: Vec::new(),
+            set_tri: Vec::new(),
+            set_tri_w: Vec::new(),
+            set_sum: Vec::new(),
+            edge_outer: Vec::new(),
+            edge_rhs: Vec::new(),
             prior_l: Matrix::zeros(0, 0),
             prior_r: Matrix::zeros(0, 0),
             prev_l: Matrix::zeros(0, 0),
@@ -635,26 +687,24 @@ impl SolverWorkspace {
         max_iters: usize,
         accelerate: bool,
     ) {
-        let slots = m.max(n);
-        let slots_fit =
-            self.scratch.len() >= slots && self.scratch.first().is_some_and(|s| s.rhs.len() == r);
-        if !slots_fit {
-            self.scratch = (0..slots).map(|_| RowScratch::new(r)).collect();
+        if self.scratch.rhs.len() != r {
+            self.scratch = RowScratch::new(r);
         }
-        for sq in [&mut self.gram, &mut self.loc_lhs, &mut self.link_lhs] {
-            if sq.shape() != (r, r) {
-                *sq = Matrix::zeros(r, r);
-            }
+        if self.gram.shape() != (r, r) {
+            self.gram = Matrix::zeros(r, r);
         }
-        if self.link_rhs.len() != r {
-            self.link_rhs = vec![0.0; r];
+        let t = tri_len(r);
+        for packed in [&mut self.base, &mut self.gram_w, &mut self.closed] {
+            packed.resize(t, 0.0);
         }
-        if self.rsum.len() != r {
-            self.rsum = vec![0.0; r];
-        }
-        let edge_slots = edges.link.len().max(edges.location.len());
-        self.edge_tri.resize(edge_slots * tri_len(r), 0.0);
-        self.edge_sum.resize(edges.link.len() * r, 0.0);
+        self.link_rhs.resize(r, 0.0);
+        self.rsum.resize(r, 0.0);
+        let sets = edges.link.sets.len().max(edges.location.sets.len());
+        self.set_tri.resize(sets * t, 0.0);
+        self.set_tri_w.resize(sets * t, 0.0);
+        self.set_sum.resize(edges.link.sets.len() * r, 0.0);
+        self.edge_outer.resize(edges.link.edges.len().max(edges.location.edges.len()) * t, 0.0);
+        self.edge_rhs.resize(edges.link.edges.len() * r, 0.0);
         if self.xh.shape() != (m, n) {
             self.xh = Matrix::zeros(m, n);
         }
@@ -747,18 +797,18 @@ fn objective(
         }
     }
     if config.alpha > 0.0 {
-        for (j, j2, links) in &edges.location {
-            for &i in links {
-                let d = xh[(i, *j)] - xh[(i, *j2)];
+        for &(j, j2, set) in &edges.location.edges {
+            for &i in &edges.location.sets[set] {
+                let d = xh[(i, j)] - xh[(i, j2)];
                 f += config.alpha * d * d;
             }
         }
     }
     if config.beta > 0.0 {
-        for (i, i2, cells) in &edges.link {
-            let off = baseline_delta(problem, *i, *i2);
-            for &j in cells {
-                let d = xh[(*i, j)] - xh[(*i2, j)] - off;
+        for &(i, i2, set) in &edges.link.edges {
+            let off = baseline_delta(problem, i, i2);
+            for &j in &edges.link.sets[set] {
+                let d = xh[(i, j)] - xh[(i2, j)] - off;
                 f += config.beta * d * d;
             }
         }
@@ -766,13 +816,12 @@ fn objective(
     Ok(f)
 }
 
-/// Shared read-only inputs for the L-step solves of one color class.
+/// Read-only inputs shared by the L-step solves of one half-sweep.
 struct LStepCtx<'a> {
     problem: &'a ReconstructionProblem<'a>,
     edges: &'a EdgeSets,
     config: &'a LoliIrConfig,
     mu: f64,
-    l: &'a Matrix,
     rf: &'a Matrix,
     /// `RᵀR`.
     gram: &'a Matrix,
@@ -781,30 +830,33 @@ struct LStepCtx<'a> {
     /// Link edges incident to each row (fully-active and not).
     row_edges: &'a [Vec<usize>],
     /// Location edges with a *partial* active set containing each row; the
-    /// fully-active ones are folded into `loc_lhs` once per sweep.
+    /// fully-active ones are folded into `base`.
     row_loc_edges: &'a [Vec<usize>],
-    /// `α Σ_fully-active (r_j − r_{j'})(…)ᵀ` (lower triangle), shared by every
-    /// row, or `None` when no location edge is fully active.
-    loc_lhs: Option<&'a Matrix>,
+    /// `λI + μRᵀR`, plus the fully-active continuity closed form (packed).
+    base: &'a [f64],
+    /// `β·RᵀR` (packed).
+    gram_w: &'a [f64],
     /// Column sums of `R` for the baseline-offset right-hand-side term.
     rsum: &'a [f64],
-    /// Per partial link edge: `Σ_{j ∈ cells} r_j r_jᵀ` (packed lower
-    /// triangle) and `Σ_{j ∈ cells} r_j`, indexed like `edges.link`.
-    edge_tri: &'a [f64],
-    edge_sum: &'a [f64],
+    /// Per partial link set: `Σ_{j ∈ cells} r_j r_jᵀ` (packed), `β` times
+    /// it, and `Σ_{j ∈ cells} r_j`, indexed like `edges.link.sets`.
+    set_tri: &'a [f64],
+    set_tri_w: &'a [f64],
+    set_sum: &'a [f64],
+    /// `α (r_j − r_{j'})(r_j − r_{j'})ᵀ` (packed) per partial location edge.
+    edge_outer: &'a [f64],
     /// `P·R` (`m x r`): each row's prior right-hand side, or `None` when the
     /// prior term is off.
     prior_rhs: Option<&'a Matrix>,
 }
 
-/// Shared read-only inputs for the R-step solves of one color class.
+/// Read-only inputs shared by the R-step solves of one half-sweep.
 struct RStepCtx<'a> {
     problem: &'a ReconstructionProblem<'a>,
     edges: &'a EdgeSets,
     config: &'a LoliIrConfig,
     mu: f64,
     l: &'a Matrix,
-    rf: &'a Matrix,
     /// `LᵀL`.
     gram: &'a Matrix,
     /// Observed row indices per column.
@@ -813,59 +865,47 @@ struct RStepCtx<'a> {
     col_edges: &'a [Vec<usize>],
     /// Link edges with a *partial* active set containing each column.
     col_link_edges: &'a [Vec<usize>],
-    /// `β Σ_fully-active (l_i − l_{i'})(…)ᵀ` (lower triangle) and its
-    /// right-hand side `β Σ δ_{ii'} (l_i − l_{i'})`, shared by every column;
-    /// `None` when no link edge is fully active.
-    link_closed: Option<(&'a Matrix, &'a [f64])>,
-    /// Per partial location edge: `Σ_{i ∈ links} l_i l_iᵀ` (packed lower
-    /// triangle), indexed like `edges.location`.
-    edge_tri: &'a [f64],
+    /// `λI + μLᵀL`, plus the fully-active similarity closed form (packed).
+    base: &'a [f64],
+    /// `α·LᵀL` (packed).
+    gram_w: &'a [f64],
+    /// Right-hand side of the fully-active similarity closed form,
+    /// `β Σ δ_{ii'} (l_i − l_{i'})`; `None` when no link edge is fully active.
+    link_rhs: Option<&'a [f64]>,
+    /// Per partial location set: `Σ_{i ∈ links} l_i l_iᵀ` (packed) and `α`
+    /// times it, indexed like `edges.location.sets`.
+    set_tri: &'a [f64],
+    set_tri_w: &'a [f64],
+    /// Per partial link edge: `β (l_i − l_{i'})(l_i − l_{i'})ᵀ` (packed) and,
+    /// where the offset term is non-zero, `βδ_{ii'} (l_i − l_{i'})`.
+    edge_outer: &'a [f64],
+    edge_rhs: &'a [f64],
     /// `Lᵀ·P` (`r x n`): each column's prior right-hand side.
     prior_rhs: Option<&'a Matrix>,
 }
 
-/// Factors `s.lhs` and solves for `s.rhs` into `s.sol`, recording any failure
-/// in `s.status` (checked when the class is scattered back).
-fn finish_solve(s: &mut RowScratch) {
-    match s.lhs.cholesky_into(&mut s.chol) {
-        Ok(()) => {
-            s.sol.copy_from_slice(&s.rhs);
-            if let Err(e) = solve_in_place(&s.chol, &mut s.sol) {
-                s.status = Some(e);
-            }
-        }
-        Err(e) => s.status = Some(e),
-    }
+/// Unpacks `s.lhs`, factors it and solves for `s.rhs` in place.
+fn finish_solve(s: &mut RowScratch) -> Result<()> {
+    unpack_lower(&s.lhs, &mut s.sys);
+    s.sys.cholesky_into(&mut s.chol)?;
+    solve_in_place(&s.chol, &mut s.rhs)?;
+    Ok(())
 }
 
-/// Builds and solves the `r x r` ridge system for row `l_i` entirely inside
-/// `s`. Factor rows read through `ctx.l` belong to other color classes, so
-/// every solve in a class is independent of its siblings.
+/// Builds and solves the `r x r` ridge system for row `l_i` in `s`, leaving
+/// the new row in `s.rhs`. Factor rows read through `l` belong to other
+/// color classes, so none of them is the one being solved.
 ///
-/// Only the lower triangle of `s.lhs` is written — the Cholesky factorization
-/// reads nothing else — and every term whose active set covers the whole
-/// matrix enters through a closed form (`μ RᵀR` for the prior, the shared
-/// `loc_lhs` for fully-active continuity edges, `β RᵀR` plus a Gram
-/// matrix-vector product for fully-active similarity edges) instead of a
-/// per-entry rank-1 loop. Partial (distortion-restricted) similarity edges
-/// read their per-sweep sums from `ctx.edge_tri`/`ctx.edge_sum`; partial
-/// continuity edges keep the per-entry path.
-fn solve_l_row(ctx: &LStepCtx<'_>, i: usize, s: &mut RowScratch) {
-    let r = ctx.gram.rows();
-    let n = ctx.rf.rows();
-    s.status = None;
-    for a in 0..r {
-        for b in 0..=a {
-            s.lhs[(a, b)] = ctx.config.lambda * f64::from(a == b) + ctx.mu * ctx.gram[(a, b)];
-        }
-    }
-    if let Some(full) = ctx.loc_lhs {
-        for a in 0..r {
-            for b in 0..=a {
-                s.lhs[(a, b)] += full[(a, b)];
-            }
-        }
-    }
+/// The system starts from the half-sweep's `base` (`λI + μRᵀR` plus the
+/// fully-active continuity edges). Then come the data term, fully-active
+/// similarity edges (`β RᵀR` plus a Gram matrix-vector product), partial
+/// similarity edges (their set's per-sweep sums) and partial continuity
+/// edges (their per-sweep rank-1 terms), each a flat add of stored values.
+fn solve_l_row(ctx: &LStepCtx<'_>, l: &Matrix, i: usize, s: &mut RowScratch) -> Result<()> {
+    let (n, r) = ctx.rf.shape();
+    let t = tri_len(r);
+    let beta = ctx.config.beta;
+    s.lhs.copy_from_slice(ctx.base);
     s.rhs.fill(0.0);
     // Data term: Σ_j B_ij (r_jᵀ l_i − x_ij)².
     for &j in &ctx.row_obs[i] {
@@ -878,82 +918,54 @@ fn solve_l_row(ctx: &LStepCtx<'_>, i: usize, s: &mut RowScratch) {
         taf_linalg::axpy_slice(&mut s.rhs, ctx.mu, pr.row(i));
     }
     // Similarity edges incident to row i (other endpoint held fixed).
-    if ctx.config.beta > 0.0 {
+    if beta > 0.0 {
         for &k in &ctx.row_edges[i] {
-            let (u, v, cells) = &ctx.edges.link[k];
-            let other = if *u == i { *v } else { *u };
-            let off = if *u == i {
-                baseline_delta(ctx.problem, *u, *v)
-            } else {
-                -baseline_delta(ctx.problem, *u, *v)
-            };
-            s.other.copy_from_slice(ctx.l.row(other));
-            if cells.len() == n {
+            let (u, v, set) = ctx.edges.link.edges[k];
+            let delta = baseline_delta(ctx.problem, u, v);
+            let (other, off) = if u == i { (v, delta) } else { (u, -delta) };
+            let lo = l.row(other);
+            if ctx.edges.link.is_full(k, n) {
                 // Fully active: Σ_j r_j r_jᵀ = RᵀR and the target sum
                 // collapses to G·l_other + off·Σ_j r_j.
-                for a in 0..r {
-                    for b in 0..=a {
-                        s.lhs[(a, b)] += ctx.config.beta * ctx.gram[(a, b)];
-                    }
-                }
-                for a in 0..r {
-                    let t = taf_linalg::dot(ctx.gram.row(a), &s.other) + off * ctx.rsum[a];
-                    s.rhs[a] += ctx.config.beta * t;
+                add_into(&mut s.lhs, ctx.gram_w);
+                for (a, out) in s.rhs.iter_mut().enumerate() {
+                    let t = taf_linalg::dot(ctx.gram.row(a), lo) + off * ctx.rsum[a];
+                    *out += beta * t;
                 }
             } else {
                 // Partial: the same two terms over the edge's cells, from
-                // the sums G_e = Σ r_j r_jᵀ and s_e = Σ r_j computed once
-                // per sweep (the target for x̂_ij is x̂_other,j + off).
-                let t = tri_len(r);
-                let tri = &ctx.edge_tri[k * t..(k + 1) * t];
-                add_packed(&mut s.lhs, tri, ctx.config.beta);
-                packed_symv(tri, &s.other, &mut s.dir);
-                let sum = &ctx.edge_sum[k * r..(k + 1) * r];
+                // its set's sums G_e = Σ r_j r_jᵀ and s_e = Σ r_j (the
+                // target for x̂_ij is x̂_other,j + off).
+                add_into(&mut s.lhs, &ctx.set_tri_w[set * t..(set + 1) * t]);
+                packed_symv(&ctx.set_tri[set * t..(set + 1) * t], lo, &mut s.dir);
+                let sum = &ctx.set_sum[set * r..(set + 1) * r];
                 for ((a, &g), &sj) in s.rhs.iter_mut().zip(&s.dir).zip(sum) {
-                    *a += ctx.config.beta * (g + off * sj);
+                    *a += beta * (g + off * sj);
                 }
             }
         }
     }
     // Continuity edges whose *partial* active-link set contains row i:
-    // α (l_iᵀ (r_j − r_{j'}))² — quadratic in l_i with direction
-    // d = r_j − r_{j'} and zero target. (Fully-active ones came in via
-    // `loc_lhs` above.)
+    // α (l_iᵀ (r_j − r_{j'}))², quadratic in l_i with zero target.
     if ctx.config.alpha > 0.0 {
         for &k in &ctx.row_loc_edges[i] {
-            let (j, j2, _) = &ctx.edges.location[k];
-            let rj = ctx.rf.row(*j);
-            let rj2 = ctx.rf.row(*j2);
-            for (dv, (&a, &b)) in s.dir.iter_mut().zip(rj.iter().zip(rj2)) {
-                *dv = a - b;
-            }
-            rank1_update(&mut s.lhs, &s.dir, ctx.config.alpha);
+            add_into(&mut s.lhs, &ctx.edge_outer[k * t..(k + 1) * t]);
         }
     }
-    finish_solve(s);
+    finish_solve(s)
 }
 
-/// Builds and solves the `r x r` ridge system for column `r_j` inside `s`;
-/// symmetric counterpart of [`solve_l_row`] (lower-triangle `lhs`, closed
-/// forms for fully-active terms, per-sweep sums for partial continuity
-/// edges, per-entry loops for partial similarity edges).
-fn solve_r_col(ctx: &RStepCtx<'_>, j: usize, s: &mut RowScratch) {
-    let r = ctx.gram.rows();
-    let m = ctx.l.rows();
-    s.status = None;
-    for a in 0..r {
-        for b in 0..=a {
-            s.lhs[(a, b)] = ctx.config.lambda * f64::from(a == b) + ctx.mu * ctx.gram[(a, b)];
-        }
-    }
+/// Builds and solves the `r x r` ridge system for column `r_j` in `s`;
+/// symmetric counterpart of [`solve_l_row`]: `base` holds the fully-active
+/// similarity edges, fully-active continuity edges add `α LᵀL`, partial
+/// continuity edges their set's sums, partial similarity edges their
+/// per-sweep rank-1 and offset terms.
+fn solve_r_col(ctx: &RStepCtx<'_>, rf: &Matrix, j: usize, s: &mut RowScratch) -> Result<()> {
+    let (m, r) = ctx.l.shape();
+    let t = tri_len(r);
+    s.lhs.copy_from_slice(ctx.base);
     s.rhs.fill(0.0);
-    // Fully-active similarity edges: one shared accumulator pair per sweep.
-    if let Some((full_lhs, full_rhs)) = ctx.link_closed {
-        for a in 0..r {
-            for b in 0..=a {
-                s.lhs[(a, b)] += full_lhs[(a, b)];
-            }
-        }
+    if let Some(full_rhs) = ctx.link_rhs {
         taf_linalg::axpy_slice(&mut s.rhs, 1.0, full_rhs);
     }
     for &i in &ctx.col_obs[j] {
@@ -967,55 +979,39 @@ fn solve_r_col(ctx: &RStepCtx<'_>, j: usize, s: &mut RowScratch) {
             *v += ctx.mu * lp[(a, j)];
         }
     }
-    if ctx.config.alpha > 0.0 {
+    let alpha = ctx.config.alpha;
+    if alpha > 0.0 {
         for &k in &ctx.col_edges[j] {
-            let (u, v, links) = &ctx.edges.location[k];
-            let other = if *u == j { *v } else { *u };
-            s.other.copy_from_slice(ctx.rf.row(other));
-            if links.len() == m {
+            let (u, v, set) = ctx.edges.location.edges[k];
+            let ro = rf.row(if u == j { v } else { u });
+            if ctx.edges.location.is_full(k, m) {
                 // Fully active: Σ_i l_i l_iᵀ = LᵀL, target sum G_L·r_other.
-                for a in 0..r {
-                    for b in 0..=a {
-                        s.lhs[(a, b)] += ctx.config.alpha * ctx.gram[(a, b)];
-                    }
-                }
-                for a in 0..r {
-                    let t = taf_linalg::dot(ctx.gram.row(a), &s.other);
-                    s.rhs[a] += ctx.config.alpha * t;
+                add_into(&mut s.lhs, ctx.gram_w);
+                for (a, out) in s.rhs.iter_mut().enumerate() {
+                    *out += alpha * taf_linalg::dot(ctx.gram.row(a), ro);
                 }
             } else {
-                // Partial: A_e = Σ_{i ∈ links} l_i l_iᵀ, computed once per
-                // sweep; target sum A_e·r_other.
-                let t = tri_len(r);
-                let tri = &ctx.edge_tri[k * t..(k + 1) * t];
-                add_packed(&mut s.lhs, tri, ctx.config.alpha);
-                packed_symv(tri, &s.other, &mut s.dir);
-                taf_linalg::axpy_slice(&mut s.rhs, ctx.config.alpha, &s.dir);
+                // Partial: A_e = Σ_{i ∈ links} l_i l_iᵀ of the edge's set,
+                // computed once per sweep; target sum A_e·r_other.
+                add_into(&mut s.lhs, &ctx.set_tri_w[set * t..(set + 1) * t]);
+                packed_symv(&ctx.set_tri[set * t..(set + 1) * t], ro, &mut s.dir);
+                taf_linalg::axpy_slice(&mut s.rhs, alpha, &s.dir);
             }
         }
     }
     // Similarity edges whose *partial* active-cell set contains column j:
-    // β ((l_i − l_{i'})ᵀ r_j − δ_{ii'})² — quadratic in r_j with
-    // direction d = l_i − l_{i'} and target δ. (Fully-active ones came in via
-    // `link_closed` above.)
+    // β ((l_i − l_{i'})ᵀ r_j − δ_{ii'})², quadratic in r_j with direction
+    // l_i − l_{i'} and target δ.
     if ctx.config.beta > 0.0 {
         for &k in &ctx.col_link_edges[j] {
-            let (i, i2, _) = &ctx.edges.link[k];
-            let li = ctx.l.row(*i);
-            let li2 = ctx.l.row(*i2);
-            for (dv, (&a, &b)) in s.dir.iter_mut().zip(li.iter().zip(li2)) {
-                *dv = a - b;
-            }
-            rank1_update(&mut s.lhs, &s.dir, ctx.config.beta);
-            let w = ctx.config.beta * baseline_delta(ctx.problem, *i, *i2);
-            if w != 0.0 {
-                for (a, &dv) in s.rhs.iter_mut().zip(&s.dir) {
-                    *a += w * dv;
-                }
+            add_into(&mut s.lhs, &ctx.edge_outer[k * t..(k + 1) * t]);
+            let (i, i2, _) = ctx.edges.link.edges[k];
+            if ctx.config.beta * baseline_delta(ctx.problem, i, i2) != 0.0 {
+                add_into(&mut s.rhs, &ctx.edge_rhs[k * r..(k + 1) * r]);
             }
         }
     }
-    finish_solve(s);
+    finish_solve(s)
 }
 
 /// Runs LoLi-IR on a reconstruction problem.
@@ -1034,9 +1030,8 @@ pub fn reconstruct(
 ///
 /// Steady-state iterations perform no heap allocation — every buffer lives in
 /// the workspace. Rows/columns are partitioned into graph-coloring classes
-/// solved class by class (a colored Gauss-Seidel sweep), and within a class
-/// each solve writes only its own scratch slot before an index-ordered
-/// scatter back into the factor; that order fixes the result bit for bit.
+/// solved class by class (a colored Gauss-Seidel sweep), each class in index
+/// order; that order fixes the result bit for bit.
 pub fn reconstruct_with(
     problem: &ReconstructionProblem<'_>,
     config: &LoliIrConfig,
@@ -1140,10 +1135,8 @@ pub fn reconstruct_warm(
     // handled in closed form: their per-sweep accumulators are computed once
     // and shared by every block solve of the sweep, instead of redoing a
     // rank-1 update per active entry per solve.
-    let has_full_loc =
-        config.alpha > 0.0 && edges.location.iter().any(|(_, _, links)| links.len() == m);
-    let has_full_link =
-        config.beta > 0.0 && edges.link.iter().any(|(_, _, cells)| cells.len() == n);
+    let has_full_loc = config.alpha > 0.0 && edges.location.sets.iter().any(|s| s.len() == m);
+    let has_full_link = config.beta > 0.0 && edges.link.sets.iter().any(|s| s.len() == n);
 
     // Per-row and per-column edge adjacency (indices into edge lists).
     //
@@ -1157,22 +1150,22 @@ pub fn reconstruct_warm(
     // fully-active ones enter through the shared closed-form accumulators.
     let mut row_edges: Vec<Vec<usize>> = vec![Vec::new(); m];
     let mut col_link_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (k, (i, i2, cells)) in edges.link.iter().enumerate() {
-        row_edges[*i].push(k);
-        row_edges[*i2].push(k);
-        if cells.len() < n {
-            for &j in cells {
+    for (k, &(i, i2, set)) in edges.link.edges.iter().enumerate() {
+        row_edges[i].push(k);
+        row_edges[i2].push(k);
+        if !edges.link.is_full(k, n) {
+            for &j in &edges.link.sets[set] {
                 col_link_edges[j].push(k);
             }
         }
     }
     let mut col_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut row_loc_edges: Vec<Vec<usize>> = vec![Vec::new(); m];
-    for (k, (j, j2, links)) in edges.location.iter().enumerate() {
-        col_edges[*j].push(k);
-        col_edges[*j2].push(k);
-        if links.len() < m {
-            for &i in links {
+    for (k, &(j, j2, set)) in edges.location.edges.iter().enumerate() {
+        col_edges[j].push(k);
+        col_edges[j2].push(k);
+        if !edges.location.is_full(k, m) {
+            for &i in &edges.location.sets[set] {
                 row_loc_edges[i].push(k);
             }
         }
@@ -1180,20 +1173,21 @@ pub fn reconstruct_warm(
 
     // Color classes for the Gauss-Seidel sweeps. A row's solve reads other L
     // rows only through similarity edges (and a column's solve reads other R
-    // rows only through continuity edges), so two rows/columns may be solved
-    // concurrently iff no edge joins them — exactly what a proper coloring
-    // guarantees. When the coupling term is off, everything is independent and
-    // a single class covers the whole sweep.
+    // rows only through continuity edges), so no solve reads a row of its own
+    // class — exactly what a proper coloring guarantees — and each solved row
+    // can be written back at once. When the coupling term is off, everything
+    // is independent and a single class covers the whole sweep.
     let row_classes = if config.beta > 0.0 {
-        color_classes(m, edges.link.iter().map(|(u, v, _)| (*u, *v)))
+        color_classes(m, edges.link.edges.iter().map(|&(u, v, _)| (u, v)))
     } else {
         vec![(0..m).collect()]
     };
     let col_classes = if config.alpha > 0.0 {
-        color_classes(n, edges.location.iter().map(|(u, v, _)| (*u, *v)))
+        color_classes(n, edges.location.edges.iter().map(|&(u, v, _)| (u, v)))
     } else {
         vec![(0..n).collect()]
     };
+    let t = tri_len(r);
 
     let mut stall = 0usize;
     for iter in 0..config.max_iters {
@@ -1211,115 +1205,117 @@ pub fn reconstruct_warm(
                 taf_linalg::axpy_slice(&mut ws.rsum, 1.0, rf.row(j));
             }
         }
-        if has_full_loc {
-            let SolverWorkspace { scratch, loc_lhs, .. } = &mut *ws;
-            loc_lhs.as_mut_slice().fill(0.0);
-            let dir = &mut scratch[0].dir;
-            for (j, j2, links) in &edges.location {
-                if links.len() == m {
-                    for (dv, (&a, &b)) in dir.iter_mut().zip(rf.row(*j).iter().zip(rf.row(*j2))) {
-                        *dv = a - b;
-                    }
-                    rank1_update(loc_lhs, dir, config.alpha);
+        // Continuity edges: the fully-active ones sum into the closed form,
+        // each partial one stores the rank-1 term its active rows add.
+        if config.alpha > 0.0 {
+            let dir = &mut ws.scratch.dir;
+            ws.closed.fill(0.0);
+            for (k, &(j, j2, _)) in edges.location.edges.iter().enumerate() {
+                diff_into(dir, rf.row(j), rf.row(j2));
+                if edges.location.is_full(k, m) {
+                    rank1_update(&mut ws.closed, dir, config.alpha);
+                } else {
+                    outer_packed(&mut ws.edge_outer[k * t..(k + 1) * t], dir, config.alpha);
                 }
             }
         }
+        let closed = has_full_loc.then_some(ws.closed.as_slice());
+        fill_base(&mut ws.base, &ws.gram, config.lambda, mu, closed);
         if config.beta > 0.0 {
-            let cells = edges.link.iter().map(|(_, _, cells)| cells.as_slice());
-            partial_edge_sums(&rf, cells, n, &mut ws.edge_tri, Some(&mut ws.edge_sum));
+            pack_scaled(&ws.gram, config.beta, &mut ws.gram_w);
+            let (tri, tri_w) = (&mut ws.set_tri, &mut ws.set_tri_w);
+            let sums = Some(ws.set_sum.as_mut_slice());
+            partial_set_sums(&rf, &edges.link.sets, n, config.beta, tri, tri_w, sums);
         }
         if has_prior {
             let p = problem.lrr_prior.expect("has_prior implies Some");
             p.matmul_into(&rf, &mut ws.prior_l)?;
         }
-        for class in &row_classes {
-            let ctx = LStepCtx {
-                problem,
-                edges: &edges,
-                config,
-                mu,
-                l: &l,
-                rf: &rf,
-                gram: &ws.gram,
-                row_obs: &row_obs,
-                row_edges: &row_edges,
-                row_loc_edges: &row_loc_edges,
-                loc_lhs: if has_full_loc { Some(&ws.loc_lhs) } else { None },
-                rsum: &ws.rsum,
-                edge_tri: &ws.edge_tri,
-                edge_sum: &ws.edge_sum,
-                prior_rhs: if has_prior { Some(&ws.prior_l) } else { None },
-            };
-            for (s, &i) in ws.scratch.iter_mut().zip(class) {
-                solve_l_row(&ctx, i, s);
-            }
-            for (k, &i) in class.iter().enumerate() {
-                let s = &mut ws.scratch[k];
-                if let Some(e) = s.status.take() {
-                    return Err(e.into());
-                }
-                l.set_row(i, &s.sol).expect("row length r");
-            }
+        let ctx = LStepCtx {
+            problem,
+            edges: &edges,
+            config,
+            mu,
+            rf: &rf,
+            gram: &ws.gram,
+            row_obs: &row_obs,
+            row_edges: &row_edges,
+            row_loc_edges: &row_loc_edges,
+            base: &ws.base,
+            gram_w: &ws.gram_w,
+            rsum: &ws.rsum,
+            set_tri: &ws.set_tri,
+            set_tri_w: &ws.set_tri_w,
+            set_sum: &ws.set_sum,
+            edge_outer: &ws.edge_outer,
+            prior_rhs: if has_prior { Some(&ws.prior_l) } else { None },
+        };
+        for &i in row_classes.iter().flatten() {
+            solve_l_row(&ctx, &l, i, &mut ws.scratch)?;
+            l.row_mut(i).copy_from_slice(&ws.scratch.rhs);
         }
 
         // ---------------- R-step: colored Gauss-Seidel over columns ----------------
         l.gram_into(&mut ws.gram)?;
-        if has_full_link {
-            let SolverWorkspace { scratch, link_lhs, link_rhs, .. } = &mut *ws;
-            link_lhs.as_mut_slice().fill(0.0);
-            link_rhs.fill(0.0);
-            let dir = &mut scratch[0].dir;
-            for (i, i2, cells) in &edges.link {
-                if cells.len() == n {
-                    for (dv, (&a, &b)) in dir.iter_mut().zip(l.row(*i).iter().zip(l.row(*i2))) {
-                        *dv = a - b;
-                    }
-                    rank1_update(link_lhs, dir, config.beta);
-                    let w = config.beta * baseline_delta(problem, *i, *i2);
+        // Similarity edges: the fully-active ones sum into the closed form
+        // and its right-hand side, each partial one stores the rank-1 and
+        // offset terms its active columns add.
+        if config.beta > 0.0 {
+            let dir = &mut ws.scratch.dir;
+            ws.closed.fill(0.0);
+            ws.link_rhs.fill(0.0);
+            for (k, &(i, i2, _)) in edges.link.edges.iter().enumerate() {
+                diff_into(dir, l.row(i), l.row(i2));
+                let w = config.beta * baseline_delta(problem, i, i2);
+                if edges.link.is_full(k, n) {
+                    rank1_update(&mut ws.closed, dir, config.beta);
                     if w != 0.0 {
-                        taf_linalg::axpy_slice(link_rhs, w, dir);
+                        taf_linalg::axpy_slice(&mut ws.link_rhs, w, dir);
+                    }
+                } else {
+                    outer_packed(&mut ws.edge_outer[k * t..(k + 1) * t], dir, config.beta);
+                    if w != 0.0 {
+                        let out = &mut ws.edge_rhs[k * r..(k + 1) * r];
+                        for (o, &dv) in out.iter_mut().zip(dir.iter()) {
+                            *o = w * dv;
+                        }
                     }
                 }
             }
         }
+        let closed = has_full_link.then_some(ws.closed.as_slice());
+        fill_base(&mut ws.base, &ws.gram, config.lambda, mu, closed);
         if config.alpha > 0.0 {
-            let links = edges.location.iter().map(|(_, _, links)| links.as_slice());
-            partial_edge_sums(&l, links, m, &mut ws.edge_tri, None);
+            pack_scaled(&ws.gram, config.alpha, &mut ws.gram_w);
+            let (tri, tri_w) = (&mut ws.set_tri, &mut ws.set_tri_w);
+            partial_set_sums(&l, &edges.location.sets, m, config.alpha, tri, tri_w, None);
         }
         if has_prior {
             let p = problem.lrr_prior.expect("has_prior implies Some");
             l.matmul_tn_into(p, &mut ws.prior_r)?;
         }
-        for class in &col_classes {
-            let ctx = RStepCtx {
-                problem,
-                edges: &edges,
-                config,
-                mu,
-                l: &l,
-                rf: &rf,
-                gram: &ws.gram,
-                col_obs: &col_obs,
-                col_edges: &col_edges,
-                col_link_edges: &col_link_edges,
-                link_closed: if has_full_link {
-                    Some((&ws.link_lhs, ws.link_rhs.as_slice()))
-                } else {
-                    None
-                },
-                edge_tri: &ws.edge_tri,
-                prior_rhs: if has_prior { Some(&ws.prior_r) } else { None },
-            };
-            for (s, &j) in ws.scratch.iter_mut().zip(class) {
-                solve_r_col(&ctx, j, s);
-            }
-            for (k, &j) in class.iter().enumerate() {
-                let s = &mut ws.scratch[k];
-                if let Some(e) = s.status.take() {
-                    return Err(e.into());
-                }
-                rf.set_row(j, &s.sol).expect("row length r");
-            }
+        let ctx = RStepCtx {
+            problem,
+            edges: &edges,
+            config,
+            mu,
+            l: &l,
+            gram: &ws.gram,
+            col_obs: &col_obs,
+            col_edges: &col_edges,
+            col_link_edges: &col_link_edges,
+            base: &ws.base,
+            gram_w: &ws.gram_w,
+            link_rhs: if has_full_link { Some(&ws.link_rhs) } else { None },
+            set_tri: &ws.set_tri,
+            set_tri_w: &ws.set_tri_w,
+            edge_outer: &ws.edge_outer,
+            edge_rhs: &ws.edge_rhs,
+            prior_rhs: if has_prior { Some(&ws.prior_r) } else { None },
+        };
+        for &j in col_classes.iter().flatten() {
+            solve_r_col(&ctx, &rf, j, &mut ws.scratch)?;
+            rf.row_mut(j).copy_from_slice(&ws.scratch.rhs);
         }
 
         let mut f = objective(problem, &edges, config, mu, &l, &rf, &mut ws.xh)?;
@@ -1415,21 +1411,44 @@ pub fn reconstruct_warm(
 /// mostly burns the safeguard evaluation.
 const MAX_ACCEL_THETA: f64 = 2.0;
 
-/// `lhs += w · v·vᵀ` for a symmetric `r x r` accumulator — lower triangle
-/// only, via contiguous row slices. Every consumer (the blocked Cholesky and
-/// the solve that follows) reads only the lower triangle, so skipping the
-/// mirrored upper half cuts the dominant per-entry cost of the block solves
-/// almost in half.
-fn rank1_update(lhs: &mut Matrix, v: &[f64], w: f64) {
-    let r = v.len();
-    debug_assert_eq!(lhs.shape(), (r, r));
-    let data = lhs.as_mut_slice();
-    for a in 0..r {
-        let wa = w * v[a];
-        let row = &mut data[a * r..a * r + a + 1];
-        for (o, &vb) in row.iter_mut().zip(v) {
+/// `lhs += w · v·vᵀ` on a packed lower triangle: entry `(a, b)`, `b <= a`,
+/// gains `(w·v_a)·v_b`. Every consumer (the Cholesky factorization and the
+/// solve that follows) reads only the lower triangle.
+fn rank1_update(lhs: &mut [f64], v: &[f64], w: f64) {
+    let mut off = 0;
+    for (a, &va) in v.iter().enumerate() {
+        let wa = w * va;
+        for (o, &vb) in lhs[off..=off + a].iter_mut().zip(v) {
             *o += wa * vb;
         }
+        off += a + 1;
+    }
+}
+
+/// Writes the packed `w · v·vᵀ` into `out`, each entry the `(w·v_a)·v_b`
+/// that [`rank1_update`] would add.
+fn outer_packed(out: &mut [f64], v: &[f64], w: f64) {
+    let mut off = 0;
+    for (a, &va) in v.iter().enumerate() {
+        let wa = w * va;
+        for (o, &vb) in out[off..=off + a].iter_mut().zip(v) {
+            *o = wa * vb;
+        }
+        off += a + 1;
+    }
+}
+
+/// `dst += src`, entry by entry.
+fn add_into(dst: &mut [f64], src: &[f64]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
+/// `out = x − y`, entry by entry.
+fn diff_into(out: &mut [f64], x: &[f64], y: &[f64]) {
+    for (o, (&a, &b)) in out.iter_mut().zip(x.iter().zip(y)) {
+        *o = a - b;
     }
 }
 
@@ -1439,35 +1458,69 @@ fn tri_len(r: usize) -> usize {
     r * (r + 1) / 2
 }
 
-/// For every *partial* edge `k` (active set shorter than `full`), writes
-/// `Σ_{x ∈ active} f_x f_xᵀ` over rows `f_x` of `f` into slot `k` of `tri`
-/// (packed lower triangle) and, when `sums` is given, `Σ_{x ∈ active} f_x`
-/// into slot `k` of it. Both endpoints of the edge then read the one sum.
-/// Fully-active edges are skipped; they enter through the closed forms.
-fn partial_edge_sums<'e>(
+/// Writes the packed `λI + μG` into `base`, then adds `closed` when given:
+/// the start of every block system of one half-sweep.
+fn fill_base(base: &mut [f64], gram: &Matrix, lambda: f64, mu: f64, closed: Option<&[f64]>) {
+    let mut k = 0;
+    for a in 0..gram.rows() {
+        for (b, &g) in gram.row(a)[..=a].iter().enumerate() {
+            base[k] = lambda * f64::from(a == b) + mu * g;
+            k += 1;
+        }
+    }
+    if let Some(closed) = closed {
+        add_into(base, closed);
+    }
+}
+
+/// Writes the packed `w·G` into `out`.
+fn pack_scaled(gram: &Matrix, w: f64, out: &mut [f64]) {
+    let mut k = 0;
+    for a in 0..gram.rows() {
+        for &g in &gram.row(a)[..=a] {
+            out[k] = w * g;
+            k += 1;
+        }
+    }
+}
+
+/// Copies the packed lower triangle `tri` into the lower triangle of `m`.
+fn unpack_lower(tri: &[f64], m: &mut Matrix) {
+    let mut off = 0;
+    for a in 0..m.rows() {
+        m.row_mut(a)[..=a].copy_from_slice(&tri[off..=off + a]);
+        off += a + 1;
+    }
+}
+
+/// For every *partial* active set `k` (shorter than `full`), writes
+/// `Σ_{x ∈ set} f_x f_xᵀ` over rows `f_x` of `f` into slot `k` of `tri`
+/// (packed lower triangle), `w` times it into slot `k` of `tri_w` and, when
+/// `sums` is given, `Σ_{x ∈ set} f_x` into slot `k` of it. Every edge with
+/// the set then reads the one sum. Fully-active sets are skipped; their
+/// edges enter through the closed forms.
+fn partial_set_sums(
     f: &Matrix,
-    active_sets: impl Iterator<Item = &'e [usize]>,
+    sets: &[Vec<usize>],
     full: usize,
+    w: f64,
     tri: &mut [f64],
+    tri_w: &mut [f64],
     mut sums: Option<&mut [f64]>,
 ) {
     let r = f.cols();
     let t = tri_len(r);
-    for (k, active) in active_sets.enumerate() {
+    for (k, active) in sets.iter().enumerate() {
         if active.len() == full {
             continue;
         }
         let slot = &mut tri[k * t..(k + 1) * t];
         slot.fill(0.0);
         for &x in active {
-            let v = f.row(x);
-            let mut off = 0;
-            for (a, &va) in v.iter().enumerate() {
-                for (o, &vb) in slot[off..=off + a].iter_mut().zip(v) {
-                    *o += va * vb;
-                }
-                off += a + 1;
-            }
+            rank1_update(slot, f.row(x), 1.0);
+        }
+        for (o, &x) in tri_w[k * t..(k + 1) * t].iter_mut().zip(slot.iter()) {
+            *o = w * x;
         }
         if let Some(sums) = sums.as_deref_mut() {
             let sum = &mut sums[k * r..(k + 1) * r];
@@ -1476,20 +1529,6 @@ fn partial_edge_sums<'e>(
                 taf_linalg::axpy_slice(sum, 1.0, f.row(x));
             }
         }
-    }
-}
-
-/// `lhs += w · T` on the lower triangle, for the symmetric `T` whose lower
-/// triangle `tri` packs.
-fn add_packed(lhs: &mut Matrix, tri: &[f64], w: f64) {
-    let r = lhs.rows();
-    let data = lhs.as_mut_slice();
-    let mut off = 0;
-    for a in 0..r {
-        for (o, &x) in data[a * r..=a * r + a].iter_mut().zip(&tri[off..=off + a]) {
-            *o += w * x;
-        }
-        off += a + 1;
     }
 }
 
@@ -1616,10 +1655,11 @@ mod tests {
             ..plain
         };
         let edges = build_edge_sets(&partial);
-        let full_loc = edges.location.iter().filter(|(_, _, links)| links.len() == 6).count();
-        let full_link = edges.link.iter().filter(|(_, _, cells)| cells.len() == 12).count();
-        assert_eq!((full_loc, edges.location.len()), (3, 11));
-        assert_eq!((full_link, edges.link.len()), (1, 5));
+        let full_loc =
+            (0..edges.location.edges.len()).filter(|&k| edges.location.is_full(k, 6)).count();
+        let full_link = (0..edges.link.edges.len()).filter(|&k| edges.link.is_full(k, 12)).count();
+        assert_eq!((full_loc, edges.location.edges.len()), (3, 11));
+        assert_eq!((full_link, edges.link.edges.len()), (1, 5));
         let cfg = LoliIrConfig { max_iters: 25, tol: 0.0, ..Default::default() };
         for problem in [plain, partial] {
             let rec = reconstruct(&problem, &cfg).unwrap();

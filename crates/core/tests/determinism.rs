@@ -1,10 +1,9 @@
 //! LoLi-IR determinism contract: reconstruction output is bit-identical
 //! across repeated runs, cold or warm-started, and across workspace reuse.
 //!
-//! The colored Gauss-Seidel sweep fixes the solve order (each class member
-//! writes only its own scratch slot, scatter is index-ordered), and the
-//! committed goldens depend on it; these tests pin the property down end to
-//! end.
+//! The colored Gauss-Seidel sweep fixes the solve order (classes in fixed
+//! order, each class's members in index order), and the committed goldens
+//! depend on it; these tests pin the property down end to end.
 
 mod common;
 

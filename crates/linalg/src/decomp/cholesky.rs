@@ -59,18 +59,20 @@ impl Matrix {
                 rhs: l.shape(),
             });
         }
+        let a = self.as_slice();
+        let data = l.as_mut_slice();
         let mut j0 = 0;
         while j0 < n {
             let j1 = (j0 + CHOL_PANEL).min(n);
             // Panel update: fold columns k < j0 into every panel entry on or
             // below the diagonal, streaming one row of L per outer step.
             if j0 > 0 {
-                let data = l.as_mut_slice();
                 for i in j0..n {
                     let (head, tail) = data.split_at_mut(i * n);
                     let (ri_done, ri_panel) = tail[..n].split_at_mut(j0);
+                    let ai = &a[i * n..(i + 1) * n];
                     for j in j0..j1.min(i + 1) {
-                        let mut acc = self[(i, j)];
+                        let mut acc = ai[j];
                         let rj_done = if j < i { &head[j * n..j * n + j0] } else { &ri_done[..] };
                         for (&lik, &ljk) in ri_done.iter().zip(rj_done) {
                             acc -= lik * ljk;
@@ -80,29 +82,31 @@ impl Matrix {
                 }
             } else {
                 for i in 0..n {
-                    for j in 0..j1.min(i + 1) {
-                        l[(i, j)] = self[(i, j)];
-                    }
+                    let w = j1.min(i + 1);
+                    data[i * n..i * n + w].copy_from_slice(&a[i * n..i * n + w]);
                 }
             }
             // In-panel factorization: at most CHOL_PANEL lagging columns per
             // element, same increasing-k order as the unblocked loop.
             for j in j0..j1 {
-                let mut diag = l[(j, j)];
-                for k in j0..j {
-                    diag -= l[(j, k)] * l[(j, k)];
+                let (upto, below) = data.split_at_mut((j + 1) * n);
+                let rj = &mut upto[j * n..];
+                let mut diag = rj[j];
+                for &ljk in &rj[j0..j] {
+                    diag -= ljk * ljk;
                 }
                 if diag <= 0.0 || !diag.is_finite() {
                     return Err(LinalgError::NotPositiveDefinite { pivot: j, value: diag });
                 }
                 let ljj = diag.sqrt();
-                l[(j, j)] = ljj;
-                for i in (j + 1)..n {
-                    let mut acc = l[(i, j)];
-                    for k in j0..j {
-                        acc -= l[(i, k)] * l[(j, k)];
+                rj[j] = ljj;
+                let rj = &rj[j0..j];
+                for ri in below.chunks_exact_mut(n) {
+                    let mut acc = ri[j];
+                    for (&lik, &ljk) in ri[j0..j].iter().zip(rj) {
+                        acc -= lik * ljk;
                     }
-                    l[(i, j)] = acc / ljj;
+                    ri[j] = acc / ljj;
                 }
             }
             j0 = j1;
@@ -110,9 +114,7 @@ impl Matrix {
         // Zero the strict upper triangle (the factor may land in a reused
         // scratch buffer holding a previous factorization).
         for i in 0..n {
-            for j in (i + 1)..n {
-                l[(i, j)] = 0.0;
-            }
+            data[i * n + i + 1..(i + 1) * n].fill(0.0);
         }
         Ok(())
     }
@@ -130,21 +132,25 @@ pub fn solve_in_place(l: &Matrix, x: &mut [f64]) -> Result<()> {
             rhs: (x.len(), 1),
         });
     }
+    let d = l.as_slice();
     // Forward: L·y = b
     for i in 0..n {
-        let mut acc = x[i];
-        for j in 0..i {
-            acc -= l[(i, j)] * x[j];
+        let (done, rest) = x.split_at_mut(i);
+        let row = &d[i * n..i * n + i + 1];
+        let mut acc = rest[0];
+        for (&lij, &xj) in row.iter().zip(done.iter()) {
+            acc -= lij * xj;
         }
-        x[i] = acc / l[(i, i)];
+        rest[0] = acc / row[i];
     }
-    // Backward: Lᵀ·x = y
+    // Backward: Lᵀ·x = y, walking column i of L down from the diagonal.
     for i in (0..n).rev() {
-        let mut acc = x[i];
-        for j in (i + 1)..n {
-            acc -= l[(j, i)] * x[j];
+        let (head, later) = x.split_at_mut(i + 1);
+        let mut acc = head[i];
+        for (&lji, &xj) in d[i * n + i..].iter().step_by(n).skip(1).zip(later.iter()) {
+            acc -= lji * xj;
         }
-        x[i] = acc / l[(i, i)];
+        head[i] = acc / d[i * n + i];
     }
     Ok(())
 }
@@ -170,23 +176,8 @@ impl Cholesky {
                 rhs: (b.len(), 1),
             });
         }
-        // Forward: L·y = b
         let mut x = b.to_vec();
-        for i in 0..n {
-            let mut acc = x[i];
-            for j in 0..i {
-                acc -= self.l[(i, j)] * x[j];
-            }
-            x[i] = acc / self.l[(i, i)];
-        }
-        // Backward: Lᵀ·x = y
-        for i in (0..n).rev() {
-            let mut acc = x[i];
-            for j in (i + 1)..n {
-                acc -= self.l[(j, i)] * x[j];
-            }
-            x[i] = acc / self.l[(i, i)];
-        }
+        solve_in_place(&self.l, &mut x)?;
         Ok(x)
     }
 
@@ -377,6 +368,45 @@ mod tests {
                 for j in (i + 1)..n {
                     assert_eq!(l[(i, j)], 0.0);
                 }
+            }
+        }
+    }
+
+    /// Textbook forward and back substitution through `Matrix` indexing —
+    /// the bit-compat reference for the slice-walking `solve_in_place`.
+    fn substitution_reference(l: &Matrix, b: &[f64]) -> Vec<f64> {
+        let n = l.rows();
+        let mut x = b.to_vec();
+        for i in 0..n {
+            let mut acc = x[i];
+            for j in 0..i {
+                acc -= l[(i, j)] * x[j];
+            }
+            x[i] = acc / l[(i, i)];
+        }
+        for i in (0..n).rev() {
+            let mut acc = x[i];
+            for j in (i + 1)..n {
+                acc -= l[(j, i)] * x[j];
+            }
+            x[i] = acc / l[(i, i)];
+        }
+        x
+    }
+
+    #[test]
+    fn solve_bit_identical_to_substitution_reference() {
+        // Sizes below, at and past the panel width.
+        for n in [1usize, 2, 8, 9, 17] {
+            let b = Matrix::from_fn(n, n, |i, j| ((i * 13 + j * 7) % 19) as f64 * 0.21 - 1.7);
+            let mut a = b.gram();
+            a.add_diag(0.5).unwrap();
+            let chol = a.cholesky().unwrap();
+            let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() - 0.2).collect();
+            let x = chol.solve(&rhs).unwrap();
+            let reference = substitution_reference(chol.factor(), &rhs);
+            for (i, (got, want)) in x.iter().zip(&reference).enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "n={n} entry {i}");
             }
         }
     }

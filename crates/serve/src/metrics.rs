@@ -10,9 +10,37 @@ use crate::protocol::EndpointStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Power-of-two latency buckets: bucket `i` covers `[2^i, 2^{i+1})` µs.
-/// 40 buckets reach ~2^40 µs ≈ 12.7 days, far beyond any request.
-const BUCKETS: usize = 40;
+/// Linear sub-buckets per power of two, as a bit count: each power of two
+/// from `SUB` µs up is split into `SUB = 2^SUB_BITS` equal buckets.
+const SUB_BITS: u32 = 3;
+const SUB: usize = 1 << SUB_BITS;
+/// Powers of two covered: up to 2^40 µs ≈ 12.7 days, far beyond any request.
+const OCTAVES: usize = 40;
+/// One exact bucket for each latency below `SUB` µs, then `SUB` per power of
+/// two, so a bucket is never wider than 1/`SUB` of the values it holds.
+const BUCKETS: usize = SUB + (OCTAVES - SUB_BITS as usize) * SUB;
+
+/// Bucket holding a latency of `us` µs (clamped into the top bucket).
+fn bucket_index(us: u64) -> usize {
+    if us < SUB as u64 {
+        return us as usize;
+    }
+    let log = us.ilog2();
+    if log as usize >= OCTAVES {
+        return BUCKETS - 1;
+    }
+    let shift = log - SUB_BITS;
+    SUB * (1 + shift as usize) + ((us >> shift) as usize - SUB)
+}
+
+/// Largest latency (µs) that bucket `i` holds.
+fn bucket_upper_us(i: usize) -> u64 {
+    if i < SUB {
+        return i as u64;
+    }
+    let (shift, sub) = ((i - SUB) / SUB, (i - SUB) % SUB);
+    (((SUB + sub + 1) as u64) << shift) - 1
+}
 
 /// The daemon's request endpoints (metrics keys).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,10 +106,12 @@ impl Endpoint {
     }
 }
 
-/// A lock-free log₂ latency histogram.
+/// A lock-free latency histogram: log₂ buckets, each split into `SUB`
+/// linear sub-buckets. The buckets live on the heap, so a metrics table
+/// built by value is small to move.
 #[derive(Debug)]
 pub struct LatencyHistogram {
-    buckets: [AtomicU64; BUCKETS],
+    buckets: Box<[AtomicU64]>,
     count: AtomicU64,
     sum_us: AtomicU64,
     max_us: AtomicU64,
@@ -90,7 +120,7 @@ pub struct LatencyHistogram {
 impl Default for LatencyHistogram {
     fn default() -> Self {
         LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum_us: AtomicU64::new(0),
             max_us: AtomicU64::new(0),
@@ -102,8 +132,7 @@ impl LatencyHistogram {
     /// Records one observation.
     pub fn record(&self, latency: Duration) {
         let us = (latency.as_micros() as u64).max(1);
-        let idx = (us.ilog2() as usize).min(BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
         self.max_us.fetch_max(us, Ordering::Relaxed);
@@ -120,10 +149,11 @@ impl LatencyHistogram {
     }
 
     /// Upper bound (µs) of the bucket holding quantile `q` (0 when empty).
-    /// Log-bucketed, so the answer is within 2x of the true quantile — plenty
-    /// for a `stats` endpoint. The bucket upper bound is clamped to the
-    /// largest observation, so `quantile_us(1.0)` equals [`Self::max_us`]
-    /// instead of overshooting to the end of the top occupied bucket.
+    /// Exact below 8 µs; from 8 µs up, a bucket is 1/8 as wide as its lower
+    /// bound, so the answer lies within 1/8 above the true quantile. The
+    /// bucket upper bound is clamped to the largest observation, so
+    /// `quantile_us(1.0)` equals [`Self::max_us`] instead of overshooting to
+    /// the end of the top occupied bucket.
     pub fn quantile_us(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
@@ -134,7 +164,7 @@ impl LatencyHistogram {
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= target {
-                return ((1u64 << (i + 1)) - 1).min(self.max_us());
+                return bucket_upper_us(i).min(self.max_us());
             }
         }
         self.max_us()
@@ -309,9 +339,11 @@ mod tests {
         let p95 = h.quantile_us(0.95);
         let p99 = h.quantile_us(0.99);
         assert!(p50 <= p95 && p95 <= p99);
-        // p50 lands in the bucket containing 10 µs: [8, 16).
-        assert_eq!(p50, 15);
-        // The top bucket's upper bound (16_383) is clamped to the max.
+        // p50 is the third observation, 10 µs; buckets are 1 µs wide below
+        // 16 µs.
+        assert_eq!(p50, 10);
+        // 10_000 µs lies in [9_216, 10_240); that bucket's upper bound
+        // (10_239) is clamped to the max.
         assert_eq!(h.quantile_us(1.0), 10_000);
     }
 
@@ -321,7 +353,7 @@ mod tests {
         for us in [3u64, 100, 9_000] {
             h.record(Duration::from_micros(us));
         }
-        // q = 0.0 resolves to the first occupied bucket: 3 µs lies in [2, 4).
+        // q = 0.0 resolves to the first occupied bucket, the exact 3 µs one.
         assert_eq!(h.quantile_us(0.0), 3);
         // q = 1.0 is exactly the largest observation, not its bucket bound.
         assert_eq!(h.quantile_us(1.0), h.max_us());
@@ -334,6 +366,40 @@ mod tests {
         h.record(Duration::from_micros(700));
         for q in [0.0, 0.5, 0.99, 1.0] {
             assert_eq!(h.quantile_us(q), 700, "q = {q}");
+        }
+    }
+
+    #[test]
+    fn buckets_tile_the_range_within_an_eighth() {
+        assert_eq!(bucket_index(1), 1);
+        assert_eq!(bucket_index(7), 7);
+        let mut lower = 1u64;
+        for i in 1..BUCKETS {
+            let upper = bucket_upper_us(i);
+            assert_eq!(bucket_index(lower), i, "lower bound {lower}");
+            assert_eq!(bucket_index(upper), i, "upper bound {upper}");
+            // From 8 µs up, a bucket is at most 1/8 as wide as its lower bound.
+            assert!(upper - lower < lower.max(8) / 8 + 1, "bucket {i}: [{lower}, {upper}]");
+            lower = upper + 1;
+        }
+        assert_eq!(lower, 1 << OCTAVES, "the top bucket ends at 2^{OCTAVES} µs");
+    }
+
+    #[test]
+    fn a_quarter_shift_in_a_steady_latency_moves_p50() {
+        // Before, log2 buckets reported both 12_000 and 15_000 µs as 16_383.
+        for base in [9u64, 40, 1_000, 12_000, 200_000] {
+            let steady = LatencyHistogram::default();
+            let slower = LatencyHistogram::default();
+            for k in 0..100 {
+                steady.record(Duration::from_micros(base + k % 3));
+                slower.record(Duration::from_micros(base * 5 / 4 + k % 3));
+            }
+            let (p, q) = (steady.quantile_us(0.5), slower.quantile_us(0.5));
+            assert!(q > p, "base {base}: p50 {p} -> {q}");
+            for (got, truth) in [(p, base + 1), (q, base * 5 / 4 + 1)] {
+                assert!(got >= truth && got - truth <= truth / 8, "p50 {got} for {truth}");
+            }
         }
     }
 

@@ -29,6 +29,11 @@ cargo test -q --release -p tafloc-serve --test restart
 echo "==> cargo test -q --release -p tafloc-serve --test store_robustness  (corruption proptests)"
 cargo test -q --release -p tafloc-serve --test store_robustness
 
+# The solver's contract is bit equality, and the daemon runs release builds:
+# pin the bits under the release optimizer too.
+echo "==> cargo test -q --release -p tafloc-core --test solver_bits --test determinism --test warm_start  (solver bits)"
+cargo test -q --release -p tafloc-core --test solver_bits --test determinism --test warm_start
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
