@@ -3,7 +3,7 @@
 //!
 //! Two phases, each on the paper-scale link count:
 //!
-//! 1. **Direct pipeline** — `threads` producers call
+//! 1. **Direct pipeline** — `THREADS` producers call
 //!    [`Ingestor::apply_batch`] concurrently, each replaying the same epochs
 //!    of a simulated radio stream; reported as accepted samples/sec, with the
 //!    share of samples dropped as late (a late sample skips the window and
@@ -17,17 +17,28 @@
 //! workload times the journal on the daemon's own ingest path.
 //!
 //! The headline numbers land in `BENCH_ingest.json` at the repo root in the
-//! canonical golden-file JSON form; CI's bench-smoke job re-generates the file
-//! in `--quick` mode and uploads it as an artifact.
+//! canonical golden-file JSON form (`taf_bench::perf::record`); they are
+//! recorded, not gated. CI's bench-smoke job re-generates the file and
+//! uploads it as an artifact.
 //!
-//! Usage: `cargo run --release -p taf-bench --bin ingest_bench [--quick] [threads] [epochs_per_thread] [batch]`
+//! Usage: `cargo run --release -p taf-bench --bin ingest_bench`
 
 use std::sync::Arc;
 use std::time::Instant;
 use taf_bench::perf;
+use taf_linalg::stats::Ecdf;
 use taf_rfsim::{stream, StreamConfig, World, WorldConfig};
 use taf_testkit::json::Json;
 use tafloc_ingest::{IngestConfig, Ingestor, LinkSample};
+
+/// Concurrent producers of the pipeline phase.
+const THREADS: usize = 4;
+/// Epochs of the base stream each producer replays.
+const EPOCHS: usize = 50;
+/// Samples per `apply_batch` call.
+const BATCH: usize = 256;
+/// Timed `assemble` calls of the assembly phase.
+const ROUNDS: usize = 10_000;
 
 /// One epoch of the base stream, shifted so its timestamps continue the
 /// stream clock instead of arriving "late" and being dropped.
@@ -35,21 +46,7 @@ fn shifted(base: &[LinkSample], offset_s: f64) -> Vec<LinkSample> {
     base.iter().map(|s| LinkSample::new(s.link, s.t_s + offset_s, s.rss_dbm)).collect()
 }
 
-/// Nearest-rank quantile of sorted nanoseconds, in µs.
-fn quantile_us(sorted_ns: &[u64], q: f64) -> f64 {
-    let idx = ((q * sorted_ns.len() as f64).ceil() as usize).clamp(1, sorted_ns.len());
-    sorted_ns[idx - 1] as f64 / 1e3
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let mut args = std::env::args().skip(1).filter(|a| !a.starts_with("--"));
-    let threads: usize = args.next().map_or(4, |v| v.parse().expect("threads"));
-    let epochs: usize =
-        args.next().map_or(if quick { 5 } else { 50 }, |v| v.parse().expect("epochs"));
-    let batch: usize = args.next().map_or(256, |v| v.parse().expect("batch"));
-    assert!(batch > 0, "batch must be > 0");
-
     // The paper-scale deployment, streaming fast enough to be a load test.
     let world = World::new(WorldConfig::paper_default(), 7);
     let cfg = StreamConfig {
@@ -64,16 +61,16 @@ fn main() {
     let base: Vec<LinkSample> =
         base.iter().map(|r| LinkSample::new(r.link, r.t_s, r.rss_dbm)).collect();
     let m = world.num_links();
-    let total_samples = (base.len() * threads * epochs) as f64;
+    let total_samples = (base.len() * THREADS * EPOCHS) as f64;
     println!(
-        "ingest_bench: {m} links, {} samples/epoch x {threads} threads x {epochs} epochs, batch {batch}",
+        "ingest_bench: {m} links, {} samples/epoch x {THREADS} threads x {EPOCHS} epochs, batch {BATCH}",
         base.len()
     );
 
     // Phase 1: direct pipeline throughput.
     let ing = Arc::new(Ingestor::new(IngestConfig::default(), m, m.min(8)).expect("ingestor"));
     let start = Instant::now();
-    let joins: Vec<_> = (0..threads)
+    let joins: Vec<_> = (0..THREADS)
         .map(|_| {
             let ing = Arc::clone(&ing);
             let base = base.clone();
@@ -81,9 +78,9 @@ fn main() {
                 // Every producer replays the same epoch window concurrently —
                 // parallel radio bridges reporting the same interval — so the
                 // shared stream clock stays coherent across threads.
-                for e in 0..epochs {
+                for e in 0..EPOCHS {
                     let epoch = shifted(&base, e as f64 * cfg.duration_s);
-                    for chunk in epoch.chunks(batch) {
+                    for chunk in epoch.chunks(BATCH) {
                         ing.apply_batch(chunk);
                     }
                 }
@@ -108,27 +105,25 @@ fn main() {
 
     // Phase 2: assembly latency on the loaded pipeline.
     let fallback = vec![-60.0; m];
-    let rounds = if quick { 1_000 } else { 10_000 };
-    let mut lat_ns = Vec::with_capacity(rounds);
+    let mut lat_us = Vec::with_capacity(ROUNDS);
     let start = Instant::now();
-    for _ in 0..rounds {
+    for _ in 0..ROUNDS {
         let t0 = Instant::now();
         let v = ing.assemble(&fallback).expect("assemble");
-        lat_ns.push(t0.elapsed().as_nanos() as u64);
+        lat_us.push(t0.elapsed().as_nanos() as f64 / 1e3);
         assert_eq!(v.y.len(), m);
     }
     let elapsed = start.elapsed().as_secs_f64();
-    lat_ns.sort_unstable();
-    let assemble_per_s = rounds as f64 / elapsed;
-    let [p50, p95, p99, max] = [0.50, 0.95, 0.99, 1.0].map(|q| quantile_us(&lat_ns, q));
+    let assemble_per_s = ROUNDS as f64 / elapsed;
+    let lat = Ecdf::new(&lat_us).expect("finite latencies");
+    let [p50, p95, p99, max] = [0.50, 0.95, 0.99, 1.0].map(|q| perf::round_ms(lat.quantile(q)));
     println!(
-        "assemble: {rounds} vectors in {elapsed:.3} s  ->  {assemble_per_s:.0} assemblies/s; \
+        "assemble: {ROUNDS} vectors in {elapsed:.3} s  ->  {assemble_per_s:.0} assemblies/s; \
          latency p50 {p50:.3} us, p95 {p95:.3} us, p99 {p99:.3} us, max {max:.3} us",
     );
 
     let report = Json::Obj(vec![
         ("bench".into(), Json::Str("ingest".into())),
-        ("quick".into(), Json::Bool(quick)),
         (
             "threads_available".into(),
             Json::Num(std::thread::available_parallelism().map_or(1, |p| p.get()) as f64),
@@ -137,9 +132,9 @@ fn main() {
             "load".into(),
             Json::Obj(vec![
                 ("links".into(), Json::Num(m as f64)),
-                ("producer_threads".into(), Json::Num(threads as f64)),
-                ("epochs_per_thread".into(), Json::Num(epochs as f64)),
-                ("batch".into(), Json::Num(batch as f64)),
+                ("producer_threads".into(), Json::Num(THREADS as f64)),
+                ("epochs_per_thread".into(), Json::Num(EPOCHS as f64)),
+                ("batch".into(), Json::Num(BATCH as f64)),
             ]),
         ),
         ("peak_rss_kb".into(), perf::peak_rss_json()),
@@ -156,6 +151,5 @@ fn main() {
             ]),
         ),
     ]);
-    let path = perf::write_bench_json("ingest", &report);
-    println!("wrote {}", path.display());
+    perf::record("ingest", &report);
 }

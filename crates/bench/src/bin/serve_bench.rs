@@ -1,34 +1,39 @@
-//! Serving-throughput baseline: `locate` requests/sec against an in-process
-//! `taflocd` over loopback TCP, measured for **both wire protocols**.
+//! Serving-throughput baseline against an in-process `taflocd` over
+//! loopback TCP, for what no other bench measures. loopbench's `locate`
+//! workload times the single-site v1 and v2 `locate` round trip with its
+//! spread; this bench loads the daemon in the shapes that workload does not.
 //!
-//! These are the numbers later serving-performance PRs must beat. The setup
-//! is the paper-scale site (10 links, 96 cells), one persistent connection
-//! per client thread, every request a full `locate` round trip (encode → TCP
-//! → dispatch → fingerprint match → decode). Phases:
+//! The setup is the paper-scale site (10 links, 96 cells) and one persistent
+//! connection per client thread. Phases:
 //!
-//! 1. `locate` over v1 (newline-delimited JSON) and over v2 (length-prefixed
-//!    checksummed binary), with client-side per-request p50/p99;
-//! 2. `locate-batch` (16 vectors per round trip) over each protocol, to
-//!    expose the framing overhead amortized away by batching;
-//! 3. a mixed many-client phase — `4 x threads` concurrent connections,
-//!    alternating v1/v2 — exercising version sniffing under contention;
-//! 4. a sharded many-site phase — a second daemon at `--shards 4` owning
-//!    eight clones of the calibrated site, with `2 x threads` clients
-//!    spraying locates (plus a trickle of ingest) across all sites; reported
-//!    as aggregate and per-shard req/s, so shard skew is visible.
+//! 1. `locate-batch` (16 vectors per round trip) over v1 (newline-delimited
+//!    JSON) and over v2 (length-prefixed checksummed binary), to expose the
+//!    framing overhead amortized away by batching;
+//! 2. a mixed many-client phase — `4 x THREADS` concurrent connections,
+//!    alternating v1/v2 — exercising version sniffing under contention,
+//!    with client-side p50/p99 per `locate` round trip;
+//! 3. a sharded many-site phase — a second daemon at `--shards 4` owning
+//!    eight clones of the calibrated site, with `2 x THREADS` clients
+//!    spraying locates (plus a trickle of ingest) across all sites.
+//!
+//! The daemon's own per-endpoint latency histogram is recorded after the
+//! first two phases.
 //!
 //! Every reply is checked against the cell `TafLoc::localize` gives the
 //! served system, computed in process before timing starts; the bench exits
 //! non-zero on any mismatch, so CI's bench-smoke run fails when the daemon
 //! answers a query differently from the library.
 //!
-//! The headline numbers land in `BENCH_serve.json` at the repo root in the canonical golden-file JSON
-//! form; CI's bench-smoke job re-generates the file in `--quick` mode.
+//! The headline numbers land in `BENCH_serve.json` at the repo root in the
+//! canonical golden-file JSON form, after `taf_bench::perf::record` has
+//! gated them against the committed file: a batch throughput below the
+//! committed one divided by `perf::SLOWDOWN` warns, once per protocol.
 //!
-//! Usage: `cargo run --release -p taf-bench --bin serve_bench [--quick] [threads] [requests_per_thread] [workers]`
+//! Usage: `cargo run --release -p taf-bench --bin serve_bench`
 
 use std::time::Instant;
 use taf_bench::perf;
+use taf_linalg::stats::Ecdf;
 use taf_rfsim::{campaign, World, WorldConfig};
 use taf_testkit::json::Json;
 use tafloc_core::db::FingerprintDb;
@@ -38,25 +43,21 @@ use tafloc_serve::client::{Client, IngestOutcome};
 use tafloc_serve::maintenance::MaintenancePolicy;
 use tafloc_serve::protocol::{Request, Response};
 use tafloc_serve::server::{Server, ServerConfig};
-use tafloc_serve::shard::{ShardRing, DEFAULT_SHARD_SEED};
 use tafloc_serve::wire::WireVersion;
 
 const BATCH: usize = 16;
+/// Client threads of each batch phase; the mixed phase opens four times as
+/// many connections and the sharded phase twice as many.
+const THREADS: usize = 4;
+/// Fixes each batch-phase client asks for; each mixed and sharded client
+/// sends half as many locates.
+const PER_THREAD: usize = 2000;
 
 fn label(version: WireVersion) -> &'static str {
     match version {
         WireVersion::V1Json => "v1",
         WireVersion::V2Binary => "v2",
     }
-}
-
-/// Sorted-micros quantile (client-side, whole round trip).
-fn quantile_us(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
 }
 
 /// Pre-generated queries and the cell `TafLoc::localize` gives each on the
@@ -82,61 +83,12 @@ fn require_correct(phase: &str, wrong: usize, replies: usize) {
     }
 }
 
-/// One `locate` phase: `threads` persistent connections in `version`, each
-/// issuing `per_thread` round trips. Returns (req/s, p50 µs, p99 µs) and
-/// exits on a wrong reply.
-fn locate_phase(
-    addr: std::net::SocketAddr,
-    version: WireVersion,
-    threads: usize,
-    per_thread: usize,
-    queries: &Queries,
-) -> (f64, u64, u64) {
+/// One `locate-batch` phase (16 vectors per round trip) on `THREADS`
+/// connections. Returns fixes/s and exits on a wrong fix.
+fn batch_phase(addr: std::net::SocketAddr, version: WireVersion, queries: &Queries) -> f64 {
+    let rounds = PER_THREAD.div_ceil(BATCH);
     let start = Instant::now();
-    let joins: Vec<_> = (0..threads)
-        .map(|t| {
-            let queries = queries.clone();
-            std::thread::spawn(move || {
-                let mut client = Client::connect_with(addr, version).expect("connect");
-                let mut micros = Vec::with_capacity(per_thread);
-                let mut wrong = 0;
-                for k in 0..per_thread {
-                    let q = (t + k) % queries.len();
-                    let t0 = Instant::now();
-                    let (cell, ..) = client.locate("bench", &queries.ys[q]).expect("locate");
-                    micros.push(t0.elapsed().as_micros() as u64);
-                    wrong += usize::from(cell != queries.cells[q]);
-                }
-                (micros, wrong)
-            })
-        })
-        .collect();
-    let mut micros: Vec<u64> = Vec::with_capacity(threads * per_thread);
-    let mut wrong = 0;
-    for j in joins {
-        let (m, w) = j.join().expect("client thread");
-        micros.extend(m);
-        wrong += w;
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    require_correct(&format!("{} locate", label(version)), wrong, micros.len());
-    micros.sort_unstable();
-    let total = (threads * per_thread) as f64;
-    (total / elapsed, quantile_us(&micros, 0.50), quantile_us(&micros, 0.99))
-}
-
-/// One `locate-batch` phase (16 vectors per round trip). Returns fixes/s and
-/// exits on a wrong fix.
-fn batch_phase(
-    addr: std::net::SocketAddr,
-    version: WireVersion,
-    threads: usize,
-    per_thread: usize,
-    queries: &Queries,
-) -> f64 {
-    let rounds = per_thread.div_ceil(BATCH);
-    let start = Instant::now();
-    let joins: Vec<_> = (0..threads)
+    let joins: Vec<_> = (0..THREADS)
         .map(|t| {
             let queries = queries.clone();
             std::thread::spawn(move || {
@@ -160,19 +112,12 @@ fn batch_phase(
         wrong += j.join().expect("client thread");
     }
     let elapsed = start.elapsed().as_secs_f64();
-    require_correct(&format!("{} locate-batch", label(version)), wrong, threads * rounds * BATCH);
-    (threads * rounds * BATCH) as f64 / elapsed
+    let fixes = THREADS * rounds * BATCH;
+    require_correct(&format!("{} locate-batch", label(version)), wrong, fixes);
+    fixes as f64 / elapsed
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let mut args = std::env::args().skip(1).filter(|a| !a.starts_with("--"));
-    let default_per_thread = if quick { 200 } else { 2000 };
-    let threads: usize = args.next().map_or(4, |v| v.parse().expect("threads"));
-    let per_thread: usize =
-        args.next().map_or(default_per_thread, |v| v.parse().expect("requests"));
-    let workers: usize = args.next().map_or(threads, |v| v.parse().expect("workers"));
-
     let world = World::new(WorldConfig::paper_default(), 7);
     let x0 = campaign::full_calibration(&world, 0.0, 50);
     let e0 = campaign::empty_snapshot(&world, 0.0, 50);
@@ -191,15 +136,12 @@ fn main() {
     // The mixed phase opens many persistent connections at once; the server
     // needs a worker per connection (plus one for the admin client) so nobody
     // starves.
-    let mixed_clients = (threads * 4).max(8);
+    let mixed_clients = THREADS * 4;
+    let workers = mixed_clients + 1;
     let policy = MaintenancePolicy { auto_refresh: false, ..Default::default() };
     let server = Server::bind(
         "127.0.0.1:0",
-        ServerConfig {
-            workers: workers.max(mixed_clients + 1),
-            default_policy: policy,
-            ..Default::default()
-        },
+        ServerConfig { workers, default_policy: policy, ..Default::default() },
     )
     .expect("bind loopback");
     let addr = server.local_addr();
@@ -207,7 +149,7 @@ fn main() {
     let handle = server.spawn();
 
     println!(
-        "serve_bench: {} links x {} cells, {threads} client threads x {per_thread} locates",
+        "serve_bench: {} links x {} cells, {THREADS} client threads x {PER_THREAD} fixes",
         world.num_links(),
         world.num_cells()
     );
@@ -215,16 +157,7 @@ fn main() {
     let mut results: Vec<(String, Json)> = Vec::new();
     for version in [WireVersion::V1Json, WireVersion::V2Binary] {
         let tag = label(version);
-        let (rps, p50, p99) = locate_phase(addr, version, threads, per_thread, &queries);
-        println!(
-            "{tag} locate: {:.0} requests  ->  {rps:.0} req/s, client p50 {p50} us, p99 {p99} us",
-            (threads * per_thread) as f64,
-        );
-        results.push((format!("{tag}_locate_req_per_s"), Json::Num(perf::round_ms(rps))));
-        results.push((format!("{tag}_locate_p50_us"), Json::Num(p50 as f64)));
-        results.push((format!("{tag}_locate_p99_us"), Json::Num(p99 as f64)));
-
-        let fps = batch_phase(addr, version, threads, per_thread, &queries);
+        let fps = batch_phase(addr, version, &queries);
         println!(
             "{tag} locate-batch({BATCH}): {fps:.0} fixes/s aggregate ({:.0} round trips/s)",
             fps / BATCH as f64,
@@ -234,7 +167,7 @@ fn main() {
 
     // Mixed phase: many clients, alternating versions on one server, so the
     // per-message sniffing path is exercised under real contention.
-    let mixed_per_client = per_thread.div_ceil(2).max(1);
+    let mixed_per_client = PER_THREAD / 2;
     let start = Instant::now();
     let joins: Vec<_> = (0..mixed_clients)
         .map(|t| {
@@ -248,41 +181,33 @@ fn main() {
                     let q = (t + k) % queries.len();
                     let t0 = Instant::now();
                     let (cell, ..) = client.locate("bench", &queries.ys[q]).expect("locate");
-                    micros.push(t0.elapsed().as_micros() as u64);
+                    micros.push(t0.elapsed().as_nanos() as f64 / 1e3);
                     wrong += usize::from(cell != queries.cells[q]);
                 }
-                (version, micros, wrong)
+                (micros, wrong)
             })
         })
         .collect();
-    let mut micros: Vec<u64> = Vec::new();
-    let (mut v1_reqs, mut v2_reqs, mut wrong) = (0usize, 0usize, 0usize);
+    let mut micros: Vec<f64> = Vec::new();
+    let mut wrong = 0;
     for j in joins {
-        let (version, m, w) = j.join().expect("mixed client thread");
-        match version {
-            WireVersion::V1Json => v1_reqs += m.len(),
-            WireVersion::V2Binary => v2_reqs += m.len(),
-        }
+        let (m, w) = j.join().expect("mixed client thread");
         micros.extend(m);
         wrong += w;
     }
     let elapsed = start.elapsed().as_secs_f64();
     require_correct("mixed", wrong, micros.len());
-    micros.sort_unstable();
     let mixed_rps = micros.len() as f64 / elapsed;
-    let (mp50, mp99) = (quantile_us(&micros, 0.50), quantile_us(&micros, 0.99));
+    let micros = Ecdf::new(&micros).expect("finite round trips");
+    let [mp50, mp99] = [0.50, 0.99].map(|q| perf::round_ms(micros.quantile(q)));
     println!(
         "mixed ({mixed_clients} clients, alternating v1/v2): {mixed_rps:.0} req/s, \
-         client p50 {mp50} us, p99 {mp99} us",
+         client p50 {mp50:.1} us, p99 {mp99:.1} us",
     );
     results.push(("mixed_clients".into(), Json::Num(mixed_clients as f64)));
     results.push(("mixed_req_per_s".into(), Json::Num(perf::round_ms(mixed_rps))));
-    results
-        .push(("mixed_v1_req_per_s".into(), Json::Num(perf::round_ms(v1_reqs as f64 / elapsed))));
-    results
-        .push(("mixed_v2_req_per_s".into(), Json::Num(perf::round_ms(v2_reqs as f64 / elapsed))));
-    results.push(("mixed_p50_us".into(), Json::Num(mp50 as f64)));
-    results.push(("mixed_p99_us".into(), Json::Num(mp99 as f64)));
+    results.push(("mixed_p50_us".into(), Json::Num(mp50)));
+    results.push(("mixed_p99_us".into(), Json::Num(mp99)));
 
     let mut latency = Vec::new();
     let mut admin = Client::connect(addr).expect("connect admin");
@@ -309,13 +234,12 @@ fn main() {
     handle.join();
 
     // Sharded many-site phase: a fresh daemon at --shards 4 owning eight
-    // clones of the calibrated site, hammered by 2x threads clients that
+    // clones of the calibrated site, hammered by 2x THREADS clients that
     // spray locates across every site (so every shard sees traffic) plus a
     // trickle of ingest through the admission gate.
     let num_shards = 4usize;
     let num_sites = 8usize;
-    let sharded_clients = (threads * 2).max(8);
-    let ring = ShardRing::new(num_shards, DEFAULT_SHARD_SEED);
+    let sharded_clients = THREADS * 2;
     let site_names: Vec<String> = (0..num_sites).map(|i| format!("s-{i}")).collect();
     let server = Server::bind(
         "127.0.0.1:0",
@@ -334,7 +258,7 @@ fn main() {
     }
     let handle = server.spawn();
 
-    let sharded_per_client = per_thread.div_ceil(2).max(num_sites);
+    let sharded_per_client = PER_THREAD / 2;
     let start = Instant::now();
     let joins: Vec<_> = (0..sharded_clients)
         .map(|t| {
@@ -342,15 +266,12 @@ fn main() {
             let site_names = site_names.clone();
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
-                let mut per_site = vec![0u64; site_names.len()];
                 let (mut overloaded, mut wrong) = (0u64, 0usize);
                 for k in 0..sharded_per_client {
-                    let site = (t + k) % site_names.len();
-                    let name = &site_names[site];
+                    let name = &site_names[(t + k) % site_names.len()];
                     let q = (t + k) % queries.len();
                     let (cell, ..) = client.locate(name, &queries.ys[q]).expect("locate");
                     wrong += usize::from(cell != queries.cells[q]);
-                    per_site[site] += 1;
                     if k % 8 == 0 {
                         let batch: Vec<LinkSample> =
                             (0..16).map(|j| LinkSample::new(j % 10, k as f64, -55.0)).collect();
@@ -360,32 +281,23 @@ fn main() {
                         }
                     }
                 }
-                (per_site, overloaded, wrong)
+                (overloaded, wrong)
             })
         })
         .collect();
-    let mut per_site = vec![0u64; num_sites];
     let (mut overloaded, mut wrong) = (0u64, 0usize);
     for j in joins {
-        let (p, o, w) = j.join().expect("sharded client thread");
-        for (a, b) in per_site.iter_mut().zip(&p) {
-            *a += b;
-        }
+        let (o, w) = j.join().expect("sharded client thread");
         overloaded += o;
         wrong += w;
     }
     let elapsed = start.elapsed().as_secs_f64();
-    require_correct("sharded", wrong, per_site.iter().sum::<u64>() as usize);
-    let mut per_shard = vec![0u64; num_shards];
-    for (i, name) in site_names.iter().enumerate() {
-        per_shard[ring.shard_of(name)] += per_site[i];
-    }
-    let sharded_rps = per_site.iter().sum::<u64>() as f64 / elapsed;
-    let per_shard_rps: Vec<f64> = per_shard.iter().map(|&n| n as f64 / elapsed).collect();
+    let sharded_reqs = sharded_clients * sharded_per_client;
+    require_correct("sharded", wrong, sharded_reqs);
+    let sharded_rps = sharded_reqs as f64 / elapsed;
     println!(
         "sharded ({num_shards} shards, {num_sites} sites, {sharded_clients} clients): \
-         {sharded_rps:.0} locate req/s; per-shard {:?} req/s; {overloaded} overloaded ingest replies",
-        per_shard_rps.iter().map(|r| r.round()).collect::<Vec<_>>(),
+         {sharded_rps:.0} locate req/s; {overloaded} overloaded ingest replies",
     );
     let mut admin = Client::connect(addr).expect("connect admin");
     if let Response::Stats { report } = admin.call_ok(&Request::Stats).expect("stats") {
@@ -410,17 +322,12 @@ fn main() {
             ("sites".into(), Json::Num(num_sites as f64)),
             ("clients".into(), Json::Num(sharded_clients as f64)),
             ("locate_req_per_s".into(), Json::Num(perf::round_ms(sharded_rps))),
-            (
-                "per_shard_req_per_s".into(),
-                Json::Arr(per_shard_rps.iter().map(|&r| Json::Num(perf::round_ms(r))).collect()),
-            ),
             ("overloaded_ingest_replies".into(), Json::Num(overloaded as f64)),
         ]),
     ));
 
     let mut report = vec![
         ("bench".into(), Json::Str("serve".into())),
-        ("quick".into(), Json::Bool(quick)),
         (
             "threads_available".into(),
             Json::Num(std::thread::available_parallelism().map_or(1, |p| p.get()) as f64),
@@ -428,9 +335,9 @@ fn main() {
         (
             "load".into(),
             Json::Obj(vec![
-                ("client_threads".into(), Json::Num(threads as f64)),
-                ("requests_per_thread".into(), Json::Num(per_thread as f64)),
-                ("workers".into(), Json::Num(workers.max(mixed_clients + 1) as f64)),
+                ("client_threads".into(), Json::Num(THREADS as f64)),
+                ("requests_per_thread".into(), Json::Num(PER_THREAD as f64)),
+                ("workers".into(), Json::Num(workers as f64)),
                 ("batch".into(), Json::Num(BATCH as f64)),
             ]),
         ),
@@ -438,6 +345,5 @@ fn main() {
     ];
     report.extend(results);
     report.push(("server_latency".into(), Json::Arr(latency)));
-    let path = perf::write_bench_json("serve", &Json::Obj(report));
-    println!("wrote {}", path.display());
+    perf::record("serve", &Json::Obj(report));
 }

@@ -25,14 +25,21 @@
 //! iteration budget is high enough that every phase stops on the tolerance,
 //! not the cap — `converged` is part of the recorded contract.
 //!
+//! The run is gated against the committed `BENCH_solver.json` before it is
+//! overwritten (`taf_bench::perf::record`): it exits 1 when a mode that
+//! converged there stops on `max_iters`, when the cold median exceeds the
+//! committed one by more than `perf::SLOWDOWN`, or when the warm refresh
+//! does not take fewer iterations than the cold solve.
+//!
 //! `gflops` is an estimate from counted work (dense products, data terms,
 //! per-block Cholesky; smoothness edges are not counted), good for comparing
 //! runs of one phase, not an absolute measure.
 //!
-//! Usage: `cargo run --release -p taf-bench --bin solver_bench [--quick]`
+//! Usage: `cargo run --release -p taf-bench --bin solver_bench`
 
 use std::time::Instant;
 use taf_bench::perf;
+use taf_linalg::stats::Ecdf;
 use taf_linalg::Matrix;
 use taf_testkit::json::Json;
 use tafloc_core::loli_ir::{
@@ -70,10 +77,9 @@ fn estimated_flops(m: usize, n: usize, r: usize, observed: usize, iterations: us
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let (m, n, repeats) = if quick { (48, 400, 2) } else { (48, 400, 5) };
+    let (m, n, repeats) = (48, 400, 5);
     let rank = 8;
-    let cfg = LoliIrConfig { rank, max_iters: if quick { 150 } else { 300 }, ..Default::default() };
+    let cfg = LoliIrConfig { rank, max_iters: 300, ..Default::default() };
 
     // Yesterday's problem produces the warm seed; today's (small drift) is
     // what both phases actually solve — cold from scratch, warm from the seed.
@@ -148,8 +154,6 @@ fn main() {
         &[("cold", &problem, None), ("warm", &problem, Some(&warm)), ("masked", &masked, None)];
     let mut results: Vec<Json> = Vec::new();
     let mut iterations: Vec<usize> = Vec::new();
-    // `results` must stay ordered cold first: downstream tooling
-    // (scripts/bench_gate.sh) reads the first entry as the canonical number.
     for &(mode, problem, warm_opt) in modes {
         let mut ws = SolverWorkspace::new();
         let mut samples = Vec::with_capacity(repeats);
@@ -163,9 +167,8 @@ fn main() {
         let rec = last.expect("at least one repeat");
         assert_eq!(rec.warm_start, warm_opt.is_some(), "{mode} phase used the wrong seed");
 
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let median_ms = samples[samples.len() / 2];
-        let (min_ms, max_ms) = (samples[0], samples[samples.len() - 1]);
+        let wall = Ecdf::new(&samples).expect("finite timings");
+        let (median_ms, min_ms, max_ms) = (wall.median(), wall.min(), wall.max());
         let trace = &rec.objective_trace;
         let objective = *trace.last().expect("non-empty trace");
         // The solver stops when (prev - f).abs() <= tol * prev.abs().max(1);
@@ -209,7 +212,6 @@ fn main() {
 
     let report = Json::Obj(vec![
         ("bench".into(), Json::Str("solver".into())),
-        ("quick".into(), Json::Bool(quick)),
         (
             "problem".into(),
             Json::Obj(vec![
@@ -226,6 +228,5 @@ fn main() {
         ("peak_rss_kb".into(), perf::peak_rss_json()),
         ("results".into(), Json::Arr(results)),
     ]);
-    let path = perf::write_bench_json("solver", &report);
-    println!("wrote {}", path.display());
+    perf::record("solver", &report);
 }

@@ -247,6 +247,27 @@ impl Args {
     pub fn switch(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
     }
+
+    /// Refuses any flag `command` does not declare, naming the flag and the
+    /// command; a declared flag must carry a value and a declared switch must
+    /// not. Commands read only the keys they know, so without this a
+    /// misspelled flag would be dropped silently. `flags` and `switches` are
+    /// space-separated names.
+    fn check(&self, command: &str, flags: &str, switches: &str) -> Result<()> {
+        let has = |names: &str, key: &str| names.split_whitespace().any(|n| n == key);
+        for key in self.pairs.iter().map(|(k, _)| k).chain(&self.switches) {
+            if !has(flags, key) && !has(switches, key) {
+                return Err(CliError(format!("{command} does not take --{key} (see tafloc help)")));
+            }
+        }
+        if let Some((key, value)) = self.pairs.iter().find(|(k, _)| !has(flags, k)) {
+            return Err(CliError(format!("--{key} is a switch and takes no value, got {value:?}")));
+        }
+        if let Some(key) = self.switches.iter().find(|k| !has(switches, k)) {
+            return Err(CliError(format!("flag --{key} expects a value")));
+        }
+        Ok(())
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -539,7 +560,8 @@ pub fn cmd_info(args: &Args) -> Result<String> {
 
 /// `serve`: runs the always-on localization daemon until a `shutdown`
 /// request arrives over the wire (see the `tafloc-serve` crate for the
-/// newline-delimited JSON protocol).
+/// newline-delimited JSON protocol). `--port-file` receives the bound port
+/// and a newline, the same file `taflocd` writes.
 pub fn cmd_serve(args: &Args) -> Result<String> {
     use tafloc_serve::server::{Server, ServerConfig};
     let port: u16 = args.num("port", 7777)?;
@@ -607,7 +629,7 @@ pub fn cmd_serve(args: &Args) -> Result<String> {
     let bound = server.local_addr();
     if let Some(port_file) = args.optional("port-file") {
         // Lets scripts (and the workflow test) discover an ephemeral port.
-        std::fs::write(port_file, bound.to_string())
+        std::fs::write(port_file, format!("{}\n", bound.port()))
             .map_err(|e| CliError(format!("cannot write {port_file}: {e}")))?;
     }
     println!("taflocd listening on {bound}");
@@ -882,27 +904,51 @@ COMMANDS
                 [--system system.json [--site NAME] [--day D]]
   testkit       [--list] [--scenario NAME] [--bless] [--out report.json]
                 [--seed N] [--bias DB] [--budget N] [--policy P]
+
+serve's --port-file receives the bound port and a newline, as taflocd's does.
 ";
 
-/// Dispatches a command; returns the success message to print.
+/// A command: its name, its handler, the flags it takes with a value and
+/// the bare switches it takes, each list space-separated.
+type Command = (&'static str, fn(&Args) -> Result<String>, &'static str, &'static str);
+
+/// Every command and the flags it declares, once; `run` refuses the rest.
+const COMMANDS: &[Command] = &[
+    ("new-world", cmd_new_world, "out seed edge", "small"),
+    ("survey", cmd_survey, "world out day samples", ""),
+    ("calibrate", cmd_calibrate, "survey out refs", ""),
+    ("measure-refs", cmd_measure_refs, "world system day out samples", ""),
+    ("update", cmd_update, "system refs out budget policy epoch", ""),
+    ("plan", cmd_plan, "system budget policy epoch refs out", ""),
+    ("snapshot", cmd_snapshot, "world day cell out samples", ""),
+    ("locate", cmd_locate, "system y", ""),
+    (
+        "gen-stream",
+        cmd_gen_stream,
+        "world out day cell duration rate jitter loss reorder stream-seed",
+        "",
+    ),
+    ("ingest", cmd_ingest, "addr site stream batch ref-cell day wire", "locate"),
+    ("info", cmd_info, "system", ""),
+    ("export-db", cmd_export_db, "system out", ""),
+    (
+        "serve",
+        cmd_serve,
+        "port addr workers shards max-inflight-per-site port-file data-dir journal-flush-ms \
+         budget policy system site day",
+        "",
+    ),
+    ("testkit", cmd_testkit, "scenario out seed bias budget policy", "list bless"),
+];
+
+/// Dispatches a command after checking its flags; returns the success
+/// message to print.
 pub fn run(command: &str, args: &Args) -> Result<String> {
-    match command {
-        "new-world" => cmd_new_world(args),
-        "survey" => cmd_survey(args),
-        "calibrate" => cmd_calibrate(args),
-        "measure-refs" => cmd_measure_refs(args),
-        "update" => cmd_update(args),
-        "plan" => cmd_plan(args),
-        "snapshot" => cmd_snapshot(args),
-        "locate" => cmd_locate(args),
-        "gen-stream" => cmd_gen_stream(args),
-        "ingest" => cmd_ingest(args),
-        "info" => cmd_info(args),
-        "export-db" => cmd_export_db(args),
-        "serve" => cmd_serve(args),
-        "testkit" => cmd_testkit(args),
-        other => Err(CliError(format!("unknown command {other:?}\n\n{USAGE}"))),
-    }
+    let Some(&(name, handler, flags, switches)) = COMMANDS.iter().find(|c| c.0 == command) else {
+        return Err(CliError(format!("unknown command {command:?}\n\n{USAGE}")));
+    };
+    args.check(name, flags, switches)?;
+    handler(args)
 }
 
 #[cfg(test)]
@@ -966,6 +1012,84 @@ mod tests {
         let e = cmd_new_world(&a).unwrap_err();
         assert_eq!(e.0, "--edge expects meters, got \"wide\"");
         assert!(!out.exists());
+    }
+
+    /// Each command's flags and switches as `USAGE` lists them: a name
+    /// followed by a placeholder is a flag, one closed by `]` or followed by
+    /// `|` is a switch.
+    fn usage_flags() -> Vec<(String, Vec<String>, Vec<String>)> {
+        let mut out: Vec<(String, Vec<String>, Vec<String>)> = Vec::new();
+        let listing = USAGE.split("COMMANDS\n").nth(1).unwrap().split("\n\n").next().unwrap();
+        for line in listing.lines() {
+            let mut words: Vec<&str> = line.split_whitespace().collect();
+            if !line.starts_with("   ") {
+                out.push((words.remove(0).to_string(), Vec::new(), Vec::new()));
+            }
+            let (_, flags, switches) = out.last_mut().unwrap();
+            for (i, word) in words.iter().enumerate() {
+                let Some(name) = word.trim_start_matches('[').strip_prefix("--") else {
+                    continue;
+                };
+                let is_switch = name.ends_with(']') || words.get(i + 1).map_or(true, |w| *w == "|");
+                let name = name.trim_end_matches(']').to_string();
+                let list = if is_switch { &mut *switches } else { &mut *flags };
+                if !list.contains(&name) {
+                    list.push(name);
+                }
+            }
+        }
+        out
+    }
+
+    fn sorted(names: &str) -> Vec<String> {
+        let mut v: Vec<String> = names.split_whitespace().map(str::to_string).collect();
+        v.sort();
+        v
+    }
+
+    #[test]
+    fn the_flag_table_matches_the_usage_text() {
+        let usage = usage_flags();
+        let listed: Vec<&str> = usage.iter().map(|(c, ..)| c.as_str()).collect();
+        let declared: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+        assert_eq!(listed, declared);
+        for ((command, mut flags, mut switches), &(_, _, want_flags, want_switches)) in
+            usage.into_iter().zip(COMMANDS)
+        {
+            flags.sort();
+            switches.sort();
+            assert_eq!(flags, sorted(want_flags), "{command} flags");
+            assert_eq!(switches, sorted(want_switches), "{command} switches");
+            // Every flag the usage text lists is accepted.
+            let mut raw = Vec::new();
+            for f in &flags {
+                raw.extend([format!("--{f}"), "1".to_string()]);
+            }
+            raw.extend(switches.iter().map(|s| format!("--{s}")));
+            Args::parse(&raw).unwrap().check(&command, want_flags, want_switches).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_misspelled_flag_is_refused_by_every_command() {
+        for &(command, ..) in COMMANDS {
+            let a = Args::parse(&strs(&["--budjet", "18"])).unwrap();
+            let e = run(command, &a).unwrap_err();
+            assert_eq!(e.0, format!("{command} does not take --budjet (see tafloc help)"));
+            let a = Args::parse(&strs(&["--verbose"])).unwrap();
+            assert!(run(command, &a).unwrap_err().0.contains("does not take --verbose"));
+        }
+    }
+
+    #[test]
+    fn a_switch_with_a_value_and_a_flag_without_one_are_refused() {
+        let a = Args::parse(&strs(&["--list", "all"])).unwrap();
+        assert_eq!(
+            run("testkit", &a).unwrap_err().0,
+            "--list is a switch and takes no value, got \"all\""
+        );
+        let a = Args::parse(&strs(&["--system", "s.json", "--site"])).unwrap();
+        assert_eq!(run("serve", &a).unwrap_err().0, "flag --site expects a value");
     }
 
     #[test]

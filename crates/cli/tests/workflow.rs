@@ -334,10 +334,9 @@ fn gen_stream_and_ingest_feed_a_running_daemon() {
     let daemon = std::thread::spawn(move || run("serve", &serve_args).unwrap());
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     let addr = loop {
-        if let Ok(text) = std::fs::read_to_string(&port_file) {
-            if !text.is_empty() {
-                break text;
-            }
+        let text = std::fs::read_to_string(&port_file).unwrap_or_default();
+        if let Some(Ok(port)) = text.strip_suffix('\n').map(str::parse::<u16>) {
+            break format!("127.0.0.1:{port}");
         }
         assert!(std::time::Instant::now() < deadline, "serve never wrote its port file");
         std::thread::sleep(std::time::Duration::from_millis(10));
@@ -404,10 +403,9 @@ fn serve_command_answers_the_line_protocol() {
     // Discover the ephemeral port.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     let addr = loop {
-        if let Ok(text) = std::fs::read_to_string(&port_file) {
-            if !text.is_empty() {
-                break text;
-            }
+        let text = std::fs::read_to_string(&port_file).unwrap_or_default();
+        if let Some(Ok(port)) = text.strip_suffix('\n').map(str::parse::<u16>) {
+            break format!("127.0.0.1:{port}");
         }
         assert!(std::time::Instant::now() < deadline, "serve never wrote its port file");
         std::thread::sleep(std::time::Duration::from_millis(10));
