@@ -13,6 +13,37 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+# results/: each committed file is the standard output of one figure binary
+# run with the arguments in this table (EXPERIMENTS.md lists the same
+# commands). Rerun every binary and compare its output with the committed
+# file byte for byte; name each file that differs, then fail.
+echo "==> results/*.txt  (figure binaries in release, byte for byte)"
+results_differ=()
+while read -r bin args; do
+    # shellcheck disable=SC2086  # $args is a word list by design
+    if ! "./target/release/$bin" $args 2>/dev/null | cmp -s - "results/$bin.txt"; then
+        echo "results/$bin.txt differs from ./target/release/$bin $args"
+        results_differ+=("$bin")
+    fi
+done <<'TABLE'
+fig3 16 100
+fig4
+fig5 16 100 1
+drift_check 100
+ablation_rank 8 50
+ablation_refs 8 50
+ablation_terms 8 50
+ablation_zpolicy 8 50
+event_recovery 8 50
+update_policy 4 40
+link_sweep 3 40
+multi_target 4 60
+TABLE
+if ((${#results_differ[@]})); then
+    echo "results gate: ${#results_differ[@]} of 12 files differ"
+    exit 1
+fi
+
 echo "==> cargo test -q"
 cargo test -q
 
