@@ -59,19 +59,29 @@
 //! one sum per distinct active set of the partial edges; and the rank-1 term
 //! each partial edge adds to the rows (columns) in its active set. A solve
 //! then adds the stored values in the order it always added them, so every
-//! floating-point operation keeps its operands and its order, and unpacks
-//! once into the matrix the Cholesky factorization reads.
+//! floating-point operation keeps its operands and its order, and factors
+//! the packed triangle in place (`taf_linalg`'s one Cholesky routine serves
+//! the packed layout and the dense one bit for bit).
 //!
-//! Steady-state iterations are allocation-free when the caller reuses a
-//! [`SolverWorkspace`] via [`reconstruct_with`].
-
-use std::collections::HashMap;
+//! # Set-up
+//!
+//! Before the first sweep a solve indexes its problem: the distortion mask
+//! becomes one bitset per link (its distorted cells) and one per cell (its
+//! distorted links); each edge's active set is the AND of its endpoints'
+//! bitsets, and edges with equal words share one set, numbered in order of
+//! first use; the observed entries, the four edge-incidence lists and the
+//! colour classes become flat offset/index arrays. All of it is rebuilt on
+//! every solve into buffers the [`SolverWorkspace`] keeps: the distortion
+//! mask changes from one refresh to the next, so there is nothing to carry
+//! over. A whole solve on a reused workspace therefore allocates only for
+//! its SVD seed, its diagnostics and the outputs it publishes, and its
+//! iterations allocate nothing.
 
 use crate::error::TaflocError;
 use crate::mask::Mask;
 use crate::operators::NeighborGraph;
 use crate::Result;
-use taf_linalg::decomp::cholesky::solve_in_place;
+use taf_linalg::decomp::cholesky::{cholesky_packed_in_place, solve_packed_in_place};
 use taf_linalg::Matrix;
 
 /// LoLi-IR hyperparameters.
@@ -404,9 +414,9 @@ pub struct ReconstructionDiagnostics {
 const CONFIDENCE_COVERAGE_FLOOR: f64 = 0.15;
 
 /// Computes [`ReconstructionDiagnostics`] for the final factors. Runs once
-/// per solve, after the iteration loop; it may allocate (the iteration loop
-/// may not) but reuses the workspace's `gram` and block-solve scratch for the
-/// `r x r` leverage solves.
+/// per solve, after the iteration loop; it allocates its output vectors (the
+/// iteration loop may not allocate) but reuses the workspace's `gram` and
+/// block-solve scratch for the `r x r` leverage solves.
 fn compute_diagnostics(
     problem: &ReconstructionProblem<'_>,
     config: &LoliIrConfig,
@@ -455,19 +465,21 @@ fn compute_diagnostics(
         .collect();
 
     // Ridge leverage scores h_j = r_jᵀ (RᵀR + λI)⁻¹ r_j via one Cholesky of
-    // the r x r gram (reusing workspace buffers sized by `ensure`).
+    // the r x r gram, packed and factored in place in the block-solve scratch.
     rf.gram_into(gram)?;
     let s = scratch;
+    let mut k = 0;
     for a in 0..r {
-        for b in 0..r {
-            s.sys[(a, b)] = gram[(a, b)] + config.lambda * f64::from(a == b);
+        for b in 0..=a {
+            s.lhs[k] = gram[(a, b)] + config.lambda * f64::from(a == b);
+            k += 1;
         }
     }
-    s.sys.cholesky_into(&mut s.chol)?;
+    cholesky_packed_in_place(&mut s.lhs, r)?;
     let mut cell_leverage = Vec::with_capacity(n);
     for j in 0..n {
         s.rhs.copy_from_slice(rf.row(j));
-        solve_in_place(&s.chol, &mut s.rhs)?;
+        solve_packed_in_place(&s.lhs, &mut s.rhs)?;
         let h: f64 = taf_linalg::dot(rf.row(j), &s.rhs);
         cell_leverage.push(h.clamp(0.0, 1.0));
     }
@@ -493,84 +505,363 @@ fn compute_diagnostics(
     })
 }
 
+/// A list of lists over rows `0..rows`, flat: row `v` holds
+/// `items[start[v]..start[v + 1]]`. Rebuilt in place, so a reused one
+/// allocates only when a problem outgrows its buffers.
+#[derive(Debug, Default)]
+struct Csr {
+    start: Vec<usize>,
+    items: Vec<usize>,
+}
+
+impl Csr {
+    fn row(&self, v: usize) -> &[usize] {
+        &self.items[self.start[v]..self.start[v + 1]]
+    }
+
+    fn rows(&self) -> usize {
+        self.start.len().saturating_sub(1)
+    }
+
+    /// Empties the list; rows are then appended by pushing their items and
+    /// calling [`Csr::end_row`].
+    fn clear(&mut self) {
+        self.start.clear();
+        self.start.push(0);
+        self.items.clear();
+    }
+
+    fn end_row(&mut self) {
+        self.start.push(self.items.len());
+    }
+
+    /// Rebuilds the list with `rows` rows from the `(row, item)` pairs that
+    /// `pairs` hands to [`Emitter::emit`]; each row keeps its items in the
+    /// order emitted. `pairs` runs twice: once to count each row's items,
+    /// once to place them.
+    fn fill(&mut self, rows: usize, pairs: impl Fn(&mut Emitter<'_>)) {
+        let Csr { start, items } = self;
+        start.clear();
+        start.resize(rows + 1, 0);
+        pairs(&mut Emitter { placing: false, start, items });
+        for v in 0..rows {
+            start[v + 1] += start[v];
+        }
+        items.clear();
+        items.resize(start[rows], 0);
+        // `start[v]` serves as row v's cursor and ends at the row's end,
+        // which is where row v + 1 starts.
+        pairs(&mut Emitter { placing: true, start, items });
+        start.copy_within(0..rows, 1);
+        start[0] = 0;
+    }
+}
+
+/// The receiving end of [`Csr::fill`]: counts the pairs on the first pass
+/// and places them on the second.
+struct Emitter<'a> {
+    placing: bool,
+    start: &'a mut [usize],
+    items: &'a mut [usize],
+}
+
+impl Emitter<'_> {
+    fn emit(&mut self, v: usize, x: usize) {
+        if self.placing {
+            self.items[self.start[v]] = x;
+            self.start[v] += 1;
+        } else {
+            self.start[v + 1] += 1;
+        }
+    }
+}
+
 /// One graph's edges, each resolved to its "active" coordinates (where both
 /// endpoint entries are distorted). Edges with the same active coordinates
-/// share one entry of `sets`, so a sum over them is computed once.
+/// share one set, so a sum over them is computed once.
+#[derive(Debug, Default)]
 struct EdgeList {
-    /// `(v, u, set)` with `v < u`: the endpoints and the index into `sets`.
+    /// `(v, u, set)` with `v < u`: the endpoints and the index of their set.
     edges: Vec<(usize, usize, usize)>,
-    /// Distinct active sets, in order of first use.
-    sets: Vec<Vec<usize>>,
+    /// Distinct active sets in order of first use, each in increasing order.
+    sets: Csr,
+    /// The bitset words of each distinct set, one row of words per set.
+    set_words: Vec<u64>,
+    /// Open-addressing table from a set's words to its index (`usize::MAX`
+    /// marks a free slot); at most half full.
+    slots: Vec<usize>,
 }
 
 impl EdgeList {
     /// Resolves every edge `(v, u)`, `v < u`, of `graph` to the coordinates
-    /// `x < coords` with `active(v, u, x)`, dropping edges that have none.
+    /// set in both `bits` rows of its endpoints (`words` words per vertex),
+    /// dropping edges that have none. `cur` is scratch.
     fn build(
+        &mut self,
         graph: Option<&NeighborGraph>,
-        coords: usize,
-        active: impl Fn(usize, usize, usize) -> bool,
-    ) -> Self {
-        let mut list = EdgeList { edges: Vec::new(), sets: Vec::new() };
-        let Some(g) = graph else { return list };
-        let mut index: HashMap<Vec<usize>, usize> = HashMap::new();
-        let mut set = Vec::new();
+        bits: &[u64],
+        words: usize,
+        cur: &mut Vec<u64>,
+    ) {
+        self.edges.clear();
+        self.sets.clear();
+        self.set_words.clear();
+        let Some(g) = graph else { return };
+        let cap = (2 * g.num_edges()).next_power_of_two().max(2);
+        self.slots.clear();
+        self.slots.resize(cap, usize::MAX);
         for v in 0..g.len() {
             for &u in g.neighbors(v).iter().filter(|&&u| u > v) {
-                set.clear();
-                set.extend((0..coords).filter(|&x| active(v, u, x)));
-                if set.is_empty() {
+                let (bv, bu) = (&bits[v * words..][..words], &bits[u * words..][..words]);
+                cur.clear();
+                cur.extend(bv.iter().zip(bu).map(|(a, b)| a & b));
+                if cur.iter().all(|&w| w == 0) {
                     continue;
                 }
-                let k = match index.get(&set) {
-                    Some(&k) => k,
-                    None => {
-                        index.insert(set.clone(), list.sets.len());
-                        list.sets.push(set.clone());
-                        list.sets.len() - 1
-                    }
-                };
-                list.edges.push((v, u, k));
+                let set = self.intern(cur);
+                self.edges.push((v, u, set));
             }
         }
-        list
+    }
+
+    /// Index of the set whose words are `cur`, added as a new set if absent.
+    fn intern(&mut self, cur: &[u64]) -> usize {
+        let w = cur.len();
+        let mask = self.slots.len() - 1;
+        let hash = cur.iter().fold(0u64, |h, &x| (h.rotate_left(5) ^ x).wrapping_mul(FX_SEED));
+        let mut slot = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            match self.slots[slot] {
+                usize::MAX => break,
+                k if self.set_words[k * w..(k + 1) * w] == *cur => return k,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+        let k = self.sets.rows();
+        self.slots[slot] = k;
+        self.set_words.extend_from_slice(cur);
+        for (base, &word) in (0..).step_by(64).zip(cur) {
+            let mut rest = word;
+            while rest != 0 {
+                self.sets.items.push(base + rest.trailing_zeros() as usize);
+                rest &= rest - 1;
+            }
+        }
+        self.sets.end_row();
+        k
+    }
+
+    fn set(&self, k: usize) -> &[usize] {
+        self.sets.row(k)
     }
 
     /// Whether edge `k` is active on all `full` coordinates.
     fn is_full(&self, k: usize, full: usize) -> bool {
-        self.sets[self.edges[k].2].len() == full
+        self.set(self.edges[k].2).len() == full
     }
 }
 
-/// Pre-resolved edge lists of both graphs.
-struct EdgeSets {
+/// Multiplier of the set-dedup hash (the Fx hash's constant).
+const FX_SEED: u64 = 0x517c_c1b7_2722_0a95;
+
+/// Sets the low `count` bits of `row` (`row.len() == count.div_ceil(64)`).
+fn fill_ones(row: &mut [u64], count: usize) {
+    for (w, word) in row.iter_mut().enumerate() {
+        let left = count - 64 * w;
+        *word = if left >= 64 { u64::MAX } else { (1u64 << left) - 1 };
+    }
+}
+
+/// Scratch of [`sweep_order`].
+#[derive(Debug, Default)]
+struct Colouring {
+    /// Adjacency of the graph being coloured.
+    adj: Csr,
+    /// Colour of each vertex (`usize::MAX` until coloured).
+    colour: Vec<usize>,
+    /// `taken[c] == v + 1` while colouring `v`: a neighbour already has `c`.
+    taken: Vec<usize>,
+    /// Vertices per colour, then each colour's next slot in the order.
+    next: Vec<usize>,
+}
+
+/// Writes into `order` the sweep order of a deterministic greedy colouring
+/// of the graph on `n` vertices whose edges `edges` lists. Vertices are
+/// visited in index order and take the smallest colour absent among their
+/// already-coloured neighbours, so the classes depend only on the edge list;
+/// `order` lists the vertices of colour 0 in index order, then those of
+/// colour 1, and so on. Vertices joined by an edge never share a class,
+/// hence every block solve within a class is independent of the others.
+fn sweep_order(
+    c: &mut Colouring,
+    n: usize,
+    edges: &[(usize, usize, usize)],
+    order: &mut Vec<usize>,
+) {
+    c.adj.fill(n, |e| {
+        for &(u, v, _) in edges {
+            e.emit(u, v);
+            e.emit(v, u);
+        }
+    });
+    c.colour.clear();
+    c.colour.resize(n, usize::MAX);
+    c.taken.clear();
+    c.taken.resize(n + 1, 0);
+    let mut colours = 0;
+    for v in 0..n {
+        for &u in c.adj.row(v) {
+            if let Some(t) = c.taken.get_mut(c.colour[u]) {
+                *t = v + 1;
+            }
+        }
+        let k = (0..=n).find(|&k| c.taken[k] != v + 1).expect("a free colour always exists");
+        c.colour[v] = k;
+        colours = colours.max(k + 1);
+    }
+    c.next.clear();
+    c.next.resize(colours + 1, 0);
+    for &k in &c.colour {
+        c.next[k + 1] += 1;
+    }
+    for k in 0..colours {
+        c.next[k + 1] += c.next[k];
+    }
+    order.clear();
+    order.resize(n, 0);
+    for (v, &k) in c.colour.iter().enumerate() {
+        order[c.next[k]] = v;
+        c.next[k] += 1;
+    }
+}
+
+/// What one solve knows about its problem's structure: the active sets of
+/// both graphs' edges, the observed entries and the edges touching each row
+/// and column, and the order of both colored sweeps. Every solve rebuilds
+/// it in place (see the module docs' *Set-up*).
+#[derive(Debug, Default)]
+struct Structure {
+    /// Distortion mask as bitsets: per link, its distorted cells…
+    link_bits: Vec<u64>,
+    /// …and per cell, its distorted links.
+    cell_bits: Vec<u64>,
+    /// Words of the active set being resolved.
+    words: Vec<u64>,
     /// Location edges `(j, j')`, active on sets of links.
     location: EdgeList,
     /// Link edges `(i, i')`, active on sets of cells.
     link: EdgeList,
+    /// Observed columns of each row, in increasing order.
+    row_obs: Csr,
+    /// Observed rows of each column, in increasing order.
+    col_obs: Csr,
+    /// Link edges incident to each row (fully-active and not).
+    row_edges: Csr,
+    /// Location edges with a *partial* active set containing each row; the
+    /// fully-active ones enter through the L-step's closed form.
+    row_loc_edges: Csr,
+    /// Location edges incident to each column (fully-active and not).
+    col_edges: Csr,
+    /// Link edges with a *partial* active set containing each column.
+    col_link_edges: Csr,
+    /// The L-step's rows and the R-step's columns in sweep order.
+    row_order: Vec<usize>,
+    col_order: Vec<usize>,
+    colouring: Colouring,
 }
 
-fn build_edge_sets(problem: &ReconstructionProblem<'_>) -> EdgeSets {
-    let (m, n) = problem.observed.shape();
-    let active = |i: usize, j: usize| problem.distortion.map_or(true, |d| d.get(i, j));
-    EdgeSets {
-        location: EdgeList::build(problem.location_graph, m, |v, u, i| {
-            active(i, v) && active(i, u)
-        }),
-        link: EdgeList::build(problem.link_graph, n, |v, u, j| active(v, j) && active(u, j)),
+impl Structure {
+    fn build(&mut self, problem: &ReconstructionProblem<'_>, config: &LoliIrConfig) {
+        let (m, n) = problem.observed.shape();
+        let (wm, wn) = (m.div_ceil(64), n.div_ceil(64));
+        let Structure {
+            link_bits,
+            cell_bits,
+            words,
+            location,
+            link,
+            row_obs,
+            col_obs,
+            row_edges,
+            row_loc_edges,
+            col_edges,
+            col_link_edges,
+            row_order,
+            col_order,
+            colouring,
+        } = self;
+        link_bits.clear();
+        link_bits.resize(m * wn, 0);
+        cell_bits.clear();
+        cell_bits.resize(n * wm, 0);
+        match problem.distortion {
+            Some(d) => {
+                for i in 0..m {
+                    for j in d.true_cols(i) {
+                        link_bits[i * wn + j / 64] |= 1 << (j % 64);
+                        cell_bits[j * wm + i / 64] |= 1 << (i % 64);
+                    }
+                }
+            }
+            None => {
+                link_bits.chunks_exact_mut(wn).for_each(|row| fill_ones(row, n));
+                cell_bits.chunks_exact_mut(wm).for_each(|row| fill_ones(row, m));
+            }
+        }
+        location.build(problem.location_graph, cell_bits, wm, words);
+        link.build(problem.link_graph, link_bits, wn, words);
+
+        row_obs
+            .fill(m, |e| (0..m).for_each(|i| problem.mask.true_cols(i).for_each(|j| e.emit(i, j))));
+        col_obs.fill(n, |e| (0..m).for_each(|i| row_obs.row(i).iter().for_each(|&j| e.emit(j, i))));
+
+        // Both smoothness terms depend on *both* factors: a similarity edge
+        // (i, i') constrains rows i, i' of L and every active column of R; a
+        // continuity edge (j, j') constrains columns j, j' of R and every
+        // active row of L. For each block solve to be an exact minimization
+        // (and the objective therefore monotone), every term touching the
+        // variable must enter its normal equations — so the edges are indexed
+        // from all four directions. The "every active row/column" directions
+        // list only the *partial* edges; the fully-active ones enter through
+        // the shared closed-form accumulators.
+        let ends = |list: &EdgeList, e: &mut Emitter<'_>| {
+            for (k, &(u, v, _)) in list.edges.iter().enumerate() {
+                e.emit(u, k);
+                e.emit(v, k);
+            }
+        };
+        let members = |list: &EdgeList, full: usize, e: &mut Emitter<'_>| {
+            for (k, &(_, _, set)) in list.edges.iter().enumerate() {
+                let set = list.set(set);
+                if set.len() != full {
+                    set.iter().for_each(|&x| e.emit(x, k));
+                }
+            }
+        };
+        row_edges.fill(m, |e| ends(link, e));
+        col_link_edges.fill(n, |e| members(link, n, e));
+        col_edges.fill(n, |e| ends(location, e));
+        row_loc_edges.fill(m, |e| members(location, m, e));
+
+        // A row's solve reads other L rows only through similarity edges (and
+        // a column's solve reads other R rows only through continuity edges),
+        // so no solve reads a row of its own class — exactly what a proper
+        // coloring guarantees — and each solved row can be written back at
+        // once. When the coupling term is off, everything is independent and
+        // a single class covers the whole sweep.
+        let row_coupling = if config.beta > 0.0 { &link.edges[..] } else { &[] };
+        sweep_order(colouring, m, row_coupling, row_order);
+        let col_coupling = if config.alpha > 0.0 { &location.edges[..] } else { &[] };
+        sweep_order(colouring, n, col_coupling, col_order);
     }
 }
 
 /// Scratch of the `r x r` block solve in progress.
 #[derive(Debug)]
 struct RowScratch {
-    /// Normal-equation matrix, packed lower triangle.
+    /// Normal-equation matrix as a packed lower triangle; the solve factors
+    /// it in place into its Cholesky factor.
     lhs: Vec<f64>,
-    /// `lhs` unpacked into the matrix the Cholesky factorization reads
-    /// (lower triangle; the upper one is never read).
-    sys: Matrix,
-    /// Cholesky factor of `sys`.
-    chol: Matrix,
     /// Right-hand side on entry to the solve, the solution on return.
     rhs: Vec<f64>,
     /// Product of a packed set sum with the other endpoint's factor row.
@@ -579,25 +870,24 @@ struct RowScratch {
 
 impl RowScratch {
     fn new(r: usize) -> Self {
-        RowScratch {
-            lhs: vec![0.0; tri_len(r)],
-            sys: Matrix::zeros(r, r),
-            chol: Matrix::zeros(r, r),
-            rhs: vec![0.0; r],
-            dir: vec![0.0; r],
-        }
+        RowScratch { lhs: vec![0.0; tri_len(r)], rhs: vec![0.0; r], dir: vec![0.0; r] }
     }
 }
 
 /// Preallocated buffers for [`reconstruct_with`].
 ///
 /// A workspace can be reused across solves of any shape: buffers grow when the
-/// problem does and are reused verbatim otherwise, which makes steady-state
-/// solver iterations allocation-free. `SolverWorkspace::new()` itself
-/// allocates nothing — buffers appear on first use. Every packed buffer holds
-/// lower triangles of `r x r` matrices, `r(r+1)/2` entries each.
+/// problem does and are reused verbatim otherwise. Every solve rebuilds its
+/// set-up (edge sets, incidence lists, sweep order) in these buffers too, so
+/// on a reused workspace a whole solve allocates only for its SVD seed, its
+/// diagnostics and the outputs it publishes, and its iterations allocate
+/// nothing. `SolverWorkspace::new()` itself allocates nothing — buffers
+/// appear on first use. Every packed buffer holds lower triangles of `r x r`
+/// matrices, `r(r+1)/2` entries each.
 #[derive(Debug)]
 pub struct SolverWorkspace {
+    /// The problem's structure, rebuilt by every solve.
+    structure: Structure,
     /// The one block solve in flight: each solved row (column) is written
     /// back to its factor before the next solve begins.
     scratch: RowScratch,
@@ -654,6 +944,7 @@ impl SolverWorkspace {
     /// Creates an empty workspace; buffers are allocated lazily by the solver.
     pub fn new() -> Self {
         SolverWorkspace {
+            structure: Structure::default(),
             scratch: RowScratch::new(0),
             gram: Matrix::zeros(0, 0),
             xh: Matrix::zeros(0, 0),
@@ -676,17 +967,10 @@ impl SolverWorkspace {
         }
     }
 
-    /// Grows the buffers to fit an `m x n` rank-`r` problem with the given
-    /// edge sets; a no-op (and allocation-free) when they already fit.
-    fn ensure(
-        &mut self,
-        m: usize,
-        n: usize,
-        r: usize,
-        edges: &EdgeSets,
-        max_iters: usize,
-        accelerate: bool,
-    ) {
+    /// Grows the buffers to fit an `m x n` rank-`r` problem with the edge
+    /// sets in `self.structure`; a no-op (and allocation-free) when they
+    /// already fit.
+    fn ensure(&mut self, m: usize, n: usize, r: usize, max_iters: usize, accelerate: bool) {
         if self.scratch.rhs.len() != r {
             self.scratch = RowScratch::new(r);
         }
@@ -699,12 +983,13 @@ impl SolverWorkspace {
         }
         self.link_rhs.resize(r, 0.0);
         self.rsum.resize(r, 0.0);
-        let sets = edges.link.sets.len().max(edges.location.sets.len());
+        let (link, location) = (&self.structure.link, &self.structure.location);
+        let sets = link.sets.rows().max(location.sets.rows());
         self.set_tri.resize(sets * t, 0.0);
         self.set_tri_w.resize(sets * t, 0.0);
-        self.set_sum.resize(edges.link.sets.len() * r, 0.0);
-        self.edge_outer.resize(edges.link.edges.len().max(edges.location.edges.len()) * t, 0.0);
-        self.edge_rhs.resize(edges.link.edges.len() * r, 0.0);
+        self.set_sum.resize(link.sets.rows() * r, 0.0);
+        self.edge_outer.resize(link.edges.len().max(location.edges.len()) * t, 0.0);
+        self.edge_rhs.resize(link.edges.len() * r, 0.0);
         if self.xh.shape() != (m, n) {
             self.xh = Matrix::zeros(m, n);
         }
@@ -736,35 +1021,6 @@ impl Default for SolverWorkspace {
     }
 }
 
-/// Deterministic greedy coloring: vertices are visited in index order and take
-/// the smallest color absent among their already-colored neighbors, so the
-/// classes depend only on the edge list. Vertices joined by an edge never
-/// share a class, hence every block solve within a class is independent of
-/// the others.
-fn color_classes(
-    n_vertices: usize,
-    edges: impl Iterator<Item = (usize, usize)>,
-) -> Vec<Vec<usize>> {
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n_vertices];
-    for (u, v) in edges {
-        adj[u].push(v);
-        adj[v].push(u);
-    }
-    let mut color = vec![usize::MAX; n_vertices];
-    let mut classes: Vec<Vec<usize>> = Vec::new();
-    for v in 0..n_vertices {
-        let c = (0..=classes.len())
-            .find(|&c| !adj[v].iter().any(|&u| color[u] == c))
-            .expect("a free color always exists");
-        if c == classes.len() {
-            classes.push(Vec::new());
-        }
-        color[v] = c;
-        classes[c].push(v);
-    }
-    classes
-}
-
 /// Cross-link empty-room baseline offset `δ_{ii'} = e_i − e_{i'}`.
 fn baseline_delta(problem: &ReconstructionProblem<'_>, i: usize, i2: usize) -> f64 {
     problem.empty_rss.map_or(0.0, |e| e[i] - e[i2])
@@ -773,7 +1029,7 @@ fn baseline_delta(problem: &ReconstructionProblem<'_>, i: usize, i2: usize) -> f
 /// Evaluates the LoLi-IR objective at `(L, R)`, writing `L·Rᵀ` into `xh`.
 fn objective(
     problem: &ReconstructionProblem<'_>,
-    edges: &EdgeSets,
+    st: &Structure,
     config: &LoliIrConfig,
     mu: f64,
     l: &Matrix,
@@ -782,9 +1038,11 @@ fn objective(
 ) -> Result<f64> {
     l.matmul_nt_into(rf, xh)?;
     let mut f = config.lambda * (l.frobenius_norm().powi(2) + rf.frobenius_norm().powi(2));
-    for (i, j) in problem.mask.true_positions() {
-        let d = xh[(i, j)] - problem.observed[(i, j)];
-        f += d * d;
+    for i in 0..xh.rows() {
+        for &j in st.row_obs.row(i) {
+            let d = xh[(i, j)] - problem.observed[(i, j)];
+            f += d * d;
+        }
     }
     if let Some(p) = problem.lrr_prior {
         if mu > 0.0 {
@@ -797,17 +1055,17 @@ fn objective(
         }
     }
     if config.alpha > 0.0 {
-        for &(j, j2, set) in &edges.location.edges {
-            for &i in &edges.location.sets[set] {
+        for &(j, j2, set) in &st.location.edges {
+            for &i in st.location.set(set) {
                 let d = xh[(i, j)] - xh[(i, j2)];
                 f += config.alpha * d * d;
             }
         }
     }
     if config.beta > 0.0 {
-        for &(i, i2, set) in &edges.link.edges {
+        for &(i, i2, set) in &st.link.edges {
             let off = baseline_delta(problem, i, i2);
-            for &j in &edges.link.sets[set] {
+            for &j in st.link.set(set) {
                 let d = xh[(i, j)] - xh[(i2, j)] - off;
                 f += config.beta * d * d;
             }
@@ -819,19 +1077,12 @@ fn objective(
 /// Read-only inputs shared by the L-step solves of one half-sweep.
 struct LStepCtx<'a> {
     problem: &'a ReconstructionProblem<'a>,
-    edges: &'a EdgeSets,
+    st: &'a Structure,
     config: &'a LoliIrConfig,
     mu: f64,
     rf: &'a Matrix,
     /// `RᵀR`.
     gram: &'a Matrix,
-    /// Observed column indices per row (CSR-style; replaces per-entry mask probes).
-    row_obs: &'a [Vec<usize>],
-    /// Link edges incident to each row (fully-active and not).
-    row_edges: &'a [Vec<usize>],
-    /// Location edges with a *partial* active set containing each row; the
-    /// fully-active ones are folded into `base`.
-    row_loc_edges: &'a [Vec<usize>],
     /// `λI + μRᵀR`, plus the fully-active continuity closed form (packed).
     base: &'a [f64],
     /// `β·RᵀR` (packed).
@@ -839,7 +1090,7 @@ struct LStepCtx<'a> {
     /// Column sums of `R` for the baseline-offset right-hand-side term.
     rsum: &'a [f64],
     /// Per partial link set: `Σ_{j ∈ cells} r_j r_jᵀ` (packed), `β` times
-    /// it, and `Σ_{j ∈ cells} r_j`, indexed like `edges.link.sets`.
+    /// it, and `Σ_{j ∈ cells} r_j`, indexed like `st.link`'s sets.
     set_tri: &'a [f64],
     set_tri_w: &'a [f64],
     set_sum: &'a [f64],
@@ -853,18 +1104,12 @@ struct LStepCtx<'a> {
 /// Read-only inputs shared by the R-step solves of one half-sweep.
 struct RStepCtx<'a> {
     problem: &'a ReconstructionProblem<'a>,
-    edges: &'a EdgeSets,
+    st: &'a Structure,
     config: &'a LoliIrConfig,
     mu: f64,
     l: &'a Matrix,
     /// `LᵀL`.
     gram: &'a Matrix,
-    /// Observed row indices per column.
-    col_obs: &'a [Vec<usize>],
-    /// Location edges incident to each column (fully-active and not).
-    col_edges: &'a [Vec<usize>],
-    /// Link edges with a *partial* active set containing each column.
-    col_link_edges: &'a [Vec<usize>],
     /// `λI + μLᵀL`, plus the fully-active similarity closed form (packed).
     base: &'a [f64],
     /// `α·LᵀL` (packed).
@@ -873,7 +1118,7 @@ struct RStepCtx<'a> {
     /// `β Σ δ_{ii'} (l_i − l_{i'})`; `None` when no link edge is fully active.
     link_rhs: Option<&'a [f64]>,
     /// Per partial location set: `Σ_{i ∈ links} l_i l_iᵀ` (packed) and `α`
-    /// times it, indexed like `edges.location.sets`.
+    /// times it, indexed like `st.location`'s sets.
     set_tri: &'a [f64],
     set_tri_w: &'a [f64],
     /// Per partial link edge: `β (l_i − l_{i'})(l_i − l_{i'})ᵀ` (packed) and,
@@ -884,11 +1129,10 @@ struct RStepCtx<'a> {
     prior_rhs: Option<&'a Matrix>,
 }
 
-/// Unpacks `s.lhs`, factors it and solves for `s.rhs` in place.
+/// Factors `s.lhs` in place and solves for `s.rhs` in place.
 fn finish_solve(s: &mut RowScratch) -> Result<()> {
-    unpack_lower(&s.lhs, &mut s.sys);
-    s.sys.cholesky_into(&mut s.chol)?;
-    solve_in_place(&s.chol, &mut s.rhs)?;
+    cholesky_packed_in_place(&mut s.lhs, s.rhs.len())?;
+    solve_packed_in_place(&s.lhs, &mut s.rhs)?;
     Ok(())
 }
 
@@ -908,7 +1152,7 @@ fn solve_l_row(ctx: &LStepCtx<'_>, l: &Matrix, i: usize, s: &mut RowScratch) -> 
     s.lhs.copy_from_slice(ctx.base);
     s.rhs.fill(0.0);
     // Data term: Σ_j B_ij (r_jᵀ l_i − x_ij)².
-    for &j in &ctx.row_obs[i] {
+    for &j in ctx.st.row_obs.row(i) {
         let rj = ctx.rf.row(j);
         rank1_update(&mut s.lhs, rj, 1.0);
         taf_linalg::axpy_slice(&mut s.rhs, ctx.problem.observed[(i, j)], rj);
@@ -919,12 +1163,12 @@ fn solve_l_row(ctx: &LStepCtx<'_>, l: &Matrix, i: usize, s: &mut RowScratch) -> 
     }
     // Similarity edges incident to row i (other endpoint held fixed).
     if beta > 0.0 {
-        for &k in &ctx.row_edges[i] {
-            let (u, v, set) = ctx.edges.link.edges[k];
+        for &k in ctx.st.row_edges.row(i) {
+            let (u, v, set) = ctx.st.link.edges[k];
             let delta = baseline_delta(ctx.problem, u, v);
             let (other, off) = if u == i { (v, delta) } else { (u, -delta) };
             let lo = l.row(other);
-            if ctx.edges.link.is_full(k, n) {
+            if ctx.st.link.is_full(k, n) {
                 // Fully active: Σ_j r_j r_jᵀ = RᵀR and the target sum
                 // collapses to G·l_other + off·Σ_j r_j.
                 add_into(&mut s.lhs, ctx.gram_w);
@@ -948,7 +1192,7 @@ fn solve_l_row(ctx: &LStepCtx<'_>, l: &Matrix, i: usize, s: &mut RowScratch) -> 
     // Continuity edges whose *partial* active-link set contains row i:
     // α (l_iᵀ (r_j − r_{j'}))², quadratic in l_i with zero target.
     if ctx.config.alpha > 0.0 {
-        for &k in &ctx.row_loc_edges[i] {
+        for &k in ctx.st.row_loc_edges.row(i) {
             add_into(&mut s.lhs, &ctx.edge_outer[k * t..(k + 1) * t]);
         }
     }
@@ -968,7 +1212,7 @@ fn solve_r_col(ctx: &RStepCtx<'_>, rf: &Matrix, j: usize, s: &mut RowScratch) ->
     if let Some(full_rhs) = ctx.link_rhs {
         taf_linalg::axpy_slice(&mut s.rhs, 1.0, full_rhs);
     }
-    for &i in &ctx.col_obs[j] {
+    for &i in ctx.st.col_obs.row(j) {
         let li = ctx.l.row(i);
         rank1_update(&mut s.lhs, li, 1.0);
         taf_linalg::axpy_slice(&mut s.rhs, ctx.problem.observed[(i, j)], li);
@@ -981,10 +1225,10 @@ fn solve_r_col(ctx: &RStepCtx<'_>, rf: &Matrix, j: usize, s: &mut RowScratch) ->
     }
     let alpha = ctx.config.alpha;
     if alpha > 0.0 {
-        for &k in &ctx.col_edges[j] {
-            let (u, v, set) = ctx.edges.location.edges[k];
+        for &k in ctx.st.col_edges.row(j) {
+            let (u, v, set) = ctx.st.location.edges[k];
             let ro = rf.row(if u == j { v } else { u });
-            if ctx.edges.location.is_full(k, m) {
+            if ctx.st.location.is_full(k, m) {
                 // Fully active: Σ_i l_i l_iᵀ = LᵀL, target sum G_L·r_other.
                 add_into(&mut s.lhs, ctx.gram_w);
                 for (a, out) in s.rhs.iter_mut().enumerate() {
@@ -1003,9 +1247,9 @@ fn solve_r_col(ctx: &RStepCtx<'_>, rf: &Matrix, j: usize, s: &mut RowScratch) ->
     // β ((l_i − l_{i'})ᵀ r_j − δ_{ii'})², quadratic in r_j with direction
     // l_i − l_{i'} and target δ.
     if ctx.config.beta > 0.0 {
-        for &k in &ctx.col_link_edges[j] {
+        for &k in ctx.st.col_link_edges.row(j) {
             add_into(&mut s.lhs, &ctx.edge_outer[k * t..(k + 1) * t]);
-            let (i, i2, _) = ctx.edges.link.edges[k];
+            let (i, i2, _) = ctx.st.link.edges[k];
             if ctx.config.beta * baseline_delta(ctx.problem, i, i2) != 0.0 {
                 add_into(&mut s.rhs, &ctx.edge_rhs[k * r..(k + 1) * r]);
             }
@@ -1067,9 +1311,8 @@ pub fn reconstruct_warm(
     // side with no matching right-hand side would shrink X̂ toward zero).
     let mu = if problem.lrr_prior.is_some() { config.mu } else { 0.0 };
     let has_prior = mu > 0.0 && problem.lrr_prior.is_some();
-    let edges = build_edge_sets(problem);
-
-    ws.ensure(m, n, r, &edges, config.max_iters, config.accelerate);
+    ws.structure.build(problem, config);
+    ws.ensure(m, n, r, config.max_iters, config.accelerate);
 
     // ------------------------------------------------------------------
     // Initialization. The cold start is the truncated SVD of the prior (or of
@@ -1093,8 +1336,9 @@ pub fn reconstruct_warm(
     let (warm_start, scored) = match seed {
         None => (false, None),
         Some(w) => {
-            let f_warm = objective(problem, &edges, config, mu, &w.l, &w.r, &mut ws.xh)?;
-            let f_cold = objective(problem, &edges, config, mu, &cold_l, &cold_r, &mut ws.xh)?;
+            let st = &ws.structure;
+            let f_warm = objective(problem, st, config, mu, &w.l, &w.r, &mut ws.xh)?;
+            let f_cold = objective(problem, st, config, mu, &cold_l, &cold_r, &mut ws.xh)?;
             // Strict `<` (false on NaN) so ties and garbage go cold.
             if f_warm < f_cold {
                 (true, Some(f_warm))
@@ -1114,79 +1358,22 @@ pub fn reconstruct_warm(
     // first iteration's objective rewrites it (`max_iters >= 1`).
     let f0 = match scored {
         Some(f) => f,
-        None => objective(problem, &edges, config, mu, &l, &rf, &mut ws.xh)?,
+        None => objective(problem, &ws.structure, config, mu, &l, &rf, &mut ws.xh)?,
     };
     ws.trace.push(f0);
     let mut converged = false;
     let mut iterations = 0;
-
-    // Observed coordinates as CSR-style index lists, so the block solves walk
-    // only the observed entries instead of probing the mask across every
-    // row/column.
-    let mut row_obs: Vec<Vec<usize>> = vec![Vec::new(); m];
-    let mut col_obs: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, j) in problem.mask.true_positions() {
-        row_obs[i].push(j);
-        col_obs[j].push(i);
-    }
 
     // Fully-active edges (every row resp. column in the active set — the
     // common case whenever no distortion mask narrows the penalties) are
     // handled in closed form: their per-sweep accumulators are computed once
     // and shared by every block solve of the sweep, instead of redoing a
     // rank-1 update per active entry per solve.
-    let has_full_loc = config.alpha > 0.0 && edges.location.sets.iter().any(|s| s.len() == m);
-    let has_full_link = config.beta > 0.0 && edges.link.sets.iter().any(|s| s.len() == n);
+    let st = &ws.structure;
+    let any_full = |list: &EdgeList, full| (0..list.sets.rows()).any(|k| list.set(k).len() == full);
+    let has_full_loc = config.alpha > 0.0 && any_full(&st.location, m);
+    let has_full_link = config.beta > 0.0 && any_full(&st.link, n);
 
-    // Per-row and per-column edge adjacency (indices into edge lists).
-    //
-    // Both smoothness terms depend on *both* factors: a similarity edge
-    // (i, i') constrains rows i, i' of L and every active column of R; a
-    // continuity edge (j, j') constrains columns j, j' of R and every active row
-    // of L. For each block solve to be an exact minimization (and the objective
-    // therefore monotone), every term touching the variable must enter its
-    // normal equations — so we index the edges from all four directions. The
-    // "every active row/column" directions list only the *partial* edges; the
-    // fully-active ones enter through the shared closed-form accumulators.
-    let mut row_edges: Vec<Vec<usize>> = vec![Vec::new(); m];
-    let mut col_link_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (k, &(i, i2, set)) in edges.link.edges.iter().enumerate() {
-        row_edges[i].push(k);
-        row_edges[i2].push(k);
-        if !edges.link.is_full(k, n) {
-            for &j in &edges.link.sets[set] {
-                col_link_edges[j].push(k);
-            }
-        }
-    }
-    let mut col_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut row_loc_edges: Vec<Vec<usize>> = vec![Vec::new(); m];
-    for (k, &(j, j2, set)) in edges.location.edges.iter().enumerate() {
-        col_edges[j].push(k);
-        col_edges[j2].push(k);
-        if !edges.location.is_full(k, m) {
-            for &i in &edges.location.sets[set] {
-                row_loc_edges[i].push(k);
-            }
-        }
-    }
-
-    // Color classes for the Gauss-Seidel sweeps. A row's solve reads other L
-    // rows only through similarity edges (and a column's solve reads other R
-    // rows only through continuity edges), so no solve reads a row of its own
-    // class — exactly what a proper coloring guarantees — and each solved row
-    // can be written back at once. When the coupling term is off, everything
-    // is independent and a single class covers the whole sweep.
-    let row_classes = if config.beta > 0.0 {
-        color_classes(m, edges.link.edges.iter().map(|&(u, v, _)| (u, v)))
-    } else {
-        vec![(0..m).collect()]
-    };
-    let col_classes = if config.alpha > 0.0 {
-        color_classes(n, edges.location.edges.iter().map(|&(u, v, _)| (u, v)))
-    } else {
-        vec![(0..n).collect()]
-    };
     let t = tri_len(r);
 
     let mut stall = 0usize;
@@ -1210,9 +1397,10 @@ pub fn reconstruct_warm(
         if config.alpha > 0.0 {
             let dir = &mut ws.scratch.dir;
             ws.closed.fill(0.0);
-            for (k, &(j, j2, _)) in edges.location.edges.iter().enumerate() {
+            let location = &ws.structure.location;
+            for (k, &(j, j2, _)) in location.edges.iter().enumerate() {
                 diff_into(dir, rf.row(j), rf.row(j2));
-                if edges.location.is_full(k, m) {
+                if location.is_full(k, m) {
                     rank1_update(&mut ws.closed, dir, config.alpha);
                 } else {
                     outer_packed(&mut ws.edge_outer[k * t..(k + 1) * t], dir, config.alpha);
@@ -1225,7 +1413,7 @@ pub fn reconstruct_warm(
             pack_scaled(&ws.gram, config.beta, &mut ws.gram_w);
             let (tri, tri_w) = (&mut ws.set_tri, &mut ws.set_tri_w);
             let sums = Some(ws.set_sum.as_mut_slice());
-            partial_set_sums(&rf, &edges.link.sets, n, config.beta, tri, tri_w, sums);
+            partial_set_sums(&rf, &ws.structure.link.sets, n, config.beta, tri, tri_w, sums);
         }
         if has_prior {
             let p = problem.lrr_prior.expect("has_prior implies Some");
@@ -1233,14 +1421,11 @@ pub fn reconstruct_warm(
         }
         let ctx = LStepCtx {
             problem,
-            edges: &edges,
+            st: &ws.structure,
             config,
             mu,
             rf: &rf,
             gram: &ws.gram,
-            row_obs: &row_obs,
-            row_edges: &row_edges,
-            row_loc_edges: &row_loc_edges,
             base: &ws.base,
             gram_w: &ws.gram_w,
             rsum: &ws.rsum,
@@ -1250,7 +1435,7 @@ pub fn reconstruct_warm(
             edge_outer: &ws.edge_outer,
             prior_rhs: if has_prior { Some(&ws.prior_l) } else { None },
         };
-        for &i in row_classes.iter().flatten() {
+        for &i in &ws.structure.row_order {
             solve_l_row(&ctx, &l, i, &mut ws.scratch)?;
             l.row_mut(i).copy_from_slice(&ws.scratch.rhs);
         }
@@ -1264,10 +1449,11 @@ pub fn reconstruct_warm(
             let dir = &mut ws.scratch.dir;
             ws.closed.fill(0.0);
             ws.link_rhs.fill(0.0);
-            for (k, &(i, i2, _)) in edges.link.edges.iter().enumerate() {
+            let link = &ws.structure.link;
+            for (k, &(i, i2, _)) in link.edges.iter().enumerate() {
                 diff_into(dir, l.row(i), l.row(i2));
                 let w = config.beta * baseline_delta(problem, i, i2);
-                if edges.link.is_full(k, n) {
+                if link.is_full(k, n) {
                     rank1_update(&mut ws.closed, dir, config.beta);
                     if w != 0.0 {
                         taf_linalg::axpy_slice(&mut ws.link_rhs, w, dir);
@@ -1288,7 +1474,7 @@ pub fn reconstruct_warm(
         if config.alpha > 0.0 {
             pack_scaled(&ws.gram, config.alpha, &mut ws.gram_w);
             let (tri, tri_w) = (&mut ws.set_tri, &mut ws.set_tri_w);
-            partial_set_sums(&l, &edges.location.sets, m, config.alpha, tri, tri_w, None);
+            partial_set_sums(&l, &ws.structure.location.sets, m, config.alpha, tri, tri_w, None);
         }
         if has_prior {
             let p = problem.lrr_prior.expect("has_prior implies Some");
@@ -1296,14 +1482,11 @@ pub fn reconstruct_warm(
         }
         let ctx = RStepCtx {
             problem,
-            edges: &edges,
+            st: &ws.structure,
             config,
             mu,
             l: &l,
             gram: &ws.gram,
-            col_obs: &col_obs,
-            col_edges: &col_edges,
-            col_link_edges: &col_link_edges,
             base: &ws.base,
             gram_w: &ws.gram_w,
             link_rhs: if has_full_link { Some(&ws.link_rhs) } else { None },
@@ -1313,12 +1496,12 @@ pub fn reconstruct_warm(
             edge_rhs: &ws.edge_rhs,
             prior_rhs: if has_prior { Some(&ws.prior_r) } else { None },
         };
-        for &j in col_classes.iter().flatten() {
+        for &j in &ws.structure.col_order {
             solve_r_col(&ctx, &rf, j, &mut ws.scratch)?;
             rf.row_mut(j).copy_from_slice(&ws.scratch.rhs);
         }
 
-        let mut f = objective(problem, &edges, config, mu, &l, &rf, &mut ws.xh)?;
+        let mut f = objective(problem, &ws.structure, config, mu, &l, &rf, &mut ws.xh)?;
         if !f.is_finite() {
             return Err(TaflocError::SolverFailure {
                 solver: "loli-ir",
@@ -1348,8 +1531,8 @@ pub fn reconstruct_warm(
                     {
                         *cand = cur + theta * (cur - *cand);
                     }
-                    let SolverWorkspace { prev_l, prev_r, xh_alt, .. } = &mut *ws;
-                    let f_acc = objective(problem, &edges, config, mu, prev_l, prev_r, xh_alt)?;
+                    let SolverWorkspace { structure, prev_l, prev_r, xh_alt, .. } = &mut *ws;
+                    let f_acc = objective(problem, structure, config, mu, prev_l, prev_r, xh_alt)?;
                     if f_acc.is_finite() && f_acc < f {
                         std::mem::swap(&mut l, &mut ws.prev_l);
                         std::mem::swap(&mut rf, &mut ws.prev_r);
@@ -1484,15 +1667,6 @@ fn pack_scaled(gram: &Matrix, w: f64, out: &mut [f64]) {
     }
 }
 
-/// Copies the packed lower triangle `tri` into the lower triangle of `m`.
-fn unpack_lower(tri: &[f64], m: &mut Matrix) {
-    let mut off = 0;
-    for a in 0..m.rows() {
-        m.row_mut(a)[..=a].copy_from_slice(&tri[off..=off + a]);
-        off += a + 1;
-    }
-}
-
 /// For every *partial* active set `k` (shorter than `full`), writes
 /// `Σ_{x ∈ set} f_x f_xᵀ` over rows `f_x` of `f` into slot `k` of `tri`
 /// (packed lower triangle), `w` times it into slot `k` of `tri_w` and, when
@@ -1501,7 +1675,7 @@ fn unpack_lower(tri: &[f64], m: &mut Matrix) {
 /// edges enter through the closed forms.
 fn partial_set_sums(
     f: &Matrix,
-    sets: &[Vec<usize>],
+    sets: &Csr,
     full: usize,
     w: f64,
     tri: &mut [f64],
@@ -1510,7 +1684,8 @@ fn partial_set_sums(
 ) {
     let r = f.cols();
     let t = tri_len(r);
-    for (k, active) in sets.iter().enumerate() {
+    for k in 0..sets.rows() {
+        let active = sets.row(k);
         if active.len() == full {
             continue;
         }
@@ -1654,12 +1829,12 @@ mod tests {
             distortion: Some(&distortion),
             ..plain
         };
-        let edges = build_edge_sets(&partial);
-        let full_loc =
-            (0..edges.location.edges.len()).filter(|&k| edges.location.is_full(k, 6)).count();
-        let full_link = (0..edges.link.edges.len()).filter(|&k| edges.link.is_full(k, 12)).count();
-        assert_eq!((full_loc, edges.location.edges.len()), (3, 11));
-        assert_eq!((full_link, edges.link.edges.len()), (1, 5));
+        let mut st = Structure::default();
+        st.build(&partial, &LoliIrConfig::default());
+        let full_loc = (0..st.location.edges.len()).filter(|&k| st.location.is_full(k, 6)).count();
+        let full_link = (0..st.link.edges.len()).filter(|&k| st.link.is_full(k, 12)).count();
+        assert_eq!((full_loc, st.location.edges.len()), (3, 11));
+        assert_eq!((full_link, st.link.edges.len()), (1, 5));
         let cfg = LoliIrConfig { max_iters: 25, tol: 0.0, ..Default::default() };
         for problem in [plain, partial] {
             let rec = reconstruct(&problem, &cfg).unwrap();
@@ -1870,29 +2045,25 @@ mod tests {
     #[test]
     fn coloring_is_proper_and_deterministic() {
         // Chain 0-1-2-3-4 plus a chord 0-2: needs 3 colors at vertex 2.
-        let edges = [(0usize, 1usize), (1, 2), (2, 3), (3, 4), (0, 2)];
-        let classes = color_classes(5, edges.iter().copied());
-        // Every vertex appears exactly once.
-        let mut seen = vec![0usize; 5];
-        for class in &classes {
-            for &v in class {
-                seen[v] += 1;
-            }
-        }
-        assert_eq!(seen, vec![1; 5]);
+        let edges = [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 0), (0, 2, 0)];
+        let mut c = Colouring::default();
+        let mut order = Vec::new();
+        sweep_order(&mut c, 5, &edges, &mut order);
+        // Classes {0, 3}, {1, 4}, {2}: each vertex once, by class, each
+        // class in index order.
+        assert_eq!(c.colour, [0, 1, 2, 0, 1]);
+        assert_eq!(order, [0, 3, 1, 4, 2]);
         // No edge inside a class.
-        for class in &classes {
-            for &(u, v) in &edges {
-                assert!(
-                    !(class.contains(&u) && class.contains(&v)),
-                    "edge ({u},{v}) inside class {class:?}"
-                );
-            }
+        for &(u, v, _) in &edges {
+            assert_ne!(c.colour[u], c.colour[v], "edge ({u},{v}) inside a class");
         }
-        // Deterministic: a second run is identical.
-        assert_eq!(classes, color_classes(5, edges.iter().copied()));
+        // Deterministic, also on reused scratch: a second run is identical.
+        let mut again = Vec::new();
+        sweep_order(&mut c, 5, &edges, &mut again);
+        assert_eq!(order, again);
         // Edge-free graph collapses to a single class in index order.
-        assert_eq!(color_classes(4, std::iter::empty()), vec![vec![0, 1, 2, 3]]);
+        sweep_order(&mut c, 4, &[], &mut order);
+        assert_eq!(order, [0, 1, 2, 3]);
     }
 
     #[test]

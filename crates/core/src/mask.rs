@@ -146,6 +146,14 @@ impl Mask {
         .expect("mask data sized to shape")
     }
 
+    /// Columns of the `true` entries of row `i`, in increasing order. Panics
+    /// when out of bounds.
+    pub fn true_cols(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        assert!(i < self.rows, "mask index out of bounds");
+        let row = &self.data[i * self.cols..(i + 1) * self.cols];
+        row.iter().enumerate().filter(|(_, &b)| b).map(|(j, _)| j)
+    }
+
     /// Iterator over `(i, j)` positions of `true` entries.
     pub fn true_positions(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let cols = self.cols;
@@ -250,6 +258,16 @@ mod tests {
         let m = Mask::from_columns(2, 3, &[2]).unwrap();
         let pos: Vec<_> = m.true_positions().collect();
         assert_eq!(pos, vec![(0, 2), (1, 2)]);
+    }
+
+    #[test]
+    fn true_cols_walks_one_row_in_order() {
+        let mut m = Mask::from_columns(2, 5, &[3, 0]).unwrap();
+        m.set(1, 4, true);
+        assert_eq!(m.true_cols(0).collect::<Vec<_>>(), vec![0, 3]);
+        assert_eq!(m.true_cols(1).collect::<Vec<_>>(), vec![0, 3, 4]);
+        let rows: Vec<_> = (0..2).flat_map(|i| m.true_cols(i).map(move |j| (i, j))).collect();
+        assert_eq!(rows, m.true_positions().collect::<Vec<_>>());
     }
 
     #[test]

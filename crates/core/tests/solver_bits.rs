@@ -9,12 +9,13 @@
 //! hash where it was; a change that reorders one floating-point operation
 //! moves some of them.
 //!
-//! The cases cover ranks 1, 3, 8 and 10 (10 spans two 8-column Cholesky
-//! panels), the prior and the graphs on and off, no distortion mask (every
-//! edge fully active) and a mask under which most edges are partial and
-//! share a few active sets, baseline offsets on and off, acceleration on and
-//! off, and cold and warm starts, including a warm seed that loses to the SVD
-//! seed.
+//! The cases cover ranks 1, 3, 8 and 10, the prior and the graphs on and
+//! off, no distortion mask (every edge fully active) and a mask under which
+//! most edges are partial and share a few active sets, baseline offsets on
+//! and off, acceleration on and off, and cold and warm starts, including a
+//! warm seed that loses to the SVD seed. Most cases solve 12 links x 40
+//! cells; the wide ones solve 70 links x 72 cells, so the solver's sets of
+//! active links and of active cells each span more than one 64-bit word.
 
 use taf_linalg::Matrix;
 use tafloc_core::loli_ir::{
@@ -24,13 +25,25 @@ use tafloc_core::loli_ir::{
 use tafloc_core::mask::Mask;
 use tafloc_core::operators::NeighborGraph;
 
-/// Links (rows) of every case.
-const M: usize = 12;
-/// Grid of the location graph: `GRID_ROWS x GRID_COLS` cells.
-const GRID_ROWS: usize = 5;
-const GRID_COLS: usize = 8;
-/// Cells (columns) of every case.
-const N: usize = GRID_ROWS * GRID_COLS;
+/// Problem shape: `m` links (rows) and a `grid_rows x grid_cols` floor of
+/// cells (columns).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Shape {
+    m: usize,
+    grid_rows: usize,
+    grid_cols: usize,
+}
+
+impl Shape {
+    fn n(&self) -> usize {
+        self.grid_rows * self.grid_cols
+    }
+}
+
+/// 12 links x 40 cells: every set of links or cells fits one 64-bit word.
+const NARROW: Shape = Shape { m: 12, grid_rows: 5, grid_cols: 8 };
+/// 70 links x 72 cells: both kinds of set need two words.
+const WIDE: Shape = Shape { m: 70, grid_rows: 9, grid_cols: 8 };
 
 /// 64-bit FNV-1a over little-endian words: stable across toolchains, unlike
 /// the standard library's hasher.
@@ -93,10 +106,10 @@ impl Noise {
 
 /// Smooth RSS-like field with a per-link baseline, plus `noise_db` of rough
 /// noise; `drift_db` adds a smooth day-to-day drift on top.
-fn field(seed: u64, noise_db: f64, drift_db: f64) -> Matrix {
+fn field(shape: Shape, seed: u64, noise_db: f64, drift_db: f64) -> Matrix {
     let mut noise = Noise(seed | 1);
-    Matrix::from_fn(M, N, |i, j| {
-        let (gy, gx) = ((j / GRID_COLS) as f64, (j % GRID_COLS) as f64);
+    Matrix::from_fn(shape.m, shape.n(), |i, j| {
+        let (gy, gx) = ((j / shape.grid_cols) as f64, (j % shape.grid_cols) as f64);
         let li = i as f64;
         -45.0
             - 1.5 * (i % 4) as f64
@@ -109,12 +122,13 @@ fn field(seed: u64, noise_db: f64, drift_db: f64) -> Matrix {
 }
 
 /// Reference columns (every fourth cell) plus a scattered set of entries.
-fn observation_mask() -> Mask {
-    let refs: Vec<usize> = (0..N).step_by(4).collect();
-    let mut mask = Mask::from_columns(M, N, &refs).unwrap();
-    for k in 0..M * N {
+fn observation_mask(shape: Shape) -> Mask {
+    let (m, n) = (shape.m, shape.n());
+    let refs: Vec<usize> = (0..n).step_by(4).collect();
+    let mut mask = Mask::from_columns(m, n, &refs).unwrap();
+    for k in 0..m * n {
         if k % 11 == 3 {
-            mask.set(k / N, k % N, true);
+            mask.set(k / n, k % n, true);
         }
     }
     mask
@@ -126,10 +140,10 @@ fn observation_mask() -> Mask {
 /// location edge then depends only on its endpoints' `j mod 5`, so the
 /// partial edges share a few distinct sets. Edges inside the first grid row
 /// and the link edge `(M − 2, M − 1)` stay fully active.
-fn partial_distortion() -> Mask {
-    let mut d = Mask::trues(M, N);
-    for i in 0..M - 2 {
-        for j in GRID_COLS..N {
+fn partial_distortion(shape: Shape) -> Mask {
+    let mut d = Mask::trues(shape.m, shape.n());
+    for i in 0..shape.m - 2 {
+        for j in shape.grid_cols..shape.n() {
             if (i + 3 * (j % 5)) % 4 == 0 {
                 d.set(i, j, false);
             }
@@ -138,29 +152,31 @@ fn partial_distortion() -> Mask {
     d
 }
 
-fn location_graph() -> NeighborGraph {
+fn location_graph(shape: Shape) -> NeighborGraph {
+    let (rows, cols) = (shape.grid_rows, shape.grid_cols);
     let mut edges = Vec::new();
-    for y in 0..GRID_ROWS {
-        for x in 0..GRID_COLS {
-            let j = y * GRID_COLS + x;
-            if x + 1 < GRID_COLS {
+    for y in 0..rows {
+        for x in 0..cols {
+            let j = y * cols + x;
+            if x + 1 < cols {
                 edges.push((j, j + 1));
             }
-            if y + 1 < GRID_ROWS {
-                edges.push((j, j + GRID_COLS));
+            if y + 1 < rows {
+                edges.push((j, j + cols));
             }
         }
     }
-    NeighborGraph::new(N, edges)
+    NeighborGraph::new(shape.n(), edges)
 }
 
 /// A chain of links plus two chords.
-fn link_graph() -> NeighborGraph {
-    NeighborGraph::new(M, (0..M - 1).map(|i| (i, i + 1)).chain([(0, 5), (3, 9)]))
+fn link_graph(shape: Shape) -> NeighborGraph {
+    let m = shape.m;
+    NeighborGraph::new(m, (0..m - 1).map(|i| (i, i + 1)).chain([(0, 5), (3, 9)]))
 }
 
-fn empty_rss() -> Vec<f64> {
-    (0..M).map(|i| -40.0 - (i % 4) as f64 * 1.5).collect()
+fn empty_rss(shape: Shape) -> Vec<f64> {
+    (0..shape.m).map(|i| -40.0 - (i % 4) as f64 * 1.5).collect()
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -174,6 +190,7 @@ enum Start {
 
 #[derive(Debug, Clone, Copy)]
 struct Case {
+    shape: Shape,
     rank: usize,
     prior: bool,
     graphs: bool,
@@ -191,13 +208,14 @@ fn solve(
     warm: Option<&WarmState>,
     ws: &mut SolverWorkspace,
 ) -> Reconstruction {
-    let observed = field(11, 0.4, drift_db);
-    let prior = field(23, 2.5, drift_db);
-    let mask = observation_mask();
-    let distortion = partial_distortion();
-    let g = location_graph();
-    let h = link_graph();
-    let empty = empty_rss();
+    let shape = case.shape;
+    let observed = field(shape, 11, 0.4, drift_db);
+    let prior = field(shape, 23, 2.5, drift_db);
+    let mask = observation_mask(shape);
+    let distortion = partial_distortion(shape);
+    let g = location_graph(shape);
+    let h = link_graph(shape);
+    let empty = empty_rss(shape);
     let problem = ReconstructionProblem {
         observed: &observed,
         mask: &mask,
@@ -242,7 +260,12 @@ const fn case(
     accelerate: bool,
     start: Start,
 ) -> Case {
-    Case { rank, prior, graphs, partial, offsets, accelerate, start }
+    Case { shape: NARROW, rank, prior, graphs, partial, offsets, accelerate, start }
+}
+
+/// A [`WIDE`] case with the graphs on and the partial mask.
+const fn wide(rank: usize, prior: bool, offsets: bool, accelerate: bool, start: Start) -> Case {
+    Case { shape: WIDE, rank, prior, graphs: true, partial: true, offsets, accelerate, start }
 }
 
 use Start::{Cold, WarmLoses, WarmWins};
@@ -272,14 +295,23 @@ const CASES: [(Case, u64); 21] = [
     (case(10, true, false, false, false, false, WarmLoses), 0xb173_5a33_02f6_d3b8),
 ];
 
+/// `(wide(rank, prior, offsets, accelerate, start), hash)`: partial masks
+/// over more than 64 links and more than 64 cells, pinned like [`CASES`].
+const WIDE_CASES: [(Case, u64); 4] = [
+    (wide(8, true, true, false, Cold), 0xc3c8_55f4_be9d_563d),
+    (wide(3, true, true, false, Cold), 0xf61b_bd83_a451_a9d5),
+    (wide(10, false, true, true, Cold), 0x77d2_ebf0_87ba_2692),
+    (wide(8, true, false, false, WarmLoses), 0x371d_9da6_ba81_b6fe),
+];
+
 /// Each case runs twice: in a fresh workspace, and in one workspace shared
 /// by every case, left sized and filled by the cases before it (some at
-/// other ranks).
+/// other ranks and shapes).
 #[test]
 fn every_output_bit_matches_its_pinned_hash() {
     let mut failures = Vec::new();
     let mut shared = SolverWorkspace::new();
-    for (c, want) in &CASES {
+    for (c, want) in CASES.iter().chain(&WIDE_CASES) {
         let fresh = hash(&run(c, &mut SolverWorkspace::new()));
         let reused = hash(&run(c, &mut shared));
         if fresh != *want || reused != *want {
@@ -288,7 +320,8 @@ fn every_output_bit_matches_its_pinned_hash() {
             ));
         }
     }
-    assert!(failures.is_empty(), "{} of {} cases moved:\n{}", failures.len(), CASES.len(), {
+    let total = CASES.len() + WIDE_CASES.len();
+    assert!(failures.is_empty(), "{} of {total} cases moved:\n{}", failures.len(), {
         failures.join("\n")
     });
 }
@@ -298,25 +331,28 @@ fn every_output_bit_matches_its_pinned_hash() {
 /// edges, and some location and link edges stay fully active.
 #[test]
 fn partial_mask_shares_active_sets() {
-    let d = partial_distortion();
-    let g = location_graph();
-    let mut sets: Vec<Vec<usize>> = Vec::new();
-    let (mut full, mut partial) = (0, 0);
-    for v in 0..N {
-        for &u in g.neighbors(v).iter().filter(|&&u| u > v) {
-            let links: Vec<usize> = (0..M).filter(|&i| d.get(i, v) && d.get(i, u)).collect();
-            if links.len() == M {
-                full += 1;
-            } else {
-                partial += 1;
-                if !sets.contains(&links) {
-                    sets.push(links);
+    for shape in [NARROW, WIDE] {
+        let (m, n) = (shape.m, shape.n());
+        let d = partial_distortion(shape);
+        let g = location_graph(shape);
+        let mut sets: Vec<Vec<usize>> = Vec::new();
+        let (mut full, mut partial) = (0, 0);
+        for v in 0..n {
+            for &u in g.neighbors(v).iter().filter(|&&u| u > v) {
+                let links: Vec<usize> = (0..m).filter(|&i| d.get(i, v) && d.get(i, u)).collect();
+                if links.len() == m {
+                    full += 1;
+                } else {
+                    partial += 1;
+                    if !sets.contains(&links) {
+                        sets.push(links);
+                    }
                 }
             }
         }
+        assert!(full > 0 && partial > 4 * full, "{shape:?}: {full} full, {partial} partial");
+        assert!(sets.len() * 3 < partial, "{shape:?}: {} sets for {partial} edges", sets.len());
+        let full_link = (0..n).all(|j| d.get(m - 2, j) && d.get(m - 1, j));
+        assert!(full_link, "{shape:?}: link edge (m-2, m-1) must be fully active");
     }
-    assert!(full > 0 && partial > 4 * full, "{full} full, {partial} partial");
-    assert!(sets.len() * 3 < partial, "{} sets for {partial} partial edges", sets.len());
-    let full_link = (0..N).all(|j| d.get(M - 2, j) && d.get(M - 1, j));
-    assert!(full_link, "link edge (M-2, M-1) must be fully active");
 }

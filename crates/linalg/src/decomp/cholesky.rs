@@ -3,15 +3,17 @@
 //! Every alternating-least-squares step of LoLi-IR, every ridge regression, and the
 //! correlated-shadowing sampler in the simulator solve small SPD systems — this is
 //! the routine they all share.
+//!
+//! One factorization loop and one substitution loop serve two layouts of a
+//! lower triangle, told apart only by where row `i` starts: a dense row-major
+//! `n x n` matrix (row `i` at `i·n`, [`Matrix::cholesky_into`] and
+//! [`solve_in_place`]) and a packed triangle whose row `i` holds its entries
+//! `0..=i` (row `i` at `i(i+1)/2`, [`cholesky_packed_in_place`] and
+//! [`solve_packed_in_place`]). Both factor in place, column by column, each
+//! entry `(i, j)` subtracting `L[i][k]·L[j][k]` in increasing `k` before its
+//! division, so the two layouts give bit-identical factors and solutions.
 
 use crate::{LinalgError, Matrix, Result};
-
-/// Column-panel width of the blocked factorization in [`Matrix::cholesky_into`].
-///
-/// Eight columns keep the in-panel factorization register-friendly while the
-/// panel update streams whole rows of `L`; it also matches the solver's rank
-/// (`r ≈ 8`), so the hot `r×r` ridge systems take exactly one panel.
-const CHOL_PANEL: usize = 8;
 
 /// Lower-triangular Cholesky factor `L` with `A = L·Lᵀ`.
 #[derive(Debug, Clone)]
@@ -38,15 +40,9 @@ impl Matrix {
     /// caller-provided `n x n` buffer without allocating. The strict upper
     /// triangle of `l` is zeroed.
     ///
-    /// The factorization is blocked by columns: for each panel of
-    /// `CHOL_PANEL` columns, a *panel update* first subtracts the
-    /// contribution of all previously factored columns (`k < j0`) row by row —
-    /// each row of `L` is loaded once as a contiguous slice and reused across
-    /// the whole panel — and the small in-panel factorization then finishes
-    /// with `k` in `j0..j`. Per element `(i, j)` the subtractions still run in
-    /// strictly increasing `k` order (`0..j0` then `j0..j`), the identical
-    /// floating-point sequence of the textbook unblocked loop, so the blocked
-    /// factor is bit-identical to the unblocked one (pinned by a test below).
+    /// Copies the lower triangle of `self` into `l` and factors it there with
+    /// the loop that also factors packed triangles
+    /// ([`cholesky_packed_in_place`]).
     pub fn cholesky_into(&self, l: &mut Matrix) -> Result<()> {
         if !self.is_square() {
             return Err(LinalgError::NotSquare { op: "Matrix::cholesky", shape: self.shape() });
@@ -61,63 +57,116 @@ impl Matrix {
         }
         let a = self.as_slice();
         let data = l.as_mut_slice();
-        let mut j0 = 0;
-        while j0 < n {
-            let j1 = (j0 + CHOL_PANEL).min(n);
-            // Panel update: fold columns k < j0 into every panel entry on or
-            // below the diagonal, streaming one row of L per outer step.
-            if j0 > 0 {
-                for i in j0..n {
-                    let (head, tail) = data.split_at_mut(i * n);
-                    let (ri_done, ri_panel) = tail[..n].split_at_mut(j0);
-                    let ai = &a[i * n..(i + 1) * n];
-                    for j in j0..j1.min(i + 1) {
-                        let mut acc = ai[j];
-                        let rj_done = if j < i { &head[j * n..j * n + j0] } else { &ri_done[..] };
-                        for (&lik, &ljk) in ri_done.iter().zip(rj_done) {
-                            acc -= lik * ljk;
-                        }
-                        ri_panel[j - j0] = acc;
-                    }
-                }
-            } else {
-                for i in 0..n {
-                    let w = j1.min(i + 1);
-                    data[i * n..i * n + w].copy_from_slice(&a[i * n..i * n + w]);
-                }
-            }
-            // In-panel factorization: at most CHOL_PANEL lagging columns per
-            // element, same increasing-k order as the unblocked loop.
-            for j in j0..j1 {
-                let (upto, below) = data.split_at_mut((j + 1) * n);
-                let rj = &mut upto[j * n..];
-                let mut diag = rj[j];
-                for &ljk in &rj[j0..j] {
-                    diag -= ljk * ljk;
-                }
-                if diag <= 0.0 || !diag.is_finite() {
-                    return Err(LinalgError::NotPositiveDefinite { pivot: j, value: diag });
-                }
-                let ljj = diag.sqrt();
-                rj[j] = ljj;
-                let rj = &rj[j0..j];
-                for ri in below.chunks_exact_mut(n) {
-                    let mut acc = ri[j];
-                    for (&lik, &ljk) in ri[j0..j].iter().zip(rj) {
-                        acc -= lik * ljk;
-                    }
-                    ri[j] = acc / ljj;
-                }
-            }
-            j0 = j1;
-        }
-        // Zero the strict upper triangle (the factor may land in a reused
-        // scratch buffer holding a previous factorization).
+        // The strict upper triangle is zeroed because the factor may land in
+        // a reused scratch buffer holding a previous factorization.
         for i in 0..n {
-            data[i * n + i + 1..(i + 1) * n].fill(0.0);
+            let row = i * n..(i + 1) * n;
+            data[row.start..=row.start + i].copy_from_slice(&a[row.start..=row.start + i]);
+            data[row.start + i + 1..row.end].fill(0.0);
         }
-        Ok(())
+        factor_lower(data, n, |i| i * n)
     }
+}
+
+/// Length of a packed lower triangle of an `n x n` matrix.
+fn packed_len(n: usize) -> usize {
+    n * (n + 1) / 2
+}
+
+/// Start of row `i` in a packed lower triangle.
+fn packed_row(i: usize) -> usize {
+    i * (i + 1) / 2
+}
+
+/// Factors in place the lower triangle whose row `i` starts at `row(i)` in
+/// `data` and holds entries `0..=i` there: on return each entry holds `L`.
+///
+/// Column `j` takes its pivot from row `j`, then every row `i > j`
+/// subtracts `L[i][k]·L[j][k]` for `k` in `0..j`, in that order, and divides
+/// by the pivot. Rows are ordered in memory (`row(j) + j < row(i)` for
+/// `j < i`), which lets row `j` be read while the rows below it are written.
+/// The rows below go two at a time: their sums are independent, so the two
+/// chains of subtractions overlap, and each keeps its own order.
+fn factor_lower(data: &mut [f64], n: usize, row: impl Fn(usize) -> usize) -> Result<()> {
+    for j in 0..n {
+        let below_start = row(j) + j + 1;
+        let (upto, below) = data.split_at_mut(below_start);
+        let (rj, pivot) = upto[row(j)..].split_at_mut(j);
+        let mut diag = pivot[0];
+        for &ljk in rj.iter() {
+            diag -= ljk * ljk;
+        }
+        if diag <= 0.0 || !diag.is_finite() {
+            return Err(LinalgError::NotPositiveDefinite { pivot: j, value: diag });
+        }
+        let ljj = diag.sqrt();
+        pivot[0] = ljj;
+        let rj = &*rj;
+        let mut i = j + 1;
+        while i + 1 < n {
+            let (r0, r1) = below[row(i) - below_start..].split_at_mut(row(i + 1) - row(i));
+            let (r0, r1) = (&mut r0[..=j], &mut r1[..=j]);
+            let (mut acc0, mut acc1) = (r0[j], r1[j]);
+            for ((&l0, &l1), &ljk) in r0[..j].iter().zip(&r1[..j]).zip(rj) {
+                acc0 -= l0 * ljk;
+                acc1 -= l1 * ljk;
+            }
+            r0[j] = acc0 / ljj;
+            r1[j] = acc1 / ljj;
+            i += 2;
+        }
+        if i < n {
+            let ri = &mut below[row(i) - below_start..][..=j];
+            let mut acc = ri[j];
+            for (&lik, &ljk) in ri[..j].iter().zip(rj) {
+                acc -= lik * ljk;
+            }
+            ri[j] = acc / ljj;
+        }
+    }
+    Ok(())
+}
+
+/// Solves `L·Lᵀ·x = b` in place for the lower triangle `l` laid out as in
+/// [`factor_lower`]: forward substitution along the rows of `L`, then back
+/// substitution down its columns.
+fn substitute(l: &[f64], row: impl Fn(usize) -> usize, x: &mut [f64]) {
+    let n = x.len();
+    // Forward: L·y = b
+    for i in 0..n {
+        let (done, rest) = x.split_at_mut(i);
+        let ri = &l[row(i)..=row(i) + i];
+        let mut acc = rest[0];
+        for (&lij, &xj) in ri.iter().zip(done.iter()) {
+            acc -= lij * xj;
+        }
+        rest[0] = acc / ri[i];
+    }
+    // Backward: Lᵀ·x = y, walking column i of L down from the diagonal.
+    for i in (0..n).rev() {
+        let (head, later) = x.split_at_mut(i + 1);
+        let mut acc = head[i];
+        for (k, &xk) in (i + 1..n).zip(later.iter()) {
+            acc -= l[row(k) + i] * xk;
+        }
+        head[i] = acc / l[row(i) + i];
+    }
+}
+
+/// Factors in place the packed lower triangle `tri` of an `n x n` SPD
+/// matrix (row `i` holds its entries `0..=i`, `n(n+1)/2` in all): on return
+/// `tri` holds the packed factor `L`, bit-identical to the lower triangle
+/// [`Matrix::cholesky_into`] writes for the same matrix. Returns
+/// [`LinalgError::NotPositiveDefinite`] at the same pivot, with the same value.
+pub fn cholesky_packed_in_place(tri: &mut [f64], n: usize) -> Result<()> {
+    if tri.len() != packed_len(n) {
+        return Err(LinalgError::DimensionMismatch {
+            op: "cholesky::cholesky_packed_in_place",
+            lhs: (n, n),
+            rhs: (tri.len(), 1),
+        });
+    }
+    factor_lower(tri, n, packed_row)
 }
 
 /// Solves `A·x = b` in place given a lower-triangular Cholesky factor of `A`
@@ -132,26 +181,22 @@ pub fn solve_in_place(l: &Matrix, x: &mut [f64]) -> Result<()> {
             rhs: (x.len(), 1),
         });
     }
-    let d = l.as_slice();
-    // Forward: L·y = b
-    for i in 0..n {
-        let (done, rest) = x.split_at_mut(i);
-        let row = &d[i * n..i * n + i + 1];
-        let mut acc = rest[0];
-        for (&lij, &xj) in row.iter().zip(done.iter()) {
-            acc -= lij * xj;
-        }
-        rest[0] = acc / row[i];
+    substitute(l.as_slice(), |i| i * n, x);
+    Ok(())
+}
+
+/// [`solve_in_place`] for a packed factor (as produced by
+/// [`cholesky_packed_in_place`]); bit-identical to it on the same factor.
+pub fn solve_packed_in_place(l: &[f64], x: &mut [f64]) -> Result<()> {
+    let n = x.len();
+    if l.len() != packed_len(n) {
+        return Err(LinalgError::DimensionMismatch {
+            op: "cholesky::solve_packed_in_place",
+            lhs: (n, n),
+            rhs: (l.len(), 1),
+        });
     }
-    // Backward: Lᵀ·x = y, walking column i of L down from the diagonal.
-    for i in (0..n).rev() {
-        let (head, later) = x.split_at_mut(i + 1);
-        let mut acc = head[i];
-        for (&lji, &xj) in d[i * n + i..].iter().step_by(n).skip(1).zip(later.iter()) {
-            acc -= lji * xj;
-        }
-        head[i] = acc / d[i * n + i];
-    }
+    substitute(l, packed_row, x);
     Ok(())
 }
 
@@ -324,8 +369,8 @@ mod tests {
         }
     }
 
-    /// Textbook unblocked factorization — the bit-compat reference for the
-    /// blocked `cholesky_into`. Same per-element subtraction order, no panels.
+    /// Textbook factorization through `Matrix` indexing — the bit-compat
+    /// reference for the in-place loop. Same per-element subtraction order.
     fn unblocked_reference(a: &Matrix) -> Matrix {
         let n = a.rows();
         let mut l = Matrix::zeros(n, n);
@@ -347,9 +392,13 @@ mod tests {
         l
     }
 
+    /// The lower triangle of `a`, packed row by row.
+    fn pack(a: &Matrix) -> Vec<f64> {
+        (0..a.rows()).flat_map(|i| a.row(i)[..=i].to_vec()).collect()
+    }
+
     #[test]
-    fn blocked_factor_bit_identical_to_unblocked_reference() {
-        // Sizes below, at, straddling, and well past the panel width.
+    fn factor_bit_identical_to_unblocked_reference() {
         for n in [1usize, 3, 7, 8, 9, 16, 17, 29, 40] {
             let b = Matrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 23) as f64 * 0.13 - 1.1);
             let mut a = b.gram();
@@ -396,7 +445,6 @@ mod tests {
 
     #[test]
     fn solve_bit_identical_to_substitution_reference() {
-        // Sizes below, at and past the panel width.
         for n in [1usize, 2, 8, 9, 17] {
             let b = Matrix::from_fn(n, n, |i, j| ((i * 13 + j * 7) % 19) as f64 * 0.21 - 1.7);
             let mut a = b.gram();
@@ -412,16 +460,50 @@ mod tests {
     }
 
     #[test]
-    fn blocked_factor_reports_same_indefinite_pivot() {
-        // Indefinite matrix whose failure lands past the first panel.
+    fn packed_factor_and_solve_bit_identical_to_dense() {
+        for n in [1usize, 2, 8, 9, 17] {
+            let b = Matrix::from_fn(n, n, |i, j| ((i * 29 + j * 11) % 17) as f64 * 0.17 - 1.3);
+            let mut a = b.gram();
+            a.add_diag(0.25).unwrap();
+            let mut tri = pack(&a);
+            cholesky_packed_in_place(&mut tri, n).unwrap();
+            let reference = unblocked_reference(&a);
+            for (k, (got, want)) in tri.iter().zip(pack(&reference)).enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "n={n} packed entry {k}");
+            }
+
+            let rhs: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).cos() + 0.3).collect();
+            let mut dense = rhs.clone();
+            solve_in_place(&reference, &mut dense).unwrap();
+            let mut packed = rhs;
+            solve_packed_in_place(&tri, &mut packed).unwrap();
+            for (i, (got, want)) in packed.iter().zip(&dense).enumerate() {
+                assert_eq!(got.to_bits(), want.to_bits(), "n={n} entry {i}");
+            }
+        }
+        assert!(cholesky_packed_in_place(&mut [1.0, 0.0], 2).is_err());
+        assert!(solve_packed_in_place(&[1.0, 0.0, 1.0], &mut [1.0]).is_err());
+    }
+
+    #[test]
+    fn both_layouts_report_same_indefinite_pivot() {
+        // Indefinite matrices failing at the first, a middle and the last pivot.
         let n = 12;
-        let b = Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 5) % 11) as f64 * 0.3);
-        let mut a = b.gram();
-        a.add_diag(1.0).unwrap();
-        a[(10, 10)] = -50.0; // column 10 is in the second panel
-        match a.cholesky() {
-            Err(LinalgError::NotPositiveDefinite { pivot, .. }) => assert_eq!(pivot, 10),
-            other => panic!("expected NotPositiveDefinite at pivot 10, got {other:?}"),
+        for bad in [0, 10, n - 1] {
+            let b = Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 5) % 11) as f64 * 0.3);
+            let mut a = b.gram();
+            a.add_diag(1.0).unwrap();
+            a[(bad, bad)] = -50.0;
+            let dense = match a.cholesky() {
+                Err(LinalgError::NotPositiveDefinite { pivot, value }) => (pivot, value),
+                other => panic!("expected NotPositiveDefinite at pivot {bad}, got {other:?}"),
+            };
+            let packed = match cholesky_packed_in_place(&mut pack(&a), n) {
+                Err(LinalgError::NotPositiveDefinite { pivot, value }) => (pivot, value),
+                other => panic!("expected NotPositiveDefinite at pivot {bad}, got {other:?}"),
+            };
+            assert_eq!(dense.0, bad);
+            assert_eq!((packed.0, packed.1.to_bits()), (dense.0, dense.1.to_bits()));
         }
     }
 

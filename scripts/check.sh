@@ -3,7 +3,8 @@
 #
 #   ./scripts/check.sh
 #
-# Builds release artifacts, runs the full test suite, then lints (clippy at
+# Builds release artifacts, reruns the figure binaries against results/, runs
+# the full test suite and the release-mode batteries, then lints (clippy at
 # deny-warnings), builds the library docs with rustdoc warnings denied and
 # checks formatting. Run from anywhere; it cd's to the workspace root.
 
@@ -22,7 +23,7 @@ results_differ=()
 while read -r bin args; do
     # shellcheck disable=SC2086  # $args is a word list by design
     if ! "./target/release/$bin" $args 2>/dev/null | cmp -s - "results/$bin.txt"; then
-        echo "results/$bin.txt differs from ./target/release/$bin $args"
+        echo "results/$bin.txt differs from ./target/release/$bin${args:+ $args}"
         results_differ+=("$bin")
     fi
 done <<'TABLE'
@@ -61,9 +62,18 @@ echo "==> cargo test -q --release -p tafloc-serve --test store_robustness  (corr
 cargo test -q --release -p tafloc-serve --test store_robustness
 
 # The solver's contract is bit equality, and the daemon runs release builds:
-# pin the bits under the release optimizer too.
+# pin the bits under the release optimizer too — the solver's outputs, the
+# one Cholesky routine factoring packed and dense triangles bit for bit like
+# the textbook loop, and the sliced CRC-32 against the byte-at-a-time one
+# that every frame, WAL record and snapshot checksum must equal.
 echo "==> cargo test -q --release -p tafloc-core --test solver_bits --test determinism --test warm_start  (solver bits)"
 cargo test -q --release -p tafloc-core --test solver_bits --test determinism --test warm_start
+
+echo "==> cargo test -q --release -p taf-linalg --lib cholesky  (Cholesky bits, both layouts)"
+cargo test -q --release -p taf-linalg --lib cholesky
+
+echo "==> cargo test -q --release -p taf-wire --lib crc32  (CRC-32 against the bytewise definition)"
+cargo test -q --release -p taf-wire --lib crc32
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
