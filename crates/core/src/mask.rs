@@ -148,7 +148,7 @@ impl Mask {
 
     /// Columns of the `true` entries of row `i`, in increasing order. Panics
     /// when out of bounds.
-    pub fn true_cols(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn true_cols(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
         assert!(i < self.rows, "mask index out of bounds");
         let row = &self.data[i * self.cols..(i + 1) * self.cols];
         row.iter().enumerate().filter(|(_, &b)| b).map(|(j, _)| j)
