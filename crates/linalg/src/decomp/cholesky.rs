@@ -68,12 +68,8 @@ impl Matrix {
     }
 }
 
-/// Length of a packed lower triangle of an `n x n` matrix.
-fn packed_len(n: usize) -> usize {
-    n * (n + 1) / 2
-}
-
-/// Start of row `i` in a packed lower triangle.
+/// Start of row `i` in a packed lower triangle; `packed_row(n)` is the
+/// length of an `n x n` one.
 fn packed_row(i: usize) -> usize {
     i * (i + 1) / 2
 }
@@ -159,7 +155,7 @@ fn substitute(l: &[f64], row: impl Fn(usize) -> usize, x: &mut [f64]) {
 /// [`Matrix::cholesky_into`] writes for the same matrix. Returns
 /// [`LinalgError::NotPositiveDefinite`] at the same pivot, with the same value.
 pub fn cholesky_packed_in_place(tri: &mut [f64], n: usize) -> Result<()> {
-    if tri.len() != packed_len(n) {
+    if tri.len() != packed_row(n) {
         return Err(LinalgError::DimensionMismatch {
             op: "cholesky::cholesky_packed_in_place",
             lhs: (n, n),
@@ -189,7 +185,7 @@ pub fn solve_in_place(l: &Matrix, x: &mut [f64]) -> Result<()> {
 /// [`cholesky_packed_in_place`]); bit-identical to it on the same factor.
 pub fn solve_packed_in_place(l: &[f64], x: &mut [f64]) -> Result<()> {
     let n = x.len();
-    if l.len() != packed_len(n) {
+    if l.len() != packed_row(n) {
         return Err(LinalgError::DimensionMismatch {
             op: "cholesky::solve_packed_in_place",
             lhs: (n, n),
