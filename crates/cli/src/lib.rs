@@ -558,85 +558,6 @@ pub fn cmd_info(args: &Args) -> Result<String> {
     ))
 }
 
-/// `serve`: runs the always-on localization daemon until a `shutdown`
-/// request arrives over the wire (see the `tafloc-serve` crate for the
-/// newline-delimited JSON protocol). `--port-file` receives the bound port
-/// and a newline, the same file `taflocd` writes.
-pub fn cmd_serve(args: &Args) -> Result<String> {
-    use tafloc_serve::server::{Server, ServerConfig};
-    let port: u16 = args.num("port", 7777)?;
-    let addr =
-        args.optional("addr").map(str::to_string).unwrap_or_else(|| format!("127.0.0.1:{port}"));
-    let workers: usize = args.num("workers", 4)?;
-    let config = ServerConfig { workers, ..Default::default() };
-    // `--shards` splits the serving plane into consistent-hash worker shards;
-    // ownership is a pure function of the site name, so the same flag value
-    // re-shards identically across restarts.
-    let shards: usize = args.num("shards", config.shards)?;
-    // `--max-inflight-per-site` caps in-flight ingest samples per site; past
-    // it the daemon answers `overloaded` frames instead of queueing silently.
-    let max_inflight_per_site: usize =
-        args.num("max-inflight-per-site", config.max_inflight_per_site)?;
-    // `--data-dir` turns on crash-safe persistence: committed generations
-    // are snapshotted there, admitted survey-path batches are journaled
-    // between commits, and both are recovered on the next start.
-    let data_dir = args.optional("data-dir").map(std::path::PathBuf::from);
-    // `--journal-flush-ms` bounds the write-ahead journal's group-commit
-    // window (0 = fsync every admitted batch).
-    let journal_flush_ms: u64 =
-        args.num("journal-flush-ms", ServerConfig::default().journal_flush.as_millis() as u64)?;
-    // `--budget N [--policy P]` attaches an adaptive-sensing planner to every
-    // site the daemon registers or recovers: refreshes then accept budgeted
-    // reference rounds guided by reconstruction confidence.
-    let plan = match args.optional("budget") {
-        Some(_) => {
-            let budget: usize = args.num_required("budget")?;
-            Some(taf_plan::PlannerConfig::new(budget, policy_from_args(args)?))
-        }
-        None => {
-            if args.optional("policy").is_some() {
-                return Err(CliError("--policy requires --budget".into()));
-            }
-            None
-        }
-    };
-    let server = Server::bind(
-        addr.as_str(),
-        ServerConfig {
-            data_dir,
-            plan,
-            shards,
-            max_inflight_per_site,
-            max_inflight_per_shard: max_inflight_per_site.saturating_mul(4),
-            journal_flush: std::time::Duration::from_millis(journal_flush_ms),
-            ..config
-        },
-    )?;
-    let (recovered, skipped) = server.recover_sites()?;
-    for name in &recovered {
-        eprintln!("site {name:?} recovered from --data-dir");
-    }
-    for issue in &skipped {
-        eprintln!("warning: skipped snapshot {}: {}", issue.path.display(), issue.reason);
-    }
-    if let Some(system_path) = args.optional("system") {
-        let snapshot: SystemSnapshot = read_json(Path::new(system_path))?;
-        let system = TafLoc::from_snapshot(snapshot)?;
-        let site = args.optional("site").unwrap_or("default");
-        let day: f64 = args.num("day", 0.0)?;
-        server.add_site(site, system, day)?;
-    }
-    let bound = server.local_addr();
-    if let Some(port_file) = args.optional("port-file") {
-        // Lets scripts (and the workflow test) discover an ephemeral port.
-        std::fs::write(port_file, format!("{}\n", bound.port()))
-            .map_err(|e| CliError(format!("cannot write {port_file}: {e}")))?;
-    }
-    println!("taflocd listening on {bound}");
-    server.run()?;
-    Ok(format!("server on {bound} drained and shut down cleanly"))
-}
-
 /// `gen-stream`: simulates a raw per-link sample stream (what radios emit,
 /// before any windowing/averaging) for a stationary scene.
 pub fn cmd_gen_stream(args: &Args) -> Result<String> {
@@ -897,15 +818,10 @@ COMMANDS
                 [--ref-cell K] [--day D] [--locate] [--wire v1|v2]
   info          --system system.json
   export-db     --system system.json --out db.csv
-  serve         [--port P | --addr HOST:PORT] [--workers N] [--shards N]
-                [--max-inflight-per-site N] [--port-file PATH]
-                [--data-dir DIR] [--journal-flush-ms MS]
-                [--budget N [--policy P]]
-                [--system system.json [--site NAME] [--day D]]
   testkit       [--list] [--scenario NAME] [--bless] [--out report.json]
                 [--seed N] [--bias DB] [--budget N] [--policy P]
 
-serve's --port-file receives the bound port and a newline, as taflocd's does.
+The daemon is its own binary, taflocd (see taflocd --help).
 ";
 
 /// A command: its name, its handler, the flags it takes with a value and
@@ -931,13 +847,6 @@ const COMMANDS: &[Command] = &[
     ("ingest", cmd_ingest, "addr site stream batch ref-cell day wire", "locate"),
     ("info", cmd_info, "system", ""),
     ("export-db", cmd_export_db, "system out", ""),
-    (
-        "serve",
-        cmd_serve,
-        "port addr workers shards max-inflight-per-site port-file data-dir journal-flush-ms \
-         budget policy system site day",
-        "",
-    ),
     ("testkit", cmd_testkit, "scenario out seed bias budget policy", "list bless"),
 ];
 
@@ -1088,8 +997,8 @@ mod tests {
             run("testkit", &a).unwrap_err().0,
             "--list is a switch and takes no value, got \"all\""
         );
-        let a = Args::parse(&strs(&["--system", "s.json", "--site"])).unwrap();
-        assert_eq!(run("serve", &a).unwrap_err().0, "flag --site expects a value");
+        let a = Args::parse(&strs(&["--stream", "s.json", "--site"])).unwrap();
+        assert_eq!(run("ingest", &a).unwrap_err().0, "flag --site expects a value");
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub struct SurveyRecord {
 }
 
 /// Bounded per-reference-slot ring of past surveys.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistoryWindow {
     n_links: usize,
     depth: usize,

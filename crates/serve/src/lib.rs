@@ -4,7 +4,8 @@
 //! localization daemon (`taflocd`) speaking newline-delimited JSON over TCP.
 //!
 //! The library crate exposes every building block so the daemon can be
-//! embedded in-process (tests, benchmarks, the `tafloc serve` CLI command):
+//! embedded in-process (tests, benchmarks, the testkit's scripted sites;
+//! `taflocd` is the only standalone launcher):
 //!
 //! * [`protocol`] — the `Request`/`Response` wire types;
 //! * [`wire`] — both wire codecs (v1 newline-delimited JSON, v2 checksummed

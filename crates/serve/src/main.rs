@@ -2,11 +2,12 @@
 //!
 //! ```text
 //! taflocd --addr 127.0.0.1:7777 [--workers 4] [--shards 4] [--data-dir DIR]
-//!         [--site NAME --system system.json]...
+//!         [--budget N [--policy P]] [--day D] [--site NAME --system system.json]...
 //! ```
 //!
-//! `--site`/`--system` may repeat (pairwise) to pre-load several sites; more
-//! can be added at runtime with an `add-site` request. With `--data-dir`,
+//! `--site`/`--system` may repeat (pairwise) to pre-load several sites, each
+//! with its drift clock at `--day`; more can be added at runtime with an
+//! `add-site` request. With `--data-dir`,
 //! every committed site generation is persisted as a checksummed snapshot
 //! and recovered on the next start — a crashed daemon restarted on the same
 //! directory comes back serving every site at its last committed state. The
@@ -19,9 +20,9 @@ const USAGE: &str = "\
 taflocd — always-on TafLoc localization daemon (newline-delimited JSON over TCP)
 
 USAGE: taflocd [--addr HOST:PORT] [--workers N] [--shards N] [--data-dir DIR]
-               [--journal-flush-ms MS] [--budget N]
+               [--journal-flush-ms MS] [--budget N [--policy P]]
                [--max-inflight-per-site N] [--port-file PATH]
-               [--site NAME --system PATH]...
+               [--day D] [--site NAME --system PATH]...
 
   --addr       listen address (default 127.0.0.1:7777; port 0 = ephemeral)
   --workers    worker threads (default 4)
@@ -38,8 +39,12 @@ USAGE: taflocd [--addr HOST:PORT] [--workers N] [--shards N] [--data-dir DIR]
                milliseconds; 0 fsyncs every admitted batch (default 25)
   --budget     attach an adaptive-sensing planner with this per-round
                link-measurement budget to every site (default: full surveys)
+  --policy     the planner's spending policy: uncertainty-greedy (default)
+               or fixed-schedule; needs --budget
   --port-file  write the bound port (just the number) to PATH once listening;
                lets scripts find an ephemeral port without parsing stdout
+  --day        deployment day of every --site/--system pair's drift clock
+               (default 0)
   --site       name for the next --system snapshot (repeatable)
   --system     path to a system.json written by `tafloc calibrate` (repeatable)
 ";
@@ -59,6 +64,8 @@ fn main() {
     let mut data_dir: Option<String> = None;
     let mut journal_flush_ms: u64 = defaults.journal_flush.as_millis() as u64;
     let mut budget: Option<usize> = None;
+    let mut policy: Option<taf_plan::PlanPolicy> = None;
+    let mut day = 0.0f64;
     let mut port_file: Option<String> = None;
     let mut site_names: Vec<String> = Vec::new();
     let mut system_paths: Vec<String> = Vec::new();
@@ -76,6 +83,8 @@ fn main() {
             | "--data-dir"
             | "--journal-flush-ms"
             | "--budget"
+            | "--policy"
+            | "--day"
             | "--port-file"
             | "--site"
             | "--system" => {
@@ -112,6 +121,15 @@ fn main() {
                             fail(&format!("--budget expects a number, got {value:?}"))
                         }));
                     }
+                    "--policy" => {
+                        policy =
+                            Some(value.parse().unwrap_or_else(|e| fail(&format!("--policy: {e}"))));
+                    }
+                    "--day" => {
+                        day = value.parse().unwrap_or_else(|_| {
+                            fail(&format!("--day expects a number, got {value:?}"))
+                        });
+                    }
                     "--port-file" => port_file = Some(value.clone()),
                     "--site" => site_names.push(value.clone()),
                     _ => system_paths.push(value.clone()),
@@ -124,18 +142,22 @@ fn main() {
     if site_names.len() != system_paths.len() {
         fail("--site and --system must come in pairs");
     }
+    if policy.is_some() && budget.is_none() {
+        fail("--policy requires --budget");
+    }
 
     let config = ServerConfig {
         workers,
         shards,
         max_inflight_per_site,
-        // The shard budget scales with the per-site quota, mirroring the
-        // default ratio.
-        max_inflight_per_shard: max_inflight_per_site.saturating_mul(4),
         data_dir: data_dir.as_ref().map(std::path::PathBuf::from),
         journal_flush: std::time::Duration::from_millis(journal_flush_ms),
-        plan: budget
-            .map(|b| taf_plan::PlannerConfig::new(b, taf_plan::PlanPolicy::UncertaintyGreedy)),
+        plan: budget.map(|b| {
+            taf_plan::PlannerConfig::new(
+                b,
+                policy.unwrap_or(taf_plan::PlanPolicy::UncertaintyGreedy),
+            )
+        }),
         ..Default::default()
     };
     let server = match Server::bind(&addr, config) {
@@ -166,7 +188,7 @@ fn main() {
         let system = tafloc_core::system::TafLoc::from_snapshot(snapshot)
             .unwrap_or_else(|e| fail(&format!("invalid system in {path}: {e}")));
         server
-            .add_site(name, system, 0.0)
+            .add_site(name, system, day)
             .unwrap_or_else(|e| fail(&format!("cannot add site {name:?}: {e}")));
         eprintln!("site {name:?} loaded from {path}");
     }

@@ -15,11 +15,12 @@
 //! they hold (and any still queued) and exit; the maintenance scheduler is
 //! stopped and joined last.
 
-use crate::journal::{Journal, JournalConfig};
+use crate::journal::JournalConfig;
 use crate::maintenance::MaintenancePolicy;
 use crate::metrics::Metrics;
 use crate::protocol::{Request, Response, StatsReport};
-use crate::shard::{AdmissionConfig, Admit, ShardConfig, ShardSet};
+use crate::shard::{AdmissionConfig, Admit, ShardConfig, ShardSet, DEFAULT_ADMIT_DEADLINE};
+use crate::shard::{DEFAULT_MAX_INFLIGHT_PER_SITE, DEFAULT_SHARD_SEED};
 use crate::site::{detection_detail, recommendation_name, Site};
 use crate::store::SiteStore;
 use crate::wire::{self, WireVersion};
@@ -32,15 +33,17 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tafloc_core::system::TafLoc;
+use tafloc_ingest::ClockMode;
+
+/// Per-connection read timeout: an idle connection past it is closed, so
+/// idle keep-alive clients cannot pin workers.
+const READ_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads serving connections.
     pub workers: usize,
-    /// Per-connection read timeout; an idle connection past it is closed
-    /// (`None` = wait forever — then idle keep-alive clients pin workers).
-    pub read_timeout: Option<Duration>,
     /// Maintenance policy applied to sites added without an explicit one.
     pub default_policy: MaintenancePolicy,
     /// Snapshot directory (`--data-dir`). When set, every committed site
@@ -62,35 +65,26 @@ pub struct ServerConfig {
     /// set — the journal lives next to the snapshot files.
     pub journal_flush: Duration,
     /// Worker shards (`--shards`, clamped to at least 1). Site ownership is
-    /// a pure function of `(shard_seed, site name, shards)`, so the same
-    /// flags re-shard identically across restarts.
+    /// a pure function of the site name and the shard count (the ring seed
+    /// is the fixed [`DEFAULT_SHARD_SEED`]), so the same flags re-shard
+    /// identically across restarts.
     pub shards: usize,
-    /// Consistent-hash ring seed. Must stay stable across restarts of a
-    /// persistent deployment; there is no flag for it on purpose.
-    pub shard_seed: u64,
     /// Per-site in-flight ingest sample quota (`--max-inflight-per-site`).
+    /// The per-shard budget is 4x this, and an admission blocks for credits
+    /// up to [`DEFAULT_ADMIT_DEADLINE`] before the server answers with a
+    /// `deferred` overload frame.
     pub max_inflight_per_site: usize,
-    /// Per-shard in-flight ingest sample budget (defaults to 4x the per-site
-    /// quota).
-    pub max_inflight_per_shard: usize,
-    /// How long an ingest admission blocks for credits before the server
-    /// answers with a `deferred` overload frame.
-    pub admit_deadline: Duration,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 4,
-            read_timeout: Some(Duration::from_secs(60)),
             default_policy: MaintenancePolicy::default(),
             data_dir: None,
             plan: None,
             shards: 1,
-            shard_seed: crate::shard::DEFAULT_SHARD_SEED,
-            max_inflight_per_site: crate::shard::DEFAULT_MAX_INFLIGHT_PER_SITE,
-            max_inflight_per_shard: crate::shard::DEFAULT_MAX_INFLIGHT_PER_SITE * 4,
-            admit_deadline: crate::shard::DEFAULT_ADMIT_DEADLINE,
+            max_inflight_per_site: DEFAULT_MAX_INFLIGHT_PER_SITE,
             journal_flush: JournalConfig::default().flush_interval,
         }
     }
@@ -106,7 +100,6 @@ pub struct ServerCtx {
     pub metrics: Metrics,
     shutdown: AtomicBool,
     local_addr: SocketAddr,
-    read_timeout: Option<Duration>,
     default_policy: MaintenancePolicy,
     plan: Option<taf_plan::PlannerConfig>,
     workers: usize,
@@ -154,20 +147,31 @@ impl ServerCtx {
         self.store.as_ref()
     }
 
-    /// Attaches durability to a freshly registered site: a clean write-ahead
-    /// journal (leftover segments from a previous site of the same name are
-    /// discarded — their records describe a system that no longer exists)
-    /// and the snapshot store, which persists generation 0 immediately.
-    fn attach_durability(&self, site: Site) -> Result<Site> {
-        let Some(store) = &self.store else {
-            return Ok(site);
-        };
-        let stem = SiteStore::stem(site.name());
-        let (journal, recovery) = Journal::open(store.dir(), &stem, self.journal, 0)?;
-        if !recovery.records.is_empty() {
-            journal.prune(journal.last_seq())?;
+    /// Builds and registers a fresh site: the one bring-up path behind
+    /// [`Server::add_site`] and the `add-site` request. The planner comes
+    /// first, so generation 0 already carries the seeded survey history;
+    /// then durability, which persists generation 0 at once; then the
+    /// registry. A taken name is refused before durability, which would
+    /// discard the journal and overwrite the snapshot under its stem.
+    fn add_site(
+        &self,
+        name: &str,
+        system: TafLoc,
+        day: f64,
+        policy: MaintenancePolicy,
+    ) -> Result<()> {
+        if self.registry.get(name).is_ok() {
+            return Err(ServeError::SiteExists(name.to_string()));
         }
-        site.with_journal(Arc::new(journal)).with_persistence(Arc::clone(store))
+        let mut site = Site::new(name, system, day, policy)?;
+        if let Some(plan) = self.plan {
+            site = site.with_planning(plan)?;
+        }
+        if let Some(store) = &self.store {
+            site = site.with_durability(Arc::clone(store), self.journal)?;
+        }
+        self.registry.add(site)?;
+        Ok(())
     }
 }
 
@@ -197,17 +201,16 @@ impl Server {
         let ctx = Arc::new(ServerCtx {
             registry: ShardSet::new(ShardConfig {
                 shards: config.shards,
-                seed: config.shard_seed,
+                seed: DEFAULT_SHARD_SEED,
                 admission: AdmissionConfig {
                     max_inflight_per_site: config.max_inflight_per_site,
-                    max_inflight_per_shard: config.max_inflight_per_shard,
-                    admit_deadline: config.admit_deadline,
+                    max_inflight_per_shard: config.max_inflight_per_site.saturating_mul(4),
+                    admit_deadline: DEFAULT_ADMIT_DEADLINE,
                 },
             }),
             metrics: Metrics::new(),
             shutdown: AtomicBool::new(false),
             local_addr,
-            read_timeout: config.read_timeout,
             default_policy: config.default_policy,
             plan: config.plan,
             workers: config.workers.max(1),
@@ -222,14 +225,15 @@ impl Server {
     }
 
     /// Recovers every persisted site from the configured `data_dir` into the
-    /// registry (no-op without one). Each site comes back at its last
-    /// committed generation with its plan schedule, survey history, and
-    /// solver warm state; the write-ahead journal is then replayed through
-    /// the normal ingest pipeline, so survey-path records admitted after the
-    /// last commit (and their not-yet-refreshed pending columns) survive a
-    /// crash too. Corrupt or truncated snapshot files are skipped and
-    /// reported, never fatal. Returns the recovered site names and the
-    /// files that had to be skipped.
+    /// registry (no-op without one), each through [`Site::recover`]. Each
+    /// site comes back at its last committed generation with its plan
+    /// schedule, survey history, and solver warm state; the write-ahead
+    /// journal is then replayed through the normal ingest pipeline, so
+    /// survey-path records admitted after the last commit (and their
+    /// not-yet-refreshed pending columns) survive a crash too. Corrupt or
+    /// truncated snapshot files are skipped and reported, never fatal.
+    /// Returns the recovered site names and the files that had to be
+    /// skipped.
     pub fn recover_sites(&self) -> Result<(Vec<String>, Vec<crate::store::RecoveryIssue>)> {
         let Some(store) = &self.ctx.store else {
             return Ok((Vec::new(), Vec::new()));
@@ -237,19 +241,15 @@ impl Server {
         let recovery = store.recover_all()?;
         let mut names = Vec::with_capacity(recovery.sites.len());
         for persisted in recovery.sites {
-            let name = persisted.name.clone();
-            let watermark = persisted.journal_watermark;
-            let mut site = Site::from_persisted(persisted, tafloc_ingest::ClockMode::default())?;
-            if let Some(plan) = self.ctx.plan {
-                site = site.with_planning(plan)?;
-            }
-            let (journal, jrec) =
-                Journal::open(store.dir(), &SiteStore::stem(&name), self.ctx.journal, watermark)?;
-            let site = site.with_journal(Arc::new(journal));
-            site.replay_journal(&jrec.records);
-            let site = site.with_persistence(Arc::clone(store))?;
+            let (site, _, _) = Site::recover(
+                persisted,
+                Arc::clone(store),
+                self.ctx.journal,
+                self.ctx.plan,
+                ClockMode::default(),
+            )?;
+            names.push(site.name().to_string());
             self.ctx.registry.add(site)?;
-            names.push(name);
         }
         Ok((names, recovery.skipped))
     }
@@ -269,13 +269,7 @@ impl Server {
     /// the first refresh recovers it) and a fresh write-ahead journal is
     /// attached for everything admitted between commits.
     pub fn add_site(&self, name: &str, system: TafLoc, day: f64) -> Result<()> {
-        let policy = self.ctx.default_policy;
-        let mut site = self.ctx.attach_durability(Site::new(name, system, day, policy)?)?;
-        if let Some(plan) = self.ctx.plan {
-            site = site.with_planning(plan)?;
-        }
-        self.ctx.registry.add(site)?;
-        Ok(())
+        self.ctx.add_site(name, system, day, self.ctx.default_policy)
     }
 
     /// Starts the accept loop and worker pool; returns immediately.
@@ -393,7 +387,7 @@ fn worker_loop(rx: Arc<Mutex<mpsc::Receiver<TcpStream>>>, ctx: Arc<ServerCtx>) {
 }
 
 fn handle_connection(stream: TcpStream, ctx: &ServerCtx) -> Result<()> {
-    stream.set_read_timeout(ctx.read_timeout)?;
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
@@ -485,17 +479,9 @@ pub fn dispatch(request: Request, ctx: &ServerCtx) -> Response {
                 Ok(s) => s,
                 Err(e) => return err_response(e.into()),
             };
-            let links = system.db().num_links();
-            let cells = system.db().num_cells();
-            let policy = policy.unwrap_or(ctx.default_policy);
-            let built = Site::new(&site, system, day, policy)
-                .and_then(|s| ctx.attach_durability(s))
-                .and_then(|s| match ctx.plan {
-                    Some(plan) => s.with_planning(plan),
-                    None => Ok(s),
-                });
-            match built.and_then(|s| ctx.registry.add(s)) {
-                Ok(_) => Response::SiteAdded { site, links, cells },
+            let (links, cells) = (system.db().num_links(), system.db().num_cells());
+            match ctx.add_site(&site, system, day, policy.unwrap_or(ctx.default_policy)) {
+                Ok(()) => Response::SiteAdded { site, links, cells },
                 Err(e) => err_response(e),
             }
         }

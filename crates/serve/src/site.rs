@@ -29,15 +29,14 @@
 //! committed generation is persisted so a crash recovers to the last good
 //! state.
 
-use crate::journal::{Journal, JournalRecord};
+use crate::journal::{Journal, JournalConfig, JournalRecord};
 use crate::maintenance::MaintenancePolicy;
 use crate::protocol::{SiteInfo, SiteStats};
 use crate::snapshot::SnapshotCell;
-use crate::store::{PersistedSite, SiteStore};
+use crate::store::{name_hash, PersistedSite, SiteStore};
 use crate::{Result, ServeError};
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -114,15 +113,25 @@ struct SiteDynamic {
     /// Deployment day the current capture round belongs to; a batch tagged
     /// with a different day starts a fresh round.
     ref_capture_day: f64,
-    /// Bounded per-reference-slot ring of past survey columns; present only
-    /// once a planner is attached ([`Site::with_planning`] seeds it).
-    history: Option<HistoryWindow>,
-    /// The plan the next survey round should follow (produced by the last
-    /// successful refresh when a planner is attached).
-    current_plan: Option<MeasurementPlan>,
-    /// Per-reference-slot reconstruction confidence from the last committed
-    /// refresh's diagnostics.
-    last_ref_confidence: Option<Vec<f64>>,
+    /// Plan and journal state as surveys and refreshes move it.
+    live: PlanState,
+    /// `live` as of the last committed refresh (or restore).
+    /// [`Site::to_persisted`] writes *this*, not the live values: every
+    /// persisted snapshot is then consistent with its `journal_watermark` —
+    /// the durable effects of records beyond the watermark are never in the
+    /// snapshot, so recovery can replay them without double-counting epochs,
+    /// history records, or survey costs.
+    committed: PlanState,
+}
+
+/// The plan and journal state a snapshot carries, held twice by
+/// `SiteDynamic`: live, and as of the last commit.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct PlanState {
+    /// Highest journal sequence whose record is consumed into `pending` (or
+    /// superseded by a later promotion/survey); the watermark the next
+    /// commit checkpoints. Stays 0 without an attached journal.
+    journal_watermark: u64,
     /// Monotone survey counter: bumps once per promoted capture round or
     /// `measure-refs`, and orders the history records.
     survey_epoch: u64,
@@ -134,48 +143,15 @@ struct SiteDynamic {
     /// Cumulative cost a full survey would have incurred over the same
     /// cycles.
     full_survey_cost: u64,
-    /// Highest journal sequence whose record is consumed into `pending` (or
-    /// superseded by a later promotion/survey); the watermark the next
-    /// commit checkpoints. Stays 0 without an attached journal.
-    wal_pending_seq: u64,
-    /// See [`DurableView`].
-    durable_view: DurableView,
-}
-
-/// The plan/journal state exactly as of the last committed refresh (or
-/// restore). [`Site::to_persisted`] writes *this*, not the live values:
-/// every persisted snapshot is then consistent with its `journal_watermark`
-/// — the durable effects of records beyond the watermark are never in the
-/// snapshot, so recovery can replay them without double-counting epochs,
-/// history records, or survey costs.
-#[derive(Debug, Default)]
-struct DurableView {
-    journal_watermark: u64,
-    survey_epoch: u64,
-    planned_cost: u64,
-    actual_cost: u64,
-    full_survey_cost: u64,
+    /// The plan the next survey round should follow (produced by the last
+    /// successful refresh when a planner is attached).
     current_plan: Option<MeasurementPlan>,
+    /// Per-reference-slot reconstruction confidence from the last committed
+    /// refresh's diagnostics.
     last_ref_confidence: Option<Vec<f64>>,
+    /// Bounded per-reference-slot ring of past survey columns; present only
+    /// once a planner is attached ([`Site::with_planning`] seeds it).
     history: Option<HistoryWindow>,
-}
-
-impl SiteDynamic {
-    /// Checkpoints the durable view at a refresh commit: this exact state
-    /// (and watermark) goes into every snapshot persisted until the next
-    /// commit.
-    fn checkpoint_durable_view(&mut self) {
-        self.durable_view = DurableView {
-            journal_watermark: self.wal_pending_seq,
-            survey_epoch: self.survey_epoch,
-            planned_cost: self.planned_cost,
-            actual_cost: self.actual_cost,
-            full_survey_cost: self.full_survey_cost,
-            current_plan: self.current_plan.clone(),
-            last_ref_confidence: self.last_ref_confidence.clone(),
-            history: self.history.clone(),
-        };
-    }
 }
 
 /// One registered site.
@@ -226,10 +202,7 @@ fn survey_matrix(columns: &[Vec<f64>]) -> Result<Matrix> {
 }
 
 fn stream_seed(site: &str, stream: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    site.hash(&mut h);
-    stream.hash(&mut h);
-    h.finish()
+    name_hash(&[site, stream])
 }
 
 impl Site {
@@ -255,12 +228,28 @@ impl Site {
     ) -> Result<Site> {
         let monitor_cells = policy.monitor_cells.max(1).min(system.reference_cells().len().max(1));
         let monitor = system.monitor(monitor_cells, day, policy.monitor)?;
-        let num_links = system.db().num_links();
+        let snapshot = SiteSnapshot { system, version: 0, refreshed_day: day };
+        Site::assemble(name.to_string(), snapshot, monitor, policy, ingest_config, clock_mode)
+    }
+
+    /// The one place a site is put together: `snapshot` served, a fresh
+    /// ingestor, zeroed counters and empty plan state.
+    /// [`Site::from_persisted`] then restores what was persisted.
+    fn assemble(
+        name: String,
+        snapshot: SiteSnapshot,
+        monitor: DriftMonitor,
+        policy: MaintenancePolicy,
+        ingest_config: IngestConfig,
+        clock_mode: ClockMode,
+    ) -> Result<Site> {
+        let monitor_cells = monitor.cells().len();
+        let num_links = snapshot.system.db().num_links();
         let ingest_shards = num_links.clamp(1, 8);
         let ingest = Ingestor::with_clock(ingest_config, num_links, ingest_shards, clock_mode)?;
         Ok(Site {
-            name: name.to_string(),
-            cell: SnapshotCell::new(SiteSnapshot { system, version: 0, refreshed_day: day }),
+            name,
+            cell: SnapshotCell::new(snapshot),
             dynamic: Mutex::new(SiteDynamic {
                 monitor,
                 pending: None,
@@ -280,15 +269,8 @@ impl Site {
                 panic_budget: policy.debug_panic_ticks,
                 ref_captures: HashMap::new(),
                 ref_capture_day: 0.0,
-                history: None,
-                current_plan: None,
-                last_ref_confidence: None,
-                survey_epoch: 0,
-                planned_cost: 0,
-                actual_cost: 0,
-                full_survey_cost: 0,
-                wal_pending_seq: 0,
-                durable_view: DurableView::default(),
+                live: PlanState::default(),
+                committed: PlanState::default(),
             }),
             refresh: Mutex::new(()),
             solver: Mutex::new(SolverCache::new()),
@@ -334,7 +316,7 @@ impl Site {
         let n = ref_cells.len();
         {
             let mut d = self.lock_dynamic();
-            let restored = d.history.as_ref().is_some_and(|h| {
+            let restored = d.live.history.as_ref().is_some_and(|h| {
                 h.n_slots() == n && h.n_links() == m && h.depth() == config.history_depth
             });
             if !restored {
@@ -350,11 +332,11 @@ impl Site {
                         .record(k, record)
                         .map_err(|e| ServeError::Protocol(format!("planner history: {e}")))?;
                 }
-                d.history = Some(history);
+                d.live.history = Some(history);
                 // A mismatched recovered plan can't be followed either.
-                d.current_plan = None;
-                d.durable_view.history = d.history.clone();
-                d.durable_view.current_plan = None;
+                d.live.current_plan = None;
+                d.committed.history = d.live.history.clone();
+                d.committed.current_plan = None;
             }
         }
         self.planner = Some(planner);
@@ -370,6 +352,20 @@ impl Site {
     pub fn with_journal(mut self, journal: Arc<Journal>) -> Site {
         self.journal = Some(journal);
         self
+    }
+
+    /// Puts a freshly registered site on the durability stack: a clean
+    /// write-ahead journal in the store's directory (leftover segments from
+    /// a previous site of the same name are discarded — their records
+    /// describe a system that no longer exists), then the snapshot store,
+    /// which persists the current generation immediately.
+    pub fn with_durability(self, store: Arc<SiteStore>, journal: JournalConfig) -> Result<Site> {
+        let stem = SiteStore::stem(&self.name);
+        let (journal, recovery) = Journal::open(store.dir(), &stem, journal, 0)?;
+        if !recovery.records.is_empty() {
+            journal.prune(journal.last_seq())?;
+        }
+        self.with_journal(Arc::new(journal)).with_persistence(store)
     }
 
     /// The attached write-ahead journal, if any.
@@ -410,13 +406,13 @@ impl Site {
     /// once a planner is attached and a committed refresh has produced
     /// diagnostics to plan from.
     pub fn current_plan(&self) -> Option<MeasurementPlan> {
-        self.lock_dynamic().current_plan.clone()
+        self.lock_dynamic().live.current_plan.clone()
     }
 
     /// Per-reference-slot reconstruction confidence from the last committed
     /// refresh, if any.
     pub fn last_ref_confidence(&self) -> Option<Vec<f64>> {
-        self.lock_dynamic().last_ref_confidence.clone()
+        self.lock_dynamic().live.last_ref_confidence.clone()
     }
 
     /// Resurrects a site from a recovered snapshot. Live stream state
@@ -426,81 +422,71 @@ impl Site {
     /// counters, quarantine state, plan schedule/history/costs, and the
     /// solver's warm factors — comes back exactly as persisted. Survey-path
     /// records admitted after the snapshot live in the write-ahead journal;
-    /// the caller replays them via [`Site::replay_journal`] after attaching
-    /// the journal and (when planning) re-attaching the planner.
+    /// [`Site::recover`] replays them after re-attaching the planner and
+    /// the journal.
     pub fn from_persisted(p: PersistedSite, clock_mode: ClockMode) -> Result<Site> {
         let system = TafLoc::from_snapshot(p.snapshot)?;
-        let monitor_cells = p.monitor_cells.len();
         let monitor = DriftMonitor::new(
             p.monitor_stored,
             p.monitor_cells,
             p.monitor_last_update_day,
             p.monitor_config,
         )?;
-        let num_links = system.db().num_links();
-        let ingest_shards = num_links.clamp(1, 8);
-        let ingest = Ingestor::with_clock(p.ingest, num_links, ingest_shards, clock_mode)?;
-        let mut solver = SolverCache::new();
-        if let Some(w) = p.warm {
-            solver.restore(w);
-        }
-        Ok(Site {
-            name: p.name,
-            cell: SnapshotCell::new(SiteSnapshot {
-                system,
-                version: p.generation,
-                refreshed_day: p.refreshed_day,
-            }),
-            dynamic: Mutex::new(SiteDynamic {
-                monitor,
-                pending: None,
-                trackers: HashMap::new(),
-                detectors: HashMap::new(),
-                breach_streak: p.breach_streak,
-                last_estimate_db: None,
-                maintenance_checks: p.maintenance_checks,
-                auto_refreshes: p.auto_refreshes,
-                refresh_rejections: p.refresh_rejections,
-                consecutive_failures: p.consecutive_failures,
-                last_reject_reason: p.last_reject_reason,
-                quarantined: p.quarantined,
-                quarantine_cooldown: p.quarantine_cooldown,
-                tick_panics: p.tick_panics,
-                persist_failures: 0,
-                panic_budget: p.policy.debug_panic_ticks,
-                ref_captures: HashMap::new(),
-                ref_capture_day: 0.0,
-                history: p.history.clone(),
-                current_plan: p.current_plan.clone(),
-                last_ref_confidence: p.last_ref_confidence.clone(),
+        let snapshot =
+            SiteSnapshot { system, version: p.generation, refreshed_day: p.refreshed_day };
+        let site = Site::assemble(p.name, snapshot, monitor, p.policy, p.ingest, clock_mode)?;
+        {
+            let mut d = site.lock_dynamic();
+            d.breach_streak = p.breach_streak;
+            d.maintenance_checks = p.maintenance_checks;
+            d.auto_refreshes = p.auto_refreshes;
+            d.refresh_rejections = p.refresh_rejections;
+            d.consecutive_failures = p.consecutive_failures;
+            d.last_reject_reason = p.last_reject_reason;
+            d.quarantined = p.quarantined;
+            d.quarantine_cooldown = p.quarantine_cooldown;
+            d.tick_panics = p.tick_panics;
+            d.live = PlanState {
+                journal_watermark: p.journal_watermark,
                 survey_epoch: p.survey_epoch,
                 planned_cost: p.planned_cost,
                 actual_cost: p.actual_cost,
                 full_survey_cost: p.full_survey_cost,
-                wal_pending_seq: p.journal_watermark,
-                durable_view: DurableView {
-                    journal_watermark: p.journal_watermark,
-                    survey_epoch: p.survey_epoch,
-                    planned_cost: p.planned_cost,
-                    actual_cost: p.actual_cost,
-                    full_survey_cost: p.full_survey_cost,
-                    current_plan: p.current_plan,
-                    last_ref_confidence: p.last_ref_confidence,
-                    history: p.history,
-                },
-            }),
-            refresh: Mutex::new(()),
-            solver: Mutex::new(solver),
-            ingest,
-            ingest_config: p.ingest,
-            ingest_shards,
-            policy: p.policy,
-            monitor_cells,
-            store: None,
-            planner: None,
-            journal: None,
-            stop: AtomicBool::new(false),
-        })
+                current_plan: p.current_plan,
+                last_ref_confidence: p.last_ref_confidence,
+                history: p.history,
+            };
+            d.committed = d.live.clone();
+        }
+        if let Some(w) = p.warm {
+            site.lock_solver().restore(w);
+        }
+        Ok(site)
+    }
+
+    /// Brings a persisted site back, in this order:
+    /// [`Site::from_persisted`]; the planner, when `plan` is set; the
+    /// write-ahead journal, opened at the snapshot's watermark; a replay of
+    /// the records past it; the snapshot store. `taflocd` recovers every
+    /// site through this on startup. Returns the site, the number of
+    /// records replayed cleanly and the number read.
+    pub fn recover(
+        persisted: PersistedSite,
+        store: Arc<SiteStore>,
+        journal: JournalConfig,
+        plan: Option<PlannerConfig>,
+        clock_mode: ClockMode,
+    ) -> Result<(Site, usize, usize)> {
+        let watermark = persisted.journal_watermark;
+        let mut site = Site::from_persisted(persisted, clock_mode)?;
+        if let Some(plan) = plan {
+            site = site.with_planning(plan)?;
+        }
+        let stem = SiteStore::stem(&site.name);
+        let (journal, recovery) = Journal::open(store.dir(), &stem, journal, watermark)?;
+        let site = site.with_journal(Arc::new(journal));
+        let replayed = site.replay_journal(&recovery.records);
+        Ok((site.with_persistence(store)?, replayed, recovery.records.len()))
     }
 
     /// Site name.
@@ -749,13 +735,13 @@ impl Site {
         // sequence order.
         d.ref_captures.clear();
         if let Some(seq) = seq {
-            d.wal_pending_seq = seq;
+            d.live.journal_watermark = seq;
         }
         // `measure-refs` is by definition a full survey: every entry was
         // measured, so the full cost was paid regardless of any plan.
-        d.survey_epoch += 1;
-        let epoch = d.survey_epoch;
-        if let Some(h) = d.history.as_mut() {
+        d.live.survey_epoch += 1;
+        let epoch = d.live.survey_epoch;
+        if let Some(h) = d.live.history.as_mut() {
             for k in 0..n {
                 let record = SurveyRecord { epoch, y: columns.col(k), fresh: vec![true; m] };
                 h.record(k, record)
@@ -763,9 +749,9 @@ impl Site {
             }
         }
         let full = (m * n) as u64;
-        d.planned_cost += full;
-        d.actual_cost += full;
-        d.full_survey_cost += full;
+        d.live.planned_cost += full;
+        d.live.actual_cost += full;
+        d.live.full_survey_cost += full;
         d.pending = Some(PendingRefs { day, columns, empty, mask: None });
         Ok(rec)
     }
@@ -872,26 +858,26 @@ impl Site {
             d.last_reject_reason = None;
             d.quarantined = false;
             d.quarantine_cooldown = 0;
-            d.last_ref_confidence = Some(ref_confidence);
+            d.live.last_ref_confidence = Some(ref_confidence);
             if let Some(planner) = &self.planner {
                 let link_health = self.ingest.link_statuses();
-                let last_surveyed = d.history.as_ref().map(|h| h.last_surveyed());
+                let last_surveyed = d.live.history.as_ref().map(|h| h.last_surveyed());
                 let plan = planner.plan(&PlanInputs {
-                    epoch: d.survey_epoch + 1,
+                    epoch: d.live.survey_epoch + 1,
                     n_refs,
                     link_health: &link_health,
-                    confidence: d.last_ref_confidence.as_deref(),
+                    confidence: d.live.last_ref_confidence.as_deref(),
                     last_surveyed: last_surveyed.as_deref(),
                 });
                 // Planning must never fail a refresh that already committed;
                 // a failed plan just means the next round is a full survey.
-                d.current_plan = plan.ok();
+                d.live.current_plan = plan.ok();
             }
             // Commit point for durability: exactly this state (watermark
             // included) is what every snapshot persisted from here until the
             // next commit will carry, so journal records beyond the
             // watermark replay onto it without double-counting.
-            d.checkpoint_durable_view();
+            d.committed = d.live.clone();
         }
         self.cell.store(SiteSnapshot { system, version, refreshed_day: pending.day });
         // Best-effort: a full disk must not fail the refresh that already
@@ -966,8 +952,8 @@ impl Site {
     /// the snapshot cell, the solver cache, and the dynamic mutex — the
     /// latter two one at a time, never nested).
     ///
-    /// Plan/journal state is written from the `DurableView` checkpointed
-    /// at the last commit, not from the live values: that keeps every
+    /// Plan/journal state is written from the copy checkpointed at the
+    /// last commit, not from the live values: that keeps every
     /// snapshot consistent with its `journal_watermark` even when surveys
     /// landed after the last refresh.
     pub fn to_persisted(&self) -> PersistedSite {
@@ -994,14 +980,14 @@ impl Site {
             tick_panics: d.tick_panics,
             policy: self.policy,
             ingest: self.ingest_config,
-            journal_watermark: d.durable_view.journal_watermark,
-            survey_epoch: d.durable_view.survey_epoch,
-            planned_cost: d.durable_view.planned_cost,
-            actual_cost: d.durable_view.actual_cost,
-            full_survey_cost: d.durable_view.full_survey_cost,
-            current_plan: d.durable_view.current_plan.clone(),
-            last_ref_confidence: d.durable_view.last_ref_confidence.clone(),
-            history: d.durable_view.history.clone(),
+            journal_watermark: d.committed.journal_watermark,
+            survey_epoch: d.committed.survey_epoch,
+            planned_cost: d.committed.planned_cost,
+            actual_cost: d.committed.actual_cost,
+            full_survey_cost: d.committed.full_survey_cost,
+            current_plan: d.committed.current_plan.clone(),
+            last_ref_confidence: d.committed.last_ref_confidence.clone(),
+            history: d.committed.history.clone(),
             warm,
         }
     }
@@ -1047,7 +1033,7 @@ impl Site {
         let m = snap.system.db().num_links();
         let empty = snap.system.empty_rss();
         let mut d = self.lock_dynamic();
-        let plan = if self.planner.is_some() { d.current_plan.clone() } else { None };
+        let plan = if self.planner.is_some() { d.live.current_plan.clone() } else { None };
 
         // Completion check first: an unfinished round must change nothing.
         match &plan {
@@ -1082,8 +1068,8 @@ impl Site {
             }
         }
 
-        d.survey_epoch += 1;
-        let epoch = d.survey_epoch;
+        d.live.survey_epoch += 1;
+        let epoch = d.live.survey_epoch;
         let full = (n_refs * m) as u64;
         let mut columns = Matrix::zeros(m, n_refs);
         let mask = match &plan {
@@ -1092,7 +1078,7 @@ impl Site {
                 for (k, &ref_cell) in ref_cells.iter().enumerate() {
                     // Base: newest surveyed column from history (seeded at
                     // planner attach), falling back to the served database.
-                    let mut y = match d.history.as_ref().and_then(|h| h.latest(k)) {
+                    let mut y = match d.live.history.as_ref().and_then(|h| h.latest(k)) {
                         Some(r) => r.y.clone(),
                         None => snap.system.db().rss().col(ref_cell),
                     };
@@ -1107,14 +1093,14 @@ impl Site {
                         }
                     }
                     columns.set_col(k, &y)?;
-                    if let Some(h) = d.history.as_mut() {
+                    if let Some(h) = d.live.history.as_mut() {
                         h.record(k, SurveyRecord { epoch, y, fresh })
                             .map_err(|e| ServeError::Protocol(format!("planner history: {e}")))?;
                     }
                 }
-                d.planned_cost += plan.planned_cost as u64;
-                d.actual_cost += mask.count() as u64;
-                d.full_survey_cost += full;
+                d.live.planned_cost += plan.planned_cost as u64;
+                d.live.actual_cost += mask.count() as u64;
+                d.live.full_survey_cost += full;
                 Some(mask)
             }
             None => {
@@ -1122,14 +1108,14 @@ impl Site {
                     let capture = d.ref_captures.get(&k).expect("checked above");
                     let v = capture.assemble(empty)?;
                     columns.set_col(k, &v.y)?;
-                    if let Some(h) = d.history.as_mut() {
+                    if let Some(h) = d.live.history.as_mut() {
                         h.record(k, SurveyRecord { epoch, y: v.y, fresh: vec![true; m] })
                             .map_err(|e| ServeError::Protocol(format!("planner history: {e}")))?;
                     }
                 }
-                d.planned_cost += full;
-                d.actual_cost += full;
-                d.full_survey_cost += full;
+                d.live.planned_cost += full;
+                d.live.actual_cost += full;
+                d.live.full_survey_cost += full;
                 None
             }
         };
@@ -1140,7 +1126,7 @@ impl Site {
             // Every journaled capture batch so far is consumed into
             // `pending` (or superseded); appends happen under the dynamic
             // lock, so `last_seq` is exact here.
-            d.wal_pending_seq = j.last_seq();
+            d.live.journal_watermark = j.last_seq();
         }
         Ok(true)
     }
@@ -1230,9 +1216,9 @@ impl Site {
             ingest: self.ingest.stats(),
             stream_clock_s: self.ingest.stream_clock_s(),
             active_ref_captures: d.ref_captures.len(),
-            planned_cost: d.planned_cost,
-            actual_cost: d.actual_cost,
-            full_survey_cost: d.full_survey_cost,
+            planned_cost: d.live.planned_cost,
+            actual_cost: d.live.actual_cost,
+            full_survey_cost: d.live.full_survey_cost,
             plan_policy: self.planner.as_ref().map(|p| p.config().policy.to_string()),
             // A site doesn't know its shard; the owning ShardSet fills this in.
             shard: 0,
@@ -1507,6 +1493,39 @@ mod tests {
         );
         assert_eq!(stats.plan_policy, None);
         assert!(site.current_plan().is_none());
+    }
+
+    /// The daemon's bring-up order: planner, then durability. Generation 0
+    /// then already carries the seeded history, and a site killed before
+    /// its first refresh comes back through `Site::recover` with the live
+    /// site's plan state, its journaled survey replayed.
+    #[test]
+    fn a_planned_site_killed_before_its_first_refresh_recovers_its_plan_state() {
+        use taf_plan::{PlanPolicy, PlannerConfig};
+        let (world, site) = calibrated_site(40);
+        let dir = std::env::temp_dir().join(format!("tafloc-site-recover-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(SiteStore::open(&dir).unwrap());
+        let journal =
+            JournalConfig { flush_interval: std::time::Duration::ZERO, ..JournalConfig::default() };
+        let plan = PlannerConfig::new(12, PlanPolicy::FixedSchedule);
+        let site = site.with_planning(plan).unwrap();
+        let site = site.with_durability(Arc::clone(&store), journal).unwrap();
+        let ref_cells = site.load().system.reference_cells().to_vec();
+        let columns = campaign::measure_columns(&world, 30.0, &ref_cells, SAMPLES);
+        let empty = campaign::empty_snapshot(&world, 30.0, SAMPLES);
+        site.ingest_refs(30.0, columns, empty).unwrap();
+        let live = site.lock_dynamic().live.clone();
+        assert!(live.planned_cost > 0 && live.history.is_some());
+        drop(site); // the kill
+
+        let persisted = store.recover_all().unwrap().sites.remove(0);
+        assert!(persisted.history.is_some(), "generation 0 carries the seeded history");
+        let (revived, replayed, read) =
+            Site::recover(persisted, store, journal, Some(plan), ClockMode::default()).unwrap();
+        assert_eq!((replayed, read), (1, 1));
+        assert_eq!(revived.lock_dynamic().live, live);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

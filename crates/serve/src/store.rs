@@ -29,9 +29,7 @@
 
 use crate::maintenance::MaintenancePolicy;
 use crate::{Result, ServeError};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use taf_linalg::Matrix;
@@ -256,6 +254,56 @@ pub(crate) fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     std::fs::File::open(dir)?.sync_all()
 }
 
+/// SipHash-1-3 with zero keys over `parts`, each followed by a `0xFF`
+/// byte: the value `std`'s `DefaultHasher` gives for hashing each `&str` in
+/// turn. `std` leaves that algorithm unspecified across releases, and these
+/// values name files on disk ([`SiteStore::stem`]) and seed trackers, so the
+/// function is spelled out here and pinned by tests.
+pub(crate) fn name_hash(parts: &[&str]) -> u64 {
+    fn round(v: &mut [u64; 4]) {
+        v[0] = v[0].wrapping_add(v[1]);
+        v[1] = v[1].rotate_left(13) ^ v[0];
+        v[0] = v[0].rotate_left(32);
+        v[2] = v[2].wrapping_add(v[3]);
+        v[3] = v[3].rotate_left(16) ^ v[2];
+        v[0] = v[0].wrapping_add(v[3]);
+        v[3] = v[3].rotate_left(21) ^ v[0];
+        v[2] = v[2].wrapping_add(v[1]);
+        v[1] = v[1].rotate_left(17) ^ v[2];
+        v[2] = v[2].rotate_left(32);
+    }
+    fn compress(v: &mut [u64; 4], word: u64) {
+        v[3] ^= word;
+        round(v);
+        v[0] ^= word;
+    }
+    let mut msg = Vec::new();
+    for part in parts {
+        msg.extend_from_slice(part.as_bytes());
+        msg.push(0xFF);
+    }
+    let mut v = [
+        0x736f_6d65_7073_6575,
+        0x646f_7261_6e64_6f6d,
+        0x6c79_6765_6e65_7261,
+        0x7465_6462_7974_6573,
+    ];
+    let mut words = msg.chunks_exact(8);
+    for word in &mut words {
+        compress(&mut v, u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+    }
+    // The last word: the leftover bytes, then the message length mod 256.
+    let mut last = [0u8; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    last[7] = msg.len() as u8;
+    compress(&mut v, u64::from_le_bytes(last));
+    v[2] ^= 0xFF;
+    for _ in 0..3 {
+        round(&mut v);
+    }
+    v[0] ^ v[1] ^ v[2] ^ v[3]
+}
+
 /// A directory of per-site snapshot files.
 #[derive(Debug, Clone)]
 pub struct SiteStore {
@@ -288,9 +336,7 @@ impl SiteStore {
             .take(48)
             .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
             .collect();
-        let mut h = DefaultHasher::new();
-        name.hash(&mut h);
-        format!("{sanitized}-{:08x}", (h.finish() & 0xFFFF_FFFF) as u32)
+        format!("{sanitized}-{:08x}", name_hash(&[name]) as u32)
     }
 
     fn snap_path(&self, name: &str, generation: u64) -> PathBuf {
@@ -716,6 +762,20 @@ mod tests {
         let names: Vec<&str> = rec.sites.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["a/b", "a:b"], "payload name is authoritative");
         let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    /// Stems name every snapshot and WAL segment a restart looks for, so
+    /// they must not move with the toolchain.
+    #[test]
+    fn stems_are_pinned_across_toolchains() {
+        assert_eq!(SiteStore::stem("lab"), "lab-23371ce4");
+        assert_eq!(SiteStore::stem("bench"), "bench-fd345f66");
+        assert_eq!(SiteStore::stem("a/b"), "a_b-35a18f2a");
+        assert_eq!(SiteStore::stem("a:b"), "a_b-c05edea5");
+        // Names past one 8-byte word, and a name of exactly one word.
+        assert_eq!(name_hash(&["x1234567"]) as u32, 0x4906_12a9);
+        assert_eq!(name_hash(&["site-0"]) as u32, 0x5806_588e);
+        assert_eq!(name_hash(&["lab", "s1"]), 1_985_901_797_921_390_532);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use tafloc_core::loli_ir::LoliIrConfig;
 use tafloc_core::monitor::MonitorConfig;
 use tafloc_core::system::{TafLoc, TafLocConfig};
 use tafloc_ingest::{ClockMode, LinkSample};
-use tafloc_serve::journal::{Journal, JournalConfig};
+use tafloc_serve::journal::JournalConfig;
 use tafloc_serve::maintenance::MaintenancePolicy;
 use tafloc_serve::site::Site;
 use tafloc_serve::store::SiteStore;
@@ -101,7 +101,8 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
         RestartPoint::None => None,
         _ => {
             let scratch = ScratchDir::new(scenario.name);
-            site = attach_durability(site, scenario.name, &scratch.0)?;
+            let store = Arc::new(SiteStore::open(&scratch.0).map_err(|e| e.to_string())?);
+            site = site.with_durability(store, journal_config()).map_err(|e| e.to_string())?;
             Some(scratch)
         }
     };
@@ -285,22 +286,12 @@ fn journal_config() -> JournalConfig {
     JournalConfig { flush_interval: std::time::Duration::ZERO, ..JournalConfig::default() }
 }
 
-/// Puts `site` on the real durability stack: snapshot store plus write-ahead
-/// journal in `dir`, mirroring `ServerCtx::attach_durability`.
-fn attach_durability(site: Site, name: &str, dir: &Path) -> Result<Site, String> {
-    let store = Arc::new(SiteStore::open(dir).map_err(|e| e.to_string())?);
-    let (journal, _) = Journal::open(store.dir(), &SiteStore::stem(name), journal_config(), 0)
-        .map_err(|e| e.to_string())?;
-    site.with_journal(Arc::new(journal)).with_persistence(store).map_err(|e| e.to_string())
-}
-
 /// The testkit's stand-in for `kill -9` + restart of the daemon: drop the
 /// live site (nothing survives but the files the durability machinery
 /// wrote), damage the directory per the scenario's [`CrashPoint`], then
-/// recover through the same sequence `Server::recover_sites` performs —
-/// snapshot, planner re-attach, journal replay from the snapshot's
-/// watermark, persistence re-attach. Recovery problems (skipped snapshots, a
-/// failed decode, a record that fails to replay) surface as scenario errors.
+/// recover through [`Site::recover`], the routine `taflocd` runs. Recovery
+/// problems (skipped snapshots, a failed decode, a record that fails to
+/// replay) surface as scenario errors.
 fn simulate_crash_restart(
     scenario: &Scenario,
     site: Site,
@@ -319,21 +310,13 @@ fn simulate_crash_restart(
         .into_iter()
         .next()
         .ok_or_else(|| "no site recovered from the snapshot directory".to_string())?;
-    let watermark = persisted.journal_watermark;
-    let mut revived =
-        Site::from_persisted(persisted, ClockMode::Manual).map_err(|e| e.to_string())?;
-    if let Some(config) = planner {
-        revived = revived.with_planning(config).map_err(|e| e.to_string())?;
-    }
-    let (journal, jrec) =
-        Journal::open(store.dir(), &SiteStore::stem(scenario.name), journal_config(), watermark)
+    let (revived, applied, total) =
+        Site::recover(persisted, Arc::new(store), journal_config(), planner, ClockMode::Manual)
             .map_err(|e| e.to_string())?;
-    let revived = revived.with_journal(Arc::new(journal));
-    let applied = revived.replay_journal(&jrec.records);
-    if applied != jrec.records.len() {
-        return Err(format!("replayed only {applied} of {} journal records", jrec.records.len()));
+    if applied != total {
+        return Err(format!("replayed only {applied} of {total} journal records"));
     }
-    revived.with_persistence(Arc::new(store)).map_err(|e| e.to_string())
+    Ok(revived)
 }
 
 /// Mutates the data directory the way a kill landing *inside* a write would

@@ -113,8 +113,8 @@ pub struct PlanSpec {
 /// directory plus a write-ahead [`tafloc_serve::journal::Journal`] with a
 /// zero group-commit window — to the site for the *whole* run, exactly like
 /// a daemon started with `--data-dir`. The "crash" drops the live site;
-/// recovery goes snapshot → planner → journal replay, the same sequence
-/// `Server::recover_sites` performs.
+/// recovery goes through [`tafloc_serve::site::Site::recover`], the routine
+/// `taflocd` runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestartPoint {
     /// No restart; the site lives in memory for the whole run.
