@@ -108,6 +108,9 @@ pub struct ServerCtx {
     store: Option<Arc<SiteStore>>,
     /// Journal knobs applied to every site when persistence is on.
     journal: JournalConfig,
+    /// Held from a name's check to its registration, so no other bring-up
+    /// or recovery writes that name's files in between.
+    bring_up: Mutex<()>,
 }
 
 impl ServerCtx {
@@ -160,6 +163,7 @@ impl ServerCtx {
         day: f64,
         policy: MaintenancePolicy,
     ) -> Result<()> {
+        let _bring_up = self.bring_up.lock().unwrap_or_else(|p| p.into_inner());
         if self.registry.get(name).is_ok() {
             return Err(ServeError::SiteExists(name.to_string()));
         }
@@ -220,6 +224,7 @@ impl Server {
                 flush_interval: config.journal_flush,
                 ..JournalConfig::default()
             },
+            bring_up: Mutex::new(()),
         });
         Ok(Server { listener, ctx })
     }
@@ -238,6 +243,7 @@ impl Server {
         let Some(store) = &self.ctx.store else {
             return Ok((Vec::new(), Vec::new()));
         };
+        let _bring_up = self.ctx.bring_up.lock().unwrap_or_else(|p| p.into_inner());
         let recovery = store.recover_all()?;
         let mut names = Vec::with_capacity(recovery.sites.len());
         for persisted in recovery.sites {
@@ -600,5 +606,57 @@ pub fn dispatch(request: Request, ctx: &ServerCtx) -> Response {
             },
             Err(e) => err_response(e),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Barrier;
+    use taf_rfsim::{campaign, World, WorldConfig};
+    use tafloc_core::db::FingerprintDb;
+    use tafloc_core::system::TafLocConfig;
+
+    /// Two `add-site` requests for one new name race from a barrier. The
+    /// one refused must leave no trace on disk: a restart recovers the
+    /// registered system, never the refused one.
+    #[test]
+    fn a_refused_concurrent_add_site_leaves_no_trace_on_disk() {
+        let world = World::new(WorldConfig::small_test(), 21);
+        let x0 = campaign::full_calibration(&world, 0.0, 20);
+        let e0 = campaign::empty_snapshot(&world, 0.0, 20);
+        let db = FingerprintDb::from_world(x0, &world).unwrap();
+        let system =
+            TafLoc::calibrate(TafLocConfig { ref_count: 6, ..Default::default() }, db, e0).unwrap();
+        let base = std::env::temp_dir().join(format!("tafloc-bring-up-{}", std::process::id()));
+        for trial in 0..8 {
+            let dir = base.join(trial.to_string());
+            let config = ServerConfig { data_dir: Some(dir.clone()), ..Default::default() };
+            let ctx = Arc::clone(Server::bind("127.0.0.1:0", config).unwrap().ctx());
+            let barrier = Arc::new(Barrier::new(2));
+            let racers: Vec<_> = [10.0, 20.0]
+                .into_iter()
+                .map(|day| {
+                    let (ctx, barrier) = (Arc::clone(&ctx), Arc::clone(&barrier));
+                    let snapshot = Box::new(system.snapshot());
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        let request =
+                            Request::AddSite { site: "lab".into(), snapshot, day, policy: None };
+                        dispatch(request, &ctx)
+                    })
+                })
+                .collect();
+            let added = racers
+                .into_iter()
+                .map(|r| r.join().unwrap())
+                .filter(|r| matches!(r, Response::SiteAdded { .. }))
+                .count();
+            assert_eq!(added, 1, "exactly one add-site wins");
+            let registered = ctx.registry.get("lab").unwrap().load().refreshed_day;
+            let recovered = SiteStore::open(&dir).unwrap().recover_all().unwrap();
+            assert_eq!(recovered.sites[0].refreshed_day, registered, "trial {trial}");
+        }
+        let _ = std::fs::remove_dir_all(&base);
     }
 }
