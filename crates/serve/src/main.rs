@@ -7,12 +7,11 @@
 //!
 //! `--site`/`--system` may repeat (pairwise) to pre-load several sites, each
 //! with its drift clock at `--day`; more can be added at runtime with an
-//! `add-site` request. With `--data-dir`,
-//! every committed site generation is persisted as a checksummed snapshot
-//! and recovered on the next start — a crashed daemon restarted on the same
-//! directory comes back serving every site at its last committed state. The
-//! daemon prints the bound address on startup and serves until a `shutdown`
-//! request.
+//! `add-site` request. With `--data-dir`, every committed site generation
+//! is persisted as a checksummed snapshot and recovered on the next start —
+//! a crashed daemon restarted on the same directory comes back serving every
+//! site at its last committed state. The daemon prints the bound address on
+//! startup and serves until a `shutdown` request.
 
 use tafloc_serve::server::{Server, ServerConfig};
 
@@ -126,9 +125,9 @@ fn main() {
                             Some(value.parse().unwrap_or_else(|e| fail(&format!("--policy: {e}"))));
                     }
                     "--day" => {
-                        day = value.parse().unwrap_or_else(|_| {
-                            fail(&format!("--day expects a number, got {value:?}"))
-                        });
+                        day = value.parse().ok().filter(|d: &f64| d.is_finite()).unwrap_or_else(
+                            || fail(&format!("--day expects a finite number, got {value:?}")),
+                        );
                     }
                     "--port-file" => port_file = Some(value.clone()),
                     "--site" => site_names.push(value.clone()),

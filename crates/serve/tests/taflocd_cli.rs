@@ -140,11 +140,16 @@ fn a_system_json_loaded_from_the_command_line_serves_the_line_protocol() {
 }
 
 #[test]
-fn policy_without_budget_and_the_dropped_port_flag_are_refused() {
+fn policy_without_budget_a_non_finite_day_and_the_dropped_port_flag_are_refused() {
     let out = taflocd(&["--addr", "127.0.0.1:0", "--policy", "fixed-schedule"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--policy requires --budget"), "{stderr}");
+
+    let out = taflocd(&["--addr", "127.0.0.1:0", "--day", "NaN"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--day expects a finite number"), "{stderr}");
 
     // `--port P` is `--addr 127.0.0.1:P` now.
     let out = taflocd(&["--port", "0"]);
