@@ -37,7 +37,8 @@ use taf_linalg::Matrix;
 use taf_rfsim::{campaign, RawSample, World, WorldConfig};
 use taf_wire::{schema, Codec};
 use tafloc_core::db::FingerprintDb;
-use tafloc_core::system::{SystemSnapshot, TafLoc, TafLocConfig};
+use tafloc_core::system::{SolverCache, SystemSnapshot, TafLoc, TafLocConfig};
+use tafloc_core::Mask;
 
 /// CLI error: a message for the user plus a process exit code of 1.
 #[derive(Debug)]
@@ -465,12 +466,13 @@ pub fn cmd_update(args: &Args) -> Result<String> {
             sys.reference_cells()
         )));
     }
-    let (report, cost_note) = match args.optional("budget") {
+    let (m, n) = (sys.db().num_links(), refs.cells.len());
+    let (columns, mask, cost_note) = match args.optional("budget") {
         None => {
             if args.optional("policy").is_some() {
                 return Err(CliError("--policy requires --budget".into()));
             }
-            (sys.update(&refs.columns, &refs.empty)?, String::new())
+            (refs.columns, Mask::trues(m, n), String::new())
         }
         Some(_) => {
             let budget: usize = args.num_required("budget")?;
@@ -484,21 +486,23 @@ pub fn cmd_update(args: &Args) -> Result<String> {
             // Planned entries come from the fresh measurements; the rest
             // keep their stored values and stay outside the data fit.
             let mut columns = stored;
-            let mut mask = tafloc_core::Mask::falses(sys.db().num_links(), refs.cells.len());
+            let mut mask = Mask::falses(m, n);
             for entry in &plan.entries {
                 for &l in &entry.links {
                     columns[(l, entry.ref_slot)] = refs.columns[(l, entry.ref_slot)];
                     mask.set(l, entry.ref_slot, true);
                 }
             }
-            let report = sys.update_masked(&columns, &refs.empty, &mask)?;
             let note = format!(
                 "; re-surveyed {} of {} link-measurements ({policy})",
                 plan.planned_cost, plan.full_cost
             );
-            (report, note)
+            (columns, mask, note)
         }
     };
+    let rec =
+        sys.reconstruct_db_masked_cached(&columns, &refs.empty, &mask, &mut SolverCache::new())?;
+    let report = sys.apply_reconstruction(rec, &refs.empty)?;
     write_json(&out, &sys.snapshot())?;
     Ok(format!(
         "updated in {} LoLi-IR iterations (converged: {}); DB shifted {:.2} dB{cost_note}; written to {}",

@@ -287,60 +287,39 @@ impl TafLoc {
         &self.distortion
     }
 
-    /// Runs the reconstruction for freshly measured reference columns without
-    /// mutating the system — the reusable core the paper applies to RASS as well
-    /// ("the proposed method can be efficiently applied on other localization
-    /// systems").
+    /// Runs the reconstruction for a full survey — every reference entry
+    /// freshly measured — from a cold start, without mutating the system: the
+    /// reusable core the paper applies to RASS as well ("the proposed method
+    /// can be efficiently applied on other localization systems"). It is
+    /// [`TafLoc::reconstruct_db_masked_cached`] with an all-true mask and a
+    /// new [`SolverCache`].
     pub fn reconstruct_db(
         &self,
         fresh_refs: &Matrix,
         fresh_empty: &[f64],
     ) -> Result<Reconstruction> {
-        let entries = Mask::trues(self.db.num_links(), self.ref_cells.len());
-        self.reconstruct_db_masked(fresh_refs, fresh_empty, &entries)
+        let all = Mask::trues(self.db.num_links(), self.ref_cells.len());
+        self.reconstruct_db_masked_cached(fresh_refs, fresh_empty, &all, &mut SolverCache::new())
     }
 
-    /// Like [`TafLoc::reconstruct_db`], but with an explicit per-entry
-    /// observation mask over the reference columns (`M x n`, same layout as
-    /// `fresh_refs`). An entry marked false is still fed to the LRR prior —
-    /// the prior needs complete reference columns — but is excluded from the
-    /// data-fit term, so LoLi-IR treats it as unobserved and reconstructs it.
+    /// Runs the reconstruction for freshly measured reference columns
+    /// (`M x n`, column order = [`TafLoc::reference_cells`]) without mutating
+    /// the system. This is the one solve behind every refresh, full or
+    /// budgeted.
     ///
-    /// This is the entry point for *budgeted* refreshes: a measurement plan
-    /// re-surveys only a subset of reference cells/links, fills the rest from
-    /// a survey-history window, and marks exactly the entries backed by a
-    /// real measurement as observed.
-    pub fn reconstruct_db_masked(
-        &self,
-        fresh_refs: &Matrix,
-        fresh_empty: &[f64],
-        observed_entries: &Mask,
-    ) -> Result<Reconstruction> {
-        self.reconstruct_db_masked_cached(
-            fresh_refs,
-            fresh_empty,
-            observed_entries,
-            &mut SolverCache::new(),
-        )
-    }
-
-    /// Like [`TafLoc::reconstruct_db`], but solving through a [`SolverCache`]:
-    /// workspace buffers are reused and, when the cache holds an adopted
-    /// previous solution, the solve warm-starts from it.
-    pub fn reconstruct_db_cached(
-        &self,
-        fresh_refs: &Matrix,
-        fresh_empty: &[f64],
-        cache: &mut SolverCache,
-    ) -> Result<Reconstruction> {
-        let entries = Mask::trues(self.db.num_links(), self.ref_cells.len());
-        self.reconstruct_db_masked_cached(fresh_refs, fresh_empty, &entries, cache)
-    }
-
-    /// Cached variant of [`TafLoc::reconstruct_db_masked`] — the workhorse
-    /// behind the daemon's steady-state refresh loop. The caller owns the
-    /// [`SolverCache`] lifecycle: [`SolverCache::adopt`] after the guard
-    /// accepts, [`SolverCache::invalidate`] on rejection.
+    /// `observed_entries` (`M x n`, the layout of `fresh_refs`) marks the
+    /// entries measured this round. A full survey is all true. A budgeted
+    /// round re-surveys only the entries its measurement plan chose and
+    /// carries the rest forward from a survey-history window. An entry marked
+    /// false is still fed to the LRR prior, which needs complete reference
+    /// columns, but it is left out of the data-fit term, so LoLi-IR treats
+    /// it as unobserved and reconstructs it.
+    ///
+    /// The solve runs through `cache`: its workspace buffers are reused and,
+    /// when it holds an adopted previous solution, the solve warm-starts from
+    /// it. The caller owns the cache's lifecycle: [`SolverCache::adopt`]
+    /// after the guard accepts, [`SolverCache::invalidate`] on rejection. A
+    /// one-off solve passes `&mut SolverCache::new()`, a cold start.
     pub fn reconstruct_db_masked_cached(
         &self,
         fresh_refs: &Matrix,
@@ -404,25 +383,16 @@ impl TafLoc {
     }
 
     /// Checks a reconstruction against `guard` before it is allowed to
-    /// replace the served database. `fresh_refs` must be the measured
-    /// reference columns that drove the solve. Returns the rejection reason
-    /// on failure — the caller decides what rollback means (for `taflocd`:
-    /// keep the old snapshot live and count the rejection).
-    pub fn validate_reconstruction(
-        &self,
-        rec: &Reconstruction,
-        fresh_refs: &Matrix,
-        guard: &ReconstructionGuard,
-    ) -> std::result::Result<(), String> {
-        let entries = Mask::trues(self.db.num_links(), self.ref_cells.len());
-        self.validate_reconstruction_masked(rec, fresh_refs, &entries, guard)
-    }
-
-    /// Like [`TafLoc::validate_reconstruction`], but the reference-column
-    /// RMSE is computed only over the entries of `observed_entries` that are
-    /// true. A budgeted refresh only has fresh ground truth where the plan
-    /// actually measured; the carried-forward entries are themselves
-    /// reconstruction targets and must not count against the guard.
+    /// replace the served database. `fresh_refs` and `observed_entries` must
+    /// be the reference columns and observation mask that drove the solve
+    /// (all true for a full survey). Returns the rejection reason on failure;
+    /// the caller decides what rollback means (for `taflocd`: keep the old
+    /// snapshot live and count the rejection).
+    ///
+    /// The reference-column RMSE counts the observed entries only. A round
+    /// has fresh ground truth only where it measured; the carried-forward
+    /// entries are themselves reconstruction targets and must not count
+    /// against the guard.
     pub fn validate_reconstruction_masked(
         &self,
         rec: &Reconstruction,
@@ -485,7 +455,7 @@ impl TafLoc {
     /// Commits an already-validated reconstruction: swaps the database,
     /// adopts the fresh empty-room baseline and rebuilds the derived state.
     /// Split out of [`TafLoc::update`] so callers can run
-    /// [`TafLoc::validate_reconstruction`] between solve and commit.
+    /// [`TafLoc::validate_reconstruction_masked`] between solve and commit.
     pub fn apply_reconstruction(
         &mut self,
         rec: Reconstruction,
@@ -514,25 +484,12 @@ impl TafLoc {
         })
     }
 
-    /// Refreshes the stored database from freshly measured reference columns
-    /// (`M x n`, column order = [`TafLoc::reference_cells`]) and a fresh
-    /// empty-room snapshot.
+    /// Refreshes the stored database from a full survey: freshly measured
+    /// reference columns (`M x n`, column order = [`TafLoc::reference_cells`])
+    /// and a fresh empty-room snapshot. It is [`TafLoc::reconstruct_db`]
+    /// followed by [`TafLoc::apply_reconstruction`], with no guard between.
     pub fn update(&mut self, fresh_refs: &Matrix, fresh_empty: &[f64]) -> Result<UpdateReport> {
         let rec = self.reconstruct_db(fresh_refs, fresh_empty)?;
-        self.apply_reconstruction(rec, fresh_empty)
-    }
-
-    /// Budgeted variant of [`TafLoc::update`]: reference entries whose mask
-    /// bit is false (carried from an earlier survey rather than freshly
-    /// measured) feed the LRR prior but are excluded from the data fit. See
-    /// [`TafLoc::reconstruct_db_masked`].
-    pub fn update_masked(
-        &mut self,
-        fresh_refs: &Matrix,
-        fresh_empty: &[f64],
-        observed_entries: &Mask,
-    ) -> Result<UpdateReport> {
-        let rec = self.reconstruct_db_masked(fresh_refs, fresh_empty, observed_entries)?;
         self.apply_reconstruction(rec, fresh_empty)
     }
 
@@ -695,11 +652,14 @@ mod tests {
         let t = 45.0;
         let fresh = campaign::measure_columns(&world, t, sys.reference_cells(), 20);
         let empty = campaign::empty_snapshot(&world, t, 20);
+        let solve = |mask: &Mask| {
+            sys.reconstruct_db_masked_cached(&fresh, &empty, mask, &mut SolverCache::new())
+        };
 
-        // All-trues entry mask must be bit-identical to the unmasked path.
+        // All-trues entry mask must be bit-identical to the full-survey path.
         let full = sys.reconstruct_db(&fresh, &empty).unwrap();
         let all = Mask::trues(sys.db().num_links(), sys.reference_cells().len());
-        let masked = sys.reconstruct_db_masked(&fresh, &empty, &all).unwrap();
+        let masked = solve(&all).unwrap();
         assert!(full.matrix.approx_eq(&masked.matrix, 0.0));
         assert_eq!(full.diagnostics, masked.diagnostics);
 
@@ -709,14 +669,14 @@ mod tests {
         for i in 0..sys.db().num_links() {
             partial.set(i, 0, false);
         }
-        let rec = sys.reconstruct_db_masked(&fresh, &empty, &partial).unwrap();
+        let rec = solve(&partial).unwrap();
         let slot0_cell = sys.reference_cells()[0];
         assert_eq!(rec.diagnostics.cell_observed[slot0_cell], 0);
         assert!(rec.matrix.iter().all(|v| v.is_finite()));
 
         // Shape mismatch on the entry mask is rejected.
         let bad = Mask::trues(2, 2);
-        assert!(sys.reconstruct_db_masked(&fresh, &empty, &bad).is_err());
+        assert!(solve(&bad).is_err());
     }
 
     #[test]
@@ -831,10 +791,11 @@ mod tests {
         let (world, sys) = setup(9);
         let fresh = campaign::measure_columns(&world, 20.0, sys.reference_cells(), 10);
         let empty = campaign::empty_snapshot(&world, 20.0, 10);
+        let all = Mask::trues(sys.db().num_links(), sys.reference_cells().len());
         let mut cache = SolverCache::new();
         // A cold solve through the cache is the uncached solve, and a solve
         // alone teaches the cache nothing.
-        let rec = sys.reconstruct_db_cached(&fresh, &empty, &mut cache).unwrap();
+        let rec = sys.reconstruct_db_masked_cached(&fresh, &empty, &all, &mut cache).unwrap();
         assert!(rec.matrix.approx_eq(&sys.reconstruct_db(&fresh, &empty).unwrap().matrix, 0.0));
         assert!(cache.warm_state().is_none());
         cache.adopt(&rec);
@@ -862,31 +823,35 @@ mod tests {
         let fresh = campaign::measure_columns(&world, 30.0, sys.reference_cells(), 20);
         let empty = campaign::empty_snapshot(&world, 30.0, 20);
         let rec = sys.reconstruct_db(&fresh, &empty).unwrap();
+        let all = Mask::trues(sys.db().num_links(), sys.reference_cells().len());
+        let validate = |rec: &Reconstruction, guard: &ReconstructionGuard| {
+            sys.validate_reconstruction_masked(rec, &fresh, &all, guard)
+        };
         let guard = ReconstructionGuard::default();
-        sys.validate_reconstruction(&rec, &fresh, &guard).unwrap();
+        validate(&rec, &guard).unwrap();
 
         // A single NaN entry fails the non-finite gate.
         let mut poisoned = rec.clone();
         poisoned.matrix.set(0, 0, f64::NAN).unwrap();
-        let reason = sys.validate_reconstruction(&poisoned, &fresh, &guard).unwrap_err();
+        let reason = validate(&poisoned, &guard).unwrap_err();
         assert!(reason.contains("non-finite"), "{reason}");
 
         // A runaway bias misses the measured reference columns.
         let mut biased = rec.clone();
         biased.matrix.map_inplace(|v| v + 40.0);
-        let reason = sys.validate_reconstruction(&biased, &fresh, &guard).unwrap_err();
+        let reason = validate(&biased, &guard).unwrap_err();
         assert!(reason.contains("reference columns"), "{reason}");
 
         // A near-zero delta ceiling trips the bounded-delta gate even on an
         // honest solve (the DB did drift between day 0 and day 30).
         let tight = ReconstructionGuard { max_mean_delta_db: 1e-9, ..Default::default() };
-        let reason = sys.validate_reconstruction(&rec, &fresh, &tight).unwrap_err();
+        let reason = validate(&rec, &tight).unwrap_err();
         assert!(reason.contains("moves the database"), "{reason}");
 
         // Shape mismatch is caught before anything else.
         let mut wrong = rec.clone();
         wrong.matrix = Matrix::zeros(1, 1);
-        assert!(sys.validate_reconstruction(&wrong, &fresh, &guard).is_err());
+        assert!(validate(&wrong, &guard).is_err());
     }
 
     #[test]

@@ -40,7 +40,7 @@ USAGE: taflocd [--addr HOST:PORT] [--workers N] [--shards N] [--data-dir DIR]
                link-measurement budget to every site (default: full surveys)
   --policy     the planner's spending policy: uncertainty-greedy (default)
                or fixed-schedule; needs --budget
-  --port-file  write the bound port (just the number) to PATH once listening;
+  --port-file  write the bound port and a newline to PATH once listening;
                lets scripts find an ephemeral port without parsing stdout
   --day        deployment day of every --site/--system pair's drift clock
                (default 0)

@@ -48,7 +48,10 @@ pub enum Request {
         /// Maintenance policy override; server default when omitted.
         policy: Option<MaintenancePolicy>,
     },
-    /// Unregister a site and stop its maintenance thread.
+    /// Unregister a site and stop its maintenance thread. With `--data-dir`
+    /// it also deletes the site's snapshot generations and journal segments,
+    /// so a restart does not bring it back and a new site of the same name
+    /// starts from its own generation 0.
     RemoveSite {
         /// Site name.
         site: String,

@@ -177,6 +177,20 @@ impl ServerCtx {
         self.registry.add(site)?;
         Ok(())
     }
+
+    /// Unregisters a site and, with persistence on, deletes its snapshot
+    /// generations and journal segments: the `remove-site` request. Runs
+    /// under the bring-up lock, so no bring-up or recovery of the name
+    /// interleaves with the deletion. A refresh of the site already in
+    /// flight still completes in memory but writes no snapshot.
+    fn remove_site(&self, name: &str) -> Result<()> {
+        let _bring_up = self.bring_up.lock().unwrap_or_else(|p| p.into_inner());
+        let site = self.registry.remove(name)?;
+        match site.detach_store() {
+            Some(store) => store.forget(name),
+            None => Ok(()),
+        }
+    }
 }
 
 /// A bound-but-not-yet-running server.
@@ -491,8 +505,8 @@ pub fn dispatch(request: Request, ctx: &ServerCtx) -> Response {
                 Err(e) => err_response(e),
             }
         }
-        Request::RemoveSite { site } => match ctx.registry.remove(&site) {
-            Ok(_) => Response::SiteRemoved { site },
+        Request::RemoveSite { site } => match ctx.remove_site(&site) {
+            Ok(()) => Response::SiteRemoved { site },
             Err(e) => err_response(e),
         },
         Request::Locate { site, y } => match ctx.registry.get(&site).and_then(|s| s.locate(&y)) {
@@ -617,22 +631,100 @@ mod tests {
     use tafloc_core::db::FingerprintDb;
     use tafloc_core::system::TafLocConfig;
 
-    /// Two `add-site` requests for one new name race from a barrier. The
-    /// one refused must leave no trace on disk: a restart recovers the
-    /// registered system, never the refused one.
-    #[test]
-    fn a_refused_concurrent_add_site_leaves_no_trace_on_disk() {
-        let world = World::new(WorldConfig::small_test(), 21);
+    fn calibrated(seed: u64) -> (World, TafLoc) {
+        let world = World::new(WorldConfig::small_test(), seed);
         let x0 = campaign::full_calibration(&world, 0.0, 20);
         let e0 = campaign::empty_snapshot(&world, 0.0, 20);
         let db = FingerprintDb::from_world(x0, &world).unwrap();
         let system =
             TafLoc::calibrate(TafLocConfig { ref_count: 6, ..Default::default() }, db, e0).unwrap();
+        (world, system)
+    }
+
+    /// A server persisting to `dir`; a second one on the same `dir` is a
+    /// restart.
+    fn server_on(dir: &std::path::Path) -> Server {
+        let config = ServerConfig { data_dir: Some(dir.to_path_buf()), ..Default::default() };
+        Server::bind("127.0.0.1:0", config).unwrap()
+    }
+
+    /// A server persisting to `dir`, with a durable `lab` on `system`.
+    fn durable_lab(dir: &std::path::Path, system: TafLoc) -> Arc<ServerCtx> {
+        let server = server_on(dir);
+        server.add_site("lab", system, 0.0).unwrap();
+        Arc::clone(server.ctx())
+    }
+
+    /// Surveys and refreshes `site` on `day`.
+    fn refresh_on(site: &Site, world: &World, day: f64) {
+        let cells = site.load().system.reference_cells().to_vec();
+        let columns = campaign::measure_columns(world, day, &cells, 20);
+        site.ingest_refs(day, columns, campaign::empty_snapshot(world, day, 20)).unwrap();
+        site.refresh().unwrap();
+    }
+
+    /// `remove-site` forgets the site on disk: a restart on the same
+    /// directory recovers nothing, and a refresh that outlives the removal
+    /// writes no snapshot.
+    #[test]
+    fn a_removed_site_is_not_recovered() {
+        let (world, system) = calibrated(22);
+        let dir = std::env::temp_dir().join(format!("tafloc-remove-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ctx = durable_lab(&dir, system);
+        let site = ctx.registry.get("lab").unwrap();
+        for day in [10.0, 20.0, 30.0, 40.0] {
+            refresh_on(&site, &world, day);
+        }
+        let removed = dispatch(Request::RemoveSite { site: "lab".into() }, &ctx);
+        assert!(matches!(removed, Response::SiteRemoved { .. }), "{removed:?}");
+        refresh_on(&site, &world, 50.0);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "no file of lab is left");
+        assert!(server_on(&dir).recover_sites().unwrap().0.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A name removed and re-added with another system comes back after a
+    /// restart as the re-added system at version 0, not as the removed one.
+    #[test]
+    fn a_site_re_added_after_removal_comes_back_at_its_own_generation_0() {
+        let (world, system) = calibrated(23);
+        let dir = std::env::temp_dir().join(format!("tafloc-readd-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ctx = durable_lab(&dir, system);
+        let site = ctx.registry.get("lab").unwrap();
+        for day in [10.0, 20.0, 30.0, 40.0] {
+            refresh_on(&site, &world, day);
+        }
+        drop(site);
+        dispatch(Request::RemoveSite { site: "lab".into() }, &ctx);
+        let (_, other) = calibrated(24);
+        let request = Request::AddSite {
+            site: "lab".into(),
+            snapshot: Box::new(other.snapshot()),
+            day: 5.0,
+            policy: None,
+        };
+        assert!(matches!(dispatch(request, &ctx), Response::SiteAdded { .. }));
+
+        let restarted = server_on(&dir);
+        assert_eq!(restarted.recover_sites().unwrap().0, ["lab"]);
+        let revived = restarted.ctx().registry.get("lab").unwrap().load();
+        assert_eq!((revived.version, revived.refreshed_day), (0, 5.0));
+        assert!(revived.system.db().rss().approx_eq(other.db().rss(), 0.0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Two `add-site` requests for one new name race from a barrier. The
+    /// one refused must leave no trace on disk: a restart recovers the
+    /// registered system, never the refused one.
+    #[test]
+    fn a_refused_concurrent_add_site_leaves_no_trace_on_disk() {
+        let (_, system) = calibrated(21);
         let base = std::env::temp_dir().join(format!("tafloc-bring-up-{}", std::process::id()));
         for trial in 0..8 {
             let dir = base.join(trial.to_string());
-            let config = ServerConfig { data_dir: Some(dir.clone()), ..Default::default() };
-            let ctx = Arc::clone(Server::bind("127.0.0.1:0", config).unwrap().ctx());
+            let ctx = Arc::clone(server_on(&dir).ctx());
             let barrier = Arc::new(Barrier::new(2));
             let racers: Vec<_> = [10.0, 20.0]
                 .into_iter()

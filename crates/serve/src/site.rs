@@ -72,10 +72,11 @@ pub struct PendingRefs {
     pub columns: Matrix,
     /// Fresh empty-room baseline.
     pub empty: Vec<f64>,
-    /// `M x n` per-entry observation mask for budgeted surveys: true where
-    /// `columns` holds a measurement taken this round, false where it was
-    /// carried forward from survey history. `None` means a full survey.
-    pub mask: Option<Mask>,
+    /// `M x n` per-entry observation mask: true where `columns` holds a
+    /// measurement taken this round, false where it was carried forward from
+    /// survey history. A full survey (`measure-refs`, or a capture round with
+    /// no plan in force) is all true.
+    pub mask: Mask,
 }
 
 /// The mutable half of a site.
@@ -154,6 +155,36 @@ struct PlanState {
     history: Option<HistoryWindow>,
 }
 
+impl SiteDynamic {
+    /// Commits one survey round, a `measure-refs` survey or a promoted
+    /// capture round alike: bumps the survey epoch, records each slot's
+    /// column in the history window with `fresh` set to that slot's mask
+    /// column, adds the round's costs, makes it the pending refresh input
+    /// and ends the capture round. `plan` is the plan the round followed;
+    /// without one the planned cost is the full-survey cost. The actual cost
+    /// is the entries measured, `round.mask.count()`. The caller sets the
+    /// journal watermark.
+    fn commit_round(&mut self, round: PendingRefs, plan: Option<&MeasurementPlan>) -> Result<()> {
+        let (m, n) = round.mask.shape();
+        let full = (m * n) as u64;
+        self.live.survey_epoch += 1;
+        let epoch = self.live.survey_epoch;
+        if let Some(h) = self.live.history.as_mut() {
+            for k in 0..n {
+                let fresh = (0..m).map(|l| round.mask.get(l, k)).collect();
+                h.record(k, SurveyRecord { epoch, y: round.columns.col(k), fresh })
+                    .map_err(|e| ServeError::Protocol(format!("planner history: {e}")))?;
+            }
+        }
+        self.live.planned_cost += plan.map_or(full, |p| p.planned_cost as u64);
+        self.live.actual_cost += round.mask.count() as u64;
+        self.live.full_survey_cost += full;
+        self.pending = Some(round);
+        self.ref_captures.clear();
+        Ok(())
+    }
+}
+
 /// One registered site.
 #[derive(Debug)]
 pub struct Site {
@@ -178,7 +209,9 @@ pub struct Site {
     monitor_cells: usize,
     /// Attached snapshot store; when present, committed generations are
     /// persisted (best-effort) after every refresh and on graceful shutdown.
-    store: Option<Arc<SiteStore>>,
+    /// The mutex is held across each save, so [`Site::detach_store`] waits
+    /// out a save in progress.
+    store: Mutex<Option<Arc<SiteStore>>>,
     /// Attached measurement planner; when present, each committed refresh
     /// computes the next round's budgeted [`MeasurementPlan`].
     planner: Option<Planner>,
@@ -279,7 +312,7 @@ impl Site {
             ingest_shards,
             policy,
             monitor_cells,
-            store: None,
+            store: Mutex::new(None),
             planner: None,
             journal: None,
             stop: AtomicBool::new(false),
@@ -290,7 +323,7 @@ impl Site {
     /// immediately (so even a site that crashes before its first refresh
     /// recovers), and every committed refresh persists the new one.
     pub fn with_persistence(mut self, store: Arc<SiteStore>) -> Result<Site> {
-        self.store = Some(store);
+        *self.store.get_mut().unwrap_or_else(|p| p.into_inner()) = Some(store);
         self.persist_now()?;
         Ok(self)
     }
@@ -729,30 +762,16 @@ impl Site {
         };
         let rec = d.monitor.check(day, &monitored)?;
         d.last_estimate_db = Some(rec.estimated_error_db());
-        // A full survey supersedes any in-flight capture round: promoting
-        // stale partial captures over it would resurrect older radio state,
-        // and the journal's watermark relies on records being consumed in
-        // sequence order.
-        d.ref_captures.clear();
         if let Some(seq) = seq {
             d.live.journal_watermark = seq;
         }
         // `measure-refs` is by definition a full survey: every entry was
-        // measured, so the full cost was paid regardless of any plan.
-        d.live.survey_epoch += 1;
-        let epoch = d.live.survey_epoch;
-        if let Some(h) = d.live.history.as_mut() {
-            for k in 0..n {
-                let record = SurveyRecord { epoch, y: columns.col(k), fresh: vec![true; m] };
-                h.record(k, record)
-                    .map_err(|e| ServeError::Protocol(format!("planner history: {e}")))?;
-            }
-        }
-        let full = (m * n) as u64;
-        d.live.planned_cost += full;
-        d.live.actual_cost += full;
-        d.live.full_survey_cost += full;
-        d.pending = Some(PendingRefs { day, columns, empty, mask: None });
+        // measured, so the full cost was paid regardless of any plan. It
+        // supersedes any in-flight capture round: promoting stale partial
+        // captures over it would resurrect older radio state, and the
+        // journal's watermark relies on records being consumed in sequence
+        // order.
+        d.commit_round(PendingRefs { day, columns, empty, mask: Mask::trues(m, n) }, None)?;
         Ok(rec)
     }
 
@@ -783,18 +802,10 @@ impl Site {
         // warm start whenever the previous refresh's solution was adopted.
         // The guard is scoped so the solver lock is released before the
         // dynamic mutex is taken further down.
+        let (columns, empty, mask) = (&pending.columns, &pending.empty, &pending.mask);
         let rec = {
             let mut solver = self.lock_solver();
-            let solved = match &pending.mask {
-                Some(mask) => system.reconstruct_db_masked_cached(
-                    &pending.columns,
-                    &pending.empty,
-                    mask,
-                    &mut solver,
-                ),
-                None => system.reconstruct_db_cached(&pending.columns, &pending.empty, &mut solver),
-            };
-            match solved {
+            match system.reconstruct_db_masked_cached(columns, empty, mask, &mut solver) {
                 Ok(rec) => rec,
                 Err(e) => {
                     // A solver failure says nothing good about the state it
@@ -804,19 +815,12 @@ impl Site {
                 }
             }
         };
-        let verdict = match &pending.mask {
-            // Budgeted refresh: only the entries the plan actually measured
-            // are ground truth; the carried-forward ones are reconstruction
-            // targets and must not count against the guard.
-            Some(mask) => system.validate_reconstruction_masked(
-                &rec,
-                &pending.columns,
-                mask,
-                &self.policy.guard,
-            ),
-            None => system.validate_reconstruction(&rec, &pending.columns, &self.policy.guard),
-        };
-        if let Err(reason) = verdict {
+        // Only the entries measured this round are ground truth; the
+        // carried-forward ones are reconstruction targets and must not count
+        // against the guard.
+        if let Err(reason) =
+            system.validate_reconstruction_masked(&rec, columns, mask, &self.policy.guard)
+        {
             // Rollback: the rejected solution must not seed the next solve.
             self.lock_solver().invalidate();
             let quarantined = self.note_failure(Some(reason.clone()));
@@ -832,7 +836,7 @@ impl Site {
         // The guard accepted: this solution may seed the next refresh. Adopt
         // before `apply_reconstruction` consumes it; a failed commit revokes.
         self.lock_solver().adopt(&rec);
-        let report = match system.apply_reconstruction(rec, &pending.empty) {
+        let report = match system.apply_reconstruction(rec, empty) {
             Ok(report) => report,
             Err(e) => {
                 self.lock_solver().invalidate();
@@ -997,7 +1001,8 @@ impl Site {
     /// durable, journal records at or below its watermark are pruned
     /// (best-effort — a failed prune only delays reclamation).
     pub fn persist_now(&self) -> Result<Option<PathBuf>> {
-        let Some(store) = &self.store else {
+        let store = self.store.lock().unwrap_or_else(|p| p.into_inner());
+        let Some(store) = store.as_ref() else {
             return Ok(None);
         };
         let persisted = self.to_persisted();
@@ -1009,19 +1014,25 @@ impl Site {
         Ok(Some(path))
     }
 
+    /// Detaches the snapshot store and returns it (`remove-site`). A save in
+    /// progress finishes first, and no later [`Site::persist_now`] writes
+    /// anything, so the caller may then delete the site's files.
+    pub(crate) fn detach_store(&self) -> Option<Arc<SiteStore>> {
+        self.store.lock().unwrap_or_else(|p| p.into_inner()).take()
+    }
+
     /// Promotes a finished reference-capture round into [`PendingRefs`].
     ///
-    /// Without a measurement plan, a round is finished once every reference
-    /// cell owns a capture window whose assembled vector is complete (no
-    /// missing, no stale links); the vectors become the pending `M x n`
-    /// reference columns, exactly as if they had arrived via `measure-refs`.
-    ///
-    /// With a plan (a planner is attached and a previous refresh produced
-    /// one), only the *planned* (cell, link) pairs need live capture data;
-    /// every other entry is carried forward from the survey-history window
-    /// and marked unobserved in [`PendingRefs::mask`], so the refresh
-    /// reconstructs it instead of trusting it. Only the planned pairs count
-    /// toward the actual measurement cost.
+    /// A round must deliver, live, the (cell, link) pairs it was asked for:
+    /// the planned pairs when a plan is in force (a planner is attached and a
+    /// previous refresh produced one), and otherwise every link of every
+    /// reference cell, a full survey. Each pending column starts from the
+    /// newest surveyed column in the history window (or the served database)
+    /// and takes every delivered link from its capture window, so a full
+    /// round's columns are exactly the assembled vectors. The delivered
+    /// entries are the true ones of [`PendingRefs::mask`]; the refresh
+    /// reconstructs the rest instead of trusting them, and only delivered
+    /// entries count toward the actual measurement cost.
     ///
     /// The empty-room baseline is carried forward from the current snapshot —
     /// the survey re-measures the occupied columns only. Returns whether a
@@ -1034,94 +1045,47 @@ impl Site {
         let empty = snap.system.empty_rss();
         let mut d = self.lock_dynamic();
         let plan = if self.planner.is_some() { d.live.current_plan.clone() } else { None };
+        if plan.as_ref().is_some_and(|p| p.entries.is_empty()) {
+            // A zero-budget plan schedules no measurements; there is nothing
+            // a capture round could ever complete.
+            return Ok(false);
+        }
+        let every_link: Vec<usize> = (0..m).collect();
+        let wanted = |k: usize| match &plan {
+            Some(plan) => plan.links_for(k),
+            None => Some(every_link.as_slice()),
+        };
 
         // Completion check first: an unfinished round must change nothing.
-        match &plan {
-            Some(plan) => {
-                if plan.entries.is_empty() {
-                    // A zero-budget plan schedules no measurements; there is
-                    // nothing a capture round could ever complete.
-                    return Ok(false);
-                }
-                for e in &plan.entries {
-                    let Some(capture) = d.ref_captures.get(&e.ref_slot) else {
-                        return Ok(false);
-                    };
-                    let v = capture.assemble(empty)?;
-                    if e.links.iter().any(|&l| v.flags[l] != LinkFlag::Live) {
-                        return Ok(false);
-                    }
-                }
-            }
-            None => {
-                if d.ref_captures.len() < n_refs {
-                    return Ok(false);
-                }
-                for k in 0..n_refs {
-                    let Some(capture) = d.ref_captures.get(&k) else {
-                        return Ok(false);
-                    };
-                    if !capture.assemble(empty)?.is_complete() {
-                        return Ok(false);
-                    }
-                }
+        for k in 0..n_refs {
+            let Some(links) = wanted(k) else { continue };
+            let Some(capture) = d.ref_captures.get(&k) else {
+                return Ok(false);
+            };
+            let v = capture.assemble(empty)?;
+            if links.iter().any(|&l| v.flags[l] != LinkFlag::Live) {
+                return Ok(false);
             }
         }
 
-        d.live.survey_epoch += 1;
-        let epoch = d.live.survey_epoch;
-        let full = (n_refs * m) as u64;
         let mut columns = Matrix::zeros(m, n_refs);
-        let mask = match &plan {
-            Some(plan) => {
-                let mut mask = Mask::falses(m, n_refs);
-                for (k, &ref_cell) in ref_cells.iter().enumerate() {
-                    // Base: newest surveyed column from history (seeded at
-                    // planner attach), falling back to the served database.
-                    let mut y = match d.live.history.as_ref().and_then(|h| h.latest(k)) {
-                        Some(r) => r.y.clone(),
-                        None => snap.system.db().rss().col(ref_cell),
-                    };
-                    let mut fresh = vec![false; m];
-                    if let Some(links) = plan.links_for(k) {
-                        let capture = d.ref_captures.get(&k).expect("checked above");
-                        let v = capture.assemble(empty)?;
-                        for &l in links {
-                            y[l] = v.y[l];
-                            fresh[l] = true;
-                            mask.set(l, k, true);
-                        }
-                    }
-                    columns.set_col(k, &y)?;
-                    if let Some(h) = d.live.history.as_mut() {
-                        h.record(k, SurveyRecord { epoch, y, fresh })
-                            .map_err(|e| ServeError::Protocol(format!("planner history: {e}")))?;
-                    }
+        let mut mask = Mask::falses(m, n_refs);
+        for (k, &ref_cell) in ref_cells.iter().enumerate() {
+            let mut y = match d.live.history.as_ref().and_then(|h| h.latest(k)) {
+                Some(r) => r.y.clone(),
+                None => snap.system.db().rss().col(ref_cell),
+            };
+            if let Some(links) = wanted(k) {
+                let v = d.ref_captures[&k].assemble(empty)?;
+                for &l in links {
+                    y[l] = v.y[l];
+                    mask.set(l, k, true);
                 }
-                d.live.planned_cost += plan.planned_cost as u64;
-                d.live.actual_cost += mask.count() as u64;
-                d.live.full_survey_cost += full;
-                Some(mask)
             }
-            None => {
-                for k in 0..n_refs {
-                    let capture = d.ref_captures.get(&k).expect("checked above");
-                    let v = capture.assemble(empty)?;
-                    columns.set_col(k, &v.y)?;
-                    if let Some(h) = d.live.history.as_mut() {
-                        h.record(k, SurveyRecord { epoch, y: v.y, fresh: vec![true; m] })
-                            .map_err(|e| ServeError::Protocol(format!("planner history: {e}")))?;
-                    }
-                }
-                d.live.planned_cost += full;
-                d.live.actual_cost += full;
-                d.live.full_survey_cost += full;
-                None
-            }
-        };
-        d.pending =
-            Some(PendingRefs { day: d.ref_capture_day, columns, empty: empty.to_vec(), mask });
-        d.ref_captures.clear();
+            columns.set_col(k, &y)?;
+        }
+        let round = PendingRefs { day: d.ref_capture_day, columns, empty: empty.to_vec(), mask };
+        d.commit_round(round, plan.as_ref())?;
         if let Some(j) = &self.journal {
             // Every journaled capture batch so far is consumed into
             // `pending` (or superseded); appends happen under the dynamic
@@ -1443,8 +1407,7 @@ mod tests {
         {
             let d = site.lock_dynamic();
             let pending = d.pending.as_ref().unwrap();
-            let mask = pending.mask.as_ref().expect("budgeted round must carry a mask");
-            assert_eq!(mask.count(), budget);
+            assert_eq!(pending.mask.count(), budget);
         }
         let (report, version) = site.refresh().unwrap();
         assert!(report.converged);
@@ -1493,6 +1456,39 @@ mod tests {
         );
         assert_eq!(stats.plan_policy, None);
         assert!(site.current_plan().is_none());
+    }
+
+    /// A capture round with no plan in force and a `measure-refs` survey of
+    /// the same columns are one full survey: both commit through one path,
+    /// so the pending round, the plan state and the refreshed database match
+    /// bit for bit.
+    #[test]
+    fn a_full_capture_round_commits_like_measure_refs() {
+        use taf_plan::{PlanPolicy, PlannerConfig};
+        let plan = PlannerConfig::new(12, PlanPolicy::FixedSchedule);
+        let (world, captured) = calibrated_site(41);
+        let (_, surveyed) = calibrated_site(41);
+        let (captured, surveyed) =
+            (captured.with_planning(plan).unwrap(), surveyed.with_planning(plan).unwrap());
+        let n_refs = captured.load().system.reference_cells().len();
+        survey_into(&captured, &world, 60.0, &(0..n_refs).collect::<Vec<_>>(), 50);
+        assert!(captured.promote_ref_captures().unwrap());
+        let round = captured.lock_dynamic().pending.clone().unwrap();
+        let empty = surveyed.load().system.empty_rss().to_vec();
+        surveyed.ingest_refs(60.0, round.columns.clone(), empty).unwrap();
+
+        let other = surveyed.lock_dynamic().pending.clone().unwrap();
+        assert!(round.columns.approx_eq(&other.columns, 0.0));
+        assert_eq!((round.day, &round.empty), (other.day, &other.empty));
+        assert_eq!(round.mask.count(), world.num_links() * n_refs, "all true");
+        assert_eq!(round.mask, other.mask);
+        assert_eq!(captured.lock_dynamic().live, surveyed.lock_dynamic().live);
+
+        captured.refresh().unwrap();
+        surveyed.refresh().unwrap();
+        let (a, b) = (captured.load(), surveyed.load());
+        assert!(a.system.db().rss().approx_eq(b.system.db().rss(), 0.0));
+        assert_eq!(captured.lock_dynamic().live, surveyed.lock_dynamic().live);
     }
 
     /// The daemon's bring-up order: planner, then durability. Generation 0

@@ -381,29 +381,50 @@ impl SiteStore {
         Ok(final_path)
     }
 
-    /// Removes generations of `name` older than the newest
-    /// [`KEEP_GENERATIONS`]. Best-effort: pruning failures never fail a save.
-    fn prune(&self, name: &str) {
+    /// The files of `name`'s stem whose extension is one of `exts`, sorted.
+    /// The zero-padded generation or segment suffix makes lexicographic
+    /// order chronological.
+    fn stem_files(&self, name: &str, exts: &[&str]) -> std::io::Result<Vec<PathBuf>> {
         let prefix = format!("{}.", SiteStore::stem(name));
-        let Ok(entries) = std::fs::read_dir(&self.dir) else { return };
-        let mut generations: Vec<PathBuf> = entries
+        let mut files: Vec<PathBuf> = std::fs::read_dir(&self.dir)?
             .flatten()
             .map(|e| e.path())
             .filter(|p| {
-                p.extension().is_some_and(|x| x == "snap")
+                p.extension().and_then(|x| x.to_str()).is_some_and(|x| exts.contains(&x))
                     && p.file_name()
                         .and_then(|f| f.to_str())
                         .is_some_and(|f| f.starts_with(&prefix))
             })
             .collect();
-        // The zero-padded generation suffix makes lexicographic order
-        // chronological.
-        generations.sort();
+        files.sort();
+        Ok(files)
+    }
+
+    /// Removes generations of `name` older than the newest
+    /// [`KEEP_GENERATIONS`]. Best-effort: pruning failures never fail a save.
+    fn prune(&self, name: &str) {
+        let Ok(generations) = self.stem_files(name, &["snap"]) else { return };
         if generations.len() > KEEP_GENERATIONS {
             for old in &generations[..generations.len() - KEEP_GENERATIONS] {
                 let _ = std::fs::remove_file(old);
             }
         }
+    }
+
+    /// Deletes every snapshot generation and write-ahead journal segment of
+    /// `name` (`remove-site`). A restart then recovers nothing of the site,
+    /// and a later site of the same name starts from its own generation 0
+    /// instead of being pruned behind the removed site's newer generations.
+    pub(crate) fn forget(&self, name: &str) -> Result<()> {
+        let io = |what: &str, path: &Path, e: std::io::Error| {
+            ServeError::Store(format!("{what} {}: {e}", path.display()))
+        };
+        let files =
+            self.stem_files(name, &["snap", "wal"]).map_err(|e| io("cannot scan", &self.dir, e))?;
+        for path in files {
+            std::fs::remove_file(&path).map_err(|e| io("cannot remove", &path, e))?;
+        }
+        fsync_dir(&self.dir).map_err(|e| io("cannot sync", &self.dir, e))
     }
 
     /// Reads and validates one snapshot file.
