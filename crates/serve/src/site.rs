@@ -15,8 +15,9 @@
 //! * an [`Ingestor`] per site accepts raw timestamped link samples and
 //!   assembles them into fingerprint vectors on demand (`locate-stream`);
 //!   reference-cell capture windows accumulate survey streams and are
-//!   promoted to [`PendingRefs`] by the maintenance loop once every
-//!   reference cell has a complete vector.
+//!   promoted to [`PendingRefs`] by the maintenance loop once the round
+//!   has delivered every link it was asked for: the planned ones, or every
+//!   link of every reference cell when no plan is in force.
 //!
 //! Refreshes are additionally *gated*: the reconstruction must pass the
 //! policy's [`ReconstructionGuard`](tafloc_core::system::ReconstructionGuard)
