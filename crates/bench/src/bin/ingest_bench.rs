@@ -58,8 +58,6 @@ fn main() {
     };
     let cell = world.num_cells() / 2;
     let base = stream::stream_at_cell(&world, 0.0, cell, &cfg, 1);
-    let base: Vec<LinkSample> =
-        base.iter().map(|r| LinkSample::new(r.link, r.t_s, r.rss_dbm)).collect();
     let m = world.num_links();
     let total_samples = (base.len() * THREADS * EPOCHS) as f64;
     println!(

@@ -34,11 +34,12 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 use taf_linalg::Matrix;
-use taf_rfsim::{campaign, RawSample, World, WorldConfig};
+use taf_rfsim::{campaign, World, WorldConfig};
 use taf_wire::{schema, Codec};
 use tafloc_core::db::FingerprintDb;
 use tafloc_core::system::{SolverCache, SystemSnapshot, TafLoc, TafLocConfig};
 use tafloc_core::Mask;
+use tafloc_ingest::LinkSample;
 
 /// CLI error: a message for the user plus a process exit code of 1.
 #[derive(Debug)]
@@ -83,16 +84,16 @@ pub type Result<T> = std::result::Result<T, CliError>;
 // File formats
 // ----------------------------------------------------------------------
 
-/// A pinned simulated environment: configuration plus seed.
-#[derive(Debug, Clone)]
-pub struct WorldFile {
-    /// Simulator configuration.
-    pub config: WorldConfig,
-    /// World seed (all randomness derives from it).
-    pub seed: u64,
+schema! {
+    /// A pinned simulated environment: configuration plus seed.
+    #[derive(Debug, Clone)]
+    pub struct WorldFile {
+        /// Simulator configuration.
+        pub config: WorldConfig,
+        /// World seed (all randomness derives from it).
+        pub seed: u64,
+    }
 }
-
-schema! { struct WorldFile { config: WorldConfig, seed: u64 } }
 
 /// The largest seed a world file keeps exactly: JSON numbers are doubles.
 const MAX_SEED: u64 = 1 << 53;
@@ -107,55 +108,55 @@ fn read_world(path: &Path) -> Result<World> {
     Ok(World::new(file.config, file.seed))
 }
 
-/// A full site survey: the fingerprint database plus the empty-room baseline.
-#[derive(Debug, Clone)]
-pub struct SurveyFile {
-    /// Day the survey was taken.
-    pub day: f64,
-    /// Surveyed fingerprint database.
-    pub db: FingerprintDb,
-    /// Empty-room RSS baseline at survey time.
-    pub empty: Vec<f64>,
+schema! {
+    /// A full site survey: the fingerprint database plus the empty-room baseline.
+    #[derive(Debug, Clone)]
+    pub struct SurveyFile {
+        /// Day the survey was taken.
+        pub day: f64,
+        /// Surveyed fingerprint database.
+        pub db: FingerprintDb,
+        /// Empty-room RSS baseline at survey time.
+        pub empty: Vec<f64>,
+    }
 }
 
-schema! { struct SurveyFile { day: f64, db: FingerprintDb, empty: Vec<f64> } }
-
-/// A reference-location measurement set (the cheap update input).
-#[derive(Debug, Clone)]
-pub struct RefsFile {
-    /// Day the references were measured.
-    pub day: f64,
-    /// Reference cells, in the system's selection order.
-    pub cells: Vec<usize>,
-    /// Measured columns (`M x cells.len()`).
-    pub columns: Matrix,
-    /// Fresh empty-room RSS baseline.
-    pub empty: Vec<f64>,
+schema! {
+    /// A reference-location measurement set (the cheap update input).
+    #[derive(Debug, Clone)]
+    pub struct RefsFile {
+        /// Day the references were measured.
+        pub day: f64,
+        /// Reference cells, in the system's selection order.
+        pub cells: Vec<usize>,
+        /// Measured columns (`M x cells.len()`).
+        pub columns: Matrix,
+        /// Fresh empty-room RSS baseline.
+        pub empty: Vec<f64>,
+    }
 }
 
-schema! { struct RefsFile { day: f64, cells: Vec<usize>, columns: Matrix, empty: Vec<f64> } }
-
-/// One live measurement vector.
-#[derive(Debug, Clone)]
-pub struct SnapshotFile {
-    /// Day of the measurement.
-    pub day: f64,
-    /// Averaged per-link RSS.
-    pub y: Vec<f64>,
+schema! {
+    /// One live measurement vector.
+    #[derive(Debug, Clone)]
+    pub struct SnapshotFile {
+        /// Day of the measurement.
+        pub day: f64,
+        /// Averaged per-link RSS.
+        pub y: Vec<f64>,
+    }
 }
 
-schema! { struct SnapshotFile { day: f64, y: Vec<f64> } }
-
-/// A raw per-link sample stream, as radios would deliver it.
-#[derive(Debug, Clone)]
-pub struct StreamFile {
-    /// Day of the recording.
-    pub day: f64,
-    /// Raw samples in delivery order.
-    pub samples: Vec<RawSample>,
+schema! {
+    /// A raw per-link sample stream, as radios would deliver it.
+    #[derive(Debug, Clone)]
+    pub struct StreamFile {
+        /// Day of the recording.
+        pub day: f64,
+        /// Raw samples in delivery order.
+        pub samples: Vec<LinkSample>,
+    }
 }
-
-schema! { struct StreamFile { day: f64, samples: Vec<RawSample> } }
 
 // ----------------------------------------------------------------------
 // JSON helpers
@@ -604,7 +605,7 @@ pub fn cmd_gen_stream(args: &Args) -> Result<String> {
 /// `ingest`: replays a recorded raw stream into a running daemon in batches,
 /// optionally closing with a `locate-stream` fix from the live window.
 pub fn cmd_ingest(args: &Args) -> Result<String> {
-    use tafloc_ingest::{BatchReport, LinkSample};
+    use tafloc_ingest::BatchReport;
     use tafloc_serve::client::Client;
     let addr = args.required("addr")?;
     let site = args.required("site")?;
@@ -629,12 +630,10 @@ pub fn cmd_ingest(args: &Args) -> Result<String> {
             return Err(CliError(format!("--wire expects v1 or v2, got {other:?}")));
         }
     };
-    let samples: Vec<LinkSample> =
-        file.samples.iter().map(|r| LinkSample::new(r.link, r.t_s, r.rss_dbm)).collect();
     let mut client = Client::connect_with(addr, version)?;
     let mut total = BatchReport::default();
     let mut batches = 0usize;
-    for chunk in samples.chunks(batch) {
+    for chunk in file.samples.chunks(batch) {
         let report = client.ingest_for(site, ref_cell, day, chunk.to_vec())?;
         total.merge(&report);
         batches += 1;

@@ -19,7 +19,7 @@ use taf_rfsim::noise::NoiseConfig;
 use taf_rfsim::pathloss::LogDistance;
 use taf_rfsim::shadowing::ShadowingConfig;
 use taf_rfsim::target::TargetModel;
-use taf_rfsim::{RawSample, WorldConfig};
+use taf_rfsim::WorldConfig;
 use taf_wire::Codec;
 use tafloc_cli::{
     read_json, write_json, RefsFile, SnapshotFile, StreamFile, SurveyFile, WorldFile,
@@ -30,6 +30,7 @@ use tafloc_core::matcher::MatchMethod;
 use tafloc_core::reference::ReferenceStrategy;
 use tafloc_core::system::{SystemSnapshot, TafLocConfig, ZRefreshPolicy};
 use tafloc_core::LrrModel;
+use tafloc_ingest::LinkSample;
 
 fn corpus(name: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus").join(name)
@@ -161,9 +162,9 @@ fn stream() -> StreamFile {
     StreamFile {
         day: 2.0,
         samples: vec![
-            RawSample { link: 0, t_s: 0.0, rss_dbm: -50.0 },
-            RawSample { link: 3, t_s: 0.1, rss_dbm: -61.0 },
-            RawSample { link: 1, t_s: 0.30000000000000004, rss_dbm: -47.0 },
+            LinkSample { link: 0, t_s: 0.0, rss_dbm: -50.0 },
+            LinkSample { link: 3, t_s: 0.1, rss_dbm: -61.0 },
+            LinkSample { link: 1, t_s: 0.30000000000000004, rss_dbm: -47.0 },
         ],
     }
 }

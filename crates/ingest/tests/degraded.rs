@@ -7,7 +7,7 @@
 //! at realistic loss rates it still localizes to the same cell as a clean
 //! stream.
 
-use taf_rfsim::{campaign, stream, RawSample, StreamConfig, World, WorldConfig};
+use taf_rfsim::{campaign, stream, StreamConfig, World, WorldConfig};
 use tafloc_core::db::FingerprintDb;
 use tafloc_core::system::{TafLoc, TafLocConfig};
 use tafloc_ingest::{IngestConfig, Ingestor, LinkFlag, LinkSample};
@@ -27,10 +27,8 @@ fn calibrated(seed: u64) -> (World, TafLoc) {
     (world, TafLoc::calibrate(config, db, e0).unwrap())
 }
 
-fn ingest(world: &World, raw: &[RawSample]) -> Ingestor {
+fn ingest(world: &World, samples: &[LinkSample]) -> Ingestor {
     let ing = Ingestor::new(IngestConfig::default(), world.num_links(), 2).unwrap();
-    let samples: Vec<LinkSample> =
-        raw.iter().map(|r| LinkSample::new(r.link, r.t_s, r.rss_dbm)).collect();
     for chunk in samples.chunks(64) {
         ing.apply_batch(chunk);
     }
@@ -79,7 +77,7 @@ fn dead_links_are_imputed_and_flagged_but_never_nan() {
     let raw = stream::stream_at_cell(&world, 0.0, TARGET_CELL, &cfg, 5);
     // Kill two radios outright: their links never report a single sample.
     let dead = [0usize, 3usize];
-    let surviving: Vec<RawSample> = raw.into_iter().filter(|r| !dead.contains(&r.link)).collect();
+    let surviving: Vec<LinkSample> = raw.into_iter().filter(|r| !dead.contains(&r.link)).collect();
     let ing = ingest(&world, &surviving);
 
     let v = ing.assemble(sys.empty_rss()).unwrap();

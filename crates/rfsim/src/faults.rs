@@ -2,7 +2,7 @@
 //!
 //! A [`FaultSchedule`] is a declarative list of adversities — loss bursts,
 //! link death and flapping, drift ramps, reorder storms, clock skew — applied
-//! as a pure transformation of an already-generated [`RawSample`] stream.
+//! as a pure transformation of an already-generated [`LinkSample`] stream.
 //! Because faults act on the delivered stream rather than inside the sample
 //! generator, the *underlying* measurements are identical with and without
 //! the schedule: a test can compare the faulted and clean runs of the same
@@ -12,12 +12,12 @@
 //! deterministic and independent of application order elsewhere.
 //!
 //! Time spans are in stream seconds, half-open `[start_s, end_s)`, matching
-//! [`RawSample::t_s`]. Faults are applied in list order; later faults see the
+//! [`LinkSample::t_s`]. Faults are applied in list order; later faults see the
 //! stream as transformed by earlier ones (e.g. a clock skew before a loss
 //! burst shifts which samples the burst catches).
 
 use crate::rng::hash_u64;
-use crate::stream::RawSample;
+use tafloc_ingest::LinkSample;
 
 /// One deterministic adversity applied to a raw sample stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,7 +126,7 @@ impl Fault {
     }
 
     /// Applies this fault in place.
-    fn apply(&self, samples: &mut Vec<RawSample>) {
+    fn apply(&self, samples: &mut Vec<LinkSample>) {
         match *self {
             Fault::LossBurst { start_s, end_s, link } => {
                 samples.retain(|s| {
@@ -201,7 +201,7 @@ impl FaultSchedule {
 
     /// Applies every fault in order, in place. Panics on invalid fault
     /// parameters (mirroring `StreamConfig::assert_valid`).
-    pub fn apply(&self, samples: &mut Vec<RawSample>) {
+    pub fn apply(&self, samples: &mut Vec<LinkSample>) {
         for fault in &self.faults {
             fault.assert_valid();
             fault.apply(samples);
@@ -209,7 +209,7 @@ impl FaultSchedule {
     }
 
     /// Convenience: applies the schedule to a copy of `samples`.
-    pub fn applied(&self, samples: &[RawSample]) -> Vec<RawSample> {
+    pub fn applied(&self, samples: &[LinkSample]) -> Vec<LinkSample> {
         let mut out = samples.to_vec();
         self.apply(&mut out);
         out
@@ -222,7 +222,7 @@ mod tests {
     use crate::stream::{empty_stream, StreamConfig};
     use crate::world::{World, WorldConfig};
 
-    fn stream() -> Vec<RawSample> {
+    fn stream() -> Vec<LinkSample> {
         let w = World::new(WorldConfig::small_test(), 7);
         empty_stream(&w, 0.0, &StreamConfig { duration_s: 30.0, ..Default::default() }, 3)
     }
@@ -307,7 +307,7 @@ mod tests {
             FaultSchedule::new(vec![Fault::ReorderStorm { start_s: 0.0, end_s: 30.0, seed: 4 }]);
         let out = sched.applied(&base);
         assert_eq!(out.len(), base.len());
-        let key = |s: &RawSample| (s.link, s.t_s.to_bits(), s.rss_dbm.to_bits());
+        let key = |s: &LinkSample| (s.link, s.t_s.to_bits(), s.rss_dbm.to_bits());
         let mut a = base.clone();
         let mut b = out.clone();
         a.sort_by_key(key);
@@ -337,7 +337,8 @@ mod tests {
         let base = stream();
         let death = Fault::LinkDeath { link: 2, at_s: 10.0 };
         let skew = Fault::ClockSkew { link: 2, offset_s: 20.0 };
-        let link2 = |v: &[RawSample]| v.iter().filter(|s| s.link == 2).cloned().collect::<Vec<_>>();
+        let link2 =
+            |v: &[LinkSample]| v.iter().filter(|s| s.link == 2).cloned().collect::<Vec<_>>();
         let death_first = link2(&FaultSchedule::new(vec![death, skew]).applied(&base));
         assert!(!death_first.is_empty());
         assert!(death_first.iter().all(|s| s.t_s >= 20.0 && s.t_s < 30.0));

@@ -65,6 +65,6 @@ pub use events::EnvironmentEvent;
 pub use faults::{Fault, FaultSchedule};
 pub use geometry::{Point, Segment};
 pub use grid::FloorGrid;
-pub use stream::{RawSample, StreamConfig};
+pub use stream::StreamConfig;
 pub use trajectory::{Trajectory, WaypointConfig};
 pub use world::{World, WorldConfig};

@@ -7,7 +7,9 @@
 //! approximately chronological. This module simulates that raw layer so the
 //! ingestion pipeline (`tafloc-ingest`) can be exercised end to end: a stream
 //! here, windowed and aggregated there, should reproduce what
-//! [`crate::campaign::snapshot_at_cell`] hands the localizer directly.
+//! [`crate::campaign::snapshot_at_cell`] hands the localizer directly. A
+//! stream is a list of the pipeline's own [`LinkSample`]s, so it feeds the
+//! pipeline, the daemon's `ingest` request and the CLI's stream file as is.
 //!
 //! Streams are deterministic given `(world seed, stream seed, kind)` — the same
 //! discipline as campaigns — so tests and benches are replayable.
@@ -17,6 +19,7 @@ use crate::rng::hash_u64;
 use crate::world::World;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tafloc_ingest::LinkSample;
 
 /// Campaign-kind key for stream RNG separation (campaigns use 0x01–0x03).
 const KIND_STREAM: u64 = 0x04;
@@ -83,18 +86,6 @@ impl StreamConfig {
     }
 }
 
-/// One raw measurement as a radio would report it. Field-compatible with the
-/// ingestion pipeline's wire sample type.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RawSample {
-    /// Link index in `0..world.num_links()`.
-    pub link: usize,
-    /// Stream-clock timestamp in seconds from the start of the stream.
-    pub t_s: f64,
-    /// Observed RSS (dBm): truth + per-sample noise + quantization.
-    pub rss_dbm: f64,
-}
-
 fn stream_rng(world: &World, t_days: f64, stream_seed: u64, link: u64) -> StdRng {
     let t_key = (t_days * 1000.0).round() as i64 as u64;
     StdRng::seed_from_u64(hash_u64(
@@ -117,12 +108,12 @@ pub fn sample_stream(
     target: Option<&Point>,
     config: &StreamConfig,
     stream_seed: u64,
-) -> Vec<RawSample> {
+) -> Vec<LinkSample> {
     config.assert_valid();
     let noise = world.config().noise;
     let dt = 1.0 / config.rate_hz;
     let per_link = config.samples_per_link();
-    let mut out: Vec<RawSample> = Vec::with_capacity(per_link * world.num_links());
+    let mut out: Vec<LinkSample> = Vec::with_capacity(per_link * world.num_links());
     for link in 0..world.num_links() {
         let mut rng = stream_rng(world, t_days, stream_seed, link as u64);
         let truth = match target {
@@ -139,7 +130,7 @@ pub fn sample_stream(
                 continue;
             }
             let t_s = (k as f64 * dt + jitter).max(0.0);
-            out.push(RawSample { link, t_s, rss_dbm: rss });
+            out.push(LinkSample::new(link, t_s, rss));
         }
     }
     // Radios interleave: deliver globally by timestamp, then perturb with
@@ -164,7 +155,7 @@ pub fn stream_at_cell(
     cell: usize,
     config: &StreamConfig,
     stream_seed: u64,
-) -> Vec<RawSample> {
+) -> Vec<LinkSample> {
     assert!(cell < world.num_cells(), "cell {cell} out of range");
     let p = world.grid().cell_center(cell);
     sample_stream(world, t_days, Some(&p), config, stream_seed)
@@ -177,7 +168,7 @@ pub fn empty_stream(
     t_days: f64,
     config: &StreamConfig,
     stream_seed: u64,
-) -> Vec<RawSample> {
+) -> Vec<LinkSample> {
     sample_stream(world, t_days, None, config, stream_seed)
 }
 
@@ -266,7 +257,7 @@ mod tests {
         assert_eq!(base.len(), shuffled.len());
         let mut a = base.clone();
         let mut b = shuffled.clone();
-        let key = |r: &RawSample| (r.link, r.t_s.to_bits(), r.rss_dbm.to_bits());
+        let key = |r: &LinkSample| (r.link, r.t_s.to_bits(), r.rss_dbm.to_bits());
         a.sort_by_key(key);
         b.sort_by_key(key);
         assert_eq!(a, b, "reordering must not add, drop or alter samples");

@@ -65,6 +65,10 @@ const HEADER_LEN: u64 = 12;
 /// Frame overhead per record: length prefix plus checksum.
 const FRAME_LEN: usize = 8;
 
+/// The active segment rotates to a fresh one once it holds this many bytes.
+/// Only sealed (rotated-away) segments are eligible for pruning.
+const SEGMENT_MAX_BYTES: u64 = 4 * 1024 * 1024;
+
 /// Knobs for the append path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JournalConfig {
@@ -72,52 +76,41 @@ pub struct JournalConfig {
     /// one fsync per admitted batch); otherwise appends become durable at the
     /// next append/sync at least this long after the previous fsync.
     pub flush_interval: Duration,
-    /// Rotate to a fresh segment once the active one exceeds this many bytes.
-    /// Only sealed (rotated-away) segments are eligible for pruning.
-    pub segment_max_bytes: u64,
 }
 
 impl Default for JournalConfig {
     fn default() -> Self {
-        JournalConfig {
-            flush_interval: Duration::from_millis(25),
-            segment_max_bytes: 4 * 1024 * 1024,
-        }
+        JournalConfig { flush_interval: Duration::from_millis(25) }
     }
 }
 
-/// One replayable unit of admitted survey-path work.
-///
-/// Live-window locate traffic is deliberately *not* journaled: those samples
-/// age out of the sliding window within seconds and rebuilding them after a
-/// restart would serve stale radio state (see DESIGN.md §9). The journal
-/// covers exactly the records whose loss would cost a re-survey.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JournalRecord {
-    /// An admitted reference-capture batch (`ingest` with a `ref_cell`).
-    RefBatch {
-        /// Reference slot the batch was captured at.
-        ref_slot: usize,
-        /// Deployment day of the capture.
-        day: f64,
-        /// The admitted samples, exactly as they passed admission.
-        samples: Vec<LinkSample>,
-    },
-    /// A full measured-references survey (`measure-refs`).
-    Survey {
-        /// Deployment day of the survey.
-        day: f64,
-        /// Per-reference-slot measured columns (`n_refs` columns of `m`).
-        columns: Vec<Vec<f64>>,
-        /// Empty-room RSS measured alongside (may be empty to keep the old).
-        empty: Vec<f64>,
-    },
-}
-
 taf_wire::schema! {
-    enum JournalRecord: binary {
-        RefBatch = 1 { ref_slot: usize, day: f64, samples: Vec<LinkSample> },
-        Survey = 2 { day: f64, columns: Vec<Vec<f64>>, empty: Vec<f64> },
+    /// One replayable unit of admitted survey-path work.
+    ///
+    /// Live-window locate traffic is deliberately *not* journaled: those samples
+    /// age out of the sliding window within seconds and rebuilding them after a
+    /// restart would serve stale radio state (see DESIGN.md §9). The journal
+    /// covers exactly the records whose loss would cost a re-survey.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum JournalRecord: binary {
+        /// An admitted reference-capture batch (`ingest` with a `ref_cell`).
+        RefBatch = 1 {
+            /// Reference slot the batch was captured at.
+            ref_slot: usize,
+            /// Deployment day of the capture.
+            day: f64,
+            /// The admitted samples, exactly as they passed admission.
+            samples: Vec<LinkSample>,
+        },
+        /// A full measured-references survey (`measure-refs`).
+        Survey = 2 {
+            /// Deployment day of the survey.
+            day: f64,
+            /// Per-reference-slot measured columns (`n_refs` columns of `m`).
+            columns: Vec<Vec<f64>>,
+            /// Empty-room RSS measured alongside (may be empty to keep the old).
+            empty: Vec<f64>,
+        },
     }
 }
 
@@ -180,6 +173,8 @@ pub struct Journal {
     dir: PathBuf,
     stem: String,
     config: JournalConfig,
+    /// [`SEGMENT_MAX_BYTES`]; the rotation test lowers it.
+    segment_max_bytes: u64,
     inner: Mutex<Inner>,
 }
 
@@ -301,6 +296,7 @@ impl Journal {
             dir: dir.to_path_buf(),
             stem: stem.to_string(),
             config,
+            segment_max_bytes: SEGMENT_MAX_BYTES,
             inner: Mutex::new(Inner {
                 file,
                 path,
@@ -411,7 +407,7 @@ impl Journal {
         {
             Journal::flush_locked(&mut inner)?;
         }
-        if inner.bytes >= self.config.segment_max_bytes {
+        if inner.bytes >= self.segment_max_bytes {
             self.rotate_locked(&mut inner)?;
         }
         Ok(seq)
@@ -513,7 +509,7 @@ mod tests {
     }
 
     fn strict() -> JournalConfig {
-        JournalConfig { flush_interval: Duration::ZERO, ..JournalConfig::default() }
+        JournalConfig { flush_interval: Duration::ZERO }
     }
 
     #[test]
@@ -606,8 +602,9 @@ mod tests {
     #[test]
     fn rotation_seals_segments_and_prune_respects_the_watermark() {
         let dir = temp_dir("rotate");
-        let cfg = JournalConfig { flush_interval: Duration::ZERO, segment_max_bytes: 256 };
-        let (j, _) = Journal::open(&dir, "s-0", cfg, 0).unwrap();
+        let cfg = strict();
+        let (mut j, _) = Journal::open(&dir, "s-0", cfg, 0).unwrap();
+        j.segment_max_bytes = 256;
         for i in 0..8 {
             j.append(&batch(i, 90.0, 4)).unwrap();
         }
@@ -662,7 +659,7 @@ mod tests {
     #[test]
     fn group_commit_buffers_then_syncs_on_interval_or_demand() {
         let dir = temp_dir("groupcommit");
-        let cfg = JournalConfig { flush_interval: Duration::from_secs(3600), ..Default::default() };
+        let cfg = JournalConfig { flush_interval: Duration::from_secs(3600) };
         let (j, _) = Journal::open(&dir, "s-0", cfg, 0).unwrap();
         // These appends buffer (the interval is absurdly long)…
         j.append(&batch(0, 90.0, 2)).unwrap();

@@ -20,52 +20,56 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use taf_wire::schema;
 use tafloc_core::monitor::MonitorConfig;
 use tafloc_core::system::ReconstructionGuard;
 
-/// Per-site maintenance policy (wire-configurable via `add-site`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MaintenancePolicy {
-    /// Milliseconds between maintenance ticks.
-    pub interval_ms: u64,
-    /// Whether the loop may trigger refreshes on its own; when `false` the
-    /// monitor still runs and `stats` reports its verdicts, but refreshes
-    /// only happen on an explicit `refresh` request.
-    pub auto_refresh: bool,
-    /// Consecutive over-threshold checks required before an auto-refresh.
-    pub breach_streak: u32,
-    /// How many of the site's reference cells the drift probe compares
-    /// (clamped to the reference count at site creation).
-    pub monitor_cells: usize,
-    /// When `true` no maintenance thread is spawned for the site; the owner
-    /// drives [`Site::maintenance_tick`](crate::site::Site::maintenance_tick)
-    /// explicitly. Deterministic harnesses (taf-testkit) use this so ticks
-    /// happen at scripted points in stream time instead of on a wall-clock
-    /// cadence.
-    pub manual_tick: bool,
-    /// Thresholds for the underlying [`DriftMonitor`](tafloc_core::monitor::DriftMonitor).
-    pub monitor: MonitorConfig,
-    /// Sanity ceilings a freshly reconstructed database must clear before
-    /// it replaces the served snapshot; a failing refresh is rolled back.
-    pub guard: ReconstructionGuard,
-    /// Consecutive rejected refreshes (or panicking ticks) after which the
-    /// site is quarantined: it keeps serving its last good snapshot
-    /// read-only and the scheduler skips its maintenance until the cooldown
-    /// elapses or an explicit `refresh` succeeds.
-    pub quarantine_after: u32,
-    /// Scheduler passes a quarantined site sits out before re-admission.
-    pub quarantine_cooldown_ticks: u32,
-    /// Cap on the exponent of the per-site refresh backoff: after `f`
-    /// consecutive failures the next tick is scheduled
-    /// `interval_ms * 2^min(f, backoff_cap)` away instead of hot-looping
-    /// the solver on poisoned inputs.
-    pub backoff_cap: u32,
-    /// Test-only fault-injection hook: the first `n` maintenance ticks of
-    /// the site panic before doing any work. `0` (the default, and the only
-    /// sane production value) is a strict no-op. The fault-tolerance tests
-    /// use this to prove a panicking tick is isolated by the scheduler's
-    /// panic boundary instead of killing the daemon.
-    pub debug_panic_ticks: u32,
+// The snapshot store embeds this binary layout in every `.snap` payload.
+schema! {
+    /// Per-site maintenance policy (wire-configurable via `add-site`).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct MaintenancePolicy: default {
+        /// Milliseconds between maintenance ticks.
+        pub interval_ms: u64,
+        /// Whether the loop may trigger refreshes on its own; when `false` the
+        /// monitor still runs and `stats` reports its verdicts, but refreshes
+        /// only happen on an explicit `refresh` request.
+        pub auto_refresh: bool,
+        /// Consecutive over-threshold checks required before an auto-refresh.
+        pub breach_streak: u32,
+        /// How many of the site's reference cells the drift probe compares
+        /// (clamped to the reference count at site creation).
+        pub monitor_cells: usize,
+        /// When `true` no maintenance thread is spawned for the site; the owner
+        /// drives [`Site::maintenance_tick`](crate::site::Site::maintenance_tick)
+        /// explicitly. Deterministic harnesses (taf-testkit) use this so ticks
+        /// happen at scripted points in stream time instead of on a wall-clock
+        /// cadence.
+        pub manual_tick: bool,
+        /// Thresholds for the underlying [`DriftMonitor`](tafloc_core::monitor::DriftMonitor).
+        pub monitor: MonitorConfig,
+        /// Sanity ceilings a freshly reconstructed database must clear before
+        /// it replaces the served snapshot; a failing refresh is rolled back.
+        pub guard: ReconstructionGuard,
+        /// Consecutive rejected refreshes (or panicking ticks) after which the
+        /// site is quarantined: it keeps serving its last good snapshot
+        /// read-only and the scheduler skips its maintenance until the cooldown
+        /// elapses or an explicit `refresh` succeeds.
+        pub quarantine_after: u32,
+        /// Scheduler passes a quarantined site sits out before re-admission.
+        pub quarantine_cooldown_ticks: u32,
+        /// Cap on the exponent of the per-site refresh backoff: after `f`
+        /// consecutive failures the next tick is scheduled
+        /// `interval_ms * 2^min(f, backoff_cap)` away instead of hot-looping
+        /// the solver on poisoned inputs.
+        pub backoff_cap: u32,
+        /// Test-only fault-injection hook: the first `n` maintenance ticks of
+        /// the site panic before doing any work. `0` (the default, and the only
+        /// sane production value) is a strict no-op. The fault-tolerance tests
+        /// use this to prove a panicking tick is isolated by the scheduler's
+        /// panic boundary instead of killing the daemon.
+        pub debug_panic_ticks: u32,
+    }
 }
 
 impl Default for MaintenancePolicy {

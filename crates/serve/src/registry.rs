@@ -1,7 +1,9 @@
-//! The site registry: shards daemon state by site id.
+//! The site registry: one shard's name → site map.
 //!
-//! Sites are independent — separate snapshots, separate mutable state — so
-//! the registry itself is just a name → `Arc<Site>` map behind an `RwLock`
+//! [`crate::shard::ShardSet`] does the sharding: it owns one registry per
+//! worker shard and routes each site id to one of them. Sites are
+//! independent — separate snapshots, separate mutable state — so a registry
+//! itself is just a name → `Arc<Site>` map behind an `RwLock`
 //! that is only held for lookups and membership changes. Request handling
 //! clones the `Arc` out and drops the lock before doing any work.
 //!

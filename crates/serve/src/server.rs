@@ -234,10 +234,7 @@ impl Server {
             workers: config.workers.max(1),
             started: Instant::now(),
             store,
-            journal: JournalConfig {
-                flush_interval: config.journal_flush,
-                ..JournalConfig::default()
-            },
+            journal: JournalConfig { flush_interval: config.journal_flush },
             bring_up: Mutex::new(()),
         });
         Ok(Server { listener, ctx })
@@ -750,5 +747,83 @@ mod tests {
             assert_eq!(recovered.sites[0].refreshed_day, registered, "trial {trial}");
         }
         let _ = std::fs::remove_dir_all(&base);
+    }
+
+    /// The request as the daemon reads it off the wire in `version`.
+    fn over_the_wire(request: &Request, version: WireVersion) -> Request {
+        let mut buf = Vec::new();
+        match version {
+            WireVersion::V1Json => {
+                wire::v1::encode_request(request, &mut buf);
+                wire::v1::decode_request(std::str::from_utf8(&buf).unwrap()).unwrap()
+            }
+            WireVersion::V2Binary => {
+                wire::v2::encode_request(request, &mut buf);
+                wire::v2::decode_request(&buf).unwrap()
+            }
+        }
+    }
+
+    fn refused(response: Response) -> bool {
+        matches!(response, Response::Error { message } if message.contains("finite"))
+    }
+
+    /// v1 writes an infinite day as `null` and reads `null` as NaN; v2
+    /// carries any bits. Either way a survey-path request with a day that
+    /// is not finite is refused before it is journaled or applied.
+    #[test]
+    fn survey_requests_with_a_non_finite_day_are_refused_unjournaled() {
+        let (world, system) = calibrated(25);
+        let dir = std::env::temp_dir().join(format!("tafloc-day-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ctx = durable_lab(&dir, system);
+        let site = ctx.registry.get("lab").unwrap();
+        let journal = Arc::clone(site.journal().unwrap());
+        let last_seq = journal.last_seq();
+        let cells = site.load().system.reference_cells().to_vec();
+        let survey = Request::MeasureRefs {
+            site: "lab".into(),
+            day: f64::INFINITY,
+            columns: campaign::measure_columns(&world, 30.0, &cells, 20),
+            empty: campaign::empty_snapshot(&world, 30.0, 20),
+        };
+        let mut text = Vec::new();
+        wire::v1::encode_request(&survey, &mut text);
+        assert!(String::from_utf8(text).unwrap().contains(r#""day":null"#));
+        assert!(refused(dispatch(over_the_wire(&survey, WireVersion::V1Json), &ctx)));
+        let capture = Request::Ingest {
+            site: "lab".into(),
+            ref_cell: Some(0),
+            day: f64::INFINITY,
+            samples: vec![tafloc_ingest::LinkSample::new(0, 0.0, -50.0)],
+        };
+        assert!(refused(dispatch(over_the_wire(&capture, WireVersion::V2Binary), &ctx)));
+        let stats = site.stats();
+        assert!(!stats.pending_refs);
+        assert_eq!(stats.active_ref_captures, 0);
+        assert_eq!(journal.last_seq(), last_seq, "nothing was journaled");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An `add-site` whose drift clock would start at a non-finite day is
+    /// refused, and the refused site leaves no file behind.
+    #[test]
+    fn an_add_site_with_a_non_finite_day_writes_no_file() {
+        let (_, system) = calibrated(26);
+        let dir = std::env::temp_dir().join(format!("tafloc-add-day-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let ctx = Arc::clone(server_on(&dir).ctx());
+        for (day, version) in [
+            (f64::NAN, WireVersion::V1Json),
+            (f64::INFINITY, WireVersion::V2Binary),
+            (f64::NEG_INFINITY, WireVersion::V2Binary),
+        ] {
+            let snapshot = Box::new(system.snapshot());
+            let request = Request::AddSite { site: "lab".into(), snapshot, day, policy: None };
+            assert!(refused(dispatch(over_the_wire(&request, version), &ctx)), "day {day}");
+        }
+        assert!(ctx.registry.get("lab").is_err());
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "no file was written");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

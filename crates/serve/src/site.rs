@@ -34,7 +34,7 @@ use crate::journal::{Journal, JournalConfig, JournalRecord};
 use crate::maintenance::MaintenancePolicy;
 use crate::protocol::{SiteInfo, SiteStats};
 use crate::snapshot::SnapshotCell;
-use crate::store::{name_hash, PersistedSite, SiteStore};
+use crate::store::{name_hash, PersistedSite, SiteHealth, SiteStore};
 use crate::{Result, ServeError};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -87,24 +87,8 @@ struct SiteDynamic {
     pending: Option<PendingRefs>,
     trackers: HashMap<String, ParticleFilter>,
     detectors: HashMap<String, PresenceDetector>,
-    breach_streak: u32,
     last_estimate_db: Option<f64>,
-    maintenance_checks: u64,
-    auto_refreshes: u64,
-    /// Refreshes the reconstruction guard rejected (lifetime).
-    refresh_rejections: u64,
-    /// Consecutive guard rejections / panicking ticks since the last success
-    /// (drives backoff and quarantine; cleared by a committed refresh).
-    consecutive_failures: u32,
-    /// Why the most recent refresh was rejected, if any.
-    last_reject_reason: Option<String>,
-    /// Whether the site is quarantined (serving read-only, skipped by the
-    /// maintenance scheduler).
-    quarantined: bool,
-    /// Scheduler passes left before a quarantined site is re-admitted.
-    quarantine_cooldown: u32,
-    /// Maintenance ticks that panicked (lifetime).
-    tick_panics: u64,
+    health: SiteHealth,
     /// Snapshot saves that failed (lifetime; persistence is best-effort).
     persist_failures: u64,
     /// Remaining injected-panic budget (from `policy.debug_panic_ticks`).
@@ -239,9 +223,22 @@ fn stream_seed(site: &str, stream: &str) -> u64 {
     name_hash(&[site, stream])
 }
 
+/// Refuses a non-finite deployment day before anything is journaled or
+/// applied. The drift clock, the monitor's cooldown and the capture round
+/// all compare days: an infinite day would hold every later check in
+/// cooldown, and a NaN one would restart the capture round on every batch.
+fn check_day(day: f64) -> Result<()> {
+    if day.is_finite() {
+        Ok(())
+    } else {
+        Err(ServeError::Protocol(format!("day must be a finite number, got {day}")))
+    }
+}
+
 impl Site {
     /// Wraps a calibrated system for serving. `day` anchors the drift clock
-    /// (the deployment day the system state corresponds to).
+    /// (the deployment day the system state corresponds to) and must be
+    /// finite.
     pub fn new(name: &str, system: TafLoc, day: f64, policy: MaintenancePolicy) -> Result<Site> {
         Site::with_options(name, system, day, policy, IngestConfig::default(), ClockMode::default())
     }
@@ -260,6 +257,7 @@ impl Site {
         ingest_config: IngestConfig,
         clock_mode: ClockMode,
     ) -> Result<Site> {
+        check_day(day)?;
         let monitor_cells = policy.monitor_cells.max(1).min(system.reference_cells().len().max(1));
         let monitor = system.monitor(monitor_cells, day, policy.monitor)?;
         let snapshot = SiteSnapshot { system, version: 0, refreshed_day: day };
@@ -289,16 +287,8 @@ impl Site {
                 pending: None,
                 trackers: HashMap::new(),
                 detectors: HashMap::new(),
-                breach_streak: 0,
                 last_estimate_db: None,
-                maintenance_checks: 0,
-                auto_refreshes: 0,
-                refresh_rejections: 0,
-                consecutive_failures: 0,
-                last_reject_reason: None,
-                quarantined: false,
-                quarantine_cooldown: 0,
-                tick_panics: 0,
+                health: SiteHealth::default(),
                 persist_failures: 0,
                 panic_budget: policy.debug_panic_ticks,
                 ref_captures: HashMap::new(),
@@ -411,8 +401,9 @@ impl Site {
     /// ingest code the live path uses, without re-appending them. Returns
     /// how many records applied cleanly; a record that no longer fits the
     /// recovered system (for example a reference slot out of range after an
-    /// operator re-registered the site with a different layout) is skipped,
-    /// never fatal — recovery always comes up.
+    /// operator re-registered the site with a different layout, or a day
+    /// that is not finite) is skipped, never fatal — recovery always comes
+    /// up.
     pub fn replay_journal(&self, records: &[(u64, JournalRecord)]) -> usize {
         let mut applied = 0;
         for (seq, record) in records {
@@ -471,15 +462,7 @@ impl Site {
         let site = Site::assemble(p.name, snapshot, monitor, p.policy, p.ingest, clock_mode)?;
         {
             let mut d = site.lock_dynamic();
-            d.breach_streak = p.breach_streak;
-            d.maintenance_checks = p.maintenance_checks;
-            d.auto_refreshes = p.auto_refreshes;
-            d.refresh_rejections = p.refresh_rejections;
-            d.consecutive_failures = p.consecutive_failures;
-            d.last_reject_reason = p.last_reject_reason;
-            d.quarantined = p.quarantined;
-            d.quarantine_cooldown = p.quarantine_cooldown;
-            d.tick_panics = p.tick_panics;
+            d.health = p.health;
             d.live = PlanState {
                 journal_watermark: p.journal_watermark,
                 survey_epoch: p.survey_epoch,
@@ -588,9 +571,10 @@ impl Site {
     }
 
     /// Accepts one batch of raw link samples. `ref_cell: None` feeds the live
-    /// window behind `locate-stream`; `Some(k)` feeds the capture window for
-    /// reference cell `k` of a day-`day` survey (promoted to pending
-    /// reference columns by the maintenance loop once complete).
+    /// window behind `locate-stream` and ignores `day`; `Some(k)` feeds the
+    /// capture window for reference cell `k` of a day-`day` survey (promoted
+    /// to pending reference columns by the maintenance loop once complete),
+    /// and refuses a non-finite `day`.
     pub fn ingest_samples(
         &self,
         ref_cell: Option<usize>,
@@ -615,6 +599,7 @@ impl Site {
         samples: &[LinkSample],
         journal: bool,
     ) -> Result<BatchReport> {
+        check_day(day)?;
         let n_refs = self.load().system.reference_cells().len();
         if k >= n_refs {
             return Err(ServeError::Protocol(format!(
@@ -711,7 +696,7 @@ impl Site {
     }
 
     /// Stores fresh reference measurements as pending and returns the drift
-    /// monitor's immediate verdict on them.
+    /// monitor's immediate verdict on them. A non-finite `day` is refused.
     pub fn ingest_refs(
         &self,
         day: f64,
@@ -731,6 +716,7 @@ impl Site {
         empty: Vec<f64>,
         replay_seq: Option<u64>,
     ) -> Result<Recommendation> {
+        check_day(day)?;
         let snap = self.load();
         let m = snap.system.db().num_links();
         let n = snap.system.reference_cells().len();
@@ -856,13 +842,13 @@ impl Site {
                 det.rebaseline(fresh_empty.clone())?;
             }
             d.pending = None;
-            d.breach_streak = 0;
+            d.health.breach_streak = 0;
             // Success wipes the failure record and lifts any quarantine: an
             // explicit `refresh` that passes the guard re-admits the site.
-            d.consecutive_failures = 0;
-            d.last_reject_reason = None;
-            d.quarantined = false;
-            d.quarantine_cooldown = 0;
+            d.health.consecutive_failures = 0;
+            d.health.last_reject_reason = None;
+            d.health.quarantined = false;
+            d.health.quarantine_cooldown = 0;
             d.live.last_ref_confidence = Some(ref_confidence);
             if let Some(planner) = &self.planner {
                 let link_health = self.ingest.link_statuses();
@@ -898,22 +884,22 @@ impl Site {
     /// quarantined. Crossing `quarantine_after` arms the cooldown.
     fn note_failure(&self, reason: Option<String>) -> bool {
         let mut d = self.lock_dynamic();
-        d.consecutive_failures = d.consecutive_failures.saturating_add(1);
+        d.health.consecutive_failures = d.health.consecutive_failures.saturating_add(1);
         if let Some(reason) = reason {
-            d.refresh_rejections += 1;
-            d.last_reject_reason = Some(reason);
+            d.health.refresh_rejections += 1;
+            d.health.last_reject_reason = Some(reason);
         }
-        if d.consecutive_failures >= self.policy.quarantine_after.max(1) {
-            d.quarantined = true;
-            d.quarantine_cooldown = self.policy.quarantine_cooldown_ticks;
+        if d.health.consecutive_failures >= self.policy.quarantine_after.max(1) {
+            d.health.quarantined = true;
+            d.health.quarantine_cooldown = self.policy.quarantine_cooldown_ticks;
         }
-        d.quarantined
+        d.health.quarantined
     }
 
     /// Called by the scheduler when a maintenance tick panicked. Panics count
     /// toward the same failure streak as guard rejections.
     pub fn note_tick_panic(&self) {
-        self.lock_dynamic().tick_panics += 1;
+        self.lock_dynamic().health.tick_panics += 1;
         // A panic mid-tick may have left the solve half-done; whatever the
         // warm state was, it is no longer trustworthy.
         self.lock_solver().invalidate();
@@ -927,13 +913,13 @@ impl Site {
     /// re-quarantines it instantly. (A successful refresh clears everything.)
     pub fn quarantine_tick(&self) -> bool {
         let mut d = self.lock_dynamic();
-        if !d.quarantined {
+        if !d.health.quarantined {
             return false;
         }
-        if d.quarantine_cooldown > 0 {
-            d.quarantine_cooldown -= 1;
-            if d.quarantine_cooldown == 0 {
-                d.quarantined = false;
+        if d.health.quarantine_cooldown > 0 {
+            d.health.quarantine_cooldown -= 1;
+            if d.health.quarantine_cooldown == 0 {
+                d.health.quarantined = false;
             }
         }
         true
@@ -941,14 +927,14 @@ impl Site {
 
     /// Whether the site is currently quarantined.
     pub fn is_quarantined(&self) -> bool {
-        self.lock_dynamic().quarantined
+        self.lock_dynamic().health.quarantined
     }
 
     /// Multiplier the scheduler applies to the site's tick interval:
     /// `2^min(consecutive_failures, backoff_cap)`. One committed refresh
     /// resets it to 1.
     pub fn backoff_factor(&self) -> u32 {
-        let f = self.lock_dynamic().consecutive_failures;
+        let f = self.lock_dynamic().health.consecutive_failures;
         1u32 << f.min(self.policy.backoff_cap).min(16)
     }
 
@@ -974,15 +960,7 @@ impl Site {
             monitor_cells: d.monitor.cells().to_vec(),
             monitor_last_update_day: d.monitor.last_update_day(),
             monitor_config: d.monitor.config(),
-            breach_streak: d.breach_streak,
-            maintenance_checks: d.maintenance_checks,
-            auto_refreshes: d.auto_refreshes,
-            refresh_rejections: d.refresh_rejections,
-            consecutive_failures: d.consecutive_failures,
-            last_reject_reason: d.last_reject_reason.clone(),
-            quarantined: d.quarantined,
-            quarantine_cooldown: d.quarantine_cooldown,
-            tick_panics: d.tick_panics,
+            health: d.health.clone(),
             policy: self.policy,
             ingest: self.ingest_config,
             journal_watermark: d.committed.journal_watermark,
@@ -1057,18 +1035,8 @@ impl Site {
             None => Some(every_link.as_slice()),
         };
 
-        // Completion check first: an unfinished round must change nothing.
-        for k in 0..n_refs {
-            let Some(links) = wanted(k) else { continue };
-            let Some(capture) = d.ref_captures.get(&k) else {
-                return Ok(false);
-            };
-            let v = capture.assemble(empty)?;
-            if links.iter().any(|&l| v.flags[l] != LinkFlag::Live) {
-                return Ok(false);
-            }
-        }
-
+        // Columns and mask stay local until the commit, so an unfinished
+        // round returns having changed nothing.
         let mut columns = Matrix::zeros(m, n_refs);
         let mut mask = Mask::falses(m, n_refs);
         for (k, &ref_cell) in ref_cells.iter().enumerate() {
@@ -1077,7 +1045,13 @@ impl Site {
                 None => snap.system.db().rss().col(ref_cell),
             };
             if let Some(links) = wanted(k) {
-                let v = d.ref_captures[&k].assemble(empty)?;
+                let Some(capture) = d.ref_captures.get(&k) else {
+                    return Ok(false);
+                };
+                let v = capture.assemble(empty)?;
+                if links.iter().any(|&l| v.flags[l] != LinkFlag::Live) {
+                    return Ok(false);
+                }
                 for &l in links {
                     y[l] = v.y[l];
                     mask.set(l, k, true);
@@ -1116,7 +1090,7 @@ impl Site {
                 drop(d);
                 panic!("injected maintenance-tick panic (debug_panic_ticks)");
             }
-            if d.quarantined {
+            if d.health.quarantined {
                 // Defense in depth: the scheduler already skips quarantined
                 // sites, but a manual-tick harness reaches here directly.
                 return Ok(None);
@@ -1125,26 +1099,26 @@ impl Site {
         self.promote_ref_captures()?;
         let trigger = {
             let mut d = self.lock_dynamic();
-            d.maintenance_checks += 1;
+            d.health.maintenance_checks += 1;
             let Some(pending) = d.pending.clone() else {
-                d.breach_streak = 0;
+                d.health.breach_streak = 0;
                 return Ok(None);
             };
             let monitored = self.monitored_columns(&pending.columns)?;
             let rec = d.monitor.check(pending.day, &monitored)?;
             d.last_estimate_db = Some(rec.estimated_error_db());
             if matches!(rec, Recommendation::UpdateRecommended { .. }) {
-                d.breach_streak += 1;
+                d.health.breach_streak += 1;
             } else {
-                d.breach_streak = 0;
+                d.health.breach_streak = 0;
             }
-            self.policy.auto_refresh && d.breach_streak >= self.policy.breach_streak.max(1)
+            self.policy.auto_refresh && d.health.breach_streak >= self.policy.breach_streak.max(1)
         };
         if !trigger {
             return Ok(None);
         }
         let (_, version) = self.refresh()?;
-        self.lock_dynamic().auto_refreshes += 1;
+        self.lock_dynamic().health.auto_refreshes += 1;
         Ok(Some(version))
     }
 
@@ -1169,13 +1143,13 @@ impl Site {
             refreshed_day: snap.refreshed_day,
             pending_refs: d.pending.is_some(),
             estimated_error_db: d.last_estimate_db,
-            maintenance_checks: d.maintenance_checks,
-            auto_refreshes: d.auto_refreshes,
-            refresh_rejections: d.refresh_rejections,
-            last_reject_reason: d.last_reject_reason.clone(),
-            consecutive_failures: d.consecutive_failures,
-            quarantined: d.quarantined,
-            tick_panics: d.tick_panics,
+            maintenance_checks: d.health.maintenance_checks,
+            auto_refreshes: d.health.auto_refreshes,
+            refresh_rejections: d.health.refresh_rejections,
+            last_reject_reason: d.health.last_reject_reason.clone(),
+            consecutive_failures: d.health.consecutive_failures,
+            quarantined: d.health.quarantined,
+            tick_panics: d.health.tick_panics,
             persist_failures: d.persist_failures,
             active_trackers: d.trackers.len(),
             ingest: self.ingest.stats(),
@@ -1233,10 +1207,6 @@ mod tests {
         (world, site)
     }
 
-    fn link_samples(raw: &[taf_rfsim::RawSample]) -> Vec<LinkSample> {
-        raw.iter().map(|r| LinkSample::new(r.link, r.t_s, r.rss_dbm)).collect()
-    }
-
     #[test]
     fn recommendations_and_detections_render_their_wire_names() {
         let names: Vec<&str> = [
@@ -1261,7 +1231,7 @@ mod tests {
         let target_cell = 5;
         let cfg = StreamConfig { duration_s: 30.0, ..Default::default() };
         let raw = stream::stream_at_cell(&world, 0.0, target_cell, &cfg, 1);
-        let report = site.ingest_samples(None, 0.0, &link_samples(&raw)).unwrap();
+        let report = site.ingest_samples(None, 0.0, &raw).unwrap();
         assert_eq!(report.total() as usize, raw.len());
         assert!(report.accepted > 0);
 
@@ -1296,7 +1266,7 @@ mod tests {
 
         let cfg = StreamConfig { duration_s: 10.0, ..Default::default() };
         let raw = stream::stream_at_cell(&world, 0.0, 3, &cfg, 1);
-        site.ingest_samples(None, 0.0, &link_samples(&raw)).unwrap();
+        site.ingest_samples(None, 0.0, &raw).unwrap();
         // Under a manual clock, samples alone do not move "now": nothing is
         // stale yet because the clock is still at 0.
         site.advance_stream_clock(cfg.duration_s);
@@ -1340,7 +1310,7 @@ mod tests {
 
         // A partial survey must not promote.
         let raw = stream::stream_at_cell(&world, 60.0, ref_cells[0], &cfg, 50);
-        site.ingest_samples(Some(0), 60.0, &link_samples(&raw)).unwrap();
+        site.ingest_samples(Some(0), 60.0, &raw).unwrap();
         assert!(!site.promote_ref_captures().unwrap());
         assert!(!site.stats().pending_refs);
         assert_eq!(site.stats().active_ref_captures, 1);
@@ -1348,7 +1318,7 @@ mod tests {
         // Completing every reference cell promotes and clears the captures.
         for (k, &cell) in ref_cells.iter().enumerate().skip(1) {
             let raw = stream::stream_at_cell(&world, 60.0, cell, &cfg, 50 + k as u64);
-            site.ingest_samples(Some(k), 60.0, &link_samples(&raw)).unwrap();
+            site.ingest_samples(Some(k), 60.0, &raw).unwrap();
         }
         assert!(site.promote_ref_captures().unwrap());
         let stats = site.stats();
@@ -1367,7 +1337,7 @@ mod tests {
         let cfg = StreamConfig { duration_s: 30.0, ..Default::default() };
         for &k in slots {
             let raw = stream::stream_at_cell(world, day, ref_cells[k], &cfg, seed_base + k as u64);
-            site.ingest_samples(Some(k), day, &link_samples(&raw)).unwrap();
+            site.ingest_samples(Some(k), day, &raw).unwrap();
         }
     }
 
@@ -1503,8 +1473,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("tafloc-site-recover-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Arc::new(SiteStore::open(&dir).unwrap());
-        let journal =
-            JournalConfig { flush_interval: std::time::Duration::ZERO, ..JournalConfig::default() };
+        let journal = JournalConfig { flush_interval: std::time::Duration::ZERO };
         let plan = PlannerConfig::new(12, PlanPolicy::FixedSchedule);
         let site = site.with_planning(plan).unwrap();
         let site = site.with_durability(Arc::clone(&store), journal).unwrap();
@@ -1531,11 +1500,11 @@ mod tests {
         let cfg = StreamConfig { duration_s: 10.0, ..Default::default() };
         let ref_cells: Vec<usize> = site.load().system.reference_cells().to_vec();
         let raw = stream::stream_at_cell(&world, 30.0, ref_cells[0], &cfg, 9);
-        site.ingest_samples(Some(0), 30.0, &link_samples(&raw)).unwrap();
+        site.ingest_samples(Some(0), 30.0, &raw).unwrap();
         assert_eq!(site.stats().active_ref_captures, 1);
         // Same cell, different day: the stale partial round is discarded.
         let raw = stream::stream_at_cell(&world, 60.0, ref_cells[1], &cfg, 10);
-        site.ingest_samples(Some(1), 60.0, &link_samples(&raw)).unwrap();
+        site.ingest_samples(Some(1), 60.0, &raw).unwrap();
         let stats = site.stats();
         assert_eq!(stats.active_ref_captures, 1, "day change restarts the round");
     }

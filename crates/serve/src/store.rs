@@ -34,6 +34,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use taf_linalg::Matrix;
 use taf_plan::{HistoryWindow, MeasurementPlan};
+use taf_wire::{schema, Codec, Dec, Enc};
 use tafloc_core::loli_ir::WarmState;
 use tafloc_core::monitor::MonitorConfig;
 use tafloc_core::system::SystemSnapshot;
@@ -79,24 +80,8 @@ pub struct PersistedSite {
     pub monitor_last_update_day: f64,
     /// Monitor thresholds.
     pub monitor_config: MonitorConfig,
-    /// Consecutive over-threshold checks at save time (hysteresis state).
-    pub breach_streak: u32,
-    /// Lifetime maintenance-loop spot checks.
-    pub maintenance_checks: u64,
-    /// Lifetime auto-refreshes.
-    pub auto_refreshes: u64,
-    /// Lifetime refreshes rejected by the reconstruction guard.
-    pub refresh_rejections: u64,
-    /// Consecutive failed refreshes / panicking ticks (backoff input).
-    pub consecutive_failures: u32,
-    /// Reason the most recent refresh was rejected, if any.
-    pub last_reject_reason: Option<String>,
-    /// Whether the site was quarantined at save time.
-    pub quarantined: bool,
-    /// Scheduler passes left before a quarantined site is re-admitted.
-    pub quarantine_cooldown: u32,
-    /// Lifetime maintenance ticks that panicked.
-    pub tick_panics: u64,
+    /// The site's health counters at save time.
+    pub health: SiteHealth,
     /// The maintenance policy in force.
     pub policy: MaintenancePolicy,
     /// The streaming-ingestion configuration in force.
@@ -125,6 +110,35 @@ pub struct PersistedSite {
     pub warm: Option<WarmState>,
 }
 
+schema! {
+    /// A site's health: its breach hysteresis, its failure and quarantine
+    /// state and its lifetime maintenance tallies. The site holds one live,
+    /// and every snapshot carries it whole.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct SiteHealth: binary {
+        /// Consecutive over-threshold checks (hysteresis state).
+        pub breach_streak: u32,
+        /// Lifetime maintenance-loop spot checks.
+        pub maintenance_checks: u64,
+        /// Lifetime auto-refreshes.
+        pub auto_refreshes: u64,
+        /// Lifetime refreshes rejected by the reconstruction guard.
+        pub refresh_rejections: u64,
+        /// Consecutive guard rejections / panicking ticks since the last success
+        /// (drives backoff and quarantine; cleared by a committed refresh).
+        pub consecutive_failures: u32,
+        /// Reason the most recent refresh was rejected, if any.
+        pub last_reject_reason: Option<String>,
+        /// Whether the site is quarantined (serving read-only, skipped by the
+        /// maintenance scheduler).
+        pub quarantined: bool,
+        /// Scheduler passes left before a quarantined site is re-admitted.
+        pub quarantine_cooldown: u32,
+        /// Lifetime maintenance ticks that panicked.
+        pub tick_panics: u64,
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Payload codec
 // ---------------------------------------------------------------------------
@@ -136,8 +150,6 @@ pub struct PersistedSite {
 // a version check: a format-1 file ends after `ingest`, and its hot state
 // takes cold-start defaults.
 
-use taf_wire::{Codec, Dec, Enc};
-
 /// The format-1 field sequence; format-1 files keep decoding byte-for-byte.
 fn encode_v1_fields(e: &mut Enc, site: &PersistedSite) {
     site.name.encode(e);
@@ -148,15 +160,7 @@ fn encode_v1_fields(e: &mut Enc, site: &PersistedSite) {
     site.monitor_cells.encode(e);
     site.monitor_last_update_day.encode(e);
     site.monitor_config.encode(e);
-    site.breach_streak.encode(e);
-    site.maintenance_checks.encode(e);
-    site.auto_refreshes.encode(e);
-    site.refresh_rejections.encode(e);
-    site.consecutive_failures.encode(e);
-    site.last_reject_reason.encode(e);
-    site.quarantined.encode(e);
-    site.quarantine_cooldown.encode(e);
-    site.tick_panics.encode(e);
+    site.health.encode(e);
     site.policy.encode(e);
     site.ingest.encode(e);
 }
@@ -188,15 +192,7 @@ fn decode_payload(data: &[u8], version: u32) -> Result<PersistedSite> {
         monitor_cells: Codec::decode(d)?,
         monitor_last_update_day: Codec::decode(d)?,
         monitor_config: Codec::decode(d)?,
-        breach_streak: Codec::decode(d)?,
-        maintenance_checks: Codec::decode(d)?,
-        auto_refreshes: Codec::decode(d)?,
-        refresh_rejections: Codec::decode(d)?,
-        consecutive_failures: Codec::decode(d)?,
-        last_reject_reason: Codec::decode(d)?,
-        quarantined: Codec::decode(d)?,
-        quarantine_cooldown: Codec::decode(d)?,
-        tick_panics: Codec::decode(d)?,
+        health: Codec::decode(d)?,
         policy: Codec::decode(d)?,
         ingest: Codec::decode(d)?,
         journal_watermark: 0,
@@ -561,15 +557,17 @@ mod tests {
             monitor_cells: vec![0],
             monitor_last_update_day: 44.0,
             monitor_config: MonitorConfig { error_threshold_db: 2.5, min_interval_days: 1.0 },
-            breach_streak: 1,
-            maintenance_checks: 17,
-            auto_refreshes: 4,
-            refresh_rejections: 2,
-            consecutive_failures: 1,
-            last_reject_reason: Some("reconstruction contains non-finite entries".into()),
-            quarantined: false,
-            quarantine_cooldown: 0,
-            tick_panics: 1,
+            health: SiteHealth {
+                breach_streak: 1,
+                maintenance_checks: 17,
+                auto_refreshes: 4,
+                refresh_rejections: 2,
+                consecutive_failures: 1,
+                last_reject_reason: Some("reconstruction contains non-finite entries".into()),
+                quarantined: false,
+                quarantine_cooldown: 0,
+                tick_panics: 1,
+            },
             policy: MaintenancePolicy {
                 interval_ms: 125,
                 breach_streak: 3,
@@ -634,15 +632,7 @@ mod tests {
         assert_eq!(a.monitor_cells, b.monitor_cells);
         assert_eq!(a.monitor_last_update_day, b.monitor_last_update_day);
         assert_eq!(a.monitor_config, b.monitor_config);
-        assert_eq!(a.breach_streak, b.breach_streak);
-        assert_eq!(a.maintenance_checks, b.maintenance_checks);
-        assert_eq!(a.auto_refreshes, b.auto_refreshes);
-        assert_eq!(a.refresh_rejections, b.refresh_rejections);
-        assert_eq!(a.consecutive_failures, b.consecutive_failures);
-        assert_eq!(a.last_reject_reason, b.last_reject_reason);
-        assert_eq!(a.quarantined, b.quarantined);
-        assert_eq!(a.quarantine_cooldown, b.quarantine_cooldown);
-        assert_eq!(a.tick_panics, b.tick_panics);
+        assert_eq!(a.health, b.health);
         assert_eq!(a.policy, b.policy);
         assert_eq!(a.ingest, b.ingest);
         assert_eq!(a.journal_watermark, b.journal_watermark);
@@ -700,7 +690,7 @@ mod tests {
         let store = temp_store("recovery");
         let g1 = sample_site("lab", 1);
         let mut g2 = sample_site("lab", 2);
-        g2.auto_refreshes = 5;
+        g2.health.auto_refreshes = 5;
         store.save(&g1).unwrap();
         let p2 = store.save(&g2).unwrap();
 
@@ -819,7 +809,7 @@ mod tests {
         let loaded = SiteStore::load(&path).unwrap();
         assert_eq!(loaded.name, site.name);
         assert_eq!(loaded.generation, site.generation);
-        assert_eq!(loaded.auto_refreshes, site.auto_refreshes);
+        assert_eq!(loaded.health.auto_refreshes, site.health.auto_refreshes);
         // The hot state a v1 file never recorded comes back cold.
         assert_eq!(loaded.journal_watermark, 0);
         assert_eq!(loaded.survey_epoch, 0);

@@ -21,7 +21,6 @@ use crate::{Result, ServeError};
 use std::io::{BufRead, Write};
 use taf_wire::frame::{self, Sniff};
 
-mod schema;
 pub mod v1;
 pub mod v2;
 

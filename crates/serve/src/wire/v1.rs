@@ -5,8 +5,8 @@
 //! Tagged unions put the `cmd`/`reply` tag first, fields follow in
 //! declaration order, every field is emitted (`None` as `null`), numbers
 //! follow [`taf_wire::JsonWriter`]'s rules, and decoding fills in absent
-//! fields from the fallbacks the schema declares. The layout itself is the
-//! message schema in `wire/schema.rs`.
+//! fields from the fallbacks the schema declares. The layout itself is
+//! declared with the message types in [`crate::protocol`].
 
 use crate::protocol::{Request, Response};
 use crate::Result;

@@ -1,7 +1,7 @@
 //! v2 message codec: a one-byte message tag followed by the fields in
 //! declaration order, in the binary form the snapshot store shares. The
-//! layout itself, tags included, is the message schema in
-//! `wire/schema.rs`. The payload produced here travels inside a
+//! layout itself, tags included, is declared with the message types in
+//! [`crate::protocol`]. The payload produced here travels inside a
 //! checksummed [`taf_wire::frame`]; this module never sees framing.
 
 use crate::protocol::{Request, Response};

@@ -13,7 +13,6 @@ use taf_rfsim::{campaign, stream, StreamConfig, World, WorldConfig};
 use tafloc_core::db::FingerprintDb;
 use tafloc_core::monitor::MonitorConfig;
 use tafloc_core::system::{TafLoc, TafLocConfig};
-use tafloc_ingest::LinkSample;
 use tafloc_serve::client::Client;
 use tafloc_serve::maintenance::MaintenancePolicy;
 use tafloc_serve::protocol::{Request, Response};
@@ -249,10 +248,6 @@ fn protocol_errors_leave_the_connection_usable_and_are_counted() {
     handle.join();
 }
 
-fn to_link_samples(raw: &[taf_rfsim::RawSample]) -> Vec<LinkSample> {
-    raw.iter().map(|r| LinkSample::new(r.link, r.t_s, r.rss_dbm)).collect()
-}
-
 #[test]
 fn streaming_ingest_feeds_locate_stream_and_locate_batch() {
     let (world, sys) = calibrated_site(15);
@@ -273,8 +268,7 @@ fn streaming_ingest_feeds_locate_stream_and_locate_batch() {
     // batches like a radio gateway would deliver them.
     let target_cell = 7;
     let cfg = StreamConfig { duration_s: 30.0, ..Default::default() };
-    let raw = stream::stream_at_cell(&world, 0.0, target_cell, &cfg, 21);
-    let samples = to_link_samples(&raw);
+    let samples = stream::stream_at_cell(&world, 0.0, target_cell, &cfg, 21);
     let mut accepted = 0;
     for chunk in samples.chunks(64) {
         let report = client.ingest("lab", chunk.to_vec()).unwrap();
@@ -361,7 +355,7 @@ fn streamed_reference_survey_promotes_to_pending_refs_and_auto_refreshes() {
     let ref_cells: Vec<usize> = sys.reference_cells().to_vec();
     for (k, &cell) in ref_cells.iter().enumerate() {
         let raw = stream::stream_at_cell(&world, 60.0, cell, &cfg, 100 + k as u64);
-        let report = client.ingest_for("lab", Some(k), 60.0, to_link_samples(&raw)).unwrap();
+        let report = client.ingest_for("lab", Some(k), 60.0, raw).unwrap();
         assert!(report.accepted > 0, "ref capture {k} must accept samples");
     }
 

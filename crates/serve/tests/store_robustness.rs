@@ -27,7 +27,7 @@ use tafloc_core::system::{SystemSnapshot, TafLocConfig};
 use tafloc_core::LrrModel;
 use tafloc_ingest::IngestConfig;
 use tafloc_serve::maintenance::MaintenancePolicy;
-use tafloc_serve::store::{PersistedSite, SiteStore, KEEP_GENERATIONS};
+use tafloc_serve::store::{PersistedSite, SiteHealth, SiteStore, KEEP_GENERATIONS};
 
 /// A fresh scratch directory per generated case (cases run back to back in
 /// one process; the directory must not leak state between them).
@@ -77,15 +77,17 @@ fn site(name: &str, generation: u64) -> PersistedSite {
         monitor_cells: vec![0],
         monitor_last_update_day: 44.0,
         monitor_config: MonitorConfig { error_threshold_db: 2.5, min_interval_days: 1.0 },
-        breach_streak: 1,
-        maintenance_checks: 17,
-        auto_refreshes: 4,
-        refresh_rejections: 2,
-        consecutive_failures: 0,
-        last_reject_reason: None,
-        quarantined: false,
-        quarantine_cooldown: 0,
-        tick_panics: 0,
+        health: SiteHealth {
+            breach_streak: 1,
+            maintenance_checks: 17,
+            auto_refreshes: 4,
+            refresh_rejections: 2,
+            consecutive_failures: 0,
+            last_reject_reason: None,
+            quarantined: false,
+            quarantine_cooldown: 0,
+            tick_panics: 0,
+        },
         policy: MaintenancePolicy::default(),
         ingest: IngestConfig::default(),
         journal_watermark: generation * 10,

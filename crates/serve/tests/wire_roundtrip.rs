@@ -34,7 +34,7 @@ use tafloc_serve::protocol::{
     EndpointStats, Fix, Request, Response, ShardStats, SiteInfo, SiteStats, StatsReport,
 };
 use tafloc_serve::server::{Server, ServerConfig};
-use tafloc_serve::store::{PersistedSite, SiteStore};
+use tafloc_serve::store::{PersistedSite, SiteHealth, SiteStore};
 use tafloc_serve::wire::{self, read_response, write_request, WireVersion};
 
 /// A hand-built 4-link x 6-cell snapshot with non-default enum variants.
@@ -462,15 +462,17 @@ fn corpus_site() -> PersistedSite {
         monitor_cells: vec![0],
         monitor_last_update_day: 44.0,
         monitor_config: MonitorConfig { error_threshold_db: 2.5, min_interval_days: 1.0 },
-        breach_streak: 1,
-        maintenance_checks: 17,
-        auto_refreshes: 4,
-        refresh_rejections: 2,
-        consecutive_failures: 1,
-        last_reject_reason: Some("reconstruction contains non-finite entries".into()),
-        quarantined: false,
-        quarantine_cooldown: 3,
-        tick_panics: 1,
+        health: SiteHealth {
+            breach_streak: 1,
+            maintenance_checks: 17,
+            auto_refreshes: 4,
+            refresh_rejections: 2,
+            consecutive_failures: 1,
+            last_reject_reason: Some("reconstruction contains non-finite entries".into()),
+            quarantined: false,
+            quarantine_cooldown: 3,
+            tick_panics: 1,
+        },
         policy: MaintenancePolicy {
             interval_ms: 125,
             breach_streak: 3,

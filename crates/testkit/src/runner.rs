@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use taf_plan::PlannerConfig;
-use taf_rfsim::{campaign, stream, RawSample, World};
+use taf_rfsim::{campaign, stream, World};
 use tafloc_core::db::FingerprintDb;
 use tafloc_core::eval::{localization_error, reconstruction_rmse, ErrorSummary};
 use tafloc_core::loli_ir::LoliIrConfig;
@@ -135,7 +135,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
             SEED_SURVEY + k as u64,
         );
         let faulted = scenario.survey_faults.applied(&raw);
-        for batch in link_samples(&faulted).chunks(scenario.batch_size) {
+        for batch in faulted.chunks(scenario.batch_size) {
             site.ingest_samples(Some(k), scenario.drift_day, batch).map_err(|e| e.to_string())?;
         }
     }
@@ -184,7 +184,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, String> {
                     SEED_SURVEY_EPOCH2 + entry.ref_slot as u64,
                 );
                 let faulted = scenario.survey_faults.applied(&raw);
-                for batch in link_samples(&faulted).chunks(scenario.batch_size) {
+                for batch in faulted.chunks(scenario.batch_size) {
                     site.ingest_samples(Some(entry.ref_slot), plan.second_drift_day, batch)
                         .map_err(|e| e.to_string())?;
                 }
@@ -283,7 +283,7 @@ impl Drop for ScratchDir {
 /// ingest call returns, so the scripted runs are deterministic regardless of
 /// when the "kill" lands.
 fn journal_config() -> JournalConfig {
-    JournalConfig { flush_interval: std::time::Duration::ZERO, ..JournalConfig::default() }
+    JournalConfig { flush_interval: std::time::Duration::ZERO }
 }
 
 /// The testkit's stand-in for `kill -9` + restart of the daemon: drop the
@@ -413,23 +413,19 @@ fn eval_phase(
 fn feed_with_overload(
     scenario: &Scenario,
     site: &Site,
-    samples: &[RawSample],
+    samples: &[LinkSample],
 ) -> Result<(), String> {
-    let batches: Vec<&[RawSample]> = samples.chunks(scenario.batch_size).collect();
+    let batches: Vec<&[LinkSample]> = samples.chunks(scenario.batch_size).collect();
     let admitted = if scenario.max_batches_per_stream == 0 {
         batches.len()
     } else {
         scenario.max_batches_per_stream.min(batches.len())
     };
     for batch in &batches[..admitted] {
-        site.ingest_samples(None, 0.0, &link_samples(batch)).map_err(|e| e.to_string())?;
+        site.ingest_samples(None, 0.0, batch).map_err(|e| e.to_string())?;
     }
     for batch in &batches[admitted..] {
         site.ingestor().record_queue_drop(batch.len());
     }
     Ok(())
-}
-
-fn link_samples(raw: &[RawSample]) -> Vec<LinkSample> {
-    raw.iter().map(|r| LinkSample::new(r.link, r.t_s, r.rss_dbm)).collect()
 }

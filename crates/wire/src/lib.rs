@@ -24,10 +24,11 @@
 //! Every type that crosses the wire, the disk or a CLI file implements one
 //! trait, [`Codec`], with four directions: v1 JSON write and read, binary
 //! encode and decode. The [`schema!`] macro ([`mod@schema`]) generates it
-//! from one list of a type's fields; [`types`] declares the domain types
-//! (snapshots, fingerprint databases, world and system configs, ingest
-//! reports, planner and solver state), and `tafloc-serve` and the CLI
-//! declare their messages and files the same way.
+//! from one list of a type's fields. `tafloc-serve` and the CLI declare
+//! their messages, files and records through it, type and impl at once;
+//! [`types`] lists the fields of the domain types (snapshots, fingerprint
+//! databases, world and system configs, ingest reports, planner and solver
+//! state), which live in crates that do not depend on this one.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -6,6 +6,13 @@
 //! [`schema!`](crate::schema!) generates all four from a list of a type's
 //! fields, so a field is named once, not once per direction.
 //!
+//! It has two forms. The *declaring* form takes a whole `pub struct` or
+//! `pub enum` — its attributes, doc comments and field types, with the
+//! schema's annotations added — and emits the type as well as its impl, so
+//! a type that depends on this crate is written once. The *impl-only* form
+//! lists the fields of a type declared elsewhere; it serves the domain types
+//! of crates that do not depend on this one (see [`mod@crate::types`]).
+//!
 //! * **Structs** list their fields in order. A field that may be absent
 //!   from v1 input gives its fallback after `=`; `struct T: default { .. }`
 //!   falls back to `T::default()` for every field. Each fallback is written
@@ -500,7 +507,20 @@ impl Codec for Matrix {
 /// Declares a type's fields once and generates its [`Codec`] impl; see the
 /// [module docs](mod@crate::schema) for the forms.
 ///
+/// The declaring form is a `pub struct` or `pub enum`, attributes and doc
+/// comments included, with the annotations of the impl-only form added; it
+/// emits the type, then the impl. The impl-only form lists the fields of a
+/// type declared elsewhere.
+///
 /// ```text
+/// schema! {
+///     /// A request.
+///     #[derive(Debug, Clone)]
+///     pub enum Request: tag "cmd" {
+///         Ping = 13 "ping",
+///         Locate = 4 "locate" { site: String, y: Vec<f64>, day: f64 = 0.0 },
+///     }
+/// }
 /// schema! { struct LinkSample { link: usize, t_s: f64, rss_dbm: f64 } }
 /// schema! { struct IngestConfig: default { window_capacity: usize, .. } }
 /// schema! {
@@ -517,6 +537,21 @@ impl Codec for Matrix {
 /// function returning [`Result`].
 #[macro_export]
 macro_rules! schema {
+    ($(#[$meta:meta])* pub struct $name:ident $(: $mode:ident)? {
+        $($(#[$fmeta:meta])* $fvis:vis $f:ident: $t:ty $(= $d:expr)?),* $(,)?
+    }) => {
+        $(#[$meta])* pub struct $name { $($(#[$fmeta])* $fvis $f: $t,)* }
+        $crate::schema! { struct $name $(: $mode)? { $($f: $t $(= $d)?),* } }
+    };
+    ($(#[$meta:meta])* pub enum $name:ident: $mode:ident $($key:literal)? {
+        $($(#[$vmeta:meta])* $v:ident = $tag:literal $($vname:literal)?
+            $({ $($(#[$fmeta:meta])* $f:ident: $t:ty $(= $d:expr)?),* $(,)? })?),* $(,)?
+    }) => {
+        $(#[$meta])* pub enum $name { $($(#[$vmeta])* $v $({ $($(#[$fmeta])* $f: $t,)* })?,)* }
+        $crate::schema! {
+            enum $name: $mode $($key)? { $($v = $tag $($vname)? $({ $($f: $t $(= $d)?),* })?),* }
+        }
+    };
     (struct $name:ident: default { $($f:ident: $t:ty),* $(,)? }) => {
         $crate::schema! { struct $name { $($f: $t = <$name as Default>::default().$f),* } }
     };
@@ -733,6 +768,59 @@ mod tests {
     }
 
     crate::schema! { struct Blob: binary { id: u64 } }
+
+    crate::schema! {
+        /// A struct written through the declaring form.
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct Reading {
+            /// Sensor id.
+            pub id: u32,
+            /// Gain; 2 when absent from v1 input.
+            pub gain: f64 = 2.0,
+        }
+    }
+
+    crate::schema! {
+        /// A tagged enum written through the declaring form.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Op: tag "op" {
+            /// A variant without fields.
+            Halt = 0 "halt",
+            /// A variant with a fallback field.
+            Scale = 1 "scale" {
+                /// What to scale.
+                reading: Reading,
+                /// Factor; 1 when absent from v1 input.
+                by: f64 = 1.0,
+            },
+        }
+    }
+
+    #[test]
+    fn declared_types_round_trip_and_read_their_fallbacks() {
+        let reading = Reading { id: 3, gain: 0.5 };
+        assert_eq!(to_json(&reading), r#"{"id":3,"gain":0.5}"#);
+        assert_eq!(from_json::<Reading>(&to_json(&reading)).unwrap(), reading);
+        let mut e = Enc::new();
+        reading.encode(&mut e);
+        assert_eq!(from_bytes::<Reading>(&e.buf).unwrap(), reading);
+        assert_eq!(from_json::<Reading>(r#"{"id":4}"#).unwrap(), Reading { id: 4, gain: 2.0 });
+
+        let scale = Op::Scale { reading: reading.clone(), by: -2.0 };
+        assert_eq!(to_json(&scale), r#"{"op":"scale","reading":{"id":3,"gain":0.5},"by":-2}"#);
+        assert_eq!(to_json(&Op::Halt), r#"{"op":"halt"}"#);
+        for op in [Op::Halt, scale] {
+            assert_eq!(from_json::<Op>(&to_json(&op)).unwrap(), op);
+            let mut e = Enc::new();
+            op.encode(&mut e);
+            assert_eq!(from_bytes::<Op>(&e.buf).unwrap(), op);
+        }
+        assert_eq!(
+            from_json::<Op>(r#"{"op":"scale","reading":{"id":1}}"#).unwrap(),
+            Op::Scale { reading: Reading { id: 1, gain: 2.0 }, by: 1.0 }
+        );
+        assert_eq!(from_bytes::<Op>(&[0]).unwrap(), Op::Halt);
+    }
 
     #[test]
     fn struct_fields_keep_declaration_order_in_both_forms() {

@@ -1,8 +1,10 @@
 //! The schema of every TafLoc domain type that crosses the wire, the disk or
 //! a CLI file.
 //!
-//! Types whose layout is just their field list are declared with
-//! [`schema!`](crate::schema!): v1 JSON writes the fields in declaration
+//! The types live in core, ingest, plan and rfsim, which do not depend on
+//! this crate, so their fields are listed here, apart from the types. Types
+//! whose layout is just their field list use [`schema!`](crate::schema!)'s
+//! impl-only form: v1 JSON writes the fields in declaration
 //! order, enums are externally tagged unless a tag key is named, and fields
 //! with a fallback may be absent. The binary form is the layout the v2 wire
 //! and the `taflocd` snapshot store share.
@@ -26,7 +28,7 @@ use taf_rfsim::noise::NoiseConfig;
 use taf_rfsim::pathloss::LogDistance;
 use taf_rfsim::shadowing::ShadowingConfig;
 use taf_rfsim::target::TargetModel;
-use taf_rfsim::{EnvironmentEvent, RawSample, WorldConfig};
+use taf_rfsim::{EnvironmentEvent, WorldConfig};
 use tafloc_core::db::FingerprintDb;
 use tafloc_core::loli_ir::{LoliIrConfig, WarmState};
 use tafloc_core::matcher::MatchMethod;
@@ -205,9 +207,6 @@ crate::schema! {
         entry_delta_db: f64,
     }
 }
-
-// The CLI's raw stream file.
-crate::schema! { struct RawSample { link: usize, t_s: f64, rss_dbm: f64 } }
 
 // Planner state travels in binary inside the snapshot store's payload; the
 // CLI's plan file is a `MeasurementPlan` in v1 JSON. A policy's v1 name is
