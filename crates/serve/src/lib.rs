@@ -17,10 +17,10 @@
 //!   trackers and detectors) and the streaming [`tafloc_ingest::Ingestor`]
 //!   accepting raw link samples behind the `ingest` / `locate-stream`
 //!   endpoints;
-//! * [`registry`] — the name → site map and maintenance-thread ownership;
-//! * [`shard`] — consistent-hash worker shards over registries, plus
-//!   credit-based ingest admission control (per-site quotas, deadline
-//!   blocking, explicit overload frames);
+//! * [`shard`] — the worker shards that hold the sites: consistent-hash
+//!   placement, one maintenance scheduler per shard, and credit-based ingest
+//!   admission control (per-site quotas, deadline blocking, explicit
+//!   overload frames);
 //! * [`maintenance`] — the background drift/refresh loop and its policy;
 //! * [`metrics`] — wait-free per-endpoint counters and latency histograms;
 //! * [`store`] — crash-safe checksummed per-site snapshot persistence
@@ -52,7 +52,6 @@ pub mod journal;
 pub mod maintenance;
 pub mod metrics;
 pub mod protocol;
-pub mod registry;
 pub mod server;
 pub mod shard;
 pub mod site;

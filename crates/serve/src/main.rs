@@ -24,9 +24,13 @@ USAGE: taflocd [--addr HOST:PORT] [--workers N] [--shards N] [--data-dir DIR]
                [--day D] [--site NAME --system PATH]...
 
   --addr       listen address (default 127.0.0.1:7777; port 0 = ephemeral)
-  --workers    worker threads (default 4)
-  --shards     consistent-hash worker shards owning the sites (default 1);
-               same flags re-shard identically across restarts
+  --workers    worker threads (default 4); each open connection holds one
+               until it closes or sits idle for 60 s, so idle clients can
+               delay new connections and shutdown by up to 60 s
+  --shards     worker shards holding the sites, each with its own
+               maintenance thread and admission gate (default 1); a site's
+               shard is a hash of its name, so the same flags re-shard
+               identically across restarts
   --max-inflight-per-site
                in-flight ingest sample quota per site; past it the daemon
                answers `overloaded` frames instead of silently queueing
@@ -57,7 +61,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let defaults = ServerConfig::default();
     let mut addr = "127.0.0.1:7777".to_string();
-    let mut workers = 4usize;
+    let mut workers = defaults.workers;
     let mut shards = defaults.shards;
     let mut max_inflight_per_site = defaults.max_inflight_per_site;
     let mut data_dir: Option<String> = None;

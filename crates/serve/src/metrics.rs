@@ -1,12 +1,13 @@
 //! Observability: per-endpoint atomic counters and latency histograms.
 //!
-//! Everything here is wait-free on the hot path: recording a request is a
-//! handful of relaxed atomic adds (count, error flag, histogram bucket,
-//! running sum, `fetch_max`). Reading statistics takes a consistent-enough
-//! snapshot by loading each atomic once — the small skew between counters
-//! under concurrent traffic does not matter for monitoring.
+//! Everything here is wait-free on the hot path: recording a request finds
+//! its row by the request's tag, then does a handful of relaxed atomic adds
+//! (count, error flag, histogram bucket, running sum, `fetch_max`). Reading
+//! statistics takes a consistent-enough snapshot by loading each atomic
+//! once — the small skew between counters under concurrent traffic does not
+//! matter for monitoring.
 
-use crate::protocol::EndpointStats;
+use crate::protocol::{EndpointStats, Request, ShardStats, SiteStats, StatsReport};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -40,70 +41,6 @@ fn bucket_upper_us(i: usize) -> u64 {
     }
     let (shift, sub) = ((i - SUB) / SUB, (i - SUB) % SUB);
     (((SUB + sub + 1) as u64) << shift) - 1
-}
-
-/// The daemon's request endpoints (metrics keys).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum Endpoint {
-    AddSite,
-    RemoveSite,
-    ListSites,
-    Locate,
-    LocateStream,
-    LocateBatch,
-    Ingest,
-    Track,
-    Detect,
-    MeasureRefs,
-    Refresh,
-    Stats,
-    Ping,
-    Shutdown,
-}
-
-/// All endpoints, in display order.
-pub const ALL_ENDPOINTS: [Endpoint; 14] = [
-    Endpoint::AddSite,
-    Endpoint::RemoveSite,
-    Endpoint::ListSites,
-    Endpoint::Locate,
-    Endpoint::LocateStream,
-    Endpoint::LocateBatch,
-    Endpoint::Ingest,
-    Endpoint::Track,
-    Endpoint::Detect,
-    Endpoint::MeasureRefs,
-    Endpoint::Refresh,
-    Endpoint::Stats,
-    Endpoint::Ping,
-    Endpoint::Shutdown,
-];
-
-impl Endpoint {
-    /// Wire name of the endpoint.
-    pub fn name(self) -> &'static str {
-        match self {
-            Endpoint::AddSite => "add-site",
-            Endpoint::RemoveSite => "remove-site",
-            Endpoint::ListSites => "list-sites",
-            Endpoint::Locate => "locate",
-            Endpoint::LocateStream => "locate-stream",
-            Endpoint::LocateBatch => "locate-batch",
-            Endpoint::Ingest => "ingest",
-            Endpoint::Track => "track",
-            Endpoint::Detect => "detect",
-            Endpoint::MeasureRefs => "measure-refs",
-            Endpoint::Refresh => "refresh",
-            Endpoint::Stats => "stats",
-            Endpoint::Ping => "ping",
-            Endpoint::Shutdown => "shutdown",
-        }
-    }
-
-    fn index(self) -> usize {
-        self as usize
-    }
 }
 
 /// A lock-free latency histogram: log₂ buckets, each split into `SUB`
@@ -179,11 +116,12 @@ pub struct EndpointMetrics {
     latency: LatencyHistogram,
 }
 
-/// The server-wide metrics table, indexed by [`Endpoint`], plus
-/// connection-lifecycle counters that have no endpoint to charge.
+/// The server-wide metrics table: one row per request kind, in the order of
+/// [`Request::VARIANTS`], plus connection-lifecycle counters that have no
+/// endpoint to charge.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    endpoints: [EndpointMetrics; ALL_ENDPOINTS.len()],
+    endpoints: [EndpointMetrics; Request::VARIANTS.len()],
     /// Connections closed because the read timeout elapsed (idle peer).
     conn_timeouts: AtomicU64,
     /// Connections closed by a transport error (reset, broken pipe, ...).
@@ -208,24 +146,18 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Records one served request.
-    pub fn record(&self, endpoint: Endpoint, latency: Duration, ok: bool) {
-        let m = &self.endpoints[endpoint.index()];
+    /// Records one served request of the kind with binary tag `tag`
+    /// ([`Request::tag`]); a tag that no request kind has is not recorded.
+    pub fn record(&self, tag: u8, latency: Duration, ok: bool) {
+        let Some(row) = Request::VARIANTS.iter().position(|&(t, _)| t == tag) else {
+            return;
+        };
+        let m = &self.endpoints[row];
         m.requests.fetch_add(1, Ordering::Relaxed);
         if !ok {
             m.errors.fetch_add(1, Ordering::Relaxed);
         }
         m.latency.record(latency);
-    }
-
-    /// Requests served on one endpoint so far.
-    pub fn requests(&self, endpoint: Endpoint) -> u64 {
-        self.endpoints[endpoint.index()].requests.load(Ordering::Relaxed)
-    }
-
-    /// Error responses on one endpoint so far.
-    pub fn errors(&self, endpoint: Endpoint) -> u64 {
-        self.endpoints[endpoint.index()].errors.load(Ordering::Relaxed)
     }
 
     /// Records a connection closed by a read timeout.
@@ -241,21 +173,6 @@ impl Metrics {
     /// Records a connection handler that panicked.
     pub fn record_conn_panic(&self) {
         self.conn_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Connections closed by a read timeout so far.
-    pub fn conn_timeouts(&self) -> u64 {
-        self.conn_timeouts.load(Ordering::Relaxed)
-    }
-
-    /// Connections closed by a transport error so far.
-    pub fn conn_resets(&self) -> u64 {
-        self.conn_resets.load(Ordering::Relaxed)
-    }
-
-    /// Connection handlers that panicked so far.
-    pub fn conn_panics(&self) -> u64 {
-        self.conn_panics.load(Ordering::Relaxed)
     }
 
     /// Records one wire-level decode/framing failure by kind. Truncation and
@@ -274,52 +191,46 @@ impl Metrics {
         .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Oversized-frame rejections so far (both protocol versions).
-    pub fn wire_frame_too_large(&self) -> u64 {
-        self.wire_frame_too_large.load(Ordering::Relaxed)
-    }
-
-    /// Unknown-version-byte rejections so far.
-    pub fn wire_bad_magic(&self) -> u64 {
-        self.wire_bad_magic.load(Ordering::Relaxed)
-    }
-
-    /// Checksum-mismatch rejections so far.
-    pub fn wire_checksum_mismatch(&self) -> u64 {
-        self.wire_checksum_mismatch.load(Ordering::Relaxed)
-    }
-
-    /// Invalid-UTF-8 rejections so far.
-    pub fn wire_bad_utf8(&self) -> u64 {
-        self.wire_bad_utf8.load(Ordering::Relaxed)
-    }
-
-    /// Well-framed but undecodable messages so far.
-    pub fn wire_malformed(&self) -> u64 {
-        self.wire_malformed.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of every endpoint that has seen traffic.
-    pub fn report(&self) -> Vec<EndpointStats> {
-        ALL_ENDPOINTS
+    /// The `stats` report: every counter here, and every endpoint that has
+    /// seen traffic in [`Request::VARIANTS`] order, next to the caller's
+    /// uptime, site rows and shard rows.
+    pub fn report(
+        &self,
+        uptime_s: f64,
+        sites: Vec<SiteStats>,
+        shards: Vec<ShardStats>,
+    ) -> StatsReport {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let endpoints = Request::VARIANTS
             .iter()
-            .filter_map(|&e| {
-                let m = &self.endpoints[e.index()];
-                let requests = m.requests.load(Ordering::Relaxed);
-                if requests == 0 {
-                    return None;
-                }
-                Some(EndpointStats {
-                    endpoint: e.name().to_string(),
+            .zip(&self.endpoints)
+            .filter_map(|(&(_, name), m)| {
+                let requests = load(&m.requests);
+                (requests > 0).then(|| EndpointStats {
+                    endpoint: name.to_string(),
                     requests,
-                    errors: m.errors.load(Ordering::Relaxed),
+                    errors: load(&m.errors),
                     p50_us: m.latency.quantile_us(0.50),
                     p95_us: m.latency.quantile_us(0.95),
                     p99_us: m.latency.quantile_us(0.99),
                     max_us: m.latency.max_us(),
                 })
             })
-            .collect()
+            .collect();
+        StatsReport {
+            uptime_s,
+            conn_timeouts: load(&self.conn_timeouts),
+            conn_resets: load(&self.conn_resets),
+            conn_panics: load(&self.conn_panics),
+            wire_frame_too_large: load(&self.wire_frame_too_large),
+            wire_bad_magic: load(&self.wire_bad_magic),
+            wire_checksum_mismatch: load(&self.wire_checksum_mismatch),
+            wire_bad_utf8: load(&self.wire_bad_utf8),
+            wire_malformed: load(&self.wire_malformed),
+            endpoints,
+            sites,
+            shards,
+        }
     }
 }
 
@@ -414,9 +325,13 @@ mod tests {
 
     #[test]
     fn endpoint_indices_follow_display_order() {
-        for (i, e) in ALL_ENDPOINTS.iter().enumerate() {
-            assert_eq!(e.index(), i, "{e:?}");
-            assert!(ALL_ENDPOINTS[..i].iter().all(|o| o.name() != e.name()), "{e:?}");
+        for (i, &(tag, name)) in Request::VARIANTS.iter().enumerate() {
+            assert!(Request::VARIANTS[..i].iter().all(|&(t, n)| t != tag && n != name), "{name}");
+            let m = Metrics::new();
+            m.record(tag, Duration::from_micros(1), true);
+            let report = m.report(0.0, Vec::new(), Vec::new());
+            let names: Vec<&str> = report.endpoints.iter().map(|r| r.endpoint.as_str()).collect();
+            assert_eq!(names, [name], "tag {tag} is recorded in its own row");
         }
     }
 
@@ -434,16 +349,45 @@ mod tests {
         assert_eq!(h.quantile_us(0.5), 1);
     }
 
+    /// The names of the endpoints `m` reports.
+    fn names(m: &Metrics) -> Vec<String> {
+        m.report(0.0, Vec::new(), Vec::new()).endpoints.into_iter().map(|r| r.endpoint).collect()
+    }
+
     #[test]
     fn report_follows_display_order_not_arrival_order() {
         let m = Metrics::new();
-        m.record(Endpoint::Stats, Duration::from_micros(5), false);
-        m.record(Endpoint::AddSite, Duration::from_micros(900), true);
-        let report = m.report();
-        let names: Vec<&str> = report.iter().map(|r| r.endpoint.as_str()).collect();
-        assert_eq!(names, ["add-site", "stats"]);
+        m.record(Request::Stats.tag(), Duration::from_micros(5), false);
+        m.record(1, Duration::from_micros(900), true);
+        let report = m.report(0.0, Vec::new(), Vec::new()).endpoints;
+        assert_eq!(names(&m), ["add-site", "stats"]);
         assert_eq!((report[0].errors, report[1].errors), (0, 1));
         assert_eq!(report[0].max_us, 900);
+
+        // Every request kind, recorded last to first, reports under its v1
+        // name in declaration order.
+        for &(tag, _) in Request::VARIANTS.iter().rev() {
+            m.record(tag, Duration::from_micros(3), true);
+        }
+        assert_eq!(
+            names(&m),
+            [
+                "add-site",
+                "remove-site",
+                "list-sites",
+                "locate",
+                "locate-stream",
+                "locate-batch",
+                "ingest",
+                "track",
+                "detect",
+                "measure-refs",
+                "refresh",
+                "stats",
+                "ping",
+                "shutdown",
+            ]
+        );
     }
 
     #[test]
@@ -453,10 +397,9 @@ mod tests {
         m.record_conn_timeout();
         m.record_conn_reset();
         m.record_conn_panic();
-        assert_eq!(m.conn_timeouts(), 2);
-        assert_eq!(m.conn_resets(), 1);
-        assert_eq!(m.conn_panics(), 1);
-        assert_eq!(m.requests(Endpoint::Ping), 0, "no endpoint is charged");
+        let report = m.report(0.0, Vec::new(), Vec::new());
+        assert_eq!((report.conn_timeouts, report.conn_resets, report.conn_panics), (2, 1, 1));
+        assert!(report.endpoints.is_empty(), "no endpoint is charged");
     }
 
     #[test]
@@ -471,25 +414,27 @@ mod tests {
         m.record_wire_error(&E::malformed("still nope"));
         // Truncation is a connection-lifecycle event, not a codec counter.
         m.record_wire_error(&E::Truncated);
-        assert_eq!(m.wire_frame_too_large(), 1);
-        assert_eq!(m.wire_bad_magic(), 1);
-        assert_eq!(m.wire_checksum_mismatch(), 1);
-        assert_eq!(m.wire_bad_utf8(), 1);
-        assert_eq!(m.wire_malformed(), 2);
+        let r = m.report(0.0, Vec::new(), Vec::new());
+        assert_eq!(r.wire_frame_too_large, 1);
+        assert_eq!(r.wire_bad_magic, 1);
+        assert_eq!(r.wire_checksum_mismatch, 1);
+        assert_eq!(r.wire_bad_utf8, 1);
+        assert_eq!(r.wire_malformed, 2);
+        assert_eq!((r.conn_timeouts, r.conn_resets), (0, 0));
     }
 
     #[test]
     fn metrics_count_requests_and_errors() {
         let m = Metrics::new();
-        m.record(Endpoint::Locate, Duration::from_micros(50), true);
-        m.record(Endpoint::Locate, Duration::from_micros(70), false);
-        m.record(Endpoint::Ping, Duration::from_micros(1), true);
-        assert_eq!(m.requests(Endpoint::Locate), 2);
-        assert_eq!(m.errors(Endpoint::Locate), 1);
-        assert_eq!(m.requests(Endpoint::Refresh), 0);
-        let report = m.report();
+        let locate = Request::Locate { site: "lab".into(), y: Vec::new() }.tag();
+        m.record(locate, Duration::from_micros(50), true);
+        m.record(locate, Duration::from_micros(70), false);
+        m.record(Request::Ping.tag(), Duration::from_micros(1), true);
+        let report = m.report(0.0, Vec::new(), Vec::new()).endpoints;
         assert_eq!(report.len(), 2); // silent endpoints are omitted
-        assert!(report.iter().any(|r| r.endpoint == "locate" && r.requests == 2));
+        assert_eq!((report[0].endpoint.as_str(), report[0].requests), ("locate", 2));
+        assert_eq!(report[0].errors, 1);
+        assert_eq!((report[1].endpoint.as_str(), report[1].requests), ("ping", 1));
     }
 
     #[test]
@@ -500,7 +445,7 @@ mod tests {
                 let m = m.clone();
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        m.record(Endpoint::Locate, Duration::from_micros(12), true);
+                        m.record(4, Duration::from_micros(12), true);
                     }
                 })
             })
@@ -508,6 +453,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(m.requests(Endpoint::Locate), 8000);
+        let report = m.report(0.0, Vec::new(), Vec::new()).endpoints;
+        assert_eq!((report[0].endpoint.as_str(), report[0].requests), ("locate", 8000));
     }
 }

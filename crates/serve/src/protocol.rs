@@ -141,29 +141,6 @@ schema! {
     }
 }
 
-impl Request {
-    /// Stable endpoint name, used as the metrics key.
-    pub fn endpoint(&self) -> crate::metrics::Endpoint {
-        use crate::metrics::Endpoint as E;
-        match self {
-            Request::AddSite { .. } => E::AddSite,
-            Request::RemoveSite { .. } => E::RemoveSite,
-            Request::ListSites => E::ListSites,
-            Request::Locate { .. } => E::Locate,
-            Request::LocateStream { .. } => E::LocateStream,
-            Request::LocateBatch { .. } => E::LocateBatch,
-            Request::Ingest { .. } => E::Ingest,
-            Request::Track { .. } => E::Track,
-            Request::Detect { .. } => E::Detect,
-            Request::MeasureRefs { .. } => E::MeasureRefs,
-            Request::Refresh { .. } => E::Refresh,
-            Request::Stats => E::Stats,
-            Request::Ping => E::Ping,
-            Request::Shutdown => E::Shutdown,
-        }
-    }
-}
-
 schema! {
     /// A server response, one JSON object per line, tagged by `reply`.
     #[derive(Debug, Clone)]
@@ -479,13 +456,22 @@ mod tests {
         assert!(matches!(parsed, Request::Locate { .. }));
     }
 
+    /// The v1 name `VARIANTS` gives `request`'s binary tag.
+    fn listed_name(request: &Request) -> &'static str {
+        let listed = Request::VARIANTS.iter().find(|&&(tag, _)| tag == request.tag());
+        listed.expect("every tag is listed").1
+    }
+
     #[test]
     fn metrics_keys_are_the_wire_command_names() {
         for req in [Request::ListSites, Request::Stats, Request::Ping, Request::Shutdown] {
             let mut line = Vec::new();
             v1::encode_request(&req, &mut line);
-            let want = format!(r#"{{"cmd":"{}"}}"#, req.endpoint().name());
+            let want = format!(r#"{{"cmd":"{}"}}"#, listed_name(&req));
             assert_eq!(String::from_utf8(line).unwrap(), want);
+            let mut e = taf_wire::Enc::new();
+            taf_wire::Codec::encode(&req, &mut e);
+            assert_eq!(e.buf[0], req.tag(), "{req:?}");
         }
     }
 
@@ -497,10 +483,10 @@ mod tests {
             let req = v1::decode_request(line).unwrap_or_else(|e| panic!("{line}: {e}"));
             let cmd = taf_wire::json::parse(line).unwrap();
             let cmd = cmd.get("cmd").and_then(|c| c.as_str()).unwrap().to_string();
-            assert_eq!(req.endpoint().name(), cmd, "{line}");
-            seen.insert(cmd);
+            assert_eq!(listed_name(&req), cmd, "{line}");
+            seen.insert(req.tag());
         }
         // The corpus holds every request variant, so this checks them all.
-        assert_eq!(seen.len(), 14, "{seen:?}");
+        assert_eq!(seen.len(), Request::VARIANTS.len(), "{seen:?}");
     }
 }

@@ -13,14 +13,16 @@
 //! with a loopback connection; the accept thread stops handing out new
 //! connections and drops the channel sender; workers finish the connections
 //! they hold (and any still queued) and exit; the maintenance scheduler is
-//! stopped and joined last.
+//! stopped and joined last. A worker notices the shutdown only between
+//! requests, so a client that stays connected but idle delays the drain by
+//! up to the read timeout.
 
 use crate::journal::JournalConfig;
 use crate::maintenance::MaintenancePolicy;
 use crate::metrics::Metrics;
-use crate::protocol::{Request, Response, StatsReport};
-use crate::shard::{AdmissionConfig, Admit, ShardConfig, ShardSet, DEFAULT_ADMIT_DEADLINE};
-use crate::shard::{DEFAULT_MAX_INFLIGHT_PER_SITE, DEFAULT_SHARD_SEED};
+use crate::protocol::{Request, Response};
+use crate::shard::{AdmissionConfig, Admit, ShardSet};
+use crate::shard::{DEFAULT_ADMIT_DEADLINE, DEFAULT_MAX_INFLIGHT_PER_SITE};
 use crate::site::{detection_detail, recommendation_name, Site};
 use crate::store::SiteStore;
 use crate::wire::{self, WireVersion};
@@ -35,14 +37,19 @@ use std::time::{Duration, Instant};
 use tafloc_core::system::TafLoc;
 use tafloc_ingest::ClockMode;
 
-/// Per-connection read timeout: an idle connection past it is closed, so
-/// idle keep-alive clients cannot pin workers.
+/// Per-connection read timeout: a connection idle this long is closed.
+/// Until then it holds its worker, busy or not (see
+/// [`ServerConfig::workers`]).
 const READ_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads serving connections.
+    /// Worker threads serving connections (`--workers`). Each open
+    /// connection holds one worker until it closes or sits idle for the 60 s
+    /// read timeout. So with as many idle clients as workers, a new
+    /// connection waits up to 60 s, and so does [`ServerHandle::join`] after
+    /// a shutdown while other clients stay connected.
     pub workers: usize,
     /// Maintenance policy applied to sites added without an explicit one.
     pub default_policy: MaintenancePolicy,
@@ -64,10 +71,9 @@ pub struct ServerConfig {
     /// survey-path record individually. Only meaningful with `data_dir`
     /// set — the journal lives next to the snapshot files.
     pub journal_flush: Duration,
-    /// Worker shards (`--shards`, clamped to at least 1). Site ownership is
-    /// a pure function of the site name and the shard count (the ring seed
-    /// is the fixed [`DEFAULT_SHARD_SEED`]), so the same flags re-shard
-    /// identically across restarts.
+    /// Worker shards (`--shards`, clamped to at least 1). A site's shard is
+    /// [`crate::shard::shard_of`] its name and the shard count, so the same
+    /// flags re-shard identically across restarts.
     pub shards: usize,
     /// Per-site in-flight ingest sample quota (`--max-inflight-per-site`).
     /// The per-shard budget is 4x this, and an admission blocks for credits
@@ -93,8 +99,8 @@ impl Default for ServerConfig {
 /// Shared server state, visible to every worker.
 #[derive(Debug)]
 pub struct ServerCtx {
-    /// The sharded site registry: N worker shards behind a consistent-hash
-    /// ring, each with its own maintenance scheduler and admission gate.
+    /// The sites, held by N worker shards, each with its own maintenance
+    /// scheduler and admission gate.
     pub registry: ShardSet,
     /// Per-endpoint counters and latency histograms.
     pub metrics: Metrics,
@@ -125,29 +131,6 @@ impl ServerCtx {
             // Nudge the (blocking) accept call so it observes the flag.
             let _ = TcpStream::connect(self.local_addr);
         }
-    }
-
-    /// Builds the `stats` report.
-    pub fn stats_report(&self) -> StatsReport {
-        StatsReport {
-            uptime_s: self.started.elapsed().as_secs_f64(),
-            conn_timeouts: self.metrics.conn_timeouts(),
-            conn_resets: self.metrics.conn_resets(),
-            conn_panics: self.metrics.conn_panics(),
-            wire_frame_too_large: self.metrics.wire_frame_too_large(),
-            wire_bad_magic: self.metrics.wire_bad_magic(),
-            wire_checksum_mismatch: self.metrics.wire_checksum_mismatch(),
-            wire_bad_utf8: self.metrics.wire_bad_utf8(),
-            wire_malformed: self.metrics.wire_malformed(),
-            endpoints: self.metrics.report(),
-            sites: self.registry.site_stats(),
-            shards: self.registry.shard_stats(),
-        }
-    }
-
-    /// The snapshot store backing `--data-dir`, if persistence is on.
-    pub fn store(&self) -> Option<&Arc<SiteStore>> {
-        self.store.as_ref()
     }
 
     /// Builds and registers a fresh site: the one bring-up path behind
@@ -217,15 +200,14 @@ impl Server {
             None => None,
         };
         let ctx = Arc::new(ServerCtx {
-            registry: ShardSet::new(ShardConfig {
-                shards: config.shards,
-                seed: DEFAULT_SHARD_SEED,
-                admission: AdmissionConfig {
+            registry: ShardSet::new(
+                config.shards,
+                AdmissionConfig {
                     max_inflight_per_site: config.max_inflight_per_site,
                     max_inflight_per_shard: config.max_inflight_per_site.saturating_mul(4),
                     admit_deadline: DEFAULT_ADMIT_DEADLINE,
                 },
-            }),
+            ),
             metrics: Metrics::new(),
             shutdown: AtomicBool::new(false),
             local_addr,
@@ -342,7 +324,8 @@ impl ServerHandle {
 
     /// Waits for the accept loop and workers to drain, then stops
     /// maintenance threads. Call after `shutdown`, or rely on a client's
-    /// `shutdown` request to initiate it.
+    /// `shutdown` request to initiate it. A client left connected and idle
+    /// holds its worker, and so this wait, for up to the 60 s read timeout.
     pub fn join(self) {
         for t in self.threads {
             let _ = t.join();
@@ -458,12 +441,12 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx) -> Result<()> {
             }
             Err(_) => return Ok(()), // protocol violation: close quietly
         };
-        let endpoint = request.endpoint();
+        let tag = request.tag();
         let shutdown_requested = matches!(request, Request::Shutdown);
         let start = Instant::now();
         let response = dispatch(request, ctx);
         let ok = !matches!(response, Response::Error { .. });
-        ctx.metrics.record(endpoint, start.elapsed(), ok);
+        ctx.metrics.record(tag, start.elapsed(), ok);
         wire::write_response(&mut writer, &response, version)?;
         if shutdown_requested {
             ctx.initiate_shutdown();
@@ -487,7 +470,13 @@ pub fn dispatch(request: Request, ctx: &ServerCtx) -> Response {
     match request {
         Request::Ping => Response::Pong,
         Request::Shutdown => Response::ShuttingDown,
-        Request::Stats => Response::Stats { report: ctx.stats_report() },
+        Request::Stats => Response::Stats {
+            report: ctx.metrics.report(
+                ctx.started.elapsed().as_secs_f64(),
+                ctx.registry.site_stats(),
+                ctx.registry.shard_stats(),
+            ),
+        },
         Request::ListSites => {
             Response::Sites { sites: ctx.registry.list().iter().map(|s| s.info()).collect() }
         }

@@ -1,19 +1,17 @@
-//! Worker shards: consistent-hash site ownership plus credit-based
-//! admission control.
+//! Worker shards: each owns its sites, the maintenance scheduler that ticks
+//! them and the admission gate that meters their ingest.
 //!
-//! A single [`crate::registry::Registry`] with one maintenance thread
-//! serializes background work for every site in the daemon, and the ingest
-//! path accepts unbounded concurrent work per site. This module splits the
-//! serving plane into N **shards**:
-//!
-//! * [`ShardRing`] — a seeded jump-consistent-hash ring (Lamping–Veach)
-//!   mapping site names to shard indices. Assignment is a pure function of
-//!   `(seed, name, shard_count)`, so a restarted daemon re-shards
-//!   *identically* by construction — no assignment table is persisted, and
-//!   none is needed. Growing the ring from N to N+1 shards moves only ~K/N
-//!   of K keys, and every moved key lands on the new shard.
-//! * [`ShardSet`] — N shards, each owning its sites' snapshots in a private
-//!   [`Registry`] with its own maintenance scheduler, plus a per-shard
+//! * [`shard_of`] — placement: a seeded FNV-1a hash of the site name, mapped
+//!   onto N shards by Lamping–Veach jump consistent hashing. The seed is
+//!   compiled in, so placement is a pure function of `(name, N)` and a
+//!   restarted daemon re-shards *identically* by construction — no
+//!   assignment table is persisted, and none is needed. Growing N to N+1
+//!   moves only ~K/N of K keys, and every moved key lands on the new shard.
+//! * [`ShardSet`] — the daemon's sites, split over N shards. Each shard holds
+//!   a name → site map behind an `RwLock` that is only held for lookups and
+//!   membership changes (request handling clones the `Arc<Site>` out and
+//!   drops the lock before doing any work), its own [`MaintenanceScheduler`]
+//!   thread for its automatically-ticked sites, and its own
 //!   [`AdmissionGate`].
 //! * [`AdmissionGate`] — credit-based backpressure for ingest: admission
 //!   reserves sample credits against a per-site quota and a per-shard
@@ -23,18 +21,18 @@
 //!   surfaced as explicit overload frames on the wire and conserved in the
 //!   counters: `admitted + deferred + rejected == offered`.
 
-use crate::registry::Registry;
+use crate::maintenance::MaintenanceScheduler;
+use crate::protocol::{ShardStats, SiteStats};
 use crate::site::Site;
-use crate::Result;
+use crate::{Result, ServeError};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-/// Default ring seed. Changing the seed re-shuffles site ownership, so a
-/// persistent deployment must keep it stable across restarts; the default is
-/// compiled in and used everywhere unless a config overrides it.
-pub const DEFAULT_SHARD_SEED: u64 = 0x7461_666c_6f63_5f38; // "tafloc_8"
+/// Placement seed. Changing it would move sites between shards, so it is
+/// compiled in and has no flag.
+const SEED: u64 = 0x7461_666c_6f63_5f38; // "tafloc_8"
 
 /// Default per-site in-flight ingest quota (samples). Generous: plain
 /// unsharded deployments should never notice the gate.
@@ -73,35 +71,11 @@ fn jump_hash(mut key: u64, buckets: usize) -> usize {
     b as usize
 }
 
-/// A deterministic, seeded consistent-hash ring over N shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRing {
-    shards: usize,
-    seed: u64,
-}
-
-impl ShardRing {
-    /// A ring over `shards` shards (clamped to at least 1) with the given
-    /// seed.
-    pub fn new(shards: usize, seed: u64) -> ShardRing {
-        ShardRing { shards: shards.max(1), seed }
-    }
-
-    /// Number of shards on the ring.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The ring seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The shard owning `key`. Pure: same seed + same shard count → same
-    /// answer, in this process or the next.
-    pub fn shard_of(&self, key: &str) -> usize {
-        jump_hash(seeded_fnv1a64(self.seed, key), self.shards)
-    }
+/// The shard owning site `name` among `shards` (clamped to at least 1).
+/// Pure: the same name and shard count give the same answer, in this
+/// process or the next.
+pub fn shard_of(name: &str, shards: usize) -> usize {
+    jump_hash(seeded_fnv1a64(SEED, name), shards.max(1))
 }
 
 /// Verdict from [`AdmissionGate::admit`] / [`ShardSet::admit`].
@@ -267,9 +241,9 @@ impl AdmissionGate {
     }
 
     /// Fills a wire-level stats record for this gate (`sites` is supplied by
-    /// the caller, which owns the registry).
-    pub fn stats(&self, sites: usize) -> crate::protocol::ShardStats {
-        crate::protocol::ShardStats {
+    /// the caller, which holds the shard's sites).
+    pub fn stats(&self, sites: usize) -> ShardStats {
+        ShardStats {
             shard: self.shard,
             sites,
             queue_depth_samples: self.depth_samples() as u64,
@@ -285,118 +259,117 @@ impl AdmissionGate {
     }
 }
 
-/// Construction parameters for a [`ShardSet`].
-#[derive(Debug, Clone, Copy)]
-pub struct ShardConfig {
-    /// Number of worker shards (clamped to at least 1).
-    pub shards: usize,
-    /// Ring seed; must be stable across restarts of a persistent deployment.
-    pub seed: u64,
-    /// Admission limits applied to every shard's gate.
-    pub admission: AdmissionConfig,
-}
-
-impl Default for ShardConfig {
-    fn default() -> Self {
-        ShardConfig { shards: 1, seed: DEFAULT_SHARD_SEED, admission: AdmissionConfig::default() }
-    }
-}
-
+/// One worker shard: its sites, the scheduler that ticks them and the gate
+/// that admits their ingest.
 #[derive(Debug)]
-struct WorkerShard {
-    registry: Registry,
+struct Shard {
+    sites: RwLock<HashMap<String, Arc<Site>>>,
+    scheduler: MaintenanceScheduler,
     gate: AdmissionGate,
 }
 
-/// N worker shards behind a consistent-hash ring. Presents the same
-/// `add`/`get`/`remove`/`list` surface as a single [`Registry`], so request
-/// dispatch is oblivious to the shard count.
+impl Shard {
+    /// The shard's sites, cloned out so the map's lock is released on return.
+    fn sites(&self) -> Vec<Arc<Site>> {
+        self.sites.read().unwrap_or_else(|p| p.into_inner()).values().cloned().collect()
+    }
+}
+
+/// The daemon's sites, each held by the shard [`shard_of`] names.
 #[derive(Debug)]
 pub struct ShardSet {
-    ring: ShardRing,
-    shards: Vec<WorkerShard>,
+    shards: Vec<Shard>,
 }
 
 impl ShardSet {
-    /// Builds the shard set: each shard gets its own registry (with its own
-    /// maintenance scheduler) and its own admission gate.
-    pub fn new(config: ShardConfig) -> ShardSet {
-        let n = config.shards.max(1);
-        let shards = (0..n)
-            .map(|i| WorkerShard {
-                registry: Registry::new(),
-                gate: AdmissionGate::new(i, config.admission),
+    /// `shards` shards (clamped to at least 1), each with its own
+    /// maintenance scheduler, which starts with the shard's first
+    /// automatically-ticked site, and its own gate with `admission`'s limits.
+    pub fn new(shards: usize, admission: AdmissionConfig) -> ShardSet {
+        let shards = (0..shards.max(1))
+            .map(|i| Shard {
+                sites: RwLock::default(),
+                scheduler: MaintenanceScheduler::default(),
+                gate: AdmissionGate::new(i, admission),
             })
             .collect();
-        ShardSet { ring: ShardRing::new(n, config.seed), shards }
+        ShardSet { shards }
     }
 
-    /// The ring (for clients that want to predict ownership).
-    pub fn ring(&self) -> ShardRing {
-        self.ring
+    fn owner(&self, name: &str) -> &Shard {
+        &self.shards[shard_of(name, self.shards.len())]
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
+    /// Registers `site` on its shard and schedules its maintenance (unless
+    /// the site's policy requests manual ticks).
+    pub fn add(&self, site: Site) -> Result<Arc<Site>> {
+        let shard = self.owner(site.name());
+        let site = Arc::new(site);
+        {
+            let mut map = shard.sites.write().unwrap_or_else(|p| p.into_inner());
+            if map.contains_key(site.name()) {
+                return Err(ServeError::SiteExists(site.name().to_string()));
+            }
+            map.insert(site.name().to_string(), Arc::clone(&site));
+        }
+        if !site.policy().manual_tick {
+            shard.scheduler.schedule(Arc::clone(&site));
+        }
+        Ok(site)
     }
 
-    /// The shard index owning `site`.
-    pub fn shard_of(&self, site: &str) -> usize {
-        self.ring.shard_of(site)
+    /// Looks a site up by name.
+    pub fn get(&self, name: &str) -> Result<Arc<Site>> {
+        let sites = self.owner(name).sites.read().unwrap_or_else(|p| p.into_inner());
+        sites.get(name).cloned().ok_or_else(|| ServeError::UnknownSite(name.to_string()))
     }
 
-    /// Registers `site` on its owning shard.
-    pub fn add(&self, site: Site) -> Result<std::sync::Arc<Site>> {
-        self.shards[self.ring.shard_of(site.name())].registry.add(site)
+    /// Unregisters a site and waits until no maintenance tick for it can run
+    /// anymore.
+    pub fn remove(&self, name: &str) -> Result<Arc<Site>> {
+        let shard = self.owner(name);
+        let removed = shard.sites.write().unwrap_or_else(|p| p.into_inner()).remove(name);
+        let site = removed.ok_or_else(|| ServeError::UnknownSite(name.to_string()))?;
+        site.stop_flag().store(true, Ordering::Relaxed);
+        shard.scheduler.unschedule(name);
+        Ok(site)
     }
 
-    /// Looks a site up on its owning shard.
-    pub fn get(&self, name: &str) -> Result<std::sync::Arc<Site>> {
-        self.shards[self.ring.shard_of(name)].registry.get(name)
-    }
-
-    /// Unregisters a site from its owning shard.
-    pub fn remove(&self, name: &str) -> Result<std::sync::Arc<Site>> {
-        self.shards[self.ring.shard_of(name)].registry.remove(name)
-    }
-
-    /// All sites across all shards, name-sorted.
-    pub fn list(&self) -> Vec<std::sync::Arc<Site>> {
-        let mut sites: Vec<std::sync::Arc<Site>> =
-            self.shards.iter().flat_map(|s| s.registry.list()).collect();
+    /// All sites, name-sorted (stable output for `list-sites`).
+    pub fn list(&self) -> Vec<Arc<Site>> {
+        let mut sites: Vec<Arc<Site>> = self.shards.iter().flat_map(Shard::sites).collect();
         sites.sort_by(|a, b| a.name().cmp(b.name()));
         sites
     }
 
-    /// Offers `samples` ingest credits for `site` on its owning shard.
+    /// Offers `samples` ingest credits for `site` on its shard.
     pub fn admit(&self, site: &str, samples: usize) -> Admit<'_> {
-        self.shards[self.ring.shard_of(site)].gate.admit(site, samples)
+        self.owner(site).gate.admit(site, samples)
     }
 
     /// Per-shard admission/queue stats, shard-ordered.
-    pub fn shard_stats(&self) -> Vec<crate::protocol::ShardStats> {
-        self.shards.iter().map(|s| s.gate.stats(s.registry.list().len())).collect()
+    pub fn shard_stats(&self) -> Vec<ShardStats> {
+        self.shards.iter().map(|s| s.gate.stats(s.sites().len())).collect()
     }
 
-    /// Per-site stats with each site's owning shard filled in, name-sorted.
-    pub fn site_stats(&self) -> Vec<crate::protocol::SiteStats> {
-        let mut out: Vec<crate::protocol::SiteStats> = Vec::new();
-        for (idx, shard) in self.shards.iter().enumerate() {
-            for site in shard.registry.list() {
-                let mut st = site.stats();
-                st.shard = idx;
-                out.push(st);
-            }
+    /// Per-site stats with each site's shard filled in, name-sorted.
+    pub fn site_stats(&self) -> Vec<SiteStats> {
+        let mut out: Vec<SiteStats> = Vec::new();
+        for (shard, s) in self.shards.iter().enumerate() {
+            out.extend(s.sites().iter().map(|site| SiteStats { shard, ..site.stats() }));
         }
         out.sort_by(|a, b| a.site.cmp(&b.site));
         out
     }
 
-    /// Stops maintenance on every shard (server shutdown).
+    /// Raises every site's stop flag and stops every shard's maintenance
+    /// scheduler (server shutdown). Sites stay registered and readable.
     pub fn stop_maintenance(&self) {
         for shard in &self.shards {
-            shard.registry.stop_maintenance();
+            for site in shard.sites() {
+                site.stop_flag().store(true, Ordering::Relaxed);
+            }
+            shard.scheduler.stop_and_join();
         }
     }
 }
@@ -407,9 +380,7 @@ mod tests {
 
     #[test]
     fn zero_shards_and_zero_quotas_are_clamped_to_one() {
-        let ring = ShardRing::new(0, 7);
-        assert_eq!(ring.shards(), 1);
-        assert!(["a", "b", "site-42"].iter().all(|k| ring.shard_of(k) == 0));
+        assert!(["a", "b", "site-42"].iter().all(|k| shard_of(k, 0) == 0));
         let config = AdmissionConfig {
             max_inflight_per_site: 0,
             max_inflight_per_shard: 0,
@@ -444,13 +415,11 @@ mod tests {
     #[test]
     fn ring_is_deterministic_and_in_range() {
         for shards in [1usize, 2, 3, 7, 16] {
-            let a = ShardRing::new(shards, DEFAULT_SHARD_SEED);
-            let b = ShardRing::new(shards, DEFAULT_SHARD_SEED);
             for i in 0..500 {
                 let key = format!("site-{i}");
-                let s = a.shard_of(&key);
+                let s = shard_of(&key, shards);
                 assert!(s < shards);
-                assert_eq!(s, b.shard_of(&key), "same seed, same count, same answer");
+                assert_eq!(s, shard_of(&key, shards), "same count, same answer");
             }
         }
     }
@@ -459,11 +428,9 @@ mod tests {
     fn ring_resize_only_moves_keys_onto_the_new_shard() {
         let keys: Vec<String> = (0..2000).map(|i| format!("site-{i}")).collect();
         for n in 1usize..12 {
-            let old = ShardRing::new(n, DEFAULT_SHARD_SEED);
-            let new = ShardRing::new(n + 1, DEFAULT_SHARD_SEED);
             let mut moved = 0usize;
             for k in &keys {
-                let (a, b) = (old.shard_of(k), new.shard_of(k));
+                let (a, b) = (shard_of(k, n), shard_of(k, n + 1));
                 if a != b {
                     assert_eq!(b, n, "a moved key must land on the new shard");
                     moved += 1;
@@ -478,10 +445,9 @@ mod tests {
 
     #[test]
     fn ring_spreads_keys_reasonably() {
-        let ring = ShardRing::new(4, DEFAULT_SHARD_SEED);
         let mut per = [0usize; 4];
         for i in 0..4000 {
-            per[ring.shard_of(&format!("site-{i}"))] += 1;
+            per[shard_of(&format!("site-{i}"), 4)] += 1;
         }
         for (i, &count) in per.iter().enumerate() {
             assert!(
@@ -492,16 +458,66 @@ mod tests {
     }
 
     #[test]
-    fn different_seeds_shuffle_ownership() {
-        let a = ShardRing::new(8, 1);
-        let b = ShardRing::new(8, 2);
-        let diffs = (0..500)
-            .filter(|i| {
-                let k = format!("site-{i}");
-                a.shard_of(&k) != b.shard_of(&k)
-            })
-            .count();
-        assert!(diffs > 100, "seeds barely change the mapping ({diffs}/500 keys moved)");
+    fn placement_is_pinned() {
+        let names = [
+            "lab", "bench", "site-0", "site-1", "site-2", "site-3", "site-4", "site-5", "site-6",
+            "site-7",
+        ];
+        for (shards, want) in [
+            (2, [1, 1, 1, 1, 0, 0, 0, 1, 1, 0]),
+            (4, [3, 2, 1, 1, 3, 0, 0, 2, 3, 3]),
+            (7, [3, 2, 1, 1, 3, 0, 0, 5, 4, 4]),
+        ] {
+            let got: Vec<usize> = names.iter().map(|name| shard_of(name, shards)).collect();
+            assert_eq!(got, want, "{shards} shards: a site moved");
+        }
+    }
+
+    #[test]
+    fn a_shard_set_holds_each_site_on_the_shard_that_owns_it() {
+        use crate::maintenance::MaintenancePolicy;
+        use taf_rfsim::{campaign, World, WorldConfig};
+        use tafloc_core::db::FingerprintDb;
+        use tafloc_core::system::{TafLoc, TafLocConfig};
+
+        let world = World::new(WorldConfig::small_test(), 31);
+        let db = FingerprintDb::from_world(campaign::full_calibration(&world, 0.0, 20), &world);
+        let e0 = campaign::empty_snapshot(&world, 0.0, 20);
+        let config = TafLocConfig { ref_count: 6, ..Default::default() };
+        let system = TafLoc::calibrate(config, db.unwrap(), e0).unwrap();
+        // Manual ticks: no scheduler thread starts.
+        let manual = MaintenancePolicy { manual_tick: true, ..Default::default() };
+        let site = |name: &str| Site::new(name, system.clone(), 0.0, manual).unwrap();
+
+        let set = ShardSet::new(4, AdmissionConfig::default());
+        let names: Vec<String> = (0..8).map(|i| format!("site-{i}")).collect();
+        let mut owned = [0usize; 4];
+        for name in &names {
+            set.add(site(name)).unwrap();
+            owned[shard_of(name, 4)] += 1;
+        }
+        for name in &names {
+            assert_eq!(set.get(name).unwrap().name(), name);
+        }
+        let counted: Vec<(usize, usize)> =
+            set.shard_stats().iter().map(|s| (s.shard, s.sites)).collect();
+        assert_eq!(counted, [(0, owned[0]), (1, owned[1]), (2, owned[2]), (3, owned[3])]);
+        let taken = set.add(site("site-3"));
+        assert!(matches!(taken, Err(ServeError::SiteExists(name)) if name == "site-3"));
+        let placed: Vec<(String, usize)> =
+            set.site_stats().into_iter().map(|s| (s.site, s.shard)).collect();
+        let want: Vec<(String, usize)> =
+            names.iter().map(|name| (name.clone(), shard_of(name, 4))).collect();
+        assert_eq!(placed, want);
+
+        let removed = set.remove("site-5").unwrap();
+        assert!(removed.stop_flag().load(Ordering::Relaxed));
+        assert!(matches!(set.get("site-5"), Err(ServeError::UnknownSite(_))));
+        assert!(matches!(set.remove("site-5"), Err(ServeError::UnknownSite(_))));
+        assert_eq!(set.list().len(), 7);
+        let home = shard_of("site-5", 4);
+        assert_eq!(set.shard_stats()[home].sites, owned[home] - 1);
+        set.stop_maintenance();
     }
 
     #[test]

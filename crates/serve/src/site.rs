@@ -422,22 +422,11 @@ impl Site {
         applied
     }
 
-    /// The attached measurement planner, if any.
-    pub fn planner(&self) -> Option<&Planner> {
-        self.planner.as_ref()
-    }
-
     /// The measurement plan the next survey round should follow: present
     /// once a planner is attached and a committed refresh has produced
     /// diagnostics to plan from.
     pub fn current_plan(&self) -> Option<MeasurementPlan> {
         self.lock_dynamic().live.current_plan.clone()
-    }
-
-    /// Per-reference-slot reconstruction confidence from the last committed
-    /// refresh, if any.
-    pub fn last_ref_confidence(&self) -> Option<Vec<f64>> {
-        self.lock_dynamic().live.last_ref_confidence.clone()
     }
 
     /// Resurrects a site from a recovered snapshot. Live stream state
@@ -1367,7 +1356,8 @@ mod tests {
         assert_eq!(stats.plan_policy.as_deref(), Some("uncertainty-greedy"));
         let plan = site.current_plan().expect("a committed refresh must plan the next round");
         assert_eq!(plan.planned_cost, budget);
-        assert!(site.last_ref_confidence().unwrap().iter().all(|c| (0.0..=1.0).contains(c)));
+        let confidence = site.to_persisted().last_ref_confidence.unwrap();
+        assert!(confidence.iter().all(|c| (0.0..=1.0).contains(c)));
 
         // Round 2: survey only the planned cells; unplanned slots never get
         // a capture, yet the round promotes with history fill-in.

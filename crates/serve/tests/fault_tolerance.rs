@@ -10,7 +10,7 @@ use tafloc_core::db::FingerprintDb;
 use tafloc_core::loli_ir::LoliIrConfig;
 use tafloc_core::system::{TafLoc, TafLocConfig};
 use tafloc_serve::maintenance::MaintenancePolicy;
-use tafloc_serve::registry::Registry;
+use tafloc_serve::shard::{AdmissionConfig, ShardSet};
 use tafloc_serve::site::Site;
 use tafloc_serve::store::SiteStore;
 use tafloc_serve::ServeError;
@@ -209,7 +209,7 @@ fn panicking_ticks_are_isolated_and_the_site_recovers() {
         quarantine_cooldown_ticks: 2,
         ..Default::default()
     };
-    let registry = Registry::new();
+    let registry = ShardSet::new(1, AdmissionConfig::default());
     let site = registry.add(Site::new("lab", sys, 0.0, policy).unwrap()).unwrap();
     let query = campaign::snapshot_at_cell(&world, 0.0, 4, SAMPLES);
 

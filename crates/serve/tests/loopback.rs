@@ -240,6 +240,10 @@ fn protocol_errors_leave_the_connection_usable_and_are_counted() {
             let locate = report.endpoints.iter().find(|e| e.endpoint == "locate").unwrap();
             assert_eq!(locate.requests, 1);
             assert_eq!(locate.errors, 1);
+            // Each request is counted under its own kind, listed in
+            // `Request`'s order; this `stats` is counted after its reply.
+            let names: Vec<&str> = report.endpoints.iter().map(|e| e.endpoint.as_str()).collect();
+            assert_eq!(names, ["locate", "refresh", "ping"]);
         }
         other => panic!("unexpected reply to stats: {other:?}"),
     }

@@ -1,14 +1,14 @@
-//! Shared maintenance-scheduler behavior, exercised through the registry the
+//! Shared maintenance-scheduler behavior, exercised through the shard set the
 //! way the server drives it: sites scheduled on `add`, guaranteed-quiescent on
 //! `remove`, shut down (and transparently restarted) around
-//! `stop_maintenance`. Uses the registry API directly — no sockets, no JSON.
+//! `stop_maintenance`. Uses the shard-set API directly — no sockets, no JSON.
 
 use std::time::{Duration, Instant};
 use taf_rfsim::{campaign, World, WorldConfig};
 use tafloc_core::db::FingerprintDb;
 use tafloc_core::system::{TafLoc, TafLocConfig};
 use tafloc_serve::maintenance::MaintenancePolicy;
-use tafloc_serve::registry::Registry;
+use tafloc_serve::shard::{AdmissionConfig, ShardSet};
 use tafloc_serve::site::Site;
 use tafloc_serve::ServeError;
 
@@ -28,7 +28,7 @@ fn fast_policy() -> MaintenancePolicy {
     MaintenancePolicy { interval_ms: 20, ..Default::default() }
 }
 
-fn checks(registry: &Registry, name: &str) -> u64 {
+fn checks(registry: &ShardSet, name: &str) -> u64 {
     registry.get(name).unwrap().stats().maintenance_checks
 }
 
@@ -46,7 +46,7 @@ fn wait_for(mut cond: impl FnMut() -> bool) -> bool {
 
 #[test]
 fn scheduler_ticks_all_sites_and_quiesces_on_remove() {
-    let registry = Registry::new();
+    let registry = ShardSet::new(1, AdmissionConfig::default());
     registry.add(calibrated_site("alpha", 7, fast_policy())).unwrap();
     registry.add(calibrated_site("beta", 8, fast_policy())).unwrap();
 
@@ -74,7 +74,7 @@ fn scheduler_ticks_all_sites_and_quiesces_on_remove() {
 
 #[test]
 fn manual_tick_sites_are_never_scheduled() {
-    let registry = Registry::new();
+    let registry = ShardSet::new(1, AdmissionConfig::default());
     let manual = MaintenancePolicy { manual_tick: true, interval_ms: 10, ..Default::default() };
     registry.add(calibrated_site("manual", 9, manual)).unwrap();
     registry.add(calibrated_site("auto", 10, fast_policy())).unwrap();
@@ -90,7 +90,7 @@ fn manual_tick_sites_are_never_scheduled() {
 
 #[test]
 fn scheduler_restarts_after_stop() {
-    let registry = Registry::new();
+    let registry = ShardSet::new(1, AdmissionConfig::default());
     registry.add(calibrated_site("first", 11, fast_policy())).unwrap();
     assert!(wait_for(|| checks(&registry, "first") >= 1));
     registry.stop_maintenance();
@@ -104,7 +104,7 @@ fn scheduler_restarts_after_stop() {
 #[test]
 fn duplicate_and_unknown_site_names_are_rejected() {
     let manual = MaintenancePolicy { manual_tick: true, ..Default::default() };
-    let registry = Registry::new();
+    let registry = ShardSet::new(1, AdmissionConfig::default());
     registry.add(calibrated_site("lab", 11, manual)).unwrap();
     let dup = registry.add(calibrated_site("lab", 12, manual));
     assert!(matches!(dup, Err(ServeError::SiteExists(name)) if name == "lab"));
@@ -119,7 +119,7 @@ fn duplicate_and_unknown_site_names_are_rejected() {
 #[test]
 fn list_is_sorted_by_name() {
     let manual = MaintenancePolicy { manual_tick: true, ..Default::default() };
-    let registry = Registry::new();
+    let registry = ShardSet::new(1, AdmissionConfig::default());
     for (name, seed) in [("gamma", 13), ("alpha", 14), ("beta", 15)] {
         registry.add(calibrated_site(name, seed, manual)).unwrap();
     }

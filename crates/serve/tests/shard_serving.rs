@@ -5,8 +5,8 @@
 //! What must hold:
 //!
 //! * every site's `shard` field in `stats` matches a locally computed
-//!   [`ShardRing`] with the default seed — the assignment is a pure function
-//!   of `(seed, name, shards)`, so a client can predict placement;
+//!   [`shard_of`] — the assignment is a pure function of `(name, shards)`,
+//!   so a client can predict placement;
 //! * the admission gate conserves batches (`offered == admitted + deferred
 //!   + rejected`) under concurrent wire traffic;
 //! * after kill -9 + restart with the same flags, all sites come back on
@@ -25,7 +25,7 @@ use tafloc_ingest::LinkSample;
 use tafloc_serve::client::{Client, IngestOutcome, RetryPolicy};
 use tafloc_serve::maintenance::MaintenancePolicy;
 use tafloc_serve::protocol::{Request, Response, StatsReport};
-use tafloc_serve::shard::{ShardRing, DEFAULT_SHARD_SEED};
+use tafloc_serve::shard::shard_of;
 
 const SAMPLES: usize = 20;
 const NUM_SITES: usize = 8;
@@ -92,10 +92,9 @@ fn stats(client: &mut Client) -> StatsReport {
     }
 }
 
-/// Asserts the per-site `shard` fields match a locally computed ring and
-/// returns the `site -> shard` map in site order.
+/// Asserts the per-site `shard` fields match a locally computed placement
+/// and returns the `site -> shard` map in site order.
 fn check_placement(report: &StatsReport, shards: usize) -> Vec<usize> {
-    let ring = ShardRing::new(shards, DEFAULT_SHARD_SEED);
     assert_eq!(report.shards.len(), shards, "one stats record per shard");
     assert_eq!(report.sites.len(), NUM_SITES, "all sites present: {report:?}");
     let mut placement = Vec::with_capacity(NUM_SITES);
@@ -104,8 +103,8 @@ fn check_placement(report: &StatsReport, shards: usize) -> Vec<usize> {
         let st = report.sites.iter().find(|s| s.site == name).unwrap();
         assert_eq!(
             st.shard,
-            ring.shard_of(&name),
-            "{name} must sit where the client-side ring predicts"
+            shard_of(&name, shards),
+            "{name} must sit where the client-side placement predicts"
         );
         placement.push(st.shard);
     }

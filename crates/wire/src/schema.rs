@@ -9,9 +9,13 @@
 //! It has two forms. The *declaring* form takes a whole `pub struct` or
 //! `pub enum` — its attributes, doc comments and field types, with the
 //! schema's annotations added — and emits the type as well as its impl, so
-//! a type that depends on this crate is written once. The *impl-only* form
-//! lists the fields of a type declared elsewhere; it serves the domain types
-//! of crates that do not depend on this one (see [`mod@crate::types`]).
+//! a type that depends on this crate is written once. A declared enum also
+//! gets `VARIANTS`, each variant's binary tag and v1 name in declaration
+//! order, and `tag()`, the binary tag of a value, so a table keyed by the
+//! variant follows the declaration. The *impl-only* form lists the fields of
+//! a type declared elsewhere; it serves the domain types of crates that do
+//! not depend on this one (see [`mod@crate::types`]), where an inherent impl
+//! cannot go.
 //!
 //! * **Structs** list their fields in order. A field that may be absent
 //!   from v1 input gives its fallback after `=`; `struct T: default { .. }`
@@ -509,8 +513,9 @@ impl Codec for Matrix {
 ///
 /// The declaring form is a `pub struct` or `pub enum`, attributes and doc
 /// comments included, with the annotations of the impl-only form added; it
-/// emits the type, then the impl. The impl-only form lists the fields of a
-/// type declared elsewhere.
+/// emits the type, then the impl, and for an enum also `VARIANTS` and
+/// `tag()`. The impl-only form lists the fields of a type declared
+/// elsewhere.
 ///
 /// ```text
 /// schema! {
@@ -548,6 +553,17 @@ macro_rules! schema {
             $({ $($(#[$fmeta:meta])* $f:ident: $t:ty $(= $d:expr)?),* $(,)? })?),* $(,)?
     }) => {
         $(#[$meta])* pub enum $name { $($(#[$vmeta])* $v $({ $($(#[$fmeta])* $f: $t,)* })?,)* }
+        impl $name {
+            /// Each variant's binary tag and v1 name, in declaration order
+            /// (the name is empty in a binary-only enum).
+            pub const VARIANTS: &'static [(u8, &'static str)] = &[$(($tag, concat!($($vname)?))),*];
+            /// The binary tag of this value's variant.
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $($name::$v { .. } => $tag,)*
+                }
+            }
+        }
         $crate::schema! {
             enum $name: $mode $($key)? { $($v = $tag $($vname)? $({ $($f: $t $(= $d)?),* })?),* }
         }
@@ -820,6 +836,14 @@ mod tests {
             Op::Scale { reading: Reading { id: 1, gain: 2.0 }, by: 1.0 }
         );
         assert_eq!(from_bytes::<Op>(&[0]).unwrap(), Op::Halt);
+
+        assert_eq!(Op::VARIANTS, [(0, "halt"), (1, "scale")]);
+        let scale = Op::Scale { reading: Reading { id: 1, gain: 2.0 }, by: 1.0 };
+        for op in [Op::Halt, scale] {
+            let mut e = Enc::new();
+            op.encode(&mut e);
+            assert_eq!(op.tag(), e.buf[0], "tag() is the tag byte the binary form writes");
+        }
     }
 
     #[test]
