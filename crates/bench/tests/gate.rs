@@ -157,7 +157,7 @@ fn verdicts_print_one_line_each() {
 
 #[test]
 fn each_committed_bench_file_gates_clean_against_itself() {
-    for bench in ["solver", "serve", "ingest"] {
+    for bench in ["solver", "serve"] {
         let path = repo_root().join(format!("BENCH_{bench}.json"));
         let text = std::fs::read_to_string(&path).unwrap();
         let doc = parse(&text).unwrap();

@@ -43,11 +43,13 @@
 //! link (resp. location) graph partitions the rows (columns) into classes with
 //! no intra-class edges, and classes are visited in fixed order, each class's
 //! members in index order. A member's solve reads no factor row of its own
-//! class, so it writes its row back as soon as it is solved, and every solve
-//! still reads the factors as they stood before its class began. That order
-//! fixes which values each solve sees, and with it every bit of the output
-//! (the committed goldens and `tests/solver_bits.rs` pin it). Exact block
-//! solves in any order keep the objective monotone.
+//! class, so every solve reads the factors as they stood before its class
+//! began, and the members of a class are solved four at a time: the batch's
+//! systems are built in turn, factored and solved together, one per lane,
+//! and their rows written back after the batch. A batch never spans two
+//! classes. That order fixes which values each solve sees, and with it every
+//! bit of the output (the committed goldens and `tests/solver_bits.rs` pin
+//! it). Exact block solves in any order keep the objective monotone.
 //!
 //! # Block systems
 //!
@@ -56,12 +58,17 @@
 //! add. Whatever does not depend on the row (column) being solved is computed
 //! once per half-sweep: the start `λI + μG` plus the closed form of the
 //! fully-active edges, which every solve copies; the weighted Gram matrix;
-//! one sum per distinct active set of the partial edges; and the rank-1 term
-//! each partial edge adds to the rows (columns) in its active set. A solve
-//! then adds the stored values in the order it always added them, so every
-//! floating-point operation keeps its operands and its order, and factors
-//! the packed triangle in place (`taf_linalg`'s one Cholesky routine serves
-//! the packed layout and the dense one bit for bit).
+//! one sum per distinct active set of the partial edges, added up from each
+//! row's outer product `f_x f_xᵀ`, written once; and the rank-1 term each
+//! partial edge adds to the rows (columns) in its active set. A solve then
+//! adds the stored values in the order it always added them, so every
+//! floating-point operation keeps its operands and its order. Four members'
+//! packed triangles are interleaved entry by entry and factored and solved
+//! together (`taf_linalg`'s one Cholesky loop serves the packed layout, the
+//! dense one and four interleaved packed systems bit for bit): the four
+//! chains of dependent subtractions, divisions and square roots overlap
+//! instead of waiting on each other, and each lane keeps its own system's
+//! order.
 //!
 //! # Set-up
 //!
@@ -81,7 +88,9 @@ use crate::error::TaflocError;
 use crate::mask::Mask;
 use crate::operators::NeighborGraph;
 use crate::Result;
-use taf_linalg::decomp::cholesky::{cholesky_packed_in_place, solve_packed_in_place};
+use taf_linalg::decomp::cholesky::{
+    cholesky_packed_in_place, cholesky_packed_lanes_in_place, solve_packed_lanes_in_place,
+};
 use taf_linalg::Matrix;
 
 /// LoLi-IR hyperparameters.
@@ -465,7 +474,9 @@ fn compute_diagnostics(
         .collect();
 
     // Ridge leverage scores h_j = r_jᵀ (RᵀR + λI)⁻¹ r_j via one Cholesky of
-    // the r x r gram, packed and factored in place in the block-solve scratch.
+    // the r x r gram, packed and factored in place in the block-solve
+    // scratch, then copied into every lane: each batch solves [`LANES`]
+    // cells' right-hand sides against the one factor.
     rf.gram_into(gram)?;
     let s = scratch;
     let mut k = 0;
@@ -476,12 +487,25 @@ fn compute_diagnostics(
         }
     }
     cholesky_packed_in_place(&mut s.lhs, r)?;
+    for (lane, &v) in s.lanes_lhs.iter_mut().zip(&s.lhs) {
+        *lane = [v; LANES];
+    }
     let mut cell_leverage = Vec::with_capacity(n);
-    for j in 0..n {
-        s.rhs.copy_from_slice(rf.row(j));
-        solve_packed_in_place(&s.lhs, &mut s.rhs)?;
-        let h: f64 = taf_linalg::dot(rf.row(j), &s.rhs);
-        cell_leverage.push(h.clamp(0.0, 1.0));
+    for first in (0..n).step_by(LANES) {
+        let batch = first..(first + LANES).min(n);
+        for (w, j) in batch.clone().enumerate() {
+            for (lane, &v) in s.lanes_rhs.iter_mut().zip(rf.row(j)) {
+                lane[w] = v;
+            }
+        }
+        solve_packed_lanes_in_place(&s.lanes_lhs, &mut s.lanes_rhs)?;
+        for (w, j) in batch.enumerate() {
+            for (x, lane) in s.rhs.iter_mut().zip(&s.lanes_rhs) {
+                *x = lane[w];
+            }
+            let h: f64 = taf_linalg::dot(rf.row(j), &s.rhs);
+            cell_leverage.push(h.clamp(0.0, 1.0));
+        }
     }
 
     let cell_confidence: Vec<f64> = (0..n)
@@ -681,23 +705,17 @@ struct Colouring {
     colour: Vec<usize>,
     /// `taken[c] == v + 1` while colouring `v`: a neighbour already has `c`.
     taken: Vec<usize>,
-    /// Vertices per colour, then each colour's next slot in the order.
-    next: Vec<usize>,
 }
 
 /// Writes into `order` the sweep order of a deterministic greedy colouring
 /// of the graph on `n` vertices whose edges `edges` lists. Vertices are
 /// visited in index order and take the smallest colour absent among their
 /// already-coloured neighbours, so the classes depend only on the edge list;
-/// `order` lists the vertices of colour 0 in index order, then those of
-/// colour 1, and so on. Vertices joined by an edge never share a class,
-/// hence every block solve within a class is independent of the others.
-fn sweep_order(
-    c: &mut Colouring,
-    n: usize,
-    edges: &[(usize, usize, usize)],
-    order: &mut Vec<usize>,
-) {
+/// row `k` of `order` lists the vertices of colour `k` in index order, and
+/// the sweep visits the rows in turn. Vertices joined by an edge never share
+/// a class, hence every block solve within a class is independent of the
+/// others.
+fn sweep_order(c: &mut Colouring, n: usize, edges: &[(usize, usize, usize)], order: &mut Csr) {
     c.adj.fill(n, |e| {
         for &(u, v, _) in edges {
             e.emit(u, v);
@@ -719,20 +737,8 @@ fn sweep_order(
         c.colour[v] = k;
         colours = colours.max(k + 1);
     }
-    c.next.clear();
-    c.next.resize(colours + 1, 0);
-    for &k in &c.colour {
-        c.next[k + 1] += 1;
-    }
-    for k in 0..colours {
-        c.next[k + 1] += c.next[k];
-    }
-    order.clear();
-    order.resize(n, 0);
-    for (v, &k) in c.colour.iter().enumerate() {
-        order[c.next[k]] = v;
-        c.next[k] += 1;
-    }
+    let colour = &c.colour;
+    order.fill(colours, |e| colour.iter().enumerate().for_each(|(v, &k)| e.emit(k, v)));
 }
 
 /// What one solve knows about its problem's structure: the active sets of
@@ -764,9 +770,10 @@ struct Structure {
     col_edges: Csr,
     /// Link edges with a *partial* active set containing each column.
     col_link_edges: Csr,
-    /// The L-step's rows and the R-step's columns in sweep order.
-    row_order: Vec<usize>,
-    col_order: Vec<usize>,
+    /// The L-step's rows and the R-step's columns in sweep order, one row
+    /// of each list per colour class.
+    row_order: Csr,
+    col_order: Csr,
     colouring: Colouring,
 }
 
@@ -856,21 +863,37 @@ impl Structure {
     }
 }
 
-/// Scratch of the `r x r` block solve in progress.
+/// Block systems factored and solved together: up to this many members of
+/// one colour class, one per lane.
+const LANES: usize = 4;
+
+/// Scratch of the `r x r` block solves in progress.
 #[derive(Debug)]
 struct RowScratch {
-    /// Normal-equation matrix as a packed lower triangle; the solve factors
-    /// it in place into its Cholesky factor.
+    /// The system being built, as a packed lower triangle (the diagnostics
+    /// factor theirs in place here).
     lhs: Vec<f64>,
-    /// Right-hand side on entry to the solve, the solution on return.
+    /// Its right-hand side.
     rhs: Vec<f64>,
     /// Product of a packed set sum with the other endpoint's factor row.
     dir: Vec<f64>,
+    /// The batch's systems, entry `k` of lane `w` at `lanes_lhs[k][w]`,
+    /// factored in place…
+    lanes_lhs: Vec<[f64; LANES]>,
+    /// …and their right-hand sides, then solutions.
+    lanes_rhs: Vec<[f64; LANES]>,
 }
 
 impl RowScratch {
     fn new(r: usize) -> Self {
-        RowScratch { lhs: vec![0.0; tri_len(r)], rhs: vec![0.0; r], dir: vec![0.0; r] }
+        let t = tri_len(r);
+        RowScratch {
+            lhs: vec![0.0; t],
+            rhs: vec![0.0; r],
+            dir: vec![0.0; r],
+            lanes_lhs: vec![[0.0; LANES]; t],
+            lanes_rhs: vec![[0.0; LANES]; r],
+        }
     }
 }
 
@@ -888,8 +911,8 @@ impl RowScratch {
 pub struct SolverWorkspace {
     /// The problem's structure, rebuilt by every solve.
     structure: Structure,
-    /// The one block solve in flight: each solved row (column) is written
-    /// back to its factor before the next solve begins.
+    /// The block solves in flight: up to [`LANES`] members of a colour
+    /// class, whose rows (columns) are written back after the batch.
     scratch: RowScratch,
     gram: Matrix,
     xh: Matrix,
@@ -917,6 +940,10 @@ pub struct SolverWorkspace {
     set_tri: Vec<f64>,
     /// `set_tri` times the edge weight (`β`, then `α`), as the solves add it.
     set_tri_w: Vec<f64>,
+    /// Packed `f_x f_xᵀ` of every row of the factor held fixed (`R`'s during
+    /// an L-step, `L`'s during an R-step), written once per half-sweep and
+    /// summed into `set_tri`.
+    row_outer: Vec<f64>,
     /// `Σ_{j ∈ cells} r_j` per partial link set (L-step right-hand sides).
     set_sum: Vec<f64>,
     /// Per partial edge, the packed rank-1 term it adds to every row
@@ -956,6 +983,7 @@ impl SolverWorkspace {
             rsum: Vec::new(),
             set_tri: Vec::new(),
             set_tri_w: Vec::new(),
+            row_outer: Vec::new(),
             set_sum: Vec::new(),
             edge_outer: Vec::new(),
             edge_rhs: Vec::new(),
@@ -987,6 +1015,7 @@ impl SolverWorkspace {
         let sets = link.sets.rows().max(location.sets.rows());
         self.set_tri.resize(sets * t, 0.0);
         self.set_tri_w.resize(sets * t, 0.0);
+        self.row_outer.resize(m.max(n) * t, 0.0);
         self.set_sum.resize(link.sets.rows() * r, 0.0);
         self.edge_outer.resize(link.edges.len().max(location.edges.len()) * t, 0.0);
         self.edge_rhs.resize(link.edges.len() * r, 0.0);
@@ -1129,23 +1158,53 @@ struct RStepCtx<'a> {
     prior_rhs: Option<&'a Matrix>,
 }
 
-/// Factors `s.lhs` in place and solves for `s.rhs` in place.
-fn finish_solve(s: &mut RowScratch) -> Result<()> {
-    cholesky_packed_in_place(&mut s.lhs, s.rhs.len())?;
-    solve_packed_in_place(&s.lhs, &mut s.rhs)?;
+/// Solves the block systems of one half-sweep into the rows of `f`, colour
+/// class by colour class (the rows of `order`), [`LANES`] members at a time:
+/// `build` writes member `x`'s system into `s.lhs` and `s.rhs`, the batch is
+/// factored and solved lane by lane, and each solution is written back to
+/// row `x` after the batch. No member of a class reads another's row, so the
+/// results are the bits of solving and writing back one member at a time,
+/// and an error is the first failing member's in sweep order.
+fn solve_sweep(
+    f: &mut Matrix,
+    order: &Csr,
+    s: &mut RowScratch,
+    build: impl Fn(&Matrix, usize, &mut RowScratch),
+) -> Result<()> {
+    let r = f.cols();
+    for class in 0..order.rows() {
+        for batch in order.row(class).chunks(LANES) {
+            for (w, &x) in batch.iter().enumerate() {
+                build(f, x, s);
+                for (lane, &v) in s.lanes_lhs.iter_mut().zip(&s.lhs) {
+                    lane[w] = v;
+                }
+                for (lane, &v) in s.lanes_rhs.iter_mut().zip(&s.rhs) {
+                    lane[w] = v;
+                }
+            }
+            cholesky_packed_lanes_in_place(&mut s.lanes_lhs, r, batch.len())?;
+            solve_packed_lanes_in_place(&s.lanes_lhs, &mut s.lanes_rhs)?;
+            for (w, &x) in batch.iter().enumerate() {
+                for (out, lane) in f.row_mut(x).iter_mut().zip(&s.lanes_rhs) {
+                    *out = lane[w];
+                }
+            }
+        }
+    }
     Ok(())
 }
 
-/// Builds and solves the `r x r` ridge system for row `l_i` in `s`, leaving
-/// the new row in `s.rhs`. Factor rows read through `l` belong to other
-/// color classes, so none of them is the one being solved.
+/// Builds the `r x r` ridge system for row `l_i` in `s`. Factor rows read
+/// through `l` belong to other color classes, so none of them is one being
+/// solved.
 ///
 /// The system starts from the half-sweep's `base` (`λI + μRᵀR` plus the
 /// fully-active continuity edges). Then come the data term, fully-active
 /// similarity edges (`β RᵀR` plus a Gram matrix-vector product), partial
 /// similarity edges (their set's per-sweep sums) and partial continuity
 /// edges (their per-sweep rank-1 terms), each a flat add of stored values.
-fn solve_l_row(ctx: &LStepCtx<'_>, l: &Matrix, i: usize, s: &mut RowScratch) -> Result<()> {
+fn build_l_row(ctx: &LStepCtx<'_>, l: &Matrix, i: usize, s: &mut RowScratch) {
     let (n, r) = ctx.rf.shape();
     let t = tri_len(r);
     let beta = ctx.config.beta;
@@ -1196,15 +1255,14 @@ fn solve_l_row(ctx: &LStepCtx<'_>, l: &Matrix, i: usize, s: &mut RowScratch) -> 
             add_into(&mut s.lhs, &ctx.edge_outer[k * t..(k + 1) * t]);
         }
     }
-    finish_solve(s)
 }
 
-/// Builds and solves the `r x r` ridge system for column `r_j` in `s`;
-/// symmetric counterpart of [`solve_l_row`]: `base` holds the fully-active
+/// Builds the `r x r` ridge system for column `r_j` in `s`; symmetric
+/// counterpart of [`build_l_row`]: `base` holds the fully-active
 /// similarity edges, fully-active continuity edges add `α LᵀL`, partial
 /// continuity edges their set's sums, partial similarity edges their
 /// per-sweep rank-1 and offset terms.
-fn solve_r_col(ctx: &RStepCtx<'_>, rf: &Matrix, j: usize, s: &mut RowScratch) -> Result<()> {
+fn build_r_col(ctx: &RStepCtx<'_>, rf: &Matrix, j: usize, s: &mut RowScratch) {
     let (m, r) = ctx.l.shape();
     let t = tri_len(r);
     s.lhs.copy_from_slice(ctx.base);
@@ -1255,7 +1313,6 @@ fn solve_r_col(ctx: &RStepCtx<'_>, rf: &Matrix, j: usize, s: &mut RowScratch) ->
             }
         }
     }
-    finish_solve(s)
 }
 
 /// Runs LoLi-IR on a reconstruction problem.
@@ -1411,9 +1468,10 @@ pub fn reconstruct_warm(
         fill_base(&mut ws.base, &ws.gram, config.lambda, mu, closed);
         if config.beta > 0.0 {
             pack_scaled(&ws.gram, config.beta, &mut ws.gram_w);
-            let (tri, tri_w) = (&mut ws.set_tri, &mut ws.set_tri_w);
+            let (outer, tri, tri_w) = (&mut ws.row_outer, &mut ws.set_tri, &mut ws.set_tri_w);
             let sums = Some(ws.set_sum.as_mut_slice());
-            partial_set_sums(&rf, &ws.structure.link.sets, n, config.beta, tri, tri_w, sums);
+            let sets = &ws.structure.link.sets;
+            partial_set_sums(&rf, sets, n, config.beta, outer, tri, tri_w, sums);
         }
         if has_prior {
             let p = problem.lrr_prior.expect("has_prior implies Some");
@@ -1435,10 +1493,8 @@ pub fn reconstruct_warm(
             edge_outer: &ws.edge_outer,
             prior_rhs: if has_prior { Some(&ws.prior_l) } else { None },
         };
-        for &i in &ws.structure.row_order {
-            solve_l_row(&ctx, &l, i, &mut ws.scratch)?;
-            l.row_mut(i).copy_from_slice(&ws.scratch.rhs);
-        }
+        let row_order = &ws.structure.row_order;
+        solve_sweep(&mut l, row_order, &mut ws.scratch, |l, i, s| build_l_row(&ctx, l, i, s))?;
 
         // ---------------- R-step: colored Gauss-Seidel over columns ----------------
         l.gram_into(&mut ws.gram)?;
@@ -1473,8 +1529,9 @@ pub fn reconstruct_warm(
         fill_base(&mut ws.base, &ws.gram, config.lambda, mu, closed);
         if config.alpha > 0.0 {
             pack_scaled(&ws.gram, config.alpha, &mut ws.gram_w);
-            let (tri, tri_w) = (&mut ws.set_tri, &mut ws.set_tri_w);
-            partial_set_sums(&l, &ws.structure.location.sets, m, config.alpha, tri, tri_w, None);
+            let (outer, tri, tri_w) = (&mut ws.row_outer, &mut ws.set_tri, &mut ws.set_tri_w);
+            let sets = &ws.structure.location.sets;
+            partial_set_sums(&l, sets, m, config.alpha, outer, tri, tri_w, None);
         }
         if has_prior {
             let p = problem.lrr_prior.expect("has_prior implies Some");
@@ -1496,10 +1553,8 @@ pub fn reconstruct_warm(
             edge_rhs: &ws.edge_rhs,
             prior_rhs: if has_prior { Some(&ws.prior_r) } else { None },
         };
-        for &j in &ws.structure.col_order {
-            solve_r_col(&ctx, &rf, j, &mut ws.scratch)?;
-            rf.row_mut(j).copy_from_slice(&ws.scratch.rhs);
-        }
+        let col_order = &ws.structure.col_order;
+        solve_sweep(&mut rf, col_order, &mut ws.scratch, |rf, j, s| build_r_col(&ctx, rf, j, s))?;
 
         let mut f = objective(problem, &ws.structure, config, mu, &l, &rf, &mut ws.xh)?;
         if !f.is_finite() {
@@ -1673,17 +1728,29 @@ fn pack_scaled(gram: &Matrix, w: f64, out: &mut [f64]) {
 /// `sums` is given, `Σ_{x ∈ set} f_x` into slot `k` of it. Every edge with
 /// the set then reads the one sum. Fully-active sets are skipped; their
 /// edges enter through the closed forms.
+///
+/// Each row's packed `f_x f_xᵀ` is written once into `outer` (`1.0·v_a` is
+/// exact, so its entries are the products a rank-1 update with weight 1
+/// adds), then each set adds up its members' in member order.
+#[allow(clippy::too_many_arguments)]
 fn partial_set_sums(
     f: &Matrix,
     sets: &Csr,
     full: usize,
     w: f64,
+    outer: &mut [f64],
     tri: &mut [f64],
     tri_w: &mut [f64],
     mut sums: Option<&mut [f64]>,
 ) {
     let r = f.cols();
     let t = tri_len(r);
+    if (0..sets.rows()).all(|k| sets.row(k).len() == full) {
+        return;
+    }
+    for (x, out) in outer.chunks_exact_mut(t).take(f.rows()).enumerate() {
+        outer_packed(out, f.row(x), 1.0);
+    }
     for k in 0..sets.rows() {
         let active = sets.row(k);
         if active.len() == full {
@@ -1692,7 +1759,7 @@ fn partial_set_sums(
         let slot = &mut tri[k * t..(k + 1) * t];
         slot.fill(0.0);
         for &x in active {
-            rank1_update(slot, f.row(x), 1.0);
+            add_into(slot, &outer[x * t..(x + 1) * t]);
         }
         for (o, &x) in tri_w[k * t..(k + 1) * t].iter_mut().zip(slot.iter()) {
             *o = w * x;
@@ -2047,23 +2114,25 @@ mod tests {
         // Chain 0-1-2-3-4 plus a chord 0-2: needs 3 colors at vertex 2.
         let edges = [(0, 1, 0), (1, 2, 0), (2, 3, 0), (3, 4, 0), (0, 2, 0)];
         let mut c = Colouring::default();
-        let mut order = Vec::new();
+        let mut order = Csr::default();
         sweep_order(&mut c, 5, &edges, &mut order);
         // Classes {0, 3}, {1, 4}, {2}: each vertex once, by class, each
         // class in index order.
         assert_eq!(c.colour, [0, 1, 2, 0, 1]);
-        assert_eq!(order, [0, 3, 1, 4, 2]);
+        assert_eq!(order.items, [0, 3, 1, 4, 2]);
+        assert_eq!(order.start, [0, 2, 4, 5]);
         // No edge inside a class.
         for &(u, v, _) in &edges {
             assert_ne!(c.colour[u], c.colour[v], "edge ({u},{v}) inside a class");
         }
         // Deterministic, also on reused scratch: a second run is identical.
-        let mut again = Vec::new();
+        let mut again = Csr::default();
         sweep_order(&mut c, 5, &edges, &mut again);
-        assert_eq!(order, again);
+        assert_eq!((&order.start, &order.items), (&again.start, &again.items));
         // Edge-free graph collapses to a single class in index order.
         sweep_order(&mut c, 4, &[], &mut order);
-        assert_eq!(order, [0, 1, 2, 3]);
+        assert_eq!(order.items, [0, 1, 2, 3]);
+        assert_eq!(order.start, [0, 4]);
     }
 
     #[test]

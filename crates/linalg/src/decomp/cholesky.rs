@@ -12,6 +12,13 @@
 //! [`solve_packed_in_place`]). Both factor in place, column by column, each
 //! entry `(i, j)` subtracting `L[i][k]·L[j][k]` in increasing `k` before its
 //! division, so the two layouts give bit-identical factors and solutions.
+//!
+//! The same two loops also run on lanes: `N` independent packed systems
+//! interleaved entry by entry, entry `k` of system `w` at `[k][w]`
+//! ([`cholesky_packed_lanes_in_place`] and [`solve_packed_lanes_in_place`]).
+//! Each lane does its own system's operations in the one-system order, so it
+//! gets the same bits, while the `N` chains of dependent subtractions,
+//! divisions and square roots run side by side instead of one after another.
 
 use crate::{LinalgError, Matrix, Result};
 
@@ -64,7 +71,7 @@ impl Matrix {
             data[row.start..=row.start + i].copy_from_slice(&a[row.start..=row.start + i]);
             data[row.start + i + 1..row.end].fill(0.0);
         }
-        factor_lower(data, n, |i| i * n)
+        factor_lower(data, n, 1, |i| i * n)
     }
 }
 
@@ -72,6 +79,71 @@ impl Matrix {
 /// length of an `n x n` one.
 fn packed_row(i: usize) -> usize {
     i * (i + 1) / 2
+}
+
+/// The element the factorization and substitution loops run on: one `f64`
+/// system, or `N` systems interleaved lane by lane as `[f64; N]`. Every
+/// operation acts on each lane alone and rounds as the `f64` one does.
+trait Elem: Copy {
+    /// `self − a·b`, the product rounded before the subtraction.
+    fn sub_mul(self, a: Self, b: Self) -> Self;
+    fn div(self, d: Self) -> Self;
+    fn sqrt(self) -> Self;
+    /// The value in lane `w`.
+    fn lane(self, w: usize) -> f64;
+}
+
+impl Elem for f64 {
+    #[inline(always)]
+    fn sub_mul(self, a: f64, b: f64) -> f64 {
+        self - a * b
+    }
+
+    #[inline(always)]
+    fn div(self, d: f64) -> f64 {
+        self / d
+    }
+
+    #[inline(always)]
+    fn sqrt(self) -> f64 {
+        f64::sqrt(self)
+    }
+
+    #[inline(always)]
+    fn lane(self, _: usize) -> f64 {
+        self
+    }
+}
+
+impl<const N: usize> Elem for [f64; N] {
+    #[inline(always)]
+    fn sub_mul(mut self, a: Self, b: Self) -> Self {
+        for w in 0..N {
+            self[w] -= a[w] * b[w];
+        }
+        self
+    }
+
+    #[inline(always)]
+    fn div(mut self, d: Self) -> Self {
+        for w in 0..N {
+            self[w] /= d[w];
+        }
+        self
+    }
+
+    #[inline(always)]
+    fn sqrt(mut self) -> Self {
+        for v in &mut self {
+            *v = v.sqrt();
+        }
+        self
+    }
+
+    #[inline(always)]
+    fn lane(self, w: usize) -> f64 {
+        self[w]
+    }
 }
 
 /// Factors in place the lower triangle whose row `i` starts at `row(i)` in
@@ -83,17 +155,35 @@ fn packed_row(i: usize) -> usize {
 /// `j < i`), which lets row `j` be read while the rows below it are written.
 /// The rows below go two at a time: their sums are independent, so the two
 /// chains of subtractions overlap, and each keeps its own order.
-fn factor_lower(data: &mut [f64], n: usize, row: impl Fn(usize) -> usize) -> Result<()> {
+///
+/// Lanes `0..used` are checked: the error is the first failing pivot of the
+/// lowest failing lane, which is what factoring the lanes one by one would
+/// report first. Factoring goes on past a failed lane (its entries turn
+/// non-finite), since a lower lane may still fail at a later pivot, and
+/// stops as soon as lane 0 fails; lanes from `used` on are never checked.
+fn factor_lower<T: Elem>(
+    data: &mut [T],
+    n: usize,
+    used: usize,
+    row: impl Fn(usize) -> usize,
+) -> Result<()> {
+    let mut failed: Option<(usize, LinalgError)> = None;
     for j in 0..n {
         let below_start = row(j) + j + 1;
         let (upto, below) = data.split_at_mut(below_start);
         let (rj, pivot) = upto[row(j)..].split_at_mut(j);
         let mut diag = pivot[0];
         for &ljk in rj.iter() {
-            diag -= ljk * ljk;
+            diag = diag.sub_mul(ljk, ljk);
         }
-        if diag <= 0.0 || !diag.is_finite() {
-            return Err(LinalgError::NotPositiveDefinite { pivot: j, value: diag });
+        let bad = |d: f64| d <= 0.0 || !d.is_finite();
+        let lanes = failed.as_ref().map_or(used, |(w, _)| *w);
+        if let Some(w) = (0..lanes).find(|&w| bad(diag.lane(w))) {
+            let value = diag.lane(w);
+            if w == 0 {
+                return Err(LinalgError::NotPositiveDefinite { pivot: j, value });
+            }
+            failed = Some((w, LinalgError::NotPositiveDefinite { pivot: j, value }));
         }
         let ljj = diag.sqrt();
         pivot[0] = ljj;
@@ -104,29 +194,29 @@ fn factor_lower(data: &mut [f64], n: usize, row: impl Fn(usize) -> usize) -> Res
             let (r0, r1) = (&mut r0[..=j], &mut r1[..=j]);
             let (mut acc0, mut acc1) = (r0[j], r1[j]);
             for ((&l0, &l1), &ljk) in r0[..j].iter().zip(&r1[..j]).zip(rj) {
-                acc0 -= l0 * ljk;
-                acc1 -= l1 * ljk;
+                acc0 = acc0.sub_mul(l0, ljk);
+                acc1 = acc1.sub_mul(l1, ljk);
             }
-            r0[j] = acc0 / ljj;
-            r1[j] = acc1 / ljj;
+            r0[j] = acc0.div(ljj);
+            r1[j] = acc1.div(ljj);
             i += 2;
         }
         if i < n {
             let ri = &mut below[row(i) - below_start..][..=j];
             let mut acc = ri[j];
             for (&lik, &ljk) in ri[..j].iter().zip(rj) {
-                acc -= lik * ljk;
+                acc = acc.sub_mul(lik, ljk);
             }
-            ri[j] = acc / ljj;
+            ri[j] = acc.div(ljj);
         }
     }
-    Ok(())
+    failed.map_or(Ok(()), |(_, e)| Err(e))
 }
 
 /// Solves `L·Lᵀ·x = b` in place for the lower triangle `l` laid out as in
 /// [`factor_lower`]: forward substitution along the rows of `L`, then back
 /// substitution down its columns.
-fn substitute(l: &[f64], row: impl Fn(usize) -> usize, x: &mut [f64]) {
+fn substitute<T: Elem>(l: &[T], row: impl Fn(usize) -> usize, x: &mut [T]) {
     let n = x.len();
     // Forward: L·y = b
     for i in 0..n {
@@ -134,18 +224,18 @@ fn substitute(l: &[f64], row: impl Fn(usize) -> usize, x: &mut [f64]) {
         let ri = &l[row(i)..=row(i) + i];
         let mut acc = rest[0];
         for (&lij, &xj) in ri.iter().zip(done.iter()) {
-            acc -= lij * xj;
+            acc = acc.sub_mul(lij, xj);
         }
-        rest[0] = acc / ri[i];
+        rest[0] = acc.div(ri[i]);
     }
     // Backward: Lᵀ·x = y, walking column i of L down from the diagonal.
     for i in (0..n).rev() {
         let (head, later) = x.split_at_mut(i + 1);
         let mut acc = head[i];
         for (k, &xk) in (i + 1..n).zip(later.iter()) {
-            acc -= l[row(k) + i] * xk;
+            acc = acc.sub_mul(l[row(k) + i], xk);
         }
-        head[i] = acc / l[row(i) + i];
+        head[i] = acc.div(l[row(i) + i]);
     }
 }
 
@@ -162,7 +252,7 @@ pub fn cholesky_packed_in_place(tri: &mut [f64], n: usize) -> Result<()> {
             rhs: (tri.len(), 1),
         });
     }
-    factor_lower(tri, n, packed_row)
+    factor_lower(tri, n, 1, packed_row)
 }
 
 /// Solves `A·x = b` in place given a lower-triangular Cholesky factor of `A`
@@ -188,6 +278,52 @@ pub fn solve_packed_in_place(l: &[f64], x: &mut [f64]) -> Result<()> {
     if l.len() != packed_row(n) {
         return Err(LinalgError::DimensionMismatch {
             op: "cholesky::solve_packed_in_place",
+            lhs: (n, n),
+            rhs: (l.len(), 1),
+        });
+    }
+    substitute(l, packed_row, x);
+    Ok(())
+}
+
+/// Factors in place `N` packed lower triangles of `n x n` SPD matrices,
+/// interleaved lane by lane in `tri`: entry `k` of system `w` sits at
+/// `tri[k][w]`, `n(n+1)/2` entries per system. On return lane `w` holds the
+/// packed factor of system `w`, bit-identical to what
+/// [`cholesky_packed_in_place`] writes for that system alone.
+///
+/// Lanes `0..used` hold systems; the rest are padding, whatever they hold.
+/// When a used lane is not positive definite, the error is
+/// [`LinalgError::NotPositiveDefinite`] of the lowest such lane, with the
+/// pivot and value [`cholesky_packed_in_place`] reports for it; a padding
+/// lane reports nothing.
+pub fn cholesky_packed_lanes_in_place<const N: usize>(
+    tri: &mut [[f64; N]],
+    n: usize,
+    used: usize,
+) -> Result<()> {
+    if tri.len() != packed_row(n) || used > N {
+        return Err(LinalgError::DimensionMismatch {
+            op: "cholesky::cholesky_packed_lanes_in_place",
+            lhs: (packed_row(n), N),
+            rhs: (tri.len(), used),
+        });
+    }
+    factor_lower(tri, n, used, packed_row)
+}
+
+/// [`solve_packed_in_place`] for `N` packed factors interleaved lane by
+/// lane (as produced by [`cholesky_packed_lanes_in_place`]) and their `N`
+/// right-hand sides, entry `k` of lane `w` at `x[k][w]`; each lane's
+/// solution is bit-identical to [`solve_packed_in_place`] on its factor.
+pub fn solve_packed_lanes_in_place<const N: usize>(
+    l: &[[f64; N]],
+    x: &mut [[f64; N]],
+) -> Result<()> {
+    let n = x.len();
+    if l.len() != packed_row(n) {
+        return Err(LinalgError::DimensionMismatch {
+            op: "cholesky::solve_packed_lanes_in_place",
             lhs: (n, n),
             rhs: (l.len(), 1),
         });
@@ -264,6 +400,8 @@ impl Cholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn spd() -> Matrix {
         // A = Bᵀ·B + I is SPD for any B.
@@ -501,6 +639,116 @@ mod tests {
             assert_eq!(dense.0, bad);
             assert_eq!((packed.0, packed.1.to_bits()), (dense.0, dense.1.to_bits()));
         }
+    }
+
+    /// A seeded SPD matrix of order `n`: `BᵀB + I` for a random `B`.
+    fn seeded_spd(rng: &mut StdRng, n: usize) -> Matrix {
+        let b = Matrix::from_fn(n, n, |_, _| rng.random_range(-1.0..1.0));
+        let mut a = b.gram();
+        a.add_diag(1.0).unwrap();
+        a
+    }
+
+    /// Interleaves equal-length packed systems into lanes, entry `k` of
+    /// system `w` at `[k][w]`; lanes past `systems.len()` hold `pad`.
+    fn interleave(systems: &[Vec<f64>], pad: &[f64]) -> Vec<[f64; 4]> {
+        (0..pad.len())
+            .map(|k| std::array::from_fn(|w| systems.get(w).map_or(pad[k], |s| s[k])))
+            .collect()
+    }
+
+    fn lane(lanes: &[[f64; 4]], w: usize) -> Vec<f64> {
+        lanes.iter().map(|e| e[w]).collect()
+    }
+
+    fn npd(r: Result<()>) -> (usize, u64) {
+        match r {
+            Err(LinalgError::NotPositiveDefinite { pivot, value }) => (pivot, value.to_bits()),
+            other => panic!("expected NotPositiveDefinite, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lanes_bit_identical_to_one_system_at_a_time() {
+        let mut rng = StdRng::seed_from_u64(0x1a4e5);
+        for n in 1..=10 {
+            for used in 1..=4 {
+                let dense: Vec<Matrix> = (0..used).map(|_| seeded_spd(&mut rng, n)).collect();
+                let rhs: Vec<Vec<f64>> = (0..used)
+                    .map(|_| (0..n).map(|_| rng.random_range(-2.0..2.0)).collect())
+                    .collect();
+                // Padding lanes hold an indefinite matrix: it must not matter.
+                let mut pad = pack(&seeded_spd(&mut rng, n));
+                pad[0] = -1.0;
+                let packed: Vec<Vec<f64>> = dense.iter().map(pack).collect();
+                let mut tri = interleave(&packed, &pad);
+                cholesky_packed_lanes_in_place(&mut tri, n, used).unwrap();
+                let mut x = interleave(&rhs, &vec![0.5; n]);
+                solve_packed_lanes_in_place(&tri, &mut x).unwrap();
+                for w in 0..used {
+                    let mut l = Matrix::zeros(n, n);
+                    dense[w].cholesky_into(&mut l).unwrap();
+                    let mut want = rhs[w].clone();
+                    solve_in_place(&l, &mut want).unwrap();
+                    let got = lane(&tri, w);
+                    for (k, (g, e)) in got.iter().zip(pack(&l)).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            e.to_bits(),
+                            "n={n} used={used} lane {w} entry {k}"
+                        );
+                    }
+                    for (k, (g, e)) in lane(&x, w).iter().zip(&want).enumerate() {
+                        assert_eq!(g.to_bits(), e.to_bits(), "n={n} used={used} lane {w} x[{k}]");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_report_the_first_failing_used_lane() {
+        let n = 9;
+        let mut rng = StdRng::seed_from_u64(0xfa11);
+        let good: Vec<Vec<f64>> = (0..4).map(|_| pack(&seeded_spd(&mut rng, n))).collect();
+        // `bad(p)` fails at pivot `p`, as the one-system routine reports it.
+        let bad = |p: usize| {
+            let mut a = seeded_spd(&mut StdRng::seed_from_u64(p as u64), n);
+            a[(p, p)] = -30.0;
+            let one = npd(cholesky_packed_in_place(&mut pack(&a), n));
+            assert_eq!(one.0, p);
+            (pack(&a), one)
+        };
+        let run = |systems: &[Vec<f64>], used: usize| {
+            let mut tri = interleave(systems, &good[0]);
+            cholesky_packed_lanes_in_place(&mut tri, n, used)
+        };
+        for used in 1..=4 {
+            // Lane 0, a middle lane and the last used lane.
+            for w in [0, used / 2, used - 1] {
+                let (sys, want) = bad(1 + w);
+                let mut systems = good.clone();
+                systems[w] = sys;
+                assert_eq!(npd(run(&systems[..used], used)), want, "used={used} lane {w}");
+            }
+        }
+        // Lanes 1 and 3 fail; lane 1 wins though lane 3 fails at an earlier pivot.
+        let (early, _) = bad(2);
+        let (late, want) = bad(7);
+        let mut systems = good.clone();
+        systems[3] = early.clone();
+        systems[1] = late;
+        assert_eq!(npd(run(&systems, 4)), want);
+        // A failing padding lane reports nothing.
+        for used in 1..4 {
+            let mut systems = good.clone();
+            systems[used] = early.clone();
+            let mut tri = interleave(&systems, &good[0]);
+            cholesky_packed_lanes_in_place(&mut tri, n, used).unwrap();
+        }
+        assert!(cholesky_packed_lanes_in_place(&mut interleave(&good, &good[0]), n, 5).is_err());
+        assert!(cholesky_packed_lanes_in_place(&mut [[1.0; 4]; 2], 2, 1).is_err());
+        assert!(solve_packed_lanes_in_place(&[[1.0; 4]; 2], &mut [[1.0; 4]; 2]).is_err());
     }
 
     #[test]

@@ -286,6 +286,7 @@ impl Matrix {
 ///
 /// Accumulates in four independent lanes so the compiler can keep the partial
 /// sums in registers; the lane structure (and therefore the rounding) is fixed.
+#[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch {} vs {}", a.len(), b.len());
     let mut acc = [0.0f64; 4];
@@ -350,6 +351,7 @@ fn dot_2x2(a0: &[f64], a1: &[f64], b0: &[f64], b1: &[f64]) -> [f64; 4] {
 
 /// In-place `out += alpha * src` over equal-length slices, unrolled to match
 /// [`dot`]'s chunking. Panics on length mismatch.
+#[inline]
 pub fn axpy_slice(out: &mut [f64], alpha: f64, src: &[f64]) {
     assert_eq!(out.len(), src.len(), "axpy: length mismatch {} vs {}", out.len(), src.len());
     let chunks = out.len() / 4 * 4;

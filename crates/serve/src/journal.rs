@@ -37,12 +37,18 @@
 //!
 //! **Pruning.** Snapshots record the highest sequence number whose effects
 //! they contain (`PersistedSite::journal_watermark`). Once a snapshot commits,
-//! [`Journal::prune`] deletes sealed segments entirely at or below the
+//! [`Journal::prune`] deletes the sealed segments entirely at or below the
 //! watermark. Records are only ever pruned *after* the snapshot holding them
 //! is durable, so a crash between journal append and snapshot commit replays
 //! from the journal, and a crash between snapshot commit and prune merely
 //! replays records recovery then recognizes (by watermark) as already
-//! applied.
+//! applied. A prune never touches the active segment, so a commit creates no
+//! file: covered records there stay until the segment reaches its 4 MiB cap
+//! and rotates like any other, and the next covering prune deletes it.
+//! Recovery skips them by watermark, so at most one segment of covered
+//! records outlives its snapshot. [`Journal::open`] rotates out an active
+//! segment the watermark wholly covers, which restarts a quiet journal from
+//! one empty segment.
 
 use crate::store::fsync_dir;
 use crate::{Result, ServeError};
@@ -144,8 +150,8 @@ struct Inner {
     index: u64,
     /// Bytes in the active segment including its header.
     bytes: u64,
-    /// Records in the active segment (a header-only segment prunes by
-    /// rotation without a seal).
+    /// Records in the active segment (a header-only segment rotates
+    /// without a seal).
     records: u64,
     next_seq: u64,
     max_seq: u64,
@@ -195,9 +201,10 @@ impl Journal {
 
     /// Opens (or creates) the journal for `stem` under `dir`, scanning every
     /// existing segment: torn tails are truncated, segments wholly at or
-    /// below `watermark` are deleted, and the surviving records beyond the
-    /// watermark are returned for replay. Appends resume with a sequence
-    /// number above everything ever written.
+    /// below `watermark` are deleted (the active one is rotated out first),
+    /// and the surviving records beyond the watermark are returned for
+    /// replay. Appends resume with a sequence number above everything ever
+    /// written.
     pub fn open(
         dir: &Path,
         stem: &str,
@@ -316,7 +323,14 @@ impl Journal {
                 sealed,
             }),
         };
-        // Anything wholly covered by the snapshot is dead weight already.
+        // Anything wholly covered by the snapshot is dead weight already,
+        // the active segment included: rotate it out so the prune deletes it.
+        {
+            let mut inner = journal.inner.lock().unwrap_or_else(|p| p.into_inner());
+            if inner.records > 0 && inner.max_seq <= watermark {
+                journal.rotate_locked(&mut inner)?;
+            }
+        }
         journal.prune(watermark)?;
         Ok((journal, JournalRecovery { records, truncated_bytes }))
     }
@@ -447,16 +461,12 @@ impl Journal {
         Journal::flush_locked(&mut inner)
     }
 
-    /// Deletes sealed segments whose records all sit at or below `watermark`
-    /// (their effects are in a durable snapshot). If the *active* segment is
-    /// also wholly covered, it is rotated out first so it becomes prunable
-    /// too — after a quiet period the journal shrinks back to one empty
-    /// segment.
+    /// Deletes the sealed segments whose records all sit at or below
+    /// `watermark` (their effects are in a durable snapshot). The active
+    /// segment stays as it is, covered or not: it is deleted by the first
+    /// covering prune after it rotates (see the module docs' *Pruning*).
     pub fn prune(&self, watermark: u64) -> Result<()> {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
-        if inner.records > 0 && inner.max_seq <= watermark {
-            self.rotate_locked(&mut inner)?;
-        }
         let mut removed = false;
         inner.sealed.retain(|s| {
             if s.max_seq <= watermark {
@@ -653,6 +663,90 @@ mod tests {
         let (_, rec) = Journal::open(&dir, "s-0", strict(), 3).unwrap();
         let seqs: Vec<u64> = rec.records.iter().map(|(s, _)| *s).collect();
         assert_eq!(seqs, vec![4]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn wal_files(dir: &Path) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|x| x == "wal"))
+            .collect();
+        files.sort();
+        files
+    }
+
+    fn active(j: &Journal) -> (u64, PathBuf) {
+        let inner = j.inner.lock().unwrap();
+        (inner.index, inner.path.clone())
+    }
+
+    #[test]
+    fn a_prune_that_deletes_nothing_keeps_the_active_segment() {
+        let dir = temp_dir("prune-keeps-active");
+        let (j, _) = Journal::open(&dir, "s-0", strict(), 0).unwrap();
+        for i in 0..3 {
+            j.append(&batch(i, 90.0, 2)).unwrap();
+        }
+        let (before, files) = (active(&j), wal_files(&dir));
+        let len = std::fs::metadata(&before.1).unwrap().len();
+        // Covering and not covering the active segment's records alike.
+        j.prune(2).unwrap();
+        j.prune(3).unwrap();
+        assert_eq!(active(&j), before, "same segment index and file");
+        assert_eq!(wal_files(&dir), files, "no file added or removed");
+        assert_eq!(std::fs::metadata(&before.1).unwrap().len(), len);
+        // Appends go on into the same file.
+        assert_eq!(j.append(&batch(3, 90.0, 2)).unwrap(), 4);
+        assert!(std::fs::metadata(&before.1).unwrap().len() > len);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn covered_records_left_in_the_active_segment_are_not_replayed() {
+        let dir = temp_dir("covered-active");
+        let (j, _) = Journal::open(&dir, "s-0", strict(), 0).unwrap();
+        for i in 0..3 {
+            j.append(&batch(i, 90.0, 2)).unwrap();
+        }
+        // A snapshot covering 1..=3 commits, then one more record arrives.
+        j.prune(3).unwrap();
+        j.append(&batch(3, 91.0, 1)).unwrap();
+        drop(j);
+        let (j, rec) = Journal::open(&dir, "s-0", strict(), 3).unwrap();
+        let seqs: Vec<u64> = rec.records.iter().map(|(s, _)| *s).collect();
+        assert_eq!(seqs, vec![4], "records at or below the watermark are skipped");
+        assert_eq!(rec.truncated_bytes, 0);
+        assert_eq!(active(&j).0, 0, "a segment holding an uncovered record stays active");
+        assert_eq!(j.append(&batch(4, 91.0, 1)).unwrap(), 5);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_segment_rotated_at_the_cap_is_deleted_by_the_next_covering_prune() {
+        let dir = temp_dir("rotated-then-pruned");
+        let (mut j, _) = Journal::open(&dir, "s-0", strict(), 0).unwrap();
+        j.segment_max_bytes = 256;
+        // Covered records accumulate in the active segment until it rotates.
+        let mut seq = 0;
+        while active(&j).0 == 0 {
+            j.prune(seq).unwrap();
+            assert_eq!(wal_files(&dir).len(), 1, "no prune rotates the active segment");
+            seq = j.append(&batch(0, 90.0, 2)).unwrap();
+        }
+        assert!(seq > 1, "the cap rotated a segment of several records");
+        let sealed = Journal::segment_path(&dir, "s-0", 0);
+        assert_eq!(wal_files(&dir), vec![sealed.clone(), active(&j).1]);
+        // A prune below the sealed segment's last record keeps it…
+        j.prune(seq - 1).unwrap();
+        assert!(sealed.exists());
+        // …and the next covering one deletes it, leaving the active one.
+        j.prune(seq).unwrap();
+        assert_eq!(wal_files(&dir), vec![active(&j).1]);
+        drop(j);
+        let (_, rec) = Journal::open(&dir, "s-0", strict(), seq).unwrap();
+        assert!(rec.records.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -380,15 +380,15 @@ impl Site {
 
     /// Puts a freshly registered site on the durability stack: a clean
     /// write-ahead journal in the store's directory (leftover segments from
-    /// a previous site of the same name are discarded — their records
+    /// a previous site of the same name are deleted first — their records
     /// describe a system that no longer exists), then the snapshot store,
-    /// which persists the current generation immediately.
+    /// which persists the current generation immediately. The daemon calls
+    /// this under its bring-up lock, so no other bring-up of the name
+    /// touches its files meanwhile.
     pub fn with_durability(self, store: Arc<SiteStore>, journal: JournalConfig) -> Result<Site> {
+        store.discard_journal(&self.name)?;
         let stem = SiteStore::stem(&self.name);
-        let (journal, recovery) = Journal::open(store.dir(), &stem, journal, 0)?;
-        if !recovery.records.is_empty() {
-            journal.prune(journal.last_seq())?;
-        }
+        let (journal, _) = Journal::open(store.dir(), &stem, journal, 0)?;
         self.with_journal(Arc::new(journal)).with_persistence(store)
     }
 
@@ -966,8 +966,8 @@ impl Site {
 
     /// Persists the current generation to the attached store, if any.
     /// Returns the snapshot path when a save happened. Once the snapshot is
-    /// durable, journal records at or below its watermark are pruned
-    /// (best-effort — a failed prune only delays reclamation).
+    /// durable, sealed journal segments at or below its watermark are
+    /// deleted (best-effort — a failed prune only delays reclamation).
     pub fn persist_now(&self) -> Result<Option<PathBuf>> {
         let store = self.store.lock().unwrap_or_else(|p| p.into_inner());
         let Some(store) = store.as_ref() else {
@@ -1481,6 +1481,41 @@ mod tests {
             Site::recover(persisted, store, journal, Some(plan), ClockMode::default()).unwrap();
         assert_eq!((replayed, read), (1, 1));
         assert_eq!(revived.lock_dynamic().live, live);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A site registered over a previous site's leftover journal segments
+    /// of the same name starts from an empty journal, so a crash-restart
+    /// replays none of the leftover records.
+    #[test]
+    fn a_site_registered_over_leftover_journal_segments_replays_none_of_them() {
+        let (world, site) = calibrated_site(42);
+        let dir = std::env::temp_dir().join(format!("tafloc-site-leftover-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(SiteStore::open(&dir).unwrap());
+        let journal = JournalConfig { flush_interval: std::time::Duration::ZERO };
+        let ref_cells = site.load().system.reference_cells().to_vec();
+        let cfg = StreamConfig { duration_s: 10.0, ..Default::default() };
+        let samples = stream::stream_at_cell(&world, 30.0, ref_cells[0], &cfg, 11);
+        {
+            let stem = SiteStore::stem("lab");
+            let (old, _) = Journal::open(&dir, &stem, journal, 0).unwrap();
+            for day in [30.0, 31.0] {
+                let record = JournalRecord::RefBatch { ref_slot: 0, day, samples: samples.clone() };
+                old.append(&record).unwrap();
+            }
+        }
+        let site = site.with_durability(Arc::clone(&store), journal).unwrap();
+        let live = site.lock_dynamic().live.clone();
+        assert_eq!(site.stats().active_ref_captures, 0);
+        drop(site); // the kill
+
+        let persisted = store.recover_all().unwrap().sites.remove(0);
+        let (revived, replayed, read) =
+            Site::recover(persisted, store, journal, None, ClockMode::default()).unwrap();
+        assert_eq!((replayed, read), (0, 0), "no leftover record is replayed");
+        assert_eq!(revived.lock_dynamic().live, live);
+        assert_eq!(revived.stats().active_ref_captures, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

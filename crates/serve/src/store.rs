@@ -412,13 +412,28 @@ impl SiteStore {
     /// and a later site of the same name starts from its own generation 0
     /// instead of being pruned behind the removed site's newer generations.
     pub(crate) fn forget(&self, name: &str) -> Result<()> {
+        self.remove_stem_files(name, &["snap", "wal"])
+    }
+
+    /// Deletes every write-ahead journal segment of `name`, so a site
+    /// registered under the name starts from an empty journal instead of
+    /// replaying a previous site's records after a crash.
+    pub(crate) fn discard_journal(&self, name: &str) -> Result<()> {
+        self.remove_stem_files(name, &["wal"])
+    }
+
+    /// Deletes `name`'s files whose extension is one of `exts`, then syncs
+    /// the directory if any was there.
+    fn remove_stem_files(&self, name: &str, exts: &[&str]) -> Result<()> {
         let io = |what: &str, path: &Path, e: std::io::Error| {
             ServeError::Store(format!("{what} {}: {e}", path.display()))
         };
-        let files =
-            self.stem_files(name, &["snap", "wal"]).map_err(|e| io("cannot scan", &self.dir, e))?;
-        for path in files {
-            std::fs::remove_file(&path).map_err(|e| io("cannot remove", &path, e))?;
+        let files = self.stem_files(name, exts).map_err(|e| io("cannot scan", &self.dir, e))?;
+        if files.is_empty() {
+            return Ok(());
+        }
+        for path in &files {
+            std::fs::remove_file(path).map_err(|e| io("cannot remove", path, e))?;
         }
         fsync_dir(&self.dir).map_err(|e| io("cannot sync", &self.dir, e))
     }

@@ -125,8 +125,8 @@ pub enum RestartPoint {
     /// journal replay for the post-restart ticks to refresh at all.
     BeforeRefresh,
     /// After the final refresh has committed (and auto-persisted): recovery
-    /// comes from the snapshot alone, the journal having been pruned to the
-    /// committed watermark.
+    /// comes from the snapshot alone, since every journal record sits at or
+    /// below its watermark and none is replayed.
     AfterRefresh,
     /// Plan scenarios only: between the first (full-survey) refresh and the
     /// second, budgeted epoch. The revived site must resume its published

@@ -243,7 +243,7 @@ fn assert_restart_invisible(crashed: &taf_testkit::Scenario) {
 }
 
 /// Restart equivalence after the refresh committed: recovery comes from the
-/// snapshot alone (the journal was pruned to the committed watermark).
+/// snapshot alone (every journal record is at or below its watermark).
 #[test]
 fn restart_is_invisible_to_every_accuracy_metric() {
     assert_restart_invisible(&find_scenario("restart-recovery").unwrap());
