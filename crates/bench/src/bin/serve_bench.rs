@@ -9,15 +9,12 @@
 //! 1. `locate-batch` (16 vectors per round trip) over v1 (newline-delimited
 //!    JSON) and over v2 (length-prefixed checksummed binary), to expose the
 //!    framing overhead amortized away by batching;
-//! 2. a mixed many-client phase — `4 x THREADS` concurrent connections,
-//!    alternating v1/v2 — exercising version sniffing under contention,
-//!    with client-side p50/p99 per `locate` round trip;
-//! 3. a sharded many-site phase — a second daemon at `--shards 4` owning
+//! 2. a sharded many-site phase — a second daemon at `--shards 4` owning
 //!    eight clones of the calibrated site, with `2 x THREADS` clients
 //!    spraying locates (plus a trickle of ingest) across all sites.
 //!
-//! The daemon's own per-endpoint latency histogram is recorded after the
-//! first two phases.
+//! The first daemon's own per-endpoint latency histogram (its one
+//! `locate-batch` row) is recorded after the first phase.
 //!
 //! Every reply is checked against the cell `TafLoc::localize` gives the
 //! served system, computed in process before timing starts; the bench exits
@@ -33,7 +30,6 @@
 
 use std::time::Instant;
 use taf_bench::perf;
-use taf_linalg::stats::Ecdf;
 use taf_rfsim::{campaign, World, WorldConfig};
 use taf_testkit::json::Json;
 use tafloc_core::db::FingerprintDb;
@@ -46,11 +42,11 @@ use tafloc_serve::server::{Server, ServerConfig};
 use tafloc_serve::wire::WireVersion;
 
 const BATCH: usize = 16;
-/// Client threads of each batch phase; the mixed phase opens four times as
-/// many connections and the sharded phase twice as many.
+/// Client threads of each batch phase; the sharded phase opens twice as many
+/// connections.
 const THREADS: usize = 4;
-/// Fixes each batch-phase client asks for; each mixed and sharded client
-/// sends half as many locates.
+/// Fixes each batch-phase client asks for; each sharded client sends half as
+/// many locates.
 const PER_THREAD: usize = 2000;
 
 fn label(version: WireVersion) -> &'static str {
@@ -133,11 +129,10 @@ fn main() {
     let cells = ys.iter().map(|y| sys.localize(y).expect("query localizes").cell).collect();
     let queries = Queries { ys, cells };
 
-    // The mixed phase opens many persistent connections at once; the server
-    // needs a worker per connection (plus one for the admin client) so nobody
-    // starves.
-    let mixed_clients = THREADS * 4;
-    let workers = mixed_clients + 1;
+    // Each batch phase holds `THREADS` persistent connections at once; the
+    // server needs a worker per connection (plus one for the admin client) so
+    // nobody starves.
+    let workers = THREADS + 1;
     let policy = MaintenancePolicy { auto_refresh: false, ..Default::default() };
     let server = Server::bind(
         "127.0.0.1:0",
@@ -165,55 +160,11 @@ fn main() {
         results.push((format!("{tag}_batch_fixes_per_s"), Json::Num(perf::round_ms(fps))));
     }
 
-    // Mixed phase: many clients, alternating versions on one server, so the
-    // per-message sniffing path is exercised under real contention.
-    let mixed_per_client = PER_THREAD / 2;
-    let start = Instant::now();
-    let joins: Vec<_> = (0..mixed_clients)
-        .map(|t| {
-            let queries = queries.clone();
-            let version = if t % 2 == 0 { WireVersion::V1Json } else { WireVersion::V2Binary };
-            std::thread::spawn(move || {
-                let mut client = Client::connect_with(addr, version).expect("connect");
-                let mut micros = Vec::with_capacity(mixed_per_client);
-                let mut wrong = 0;
-                for k in 0..mixed_per_client {
-                    let q = (t + k) % queries.len();
-                    let t0 = Instant::now();
-                    let (cell, ..) = client.locate("bench", &queries.ys[q]).expect("locate");
-                    micros.push(t0.elapsed().as_nanos() as f64 / 1e3);
-                    wrong += usize::from(cell != queries.cells[q]);
-                }
-                (micros, wrong)
-            })
-        })
-        .collect();
-    let mut micros: Vec<f64> = Vec::new();
-    let mut wrong = 0;
-    for j in joins {
-        let (m, w) = j.join().expect("mixed client thread");
-        micros.extend(m);
-        wrong += w;
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    require_correct("mixed", wrong, micros.len());
-    let mixed_rps = micros.len() as f64 / elapsed;
-    let micros = Ecdf::new(&micros).expect("finite round trips");
-    let [mp50, mp99] = [0.50, 0.99].map(|q| perf::round_ms(micros.quantile(q)));
-    println!(
-        "mixed ({mixed_clients} clients, alternating v1/v2): {mixed_rps:.0} req/s, \
-         client p50 {mp50:.1} us, p99 {mp99:.1} us",
-    );
-    results.push(("mixed_clients".into(), Json::Num(mixed_clients as f64)));
-    results.push(("mixed_req_per_s".into(), Json::Num(perf::round_ms(mixed_rps))));
-    results.push(("mixed_p50_us".into(), Json::Num(mp50)));
-    results.push(("mixed_p99_us".into(), Json::Num(mp99)));
-
     let mut latency = Vec::new();
     let mut admin = Client::connect(addr).expect("connect admin");
     if let Response::Stats { report } = admin.call_ok(&Request::Stats).expect("stats") {
         for e in &report.endpoints {
-            if e.endpoint == "locate" || e.endpoint == "locate-batch" {
+            if e.endpoint == "locate-batch" {
                 println!(
                     "server-side {} latency: p50 <= {} us, p95 <= {} us, p99 <= {} us, max {} us ({} reqs, {} errors)",
                     e.endpoint, e.p50_us, e.p95_us, e.p99_us, e.max_us, e.requests, e.errors

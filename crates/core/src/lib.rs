@@ -25,7 +25,6 @@
 //! | [`matcher`] | matching live `Y` against the database columns |
 //! | [`system`] | the calibrate → update → localize lifecycle |
 //! | [`eval`] | error CDFs and summaries (Figs. 3 and 5) |
-//! | [`detection`] | presence detection (snapshot + CUSUM) for the intruder scenario |
 //! | [`tracking`] | particle-filter tracking of moving targets |
 //! | [`monitor`] | reference-cell spot checks driving time-adaptive update scheduling |
 //!
@@ -65,7 +64,6 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord, clippy::needless_range_loop)]
 
 pub mod db;
-pub mod detection;
 pub mod error;
 pub mod eval;
 pub mod loli_ir;
@@ -80,7 +78,6 @@ pub mod system;
 pub mod tracking;
 
 pub use db::FingerprintDb;
-pub use detection::{Detection, DetectorConfig, PresenceDetector};
 pub use error::TaflocError;
 pub use loli_ir::{
     LoliIrConfig, Reconstruction, ReconstructionProblem, SolverWorkspace, WarmState,

@@ -13,8 +13,8 @@
 //! * [`snapshot`] — `SnapshotCell`, the atomically swappable immutable
 //!   snapshot slot behind the contention-free read path;
 //! * [`site`] — per-site state: the swappable calibrated system plus the
-//!   mutex-guarded mutable half (drift monitor, pending refs, per-stream
-//!   trackers and detectors) and the streaming [`tafloc_ingest::Ingestor`]
+//!   mutex-guarded mutable half (drift monitor, pending refs, capture
+//!   windows, plan state) and the streaming [`tafloc_ingest::Ingestor`]
 //!   accepting raw link samples behind the `ingest` / `locate-stream`
 //!   endpoints;
 //! * [`shard`] — the worker shards that hold the sites: consistent-hash

@@ -379,8 +379,6 @@ mod tests {
                 "locate-stream",
                 "locate-batch",
                 "ingest",
-                "track",
-                "detect",
                 "measure-refs",
                 "refresh",
                 "stats",

@@ -24,8 +24,12 @@
 //! generates both protocols' codecs from the declaration, so a field is
 //! named once. v1 names are kebab-case. Binary tags are append-only: a new
 //! message kind takes the next free number, and a removed kind retires its
-//! tag instead of freeing it for reuse. The committed corpus in
-//! `tests/corpus/` pins the bytes of every variant in both protocols.
+//! tag and its v1 name instead of freeing them for reuse. Retired so far:
+//! request tags 8 `track` and 9 `detect`, and response tags 9 `tracked` and
+//! 10 `detected`. A retired request decodes as an unknown variant, so it
+//! gets an `error` reply on a connection that keeps serving. The committed
+//! corpus in `tests/corpus/` pins the bytes of every variant in both
+//! protocols.
 
 use crate::maintenance::MaintenancePolicy;
 use taf_linalg::Matrix;
@@ -95,26 +99,6 @@ schema! {
             day: f64 = 0.0,
             /// The raw samples, in any order.
             samples: Vec<LinkSample>,
-        },
-        /// Advance a named tracking stream by one measurement (particle filter).
-        Track = 8 "track" {
-            /// Site name.
-            site: String,
-            /// Stream id — each id owns an independent filter state.
-            stream: String,
-            /// Averaged per-link RSS.
-            y: Vec<f64>,
-            /// Seconds since the stream's previous measurement.
-            dt_s: f64,
-        },
-        /// Feed a named presence-detection stream (snapshot + CUSUM).
-        Detect = 9 "detect" {
-            /// Site name.
-            site: String,
-            /// Stream id — each id owns independent CUSUM state.
-            stream: String,
-            /// Averaged per-link RSS.
-            y: Vec<f64>,
         },
         /// Ingest freshly measured reference columns (the cheap survey).
         MeasureRefs = 10 "measure-refs" {
@@ -214,22 +198,6 @@ schema! {
         Ingested = 8 "ingested" {
             /// Per-batch accept/drop accounting.
             report: BatchReport,
-        },
-        /// Tracking estimate.
-        Tracked = 9 "tracked" {
-            /// Estimated x (m).
-            x: f64,
-            /// Estimated y (m).
-            y: f64,
-            /// Particle-filter effective sample size (diagnostic).
-            effective_sample_size: f64,
-        },
-        /// Presence decision.
-        Detected = 10 "detected" {
-            /// Whether a target is believed present.
-            present: bool,
-            /// Which detector fired and on what evidence.
-            detail: String,
         },
         /// Reference measurements accepted; the monitor's verdict on them.
         RefsAccepted = 11 "refs-accepted" {
@@ -416,8 +384,6 @@ schema! {
         pub tick_panics: u64 = 0,
         /// Snapshot saves that failed (persistence is best-effort).
         pub persist_failures: u64 = 0,
-        /// Live tracking streams.
-        pub active_trackers: usize,
         /// Cumulative ingestion-pipeline counters (samples, drops, link health).
         pub ingest: IngestStats,
         /// The live ingestion stream clock (s); 0 until the first sample lands.
@@ -488,5 +454,20 @@ mod tests {
         }
         // The corpus holds every request variant, so this checks them all.
         assert_eq!(seen.len(), Request::VARIANTS.len(), "{seen:?}");
+    }
+
+    #[test]
+    fn retired_tags_and_names_stay_unused() {
+        let retired_requests = [(8, "track"), (9, "detect")];
+        let retired_responses = [(9, "tracked"), (10, "detected")];
+        for (variants, retired) in
+            [(Request::VARIANTS, retired_requests), (Response::VARIANTS, retired_responses)]
+        {
+            for (tag, name) in retired {
+                for &(t, n) in variants {
+                    assert!(t != tag && n != name, "({t}, {n}) reuses retired ({tag}, {name})");
+                }
+            }
+        }
     }
 }

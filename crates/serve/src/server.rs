@@ -23,7 +23,7 @@ use crate::metrics::Metrics;
 use crate::protocol::{Request, Response};
 use crate::shard::{AdmissionConfig, Admit, ShardSet};
 use crate::shard::{DEFAULT_ADMIT_DEADLINE, DEFAULT_MAX_INFLIGHT_PER_SITE};
-use crate::site::{detection_detail, recommendation_name, Site};
+use crate::site::{recommendation_name, Site};
 use crate::store::SiteStore;
 use crate::wire::{self, WireVersion};
 use crate::{Result, ServeError};
@@ -568,24 +568,6 @@ pub fn dispatch(request: Request, ctx: &ServerCtx) -> Response {
                     reason: "rejected".to_string(),
                     retry_after_ms: 0,
                 },
-            }
-        }
-        Request::Track { site, stream, y, dt_s } => {
-            match ctx.registry.get(&site).and_then(|s| s.track(&stream, &y, dt_s)) {
-                Ok(est) => Response::Tracked {
-                    x: est.point.x,
-                    y: est.point.y,
-                    effective_sample_size: est.effective_sample_size,
-                },
-                Err(e) => err_response(e),
-            }
-        }
-        Request::Detect { site, stream, y } => {
-            match ctx.registry.get(&site).and_then(|s| s.detect(&stream, &y)) {
-                Ok(det) => {
-                    Response::Detected { present: det.is_present(), detail: detection_detail(&det) }
-                }
-                Err(e) => err_response(e),
             }
         }
         Request::MeasureRefs { site, day, columns, empty } => {

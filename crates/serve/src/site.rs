@@ -7,9 +7,9 @@
 //!   [`SnapshotCell`]; `locate` clones the `Arc` and runs entirely on
 //!   immutable data — concurrent requests never contend with a refresh.
 //! * `SiteDynamic` holds what must mutate between requests: the drift
-//!   monitor, pending reference measurements, per-stream particle filters and
-//!   presence detectors. Its mutex is only held for cheap state updates,
-//!   never across LoLi-IR.
+//!   monitor, pending reference measurements, reference-capture windows,
+//!   health counters and plan state. Its mutex is only held for cheap state
+//!   updates, never across LoLi-IR.
 //! * a dedicated `refresh` mutex serializes refreshes; reconstruction runs
 //!   while holding *only* that, then publishes with one pointer swap.
 //! * an [`Ingestor`] per site accepts raw timestamped link samples and
@@ -34,7 +34,7 @@ use crate::journal::{Journal, JournalConfig, JournalRecord};
 use crate::maintenance::MaintenancePolicy;
 use crate::protocol::{SiteInfo, SiteStats};
 use crate::snapshot::SnapshotCell;
-use crate::store::{name_hash, PersistedSite, SiteHealth, SiteStore};
+use crate::store::{PersistedSite, SiteHealth, SiteStore};
 use crate::{Result, ServeError};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -43,12 +43,10 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, MutexGuard};
 use taf_linalg::Matrix;
 use taf_plan::{HistoryWindow, MeasurementPlan, PlanInputs, Planner, PlannerConfig, SurveyRecord};
-use tafloc_core::detection::{Detection, DetectorConfig, PresenceDetector};
 use tafloc_core::mask::Mask;
 use tafloc_core::matcher::MatchResult;
 use tafloc_core::monitor::{DriftMonitor, Recommendation};
 use tafloc_core::system::{SolverCache, TafLoc, UpdateReport};
-use tafloc_core::tracking::{ParticleFilter, TrackEstimate, TrackerConfig};
 use tafloc_ingest::{
     AssembledVector, BatchReport, ClockMode, IngestConfig, Ingestor, LinkFlag, LinkSample,
 };
@@ -85,8 +83,6 @@ pub struct PendingRefs {
 struct SiteDynamic {
     monitor: DriftMonitor,
     pending: Option<PendingRefs>,
-    trackers: HashMap<String, ParticleFilter>,
-    detectors: HashMap<String, PresenceDetector>,
     last_estimate_db: Option<f64>,
     health: SiteHealth,
     /// Snapshot saves that failed (lifetime; persistence is best-effort).
@@ -219,10 +215,6 @@ fn survey_matrix(columns: &[Vec<f64>]) -> Result<Matrix> {
     Ok(mat)
 }
 
-fn stream_seed(site: &str, stream: &str) -> u64 {
-    name_hash(&[site, stream])
-}
-
 /// Refuses a non-finite deployment day before anything is journaled or
 /// applied. The drift clock, the monitor's cooldown and the capture round
 /// all compare days: an infinite day would hold every later check in
@@ -285,8 +277,6 @@ impl Site {
             dynamic: Mutex::new(SiteDynamic {
                 monitor,
                 pending: None,
-                trackers: HashMap::new(),
-                detectors: HashMap::new(),
                 last_estimate_db: None,
                 health: SiteHealth::default(),
                 persist_failures: 0,
@@ -429,9 +419,8 @@ impl Site {
         self.lock_dynamic().live.current_plan.clone()
     }
 
-    /// Resurrects a site from a recovered snapshot. Live stream state
-    /// (ingestion windows, trackers, detectors) is inherently volatile and
-    /// restarts empty; everything committed — the calibrated system at its
+    /// Resurrects a site from a recovered snapshot. Live stream state (the
+    /// ingestion windows) is inherently volatile and restarts empty; everything committed — the calibrated system at its
     /// last good generation, monitor baseline, hysteresis and health
     /// counters, quarantine state, plan schedule/history/costs, and the
     /// solver's warm factors — comes back exactly as persisted. Survey-path
@@ -650,35 +639,6 @@ impl Site {
         Ok((fix, assembled, snap.version))
     }
 
-    /// Advances (creating on first use) the particle filter of `stream`.
-    pub fn track(&self, stream: &str, y: &[f64], dt_s: f64) -> Result<TrackEstimate> {
-        let snap = self.load();
-        let mut d = self.lock_dynamic();
-        let pf = match d.trackers.entry(stream.to_string()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => v.insert(ParticleFilter::new(
-                snap.system.db(),
-                TrackerConfig::default(),
-                stream_seed(&self.name, stream),
-            )?),
-        };
-        Ok(pf.step(snap.system.db(), y, dt_s)?)
-    }
-
-    /// Feeds (creating on first use) the presence detector of `stream`.
-    pub fn detect(&self, stream: &str, y: &[f64]) -> Result<Detection> {
-        let snap = self.load();
-        let mut d = self.lock_dynamic();
-        let det = match d.detectors.entry(stream.to_string()) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(v) => v.insert(PresenceDetector::new(
-                snap.system.empty_rss().to_vec(),
-                DetectorConfig::default(),
-            )?),
-        };
-        Ok(det.update(y)?)
-    }
-
     fn monitored_columns(&self, columns: &Matrix) -> Result<Matrix> {
         let idx: Vec<usize> = (0..self.monitor_cells).collect();
         Ok(columns.select_cols(&idx)?)
@@ -821,15 +781,11 @@ impl Site {
         };
         let monitored: Vec<usize> = system.reference_cells()[..self.monitor_cells].to_vec();
         let refreshed_cols = system.db().rss().select_cols(&monitored)?;
-        let fresh_empty = system.empty_rss().to_vec();
         let n_refs = system.reference_cells().len();
         let version = snap.version + 1;
         {
             let mut d = self.lock_dynamic();
             d.monitor.record_update(pending.day, refreshed_cols)?;
-            for det in d.detectors.values_mut() {
-                det.rebaseline(fresh_empty.clone())?;
-            }
             d.pending = None;
             d.health.breach_streak = 0;
             // Success wipes the failure record and lifts any quarantine: an
@@ -1140,7 +1096,6 @@ impl Site {
             quarantined: d.health.quarantined,
             tick_panics: d.health.tick_panics,
             persist_failures: d.persist_failures,
-            active_trackers: d.trackers.len(),
             ingest: self.ingest.stats(),
             stream_clock_s: self.ingest.stream_clock_s(),
             active_ref_captures: d.ref_captures.len(),
@@ -1160,19 +1115,6 @@ pub fn recommendation_name(rec: &Recommendation) -> &'static str {
         Recommendation::Healthy { .. } => "healthy",
         Recommendation::UpdateRecommended { .. } => "update-recommended",
         Recommendation::Cooldown { .. } => "cooldown",
-    }
-}
-
-/// Renders a [`Detection`] as a short human-readable description.
-pub fn detection_detail(det: &Detection) -> String {
-    match det {
-        Detection::Absent => "absent".to_string(),
-        Detection::PresentInstant { link, drop_db } => {
-            format!("instant: link {link} dropped {drop_db:.1} dB")
-        }
-        Detection::PresentAccumulated { link, statistic } => {
-            format!("accumulated: link {link} CUSUM {statistic:.1}")
-        }
     }
 }
 
@@ -1197,7 +1139,7 @@ mod tests {
     }
 
     #[test]
-    fn recommendations_and_detections_render_their_wire_names() {
+    fn recommendations_render_their_wire_names() {
         let names: Vec<&str> = [
             Recommendation::Healthy { estimated_error_db: 0.1 },
             Recommendation::UpdateRecommended { estimated_error_db: 4.0 },
@@ -1207,11 +1149,6 @@ mod tests {
         .map(recommendation_name)
         .collect();
         assert_eq!(names, ["healthy", "update-recommended", "cooldown"]);
-        assert_eq!(detection_detail(&Detection::Absent), "absent");
-        let instant = Detection::PresentInstant { link: 4, drop_db: 7.26 };
-        assert_eq!(detection_detail(&instant), "instant: link 4 dropped 7.3 dB");
-        let cusum = Detection::PresentAccumulated { link: 1, statistic: 12.04 };
-        assert_eq!(detection_detail(&cusum), "accumulated: link 1 CUSUM 12.0");
     }
 
     #[test]

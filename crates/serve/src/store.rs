@@ -250,12 +250,12 @@ pub(crate) fn fsync_dir(dir: &Path) -> std::io::Result<()> {
     std::fs::File::open(dir)?.sync_all()
 }
 
-/// SipHash-1-3 with zero keys over `parts`, each followed by a `0xFF`
-/// byte: the value `std`'s `DefaultHasher` gives for hashing each `&str` in
-/// turn. `std` leaves that algorithm unspecified across releases, and these
-/// values name files on disk ([`SiteStore::stem`]) and seed trackers, so the
-/// function is spelled out here and pinned by tests.
-pub(crate) fn name_hash(parts: &[&str]) -> u64 {
+/// SipHash-1-3 with zero keys over `name` followed by a `0xFF` byte: the
+/// value `std`'s `DefaultHasher` gives for hashing one `&str`. `std` leaves
+/// that algorithm unspecified across releases, and these values name files
+/// on disk ([`SiteStore::stem`]), so the function is spelled out here and
+/// pinned by tests.
+pub(crate) fn name_hash(name: &str) -> u64 {
     fn round(v: &mut [u64; 4]) {
         v[0] = v[0].wrapping_add(v[1]);
         v[1] = v[1].rotate_left(13) ^ v[0];
@@ -273,11 +273,8 @@ pub(crate) fn name_hash(parts: &[&str]) -> u64 {
         round(v);
         v[0] ^= word;
     }
-    let mut msg = Vec::new();
-    for part in parts {
-        msg.extend_from_slice(part.as_bytes());
-        msg.push(0xFF);
-    }
+    let mut msg = name.as_bytes().to_vec();
+    msg.push(0xFF);
     let mut v = [
         0x736f_6d65_7073_6575,
         0x646f_7261_6e64_6f6d,
@@ -332,7 +329,7 @@ impl SiteStore {
             .take(48)
             .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
             .collect();
-        format!("{sanitized}-{:08x}", name_hash(&[name]) as u32)
+        format!("{sanitized}-{:08x}", name_hash(name) as u32)
     }
 
     fn snap_path(&self, name: &str, generation: u64) -> PathBuf {
@@ -799,9 +796,8 @@ mod tests {
         assert_eq!(SiteStore::stem("a/b"), "a_b-35a18f2a");
         assert_eq!(SiteStore::stem("a:b"), "a_b-c05edea5");
         // Names past one 8-byte word, and a name of exactly one word.
-        assert_eq!(name_hash(&["x1234567"]) as u32, 0x4906_12a9);
-        assert_eq!(name_hash(&["site-0"]) as u32, 0x5806_588e);
-        assert_eq!(name_hash(&["lab", "s1"]), 1_985_901_797_921_390_532);
+        assert_eq!(name_hash("x1234567") as u32, 0x4906_12a9);
+        assert_eq!(name_hash("site-0") as u32, 0x5806_588e);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! driven by real TCP clients against a simulated site.
 //!
 //! The headline test proves the snapshot swap is race-free under load:
-//! concurrent `locate` streams keep running while a `refresh` reconstructs
-//! and swaps the database, and every response must match the deterministic
-//! single-threaded library path for one of the two snapshot versions.
+//! concurrent `locate` streams, two per wire protocol, keep running while a
+//! `refresh` reconstructs and swaps the database, and every response must
+//! match the deterministic single-threaded library path for one of the two
+//! snapshot versions.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -17,6 +18,7 @@ use tafloc_serve::client::Client;
 use tafloc_serve::maintenance::MaintenancePolicy;
 use tafloc_serve::protocol::{Request, Response};
 use tafloc_serve::server::{Server, ServerConfig};
+use tafloc_serve::wire::WireVersion;
 
 const SAMPLES: usize = 20;
 const UPDATE_DAY: f64 = 45.0;
@@ -78,14 +80,17 @@ fn concurrent_locates_survive_a_refresh_and_match_the_library_path() {
     let fresh_expected = Arc::new(fresh_expected);
 
     let clients: Vec<_> = (0..CLIENTS)
-        .map(|_| {
+        .map(|i| {
             let barrier = Arc::clone(&barrier);
             let mismatches = Arc::clone(&mismatches);
             let queries = Arc::clone(&queries);
             let stale_expected = Arc::clone(&stale_expected);
             let fresh_expected = Arc::clone(&fresh_expected);
+            // Half the clients speak v1, half v2: the server sniffs each
+            // message's framing while the refresh swaps the snapshot.
+            let version = if i % 2 == 0 { WireVersion::V1Json } else { WireVersion::V2Binary };
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
+                let mut client = Client::connect_with(addr, version).unwrap();
                 barrier.wait();
                 for _ in 0..ROUNDS {
                     for (c, y) in queries.iter().enumerate() {
@@ -386,8 +391,8 @@ fn streamed_reference_survey_promotes_to_pending_refs_and_auto_refreshes() {
 }
 
 #[test]
-fn track_detect_and_multi_site_round_trip() {
-    let (world, sys) = calibrated_site(13);
+fn multi_site_round_trip() {
+    let (_, sys) = calibrated_site(13);
     let (_, sys_b) = calibrated_site(14);
     let server = Server::bind(
         "127.0.0.1:0",
@@ -423,52 +428,6 @@ fn track_detect_and_multi_site_round_trip() {
             assert_eq!(names, ["east", "west"]);
         }
         other => panic!("unexpected reply to list-sites: {other:?}"),
-    }
-
-    // A few tracking steps on a static target converge near its cell.
-    let target_cell = 12;
-    let truth = world.grid().cell_center(target_cell);
-    let mut final_est = (f64::NAN, f64::NAN);
-    for k in 0..10 {
-        let y = campaign::snapshot_at_cell(&world, 0.001 * k as f64, target_cell, 50);
-        match client
-            .call_ok(&Request::Track {
-                site: "east".into(),
-                stream: "badge-7".into(),
-                y,
-                dt_s: 1.0,
-            })
-            .unwrap()
-        {
-            Response::Tracked { x, y, effective_sample_size } => {
-                assert!(effective_sample_size >= 1.0);
-                final_est = (x, y);
-            }
-            other => panic!("unexpected reply to track: {other:?}"),
-        }
-    }
-    let err = ((final_est.0 - truth.x).powi(2) + (final_est.1 - truth.y).powi(2)).sqrt();
-    assert!(err < 2.0, "tracking estimate {err:.2} m from the static target");
-
-    // Empty room stays absent; a deep shadow is detected.
-    let empty = campaign::empty_snapshot(&world, 0.0, 50);
-    match client
-        .call_ok(&Request::Detect { site: "east".into(), stream: "door".into(), y: empty.clone() })
-        .unwrap()
-    {
-        Response::Detected { present, .. } => assert!(!present),
-        other => panic!("unexpected reply to detect: {other:?}"),
-    }
-    let mut shadowed = empty;
-    shadowed[0] -= 12.0;
-    match client
-        .call_ok(&Request::Detect { site: "east".into(), stream: "door".into(), y: shadowed })
-        .unwrap()
-    {
-        Response::Detected { present, detail } => {
-            assert!(present, "12 dB shadow must be detected ({detail})");
-        }
-        other => panic!("unexpected reply to detect: {other:?}"),
     }
 
     // remove-site makes the name unknown again.

@@ -107,8 +107,6 @@ fn request_corpus() -> Vec<Request> {
             ],
         },
         Request::Ingest { site: "lab".into(), ref_cell: None, day: 0.0, samples: vec![] },
-        Request::Track { site: "lab".into(), stream: "cart-1".into(), y: vec![-55.0], dt_s: 0.5 },
-        Request::Detect { site: "lab".into(), stream: "door".into(), y: vec![-55.0, -42.25] },
         Request::MeasureRefs {
             site: "lab".into(),
             day: 46.0,
@@ -157,7 +155,6 @@ fn sample_stats_report() -> StatsReport {
             quarantined: false,
             tick_panics: 0,
             persist_failures: 0,
-            active_trackers: 2,
             ingest: IngestStats {
                 accepted: 500,
                 dropped_late: 1,
@@ -251,8 +248,6 @@ fn response_corpus() -> Vec<Response> {
                 dropped_non_finite: 2,
             },
         },
-        Response::Tracked { x: 2.25, y: 3.5, effective_sample_size: 480.5 },
-        Response::Detected { present: true, detail: "cusum fired at link 3".into() },
         Response::RefsAccepted {
             recommendation: "update-recommended".into(),
             estimated_error_db: 2.5,
@@ -690,8 +685,33 @@ fn v1_and_v2_clients_negotiate_against_one_server() {
     handle.join();
 }
 
+/// Sends `bytes` on one connection and expects an error reply containing
+/// `needle` in `framing`, then a `pong` to a `ping` in the same framing.
+fn expect_error_then_pong(
+    writer: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    bytes: &[u8],
+    framing: WireVersion,
+    needle: &str,
+) {
+    writer.write_all(bytes).unwrap();
+    writer.flush().unwrap();
+    let mut replied = WireVersion::V1Json;
+    match read_response(reader, &mut replied) {
+        Ok(Some(Response::Error { message })) => {
+            assert!(message.contains(needle), "want {needle:?}, got {message:?}")
+        }
+        other => panic!("expected an error response to {needle:?}, got {other:?}"),
+    }
+    assert_eq!(replied, framing, "the error reply must use the sender's framing");
+    write_request(writer, &Request::Ping, framing).unwrap();
+    assert!(matches!(read_response(reader, &mut replied), Ok(Some(Response::Pong))));
+}
+
 /// Recoverable wire errors produce an error *response* in the sender's
-/// framing, leave the connection usable, and are surfaced in `stats`.
+/// framing, leave the connection usable, and are surfaced in `stats`. The
+/// retired request kinds (`track`, `detect`: v1 names and v2 tags 8 and 9,
+/// as an older client sends them) are among them.
 #[test]
 fn error_frames_never_break_framing_and_are_counted() {
     let server =
@@ -715,6 +735,30 @@ fn error_frames_never_break_framing_and_are_counted() {
     }
     write_request(&mut writer, &Request::Ping, WireVersion::V1Json).unwrap();
     assert!(matches!(read_response(&mut reader, &mut replied), Ok(Some(Response::Pong))));
+    for (line, name) in [
+        (r#"{"cmd":"track","site":"lab","stream":"cart-1","y":[-55],"dt_s":0.5}"#, "track"),
+        (r#"{"cmd":"detect","site":"lab","stream":"door","y":[-55,-42.25]}"#, "detect"),
+    ] {
+        let needle = format!("malformed request: Request: unknown variant `{name}`");
+        let bytes = format!("{line}\n");
+        expect_error_then_pong(
+            &mut writer,
+            &mut reader,
+            bytes.as_bytes(),
+            WireVersion::V1Json,
+            &needle,
+        );
+    }
+    // The v2 payloads an older client encodes for the same two requests.
+    for (payload, tag) in [
+        ("0803000000000000006c61620600000000000000636172742d3101000000000000000000000000804bc0000000000000e03f", 8),
+        ("0903000000000000006c61620400000000000000646f6f7202000000000000000000000000804bc000000000002045c0", 9),
+    ] {
+        let mut frame = Vec::new();
+        taf_wire::frame::write_frame(&mut frame, &unhex(payload)).unwrap();
+        let needle = format!("malformed request: Request: unknown tag {tag}");
+        expect_error_then_pong(&mut writer, &mut reader, &frame, WireVersion::V2Binary, &needle);
+    }
 
     // Corrupt v2 frame → error response framed in v2, connection still usable.
     let mut frame = Vec::new();
@@ -740,7 +784,7 @@ fn error_frames_never_break_framing_and_are_counted() {
         Response::Stats { report } => report,
         other => panic!("unexpected reply to stats: {other:?}"),
     };
-    assert!(report.wire_malformed >= 1, "malformed line counted: {report:?}");
+    assert_eq!(report.wire_malformed, 5, "malformed line and retired kinds counted: {report:?}");
     assert!(report.wire_checksum_mismatch >= 1, "checksum mismatch counted: {report:?}");
     admin.call(&Request::Shutdown).ok();
     handle.join();

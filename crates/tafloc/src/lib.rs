@@ -7,7 +7,7 @@
 //!
 //! * [`core`] ([`tafloc_core`]) — the paper's contribution: fingerprint
 //!   database, reference-location selection, the LoLi-IR reconstruction
-//!   solver, matching, tracking, detection, and drift monitoring.
+//!   solver, matching, tracking, and drift monitoring.
 //! * [`rfsim`] ([`taf_rfsim`]) — the simulated testbed: indoor RF propagation,
 //!   calibrated temporal drift, measurement campaigns.
 //! * [`baselines`] ([`taf_baselines`]) — RTI and RASS comparators.
