@@ -497,6 +497,43 @@ mod tests {
             assert_eq!(text, format!("\"{p}\""));
             assert_eq!(from_json::<PlanPolicy>(&text).unwrap(), p);
         }
+
+        // Every variant's bytes, in both shapes, as literals: no committed
+        // corpus holds `QrPivot`, `NearestNeighbor`, `ewma` or
+        // `fixed-schedule`, so nothing else would see a renamed variant or a
+        // renumbered tag.
+        fn pin<T: Codec + PartialEq + std::fmt::Debug>(value: T, text: &str, bytes: &[u8]) {
+            assert_eq!(to_json(&value), text);
+            assert_eq!(from_json::<T>(text).unwrap(), value, "{text}");
+            assert_eq!(bytes_of(&value), bytes, "{text}");
+            assert_eq!(from_bytes::<T>(bytes).unwrap(), value, "{text}");
+        }
+        const HALF: [u8; 8] = [0, 0, 0, 0, 0, 0, 0xe0, 0x3f];
+        const FIFTH: [u8; 8] = [0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xc9, 0x3f];
+        pin(ReferenceStrategy::QrPivot, r#""QrPivot""#, &[0]);
+        pin(
+            ReferenceStrategy::Random { seed: 99 },
+            r#"{"Random":{"seed":99}}"#,
+            &[1, 99, 0, 0, 0, 0, 0, 0, 0],
+        );
+        pin(ReferenceStrategy::LeverageScore, r#""LeverageScore""#, &[2]);
+        pin(MatchMethod::NearestNeighbor, r#""NearestNeighbor""#, &[0]);
+        pin(MatchMethod::Knn { k: 5 }, r#"{"Knn":{"k":5}}"#, &[1, 5, 0, 0, 0, 0, 0, 0, 0]);
+        pin(
+            MatchMethod::Probabilistic { sigma_db: 0.5 },
+            r#"{"Probabilistic":{"sigma_db":0.5}}"#,
+            &[[2].as_slice(), &HALF].concat(),
+        );
+        pin(ZRefreshPolicy::Fixed, r#""Fixed""#, &[0]);
+        pin(ZRefreshPolicy::RefitAfterUpdate, r#""RefitAfterUpdate""#, &[1]);
+        pin(Aggregator::Median, r#"{"kind":"median"}"#, &[0]);
+        pin(
+            Aggregator::Ewma { alpha: 0.2 },
+            r#"{"kind":"ewma","alpha":0.2}"#,
+            &[[1].as_slice(), &FIFTH].concat(),
+        );
+        pin(PlanPolicy::UncertaintyGreedy, r#""uncertainty-greedy""#, &[0]);
+        pin(PlanPolicy::FixedSchedule, r#""fixed-schedule""#, &[1]);
     }
 
     #[test]
