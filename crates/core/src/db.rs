@@ -6,6 +6,8 @@ use crate::Result;
 use taf_linalg::Matrix;
 use taf_rfsim::geometry::Segment;
 use taf_rfsim::grid::FloorGrid;
+use taf_wire::schema::{encode_seq, write_seq};
+use taf_wire::{Codec, Dec, Enc, JsonReader, JsonWriter, WireError};
 
 /// A fingerprint database.
 ///
@@ -100,6 +102,36 @@ impl FingerprintDb {
             });
         }
         Ok(self.rss.sub(other)?.map(f64::abs).mean())
+    }
+}
+
+/// `rss`, `links`, `grid`, through the validating `FingerprintDb::new`. In
+/// binary the RSS grid goes out as one shape-prefixed block and the links as
+/// packed coordinate quads.
+impl Codec for FingerprintDb {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_obj();
+        w.field("rss", &self.rss);
+        w.key("links");
+        write_seq(w, &self.links);
+        w.field("grid", &self.grid);
+        w.end_obj();
+    }
+    fn read_json(r: &mut JsonReader<'_>) -> taf_wire::Result<Self> {
+        let (rss, links, grid) = taf_wire::schema!(
+            @object r, "FingerprintDb", { rss: Matrix, links: Vec<Segment>, grid: FloorGrid }
+        );
+        FingerprintDb::new(rss, links, grid)
+            .map_err(|e| WireError::Malformed(format!("FingerprintDb: {e}")))
+    }
+    fn encode(&self, e: &mut Enc) {
+        self.rss.encode(e);
+        encode_seq(&self.links, e);
+        self.grid.encode(e);
+    }
+    fn decode(d: &mut Dec<'_>) -> taf_wire::Result<Self> {
+        FingerprintDb::new(Matrix::decode(d)?, Vec::decode(d)?, FloorGrid::decode(d)?)
+            .map_err(|e| WireError::Malformed(e.to_string()))
     }
 }
 

@@ -92,45 +92,50 @@ use taf_linalg::decomp::cholesky::{
     cholesky_packed_in_place, cholesky_packed_lanes_in_place, solve_packed_lanes_in_place,
 };
 use taf_linalg::Matrix;
+use taf_wire::{Codec, Dec, Enc, WireError};
 
-/// LoLi-IR hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LoliIrConfig {
-    /// Factor rank `r` of `X̂ = L·Rᵀ`.
-    pub rank: usize,
-    /// Ridge weight `λ` on the factors (must be `> 0`; keeps every inner system
-    /// positive definite).
-    pub lambda: f64,
-    /// Weight `μ` of the LRR prior term.
-    pub mu: f64,
-    /// Weight `α` of the continuity term (location graph).
-    pub alpha: f64,
-    /// Weight `β` of the similarity term (link graph).
-    pub beta: f64,
-    /// Maximum outer (L-step + R-step) iterations.
-    pub max_iters: usize,
-    /// Relative objective-decrease stopping tolerance.
-    pub tol: f64,
-    /// Adaptive stopping: the relative decrease must stay below `tol` for this
-    /// many *consecutive* iterations before the solve is declared converged.
-    /// `1` reproduces the classic single-hit rule; larger values guard against
-    /// declaring victory on one coincidentally-flat iteration of a solve that
-    /// is still moving (the failure mode that made refreshes silently burn the
-    /// whole `max_iters` budget instead: the tolerance was never *held*).
-    pub stall_iters: usize,
-    /// Anderson-style acceleration: after each sweep, extrapolate the factors
-    /// along the last step direction with a secant-estimated coefficient and
-    /// keep the extrapolated point only if it lowers the objective. Safeguarded
-    /// by that re-evaluation, so the objective trace stays monotone; off by
-    /// default because the extra objective evaluation only pays for itself on
-    /// slow geometric convergence (cold starts on large problems).
-    pub accelerate: bool,
-    /// Test-only fault-injection hook: a constant bias (dB) added to every
-    /// entry of the reconstructed matrix after the solve. `0.0` (the default,
-    /// and the only sane production value) is a strict no-op. The regression
-    /// harness (`taf-testkit`) sets this to verify its accuracy gates detect
-    /// a corrupted reconstruction — see the mutation check in that crate.
-    pub debug_bias_db: f64,
+// Payloads from before `stall_iters`, `accelerate` and `debug_bias_db`
+// existed decode to the behavior they had then.
+taf_wire::schema! {
+    /// LoLi-IR hyperparameters.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct LoliIrConfig {
+        /// Factor rank `r` of `X̂ = L·Rᵀ`.
+        pub rank: usize,
+        /// Ridge weight `λ` on the factors (must be `> 0`; keeps every inner system
+        /// positive definite).
+        pub lambda: f64,
+        /// Weight `μ` of the LRR prior term.
+        pub mu: f64,
+        /// Weight `α` of the continuity term (location graph).
+        pub alpha: f64,
+        /// Weight `β` of the similarity term (link graph).
+        pub beta: f64,
+        /// Maximum outer (L-step + R-step) iterations.
+        pub max_iters: usize,
+        /// Relative objective-decrease stopping tolerance.
+        pub tol: f64,
+        /// Adaptive stopping: the relative decrease must stay below `tol` for this
+        /// many *consecutive* iterations before the solve is declared converged.
+        /// `1` reproduces the classic single-hit rule; larger values guard against
+        /// declaring victory on one coincidentally-flat iteration of a solve that
+        /// is still moving (the failure mode that made refreshes silently burn the
+        /// whole `max_iters` budget instead: the tolerance was never *held*).
+        pub stall_iters: usize = 1,
+        /// Anderson-style acceleration: after each sweep, extrapolate the factors
+        /// along the last step direction with a secant-estimated coefficient and
+        /// keep the extrapolated point only if it lowers the objective. Safeguarded
+        /// by that re-evaluation, so the objective trace stays monotone; off by
+        /// default because the extra objective evaluation only pays for itself on
+        /// slow geometric convergence (cold starts on large problems).
+        pub accelerate: bool = false,
+        /// Test-only fault-injection hook: a constant bias (dB) added to every
+        /// entry of the reconstructed matrix after the solve. `0.0` (the default,
+        /// and the only sane production value) is a strict no-op. The regression
+        /// harness (`taf-testkit`) sets this to verify its accuracy gates detect
+        /// a corrupted reconstruction — see the mutation check in that crate.
+        pub debug_bias_db: f64 = 0.0,
+    }
 }
 
 impl Default for LoliIrConfig {
@@ -375,6 +380,21 @@ impl WarmState {
     /// A warm state is usable only when every entry is finite.
     pub fn is_finite(&self) -> bool {
         !self.l.has_non_finite() && !self.r.has_non_finite()
+    }
+}
+
+/// The solver's accepted factor pair (binary only), through
+/// `WarmState::from_parts`, which rejects factor pairs no solve could have
+/// produced (rank mismatch, non-finite entries).
+impl Codec for WarmState {
+    fn encode(&self, e: &mut Enc) {
+        self.l.encode(e);
+        self.r.encode(e);
+    }
+    fn decode(d: &mut Dec<'_>) -> taf_wire::Result<Self> {
+        WarmState::from_parts(Matrix::decode(d)?, Matrix::decode(d)?).ok_or_else(|| {
+            WireError::malformed("warm state: mismatched ranks or non-finite factors")
+        })
     }
 }
 

@@ -17,6 +17,8 @@
 use crate::error::TaflocError;
 use crate::Result;
 use taf_linalg::{solve, Matrix};
+use taf_wire::schema::{encode_seq, write_seq};
+use taf_wire::{Codec, Dec, Enc, JsonReader, JsonWriter, WireError};
 
 /// A fitted low-rank-representation model.
 #[derive(Debug, Clone)]
@@ -155,6 +157,34 @@ impl LrrModel {
             return Ok(0.0);
         }
         Ok(x.sub(&approx)?.frobenius_norm() / denom)
+    }
+}
+
+/// `ref_cells`, `z`, `lambda`, through the validating `LrrModel::from_parts`.
+impl Codec for LrrModel {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_obj();
+        w.key("ref_cells");
+        write_seq(w, &self.ref_cells);
+        w.field("z", &self.z);
+        w.field("lambda", &self.lambda);
+        w.end_obj();
+    }
+    fn read_json(r: &mut JsonReader<'_>) -> taf_wire::Result<Self> {
+        let (ref_cells, z, lambda) = taf_wire::schema!(
+            @object r, "LrrModel", { ref_cells: Vec<usize>, z: Matrix, lambda: f64 }
+        );
+        LrrModel::from_parts(ref_cells, z, lambda)
+            .map_err(|e| WireError::Malformed(format!("LrrModel: {e}")))
+    }
+    fn encode(&self, e: &mut Enc) {
+        encode_seq(&self.ref_cells, e);
+        self.z.encode(e);
+        e.f64(self.lambda);
+    }
+    fn decode(d: &mut Dec<'_>) -> taf_wire::Result<Self> {
+        LrrModel::from_parts(Vec::decode(d)?, Matrix::decode(d)?, d.f64()?)
+            .map_err(|e| WireError::Malformed(e.to_string()))
     }
 }
 

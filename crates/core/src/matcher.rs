@@ -19,21 +19,23 @@ use crate::Result;
 use std::cmp::Ordering;
 use taf_rfsim::geometry::Point;
 
-/// Matching method for localization.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MatchMethod {
-    /// Single nearest fingerprint column.
-    NearestNeighbor,
-    /// Inverse-distance weighted centroid of the `k` nearest columns.
-    Knn {
-        /// Number of neighbors (clamped to the cell count, must be >= 1).
-        k: usize,
-    },
-    /// Gaussian likelihood `exp(−‖Y − x_j‖² / (2σ²M))` weighted centroid.
-    Probabilistic {
-        /// RSS noise scale in dB (must be > 0).
-        sigma_db: f64,
-    },
+taf_wire::schema! {
+    /// Matching method for localization.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum MatchMethod: external {
+        /// Single nearest fingerprint column.
+        NearestNeighbor = 0 "NearestNeighbor",
+        /// Inverse-distance weighted centroid of the `k` nearest columns.
+        Knn = 1 "Knn" {
+            /// Number of neighbors (clamped to the cell count, must be >= 1).
+            k: usize,
+        },
+        /// Gaussian likelihood `exp(−‖Y − x_j‖² / (2σ²M))` weighted centroid.
+        Probabilistic = 2 "Probabilistic" {
+            /// RSS noise scale in dB (must be > 0).
+            sigma_db: f64,
+        },
+    }
 }
 
 impl Default for MatchMethod {

@@ -14,13 +14,15 @@ use crate::error::TaflocError;
 use crate::Result;
 use taf_linalg::Matrix;
 
-/// Monitor configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonitorConfig {
-    /// Estimated database error (dB) above which an update is recommended.
-    pub error_threshold_db: f64,
-    /// Minimum days between recommended updates (hysteresis).
-    pub min_interval_days: f64,
+taf_wire::schema! {
+    /// Monitor configuration.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct MonitorConfig {
+        /// Estimated database error (dB) above which an update is recommended.
+        pub error_threshold_db: f64,
+        /// Minimum days between recommended updates (hysteresis).
+        pub min_interval_days: f64,
+    }
 }
 
 impl Default for MonitorConfig {

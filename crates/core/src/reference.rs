@@ -14,20 +14,22 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use taf_linalg::Matrix;
 
-/// How to pick reference locations.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ReferenceStrategy {
-    /// Column-pivoted QR: greedy maximal linear independence (the paper's choice).
-    QrPivot,
-    /// Uniformly random distinct cells (ablation lower bound).
-    Random {
-        /// RNG seed for reproducibility.
-        seed: u64,
-    },
-    /// Statistical leverage scores from the truncated SVD (a spectral
-    /// alternative: columns with the largest projection onto the top right
-    /// singular subspace).
-    LeverageScore,
+taf_wire::schema! {
+    /// How to pick reference locations.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum ReferenceStrategy: external {
+        /// Column-pivoted QR: greedy maximal linear independence (the paper's choice).
+        QrPivot = 0 "QrPivot",
+        /// Uniformly random distinct cells (ablation lower bound).
+        Random = 1 "Random" {
+            /// RNG seed for reproducibility.
+            seed: u64,
+        },
+        /// Statistical leverage scores from the truncated SVD (a spectral
+        /// alternative: columns with the largest projection onto the top right
+        /// singular subspace).
+        LeverageScore = 2 "LeverageScore",
+    }
 }
 
 /// Selects `n` reference cells (column indices of `x`) using `strategy`.

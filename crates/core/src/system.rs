@@ -25,55 +25,59 @@ use crate::reference::{select_references, ReferenceStrategy};
 use crate::Result;
 use taf_linalg::Matrix;
 
-/// TafLoc system configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TafLocConfig {
-    /// Number of reference locations `n` (the paper uses 10).
-    pub ref_count: usize,
-    /// Reference-selection strategy.
-    pub ref_strategy: ReferenceStrategy,
-    /// Ridge regularizer for fitting the LRR correlation matrix `Z`.
-    pub lrr_lambda: f64,
-    /// RSS drop (dB) below the empty-room level that marks an entry as
-    /// "largely distorted" (the `X_D` region).
-    pub distortion_threshold_db: f64,
-    /// Each link is connected to its `k` nearest links in the similarity graph.
-    pub link_graph_k: usize,
-    /// LoLi-IR solver parameters.
-    pub loli: LoliIrConfig,
-    /// Online matching method.
-    pub matcher: MatchMethod,
-    /// Blocking-pattern consistency gate for localization. A link dropping
-    /// `gate_hi_db` below the empty-room baseline means the target is shadowing
-    /// it; a candidate cell whose stored fingerprint shows (almost) no drop on
-    /// that link is physically impossible and is excluded — and vice versa: a
-    /// cell whose fingerprint predicts a deep drop on a link that is currently
-    /// quiet is excluded too. This suppresses fingerprint-aliasing outliers (a
-    /// far cell with a coincidentally similar signature cannot reproduce the
-    /// live blocking pattern).
-    pub consistency_gate: bool,
-    /// Drop (dB) that positively identifies a blocked link.
-    pub gate_hi_db: f64,
-    /// Drop (dB) below which a link counts as clearly unblocked. Must be below
-    /// `gate_hi_db`; the band in between is left undecided (noise + drift).
-    pub gate_lo_db: f64,
-    /// What happens to the LRR correlation matrix `Z` after each update.
-    pub z_policy: ZRefreshPolicy,
+taf_wire::schema! {
+    /// TafLoc system configuration.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct TafLocConfig {
+        /// Number of reference locations `n` (the paper uses 10).
+        pub ref_count: usize,
+        /// Reference-selection strategy.
+        pub ref_strategy: ReferenceStrategy,
+        /// Ridge regularizer for fitting the LRR correlation matrix `Z`.
+        pub lrr_lambda: f64,
+        /// RSS drop (dB) below the empty-room level that marks an entry as
+        /// "largely distorted" (the `X_D` region).
+        pub distortion_threshold_db: f64,
+        /// Each link is connected to its `k` nearest links in the similarity graph.
+        pub link_graph_k: usize,
+        /// LoLi-IR solver parameters.
+        pub loli: LoliIrConfig,
+        /// Online matching method.
+        pub matcher: MatchMethod,
+        /// Blocking-pattern consistency gate for localization. A link dropping
+        /// `gate_hi_db` below the empty-room baseline means the target is shadowing
+        /// it; a candidate cell whose stored fingerprint shows (almost) no drop on
+        /// that link is physically impossible and is excluded — and vice versa: a
+        /// cell whose fingerprint predicts a deep drop on a link that is currently
+        /// quiet is excluded too. This suppresses fingerprint-aliasing outliers (a
+        /// far cell with a coincidentally similar signature cannot reproduce the
+        /// live blocking pattern).
+        pub consistency_gate: bool,
+        /// Drop (dB) that positively identifies a blocked link.
+        pub gate_hi_db: f64,
+        /// Drop (dB) below which a link counts as clearly unblocked. Must be below
+        /// `gate_hi_db`; the band in between is left undecided (noise + drift).
+        pub gate_lo_db: f64,
+        /// What happens to the LRR correlation matrix `Z` after each update.
+        pub z_policy: ZRefreshPolicy,
+    }
 }
 
-/// Lifecycle policy for the LRR correlation matrix `Z`.
-///
-/// The paper's position is that `Z` captures *stable* spatial structure and is
-/// learned once from the full day-0 calibration. Refitting it on reconstructed
-/// data after each update is the obvious alternative — and a feedback loop:
-/// reconstruction errors leak into `Z` and compound across updates. The
-/// `ablation_zpolicy` experiment quantifies this.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ZRefreshPolicy {
-    /// Keep the day-0 `Z` forever (the paper's choice).
-    Fixed,
-    /// Refit `Z` on the reconstructed database after every update.
-    RefitAfterUpdate,
+taf_wire::schema! {
+    /// Lifecycle policy for the LRR correlation matrix `Z`.
+    ///
+    /// The paper's position is that `Z` captures *stable* spatial structure and is
+    /// learned once from the full day-0 calibration. Refitting it on reconstructed
+    /// data after each update is the obvious alternative — and a feedback loop:
+    /// reconstruction errors leak into `Z` and compound across updates. The
+    /// `ablation_zpolicy` experiment quantifies this.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum ZRefreshPolicy: external {
+        /// Keep the day-0 `Z` forever (the paper's choice).
+        Fixed = 0 "Fixed",
+        /// Refit `Z` on the reconstructed database after every update.
+        RefitAfterUpdate = 1 "RefitAfterUpdate",
+    }
 }
 
 impl Default for TafLocConfig {
@@ -94,45 +98,49 @@ impl Default for TafLocConfig {
     }
 }
 
-/// Serializable snapshot of a calibrated [`TafLoc`] instance.
-///
-/// Contains exactly the state that cannot be re-derived — configuration,
-/// database, reference cells, the fitted LRR model and the current empty-room
-/// baseline. Graphs and the distortion mask are rebuilt on load. This is what
-/// a deployment writes to disk between surveys (and what the `tafloc` CLI
-/// stores as its `system.json`).
-#[derive(Debug, Clone)]
-pub struct SystemSnapshot {
-    /// System configuration.
-    pub config: TafLocConfig,
-    /// Current fingerprint database.
-    pub db: FingerprintDb,
-    /// Selected reference cells (selection order).
-    pub ref_cells: Vec<usize>,
-    /// Fitted LRR correlation model.
-    pub lrr: LrrModel,
-    /// Most recent empty-room RSS baseline.
-    pub empty_rss: Vec<f64>,
+taf_wire::schema! {
+    /// Serializable snapshot of a calibrated [`TafLoc`] instance.
+    ///
+    /// Contains exactly the state that cannot be re-derived — configuration,
+    /// database, reference cells, the fitted LRR model and the current empty-room
+    /// baseline. Graphs and the distortion mask are rebuilt on load. This is what
+    /// a deployment writes to disk between surveys (and what the `tafloc` CLI
+    /// stores as its `system.json`).
+    #[derive(Debug, Clone)]
+    pub struct SystemSnapshot {
+        /// System configuration.
+        pub config: TafLocConfig,
+        /// Current fingerprint database.
+        pub db: FingerprintDb,
+        /// Selected reference cells (selection order).
+        pub ref_cells: Vec<usize>,
+        /// Fitted LRR correlation model.
+        pub lrr: LrrModel,
+        /// Most recent empty-room RSS baseline.
+        pub empty_rss: Vec<f64>,
+    }
 }
 
-/// Sanity ceilings a reconstructed database must clear before it may replace
-/// the served one.
-///
-/// The defaults are calibrated against the regression suite: a legitimate
-/// refresh reproduces its own measured reference columns to well under 1 dB
-/// RMSE and moves the database by a few dB at most, while a poisoned solve
-/// (NaN propagation, a runaway bias, garbage reference measurements) blows
-/// through one of the ceilings. The ceilings sit far above honest-run values
-/// so the guard never vetoes a refresh the accuracy gates would accept.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReconstructionGuard {
-    /// Ceiling (dB) on the RMSE between the reconstruction's reference
-    /// columns and the freshly *measured* reference columns that drove it.
-    /// A reconstruction that cannot reproduce its own inputs is garbage.
-    pub max_ref_rmse_db: f64,
-    /// Ceiling (dB) on the mean absolute change vs. the currently served
-    /// database — bounds how far one refresh may move the deployment.
-    pub max_mean_delta_db: f64,
+taf_wire::schema! {
+    /// Sanity ceilings a reconstructed database must clear before it may replace
+    /// the served one.
+    ///
+    /// The defaults are calibrated against the regression suite: a legitimate
+    /// refresh reproduces its own measured reference columns to well under 1 dB
+    /// RMSE and moves the database by a few dB at most, while a poisoned solve
+    /// (NaN propagation, a runaway bias, garbage reference measurements) blows
+    /// through one of the ceilings. The ceilings sit far above honest-run values
+    /// so the guard never vetoes a refresh the accuracy gates would accept.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct ReconstructionGuard: default {
+        /// Ceiling (dB) on the RMSE between the reconstruction's reference
+        /// columns and the freshly *measured* reference columns that drove it.
+        /// A reconstruction that cannot reproduce its own inputs is garbage.
+        pub max_ref_rmse_db: f64,
+        /// Ceiling (dB) on the mean absolute change vs. the currently served
+        /// database — bounds how far one refresh may move the deployment.
+        pub max_mean_delta_db: f64,
+    }
 }
 
 impl Default for ReconstructionGuard {

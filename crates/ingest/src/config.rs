@@ -2,48 +2,52 @@
 
 use crate::error::{IngestError, Result};
 
-/// How a window of retained samples is reduced to one per-link RSS value.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum Aggregator {
-    /// Median of the retained (outlier-filtered) samples. The most robust
-    /// choice and the default.
-    #[default]
-    Median,
-    /// Exponentially weighted moving average over the retained samples in
-    /// time order — cheaper memory of old samples, faster reaction.
-    Ewma {
-        /// Smoothing factor in `(0, 1]`; larger = faster reaction.
-        alpha: f64,
-    },
+taf_wire::schema! {
+    /// How a window of retained samples is reduced to one per-link RSS value.
+    #[derive(Debug, Clone, Copy, PartialEq, Default)]
+    pub enum Aggregator: tag "kind" {
+        /// Median of the retained (outlier-filtered) samples. The most robust
+        /// choice and the default.
+        #[default]
+        Median = 0 "median",
+        /// Exponentially weighted moving average over the retained samples in
+        /// time order — cheaper memory of old samples, faster reaction.
+        Ewma = 1 "ewma" {
+            /// Smoothing factor in `(0, 1]`; larger = faster reaction.
+            alpha: f64,
+        },
+    }
 }
 
-/// Ingestion pipeline configuration.
-///
-/// Defaults match the paper's measurement regime: radios sampling at ~1 Hz,
-/// fingerprints averaged over tens of samples, RSS quantized to 1 dBm.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IngestConfig {
-    /// Maximum samples retained per link (ring capacity).
-    pub window_capacity: usize,
-    /// Window horizon in stream-clock seconds: samples older than
-    /// `newest - window_s` are evicted (and arrivals older than that are
-    /// dropped as late).
-    pub window_s: f64,
-    /// Minimum retained samples before a link's aggregate is trusted for
-    /// assembly; below it the link is imputed and flagged.
-    pub min_samples: usize,
-    /// A link whose newest sample is older than this (vs the stream clock)
-    /// is flagged stale; stale links still contribute their aggregate.
-    pub stale_after_s: f64,
-    /// Hampel multiplier `k`: samples farther than `k * 1.4826 * MAD` from
-    /// the window median are excluded from aggregation. `0` disables
-    /// rejection.
-    pub hampel_k: f64,
-    /// Floor on the Hampel scale estimate (dB) so integer-quantized RSS
-    /// (MAD frequently 0) does not reject every off-median sample.
-    pub hampel_floor_db: f64,
-    /// Window → value reduction.
-    pub aggregator: Aggregator,
+taf_wire::schema! {
+    /// Ingestion pipeline configuration.
+    ///
+    /// Defaults match the paper's measurement regime: radios sampling at ~1 Hz,
+    /// fingerprints averaged over tens of samples, RSS quantized to 1 dBm.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct IngestConfig: default {
+        /// Maximum samples retained per link (ring capacity).
+        pub window_capacity: usize,
+        /// Window horizon in stream-clock seconds: samples older than
+        /// `newest - window_s` are evicted (and arrivals older than that are
+        /// dropped as late).
+        pub window_s: f64,
+        /// Minimum retained samples before a link's aggregate is trusted for
+        /// assembly; below it the link is imputed and flagged.
+        pub min_samples: usize,
+        /// A link whose newest sample is older than this (vs the stream clock)
+        /// is flagged stale; stale links still contribute their aggregate.
+        pub stale_after_s: f64,
+        /// Hampel multiplier `k`: samples farther than `k * 1.4826 * MAD` from
+        /// the window median are excluded from aggregation. `0` disables
+        /// rejection.
+        pub hampel_k: f64,
+        /// Floor on the Hampel scale estimate (dB) so integer-quantized RSS
+        /// (MAD frequently 0) does not reject every off-median sample.
+        pub hampel_floor_db: f64,
+        /// Window → value reduction.
+        pub aggregator: Aggregator,
+    }
 }
 
 impl Default for IngestConfig {

@@ -57,37 +57,39 @@ impl AssembledVector {
     }
 }
 
-/// Cumulative pipeline counters, cheap enough to read on every stats call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IngestStats {
-    /// Samples admitted into windows.
-    pub accepted: u64,
-    /// Samples dropped as older than the window horizon.
-    pub dropped_late: u64,
-    /// Samples dropped for naming an unknown link.
-    pub dropped_unknown_link: u64,
-    /// Samples dropped for NaN/infinite fields.
-    pub dropped_non_finite: u64,
-    /// Batches a producer shed in front of the pipeline
-    /// ([`Ingestor::record_queue_drop`]).
-    pub dropped_queue_batches: u64,
-    /// Samples inside those refused batches.
-    pub dropped_queue_samples: u64,
-    /// Hampel exclusion events summed over every aggregation pass. An
-    /// outlier is re-counted each time its window re-aggregates while it
-    /// remains inside it, so this gauges gate activity and can exceed
-    /// `accepted`; it is not a distinct-sample count.
-    pub rejected_outliers: u64,
-    /// Link recoveries after going quiet, summed over links (flapping).
-    pub link_flaps: u64,
-    /// Links whose current status is live.
-    pub live_links: usize,
-    /// Links whose current status is stale.
-    pub stale_links: usize,
-    /// Links whose current status is dead (no usable aggregate).
-    pub dead_links: usize,
-    /// Vectors assembled so far.
-    pub assemblies: u64,
+taf_wire::schema! {
+    /// Cumulative pipeline counters, cheap enough to read on every stats call.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct IngestStats {
+        /// Samples admitted into windows.
+        pub accepted: u64,
+        /// Samples dropped as older than the window horizon.
+        pub dropped_late: u64,
+        /// Samples dropped for naming an unknown link.
+        pub dropped_unknown_link: u64,
+        /// Samples dropped for NaN/infinite fields.
+        pub dropped_non_finite: u64,
+        /// Batches a producer shed in front of the pipeline
+        /// ([`Ingestor::record_queue_drop`]).
+        pub dropped_queue_batches: u64,
+        /// Samples inside those refused batches.
+        pub dropped_queue_samples: u64,
+        /// Hampel exclusion events summed over every aggregation pass. An
+        /// outlier is re-counted each time its window re-aggregates while it
+        /// remains inside it, so this gauges gate activity and can exceed
+        /// `accepted`; it is not a distinct-sample count.
+        pub rejected_outliers: u64,
+        /// Link recoveries after going quiet, summed over links (flapping).
+        pub link_flaps: u64,
+        /// Links whose current status is live.
+        pub live_links: usize,
+        /// Links whose current status is stale.
+        pub stale_links: usize,
+        /// Links whose current status is dead (no usable aggregate).
+        pub dead_links: usize,
+        /// Vectors assembled so far.
+        pub assemblies: u64,
+    }
 }
 
 /// The published, reader-visible half of one link.

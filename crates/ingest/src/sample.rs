@@ -1,19 +1,21 @@
 //! The raw unit of ingestion: one timestamped RSS reading on one link.
 
-/// One raw RSS sample as a radio (or the simulator) emits it.
-///
-/// Timestamps are seconds on the *stream clock* — any monotonic-enough clock
-/// shared by the radios. The pipeline never consults wall time: staleness and
-/// window horizons are measured against the newest timestamp seen so far, so
-/// replaying a recorded stream is bit-for-bit reproducible.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkSample {
-    /// Link index in the site's deployment order (`0..M`).
-    pub link: usize,
-    /// Sample time in seconds on the stream clock.
-    pub t_s: f64,
-    /// Received signal strength in dBm.
-    pub rss_dbm: f64,
+taf_wire::schema! {
+    /// One raw RSS sample as a radio (or the simulator) emits it.
+    ///
+    /// Timestamps are seconds on the *stream clock* — any monotonic-enough clock
+    /// shared by the radios. The pipeline never consults wall time: staleness and
+    /// window horizons are measured against the newest timestamp seen so far, so
+    /// replaying a recorded stream is bit-for-bit reproducible.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct LinkSample {
+        /// Link index in the site's deployment order (`0..M`).
+        pub link: usize,
+        /// Sample time in seconds on the stream clock.
+        pub t_s: f64,
+        /// Received signal strength in dBm.
+        pub rss_dbm: f64,
+    }
 }
 
 impl LinkSample {
@@ -28,24 +30,26 @@ impl LinkSample {
     }
 }
 
-/// Per-batch accounting returned by [`crate::Ingestor::apply_batch`].
-///
-/// Exactly one counter accounts for every sample in the batch:
-/// `accepted + dropped_late + dropped_unknown_link + dropped_non_finite`
-/// equals the batch length. Outlier rejection happens later, at aggregation
-/// time, and is reported in cumulative [`crate::IngestStats`] instead —
-/// a sample that looks like an outlier now may be rehabilitated once its
-/// neighbors arrive.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchReport {
-    /// Samples admitted into a window.
-    pub accepted: u64,
-    /// Samples older than the window horizon on arrival.
-    pub dropped_late: u64,
-    /// Samples naming a link the pipeline does not know.
-    pub dropped_unknown_link: u64,
-    /// Samples with a NaN/infinite time or RSS.
-    pub dropped_non_finite: u64,
+taf_wire::schema! {
+    /// Per-batch accounting returned by [`crate::Ingestor::apply_batch`].
+    ///
+    /// Exactly one counter accounts for every sample in the batch:
+    /// `accepted + dropped_late + dropped_unknown_link + dropped_non_finite`
+    /// equals the batch length. Outlier rejection happens later, at aggregation
+    /// time, and is reported in cumulative [`crate::IngestStats`] instead —
+    /// a sample that looks like an outlier now may be rehabilitated once its
+    /// neighbors arrive.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct BatchReport {
+        /// Samples admitted into a window.
+        pub accepted: u64,
+        /// Samples older than the window horizon on arrival.
+        pub dropped_late: u64,
+        /// Samples naming a link the pipeline does not know.
+        pub dropped_unknown_link: u64,
+        /// Samples with a NaN/infinite time or RSS.
+        pub dropped_non_finite: u64,
+    }
 }
 
 impl BatchReport {

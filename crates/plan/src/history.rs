@@ -9,18 +9,22 @@
 
 use std::collections::VecDeque;
 
+use taf_wire::{Codec, Dec, Enc, WireError};
+
 use crate::error::{PlanError, Result};
 
-/// One reference-cell survey column as retained in history.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SurveyRecord {
-    /// Refresh epoch the column was captured in.
-    pub epoch: u64,
-    /// Per-link RSS values (dBm), length `n_links`.
-    pub y: Vec<f64>,
-    /// Per-link provenance: `true` where `y` came from a measurement taken
-    /// in `epoch`, `false` where it was carried forward from older history.
-    pub fresh: Vec<bool>,
+taf_wire::schema! {
+    /// One reference-cell survey column as retained in history.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SurveyRecord: binary {
+        /// Refresh epoch the column was captured in.
+        pub epoch: u64,
+        /// Per-link RSS values (dBm), length `n_links`.
+        pub y: Vec<f64>,
+        /// Per-link provenance: `true` where `y` came from a measurement taken
+        /// in `epoch`, `false` where it was carried forward from older history.
+        pub fresh: Vec<bool>,
+    }
 }
 
 /// Bounded per-reference-slot ring of past surveys.
@@ -107,6 +111,37 @@ impl HistoryWindow {
     /// [`PlanInputs::last_surveyed`]: crate::PlanInputs::last_surveyed
     pub fn last_surveyed(&self) -> Vec<u64> {
         (0..self.rings.len()).map(|s| self.last_epoch(s).unwrap_or(0)).collect()
+    }
+}
+
+/// Shape, then each slot's retained records oldest-first (binary only).
+/// Decoding replays every record through [`HistoryWindow::record`], so each
+/// shape invariant the live path enforces also holds for recovered state.
+impl Codec for HistoryWindow {
+    fn encode(&self, e: &mut Enc) {
+        e.usize(self.n_slots());
+        e.usize(self.n_links);
+        e.usize(self.depth);
+        for ring in &self.rings {
+            e.usize(ring.len());
+            for r in ring {
+                r.encode(e);
+            }
+        }
+    }
+    fn decode(d: &mut Dec<'_>) -> taf_wire::Result<Self> {
+        // Each slot carries at least its record count, so a slot count above
+        // the bytes left is corrupt; reject it before it sizes the window.
+        let n_slots = d.count()?;
+        let mut h = HistoryWindow::new(n_slots, d.usize()?, d.usize()?)
+            .map_err(|e| WireError::Malformed(format!("history window: {e}")))?;
+        for slot in 0..n_slots {
+            for _ in 0..d.count()? {
+                h.record(slot, SurveyRecord::decode(d)?)
+                    .map_err(|e| WireError::Malformed(format!("history slot {slot}: {e}")))?;
+            }
+        }
+        Ok(h)
     }
 }
 

@@ -9,20 +9,26 @@
 use std::cmp::Ordering;
 use std::str::FromStr;
 
+use taf_wire::{Codec, Dec, Enc, JsonWriter, WireError};
 use tafloc_ingest::LinkStatus;
 
 use crate::error::{PlanError, Result};
 
-/// How the planner spends its measurement budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanPolicy {
-    /// Spend the budget on the reference cells the reconstruction is least
-    /// confident about (lowest confidence first; ties broken by survey
-    /// staleness, then slot index).
-    UncertaintyGreedy,
-    /// Ignore confidence and rotate through the reference cells on a fixed
-    /// round-robin schedule — the non-adaptive baseline.
-    FixedSchedule,
+// Planner state travels in binary inside the snapshot store's payload; the
+// CLI's plan file is a `MeasurementPlan` in v1 JSON. A policy's v1 name is
+// its `--policy` name.
+taf_wire::schema! {
+    /// How the planner spends its measurement budget.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum PlanPolicy: external {
+        /// Spend the budget on the reference cells the reconstruction is least
+        /// confident about (lowest confidence first; ties broken by survey
+        /// staleness, then slot index).
+        UncertaintyGreedy = 0 "uncertainty-greedy",
+        /// Ignore confidence and rotate through the reference cells on a fixed
+        /// round-robin schedule — the non-adaptive baseline.
+        FixedSchedule = 1 "fixed-schedule",
+    }
 }
 
 impl PlanPolicy {
@@ -100,13 +106,15 @@ pub struct PlanInputs<'a> {
     pub last_surveyed: Option<&'a [u64]>,
 }
 
-/// One planned reference-cell survey: which links to measure at that cell.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanEntry {
-    /// Reference slot (column index into the fresh-reference matrix).
-    pub ref_slot: usize,
-    /// Link ids to measure at this cell, ascending.
-    pub links: Vec<usize>,
+taf_wire::schema! {
+    /// One planned reference-cell survey: which links to measure at that cell.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct PlanEntry {
+        /// Reference slot (column index into the fresh-reference matrix).
+        pub ref_slot: usize,
+        /// Link ids to measure at this cell, ascending.
+        pub links: Vec<usize>,
+    }
 }
 
 /// An explicit budgeted measurement plan for one refresh cycle.
@@ -140,6 +148,44 @@ impl MeasurementPlan {
             .binary_search_by_key(&ref_slot, |e| e.ref_slot)
             .ok()
             .map(|i| self.entries[i].links.as_slice())
+    }
+}
+
+/// The schedule position a restarted daemon resumes from, and the CLI's plan
+/// file. The CLI only writes plans, so v1 JSON has no reader. `links_for`
+/// binary-searches the entries, so a payload that lost their `ref_slot`
+/// order would silently mis-answer; decoding rejects it.
+impl Codec for MeasurementPlan {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_obj();
+        w.field("epoch", &self.epoch);
+        w.field("policy", &self.policy);
+        w.field("entries", &self.entries);
+        w.field("planned_cost", &self.planned_cost);
+        w.field("full_cost", &self.full_cost);
+        w.end_obj();
+    }
+    fn encode(&self, e: &mut Enc) {
+        self.epoch.encode(e);
+        self.policy.encode(e);
+        self.entries.encode(e);
+        self.planned_cost.encode(e);
+        self.full_cost.encode(e);
+    }
+    fn decode(d: &mut Dec<'_>) -> taf_wire::Result<Self> {
+        let epoch = u64::decode(d)?;
+        let policy = PlanPolicy::decode(d)?;
+        let entries: Vec<PlanEntry> = Vec::decode(d)?;
+        if entries.windows(2).any(|w| w[0].ref_slot >= w[1].ref_slot) {
+            return Err(WireError::malformed("plan entries not sorted by ref_slot"));
+        }
+        Ok(MeasurementPlan {
+            epoch,
+            policy,
+            entries,
+            planned_cost: d.usize()?,
+            full_cost: d.usize()?,
+        })
     }
 }
 

@@ -26,34 +26,36 @@
 
 use crate::rng::gaussian;
 
-/// Drift model parameters.
-///
-/// Three OU components with different roles:
-///
-/// * **link** (`link_sigma_db`, `tau_days`) — the slow environmental drift of a
-///   whole radio path (temperature/humidity, transceiver electronics). This is
-///   what the paper's in-text anchors measure: *"the RSS values change 2.5 dBm
-///   and 6 dBm respectively after 5 and 45 days"*.
-/// * **entry, slow** (`entry_sigma_db`, `tau_days`) — the target-present
-///   multipath pattern of each (link, cell) pair ages on the same timescale;
-///   this is what makes reconstruction degrade with horizon length (Fig. 3's
-///   growth).
-/// * **entry, fast** (`entry_fast_sigma_db`, `entry_fast_tau_days`) — channel
-///   variation that decorrelates within hours. It is why even a 3-day-old
-///   correlation structure cannot reconstruct perfectly (the paper's ~2.7 dBm
-///   floor at 3 days, against link drift of well under 2.5 dBm).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftConfig {
-    /// Stationary standard deviation (dB) of the per-link OU component.
-    pub link_sigma_db: f64,
-    /// Stationary standard deviation (dB) of the slow per-entry OU component.
-    pub entry_sigma_db: f64,
-    /// OU time constant in days (link and slow-entry components).
-    pub tau_days: f64,
-    /// Stationary standard deviation (dB) of the fast per-entry OU component.
-    pub entry_fast_sigma_db: f64,
-    /// OU time constant (days) of the fast per-entry component.
-    pub entry_fast_tau_days: f64,
+taf_wire::schema! {
+    /// Drift model parameters.
+    ///
+    /// Three OU components with different roles:
+    ///
+    /// * **link** (`link_sigma_db`, `tau_days`) — the slow environmental drift of a
+    ///   whole radio path (temperature/humidity, transceiver electronics). This is
+    ///   what the paper's in-text anchors measure: *"the RSS values change 2.5 dBm
+    ///   and 6 dBm respectively after 5 and 45 days"*.
+    /// * **entry, slow** (`entry_sigma_db`, `tau_days`) — the target-present
+    ///   multipath pattern of each (link, cell) pair ages on the same timescale;
+    ///   this is what makes reconstruction degrade with horizon length (Fig. 3's
+    ///   growth).
+    /// * **entry, fast** (`entry_fast_sigma_db`, `entry_fast_tau_days`) — channel
+    ///   variation that decorrelates within hours. It is why even a 3-day-old
+    ///   correlation structure cannot reconstruct perfectly (the paper's ~2.7 dBm
+    ///   floor at 3 days, against link drift of well under 2.5 dBm).
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct DriftConfig {
+        /// Stationary standard deviation (dB) of the per-link OU component.
+        pub link_sigma_db: f64,
+        /// Stationary standard deviation (dB) of the slow per-entry OU component.
+        pub entry_sigma_db: f64,
+        /// OU time constant in days (link and slow-entry components).
+        pub tau_days: f64,
+        /// Stationary standard deviation (dB) of the fast per-entry OU component.
+        pub entry_fast_sigma_db: f64,
+        /// OU time constant (days) of the fast per-entry component.
+        pub entry_fast_tau_days: f64,
+    }
 }
 
 impl DriftConfig {

@@ -9,21 +9,23 @@
 
 use crate::geometry::Point;
 
-/// One environment-change event.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EnvironmentEvent {
-    /// Day the change happens (effects apply for `t >= day`).
-    pub day: f64,
-    /// Where the object moved to (center of its new position).
-    pub location: Point,
-    /// Radius (m) within which fingerprint entries are affected.
-    pub radius_m: f64,
-    /// RSS change (dB) applied to links whose line-of-sight passes within
-    /// `radius_m` of `location` (typically negative: a cabinet now blocks them).
-    pub link_delta_db: f64,
-    /// Peak extra change (dB) for fingerprint entries whose *cell* lies within
-    /// `radius_m` of the object (the multipath around the object is reshaped).
-    pub entry_delta_db: f64,
+taf_wire::schema! {
+    /// One environment-change event.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EnvironmentEvent {
+        /// Day the change happens (effects apply for `t >= day`).
+        pub day: f64,
+        /// Where the object moved to (center of its new position).
+        pub location: Point,
+        /// Radius (m) within which fingerprint entries are affected.
+        pub radius_m: f64,
+        /// RSS change (dB) applied to links whose line-of-sight passes within
+        /// `radius_m` of `location` (typically negative: a cabinet now blocks them).
+        pub link_delta_db: f64,
+        /// Peak extra change (dB) for fingerprint entries whose *cell* lies within
+        /// `radius_m` of the object (the multipath around the object is reshaped).
+        pub entry_delta_db: f64,
+    }
 }
 
 impl EnvironmentEvent {

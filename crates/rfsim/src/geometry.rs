@@ -1,13 +1,15 @@
 //! 2-D geometry primitives: points, segments, and the elliptical (Fresnel-zone)
 //! distance that drives the target-blocking model.
 
-/// A point in the floor plane, coordinates in meters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Point {
-    /// X coordinate (m).
-    pub x: f64,
-    /// Y coordinate (m).
-    pub y: f64,
+taf_wire::schema! {
+    /// A point in the floor plane, coordinates in meters.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Point {
+        /// X coordinate (m).
+        pub x: f64,
+        /// Y coordinate (m).
+        pub y: f64,
+    }
 }
 
 impl Point {
@@ -27,14 +29,16 @@ impl Point {
     }
 }
 
-/// A line segment between two points — in this crate, always a radio link's
-/// transmitter-receiver pair.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Segment {
-    /// One endpoint (transmitter).
-    pub a: Point,
-    /// Other endpoint (receiver).
-    pub b: Point,
+taf_wire::schema! {
+    /// A line segment between two points — in this crate, always a radio link's
+    /// transmitter-receiver pair.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct Segment {
+        /// One endpoint (transmitter).
+        pub a: Point,
+        /// Other endpoint (receiver).
+        pub b: Point,
+    }
 }
 
 impl Segment {

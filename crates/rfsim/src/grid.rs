@@ -5,6 +5,7 @@
 //! reports a cell index (or its center point).
 
 use crate::geometry::Point;
+use taf_wire::{Codec, Dec, Enc, JsonReader, JsonWriter, Result, WireError};
 
 /// A rectangular monitored region partitioned into square cells.
 ///
@@ -130,6 +131,44 @@ impl FloorGrid {
     /// Iterator over all cell center points, in index order.
     pub fn centers(&self) -> impl Iterator<Item = Point> + '_ {
         (0..self.num_cells()).map(|i| self.cell_center(i))
+    }
+}
+
+/// `FloorGrid::new` treats a bad shape as a programming error and panics; a
+/// decoder must reject it as a data error first.
+fn checked_grid(origin: Point, cell_size: f64, nx: usize, ny: usize) -> Result<FloorGrid> {
+    if cell_size <= 0.0 || !cell_size.is_finite() || nx == 0 || ny == 0 {
+        return Err(WireError::Malformed(format!(
+            "invalid grid: cell_size {cell_size}, {nx}x{ny} cells"
+        )));
+    }
+    Ok(FloorGrid::new(origin, cell_size, nx, ny))
+}
+
+/// Private fields: `origin`, `cell_size`, `nx`, `ny`, shape-checked.
+impl Codec for FloorGrid {
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        w.begin_obj();
+        w.field("origin", &self.origin);
+        w.field("cell_size", &self.cell_size);
+        w.field("nx", &self.nx);
+        w.field("ny", &self.ny);
+        w.end_obj();
+    }
+    fn read_json(r: &mut JsonReader<'_>) -> Result<Self> {
+        let (origin, cell_size, nx, ny) = taf_wire::schema!(
+            @object r, "FloorGrid", { origin: Point, cell_size: f64, nx: usize, ny: usize }
+        );
+        checked_grid(origin, cell_size, nx, ny)
+    }
+    fn encode(&self, e: &mut Enc) {
+        self.origin.encode(e);
+        e.f64(self.cell_size);
+        e.usize(self.nx);
+        e.usize(self.ny);
+    }
+    fn decode(d: &mut Dec<'_>) -> Result<Self> {
+        checked_grid(Point::decode(d)?, d.f64()?, d.usize()?, d.usize()?)
     }
 }
 

@@ -6,18 +6,20 @@
 
 use crate::rng::GaussianSource;
 
-/// Measurement-noise parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NoiseConfig {
-    /// Per-sample Gaussian noise standard deviation (dB).
-    pub sigma_db: f64,
-    /// Quantization step (dB); `0` disables quantization. Atheros hardware
-    /// reports integer dBm, i.e. a step of 1.
-    pub quantization_db: f64,
-    /// Probability of a burst outlier per sample (interference spike).
-    pub outlier_prob: f64,
-    /// Magnitude of an outlier (dB, applied with random sign).
-    pub outlier_db: f64,
+taf_wire::schema! {
+    /// Measurement-noise parameters.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct NoiseConfig {
+        /// Per-sample Gaussian noise standard deviation (dB).
+        pub sigma_db: f64,
+        /// Quantization step (dB); `0` disables quantization. Atheros hardware
+        /// reports integer dBm, i.e. a step of 1.
+        pub quantization_db: f64,
+        /// Probability of a burst outlier per sample (interference spike).
+        pub outlier_prob: f64,
+        /// Magnitude of an outlier (dB, applied with random sign).
+        pub outlier_db: f64,
+    }
 }
 
 impl Default for NoiseConfig {

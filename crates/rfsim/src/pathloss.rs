@@ -5,15 +5,17 @@
 //! power at reference distance `d₀` and `n` the path-loss exponent (≈ 2 free
 //! space, 2.5-4 indoors).
 
-/// Log-distance path-loss model parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogDistance {
-    /// Received power (dBm) at the reference distance.
-    pub p0_dbm: f64,
-    /// Reference distance in meters (must be positive).
-    pub d0: f64,
-    /// Path-loss exponent.
-    pub exponent: f64,
+taf_wire::schema! {
+    /// Log-distance path-loss model parameters.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct LogDistance {
+        /// Received power (dBm) at the reference distance.
+        pub p0_dbm: f64,
+        /// Reference distance in meters (must be positive).
+        pub d0: f64,
+        /// Path-loss exponent.
+        pub exponent: f64,
+    }
 }
 
 impl LogDistance {

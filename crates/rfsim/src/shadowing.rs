@@ -10,14 +10,16 @@ use crate::deployment::Deployment;
 use crate::rng::GaussianSource;
 use taf_linalg::Matrix;
 
-/// Shadowing model parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShadowingConfig {
-    /// Standard deviation of the shadowing offset per link (dB).
-    pub sigma_db: f64,
-    /// Decorrelation distance (m): covariance between two links is
-    /// `sigma² · exp(−d/δ)` for midpoint distance `d`.
-    pub decorrelation_m: f64,
+taf_wire::schema! {
+    /// Shadowing model parameters.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct ShadowingConfig {
+        /// Standard deviation of the shadowing offset per link (dB).
+        pub sigma_db: f64,
+        /// Decorrelation distance (m): covariance between two links is
+        /// `sigma² · exp(−d/δ)` for midpoint distance `d`.
+        pub decorrelation_m: f64,
+    }
 }
 
 impl Default for ShadowingConfig {

@@ -16,19 +16,21 @@
 
 use crate::geometry::{Point, Segment};
 
-/// Target perturbation model parameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TargetModel {
-    /// Peak line-of-sight attenuation (dB) when the target stands on the direct
-    /// path. Human bodies at 2.4 GHz typically shadow 5-15 dB.
-    pub max_attenuation_db: f64,
-    /// Exponential decay constant (meters of excess path length) of the
-    /// shadowing — the "width" of the sensitive ellipse.
-    pub decay_m: f64,
-    /// Amplitude (dB) of the diffuse scattering field.
-    pub scatter_db: f64,
-    /// Spatial frequency (rad/m) of the scattering field.
-    pub scatter_freq: f64,
+taf_wire::schema! {
+    /// Target perturbation model parameters.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct TargetModel {
+        /// Peak line-of-sight attenuation (dB) when the target stands on the direct
+        /// path. Human bodies at 2.4 GHz typically shadow 5-15 dB.
+        pub max_attenuation_db: f64,
+        /// Exponential decay constant (meters of excess path length) of the
+        /// shadowing — the "width" of the sensitive ellipse.
+        pub decay_m: f64,
+        /// Amplitude (dB) of the diffuse scattering field.
+        pub scatter_db: f64,
+        /// Spatial frequency (rad/m) of the scattering field.
+        pub scatter_freq: f64,
+    }
 }
 
 impl Default for TargetModel {

@@ -13,29 +13,32 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use taf_linalg::Matrix;
 
-/// Everything needed to instantiate a [`World`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorldConfig {
-    /// Monitored-area grid.
-    pub grid: FloorGrid,
-    /// Number of deployed links `M`.
-    pub num_links: usize,
-    /// Distance (m) between the grid boundary and the transceivers.
-    pub deployment_margin: f64,
-    /// Large-scale path loss.
-    pub pathloss: LogDistance,
-    /// Static correlated shadowing.
-    pub shadowing: ShadowingConfig,
-    /// Target perturbation model.
-    pub target: TargetModel,
-    /// Temporal drift model.
-    pub drift: DriftConfig,
-    /// Measurement noise model.
-    pub noise: NoiseConfig,
-    /// Discrete environment changes (furniture moves, doors); empty by default
-    /// — the paper's headline experiments isolate pure temporal drift ("even
-    /// without any change in the environment").
-    pub events: Vec<EnvironmentEvent>,
+// The CLI's world file.
+taf_wire::schema! {
+    /// Everything needed to instantiate a [`World`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WorldConfig {
+        /// Monitored-area grid.
+        pub grid: FloorGrid,
+        /// Number of deployed links `M`.
+        pub num_links: usize,
+        /// Distance (m) between the grid boundary and the transceivers.
+        pub deployment_margin: f64,
+        /// Large-scale path loss.
+        pub pathloss: LogDistance,
+        /// Static correlated shadowing.
+        pub shadowing: ShadowingConfig,
+        /// Target perturbation model.
+        pub target: TargetModel,
+        /// Temporal drift model.
+        pub drift: DriftConfig,
+        /// Measurement noise model.
+        pub noise: NoiseConfig,
+        /// Discrete environment changes (furniture moves, doors); empty by default
+        /// — the paper's headline experiments isolate pure temporal drift ("even
+        /// without any change in the environment").
+        pub events: Vec<EnvironmentEvent>,
+    }
 }
 
 impl WorldConfig {

@@ -24,11 +24,13 @@
 //! Every type that crosses the wire, the disk or a CLI file implements one
 //! trait, [`Codec`], with four directions: v1 JSON write and read, binary
 //! encode and decode. The [`schema!`] macro ([`mod@schema`]) generates it
-//! from one list of a type's fields. `tafloc-serve` and the CLI declare
-//! their messages, files and records through it, type and impl at once;
-//! [`types`] lists the fields of the domain types (snapshots, fingerprint
-//! databases, world and system configs, ingest reports, planner and solver
-//! state), which live in crates that do not depend on this one.
+//! from one list of a type's fields, and each crate declares its own types
+//! through it, type and impl at once, where they live: the daemon's
+//! messages and records, the CLI's files, and the domain types (snapshots,
+//! world and system configs, ingest reports, planner state). A type with
+//! private fields or a validating constructor writes a short [`Codec`] impl
+//! next to its declaration instead. This crate depends only on
+//! `taf-linalg`, whose matrix it encodes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -38,7 +40,6 @@ pub mod error;
 pub mod frame;
 pub mod json;
 pub mod schema;
-pub mod types;
 
 pub use codec::{crc32, Dec, Enc};
 pub use error::{Result, WireError};

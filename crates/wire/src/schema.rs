@@ -9,13 +9,11 @@
 //! It has two forms. The *declaring* form takes a whole `pub struct` or
 //! `pub enum` — its attributes, doc comments and field types, with the
 //! schema's annotations added — and emits the type as well as its impl, so
-//! a type that depends on this crate is written once. A declared enum also
-//! gets `VARIANTS`, each variant's binary tag and v1 name in declaration
-//! order, and `tag()`, the binary tag of a value, so a table keyed by the
-//! variant follows the declaration. The *impl-only* form lists the fields of
-//! a type declared elsewhere; it serves the domain types of crates that do
-//! not depend on this one (see [`mod@crate::types`]), where an inherent impl
-//! cannot go.
+//! a type is written once. A declared enum also gets `VARIANTS`, each
+//! variant's binary tag and v1 name in declaration order, and `tag()`, the
+//! binary tag of a value, so a table keyed by the variant follows the
+//! declaration. The *impl-only* form lists the fields of a type declared
+//! elsewhere and emits only the impl; the declaring form expands into it.
 //!
 //! * **Structs** list their fields in order. A field that may be absent
 //!   from v1 input gives its fallback after `=`; `struct T: default { .. }`
@@ -515,7 +513,7 @@ impl Codec for Matrix {
 /// comments included, with the annotations of the impl-only form added; it
 /// emits the type, then the impl, and for an enum also `VARIANTS` and
 /// `tag()`. The impl-only form lists the fields of a type declared
-/// elsewhere.
+/// elsewhere; the declaring form expands into it.
 ///
 /// ```text
 /// schema! {
@@ -526,15 +524,18 @@ impl Codec for Matrix {
 ///         Locate = 4 "locate" { site: String, y: Vec<f64>, day: f64 = 0.0 },
 ///     }
 /// }
-/// schema! { struct LinkSample { link: usize, t_s: f64, rss_dbm: f64 } }
-/// schema! { struct IngestConfig: default { window_capacity: usize, .. } }
 /// schema! {
-///     enum Aggregator: tag "kind" {
+///     #[derive(Debug, Clone, Copy, PartialEq)]
+///     pub struct LinkSample { pub link: usize, pub t_s: f64, pub rss_dbm: f64 }
+/// }
+/// schema! { pub struct IngestConfig: default { pub window_capacity: usize, .. } }
+/// schema! {
+///     pub enum Aggregator: tag "kind" {
 ///         Median = 0 "median",
 ///         Ewma = 1 "ewma" { alpha: f64 },
 ///     }
 /// }
-/// schema! { struct SurveyRecord: binary { epoch: u64, y: Vec<f64>, fresh: Vec<bool> } }
+/// schema! { pub struct SurveyRecord: binary { pub epoch: u64, pub y: Vec<f64>, .. } }
 /// ```
 ///
 /// Hand-written readers read an object's members into a tuple, by the same
