@@ -291,6 +291,9 @@ pub fn cmd_new_world(args: &Args) -> Result<String> {
     } else if let Some(edge) = args.optional("edge") {
         let edge: f64 =
             edge.parse().map_err(|_| CliError(format!("--edge expects meters, got {edge:?}")))?;
+        if !edge.is_finite() || edge <= 0.0 {
+            return Err(CliError(format!("--edge must be finite and positive, got {edge}")));
+        }
         WorldConfig::square_area(edge)
     } else {
         WorldConfig::paper_default()

@@ -256,6 +256,17 @@ fn malformed_files_produce_clean_errors() {
 }
 
 #[test]
+fn new_world_refuses_an_edge_that_is_not_finite_and_positive() {
+    let dir = TempDir::new("edge");
+    let out = dir.file("world.json");
+    for edge in ["0", "-5", "nan", "inf"] {
+        let e = run("new-world", &args(&["--edge", edge, "--out", &out])).unwrap_err();
+        assert!(e.0.contains("--edge"), "{edge}: {e}");
+        assert!(!std::path::Path::new(&out).exists(), "{edge}: nothing may be written");
+    }
+}
+
+#[test]
 fn snapshot_rejects_out_of_range_cell() {
     let dir = TempDir::new("badcell");
     let world = dir.file("world.json");

@@ -135,9 +135,10 @@ impl FloorGrid {
 }
 
 /// `FloorGrid::new` treats a bad shape as a programming error and panics; a
-/// decoder must reject it as a data error first.
+/// decoder must reject it as a data error first. That includes a cell count
+/// `nx * ny` that overflows `usize`, which [`FloorGrid::num_cells`] would wrap.
 fn checked_grid(origin: Point, cell_size: f64, nx: usize, ny: usize) -> Result<FloorGrid> {
-    if cell_size <= 0.0 || !cell_size.is_finite() || nx == 0 || ny == 0 {
+    if !(cell_size > 0.0 && cell_size.is_finite()) || matches!(nx.checked_mul(ny), None | Some(0)) {
         return Err(WireError::Malformed(format!(
             "invalid grid: cell_size {cell_size}, {nx}x{ny} cells"
         )));

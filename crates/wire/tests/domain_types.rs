@@ -151,6 +151,23 @@ fn hostile_grid_and_matrix_shapes_error_instead_of_panicking() {
 }
 
 #[test]
+fn a_grid_whose_cell_count_overflows_is_refused_in_both_shapes() {
+    // 2^33 x 2^33 cells wrap `nx * ny` to 0 in a `u64`.
+    let n = 1usize << 33;
+    let mut e = Enc::new();
+    Point::new(0.0, 0.0).encode(&mut e);
+    e.f64(0.6);
+    e.usize(n);
+    e.usize(n);
+    assert!(from_bytes::<FloorGrid>(&e.into_inner()).is_err());
+    let text = format!(r#"{{"origin":{{"x":0,"y":0}},"cell_size":0.6,"nx":{n},"ny":{n}}}"#);
+    assert!(from_json::<FloorGrid>(&text).is_err());
+    // 2^33 x 1 cells still decode: the check is the overflow, not the size.
+    let text = format!(r#"{{"origin":{{"x":0,"y":0}},"cell_size":0.6,"nx":{n},"ny":1}}"#);
+    assert_eq!(from_json::<FloorGrid>(&text).unwrap().num_cells(), n);
+}
+
+#[test]
 fn ingest_types_round_trip_both_ways() {
     let s = LinkSample { link: 3, t_s: 12.5, rss_dbm: -51.25 };
     let text = to_json(&s);
