@@ -42,6 +42,11 @@ use tafloc_ingest::ClockMode;
 /// [`ServerConfig::workers`]).
 const READ_TIMEOUT: Duration = Duration::from_secs(60);
 
+/// Pause after a failed `accept` before the next one. Out of file
+/// descriptors, `accept` fails at once for as long as a connection waits in
+/// the backlog, so retrying at once would spin a core.
+const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
+
 /// Server construction parameters.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -356,6 +361,7 @@ fn accept_loop(listener: TcpListener, tx: mpsc::Sender<TcpStream>, ctx: Arc<Serv
                     break;
                 }
                 // Transient accept errors (EMFILE, aborted handshake): keep serving.
+                std::thread::sleep(ACCEPT_RETRY_PAUSE);
             }
         }
     }

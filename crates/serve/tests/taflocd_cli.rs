@@ -201,3 +201,75 @@ fn a_site_flag_for_a_recovered_name_leaves_the_recovered_site_alone() {
     client.call_ok(&Request::Shutdown).unwrap();
     assert!(daemon.0.wait().unwrap().success());
 }
+
+/// The daemon's CPU time so far, user plus system, in seconds, from
+/// `/proc/<pid>/stat` (fields 14 and 15, in clock ticks of 1/100 s).
+#[cfg(target_os = "linux")]
+fn cpu_seconds(pid: u32) -> f64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).unwrap();
+    // The fields after the parenthesised command name start at field 3.
+    let fields: Vec<&str> = stat[stat.rfind(')').unwrap() + 2..].split(' ').collect();
+    let ticks: u64 = fields[11..13].iter().map(|f| f.parse::<u64>().unwrap()).sum();
+    ticks as f64 / 100.0
+}
+
+/// Out of file descriptors, a failed `accept` is retried after a pause, not
+/// at once: the accept thread must not spin while connections wait in the
+/// backlog, and the daemon serves again once clients close.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_exhausted_descriptor_table_neither_spins_nor_stops_the_daemon() {
+    use std::net::TcpStream;
+    const FD_LIMIT: usize = 24;
+    const WORKERS: usize = 4;
+
+    let dir = TempDir::new("fds");
+    let port_file = dir.0.join("port");
+    // The rlimit applies to the shell and to the daemon it execs, nothing else.
+    let mut daemon = Daemon(
+        Command::new("sh")
+            .args(["-c", &format!("ulimit -n {FD_LIMIT}; exec \"$0\" \"$@\"")])
+            .arg(env!("CARGO_BIN_EXE_taflocd"))
+            .args(["--addr", "127.0.0.1:0", "--port-file", port_file.to_str().unwrap()])
+            .args(["--workers", &WORKERS.to_string()])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn taflocd"),
+    );
+    let addr = format!("127.0.0.1:{}", await_port(&port_file));
+    let pid = daemon.0.id();
+
+    // Hold every worker with an idle client, then queue connections until
+    // the daemon has no descriptor left for the ones still in the backlog.
+    let held: Vec<Client> = (0..WORKERS)
+        .map(|_| {
+            let mut client = Client::connect(addr.as_str()).unwrap();
+            client.ping().unwrap();
+            client
+        })
+        .collect();
+    let queued: Vec<TcpStream> =
+        (0..40).map(|_| TcpStream::connect(addr.as_str()).unwrap()).collect();
+    let open_fds = || std::fs::read_dir(format!("/proc/{pid}/fd")).unwrap().count();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while open_fds() < FD_LIMIT {
+        assert!(Instant::now() < deadline, "taflocd never ran out of descriptors");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let before = cpu_seconds(pid);
+    std::thread::sleep(Duration::from_secs(1));
+    let spent = cpu_seconds(pid) - before;
+    assert!(spent < 0.25, "taflocd used {spent:.2} CPU-seconds in 1 s out of descriptors");
+
+    drop(queued);
+    drop(held);
+    let start = Instant::now();
+    let mut client = Client::connect(addr.as_str()).unwrap();
+    client.set_timeout(Some(Duration::from_secs(5))).unwrap();
+    client.ping().unwrap();
+    assert!(start.elapsed() < Duration::from_secs(5), "ping took {:?}", start.elapsed());
+    client.call_ok(&Request::Shutdown).unwrap();
+    assert!(daemon.0.wait().unwrap().success());
+}
